@@ -4,6 +4,7 @@
 #include <bit>
 #include <utility>
 
+#include "pubsub/batch_group.h"
 #include "pubsub/range_index.h"
 
 namespace reef::pubsub {
@@ -50,9 +51,8 @@ void BitsetMatcher::grow_words(std::size_t min_words) {
     }
   }
   for (auto& [attr, entries] : contains_) {
-    for (auto& posting : entries.postings) {
-      posting.entry.bits.resize(words_, 0);
-    }
+    entries.for_each_payload(
+        [this](Entry& entry) { entry.bits.resize(words_, 0); });
   }
   for (auto& [attr, postings] : noneq_) {
     for (auto& posting : postings) posting.entry.bits.resize(words_, 0);
@@ -171,16 +171,12 @@ void BitsetMatcher::add(SubscriptionId id, Filter filter) {
           }
           entry = &it->entry;
         } else if (is_sortable_contains(c)) {
-          ContainsEntries& entries = contains_[c.attr_id()];
-          const std::string& pattern = c.value().as_string();
-          auto it = contains_posting_pos(entries.postings, pattern);
-          if (it == entries.postings.end() || it->pattern != pattern) {
-            it = entries.postings.insert(it,
-                                         ContainsPosting{pattern, Entry{}});
-            it->entry.bits.assign(words_, 0);
+          entry = &contains_[c.attr_id()].insert(c.value().as_string())
+                       .payload;
+          if (entry->bits.empty()) {
+            entry->bits.assign(words_, 0);
             ++entries_;
           }
-          entry = &it->entry;
         } else {
           auto& postings = noneq_[c.attr_id()];
           NonEqPosting* posting = nullptr;
@@ -286,13 +282,11 @@ void BitsetMatcher::remove(SubscriptionId id) {
           const auto attr_it = contains_.find(c.attr_id());
           ContainsEntries& entries = attr_it->second;
           const std::string& pattern = c.value().as_string();
-          const auto posting_it =
-              contains_posting_pos(entries.postings, pattern);
-          Entry& entry = posting_it->entry;
+          Entry& entry = entries.find(pattern)->payload;
           entry.bits[w] &= ~bit;
           if (--entry.slot_count == 0) {
-            entries.postings.erase(posting_it);
-            if (entries.postings.empty()) contains_.erase(attr_it);
+            entries.erase(pattern);
+            if (entries.empty()) contains_.erase(attr_it);
             --entries_;
           }
         } else {
@@ -373,10 +367,10 @@ void BitsetMatcher::collect_satisfied(AttrId attr, const Value& canonical,
   }
   if (const auto contains_it = contains_.find(attr);
       contains_it != contains_.end() && canonical.is_string()) {
-    probe_contains(contains_it->second.postings, canonical.as_string(),
-                   [&](const ContainsPosting& posting) {
-                     out.push_back(&posting.entry);
-                   });
+    contains_it->second.probe(canonical.as_string(),
+                              [&](const ContainsEntries::Posting& posting) {
+                                out.push_back(&posting.payload);
+                              });
   }
   if (const auto noneq_it = noneq_.find(attr); noneq_it != noneq_.end()) {
     // Evaluated against the *canonical* value in the single-event path too,
@@ -465,80 +459,34 @@ void BitsetMatcher::match_batch(
     return;
   }
   // Phase 1 — resolve satisfied index entries, amortized across the batch.
-  // Occurrences are grouped by attribute (same dense-table / sorted-flat
-  // strategy pair as IndexMatcher::match_batch, same thresholds) and then
-  // by canonical value, so each eq probe and each noneq predicate runs
-  // once per distinct (attribute, value) of the whole batch. The result is
-  // one satisfied-entry list per event — a pure function of that event and
-  // the registered filters, so per-event output is independent of the rest
-  // of the batch (contract invariant 2).
-  std::size_t occurrence_count = 0;
-  AttrId max_attr = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& attrs = events[i].attrs();
-    occurrence_count += attrs.size();
-    if (!attrs.empty()) max_attr = std::max(max_attr, attrs.back().first);
-  }
+  // Occurrences are grouped by attribute and then by canonical value
+  // (batch_group.h, the same grouping IndexMatcher::match_batch uses), so
+  // each eq probe and each noneq predicate runs once per distinct
+  // (attribute, value) of the whole batch. The result is one
+  // satisfied-entry list per event — a pure function of that event and the
+  // registered filters, so per-event output is independent of the rest of
+  // the batch (contract invariant 2).
   std::vector<std::vector<const Entry*>> satisfied(events.size());
-  using Occurrences = std::vector<std::pair<std::uint32_t, const Value*>>;
-  const auto match_group = [&](AttrId attr, const Occurrences& occurrences) {
+  std::vector<const Entry*> group_entries;
+  for_each_attr_group(events, [&](AttrId attr,
+                                  const Occurrences& occurrences) {
     if (!eq_.contains(attr) && !range_.contains(attr) &&
         !prefix_.contains(attr) && !suffix_.contains(attr) &&
         !contains_.contains(attr) && !noneq_.contains(attr)) {
       return;
     }
-    std::unordered_map<Value, std::vector<std::uint32_t>> by_value;
-    for (const auto& [i, value] : occurrences) {
-      by_value[canonical_numeric(*value)].push_back(i);
-    }
-    std::vector<const Entry*> group_entries;
-    for (const auto& [value, event_positions] : by_value) {
+    for_each_value_group(occurrences, [&](const Value& value,
+                                          const std::vector<std::uint32_t>&
+                                              event_positions) {
       group_entries.clear();
       collect_satisfied(attr, value, group_entries);
-      if (group_entries.empty()) continue;
+      if (group_entries.empty()) return;
       for (const std::uint32_t i : event_positions) {
         satisfied[i].insert(satisfied[i].end(), group_entries.begin(),
                             group_entries.end());
       }
-    }
-  };
-  const std::size_t id_span = static_cast<std::size_t>(max_attr) + 1;
-  if (id_span <= 4 * occurrence_count + 64) {
-    std::vector<Occurrences> by_attr(id_span);
-    std::vector<AttrId> touched;
-    for (std::uint32_t i = 0; i < events.size(); ++i) {
-      for (const auto& [attr, value] : events[i].attrs()) {
-        auto& occurrences = by_attr[attr];
-        if (occurrences.empty()) touched.push_back(attr);
-        occurrences.emplace_back(i, &value);
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (const AttrId attr : touched) match_group(attr, by_attr[attr]);
-  } else {
-    std::vector<std::pair<AttrId, std::pair<std::uint32_t, const Value*>>>
-        flat;
-    flat.reserve(occurrence_count);
-    for (std::uint32_t i = 0; i < events.size(); ++i) {
-      for (const auto& [attr, value] : events[i].attrs()) {
-        flat.emplace_back(attr, std::make_pair(i, &value));
-      }
-    }
-    std::sort(flat.begin(), flat.end(),
-              [](const auto& a, const auto& b) {
-                return a.first != b.first ? a.first < b.first
-                                          : a.second.first < b.second.first;
-              });
-    Occurrences occurrences;
-    for (std::size_t o = 0; o < flat.size();) {
-      const AttrId attr = flat[o].first;
-      occurrences.clear();
-      for (; o < flat.size() && flat[o].first == attr; ++o) {
-        occurrences.push_back(flat[o].second);
-      }
-      match_group(attr, occurrences);
-    }
-  }
+    });
+  });
   // Phase 2 — per event: ripple-carry the satisfied bitmaps into the
   // counter slices (reused scratch, re-zeroed per event) and run the
   // threshold pass. Word loops only; no hash probe survives phase 1.

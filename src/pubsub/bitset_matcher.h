@@ -29,11 +29,11 @@
 // String prefix constraints index as a sorted pattern table probed with
 // one lexicographic binary search per live pattern length; suffix
 // constraints as the same table over *reversed* patterns, probed with the
-// reversed event string; contains constraints as a (length, pattern)-
-// sorted table walked in ascending pattern length with one find() per
-// surviving distinct pattern (see range_index.h for all three probes,
-// shared with the anchor index). Every other operator (ne/exists, in-set,
-// plus range/pattern shapes the sorted structures cannot hold) indexes as
+// reversed event string; contains constraints as a table of distinct
+// patterns probed in one pass over the event string (see range_index.h
+// for all three probes, shared with the anchor index). Every other
+// operator (ne/exists, in-set, plus range/pattern shapes the sorted
+// structures cannot hold) indexes as
 // noneq[attr] -> (constraint, bitmap) postings, one per *distinct*
 // constraint — filters sharing `text =$ ".log"` share one entry, so the
 // predicate is evaluated once per event (or once per distinct value in a
@@ -84,6 +84,7 @@
 
 #include "pubsub/attr_table.h"
 #include "pubsub/matcher.h"
+#include "pubsub/range_index.h"
 
 namespace reef::pubsub {
 
@@ -158,15 +159,8 @@ class BitsetMatcher final : public Matcher {
     /// sorted (pattern length, live patterns of that length)
     std::vector<std::pair<std::size_t, std::size_t>> lengths;
   };
-  /// One distinct contains pattern with the slots carrying that constraint.
-  struct ContainsPosting {
-    std::string pattern;
-    Entry entry;
-  };
-  struct ContainsEntries {
-    /// sorted by (pattern length, pattern), distinct
-    std::vector<ContainsPosting> postings;
-  };
+  /// Distinct contains patterns, each with the slots carrying it.
+  using ContainsEntries = ContainsTable<Entry>;
   struct Slot {
     SubscriptionId sub = 0;
     Filter filter;
@@ -212,7 +206,7 @@ class BitsetMatcher final : public Matcher {
   /// attribute id -> sorted distinct *reversed* suffix-pattern entries
   /// (PrefixEntries layout; probed with the reversed event string).
   std::unordered_map<AttrId, PrefixEntries, AttrIdHash> suffix_;
-  /// attribute id -> length-sorted distinct contains-pattern entries.
+  /// attribute id -> distinct contains-pattern entries.
   std::unordered_map<AttrId, ContainsEntries, AttrIdHash> contains_;
   /// attribute id -> residual distinct non-equality postings (operators
   /// the sorted structures cannot hold; evaluated per distinct value).

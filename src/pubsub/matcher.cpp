@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "pubsub/batch_group.h"
 #include "pubsub/range_index.h"
 #include "util/hash.h"
 
@@ -81,63 +82,79 @@ void IndexMatcher::add(SubscriptionId id, Filter filter) {
     filters_.emplace(id, std::move(entry));
     return;
   }
-  // Anchor priority (see the class comment): the equality constraint whose
-  // bucket is currently smallest, else the first in constraint with a
-  // bucketable member, else the first sorted-indexable range constraint,
-  // else the first indexable prefix / suffix / contains constraint, else
-  // the residual scan list keyed by the first constraint's attribute. Each
-  // anchor constraint is a necessary condition of its filter, so matching
-  // stays correct for any choice — priority only steers probe cost.
-  const Constraint* best = nullptr;
-  std::size_t best_size = ~std::size_t{0};
+  // Anchor priority (see the class comment): the smallest current posting
+  // among the eq buckets and exact-pattern postings (eq winning ties), else
+  // the first in constraint with a bucketable member, else the first
+  // sorted-indexable range constraint, else the smallest pattern posting,
+  // else the residual scan list keyed by the first constraint's attribute.
+  // Each anchor constraint is a necessary condition of its filter, so
+  // matching stays correct for any choice — priority only steers probe
+  // cost.
+  const Constraint* best_eq = nullptr;
+  std::size_t best_eq_size = ~std::size_t{0};
+  const Constraint* best_pattern = nullptr;
+  std::size_t best_pattern_size = ~std::size_t{0};
   const Constraint* in_anchor = nullptr;
   const Constraint* range_anchor = nullptr;
-  const Constraint* prefix_anchor = nullptr;
-  const Constraint* suffix_anchor = nullptr;
-  const Constraint* contains_anchor = nullptr;
   for (const auto& c : entry.filter.constraints()) {
-    if (c.op() != Op::kEq) {
-      if (in_anchor == nullptr && c.op() == Op::kIn) {
-        for (const Value& m : c.members()) {
-          if (eq_bucketable(m)) {
-            in_anchor = &c;
-            break;
-          }
-        }
+    if (c.op() == Op::kEq) {
+      if (const std::size_t size = posting_size(c); size < best_eq_size) {
+        best_eq_size = size;
+        best_eq = &c;
       }
-      if (range_anchor == nullptr && is_sortable_range(c)) range_anchor = &c;
-      if (prefix_anchor == nullptr && is_sortable_prefix(c)) {
-        prefix_anchor = &c;
+    } else if (is_sortable_prefix(c) || is_sortable_suffix(c) ||
+               is_sortable_contains(c)) {
+      if (const std::size_t size = posting_size(c);
+          size < best_pattern_size) {
+        best_pattern_size = size;
+        best_pattern = &c;
       }
-      if (suffix_anchor == nullptr && is_sortable_suffix(c)) {
-        suffix_anchor = &c;
+    } else if (in_anchor == nullptr && c.op() == Op::kIn) {
+      if (std::any_of(c.members().begin(), c.members().end(), eq_bucketable)) {
+        in_anchor = &c;
       }
-      if (contains_anchor == nullptr && is_sortable_contains(c)) {
-        contains_anchor = &c;
-      }
-      continue;
-    }
-    std::size_t bucket = 0;
-    if (const auto attr_it = eq_.find(c.attr_id()); attr_it != eq_.end()) {
-      if (const auto value_it =
-              attr_it->second.find(canonical_numeric(c.value()));
-          value_it != attr_it->second.end()) {
-        bucket = value_it->second.size();
-      }
-    }
-    if (bucket < best_size) {
-      best_size = bucket;
-      best = &c;
+    } else if (range_anchor == nullptr && is_sortable_range(c)) {
+      range_anchor = &c;
     }
   }
-  if (best != nullptr) {
+  const Constraint* pattern_anchor = nullptr;
+  if (best_eq != nullptr && best_pattern_size < best_eq_size) {
+    pattern_anchor = best_pattern;  // strictly smaller than every eq bucket
+    best_eq = nullptr;
+  } else if (best_eq == nullptr && in_anchor == nullptr &&
+             range_anchor == nullptr) {
+    pattern_anchor = best_pattern;
+  }
+  if (best_eq != nullptr) {
     entry.kind = AnchorKind::kEqBucket;
-    entry.anchor_attr = best->attr_id();
-    entry.anchor_value = canonical_numeric(best->value());
+    entry.anchor_attr = best_eq->attr_id();
+    entry.anchor_value = canonical_numeric(best_eq->value());
     auto& bucket = eq_[entry.anchor_attr][entry.anchor_value];
     bucket.push_back(id);
     note_bucket_grew(entry.anchor_attr, entry.anchor_value, bucket.size());
     ++eq_count_;
+  } else if (pattern_anchor != nullptr) {
+    entry.anchor_attr = pattern_anchor->attr_id();
+    entry.anchor_value = pattern_anchor->value();  // original pattern
+    const std::string& pattern = entry.anchor_value.as_string();
+    if (pattern_anchor->op() == Op::kContains) {
+      entry.kind = AnchorKind::kContains;
+      contains_[entry.anchor_attr].insert(pattern).payload.push_back(id);
+      ++contains_count_;
+    } else {
+      const bool is_prefix = pattern_anchor->op() == Op::kPrefix;
+      entry.kind = is_prefix ? AnchorKind::kPrefix : AnchorKind::kSuffix;
+      PrefixIndex& index =
+          (is_prefix ? prefix_ : suffix_)[entry.anchor_attr];
+      const std::string key = is_prefix ? pattern : reversed(pattern);
+      auto it = prefix_posting_pos(index.postings, key);
+      if (it == index.postings.end() || it->prefix != key) {
+        it = index.postings.insert(it, PrefixPosting{key, {}});
+        add_prefix_length(index.lengths, key.size());
+      }
+      it->ids.push_back(id);
+      ++(is_prefix ? prefix_count_ : suffix_count_);
+    }
   } else if (in_anchor != nullptr) {
     // Post the filter under every bucketable member of the set. An event
     // value equals at most one canonical member, so a probe finds the
@@ -176,44 +193,6 @@ void IndexMatcher::add(SubscriptionId id, Filter filter) {
           std::move(posting));
     }
     ++range_count_;
-  } else if (prefix_anchor != nullptr) {
-    entry.kind = AnchorKind::kPrefix;
-    entry.anchor_attr = prefix_anchor->attr_id();
-    entry.anchor_value = prefix_anchor->value();
-    PrefixIndex& index = prefix_[entry.anchor_attr];
-    const std::string& pattern = entry.anchor_value.as_string();
-    auto it = prefix_posting_pos(index.postings, pattern);
-    if (it == index.postings.end() || it->prefix != pattern) {
-      it = index.postings.insert(it, PrefixPosting{pattern, {}});
-      add_prefix_length(index.lengths, pattern.size());
-    }
-    it->ids.push_back(id);
-    ++prefix_count_;
-  } else if (suffix_anchor != nullptr) {
-    entry.kind = AnchorKind::kSuffix;
-    entry.anchor_attr = suffix_anchor->attr_id();
-    entry.anchor_value = suffix_anchor->value();  // original pattern
-    PrefixIndex& index = suffix_[entry.anchor_attr];
-    const std::string pattern = reversed(entry.anchor_value.as_string());
-    auto it = prefix_posting_pos(index.postings, pattern);
-    if (it == index.postings.end() || it->prefix != pattern) {
-      it = index.postings.insert(it, PrefixPosting{pattern, {}});
-      add_prefix_length(index.lengths, pattern.size());
-    }
-    it->ids.push_back(id);
-    ++suffix_count_;
-  } else if (contains_anchor != nullptr) {
-    entry.kind = AnchorKind::kContains;
-    entry.anchor_attr = contains_anchor->attr_id();
-    entry.anchor_value = contains_anchor->value();
-    ContainsIndex& index = contains_[entry.anchor_attr];
-    const std::string& pattern = entry.anchor_value.as_string();
-    auto it = contains_posting_pos(index.postings, pattern);
-    if (it == index.postings.end() || it->pattern != pattern) {
-      it = index.postings.insert(it, ContainsPosting{pattern, {}});
-    }
-    it->ids.push_back(id);
-    ++contains_count_;
   } else {
     entry.kind = AnchorKind::kScan;
     entry.anchor_attr = entry.filter.constraints().front().attr_id();
@@ -312,10 +291,10 @@ void IndexMatcher::remove(SubscriptionId id) {
       const auto contains_it = contains_.find(entry.anchor_attr);
       ContainsIndex& index = contains_it->second;
       const std::string& pattern = entry.anchor_value.as_string();
-      const auto pos = contains_posting_pos(index.postings, pattern);
-      std::erase(pos->ids, id);
-      if (pos->ids.empty()) index.postings.erase(pos);
-      if (index.postings.empty()) contains_.erase(contains_it);
+      auto& ids = index.find(pattern)->payload;
+      std::erase(ids, id);
+      if (ids.empty()) index.erase(pattern);
+      if (index.empty()) contains_.erase(contains_it);
       --contains_count_;
       break;
     }
@@ -328,6 +307,31 @@ void IndexMatcher::remove(SubscriptionId id) {
     }
   }
   filters_.erase(it);
+}
+
+std::size_t IndexMatcher::posting_size(const Constraint& c) const {
+  const AttrId attr = c.attr_id();
+  if (c.op() == Op::kEq) {
+    const auto attr_it = eq_.find(attr);
+    if (attr_it == eq_.end()) return 0;
+    const auto value_it = attr_it->second.find(canonical_numeric(c.value()));
+    return value_it == attr_it->second.end() ? 0 : value_it->second.size();
+  }
+  const std::string& pattern = c.value().as_string();
+  if (c.op() == Op::kContains) {
+    const auto table_it = contains_.find(attr);
+    if (table_it == contains_.end()) return 0;
+    const auto* posting = table_it->second.find(pattern);
+    return posting == nullptr ? 0 : posting->payload.size();
+  }
+  const bool is_prefix = c.op() == Op::kPrefix;
+  const auto& tables = is_prefix ? prefix_ : suffix_;
+  const auto table_it = tables.find(attr);
+  if (table_it == tables.end()) return 0;
+  const std::string key = is_prefix ? pattern : reversed(pattern);
+  const auto& postings = table_it->second.postings;
+  const auto it = prefix_posting_pos(postings, key);
+  return it == postings.end() || it->prefix != key ? 0 : it->ids.size();
 }
 
 std::optional<std::string> IndexMatcher::anchor_attribute(
@@ -414,20 +418,26 @@ void IndexMatcher::note_bucket_shrank(AttrId attr, const Value& value,
 std::size_t IndexMatcher::rebalance(std::size_t max_bucket) {
   // Collect victims first: re-adding mutates the buckets being iterated.
   // Sorted ids make the pass order (and therefore the resulting anchor
-  // assignment) independent of hash-map iteration order. Filters with a
-  // single equality constraint are pinned to their bucket — skip them
-  // rather than churn them through a pointless remove/re-add cycle.
+  // assignment) independent of hash-map iteration order. Only eq-anchored
+  // filters with an alternative anchor — a second eq constraint or an
+  // indexable pattern — can move; the rest (single-eq filters, in-anchored
+  // ones) are pinned to their bucket, so skip them rather than churn them
+  // through a pointless remove/re-add cycle.
   std::vector<SubscriptionId> victims;
   for (const auto& [attr, by_value] : eq_) {
     for (const auto& [value, bucket] : by_value) {
       if (bucket.size() <= max_bucket) continue;
       for (const SubscriptionId id : bucket) {
-        const Filter& filter = filters_.at(id).filter;
-        std::size_t eq_constraints = 0;
-        for (const auto& c : filter.constraints()) {
-          if (c.op() == Op::kEq && ++eq_constraints > 1) break;
+        const Entry& entry = filters_.at(id);
+        if (entry.kind != AnchorKind::kEqBucket) continue;
+        std::size_t alternatives = 0;
+        for (const auto& c : entry.filter.constraints()) {
+          if (c.op() == Op::kEq || is_sortable_prefix(c) ||
+              is_sortable_suffix(c) || is_sortable_contains(c)) {
+            if (++alternatives > 1) break;
+          }
         }
-        if (eq_constraints > 1) victims.push_back(id);
+        if (alternatives > 1) victims.push_back(id);
       }
     }
   }
@@ -435,12 +445,13 @@ std::size_t IndexMatcher::rebalance(std::size_t max_bucket) {
   std::size_t moved = 0;
   for (const SubscriptionId id : victims) {
     const Entry& entry = filters_.at(id);
+    const AnchorKind old_kind = entry.kind;
     const AttrId old_attr = entry.anchor_attr;
     const Value old_value = entry.anchor_value;
     Filter filter = entry.filter;
     add(id, std::move(filter));  // re-runs anchor selection
     const Entry& after = filters_.at(id);
-    if (after.anchor_attr != old_attr ||
+    if (after.kind != old_kind || after.anchor_attr != old_attr ||
         !(after.anchor_value == old_value)) {
       ++moved;
     }
@@ -510,14 +521,12 @@ void IndexMatcher::match(const Event& event,
     }
     if (const auto contains_it = contains_.find(attr);
         contains_it != contains_.end() && value.is_string()) {
-      probe_contains(contains_it->second.postings, value.as_string(),
-                     [&](const ContainsPosting& posting) {
-                       for (const SubscriptionId id : posting.ids) {
-                         if (filters_.at(id).filter.matches(event)) {
-                           out.push_back(id);
-                         }
-                       }
-                     });
+      contains_it->second.probe(
+          value.as_string(), [&](const ContainsIndex::Posting& posting) {
+            for (const SubscriptionId id : posting.payload) {
+              if (filters_.at(id).filter.matches(event)) out.push_back(id);
+            }
+          });
     }
     if (const auto scan_it = scan_.find(attr); scan_it != scan_.end()) {
       for (const SubscriptionId id : scan_it->second) {
@@ -538,27 +547,15 @@ void IndexMatcher::match_batch(
       contains_.empty() && scan_.empty()) {
     return;
   }
-  // Group the batch by attribute id into (position, value) occurrence
-  // lists — one eq_/scan_ probe per distinct attribute across the whole
-  // batch, no string hashing anywhere. Two grouping strategies, same
-  // output: a dense AttrId-indexed table when the ids present span a
-  // range comparable to the batch (the schema-bounded norm — attribute
-  // names are a small vocabulary, see the AttrTable cardinality note),
-  // and an O(A log A) sort of flattened occurrences when a stray
-  // late-interned id would make the dense table bigger than the work it
-  // saves. Either way groups are consumed in ascending AttrId with
-  // events in view order inside each, so per-event output order is
-  // independent of which other events share the batch (event.attrs()
-  // iterates ascending too).
-  std::size_t occurrence_count = 0;
-  AttrId max_attr = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& attrs = events[i].attrs();
-    occurrence_count += attrs.size();
-    if (!attrs.empty()) max_attr = std::max(max_attr, attrs.back().first);
-  }
-  using Occurrences = std::vector<std::pair<std::uint32_t, const Value*>>;
-  const auto match_group = [&](AttrId attr, const Occurrences& occurrences) {
+  // Group the batch by attribute, then by canonical value (batch_group.h),
+  // so each probe — eq bucket lookup, range binary search, prefix/suffix/
+  // contains table probe — runs once and each candidate filter is fetched
+  // once, however many events of the batch share the value. Probe order
+  // per value mirrors the single-event path (eq, range lower, range upper,
+  // prefix, suffix, contains, scan), and each event carries one value per
+  // attribute, so per-event output order is batch-composition independent.
+  for_each_attr_group(events, [&](AttrId attr,
+                                  const Occurrences& occurrences) {
     const auto eq_it = eq_.find(attr);
     const auto range_it = range_.find(attr);
     const auto prefix_it = prefix_.find(attr);
@@ -567,19 +564,9 @@ void IndexMatcher::match_batch(
     if (eq_it != eq_.end() || range_it != range_.end() ||
         prefix_it != prefix_.end() || suffix_it != suffix_.end() ||
         contains_it != contains_.end()) {
-      // Sub-group by canonical value so each probe — eq bucket lookup,
-      // range binary search, prefix/suffix/contains table probe — runs
-      // once and each candidate filter is fetched once, however many
-      // events of the batch share the value. Probe order per value
-      // mirrors the single-event path (eq, range lower, range upper,
-      // prefix, suffix, contains, scan), and each event carries one value
-      // per attribute, so per-event output order is batch-composition
-      // independent.
-      std::unordered_map<Value, std::vector<std::uint32_t>> by_value;
-      for (const auto& [i, value] : occurrences) {
-        by_value[canonical_numeric(*value)].push_back(i);
-      }
-      for (const auto& [value, event_positions] : by_value) {
+      for_each_value_group(occurrences, [&](const Value& value,
+                                            const std::vector<std::uint32_t>&
+                                                event_positions) {
         const auto evaluate = [&](SubscriptionId id) {
           const Filter& filter = filters_.at(id).filter;
           for (const std::uint32_t i : event_positions) {
@@ -624,14 +611,12 @@ void IndexMatcher::match_batch(
                          });
         }
         if (contains_it != contains_.end() && value.is_string()) {
-          probe_contains(contains_it->second.postings, value.as_string(),
-                         [&](const ContainsPosting& posting) {
-                           for (const SubscriptionId id : posting.ids) {
-                             evaluate(id);
-                           }
-                         });
+          contains_it->second.probe(
+              value.as_string(), [&](const ContainsIndex::Posting& posting) {
+                for (const SubscriptionId id : posting.payload) evaluate(id);
+              });
         }
-      }
+      });
     }
     if (const auto scan_it = scan_.find(attr); scan_it != scan_.end()) {
       for (const SubscriptionId id : scan_it->second) {
@@ -641,44 +626,7 @@ void IndexMatcher::match_batch(
         }
       }
     }
-  };
-  const std::size_t id_span = static_cast<std::size_t>(max_attr) + 1;
-  if (id_span <= 4 * occurrence_count + 64) {
-    std::vector<Occurrences> by_attr(id_span);
-    std::vector<AttrId> touched;
-    for (std::uint32_t i = 0; i < events.size(); ++i) {
-      for (const auto& [attr, value] : events[i].attrs()) {
-        auto& occurrences = by_attr[attr];
-        if (occurrences.empty()) touched.push_back(attr);
-        occurrences.emplace_back(i, &value);
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (const AttrId attr : touched) match_group(attr, by_attr[attr]);
-  } else {
-    std::vector<std::pair<AttrId, std::pair<std::uint32_t, const Value*>>>
-        flat;
-    flat.reserve(occurrence_count);
-    for (std::uint32_t i = 0; i < events.size(); ++i) {
-      for (const auto& [attr, value] : events[i].attrs()) {
-        flat.emplace_back(attr, std::make_pair(i, &value));
-      }
-    }
-    std::sort(flat.begin(), flat.end(),
-              [](const auto& a, const auto& b) {
-                return a.first != b.first ? a.first < b.first
-                                          : a.second.first < b.second.first;
-              });
-    Occurrences occurrences;
-    for (std::size_t o = 0; o < flat.size();) {
-      const AttrId attr = flat[o].first;
-      occurrences.clear();
-      for (; o < flat.size() && flat[o].first == attr; ++o) {
-        occurrences.push_back(flat[o].second);
-      }
-      match_group(attr, occurrences);
-    }
-  }
+  });
 }
 
 // --- CountingMatcher --------------------------------------------------------

@@ -9,8 +9,8 @@
 //                    selective eq constraint, or every member of its first
 //                    in-set), a sorted numeric range bound array, a sorted
 //                    string prefix table, a reversed-pattern suffix table,
-//                    a length-sorted contains table, or the residual scan
-//                    list.
+//                    a contains table probed in one pass over the event
+//                    string, or the residual scan list.
 //   "counting"     — classic Gryphon/Siena counting algorithm: constraints
 //                    indexed per attribute, a filter fires when all of its
 //                    constraints have been satisfied by the event.
@@ -43,6 +43,7 @@
 #include "pubsub/attr_table.h"
 #include "pubsub/event.h"
 #include "pubsub/filter.h"
+#include "pubsub/range_index.h"
 #include "pubsub/scoring.h"
 
 namespace reef::pubsub {
@@ -305,8 +306,12 @@ class BruteForceMatcher final : public Matcher {
 /// Anchor-index matcher. Every filter is indexed in exactly one place,
 /// picked by anchor priority:
 ///
-///   1. a hash bucket keyed by its most *selective* equality constraint
-///      (the one whose (attribute, value) bucket is currently smallest);
+///   1. the smallest *current posting* among its equality buckets and the
+///      exact-pattern postings of its indexable prefix / suffix / contains
+///      constraints (the (attribute, value) bucket, or the one pattern's
+///      entry in its table — see 4-6 for the tables), an equality bucket
+///      winning ties. Posting size is the selectivity proxy: a filter
+///      lands where it shares its probe with the fewest other filters;
 ///   2. absent eq constraints, the equality buckets of its first `in`
 ///      constraint: the filter is posted under *every* bucketable member
 ///      (an event value hits at most one member bucket, so the filter is
@@ -316,16 +321,14 @@ class BruteForceMatcher final : public Matcher {
 ///      binary-searches the event value against the sorted lower/upper
 ///      bound arrays and enumerates exactly the satisfied postings —
 ///      never the unsatisfied ones;
-///   4. absent those, a *sorted string prefix table* for its first prefix
-///      constraint: lexicographic binary probes, one per live pattern
-///      length (see range_index.h for the probe arithmetic shared with
-///      the bitset engine);
-///   5. absent those, a *reversed-pattern suffix table* for its first
-///      suffix constraint: the same prefix probes run against the
-///      reversed event string;
-///   6. absent those, a *length-sorted substring table* for its first
-///      contains constraint: one shared walk bounded by the event
-///      string's length, one find() per distinct live pattern;
+///   4-6. absent those, the smallest exact-pattern posting (first such
+///      constraint on ties) in one of the pattern tables: the *sorted
+///      string prefix table* (lexicographic binary probes, one per live
+///      pattern length), the *reversed-pattern suffix table* (the same
+///      probes against the reversed event string), or the *contains
+///      table* (one pass over the event string tests every distinct
+///      pattern) — see range_index.h for the probes, shared with the
+///      bitset engine;
 ///   7. otherwise a residual per-attribute scan list (ne/exists, the
 ///      in-sets with no bucketable member, and range/prefix/suffix/
 ///      contains shapes the sorted structures cannot hold: string or NaN
@@ -337,10 +340,12 @@ class BruteForceMatcher final : public Matcher {
 /// values and fully evaluates only the candidates found there; any anchor
 /// is correct because it is a *necessary* condition of its filter (an
 /// event matching the filter satisfies the anchor constraint, so the
-/// probe finds it). Anchoring on the smallest eq bucket steers filters
-/// away from non-selective attributes (every feed subscription carries
+/// probe finds it). Anchoring on the smallest posting steers filters away
+/// from non-selective attributes (every feed subscription carries
 /// stream="feed"; anchoring there would degenerate to a linear scan — the
-/// classic content-based-matching pitfall).
+/// classic content-based-matching pitfall). Content subscriptions
+/// `stream = feed ∧ contains(text, term)` have no second eq constraint, so
+/// their pattern postings are what keeps them out of the stream bucket.
 class IndexMatcher final : public Matcher {
  public:
   using Matcher::match;
@@ -384,17 +389,19 @@ class IndexMatcher final : public Matcher {
   EqBucketStats eq_bucket_stats() const noexcept override;
 
   /// Anchor maintenance under adversarial churn: anchors are chosen at add
-  /// time against the bucket sizes of that moment, so a long-lived filter
+  /// time against the posting sizes of that moment, so a long-lived filter
   /// can sit in a bucket that has since grown far past its alternatives.
-  /// This pass re-runs anchor selection (in ascending id order, so it is
-  /// deterministic) for every filter living in an equality bucket larger
-  /// than `max_bucket` — and a filter moves only if another of its
-  /// equality buckets is strictly smaller than its current one at that
-  /// point of the pass. Returns how many filters moved. Matching is
-  /// correct for *any* anchor assignment — the pass only affects probe
-  /// cost. Filters whose sole equality constraint is the hot one are
-  /// pinned (they are skipped outright); largest_eq_bucket() stays above
-  /// `max_bucket` in that case — the skew the churn test documents.
+  /// This pass re-runs anchor selection — the same rule as add() — (in
+  /// ascending id order, so it is deterministic) for every filter living
+  /// in an equality bucket larger than `max_bucket`, and a filter moves
+  /// only if another of its equality buckets or pattern postings is
+  /// smaller than its current bucket at that point of the pass. Returns
+  /// how many filters moved. Matching is correct for *any* anchor
+  /// assignment — the pass only affects probe cost. Filters whose sole
+  /// alternative-free constraint is the hot eq one (no second eq
+  /// constraint, no indexable pattern) are pinned (they are skipped
+  /// outright); largest_eq_bucket() stays above `max_bucket` in that case
+  /// — the skew the churn test documents.
   std::size_t rebalance(std::size_t max_bucket);
 
   /// Maintenance hook: anchor rebalancing is this engine's structural
@@ -412,7 +419,7 @@ class IndexMatcher final : public Matcher {
     kRange,      // sorted numeric bound array (lower or upper)
     kPrefix,     // sorted string prefix table
     kSuffix,     // reversed-pattern suffix table
-    kContains,   // length-sorted substring table
+    kContains,   // contains table (one-pass multi-pattern probe)
     kScan,       // residual per-attribute scan list
   };
 
@@ -448,16 +455,13 @@ class IndexMatcher final : public Matcher {
     /// sorted (pattern length, live patterns of that length)
     std::vector<std::pair<std::size_t, std::size_t>> lengths;
   };
-  /// One distinct contains pattern with the filters anchored on it.
-  struct ContainsPosting {
-    std::string pattern;
-    std::vector<SubscriptionId> ids;
-  };
-  struct ContainsIndex {
-    /// sorted by (pattern length, pattern), distinct
-    std::vector<ContainsPosting> postings;
-  };
+  /// Distinct contains patterns, each with the filters anchored on it.
+  using ContainsIndex = ContainsTable<std::vector<SubscriptionId>>;
 
+  /// Current population of each anchor `c` could take: its eq bucket or
+  /// its exact pattern posting (0 when absent). Only called for eq and
+  /// indexable prefix/suffix/contains constraints.
+  std::size_t posting_size(const Constraint& c) const;
   /// Incremental eq-bucket-stats bookkeeping, called at every bucket
   /// push/erase with the bucket's new size (hist bins hold identity keys
   /// so largest_key falls out of the histogram).
@@ -482,8 +486,8 @@ class IndexMatcher final : public Matcher {
   /// string suffix constraint of that attribute (PrefixIndex over the
   /// reversed patterns; probed with the reversed event string)
   std::unordered_map<AttrId, PrefixIndex, AttrIdHash> suffix_;
-  /// attribute id -> length-sorted substring table of the filters
-  /// anchored on a string contains constraint of that attribute
+  /// attribute id -> contains table of the filters anchored on a string
+  /// contains constraint of that attribute
   std::unordered_map<AttrId, ContainsIndex, AttrIdHash> contains_;
   /// attribute id -> residual filters (no indexable anchor shape)
   std::unordered_map<AttrId, std::vector<SubscriptionId>, AttrIdHash> scan_;

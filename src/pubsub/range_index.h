@@ -44,19 +44,32 @@
 //
 // ## Contains postings
 //
-// Contains has no single-probe order, but sorting postings by
-// (pattern length, pattern) gives the next best thing: a probe walks the
-// table in ascending pattern length, breaks at the first length > |s|,
-// and runs one s.find(pattern) per surviving posting — one shared table
-// scan bounded by the event string's length instead of a per-filter
-// residual scan. Distinct patterns appear once no matter how many
-// filters share them.
+// Contains has no single-probe order, so ContainsTable probes every
+// distinct pattern in *one pass over the event string*. Postings stay
+// sorted by (pattern length, pattern); next to them the table keeps a
+// bigram index: every pattern of length >= 1 is filed under its first
+// byte (a 257-entry offset table), and inside that run by its second byte
+// (length-1 patterns first), so a probe position i narrows to the
+// patterns starting with s[i] s[i+1] by one table read and one binary
+// search; those sit in (length, pattern) order, so each of their lengths
+// costs one more binary search for s's own substring of that length.
+// Hits are marked in a per-thread bitmap over posting positions, so a
+// pattern occurring many times in s is reported once, and fired
+// afterwards in posting order: ascending (length, pattern), so hit order
+// does not depend on where in s a pattern occurs. The bigram index is
+// rebuilt by two counting passes whenever a distinct pattern comes or
+// goes: O(distinct patterns) per change, no per-byte-pair flat tables.
+// Distinct patterns appear once no matter how many filters share them.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <compare>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -109,7 +122,7 @@ inline bool is_sortable_suffix(const Constraint& c) noexcept {
   return c.op() == Op::kSuffix && c.value().is_string();
 }
 
-/// Contains constraint indexable in the length-sorted substring table.
+/// Contains constraint indexable in the contains table (ContainsTable).
 inline bool is_sortable_contains(const Constraint& c) noexcept {
   return c.op() == Op::kContains && c.value().is_string();
 }
@@ -242,33 +255,190 @@ void probe_prefixes(
   }
 }
 
-/// Lower-bound position of `key` in a contains posting array sorted by
-/// (pattern length, pattern) — `Posting` needs `.pattern`; callers check
-/// for an exact hit.
-template <typename Postings>
-auto contains_posting_pos(Postings& sorted, std::string_view key) noexcept {
-  return std::lower_bound(
-      sorted.begin(), sorted.end(), key,
-      [](const auto& p, std::string_view k) {
-        const std::string_view pat(p.pattern);
-        if (pat.size() != k.size()) return pat.size() < k.size();
-        return pat < k;
-      });
-}
+/// The contains postings of one attribute: distinct patterns sorted by
+/// (length, pattern), each carrying an engine `Payload` (the anchor
+/// index's subscription ids, the bitset engine's slot bitmap), plus the
+/// bigram index that lets probe() test all of them in one pass over an
+/// event string (see "Contains postings" above).
+template <typename Payload>
+class ContainsTable {
+ public:
+  struct Posting {
+    std::string pattern;
+    Payload payload;
+  };
 
-/// Invokes `fn(posting)` for every contains posting whose pattern is a
-/// substring of event string `s`. The array is sorted by (length,
-/// pattern), so the walk stops at the first pattern longer than `s`; the
-/// length-0 pattern, a substring of everything, sorts first and always
-/// fires.
-template <typename Posting, typename Fn>
-void probe_contains(const std::vector<Posting>& sorted, const std::string& s,
-                    Fn&& fn) {
-  for (const Posting& p : sorted) {
-    const std::string_view pat(p.pattern);
-    if (pat.size() > s.size()) break;
-    if (s.find(pat) != std::string::npos) fn(p);
+  bool empty() const noexcept { return postings_.empty(); }
+
+  /// The posting of `pattern`, or nullptr when no filter uses it.
+  Posting* find(std::string_view pattern) noexcept {
+    const std::size_t pos = position(pattern);
+    return pos < postings_.size() && postings_[pos].pattern == pattern
+               ? &postings_[pos]
+               : nullptr;
   }
-}
+  const Posting* find(std::string_view pattern) const noexcept {
+    const std::size_t pos = position(pattern);
+    return pos < postings_.size() && postings_[pos].pattern == pattern
+               ? &postings_[pos]
+               : nullptr;
+  }
+
+  /// The posting of `pattern`, created with an empty payload when new. The
+  /// reference is valid until the next insert() or erase().
+  Posting& insert(std::string_view pattern) {
+    const std::size_t pos = position(pattern);
+    if (pos < postings_.size() && postings_[pos].pattern == pattern) {
+      return postings_[pos];
+    }
+    postings_.insert(postings_.begin() + static_cast<std::ptrdiff_t>(pos),
+                     Posting{std::string(pattern), Payload{}});
+    rebuild_bigrams();
+    return postings_[pos];
+  }
+
+  /// Drops the posting of `pattern` (which must exist).
+  void erase(std::string_view pattern) {
+    postings_.erase(postings_.begin() +
+                    static_cast<std::ptrdiff_t>(position(pattern)));
+    rebuild_bigrams();
+  }
+
+  /// Visits every payload (e.g. to widen every bitmap together).
+  template <typename Fn>
+  void for_each_payload(Fn&& fn) {
+    for (Posting& p : postings_) fn(p.payload);
+  }
+
+  /// Invokes `fn(posting)` once for every posting whose pattern occurs in
+  /// `s`, in ascending (length, pattern) order; the length-0 pattern, a
+  /// substring of everything, always fires first. One pass over `s`.
+  /// Allocation-free once the calling thread's hit bitmap has grown to the
+  /// table, and safe to call concurrently: the bitmap is per thread. `fn`
+  /// must not itself probe a ContainsTable (it would share that bitmap).
+  template <typename Fn>
+  void probe(std::string_view s, Fn&& fn) const {
+    if (postings_.empty()) return;
+    thread_local std::vector<std::uint64_t> hit_words;
+    const std::size_t words = (postings_.size() + 63) / 64;
+    if (hit_words.size() < words) hit_words.resize(words, 0);
+    std::uint64_t* const hits = hit_words.data();
+    const auto mark = [hits](std::uint32_t p) {
+      hits[p / 64] |= std::uint64_t{1} << (p % 64);
+    };
+    if (postings_.front().pattern.empty()) mark(0);
+    // Bytes as unsigned: a signed char >= 0x80 would index first_ with a
+    // negative offset.
+    const auto* const text = reinterpret_cast<const unsigned char*>(s.data());
+    const std::size_t n = s.size();
+    const Gram* const grams = grams_.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint32_t lo = first_[text[i]];
+      const std::uint32_t hi = first_[text[i] + 1];
+      for (; lo < hi && grams[lo].second == 0; ++lo) mark(grams[lo].posting);
+      if (lo == hi || i + 1 == n) continue;
+      const auto [begin, end] = std::equal_range(
+          grams + lo, grams + hi, Gram{0, second_key(text[i + 1])},
+          [](const Gram& a, const Gram& b) { return a.second < b.second; });
+      // A bigram's grams are in posting order — runs of equal length in
+      // ascending length, each run sorted by pattern — so each run takes
+      // one binary search for s's own substring of that length, and the
+      // first run that overruns s ends the walk.
+      for (const Gram* run = begin; run != end;) {
+        const std::size_t len = pattern_of(*run).size();
+        if (len > n - i) break;
+        const Gram* const run_end =
+            std::partition_point(run, end, [&](const Gram& g) {
+              return pattern_of(g).size() == len;
+            });
+        const std::string_view key(s.data() + i, len);
+        const Gram* const hit =
+            std::partition_point(run, run_end, [&](const Gram& g) {
+              return std::string_view(pattern_of(g)) < key;
+            });
+        if (hit != run_end && pattern_of(*hit) == key) mark(hit->posting);
+        run = run_end;
+      }
+    }
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = hits[w];
+      hits[w] = 0;
+      while (bits != 0) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        fn(postings_[w * 64 + bit]);
+        bits &= bits - 1;
+      }
+    }
+  }
+
+ private:
+  /// One pattern of length >= 1 in the bigram index: its posting position
+  /// and its second byte's key (0 for length-1 patterns).
+  struct Gram {
+    std::uint32_t posting;
+    std::uint16_t second;
+  };
+
+  static std::uint16_t second_key(unsigned char byte) noexcept {
+    return static_cast<std::uint16_t>(byte + 1);
+  }
+  /// Second key of a pattern of length >= 1.
+  static std::uint16_t second_key(const std::string& pattern) noexcept {
+    return pattern.size() == 1
+               ? std::uint16_t{0}
+               : second_key(static_cast<unsigned char>(pattern[1]));
+  }
+
+  const std::string& pattern_of(const Gram& g) const noexcept {
+    return postings_[g.posting].pattern;
+  }
+
+  /// Lower-bound position of `pattern` in (length, pattern) order.
+  std::size_t position(std::string_view pattern) const noexcept {
+    const auto it = std::lower_bound(
+        postings_.begin(), postings_.end(), pattern,
+        [](const Posting& p, std::string_view k) {
+          if (p.pattern.size() != k.size()) return p.pattern.size() < k.size();
+          return std::string_view(p.pattern) < k;
+        });
+    return static_cast<std::size_t>(it - postings_.begin());
+  }
+
+  /// Files every pattern of length >= 1 under (first byte, second key,
+  /// posting position): a stable counting pass by second key, then a
+  /// stable one by first byte.
+  void rebuild_bigrams() {
+    std::array<std::uint32_t, 258> by_second{};
+    first_.fill(0);
+    for (const Posting& p : postings_) {
+      if (p.pattern.empty()) continue;
+      ++first_[static_cast<unsigned char>(p.pattern[0]) + 1u];
+      ++by_second[second_key(p.pattern) + 1u];
+    }
+    for (std::size_t b = 1; b < first_.size(); ++b) first_[b] += first_[b - 1];
+    for (std::size_t k = 1; k < by_second.size(); ++k) {
+      by_second[k] += by_second[k - 1];
+    }
+    std::vector<Gram> sorted_by_second(first_.back());
+    for (std::uint32_t pos = 0; pos < postings_.size(); ++pos) {
+      const std::string& pat = postings_[pos].pattern;
+      if (pat.empty()) continue;
+      const std::uint16_t second = second_key(pat);
+      sorted_by_second[by_second[second]++] = Gram{pos, second};
+    }
+    grams_.resize(sorted_by_second.size());
+    std::array<std::uint32_t, 257> next = first_;
+    for (const Gram& g : sorted_by_second) {
+      const auto first =
+          static_cast<unsigned char>(postings_[g.posting].pattern[0]);
+      grams_[next[first]++] = g;
+    }
+  }
+
+  std::vector<Posting> postings_;  // sorted by (length, pattern), distinct
+  std::vector<Gram> grams_;        // by (first byte, second key, posting)
+  /// grams_ of patterns starting with byte b: [first_[b], first_[b + 1]).
+  std::array<std::uint32_t, 257> first_{};
+};
 
 }  // namespace reef::pubsub

@@ -59,7 +59,10 @@
 // go), range-heavy filters (int and double bounds colliding at the same
 // magnitudes, so the sorted-bounds indexes are probed exactly on their
 // strict/inclusive edges), prefix/suffix/contains pattern tables at many
-// lengths (including the empty pattern and escape-laden patterns),
+// lengths (including the empty pattern and escape-laden patterns), the
+// Reef content shape (one eq value shared by every filter of the shape,
+// plus patterns over long multi-term texts with shared bigrams and
+// high-bit bytes),
 // set-membership filters over a small overlapping symbol universe with
 // mixed-type members and the occasional empty set, and 2^53-boundary
 // values where int/double comparison must stay exact.
@@ -76,6 +79,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -106,8 +110,41 @@ struct Schedule {
   std::vector<FuzzOp> ops;
 };
 
+/// Reef content shape (see cases 12-13 of fuzz_filter): terms of the long
+/// multi-term texts, and the patterns filters take from them. Terms share
+/// leading bigrams ("te", "ca") and carry high-bit bytes; patterns add the
+/// empty one, single bytes, phrases across a word boundary, and one longer
+/// than any text.
+constexpr const char* kBodyTerms[] = {"term", "terms", "team", "tea",
+                                      "ate",  "eat",   "cafe", "caf\xc3\xa9",
+                                      "a",    "ab",    "bc",   "\xff\xfe"};
+const std::vector<std::string>& body_patterns() {
+  static const std::vector<std::string> patterns = [] {
+    std::vector<std::string> p(std::begin(kBodyTerms), std::end(kBodyTerms));
+    for (const std::string extra :
+         {"", "t", "\xc3", "m te", "tea term", "s ate", "e\xc3"}) {
+      p.push_back(extra);
+    }
+    p.push_back(std::string(400, 'a'));
+    return p;
+  }();
+  return patterns;
+}
+
+/// A 10-40 term text over kBodyTerms: every pattern repeats and overlaps
+/// somewhere across the population of such texts.
+std::string body_text(util::Rng& rng) {
+  std::string text;
+  const std::size_t terms = 10 + rng.index(31);
+  for (std::size_t t = 0; t < terms; ++t) {
+    if (t != 0) text += ' ';
+    text += kBodyTerms[rng.index(std::size(kBodyTerms))];
+  }
+  return text;
+}
+
 Filter fuzz_filter(util::Rng& rng) {
-  switch (rng.index(13)) {
+  switch (rng.index(15)) {
     case 0:
       // Anchorless universal subscription: spill-shard placement, and the
       // covering reduction collapses everything else beneath it.
@@ -253,6 +290,29 @@ Filter fuzz_filter(util::Rng& rng) {
       if (rng.chance(0.2)) f.and_(contains("file", kTails[rng.index(7)]));
       return f;
     }
+    case 12:
+    case 13: {
+      // Reef content shape: the eq value every filter of the shape shares
+      // (so its one bucket would hold them all) plus prefix/suffix/contains
+      // patterns over long multi-term texts — the shape the anchor rule
+      // moves onto pattern postings and the one-pass contains probe tests.
+      const auto& patterns = body_patterns();
+      const auto pattern = [&] { return patterns[rng.index(patterns.size())]; };
+      Filter f = Filter().and_(eq("stream", "feed"));
+      switch (rng.index(4)) {
+        case 0:
+          f.and_(prefix("body", pattern()));
+          break;
+        case 1:
+          f.and_(suffix("body", pattern()));
+          break;
+        default:
+          f.and_(contains("body", pattern()));
+          break;
+      }
+      if (rng.chance(0.3)) f.and_(contains("body", pattern()));
+      return f;
+    }
     default: {
       Filter f = Filter().and_(exists("text"));
       if (rng.chance(0.5)) {
@@ -267,7 +327,7 @@ Filter fuzz_filter(util::Rng& rng) {
 }
 
 Event fuzz_event(util::Rng& rng, int seq) {
-  switch (rng.index(12)) {
+  switch (rng.index(14)) {
     case 0:
       // Attribute-free: matches only universal filters; with pre-filtering
       // on it must still reach the spill shard.
@@ -354,6 +414,14 @@ Event fuzz_event(util::Rng& rng, int seq) {
           .with("file", kFiles[rng.index(11)])
           .with("seq", static_cast<std::int64_t>(seq));
     }
+    case 11:
+    case 12:
+      // Reef content probes: a feed item with a long multi-term body.
+      return Event()
+          .with("stream", "feed")
+          .with("feed", static_cast<std::int64_t>(rng.index(6)))
+          .with("body", body_text(rng))
+          .with("seq", static_cast<std::int64_t>(seq));
     default:
       return Event()
           .with("text", "ab")

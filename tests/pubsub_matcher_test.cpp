@@ -190,6 +190,157 @@ TEST(IndexMatcher, ContainsAnchorWalksPatternsInLengthOrder) {
   EXPECT_EQ(m.contains_anchored(), 3u);
 }
 
+// --- the one-pass contains probe ---------------------------------------
+
+/// Patterns ContainsTable::probe reports for `s`, in firing order.
+std::vector<std::string> probed(const ContainsTable<int>& table,
+                                const std::string& s) {
+  std::vector<std::string> fired;
+  table.probe(s, [&](const ContainsTable<int>::Posting& posting) {
+    fired.push_back(posting.pattern);
+  });
+  return fired;
+}
+
+TEST(ContainsTable, FiresEachHitOnceInLengthThenPatternOrder) {
+  ContainsTable<int> table;
+  for (const std::string pattern :
+       {"aa", "a", "", "aaa", "ab", "ba", "toolong-for-the-text", "b"}) {
+    table.insert(pattern);
+  }
+  // "aaaa" holds "a", "aa" and "aaa" at several overlapping offsets; each
+  // fires once, shortest first, "" ahead of everything.
+  EXPECT_EQ(probed(table, "aaaa"),
+            (std::vector<std::string>{"", "a", "aa", "aaa"}));
+  EXPECT_EQ(probed(table, "abab"),
+            (std::vector<std::string>{"", "a", "b", "ab", "ba"}));
+  EXPECT_EQ(probed(table, ""), (std::vector<std::string>{""}));
+  EXPECT_EQ(probed(table, "b"), (std::vector<std::string>{"", "b"}));
+  // A pattern equal to the whole text, and one longer than it.
+  table.insert("abab");
+  EXPECT_EQ(probed(table, "abab"),
+            (std::vector<std::string>{"", "a", "b", "ab", "ba", "abab"}));
+  EXPECT_EQ(probed(table, "aba"),
+            (std::vector<std::string>{"", "a", "b", "ab", "ba"}));
+}
+
+TEST(ContainsTable, HighBitBytesAndSharedLeadingBigrams) {
+  ContainsTable<int> table;
+  // Bytes >= 0x80 are negative as (signed) char; they must index the
+  // bigram table as 128..255, not wrap below it.
+  const std::string cafe = "caf\xc3\xa9";
+  const std::string high = "\xff\xfe";
+  for (const std::string& pattern :
+       {cafe, high, std::string("\xc3"), std::string("caf"),
+        std::string("cab"), std::string("cafeteria"), std::string("ca")}) {
+    table.insert(pattern);
+  }
+  EXPECT_EQ(probed(table, "un caf\xc3\xa9 \xff\xfe"),
+            (std::vector<std::string>{"\xc3", "ca", "\xff\xfe", "caf",
+                                      cafe}));
+  EXPECT_EQ(probed(table, "a cab, a cafeteria"),
+            (std::vector<std::string>{"ca", "cab", "caf", "cafeteria"}));
+  EXPECT_TRUE(probed(table, "\xfe\xff c").empty());
+  // Removing the only pattern filed under a first byte (and the last one
+  // of a bigram) leaves the neighbours intact.
+  table.erase(high);
+  table.erase("\xc3");
+  EXPECT_EQ(probed(table, "un caf\xc3\xa9 \xff\xfe"),
+            (std::vector<std::string>{"ca", "caf", cafe}));
+  table.erase("cab");
+  EXPECT_EQ(probed(table, "a cab"), (std::vector<std::string>{"ca"}));
+  for (const std::string pattern : {"ca", "caf", "cafeteria"}) {
+    table.erase(pattern);
+  }
+  table.erase(cafe);
+  EXPECT_TRUE(table.empty());
+  EXPECT_TRUE(probed(table, "cafe").empty());
+}
+
+TEST(ContainsTable, AgreesWithStringFindOnRandomAlphabets) {
+  // 2,000 trials: a random table over a tiny alphabet (so patterns share
+  // bigrams, overlap, and repeat inside the text), including high-bit
+  // bytes and lengths 0..6, probed with random texts of length 0..40 and
+  // churned by erasing a random pattern between probes.
+  util::Rng rng(0xc0417a1);
+  const std::string alphabet = "ab\x80\xff";
+  const auto random_string = [&](std::size_t max_len) {
+    std::string s(rng.index(max_len + 1), 'a');
+    for (char& c : s) c = alphabet[rng.index(alphabet.size())];
+    return s;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    ContainsTable<int> table;
+    std::vector<std::string> patterns;
+    const std::size_t count = 1 + rng.index(12);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::string p = random_string(6);
+      if (table.find(p) == nullptr) patterns.push_back(p);
+      table.insert(p);
+    }
+    if (rng.chance(0.5)) {
+      const std::size_t victim = rng.index(patterns.size());
+      table.erase(patterns[victim]);
+      patterns.erase(patterns.begin() +
+                     static_cast<std::ptrdiff_t>(victim));
+    }
+    std::sort(patterns.begin(), patterns.end(),
+              [](const std::string& a, const std::string& b) {
+                return a.size() != b.size() ? a.size() < b.size() : a < b;
+              });
+    for (int probe = 0; probe < 3; ++probe) {
+      const std::string text = random_string(40);
+      std::vector<std::string> expected;
+      for (const std::string& p : patterns) {
+        if (text.find(p) != std::string::npos) expected.push_back(p);
+      }
+      ASSERT_EQ(probed(table, text), expected) << "trial " << trial;
+    }
+  }
+}
+
+TEST(Matcher, ContainsProbeAgreesWithBruteForceOnEveryEngine) {
+  // The same edge cases, end to end through both engines that use the
+  // probe: one filter per pattern, hits compared with brute force.
+  const std::vector<std::string> patterns{
+      "",    "a",  "aa", "aaa", "ab",  "caf\xc3\xa9", "\xc3",
+      "\xff", "ca", "cab", "caf", "a much longer pattern than any text"};
+  const std::vector<std::string> texts{
+      "",      "a",     "aaaa",    "abab", "un caf\xc3\xa9 \xff",
+      "a cab", "\xff\xff", "cafcaf"};
+  for (const std::string name : {"anchor-index", "bitset"}) {
+    const auto m = make_matcher(name);
+    BruteForceMatcher oracle;
+    for (std::size_t k = 0; k < patterns.size(); ++k) {
+      m->add(k + 1, Filter().and_(contains("t", patterns[k])));
+      oracle.add(k + 1, Filter().and_(contains("t", patterns[k])));
+    }
+    const auto check = [&](const std::string& when) {
+      for (const std::string& text : texts) {
+        const Event e = Event().with("t", text);
+        auto want = oracle.match(e);
+        auto got = m->match(e);
+        std::sort(want.begin(), want.end());
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << name << " " << when << " on " << e.to_string();
+        std::vector<std::vector<SubscriptionId>> batched;
+        m->match_batch(std::vector<Event>{e, e}, batched);
+        for (auto& hits : batched) {
+          std::sort(hits.begin(), hits.end());
+          ASSERT_EQ(hits, want) << name << " batch " << when;
+        }
+      }
+    };
+    check("full table");
+    // "\xc3" and "\xff" are the only patterns under their first byte.
+    for (const SubscriptionId id : {7u, 8u, 10u}) {
+      m->remove(id);
+      oracle.remove(id);
+    }
+    check("after removals");
+  }
+}
+
 TEST(Matcher, EmptyPatternsMatchEveryStringOnEveryEngine) {
   // prefix/suffix/contains with a zero-length pattern match every string
   // value (and no non-string value); the sorted tables must keep the
@@ -351,6 +502,91 @@ TEST(IndexMatcher, AnchorsAvoidNonSelectiveAttribute) {
                                 .with("stream", "feed")
                                 .with("feed", "http://s7/f"));
   EXPECT_EQ(hits.size(), 2u);
+}
+
+TEST(IndexMatcher, ContentFiltersAnchorOnTheirPatternNotTheStreamBucket) {
+  // Reef's content subscriptions: stream=feed plus one contains term, and
+  // no second eq constraint. Only the first can take the (then empty)
+  // stream bucket on the eq-wins tie; every later one finds its own
+  // pattern posting smaller than the stream bucket.
+  IndexMatcher m;
+  BruteForceMatcher oracle;
+  for (SubscriptionId id = 1; id <= 60; ++id) {
+    const Filter f = Filter()
+                         .and_(eq("stream", "feed"))
+                         .and_(contains("text",
+                                        "term" + std::to_string(id)));
+    m.add(id, f);
+    oracle.add(id, f);
+  }
+  EXPECT_EQ(m.contains_anchored(), 59u);
+  EXPECT_LE(m.largest_eq_bucket(), 1u);
+  for (const std::string text : {"a term7 and term13", "term1", "nothing"}) {
+    const Event e = Event().with("stream", "feed").with("text", text);
+    auto want = oracle.match(e);
+    auto got = m.match(e);
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << text;
+  }
+}
+
+TEST(IndexMatcher, EqAnchorWinsATieWithAPatternPosting) {
+  IndexMatcher m;
+  // Both postings empty: the eq bucket wins the tie.
+  m.add(1, Filter().and_(eq("feed", "u")).and_(contains("text", "x")));
+  EXPECT_EQ(m.anchor_attribute(1), "feed");
+  // (feed=u) holds 1 and contains(text,"y") is empty: the pattern wins.
+  m.add(2, Filter().and_(eq("feed", "u")).and_(contains("text", "y")));
+  EXPECT_EQ(m.anchor_attribute(2), "text");
+  // (feed=v) holds 0 against the pattern's 1: eq is smaller...
+  m.add(3, Filter().and_(eq("feed", "v")).and_(contains("text", "y")));
+  EXPECT_EQ(m.anchor_attribute(3), "feed");
+  // ...and at 1 vs 1 it wins the tie.
+  m.add(4, Filter().and_(eq("feed", "v")).and_(contains("text", "y")));
+  EXPECT_EQ(m.anchor_attribute(4), "feed");
+  EXPECT_EQ(m.eq_anchored(), 3u);
+  EXPECT_EQ(m.contains_anchored(), 1u);
+}
+
+TEST(IndexMatcher, RebalanceMovesFiltersOntoTheirPatternPosting) {
+  IndexMatcher m;
+  BruteForceMatcher oracle;
+  const auto add_both = [&](SubscriptionId id, const Filter& f) {
+    m.add(id, f);
+    oracle.add(id, f);
+  };
+  // Ballast: 8 pattern-only filters make the contains(text,"t") posting
+  // look expensive when the long-lived filters arrive.
+  for (SubscriptionId id = 200; id < 208; ++id) {
+    add_both(id, Filter().and_(contains("text", "t")));
+  }
+  // Long-lived filters anchor on (hot=1) while it holds 0..7 < 8.
+  for (SubscriptionId id = 1; id <= 8; ++id) {
+    add_both(id, Filter().and_(eq("hot", 1)).and_(contains("text", "t")));
+    ASSERT_EQ(m.anchor_attribute(id), "hot") << id;
+  }
+  // (hot=1) then grows with pinned single-eq filters.
+  for (SubscriptionId id = 100; id < 140; ++id) {
+    add_both(id, Filter().and_(eq("hot", 1)));
+  }
+  EXPECT_EQ(m.largest_eq_bucket(), 48u);
+  EXPECT_EQ(m.rebalance(/*max_bucket=*/8), 8u);
+  for (SubscriptionId id = 1; id <= 8; ++id) {
+    EXPECT_EQ(m.anchor_attribute(id), "text") << id;
+  }
+  EXPECT_EQ(m.largest_eq_bucket(), 40u);
+  EXPECT_EQ(m.contains_anchored(), 16u);
+  EXPECT_EQ(m.rebalance(/*max_bucket=*/8), 0u);
+  for (const Event& probe :
+       {Event().with("hot", 1).with("text", "at"), Event().with("hot", 1),
+        Event().with("text", "t")}) {
+    auto want = oracle.match(probe);
+    auto got = m.match(probe);
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << probe.to_string();
+  }
 }
 
 // --- CountingMatcher -------------------------------------------------------
