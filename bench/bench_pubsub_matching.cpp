@@ -328,12 +328,6 @@ BENCHMARK_CAPTURE(bm_match, anchor_index, "anchor-index")
     ->Args({50000, 0})
     ->Args({1000, 30})
     ->Args({10000, 30});
-BENCHMARK_CAPTURE(bm_match, counting, "counting")
-    ->Args({100, 0})
-    ->Args({1000, 0})
-    ->Args({10000, 0})
-    ->Args({1000, 30})
-    ->Args({10000, 30});
 BENCHMARK_CAPTURE(bm_match, bitset, "bitset")
     ->Args({100, 0})
     ->Args({1000, 0})
@@ -399,8 +393,6 @@ void bm_match_batch(benchmark::State& state, const std::string& engine) {
   ->Args({10000, 8})->Args({10000, 32})->Args({10000, 128})
 BENCHMARK_CAPTURE(bm_match_loop, anchor_index, "anchor-index") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch, anchor_index, "anchor-index") BATCH_ARGS;
-BENCHMARK_CAPTURE(bm_match_loop, counting, "counting") BATCH_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch, counting, "counting") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_loop, bitset, "bitset") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch, bitset, "bitset") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_loop, brute_force, "brute-force")
@@ -455,7 +447,6 @@ void bm_match_batch_dense(benchmark::State& state, const std::string& engine) {
 BENCHMARK_CAPTURE(bm_match_batch_dense, bitset, "bitset") DENSE_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_dense, anchor_index, "anchor-index")
     DENSE_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_dense, counting, "counting") DENSE_ARGS;
 #undef DENSE_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_dense, brute_force, "brute-force")
     ->Args({1000, 128});
@@ -505,7 +496,6 @@ void bm_match_batch_range(benchmark::State& state, const std::string& engine) {
 BENCHMARK_CAPTURE(bm_match_batch_range, anchor_index, "anchor-index")
     RANGE_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_range, bitset, "bitset") RANGE_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_range, counting, "counting") RANGE_ARGS;
 #undef RANGE_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_range, brute_force, "brute-force")
     ->Args({1000, 128})
@@ -557,7 +547,6 @@ void bm_match_batch_suffix(benchmark::State& state,
 BENCHMARK_CAPTURE(bm_match_batch_suffix, anchor_index, "anchor-index")
     SUFFIX_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_suffix, bitset, "bitset") SUFFIX_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_suffix, counting, "counting") SUFFIX_ARGS;
 #undef SUFFIX_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_suffix, brute_force, "brute-force")
     ->Args({1000, 128})
@@ -610,7 +599,6 @@ void bm_match_batch_content(benchmark::State& state,
 BENCHMARK_CAPTURE(bm_match_batch_content, anchor_index, "anchor-index")
     CONTENT_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_content, bitset, "bitset") CONTENT_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_content, counting, "counting") CONTENT_ARGS;
 #undef CONTENT_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_content, brute_force, "brute-force")
     ->Args({1000, 128})
@@ -677,7 +665,10 @@ void bm_match_batch_sharded(benchmark::State& state,
   const bool prefilter = state.range(4) != 0;
   reef::util::Rng rng(42);
   ShardedMatcher matcher(
-      ShardedMatcher::Config{shard_count, workers, inner, prefilter});
+      ShardedMatcher::Config{.shard_count = shard_count,
+                             .worker_threads = workers,
+                             .inner_engine = inner,
+                             .prefilter_enabled = prefilter});
   const auto filters = make_filters(table_size, 0.3, rng);
   for (std::size_t i = 0; i < filters.size(); ++i) {
     matcher.add(i + 1, filters[i]);
@@ -727,8 +718,6 @@ void bm_match_batch_sharded(benchmark::State& state,
       ->Args({table, 1024, 8, 4, 1})
 BENCHMARK_CAPTURE(bm_match_batch_sharded, anchor_index, "anchor-index")
     SHARD_SWEEP(10000) SHARD_SWEEP(50000)->UseRealTime();
-BENCHMARK_CAPTURE(bm_match_batch_sharded, counting, "counting")
-    SHARD_SWEEP(10000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, bitset, "bitset")
     SHARD_SWEEP(10000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, brute_force, "brute-force")
@@ -1073,7 +1062,9 @@ int run_smoke() {
   // shows on multi-core hosts).
   for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
     ShardedMatcher sharded(
-        ShardedMatcher::Config{4, workers, "anchor-index"});
+        ShardedMatcher::Config{.shard_count = 4,
+                               .worker_threads = workers,
+                               .inner_engine = "anchor-index"});
     for (std::size_t i = 0; i < filters.size(); ++i) {
       sharded.add(i + 1, filters[i]);
     }
@@ -1093,10 +1084,12 @@ int run_smoke() {
   // shows even on a single-core host — while producing byte-identical
   // results. A zero skip ratio or any output difference fails the smoke.
   {
-    ShardedMatcher with_pf(ShardedMatcher::Config{4, 0, "anchor-index",
-                                                  /*prefilter=*/true});
-    ShardedMatcher without_pf(ShardedMatcher::Config{4, 0, "anchor-index",
-                                                     /*prefilter=*/false});
+    ShardedMatcher with_pf(ShardedMatcher::Config{
+        .shard_count = 4, .inner_engine = "anchor-index",
+        .prefilter_enabled = true});
+    ShardedMatcher without_pf(ShardedMatcher::Config{
+        .shard_count = 4, .inner_engine = "anchor-index",
+        .prefilter_enabled = false});
     for (std::size_t i = 0; i < filters.size(); ++i) {
       with_pf.add(i + 1, filters[i]);
       without_pf.add(i + 1, filters[i]);

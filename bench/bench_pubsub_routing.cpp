@@ -16,7 +16,6 @@
 #include "feeds/feed_events_proxy.h"
 #include "pubsub/client.h"
 #include "pubsub/overlay.h"
-#include "pubsub/routing_table.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -477,7 +476,7 @@ int main() {
   std::printf("  %-12s %-8s %12s %12s %10s %12s %12s\n", "engine", "batch",
               "wire msgs", "events", "ev/msg", "bytes", "deliveries");
   std::printf("  %s\n", std::string(84, '-').c_str());
-  for (const char* engine : {"anchor-index", "counting", "brute-force"}) {
+  for (const char* engine : {"anchor-index", "brute-force"}) {
     for (const bool batching : {true, false}) {
       const Result r =
           run(RunConfig{true, engine, batching}, 8, 100, 60, 0.0);
@@ -518,8 +517,7 @@ int main() {
         ShardRow{"sharded:anchor-index", 4, 0, false},
         ShardRow{"sharded:anchor-index", 4, 0},
         ShardRow{"sharded:anchor-index", 4, 2, false},
-        ShardRow{"sharded:anchor-index", 4, 2},
-        ShardRow{"sharded:counting", 4, 2}}) {
+        ShardRow{"sharded:anchor-index", 4, 2}}) {
     const Result r = run(
         RunConfig{true, row.engine, true, row.shards, row.workers,
                   row.prefilter},
@@ -603,7 +601,7 @@ int main() {
               "event bytes");
   std::printf("  %s\n", std::string(88, '-').c_str());
   bool topk_ok = true;
-  for (const char* engine : {"anchor-index", "counting", "bitset"}) {
+  for (const char* engine : {"anchor-index", "bitset"}) {
     const TopKResult boolean = run_topk(engine, false, 0, 4, 60, 30);
     std::printf("  %-14s %-6s %12s %14s %10s %10s %14s\n", engine, "bool",
                 reef::util::with_commas(boolean.deliveries).c_str(), "-",
@@ -640,70 +638,6 @@ int main() {
               "ship fewer deliver bytes, unbounded scoring reproduces the "
               "boolean delivery set exactly (plus 8 bytes/entry of score), "
               "and every engine agrees row for row.\n");
-
-  // --- maintenance scheduling: churn-count vs skew-triggered ---------------
-  std::printf("\n=== maintenance scheduling: churn-count vs skew trigger "
-              "===\n");
-  std::printf("network-free RoutingTable, 4k subscribe/unsubscribe churn "
-              "ops, threshold 256\n\n");
-  std::printf("  %-28s %-10s %14s %14s %14s %14s\n", "workload",
-              "skew ratio", "maintain runs", "skew triggers",
-              "backoff skips", "changes");
-  std::printf("  %s\n", std::string(99, '-').c_str());
-  const auto churn_run = [](bool skewed_workload, std::size_t skew_ratio) {
-    pubsub::RoutingTable::Config config;
-    config.engine = "anchor-index";
-    config.maintain_churn_threshold = 256;
-    config.maintain_max_bucket = 16;
-    config.maintain_skew_ratio = skew_ratio;
-    pubsub::RoutingTable table(config);
-    util::Rng rng(7);
-    pubsub::SubscriptionId next = 1;
-    std::vector<pubsub::SubscriptionId> live;
-    for (int op = 0; op < 4000; ++op) {
-      if (!live.empty() && rng.chance(0.4)) {
-        const std::size_t victim = rng.index(live.size());
-        table.client_unsubscribe(1, live[victim]);
-        live[victim] = live.back();
-        live.pop_back();
-        continue;
-      }
-      pubsub::Filter f;
-      if (skewed_workload && rng.chance(0.5)) {
-        // Hot bucket: half the filters pile onto one equality value.
-        f.and_(pubsub::eq("hot", 1));
-        if (rng.chance(0.5)) {
-          f.and_(pubsub::eq("user", static_cast<std::int64_t>(
-                                        rng.index(400))));
-        }
-      } else {
-        f.and_(pubsub::eq("user",
-                          static_cast<std::int64_t>(rng.index(2000))));
-      }
-      table.client_subscribe(1, next, f);
-      live.push_back(next++);
-    }
-    return table;
-  };
-  for (const bool skewed : {false, true}) {
-    for (const std::size_t ratio : {std::size_t{0}, std::size_t{8}}) {
-      const auto table = churn_run(skewed, ratio);
-      char label[16];
-      std::snprintf(label, sizeof(label), "%zu", ratio);
-      std::printf("  %-28s %-10s %14s %14s %14s %14s\n",
-                  skewed ? "skewed (hot bucket)" : "balanced (uniform)",
-                  ratio == 0 ? "off" : label,
-                  reef::util::with_commas(table.maintain_runs()).c_str(),
-                  reef::util::with_commas(table.maintain_skew_triggers())
-                      .c_str(),
-                  reef::util::with_commas(table.maintain_backoff_skips())
-                      .c_str(),
-                  reef::util::with_commas(table.maintain_changes()).c_str());
-    }
-  }
-  std::printf("\n  the skew trigger cuts the scheduled no-op passes on the "
-              "balanced workload to zero and fires early (before the churn "
-              "window closes) once one bucket dwarfs the mean.\n");
 
   // --- crash recovery: reconvergence sweep ---------------------------------
   std::printf("\n=== crash recovery: reconvergence sweep ===\n");

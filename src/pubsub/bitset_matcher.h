@@ -61,8 +61,8 @@
 // requirement-0 slots fire (the engine keeps that zero-entry answer as a
 // precomputed bitmap so empty events skip the counter pass entirely).
 //
-// This is the batched CountingMatcher the ROADMAP asked for: a batched
-// counting table *is* bitmap intersection with count thresholds. It wins
+// This is the Gryphon/Siena counting algorithm, batched: a counting table
+// *is* bitmap intersection with count thresholds. It wins
 // on dense/high-overlap filter populations — many filters per
 // (attribute, value) bucket — where the anchor index degenerates to
 // fetching and fully evaluating huge candidate lists per event; see the

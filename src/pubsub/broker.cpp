@@ -25,7 +25,6 @@ RoutingTable::Config make_table_config(const Broker::Config& config) {
   table.prefilter_enabled = config.prefilter_enabled;
   table.maintain_churn_threshold = config.maintain_churn_threshold;
   table.maintain_max_bucket = config.maintain_max_bucket;
-  table.maintain_skew_ratio = config.maintain_skew_ratio;
   return table;
 }
 

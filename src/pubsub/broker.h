@@ -73,8 +73,8 @@ class Broker final : public sim::Node {
     /// Covering-based pruning of forwarded subscriptions (ablation knob).
     bool covering_enabled = true;
     /// Matching engine, by MatcherRegistry name ("brute-force",
-    /// "anchor-index", "counting", a "sharded:<inner>" variant, or
-    /// anything registered at runtime).
+    /// "anchor-index", "bitset", a "sharded:<inner>" variant, or anything
+    /// registered at runtime).
     std::string matcher_engine = std::string(kDefaultEngine);
     /// Filter-state shards inside this broker's routing table. 0 = auto
     /// (plain engines stay unsharded — the ablation baseline — and
@@ -96,10 +96,6 @@ class Broker final : public sim::Node {
     std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;
     /// Equality-bucket bound handed to Matcher::maintain.
     std::size_t maintain_max_bucket = kDefaultMaintainMaxBucket;
-    /// Skew ratio arming skew-triggered maintenance (fire early when
-    /// largest/mean equality bucket exceeds it, skip churn-scheduled
-    /// passes while balanced); 0 = churn-count-only scheduling.
-    std::size_t maintain_skew_ratio = kDefaultMaintainSkewRatio;
     /// Scored delivery (see scoring.h): publications are matched through
     /// the scored batch path and each client subscription's ScoringSpec
     /// (top_k / min_score) is applied per publication batch before

@@ -5,14 +5,13 @@
 
 #include "pubsub/batch_group.h"
 #include "pubsub/range_index.h"
-#include "util/hash.h"
 
 namespace reef::pubsub {
 
 Value canonical_numeric(const Value& v) {
-  // Fold ints onto their double image only when the image is exact: the
-  // engines that trust bucket identity without re-evaluating (counting,
-  // bitset) would otherwise merge 2^53 with 2^53+1 — values the exact
+  // Fold ints onto their double image only when the image is exact: an
+  // engine that trusts bucket identity without re-evaluating (bitset)
+  // would otherwise merge 2^53 with 2^53+1 — values the exact
   // Value::compare keeps distinct — and report false matches.
   if (v.type() == Value::Type::kInt) {
     if (const auto d = Value::exact_double_of_int(v.as_int())) {
@@ -129,9 +128,7 @@ void IndexMatcher::add(SubscriptionId id, Filter filter) {
     entry.kind = AnchorKind::kEqBucket;
     entry.anchor_attr = best_eq->attr_id();
     entry.anchor_value = canonical_numeric(best_eq->value());
-    auto& bucket = eq_[entry.anchor_attr][entry.anchor_value];
-    bucket.push_back(id);
-    note_bucket_grew(entry.anchor_attr, entry.anchor_value, bucket.size());
+    eq_[entry.anchor_attr][entry.anchor_value].push_back(id);
     ++eq_count_;
   } else if (pattern_anchor != nullptr) {
     entry.anchor_attr = pattern_anchor->attr_id();
@@ -166,11 +163,7 @@ void IndexMatcher::add(SubscriptionId id, Filter filter) {
     entry.anchor_attr = in_anchor->attr_id();
     auto& by_value = eq_[entry.anchor_attr];
     for (const Value& m : in_anchor->members()) {
-      if (!eq_bucketable(m)) continue;
-      const Value key = canonical_numeric(m);
-      auto& bucket = by_value[key];
-      bucket.push_back(id);
-      note_bucket_grew(entry.anchor_attr, key, bucket.size());
+      if (eq_bucketable(m)) by_value[canonical_numeric(m)].push_back(id);
     }
     ++in_count_;
   } else if (range_anchor != nullptr) {
@@ -214,8 +207,6 @@ void IndexMatcher::remove(SubscriptionId id) {
       auto& by_value = eq_.at(entry.anchor_attr);
       auto& bucket = by_value.at(entry.anchor_value);
       std::erase(bucket, id);
-      note_bucket_shrank(entry.anchor_attr, entry.anchor_value,
-                         bucket.size());
       if (bucket.empty()) by_value.erase(entry.anchor_value);
       if (by_value.empty()) eq_.erase(entry.anchor_attr);
       --eq_count_;
@@ -241,7 +232,6 @@ void IndexMatcher::remove(SubscriptionId id) {
         const Value key = canonical_numeric(m);
         auto& bucket = by_value.at(key);
         std::erase(bucket, id);
-        note_bucket_shrank(entry.anchor_attr, key, bucket.size());
         if (bucket.empty()) by_value.erase(key);
       }
       if (by_value.empty()) eq_.erase(entry.anchor_attr);
@@ -343,76 +333,13 @@ std::optional<std::string> IndexMatcher::anchor_attribute(
 }
 
 std::size_t IndexMatcher::largest_eq_bucket() const noexcept {
-  return eq_bucket_stats().largest;
-}
-
-EqBucketStats IndexMatcher::eq_bucket_stats() const noexcept {
-  // O(1): the shape is maintained at every bucket push/erase by
-  // note_bucket_grew/shrank — the routing table samples this on a churn
-  // cadence, and the old full-bucket scan made every sample O(buckets).
-  EqBucketStats stats;
-  // Total bucket postings, not eq-anchored filters: an in-anchored filter
-  // occupies one posting per bucketable member, and the skew ratio
-  // (filters/buckets vs largest) is about bucket population.
-  stats.filters = eq_postings_;
-  stats.buckets = eq_buckets_;
-  stats.largest = eq_largest_;
-  stats.largest_key = eq_largest_ == 0 ? 0 : eq_largest_key_;
-  return stats;
-}
-
-void IndexMatcher::note_bucket_grew(AttrId attr, const Value& value,
-                                    std::size_t new_size) {
-  ++eq_postings_;
-  const std::size_t key =
-      util::hash_combine(attr, std::hash<Value>{}(value));
-  if (new_size == 1) {
-    ++eq_buckets_;
-  } else {
-    auto& old_bin = eq_size_hist_[new_size - 1];
-    if (const auto it = old_bin.find(key);
-        it != old_bin.end() && --it->second == 0) {
-      old_bin.erase(it);
-    }
-    if (old_bin.empty()) eq_size_hist_.erase(new_size - 1);
-  }
-  ++eq_size_hist_[new_size][key];
-  if (new_size > eq_largest_) {
-    eq_largest_ = new_size;
-    eq_largest_key_ = key;
-    // A tie at the old largest keeps the incumbent key: "first seen,
-    // stable between unmodified samples", as the stats contract says.
-  }
-}
-
-void IndexMatcher::note_bucket_shrank(AttrId attr, const Value& value,
-                                      std::size_t new_size) {
-  --eq_postings_;
-  const std::size_t key =
-      util::hash_combine(attr, std::hash<Value>{}(value));
-  auto& old_bin = eq_size_hist_[new_size + 1];
-  if (const auto it = old_bin.find(key);
-      it != old_bin.end() && --it->second == 0) {
-    old_bin.erase(it);
-  }
-  if (old_bin.empty()) eq_size_hist_.erase(new_size + 1);
-  if (new_size == 0) {
-    --eq_buckets_;
-  } else {
-    ++eq_size_hist_[new_size][key];
-  }
-  if (new_size + 1 == eq_largest_) {
-    // The shrunk bucket itself sits at new_size, so the new largest is at
-    // most one step down — the search is amortized O(1).
-    while (eq_largest_ > 0 && !eq_size_hist_.contains(eq_largest_)) {
-      --eq_largest_;
-    }
-    if (eq_largest_ == 0) {
-      eq_largest_key_ = 0;
-    } else if (!eq_size_hist_.at(eq_largest_).contains(eq_largest_key_)) {
-      eq_largest_key_ = eq_size_hist_.at(eq_largest_).begin()->first;
+  std::size_t largest = 0;
+  for (const auto& [attr, by_value] : eq_) {
+    for (const auto& [value, bucket] : by_value) {
+      largest = std::max(largest, bucket.size());
     }
   }
+  return largest;
 }
 
 std::size_t IndexMatcher::rebalance(std::size_t max_bucket) {
@@ -627,105 +554,6 @@ void IndexMatcher::match_batch(
       }
     }
   });
-}
-
-// --- CountingMatcher --------------------------------------------------------
-
-void CountingMatcher::add(SubscriptionId id, Filter filter) {
-  remove(id);  // replace semantics
-  if (filter.empty()) {
-    universal_.push_back(id);
-    filters_.emplace(id, std::move(filter));
-    return;
-  }
-  for (const auto& c : filter.constraints()) {
-    if (c.op() == Op::kEq) {
-      eq_[c.attr_id()][canonical_numeric(c.value())].push_back(id);
-      ++postings_;
-    } else if (c.op() == Op::kIn) {
-      // One eq posting per bucketable member. The event carries one value
-      // per attribute and canonical members are pairwise distinct, so at
-      // most one member bucket tallies — the constraint still counts at
-      // most once. Unbucketable members (null, NaN) can never be
-      // satisfied; with no bucketable member at all the constraint gets
-      // no posting and the filter correctly never fires.
-      for (const Value& m : c.members()) {
-        if (!eq_bucketable(m)) continue;
-        eq_[c.attr_id()][canonical_numeric(m)].push_back(id);
-        ++postings_;
-      }
-    } else {
-      noneq_[c.attr_id()].push_back(NonEqPosting{c, id});
-      ++postings_;
-    }
-  }
-  filters_.emplace(id, std::move(filter));
-}
-
-void CountingMatcher::remove(SubscriptionId id) {
-  const auto it = filters_.find(id);
-  if (it == filters_.end()) return;
-  const Filter& filter = it->second;
-  if (filter.empty()) {
-    std::erase(universal_, id);
-  } else {
-    const auto erase_eq_posting = [this](AttrId attr, const Value& key,
-                                         SubscriptionId sub) {
-      const auto attr_it = eq_.find(attr);
-      auto& bucket = attr_it->second.at(key);
-      // erase one posting (duplicate constraints each hold their own)
-      bucket.erase(std::find(bucket.begin(), bucket.end(), sub));
-      if (bucket.empty()) attr_it->second.erase(key);
-      if (attr_it->second.empty()) eq_.erase(attr_it);
-      --postings_;
-    };
-    for (const auto& c : filter.constraints()) {
-      if (c.op() == Op::kEq) {
-        erase_eq_posting(c.attr_id(), canonical_numeric(c.value()), id);
-      } else if (c.op() == Op::kIn) {
-        for (const Value& m : c.members()) {
-          if (!eq_bucketable(m)) continue;
-          erase_eq_posting(c.attr_id(), canonical_numeric(m), id);
-        }
-      } else {
-        auto& postings = noneq_.at(c.attr_id());
-        const auto posting_it =
-            std::find_if(postings.begin(), postings.end(),
-                         [&](const NonEqPosting& p) {
-                           return p.id == id && p.constraint == c;
-                         });
-        postings.erase(posting_it);
-        if (postings.empty()) noneq_.erase(c.attr_id());
-        --postings_;
-      }
-    }
-  }
-  filters_.erase(it);
-}
-
-void CountingMatcher::match(const Event& event,
-                            std::vector<SubscriptionId>& out) const {
-  out.insert(out.end(), universal_.begin(), universal_.end());
-  // One counter per filter touched by a satisfied constraint; a filter
-  // fires when its count reaches its constraint total. Event attributes
-  // are unique per name, so each posting is tallied at most once.
-  std::unordered_map<SubscriptionId, std::size_t> counts;
-  for (const auto& [attr, value] : event.attrs()) {
-    if (const auto attr_it = eq_.find(attr); attr_it != eq_.end()) {
-      if (const auto value_it = attr_it->second.find(canonical_numeric(value));
-          value_it != attr_it->second.end()) {
-        for (const SubscriptionId id : value_it->second) ++counts[id];
-      }
-    }
-    if (const auto noneq_it = noneq_.find(attr); noneq_it != noneq_.end()) {
-      for (const auto& posting : noneq_it->second) {
-        if (posting.constraint.matches(value)) ++counts[posting.id];
-      }
-    }
-  }
-  for (const auto& [id, satisfied] : counts) {
-    if (satisfied == filters_.at(id).size()) out.push_back(id);
-  }
 }
 
 }  // namespace reef::pubsub

@@ -1,6 +1,6 @@
 // Event-to-subscription matching engines.
 //
-// Four implementations share one interface, selected by name through the
+// Three implementations share one interface, selected by name through the
 // MatcherRegistry (see matcher_registry.h):
 //   "brute-force"  — linear scan; the correctness oracle in tests and the
 //                    ablation baseline in benches.
@@ -11,12 +11,10 @@
 //                    string prefix table, a reversed-pattern suffix table,
 //                    a contains table probed in one pass over the event
 //                    string, or the residual scan list.
-//   "counting"     — classic Gryphon/Siena counting algorithm: constraints
-//                    indexed per attribute, a filter fires when all of its
-//                    constraints have been satisfied by the event.
-//   "bitset"       — posting lists as dense bitmaps over filter slots;
-//                    batch matching is AND/ANDNOT/popcount word streams
-//                    with a bit-sliced counting threshold pass (see
+//   "bitset"       — the Gryphon/Siena counting algorithm over posting
+//                    lists kept as dense bitmaps over filter slots; batch
+//                    matching is AND/ANDNOT/popcount word streams with a
+//                    bit-sliced counting threshold pass (see
 //                    bitset_matcher.h).
 //
 // Every engine keys its indices by interned AttrId (see attr_table.h), so
@@ -137,25 +135,6 @@ class EventBatchView {
   bool all_ = true;
 };
 
-/// Equality-bucket shape introspection, feeding the routing table's
-/// skew-triggered maintenance (fire Matcher::maintain early when
-/// largest/mean crosses a ratio, skip the pass when balanced). Engines
-/// without equality buckets report all-zero and are treated as balanced —
-/// their maintain() is a no-op anyway.
-struct EqBucketStats {
-  std::size_t largest = 0;  ///< size of the largest equality bucket
-  std::size_t buckets = 0;  ///< number of live equality buckets
-  std::size_t filters = 0;  ///< filters living in those buckets
-  /// Identity hash of the largest bucket's (attribute, value) key; 0 when
-  /// there are no buckets. The routing table's zero-change backoff uses it
-  /// to distinguish "the pinned bucket grew" (stay suppressed) from "a
-  /// different bucket took over as largest" (re-arm — the newcomer may be
-  /// movable). Ties between equal-size buckets resolve to the first seen,
-  /// which is unspecified but stable between consecutive unmodified
-  /// samples; a spurious key flip costs at most one extra maintain pass.
-  std::size_t largest_key = 0;
-};
-
 /// Common interface of the matching engines.
 ///
 /// ## The Matcher contract
@@ -181,13 +160,6 @@ struct EqBucketStats {
 ///      state (re-anchor filters, rebuild buckets) but must never change
 ///      any match result — only probe cost. It may run at any point
 ///      between operations; the fuzz harness interleaves it with churn.
-///
-/// eq_bucket_stats() is introspection, not contract output: a consistent
-/// snapshot of the engine's equality-bucket shape *at the call*, used by
-/// the routing table to schedule maintenance (fire early on skew, skip
-/// provable no-op passes, stand down on pinned buckets). All-zero stats
-/// mean "nothing to repair" and must only be returned when maintain() is
-/// a no-op on the engine's current state.
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -258,21 +230,6 @@ class Matcher {
     (void)max_bucket;
     return 0;
   }
-
-  /// Equality-bucket shape for skew-triggered maintenance; engines with no
-  /// equality buckets (or no amortized state worth repairing) report
-  /// all-zero. An engine that overrides maintain() with real repair work
-  /// SHOULD override this too: the routing table gates its skew-triggered
-  /// scheduling on these stats, and falls back to the plain churn
-  /// schedule only while an engine has never reported a nonzero shape.
-  /// Semantics: `largest` is the population of the single biggest
-  /// equality bucket, `buckets` the number of live (non-empty) buckets,
-  /// `filters` the total population across them — so filters/buckets is
-  /// the mean the skew ratio compares against. The snapshot must be
-  /// consistent (one logical point in time) but carries no freshness
-  /// guarantee beyond the call; the scheduler tolerates staleness of up
-  /// to one churn op by construction (it re-samples every check).
-  virtual EqBucketStats eq_bucket_stats() const noexcept { return {}; }
 
   /// Convenience wrapper returning a fresh vector.
   std::vector<SubscriptionId> match(const Event& event) const {
@@ -379,14 +336,9 @@ class IndexMatcher final : public Matcher {
   /// universal list; nullopt for unknown ids). Test/bench introspection
   /// for the anchor-rebalancing behavior.
   std::optional<std::string> anchor_attribute(SubscriptionId id) const;
-  /// Size of the largest equality bucket (0 when none exist).
+  /// Size of the largest equality bucket (0 when none exist); a scan over
+  /// the buckets, for tests.
   std::size_t largest_eq_bucket() const noexcept;
-  /// Largest / count / population of the equality buckets — O(1): the
-  /// shape is maintained incrementally at every bucket push/erase (a size
-  /// histogram of bucket identity keys), so the routing table's skew
-  /// sampling never pays a bucket scan. The largest size can fall at most
-  /// one step per removal, so the downward search is amortized O(1) too.
-  EqBucketStats eq_bucket_stats() const noexcept override;
 
   /// Anchor maintenance under adversarial churn: anchors are chosen at add
   /// time against the posting sizes of that moment, so a long-lived filter
@@ -462,13 +414,6 @@ class IndexMatcher final : public Matcher {
   /// its exact pattern posting (0 when absent). Only called for eq and
   /// indexable prefix/suffix/contains constraints.
   std::size_t posting_size(const Constraint& c) const;
-  /// Incremental eq-bucket-stats bookkeeping, called at every bucket
-  /// push/erase with the bucket's new size (hist bins hold identity keys
-  /// so largest_key falls out of the histogram).
-  void note_bucket_grew(AttrId attr, const Value& value,
-                        std::size_t new_size);
-  void note_bucket_shrank(AttrId attr, const Value& value,
-                          std::size_t new_size);
 
   std::unordered_map<SubscriptionId, Entry> filters_;
   /// attribute id -> canonical value -> filters anchored on (attr = value)
@@ -499,60 +444,6 @@ class IndexMatcher final : public Matcher {
   std::size_t suffix_count_ = 0;
   std::size_t contains_count_ = 0;
   std::size_t scan_count_ = 0;
-  /// Total postings across the equality buckets (an in-anchored filter
-  /// occupies one posting per bucketable member, so this is what
-  /// EqBucketStats::filters reports — not eq_count_).
-  std::size_t eq_postings_ = 0;
-  /// Bucket-size histogram: size -> {bucket identity key -> buckets of
-  /// that size under that key}. Keys are hash_combine(attr, hash(value)) —
-  /// the same identity EqBucketStats::largest_key reports — and carry a
-  /// count so a (vanishingly unlikely) key collision stays correct.
-  std::unordered_map<std::size_t,
-                     std::unordered_map<std::size_t, std::size_t>>
-      eq_size_hist_;
-  std::size_t eq_buckets_ = 0;   // live (non-empty) buckets
-  std::size_t eq_largest_ = 0;   // size of the largest bucket
-  std::size_t eq_largest_key_ = 0;  // its identity key (0 when none)
-};
-
-/// Counting matcher (Gryphon/Siena style). Every constraint of every
-/// filter is indexed per attribute — equality constraints through a hash
-/// table on the canonical value, the rest on a per-attribute list. An
-/// event walks its own attributes, tallies one count per satisfied
-/// constraint, and a filter fires when its count reaches its constraint
-/// total. Unlike the anchor index, constraints are evaluated at most once
-/// each; the cost is the per-match counting table.
-class CountingMatcher final : public Matcher {
- public:
-  using Matcher::match;
-  using Matcher::match_batch;
-  void add(SubscriptionId id, Filter filter) override;
-  void remove(SubscriptionId id) override;
-  void match(const Event& event,
-             std::vector<SubscriptionId>& out) const override;
-  std::size_t size() const noexcept override { return filters_.size(); }
-  std::string name() const override { return "counting"; }
-
-  /// Introspection: indexed constraint postings (eq + non-eq).
-  std::size_t posting_count() const noexcept { return postings_; }
-
- private:
-  struct NonEqPosting {
-    Constraint constraint;
-    SubscriptionId id;
-  };
-
-  std::unordered_map<SubscriptionId, Filter> filters_;
-  /// attribute id -> canonical value -> filters with an (attr = value)
-  /// equality constraint (one posting per constraint).
-  std::unordered_map<AttrId,
-                     std::unordered_map<Value, std::vector<SubscriptionId>>,
-                     AttrIdHash>
-      eq_;
-  /// attribute id -> non-equality constraint postings on that attribute.
-  std::unordered_map<AttrId, std::vector<NonEqPosting>, AttrIdHash> noneq_;
-  std::vector<SubscriptionId> universal_;  // empty filters match everything
-  std::size_t postings_ = 0;
 };
 
 }  // namespace reef::pubsub

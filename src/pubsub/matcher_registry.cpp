@@ -18,19 +18,15 @@ MatcherRegistry::MatcherRegistry() {
       [] { return std::make_unique<BruteForceMatcher>(); });
   add(std::string(kAnchorIndexEngine),
       [] { return std::make_unique<IndexMatcher>(); });
-  add(std::string(kCountingEngine),
-      [] { return std::make_unique<CountingMatcher>(); });
   add(std::string(kBitsetEngine),
       [] { return std::make_unique<BitsetMatcher>(); });
   // Sharded variants of the built-ins, so names() exposes them and every
   // registry-driven equivalence test / bench covers the sharded layer.
-  for (const std::string_view inner :
-       {kBruteForceEngine, kAnchorIndexEngine, kCountingEngine,
-        kBitsetEngine}) {
+  for (const std::string_view inner : kBuiltinEngines) {
     add(std::string(kShardedPrefix) + std::string(inner),
         [name = std::string(inner)] {
           return std::make_unique<ShardedMatcher>(
-              ShardedMatcher::Config{kDefaultShardCount, 0, name});
+              ShardedMatcher::Config{.inner_engine = name});
         });
   }
 }
@@ -53,7 +49,7 @@ std::unique_ptr<Matcher> MatcherRegistry::create(
     if (const auto inner = sharded_inner_engine(name);
         inner && !sharded_inner_engine(*inner) && factories_.contains(*inner)) {
       return std::make_unique<ShardedMatcher>(
-          ShardedMatcher::Config{kDefaultShardCount, 0, *inner});
+          ShardedMatcher::Config{.inner_engine = *inner});
     }
     std::string known;
     for (const auto& [known_name, factory] : factories_) {

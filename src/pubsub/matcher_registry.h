@@ -1,9 +1,8 @@
 // String-keyed registry of matching-engine factories.
 //
 // Broker configuration, benches, and examples select an engine by name
-// ("brute-force", "anchor-index", "counting", "bitset") instead of
-// hard-coding a type; new engines register themselves without touching
-// broker code.
+// ("brute-force", "anchor-index", "bitset") instead of hard-coding a type;
+// new engines register themselves without touching broker code.
 //
 // Any engine can additionally be wrapped in the sharded-routing layer by
 // prefixing its name with "sharded:" (e.g. "sharded:anchor-index"): the
@@ -14,6 +13,7 @@
 // ShardedMatcher with an explicit Config instead.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -28,8 +28,14 @@ namespace reef::pubsub {
 // Canonical names of the built-in engines.
 inline constexpr std::string_view kBruteForceEngine = "brute-force";
 inline constexpr std::string_view kAnchorIndexEngine = "anchor-index";
-inline constexpr std::string_view kCountingEngine = "counting";
 inline constexpr std::string_view kBitsetEngine = "bitset";
+
+/// Every built-in engine. The registry registers each one bare and as
+/// "sharded:<name>", and the differential fuzz harness iterates this list
+/// in its overlay tiers, so an engine added here (with its factory in the
+/// registry constructor) inherits the whole oracle matrix.
+inline constexpr std::array<std::string_view, 3> kBuiltinEngines = {
+    kBruteForceEngine, kAnchorIndexEngine, kBitsetEngine};
 
 /// Name prefix selecting the sharded wrapper around an inner engine.
 inline constexpr std::string_view kShardedPrefix = "sharded:";

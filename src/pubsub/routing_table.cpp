@@ -76,123 +76,18 @@ void RoutingTable::remove_entry(std::uint64_t engine_id) {
   note_churn();
 }
 
-void RoutingTable::run_maintain() {
-  churn_since_maintain_ = 0;
-  ++maintain_runs_;
-  const std::size_t changes = matcher_->maintain(config_.maintain_max_bucket);
-  maintain_changes_ += changes;
-  if (config_.maintain_skew_ratio == 0) return;
-  if (changes > 0) {
-    // Something moved: the table's shape is fresh, any earlier stand-down
-    // is stale.
-    skew_backoff_largest_ = 0;
-    skew_backoff_key_ = 0;
-    skew_backoff_shrink_spent_ = false;
-    return;
-  }
-  // Zero-change pass: whatever is in the largest bucket is pinned there
-  // (rebalance had the chance and moved nothing). Remember its size and
-  // identity so the skew trigger stands down until that bucket shrinks
-  // or another bucket overtakes it — re-firing on the same pinned bucket
-  // every check interval is pure scan churn (the ROADMAP backoff item).
-  // Scheduled passes still run, so filters that join the bucket later
-  // are repaired at the churn cadence.
-  const EqBucketStats after = matcher_->eq_bucket_stats();
-  if (after.largest_key != skew_backoff_key_) {
-    // A different bucket is pinned now: new backoff episode, fresh
-    // shrink-side re-arm.
-    skew_backoff_shrink_spent_ = false;
-  }
-  skew_backoff_largest_ = after.largest;
-  skew_backoff_key_ = after.largest_key;
-}
-
 void RoutingTable::note_churn() {
-  if (config_.maintain_churn_threshold == 0) return;
-  ++churn_since_maintain_;
-  const bool at_threshold =
-      churn_since_maintain_ >= config_.maintain_churn_threshold;
   // Anchors are chosen against bucket sizes at add time, so sustained
   // churn can strand long-lived filters in buckets that have since grown
-  // (the Siena/REEF high-churn failure mode). With maintain_skew_ratio
-  // off, repair is scheduled purely by churn volume (the PR 3 behavior).
-  if (config_.maintain_skew_ratio == 0) {
-    if (at_threshold) run_maintain();
+  // (the Siena/REEF high-churn failure mode); repair is scheduled purely
+  // by churn volume.
+  if (config_.maintain_churn_threshold == 0 ||
+      ++churn_since_maintain_ < config_.maintain_churn_threshold) {
     return;
   }
-  // Skew-triggered scheduling: sample the equality-bucket shape on a
-  // finer cadence than the full churn window, fire maintain early as soon
-  // as one bucket dwarfs the mean, and skip the churn-scheduled pass
-  // while the buckets stay balanced — a balanced table gives rebalance
-  // nothing to move, so the pass would only burn a scan.
-  const std::size_t check_every =
-      std::max<std::size_t>(1, config_.maintain_churn_threshold / 8);
-  if (!at_threshold && churn_since_maintain_ % check_every != 0) return;
-  const EqBucketStats stats = matcher_->eq_bucket_stats();
-  if (stats.buckets > 0) engine_reports_stats_ = true;
-  if (!engine_reports_stats_) {
-    // The engine has never exposed a bucket shape — either it has none
-    // yet, or it doesn't implement eq_bucket_stats() at all. Its
-    // maintain() may still do repair work we cannot see, so fall back to
-    // the unconditional churn schedule rather than silently never
-    // maintaining (gating is only sound for engines that report stats).
-    if (at_threshold) run_maintain();
-    return;
-  }
-  // Guarded: buckets can drop back to zero after the latch set (all eq
-  // filters removed); largest is 0 then too, so nothing fires.
-  const std::size_t mean =
-      stats.buckets == 0 ? 0 : stats.filters / stats.buckets;
-  const bool skewed =
-      stats.largest > config_.maintain_skew_ratio * std::max<std::size_t>(1, mean);
-  // Rebalance only ever moves filters out of buckets larger than
-  // maintain_max_bucket, so a pass is provably a no-op unless some bucket
-  // exceeds that bound — both the early fire and the scheduled pass are
-  // gated on it (skew alone, e.g. one 10-filter bucket over a singleton
-  // mean, must not burn a pass that cannot move anything).
-  const bool actionable = stats.largest > config_.maintain_max_bucket;
-  // Zero-change backoff: a hot bucket whose filters are pinned (their only
-  // equality constraint is the hot attribute) defeats rebalance, so the
-  // skew trigger would re-fire a futile pass every check interval forever.
-  // Stand down while that *same* bucket has only grown since the
-  // zero-change pass; a different bucket overtaking it (the newcomer may
-  // be movable) re-arms the trigger unconditionally. A shrink of the same
-  // bucket (removals may have unpinned it) re-arms exactly *once* per
-  // episode: if the re-armed pass again moves nothing, the bucket is
-  // still pinned at the smaller size, and a bucket draining one filter
-  // per sample must not buy a futile pass per sample (the shrink-side
-  // ROADMAP gap).
-  if (skew_backoff_largest_ != 0) {
-    if (stats.largest_key != skew_backoff_key_) {
-      skew_backoff_largest_ = 0;
-      skew_backoff_key_ = 0;
-      skew_backoff_shrink_spent_ = false;
-    } else if (stats.largest < skew_backoff_largest_ &&
-               !skew_backoff_shrink_spent_) {
-      // Keep the key: the episode identity survives the re-arm, so a
-      // zero-change pass on the same bucket re-enters backoff with the
-      // shrink re-arm already spent.
-      skew_backoff_largest_ = 0;
-      skew_backoff_shrink_spent_ = true;
-    }
-  }
-  const bool backed_off = skew_backoff_largest_ != 0;
-  if (skewed && actionable && !backed_off) {
-    if (!at_threshold) ++maintain_skew_triggers_;
-    run_maintain();
-  } else if (skewed && actionable && !at_threshold) {
-    ++maintain_backoff_skips_;
-  } else if (at_threshold) {
-    if (actionable) {
-      // Balanced by ratio but over the rebalance bound: the scheduled
-      // pass may have real work (uniformly oversized buckets never trip
-      // the ratio), so run it — PR 3 parity.
-      run_maintain();
-    } else {
-      // Exact skip, not a heuristic: nothing is over the bound.
-      churn_since_maintain_ = 0;
-    }
-  }
+  churn_since_maintain_ = 0;
+  ++maintain_runs_;
+  maintain_changes_ += matcher_->maintain(config_.maintain_max_bucket);
 }
 
 void RoutingTable::client_subscribe(IfaceId client, SubscriptionId sub_id,
@@ -440,22 +335,6 @@ bool dominates(const std::string& other_key, const Filter& other,
 
 }  // namespace
 
-std::map<std::string, Filter> RoutingTable::minimal_cover_naive(
-    std::map<std::string, Filter> filters) {
-  std::map<std::string, Filter> out;
-  for (const auto& [key, filter] : filters) {
-    bool dominated = false;
-    for (const auto& [other_key, other] : filters) {
-      if (dominates(other_key, other, key, filter)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.emplace(key, filter);
-  }
-  return out;
-}
-
 std::map<std::string, Filter> RoutingTable::minimal_cover_indexed(
     std::map<std::string, Filter> filters) {
   // Signature index: every non-empty filter is bucketed under one of its
@@ -588,9 +467,7 @@ RoutingTable::Diff RoutingTable::refresh(IfaceId neighbor) {
   BrokerIface& iface = broker_ifaces_.at(neighbor);
   std::map<std::string, Filter> desired = filters_not_from(neighbor);
   if (config_.covering_enabled) {
-    desired = config_.cover_index_enabled
-                  ? minimal_cover_indexed(std::move(desired))
-                  : minimal_cover_naive(std::move(desired));
+    desired = minimal_cover_indexed(std::move(desired));
   }
 
   Diff diff;

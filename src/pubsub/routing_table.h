@@ -36,12 +36,6 @@ inline constexpr std::size_t kDefaultMaintainChurnThreshold = 1024;
 /// Default equality-bucket bound handed to Matcher::maintain: filters in
 /// buckets that grew past this are re-anchored.
 inline constexpr std::size_t kDefaultMaintainMaxBucket = 64;
-/// Default skew ratio arming skew-triggered maintenance: a maintain pass
-/// fires early when largest_eq_bucket / max(1, mean_eq_bucket) exceeds
-/// this, and the churn-scheduled pass is skipped while the buckets stay
-/// balanced (a balanced table has nothing for rebalance to move, so the
-/// pass would be a no-op scan). 0 = churn-count-only scheduling.
-inline constexpr std::size_t kDefaultMaintainSkewRatio = 8;
 
 class RoutingTable {
  public:
@@ -57,9 +51,6 @@ class RoutingTable {
     /// Matching engine, by MatcherRegistry name. "sharded:<inner>" selects
     /// the sharded layer explicitly; see shard_count / worker_threads.
     std::string engine = std::string(kDefaultEngine);
-    /// Signature-indexed candidate pruning in the covering check (ablation
-    /// knob; off = the naive pairwise loop, for regression comparison).
-    bool cover_index_enabled = true;
     /// Filter-state shards for the matching engine. 0 = auto: plain
     /// engine names stay unsharded (the ablation baseline) while a
     /// "sharded:" engine gets kDefaultShardCount, matching registry
@@ -78,16 +69,6 @@ class RoutingTable {
     std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;
     /// Equality-bucket bound passed to Matcher::maintain.
     std::size_t maintain_max_bucket = kDefaultMaintainMaxBucket;
-    /// Skew-triggered maintenance: when > 0, the engine's equality-bucket
-    /// shape is sampled every maintain_churn_threshold/8 churn ops, a
-    /// maintain pass fires *early* when largest / max(1, mean) bucket
-    /// exceeds this ratio AND the largest bucket exceeds
-    /// maintain_max_bucket (rebalance only acts above that bound, so
-    /// every fire is actionable), and the regular churn-scheduled pass is
-    /// skipped when no bucket exceeds maintain_max_bucket (provably a
-    /// no-op then). 0 = churn-count-only scheduling (the PR 3 behavior).
-    /// Maintenance never changes match results, only probe cost.
-    std::size_t maintain_skew_ratio = kDefaultMaintainSkewRatio;
   };
 
   /// Where a matched event must go: an interface plus, for client
@@ -233,40 +214,21 @@ class RoutingTable {
   std::size_t forwarded_size(IfaceId neighbor) const;
   const Matcher& matcher() const noexcept { return *matcher_; }
   const Config& config() const noexcept { return config_; }
-  /// Maintenance passes run so far (churn-scheduled + skew-triggered).
+  /// Maintenance passes run so far (one per maintain_churn_threshold
+  /// filter add/removes).
   std::uint64_t maintain_runs() const noexcept { return maintain_runs_; }
   /// Total structural changes (e.g. filters re-anchored) those passes made.
   std::uint64_t maintain_changes() const noexcept {
     return maintain_changes_;
-  }
-  /// Maintenance passes fired *early* by the skew trigger (before the
-  /// churn threshold; see Config::maintain_skew_ratio).
-  std::uint64_t maintain_skew_triggers() const noexcept {
-    return maintain_skew_triggers_;
-  }
-  /// Skew-triggered fires suppressed by the zero-change backoff: after a
-  /// maintain pass that moved nothing (a pinned hot bucket — filters whose
-  /// only equality constraint is the hot one cannot be re-anchored), the
-  /// early trigger stands down while the largest bucket has only grown
-  /// since; it re-arms when the bucket shrinks (once per backoff episode —
-  /// a draining bucket must not re-fire per removal), when a different
-  /// bucket takes over as largest, or when any pass makes a change.
-  /// Scheduled (churn-threshold) passes are never suppressed, so repair
-  /// stays guaranteed at the PR 3 cadence.
-  std::uint64_t maintain_backoff_skips() const noexcept {
-    return maintain_backoff_skips_;
   }
 
   // --- covering reduction (public for tests and benches) --------------------
   /// Reduces a key->filter set to its maximal elements under covering,
   /// pruning candidate cover pairs through a per-call signature index
   /// (each filter is bucketed by one constraint; only filters whose
-  /// bucket a candidate's own constraints can reach are checked).
+  /// bucket a candidate's own constraints can reach are checked). Of
+  /// mutually covering filters, the one with the smallest key survives.
   static std::map<std::string, Filter> minimal_cover_indexed(
-      std::map<std::string, Filter> filters);
-  /// The original O(n^2) pairwise reduction, kept as the oracle for the
-  /// indexed path (cover_index_enabled = false routes refresh() here).
-  static std::map<std::string, Filter> minimal_cover_naive(
       std::map<std::string, Filter> filters);
 
  private:
@@ -290,11 +252,8 @@ class RoutingTable {
                           SubscriptionId client_sub, ScoringSpec scoring = {});
   void remove_entry(std::uint64_t engine_id);
   /// Counts one add/remove toward the maintenance budget and runs
-  /// Matcher::maintain when the churn threshold trips or the skew
-  /// trigger fires (see Config::maintain_skew_ratio).
+  /// Matcher::maintain every maintain_churn_threshold of them.
   void note_churn();
-  /// Runs one maintenance pass and resets the churn budget.
-  void run_maintain();
   Destination destination_of(std::uint64_t engine_id) const;
   /// The stored spec of an entry (neutral when it has none).
   ScoringSpec entry_scoring(std::uint64_t engine_id) const;
@@ -317,31 +276,6 @@ class RoutingTable {
   std::size_t churn_since_maintain_ = 0;
   std::uint64_t maintain_runs_ = 0;
   std::uint64_t maintain_changes_ = 0;
-  std::uint64_t maintain_skew_triggers_ = 0;
-  std::uint64_t maintain_backoff_skips_ = 0;
-  /// Largest equality bucket observed at the most recent zero-change
-  /// maintain pass, and its identity (EqBucketStats::largest_key); 0 =
-  /// backoff inactive. While the *same* bucket is still the largest and
-  /// is >= its zero-change size, the hot bucket that defeated the last
-  /// pass has only grown, so skew-triggered fires are suppressed —
-  /// movable late-joiners (if any) wait for the scheduled pass instead
-  /// of burning a scan per check interval. A shrink below the snapshot
-  /// or a *different* bucket taking over as largest re-arms the trigger
-  /// (see maintain_backoff_skips()).
-  std::size_t skew_backoff_largest_ = 0;
-  std::size_t skew_backoff_key_ = 0;
-  /// One-shot latch for the shrink-side re-arm: a *draining* pinned
-  /// bucket (filters removed one by one, every sample strictly below the
-  /// last) re-arms the trigger once per backoff episode, not once per
-  /// shrink sample — the first re-armed pass already proved the bucket
-  /// still pinned at the smaller size. Cleared when the largest-bucket
-  /// identity changes or any pass makes a change (a new episode).
-  bool skew_backoff_shrink_spent_ = false;
-  /// Latches true once the engine reports a nonzero equality-bucket
-  /// shape; until then skew gating falls back to the plain churn
-  /// schedule (engines without eq_bucket_stats() must not lose their
-  /// maintain() calls).
-  bool engine_reports_stats_ = false;
 };
 
 }  // namespace reef::pubsub

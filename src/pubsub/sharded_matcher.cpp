@@ -66,20 +66,6 @@ std::size_t ShardedMatcher::maintain(std::size_t max_bucket) {
   return changed;
 }
 
-EqBucketStats ShardedMatcher::eq_bucket_stats() const noexcept {
-  EqBucketStats stats;
-  for (const auto& shard : shards_) {
-    const EqBucketStats s = shard->eq_bucket_stats();
-    if (s.largest > stats.largest) {
-      stats.largest = s.largest;
-      stats.largest_key = s.largest_key;
-    }
-    stats.buckets += s.buckets;
-    stats.filters += s.filters;
-  }
-  return stats;
-}
-
 std::int32_t ShardedMatcher::anchor_shard_of(AttrId attr) const noexcept {
   const auto it = anchor_attrs_.find(attr);
   return it == anchor_attrs_.end()

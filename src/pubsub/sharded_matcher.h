@@ -8,7 +8,7 @@
 // choice is correct). Filters with no constraints have no anchor and go to
 // a dedicated spill shard. Each shard is a full Matcher instance of the
 // configured inner engine, so "sharded:anchor-index" shards the selective
-// hash index and "sharded:counting" shards the counting tables.
+// hash index and "sharded:bitset" shards the filter-slot bitmaps.
 //
 // Shard-aware event pre-filtering (Config::prefilter_enabled, default on):
 // a filter can only match an event that carries the filter's own anchor
@@ -94,9 +94,6 @@ class ShardedMatcher final : public Matcher {
   /// repairs its own amortized state; shard placement never changes — it
   /// is a pure function of the filter's first-constraint attribute).
   std::size_t maintain(std::size_t max_bucket) override;
-  /// Aggregated over the shards: largest bucket anywhere, bucket and
-  /// filter counts summed — feeds the routing table's skew trigger.
-  EqBucketStats eq_bucket_stats() const noexcept override;
 
   // --- introspection (tests and benches) ------------------------------------
   std::size_t shard_count() const noexcept { return config_.shard_count; }

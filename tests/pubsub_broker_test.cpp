@@ -326,8 +326,7 @@ TEST(Broker, BruteForceMatcherConfigWorksEndToEnd) {
 }
 
 TEST(Broker, EveryRegistryEngineWorksEndToEnd) {
-  for (const std::string engine :
-       {"brute-force", "anchor-index", "counting"}) {
+  for (const std::string engine : {"brute-force", "anchor-index", "bitset"}) {
     Broker::Config config;
     config.matcher_engine = engine;
     Harness h;

@@ -66,9 +66,11 @@
 // set-membership filters over a small overlapping symbol universe with
 // mixed-type members and the occasional empty set, and 2^53-boundary
 // values where int/double comparison must stay exact.
-// New engines registered in MatcherRegistry are picked up by name
-// automatically — both bare and through the shard/worker/pre-filter cross
-// product — and inherit the whole oracle matrix.
+// Engines registered in MatcherRegistry are picked up by name at the
+// matcher level — both bare and through the shard/worker/pre-filter cross
+// product. The overlay levels (2-5) iterate kBuiltinEngines
+// (matcher_registry.h), so an engine added to that list inherits the
+// whole oracle matrix with no edit here.
 //
 // ctest runs 3 fixed seeds (fast tier-1); CI's fuzz job sets
 // REEF_FUZZ_SEED_COUNT=25 for the nightly-strength sweep. Seeds are
@@ -481,6 +483,14 @@ struct EngineCase {
   std::function<std::unique_ptr<Matcher>()> make;
 };
 
+/// The built-in engines by name (matcher_registry.h), the engine list of
+/// every overlay tier. Not MatcherRegistry::names(): that also holds the
+/// sharded variants and any engine a test registered at runtime.
+std::vector<std::string> builtin_engines() {
+  return std::vector<std::string>(kBuiltinEngines.begin(),
+                                  kBuiltinEngines.end());
+}
+
 /// Every registry engine by bare name (the default configuration) plus,
 /// for every unsharded engine, the full {shard 1/4} x {workers 0/4} x
 /// {pre-filter on/off} cross product through ShardedMatcher.
@@ -498,7 +508,10 @@ std::vector<EngineCase> engine_matrix() {
           cases.push_back(
               {label, [name, shards, workers, prefilter] {
                  return std::make_unique<ShardedMatcher>(ShardedMatcher::Config{
-                     shards, workers, name, prefilter});
+                     .shard_count = shards,
+                     .worker_threads = workers,
+                     .inner_engine = name,
+                     .prefilter_enabled = prefilter});
                }});
         }
       }
@@ -664,8 +677,7 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorkerPrefilter) {
         run_schedule_through_overlay(schedule, seed, oracle_config);
     ASSERT_FALSE(oracle.delivery_log.empty()) << "seed=" << seed;
 
-    for (const std::string engine :
-         {"brute-force", "anchor-index", "counting", "bitset"}) {
+    for (const std::string& engine : builtin_engines()) {
       for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
         for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
           for (const bool prefilter : {false, true}) {
@@ -738,7 +750,9 @@ TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
     std::vector<std::string> oracle_sorted = oracle.delivery_log;
     std::sort(oracle_sorted.begin(), oracle_sorted.end());
 
-    for (const std::string engine : {"anchor-index", "counting", "bitset"}) {
+    for (const std::string& engine : builtin_engines()) {
+      // The oracle's own engine adds no coverage to the budget dimension.
+      if (engine == kBruteForceEngine) continue;
       for (const BudgetCase& budget : budgets) {
         Broker::Config config;
         config.matcher_engine = "sharded:" + engine;
@@ -942,22 +956,25 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
     ASSERT_EQ(oracle.retransmits, 0u) << "seed=" << seed;
     ASSERT_EQ(oracle.quarantined_at_split, 0u) << "seed=" << seed;
 
+    // Six (shards, workers, flush delay) shapes, dealt round-robin over
+    // the built-in engines other than the oracle's, so every shape runs
+    // whatever the engine list holds.
     struct EngineRow {
-      const char* engine;
       std::size_t shards, workers;
       sim::Time flush_delay;
     };
     const std::vector<EngineRow> rows = {
-        {"anchor-index", 1, 0, 0},
-        {"anchor-index", 4, 4, 3 * sim::kMillisecond},
-        {"counting", 4, 0, 0},
-        {"counting", 1, 4, 3 * sim::kMillisecond},
-        {"bitset", 4, 4, 0},
-        {"bitset", 1, 0, 3 * sim::kMillisecond},
+        {1, 0, 0}, {4, 4, 0}, {4, 4, 3 * sim::kMillisecond},
+        {1, 0, 3 * sim::kMillisecond}, {4, 0, 0},
+        {1, 4, 3 * sim::kMillisecond},
     };
-    for (const EngineRow& row : rows) {
+    std::vector<std::string> engines = builtin_engines();
+    std::erase(engines, std::string(kBruteForceEngine));
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const EngineRow& row = rows[r];
+      const std::string& engine = engines[r % engines.size()];
       Broker::Config config = base;
-      config.matcher_engine = std::string("sharded:") + row.engine;
+      config.matcher_engine = "sharded:" + engine;
       config.shard_count = row.shards;
       config.worker_threads = row.workers;
       config.maintain_churn_threshold = 16;
@@ -965,7 +982,7 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
       config.flush_max_delay_ticks = row.flush_delay;
       const FaultRun faulted =
           run_schedule_with_faults(schedule, seed, config, plan, true);
-      const std::string label = std::string(row.engine) + "/s" +
+      const std::string label = engine + "/s" +
                                 std::to_string(row.shards) + "/w" +
                                 std::to_string(row.workers) + "/d" +
                                 std::to_string(row.flush_delay) +
@@ -1238,8 +1255,7 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
     };
     const std::vector<ScoredRow> rows = {
         {1, 0, 0}, {4, 4, 0}, {4, 0, 3 * sim::kMillisecond}};
-    for (const std::string engine :
-         {"brute-force", "anchor-index", "counting", "bitset"}) {
+    for (const std::string& engine : builtin_engines()) {
       for (const ScoredRow& row : rows) {
         Broker::Config config;
         config.matcher_engine = "sharded:" + engine;

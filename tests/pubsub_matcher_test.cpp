@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "pubsub/matcher.h"
 #include "pubsub/matcher_registry.h"
 #include "pubsub/sharded_matcher.h"
-#include "util/hash.h"
 #include "util/rng.h"
 
 namespace reef::pubsub {
@@ -136,7 +134,7 @@ TEST(IndexMatcher, InSetAnchorsAcrossMemberBuckets) {
   EXPECT_EQ(m.in_anchored(), 1u);
   m.remove(2);
   EXPECT_EQ(m.in_anchored(), 0u);
-  EXPECT_EQ(m.eq_bucket_stats().filters, 0u);
+  EXPECT_EQ(m.largest_eq_bucket(), 0u);
 }
 
 TEST(IndexMatcher, SuffixAnchorProbesEveryPatternLength) {
@@ -347,9 +345,8 @@ TEST(Matcher, EmptyPatternsMatchEveryStringOnEveryEngine) {
   // length-0 probe alive through churn — this pins the
   // remove_prefix_length underflow path that used to decrement a missing
   // length entry.
-  for (const std::string name :
-       {"brute-force", "anchor-index", "counting", "bitset"}) {
-    const auto m = make_matcher(name);
+  for (const std::string_view name : kBuiltinEngines) {
+    const auto m = make_matcher(std::string(name));
     m->add(1, Filter().and_(prefix("t", "")));
     m->add(2, Filter().and_(suffix("t", "")));
     m->add(3, Filter().and_(contains("t", "")));
@@ -589,47 +586,6 @@ TEST(IndexMatcher, RebalanceMovesFiltersOntoTheirPatternPosting) {
   }
 }
 
-// --- CountingMatcher -------------------------------------------------------
-
-TEST(CountingMatcher, BasicMatchAndPostingBookkeeping) {
-  CountingMatcher m;
-  m.add(1, stock_filter("ACME", 10.0));
-  m.add(2, stock_filter("ACME", 20.0));
-  m.add(3, stock_filter("XYZ", 5.0));
-  EXPECT_EQ(m.posting_count(), 6u);
-
-  auto hits = m.match(Event().with("sym", "ACME").with("price", 15.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1}));
-
-  // Partially satisfied filters must not fire: sym matches, price absent.
-  EXPECT_TRUE(m.match(Event().with("sym", "ACME")).empty());
-
-  m.remove(2);
-  EXPECT_EQ(m.posting_count(), 4u);
-  hits = m.match(Event().with("sym", "ACME").with("price", 25.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1}));
-}
-
-TEST(CountingMatcher, UniversalAndCrossTypeNumerics) {
-  CountingMatcher m;
-  m.add(1, Filter());  // universal
-  m.add(2, Filter().and_(eq("p", 3)));
-  EXPECT_EQ(m.match(Event()).size(), 1u);
-  auto hits = m.match(Event().with("p", 3.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1, 2}));
-}
-
-TEST(CountingMatcher, RangeOnOneAttributeNeedsBothConstraints) {
-  CountingMatcher m;
-  m.add(1, Filter().and_(gt("p", 5)).and_(lt("p", 10)));
-  EXPECT_EQ(m.match(Event().with("p", 7)).size(), 1u);
-  EXPECT_TRUE(m.match(Event().with("p", 4)).empty());
-  EXPECT_TRUE(m.match(Event().with("p", 12)).empty());
-}
-
 // --- MatcherRegistry -------------------------------------------------------
 
 TEST(MatcherRegistry, BuiltInEnginesByName) {
@@ -638,8 +594,6 @@ TEST(MatcherRegistry, BuiltInEnginesByName) {
   EXPECT_TRUE(std::find(names.begin(), names.end(), "brute-force") !=
               names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(), "anchor-index") !=
-              names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "counting") !=
               names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(), "bitset") !=
               names.end());
@@ -739,8 +693,7 @@ TEST_P(MatcherEquivalence, AllEnginesAgreeWithBruteForceUnderChurn) {
   util::Rng rng(GetParam());
   BruteForceMatcher brute;
   std::vector<std::unique_ptr<Matcher>> engines;
-  for (const auto& name : {"anchor-index", "counting", "bitset",
-                           "sharded:anchor-index", "sharded:counting",
+  for (const auto& name : {"anchor-index", "bitset", "sharded:anchor-index",
                            "sharded:bitset"}) {
     engines.push_back(make_matcher(name));
   }
@@ -784,10 +737,12 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
   // Built-ins by name, not instance().names(): another test registers a
   // test-only engine in the process-wide registry, and coverage here must
   // not depend on test execution order.
-  for (const std::string name :
-       {"brute-force", "anchor-index", "counting", "bitset",
-        "sharded:brute-force", "sharded:anchor-index", "sharded:counting",
-        "sharded:bitset"}) {
+  std::vector<std::string> names;
+  for (const std::string_view name : kBuiltinEngines) {
+    names.emplace_back(name);
+    names.push_back(std::string(kShardedPrefix) + std::string(name));
+  }
+  for (const std::string& name : names) {
     const auto engine = make_matcher(name);
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
@@ -819,13 +774,15 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
 /// because the sharded merge is by shard index, never thread schedule.
 TEST_P(MatcherEquivalence, ShardedAgreesWithUnshardedAcrossWorkerCounts) {
   util::Rng rng(GetParam() ^ 0x51a8d);
-  for (const std::string inner : {"anchor-index", "counting", "bitset"}) {
+  for (const std::string inner : {"anchor-index", "bitset"}) {
     BruteForceMatcher oracle;
     const auto unsharded = make_matcher(inner);
     std::vector<std::unique_ptr<ShardedMatcher>> sharded;
     for (const std::size_t workers : {0u, 1u, 4u}) {
       sharded.push_back(std::make_unique<ShardedMatcher>(
-          ShardedMatcher::Config{4, workers, inner}));
+          ShardedMatcher::Config{.shard_count = 4,
+                                 .worker_threads = workers,
+                                 .inner_engine = inner}));
     }
     std::vector<SubscriptionId> live;
     SubscriptionId next = 1;
@@ -878,7 +835,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatcherEquivalence,
 // --- ShardedMatcher unit behavior -------------------------------------------
 
 TEST(ShardedMatcher, PlacementAndSpillBookkeeping) {
-  ShardedMatcher m(ShardedMatcher::Config{4, 0, "anchor-index"});
+  ShardedMatcher m(
+      ShardedMatcher::Config{.shard_count = 4, .inner_engine = "anchor-index"});
   EXPECT_EQ(m.name(), "sharded:anchor-index");
   EXPECT_EQ(m.shard_count(), 4u);
 
@@ -912,19 +870,21 @@ TEST(ShardedMatcher, PlacementAndSpillBookkeeping) {
 
 TEST(ShardedMatcher, RejectsNestedShardingAndZeroShards) {
   EXPECT_THROW(
-      ShardedMatcher(ShardedMatcher::Config{4, 0, "sharded:anchor-index"}),
+      ShardedMatcher(ShardedMatcher::Config{.shard_count = 4,
+                                    .inner_engine = "sharded:anchor-index"}),
       std::invalid_argument);
-  EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{0, 0, "anchor-index"}),
+  EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 0,
+                                          .inner_engine = "anchor-index"}),
                std::invalid_argument);
-  EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{4, 0, "no-such"}),
+  EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 4,
+                                          .inner_engine = "no-such"}),
                std::invalid_argument);
 }
 
 TEST(ShardedMatcher, RegistryExposesShardedVariants) {
   auto& registry = MatcherRegistry::instance();
   for (const std::string name :
-       {"sharded:brute-force", "sharded:anchor-index", "sharded:counting",
-        "sharded:bitset"}) {
+       {"sharded:brute-force", "sharded:anchor-index", "sharded:bitset"}) {
     ASSERT_TRUE(registry.contains(name)) << name;
     EXPECT_EQ(registry.create(name)->name(), name);
   }
@@ -933,7 +893,7 @@ TEST(ShardedMatcher, RegistryExposesShardedVariants) {
                [] { return std::make_unique<BruteForceMatcher>(); });
   EXPECT_EQ(registry.create("sharded:test-only-inner")->name(),
             "sharded:test-only-inner");
-  EXPECT_THROW(registry.create("sharded:sharded:counting"),
+  EXPECT_THROW(registry.create("sharded:sharded:bitset"),
                std::invalid_argument);
   EXPECT_THROW(registry.create("sharded:definitely-not-an-engine"),
                std::invalid_argument);
@@ -1005,77 +965,14 @@ TEST(IndexMatcher, RebalanceMovesLongLivedFiltersOffGrownBuckets) {
   }
 }
 
-TEST(IndexMatcher, EqBucketStatsStayExactUnderChurn) {
-  // eq_bucket_stats() is maintained incrementally (satellite of the bitset
-  // PR); this pins it against a recomputed-from-scratch oracle through a
-  // few hundred add/remove rounds. Single-eq filters force the anchor, so
-  // the oracle knows exactly which bucket every subscription lives in.
-  util::Rng rng(0x57a75);
-  IndexMatcher m;
-  struct LiveSub {
-    std::string attr;
-    std::int64_t value;
-  };
-  std::map<SubscriptionId, LiveSub> live;
-  SubscriptionId next = 1;
-  for (int round = 0; round < 300; ++round) {
-    if (live.empty() || rng.chance(0.6)) {
-      const std::string attr(1, static_cast<char>('a' + rng.index(3)));
-      const auto value = static_cast<std::int64_t>(rng.index(5));
-      m.add(next, Filter().and_(eq(attr, value)));
-      live.emplace(next, LiveSub{attr, value});
-      ++next;
-    } else {
-      auto it = live.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(rng.index(live.size())));
-      m.remove(it->first);
-      live.erase(it);
-    }
-    std::map<std::pair<std::string, std::int64_t>, std::size_t> buckets;
-    for (const auto& [id, sub] : live) ++buckets[{sub.attr, sub.value}];
-    std::size_t largest = 0;
-    for (const auto& [key, count] : buckets) {
-      largest = std::max(largest, count);
-    }
-    const auto stats = m.eq_bucket_stats();
-    ASSERT_EQ(stats.filters, live.size()) << "round " << round;
-    ASSERT_EQ(stats.buckets, buckets.size()) << "round " << round;
-    ASSERT_EQ(stats.largest, largest) << "round " << round;
-    if (largest == 0) {
-      ASSERT_EQ(stats.largest_key, 0u) << "round " << round;
-    } else {
-      // The reported key must name one of the max-size buckets. Keys are
-      // hash_combine(attr, hash(canonical value)) — same recipe the
-      // routing table's backoff relies on for identity comparisons.
-      bool names_a_max_bucket = false;
-      for (const auto& [key, count] : buckets) {
-        if (count != largest) continue;
-        const Constraint c = eq(key.first, key.second);
-        const std::size_t id_key = util::hash_combine(
-            c.attr_id(), std::hash<Value>{}(canonical_numeric(c.value())));
-        if (id_key == stats.largest_key) {
-          names_a_max_bucket = true;
-          break;
-        }
-      }
-      ASSERT_TRUE(names_a_max_bucket)
-          << "round " << round
-          << ": largest_key does not identify any max-size bucket";
-    }
-  }
-}
-
 // --- the Matcher::maintain hook ----------------------------------------------
 
 TEST(Matcher, MaintainDefaultsToNoOpOnEnginesWithoutAmortizedState) {
   BruteForceMatcher brute;
-  CountingMatcher counting;
   for (SubscriptionId id = 1; id <= 10; ++id) {
     brute.add(id, Filter().and_(eq("hot", 1)));
-    counting.add(id, Filter().and_(eq("hot", 1)));
   }
   EXPECT_EQ(brute.maintain(2), 0u);
-  EXPECT_EQ(counting.maintain(2), 0u);
 }
 
 TEST(IndexMatcher, MaintainIsRebalance) {
@@ -1115,7 +1012,8 @@ TEST(ShardedMatcher, MaintainFansOutToTheShards) {
   // in) plays out inside one inner IndexMatcher, exactly as in the
   // unsharded rebalance test. The sharded hook must reach both groups'
   // shards and leave matching untouched.
-  ShardedMatcher m(ShardedMatcher::Config{4, 0, "anchor-index"});
+  ShardedMatcher m(
+      ShardedMatcher::Config{.shard_count = 4, .inner_engine = "anchor-index"});
   BruteForceMatcher oracle;
   const auto add_both = [&](SubscriptionId id, const Filter& f) {
     m.add(id, f);

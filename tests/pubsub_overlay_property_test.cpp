@@ -285,7 +285,7 @@ TEST_P(OverlayProperty, ShardedEnginesDeliverInIdenticalOrder) {
     std::size_t workers;
     bool prefilter = true;
   };
-  for (const std::string inner : {"anchor-index", "counting"}) {
+  for (const std::string inner : {"anchor-index", "bitset"}) {
     std::map<std::string, std::vector<std::string>> logs;
     for (const EngineSetup& setup :
          {EngineSetup{inner, 1, 0},

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,8 @@ TEST(RoutingTable, CoveringPrunesNarrowFilters) {
 }
 
 TEST(RoutingTable, CoveringDisabledForwardsEverything) {
-  RoutingTable table(
-      RoutingTable::Config{/*covering_enabled=*/false, "anchor-index"});
+  RoutingTable table(RoutingTable::Config{.covering_enabled = false,
+                                          .engine = "anchor-index"});
   table.add_broker_iface(kNeighbor);
   table.client_subscribe(kClient, 1, broad());
   table.client_subscribe(kClient, 2, feed("http://x/a"));
@@ -190,6 +191,47 @@ TEST(RoutingTable, MatchBatchAgreesWithPerEventMatch) {
 
 // --- indexed covering check vs the naive pairwise oracle --------------------
 
+/// The O(n^2) pairwise reduction: the oracle for the signature-indexed
+/// RoutingTable::minimal_cover_indexed. A filter is dropped when another
+/// one covers it, unless the two are equivalent and it has the smaller
+/// key (the canonical representative survives).
+std::map<std::string, Filter> minimal_cover_naive(
+    const std::map<std::string, Filter>& filters) {
+  std::map<std::string, Filter> out;
+  for (const auto& [key, filter] : filters) {
+    bool dominated = false;
+    for (const auto& [other_key, other] : filters) {
+      if (other_key != key && other.covers(filter) &&
+          (!filter.covers(other) || other_key < key)) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) out.emplace(key, filter);
+  }
+  return out;
+}
+
+/// RoutingTable::refresh re-derived on top of the naive reduction, for
+/// one neighbor that receives every filter in `visible`: the subscribe
+/// delta and then the unsubscribe delta, each in key order.
+struct NaiveNeighbor {
+  std::map<std::string, Filter> forwarded;
+
+  RoutingTable::Diff refresh(const std::map<std::string, Filter>& visible) {
+    const auto desired = minimal_cover_naive(visible);
+    RoutingTable::Diff diff;
+    for (const auto& [key, filter] : desired) {
+      if (!forwarded.contains(key)) diff.subscribe.push_back(filter);
+    }
+    for (const auto& [key, filter] : forwarded) {
+      if (!desired.contains(key)) diff.unsubscribe.push_back(filter);
+    }
+    forwarded = desired;
+    return diff;
+  }
+};
+
 Filter churn_filter(util::Rng& rng) {
   // The Reef-like population the indexed cover check targets: per-feed
   // equality subscriptions (massively redundant attributes, distinct
@@ -218,17 +260,21 @@ Filter churn_filter(util::Rng& rng) {
 
 /// Regression gate for the signature-indexed covering check: a table under
 /// 1k-filter churn must hand every neighbor forwarding diffs identical to
-/// the naive-pairwise-loop table fed the same operations.
+/// the naive pairwise oracle fed the same operations.
 TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
   util::Rng rng(0xc0ffee);
-  RoutingTable indexed(
-      RoutingTable::Config{true, "anchor-index", /*cover_index_enabled=*/true});
-  RoutingTable naive(RoutingTable::Config{true, "anchor-index",
-                                          /*cover_index_enabled=*/false});
-  for (RoutingTable* table : {&indexed, &naive}) {
-    table->add_broker_iface(kNeighbor);
-    table->add_broker_iface(kOtherNeighbor);
-  }
+  RoutingTable indexed(RoutingTable::Config{.engine = "anchor-index"});
+  indexed.add_broker_iface(kNeighbor);
+  indexed.add_broker_iface(kOtherNeighbor);
+  // The oracle side: the live client filters (all visible to both
+  // neighbors) and one naive forwarder per neighbor.
+  std::map<SubscriptionId, Filter> naive_live;
+  std::map<RoutingTable::IfaceId, NaiveNeighbor> naive;
+  const auto visible = [&] {
+    std::map<std::string, Filter> out;
+    for (const auto& [id, f] : naive_live) out.try_emplace(f.key(), f);
+    return out;
+  };
 
   const auto diff_signature = [](const RoutingTable::Diff& diff) {
     std::vector<std::string> sig;
@@ -255,7 +301,7 @@ TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
         // can reconstruct the same (client, id) pair.
         const RoutingTable::IfaceId client = 300 + next_id % 4;
         indexed.client_subscribe(client, next_id, f);
-        naive.client_subscribe(client, next_id, f);
+        naive_live.emplace(next_id, f);
         live.push_back(next_id);
         ++next_id;
         ++added;
@@ -263,18 +309,19 @@ TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
         const std::size_t idx = rng.index(live.size());
         const RoutingTable::IfaceId client = 300 + live[idx] % 4;
         EXPECT_TRUE(indexed.client_unsubscribe(client, live[idx]));
-        EXPECT_TRUE(naive.client_unsubscribe(client, live[idx]));
+        naive_live.erase(live[idx]);
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
       }
     }
     for (const auto neighbor : {kNeighbor, kOtherNeighbor}) {
       const auto from_indexed = diff_signature(indexed.refresh(neighbor));
-      const auto from_naive = diff_signature(naive.refresh(neighbor));
+      const auto from_naive =
+          diff_signature(naive[neighbor].refresh(visible()));
       ASSERT_EQ(from_indexed, from_naive)
           << "round " << round << " neighbor " << neighbor;
       if (from_indexed.size() > 1) ++checked_diffs;
       EXPECT_EQ(indexed.forwarded_size(neighbor),
-                naive.forwarded_size(neighbor));
+                naive[neighbor].forwarded.size());
     }
   }
   EXPECT_EQ(added, 1000u);
@@ -285,9 +332,9 @@ TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
   // reductions are compared in full, not just their churn deltas.
   constexpr RoutingTable::IfaceId kFreshNeighbor = 150;
   indexed.add_broker_iface(kFreshNeighbor);
-  naive.add_broker_iface(kFreshNeighbor);
   const auto full_indexed = diff_signature(indexed.refresh(kFreshNeighbor));
-  const auto full_naive = diff_signature(naive.refresh(kFreshNeighbor));
+  const auto full_naive =
+      diff_signature(naive[kFreshNeighbor].refresh(visible()));
   EXPECT_GT(full_indexed.size(), 1u);
   EXPECT_EQ(full_indexed, full_naive);
 }
@@ -300,7 +347,7 @@ TEST(RoutingTable, MinimalCoverIndexedEqualsNaiveOnEdgeCases) {
     std::map<std::string, Filter> input;
     for (const Filter& f : filters) input.emplace(f.key(), f);
     const auto a = RoutingTable::minimal_cover_indexed(input);
-    const auto b = RoutingTable::minimal_cover_naive(input);
+    const auto b = minimal_cover_naive(input);
     EXPECT_EQ(a.size(), b.size());
     auto it_a = a.begin();
     for (const auto& [key, filter] : b) {
@@ -345,7 +392,7 @@ TEST(RoutingTable, MinimalCoverIndexedEqualsNaiveOnEdgeCases) {
 
 TEST(RoutingTable, EngineSelectedThroughRegistry) {
   for (const auto& engine : MatcherRegistry::instance().names()) {
-    RoutingTable table(RoutingTable::Config{true, engine});
+    RoutingTable table(RoutingTable::Config{.engine = engine});
     EXPECT_EQ(table.matcher().name(), engine);
     table.client_subscribe(kClient, 1, feed("http://x/a"));
     std::vector<RoutingTable::Destination> hits;
@@ -354,7 +401,7 @@ TEST(RoutingTable, EngineSelectedThroughRegistry) {
     EXPECT_EQ(hits.size(), 1u) << engine;
   }
   EXPECT_THROW(
-      RoutingTable(RoutingTable::Config{true, "no-such-engine"}),
+      RoutingTable(RoutingTable::Config{.engine = "no-such-engine"}),
       std::invalid_argument);
 }
 
@@ -365,7 +412,6 @@ TEST(RoutingTable, ChurnTriggersMaintainOnSchedule) {
   config.engine = "anchor-index";
   config.maintain_churn_threshold = 10;
   config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 0;  // churn-count-only scheduling under test
   RoutingTable table(config);
   EXPECT_EQ(table.maintain_runs(), 0u);
   // 25 adds = two full churn windows of 10 (plus 5 left over).
@@ -393,7 +439,6 @@ TEST(RoutingTable, MaintainMovesStrandedAnchorsWithoutChangingMatches) {
   maintained_config.engine = "anchor-index";
   maintained_config.maintain_churn_threshold = 8;
   maintained_config.maintain_max_bucket = 4;
-  maintained_config.maintain_skew_ratio = 0;  // maintain on every window
   RoutingTable maintained(maintained_config);
   RoutingTable::Config plain_config;
   plain_config.engine = "anchor-index";
@@ -437,220 +482,13 @@ TEST(RoutingTable, MaintainMovesStrandedAnchorsWithoutChangingMatches) {
   }
 }
 
-// --- skew-triggered maintenance ----------------------------------------------
-
-TEST(RoutingTable, SkewTriggerSkipsMaintainOnBalancedWorkload) {
-  // Distinct single-value equality buckets: largest == mean == 1, so no
-  // churn window ever finds skew and every scheduled pass is skipped —
-  // the no-op passes the skew trigger exists to cut.
+TEST(RoutingTable, DefaultConfigMaintainsOnChurnCountAlone) {
+  // A perfectly balanced workload (every equality bucket holds one
+  // filter) still gets one maintain pass per churn window: scheduling
+  // depends on the number of add/removes and nothing else.
   RoutingTable::Config config;
   config.engine = "anchor-index";
   config.maintain_churn_threshold = 10;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  for (SubscriptionId id = 1; id <= 35; ++id) {
-    table.client_subscribe(kClient, id,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(id))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 0u);
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
-}
-
-TEST(RoutingTable, SkewUnderRebalanceBoundNeverFires) {
-  // Ratio-skewed but under maintain_max_bucket: one bucket of ~12 filters
-  // over a singleton mean trips the ratio, yet rebalance only moves
-  // filters out of buckets larger than max_bucket — a pass would be a
-  // provable no-op, so neither the early trigger nor the scheduled pass
-  // may burn one. (Regression: an earlier cut fired on ratio alone and
-  // re-ran a no-op maintain every check interval, forever.)
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 16;
-  config.maintain_max_bucket = 64;
-  config.maintain_skew_ratio = 8;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 12; ++i) {
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-  }
-  for (int i = 0; i < 60; ++i) {
-    table.client_subscribe(kClient, next++,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(i))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 0u);
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
-}
-
-TEST(RoutingTable, SkewTriggerFiresMaintainBeforeChurnThreshold) {
-  // One bucket (hot=1) grows while the rest stay at size 1. The skew
-  // check samples every threshold/8 = 10 churn ops, so the first pass
-  // fires as soon as largest > ratio * mean — far before the 80-op churn
-  // window that pure churn-count scheduling would wait for.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 80;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 9; ++i) {
-    table.client_subscribe(kClient, next,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(next))));
-    ++next;
-  }
-  std::size_t ops = 9;
-  while (table.maintain_skew_triggers() == 0 && ops < 60) {
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-    ++ops;
-  }
-  EXPECT_GE(table.maintain_skew_triggers(), 1u);
-  EXPECT_GE(table.maintain_runs(), 1u);
-  EXPECT_LT(ops, config.maintain_churn_threshold)
-      << "skew trigger should fire before the churn window closes";
-
-  // The trigger only reschedules maintenance; matching is untouched.
-  std::vector<RoutingTable::Destination> hits;
-  table.match(Event().with("hot", 1), hits);
-  EXPECT_EQ(hits.size(), ops - 9);
-}
-
-TEST(RoutingTable, BalancedButOversizedBucketsStillGetScheduledMaintenance) {
-  // Four hot buckets growing in lockstep: the largest/mean ratio never
-  // trips (they are all the same size), but every bucket exceeds
-  // maintain_max_bucket, so rebalance has real work — the scheduled pass
-  // must run, not be skipped as "balanced". Regression pin for the skip
-  // being exact (skip only when no bucket exceeds the rebalance bound).
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  config.maintain_max_bucket = 2;
-  config.maintain_skew_ratio = 100;  // ratio alone would never fire
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  // One two-eq filter per hot attribute first (anchors on the then-empty
-  // hot bucket), then uniform piles of pinned single-eq filters.
-  for (int k = 0; k < 4; ++k) {
-    table.client_subscribe(kClient, next++,
-                           Filter()
-                               .and_(eq("h" + std::to_string(k), 1))
-                               .and_(eq("user",
-                                        static_cast<std::int64_t>(100 + k))));
-  }
-  for (int i = 0; i < 36; ++i) {
-    table.client_subscribe(kClient, next++,
-                           Filter().and_(eq("h" + std::to_string(i % 4), 1)));
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
-  EXPECT_GT(table.maintain_runs(), 0u);
-  // The stranded two-eq filters were re-anchored onto their user buckets.
-  EXPECT_GT(table.maintain_changes(), 0u);
-}
-
-TEST(RoutingTable, SkewBackoffStopsRefiringOnPinnedHotBucket) {
-  // Single-eq filters (eq(hot, 1) and nothing else) are pinned: rebalance
-  // cannot re-anchor them anywhere. Without backoff the skew trigger
-  // re-fires a futile maintain every threshold/8 churn ops forever; with
-  // it, the first zero-change pass stands the trigger down and
-  // maintain_skew_triggers() stops climbing while the bucket only grows.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 80;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 9; ++i) {
-    table.client_subscribe(kClient, next,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(next))));
-    ++next;
-  }
-  std::vector<SubscriptionId> pinned;
-  for (int i = 0; i < 120; ++i) {
-    pinned.push_back(next);
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 1u)
-      << "exactly one early fire; the zero-change pass must back off";
-  EXPECT_GT(table.maintain_backoff_skips(), 0u);
-  // Scheduled passes are never suppressed: repair stays guaranteed at the
-  // churn cadence even while the trigger is standing down.
-  EXPECT_GE(table.maintain_runs(), 2u);
-  EXPECT_EQ(table.maintain_changes(), 0u);
-
-  // A *different* bucket overtaking the pinned one must re-arm the
-  // trigger: the backoff tracks bucket identity, not just size, because
-  // the newcomer could be movable. (Here it is pinned too, so the table
-  // fires exactly once more, then backs off on the new bucket.)
-  std::vector<SubscriptionId> warm;
-  for (int i = 0; i < 140; ++i) {
-    warm.push_back(next);
-    table.client_subscribe(kClient, next++, Filter().and_(eq("warm", 1)));
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 2u)
-      << "the overtaking warm bucket must fire once, then back off";
-
-  // Shrinking the now-largest bucket below the zero-change snapshot
-  // re-arms the trigger as well: the next sampled skew check may fire.
-  for (std::size_t i = 0; i < warm.size() - 10; ++i) {
-    table.client_unsubscribe(kClient, warm[i]);
-  }
-  EXPECT_GE(table.maintain_skew_triggers(), 3u);
-}
-
-TEST(RoutingTable, ShrinkSideBackoffReArmsOncePerEpisode) {
-  // Regression pin for the shrink-side re-arm being one-shot. A pinned
-  // hot bucket *draining* one filter at a time is strictly smaller at
-  // every skew sample; the old re-arm condition (largest < snapshot)
-  // bought a futile maintain pass per sample for the whole drain. Fixed:
-  // the first re-armed pass proves the bucket is still pinned at the
-  // smaller size, and the episode's shrink re-arm is spent until the
-  // largest-bucket identity changes or a pass moves something.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 80;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 9; ++i) {
-    table.client_subscribe(kClient, next,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(next))));
-    ++next;
-  }
-  std::vector<SubscriptionId> pinned;
-  for (int i = 0; i < 100; ++i) {
-    pinned.push_back(next);
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-  }
-  ASSERT_EQ(table.maintain_skew_triggers(), 1u);
-  const std::uint64_t skips_before_drain = table.maintain_backoff_skips();
-
-  // Drain 60 pinned filters one by one — six strictly-shrinking skew
-  // samples (plus one scheduled pass mid-drain). Exactly one of them may
-  // re-fire the trigger; every later shrinking sample stays suppressed.
-  for (int i = 0; i < 60; ++i) {
-    table.client_unsubscribe(kClient, pinned[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 2u)
-      << "a draining pinned bucket must re-arm once, not once per sample";
-  EXPECT_GT(table.maintain_backoff_skips(), skips_before_drain)
-      << "post-re-arm shrinking samples are suppressed, and counted";
-  EXPECT_EQ(table.maintain_changes(), 0u);
-}
-
-TEST(RoutingTable, SkewRatioZeroKeepsChurnCountScheduling) {
-  // Ablation: ratio 0 must reproduce the PR 3 unconditional schedule even
-  // on a perfectly balanced workload.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  config.maintain_skew_ratio = 0;
   RoutingTable table(config);
   for (SubscriptionId id = 1; id <= 20; ++id) {
     table.client_subscribe(kClient, id,
@@ -658,7 +496,7 @@ TEST(RoutingTable, SkewRatioZeroKeepsChurnCountScheduling) {
                                             static_cast<std::int64_t>(id))));
   }
   EXPECT_EQ(table.maintain_runs(), 2u);
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
+  EXPECT_EQ(table.maintain_changes(), 0u);
 }
 
 }  // namespace

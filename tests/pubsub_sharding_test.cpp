@@ -213,7 +213,9 @@ TEST_P(ShardingDeterminism, RepeatRunsAreByteIdentical) {
 TEST(ShardedPrefilter, AttributeFreeEventsMeetUniversalFiltersInSpill) {
   for (const bool prefilter : {true, false}) {
     ShardedMatcher m(
-        ShardedMatcher::Config{4, 0, "anchor-index", prefilter});
+        ShardedMatcher::Config{.shard_count = 4,
+                               .inner_engine = "anchor-index",
+                               .prefilter_enabled = prefilter});
     m.add(1, Filter());  // universal: anchorless, spill-shard placement
     m.add(2, Filter().and_(eq("stream", "feed")));
     ASSERT_EQ(m.spill_size(), 1u);
@@ -264,10 +266,12 @@ TEST(ShardedPrefilter, OutputByteIdenticalOnOrOff) {
   for (int i = 0; i < 60; ++i) events.push_back(scenario_event(rng, i));
   events.push_back(Event());  // and one attribute-free event
 
-  for (const std::string inner : {"anchor-index", "counting",
+  for (const std::string inner : {"anchor-index", "bitset",
                                   "brute-force"}) {
-    ShardedMatcher on(ShardedMatcher::Config{4, 0, inner, true});
-    ShardedMatcher off(ShardedMatcher::Config{4, 0, inner, false});
+    ShardedMatcher on(ShardedMatcher::Config{
+        .shard_count = 4, .inner_engine = inner, .prefilter_enabled = true});
+    ShardedMatcher off(ShardedMatcher::Config{
+        .shard_count = 4, .inner_engine = inner, .prefilter_enabled = false});
     for (std::size_t i = 0; i < filters.size(); ++i) {
       on.add(i + 1, filters[i]);
       off.add(i + 1, filters[i]);
@@ -290,7 +294,9 @@ TEST(ShardedPrefilter, OutputByteIdenticalOnOrOff) {
 /// per-shard slices come out (the PR 3 gather-by-copy path is gone).
 TEST(ShardedPrefilter, SubBatchesPerformZeroEventCopies) {
   util::Rng rng(0x2e20c0);
-  ShardedMatcher m(ShardedMatcher::Config{8, 0, "anchor-index", true});
+  ShardedMatcher m(ShardedMatcher::Config{.shard_count = 8,
+                                          .inner_engine = "anchor-index",
+                                          .prefilter_enabled = true});
   for (int i = 0; i < 200; ++i) m.add(i + 1, scenario_filter(rng));
   std::vector<Event> events;
   for (int i = 0; i < 64; ++i) events.push_back(scenario_event(rng, i));
@@ -309,11 +315,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardingDeterminism,
 
 TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
   // shard_count/worker_threads wrap a plain engine name...
-  RoutingTable wrapped(RoutingTable::Config{true, "counting", true, 4, 2});
-  EXPECT_EQ(wrapped.matcher().name(), "sharded:counting");
+  RoutingTable wrapped(RoutingTable::Config{
+      .engine = "bitset", .shard_count = 4, .worker_threads = 2});
+  EXPECT_EQ(wrapped.matcher().name(), "sharded:bitset");
   // ...a "sharded:" name honors the knobs as given...
   RoutingTable named(
-      RoutingTable::Config{true, "sharded:anchor-index", true, 2, 0});
+      RoutingTable::Config{.engine = "sharded:anchor-index", .shard_count = 2});
   EXPECT_EQ(named.matcher().name(), "sharded:anchor-index");
   EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(named.matcher())
                 .shard_count(),
@@ -321,16 +328,17 @@ TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
   // ...and with the auto default (0) a "sharded:" name gets the same
   // shard count as registry creation by name.
   RoutingTable auto_sharded(
-      RoutingTable::Config{true, "sharded:anchor-index"});
+      RoutingTable::Config{.engine = "sharded:anchor-index"});
   EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(auto_sharded.matcher())
                 .shard_count(),
             kDefaultShardCount);
   // ...and the 1/0 defaults stay on the plain engine (ablation baseline).
-  RoutingTable plain(RoutingTable::Config{true, "anchor-index"});
+  RoutingTable plain(RoutingTable::Config{.engine = "anchor-index"});
   EXPECT_EQ(plain.matcher().name(), "anchor-index");
   // Unknown inner engines still fail with the canonical registry error.
   EXPECT_THROW(
-      RoutingTable(RoutingTable::Config{true, "sharded:no-such", true, 4, 0}),
+      RoutingTable(
+          RoutingTable::Config{.engine = "sharded:no-such", .shard_count = 4}),
       std::invalid_argument);
 }
 
@@ -361,10 +369,13 @@ TEST(ShardedRoutingTable, MatchAgreesAcrossShardAndWorkerConfigs) {
   };
 
   std::vector<RoutingTable> tables;
-  tables.emplace_back(RoutingTable::Config{true, "anchor-index"});
-  tables.emplace_back(RoutingTable::Config{true, "anchor-index", true, 4, 0});
-  tables.emplace_back(RoutingTable::Config{true, "anchor-index", true, 4, 4});
-  tables.emplace_back(RoutingTable::Config{true, "anchor-index", true, 1, 1});
+  tables.emplace_back(RoutingTable::Config{.engine = "anchor-index"});
+  tables.emplace_back(
+      RoutingTable::Config{.engine = "anchor-index", .shard_count = 4});
+  tables.emplace_back(RoutingTable::Config{
+      .engine = "anchor-index", .shard_count = 4, .worker_threads = 4});
+  tables.emplace_back(RoutingTable::Config{
+      .engine = "anchor-index", .shard_count = 1, .worker_threads = 1});
   for (RoutingTable& table : tables) {
     table.add_broker_iface(1);
     for (std::size_t i = 0; i < filters.size(); ++i) {

@@ -11,8 +11,8 @@
 //
 // The engine sweep at the bottom pins the downstream consequence: eq-bucket
 // identity keys (canonical_numeric) must keep >2^53 ints distinct from
-// their rounded double neighbors in every registered engine — counting and
-// bitset trust bucket identity without re-evaluating the constraint.
+// their rounded double neighbors in every registered engine — bitset
+// trusts bucket identity without re-evaluating the constraint.
 #include <gtest/gtest.h>
 
 #include <cmath>
