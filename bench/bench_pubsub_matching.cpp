@@ -3,8 +3,9 @@
 // google-benchmark microbenchmarks of the matching engines under a
 // Reef-like filter population (feed-equality subscriptions plus
 // content/range filters), sweeping the subscription-table size. Engines
-// are selected by registry name, so a new engine shows up here without
-// code changes. The batch benchmarks compare the amortized
+// are selected by name (make_matcher); the smoke's correctness pass
+// iterates every built-in engine, bare and sharded, so a new engine is
+// checked there without code changes. The batch benchmarks compare the amortized
 // Matcher::match_batch path against a per-event match loop over the same
 // events — the win is the broker's per-tick coalescing made visible.
 //
@@ -29,8 +30,9 @@
 #include <tuple>
 #include <vector>
 
+#include "../tests/engine_variants.h"
+#include "pubsub/engines.h"
 #include "pubsub/matcher.h"
-#include "pubsub/matcher_registry.h"
 #include "pubsub/sharded_matcher.h"
 #include "util/rng.h"
 
@@ -644,17 +646,16 @@ void bm_match_batch_subview(benchmark::State& state, bool zero_copy) {
 BENCHMARK_CAPTURE(bm_match_batch_subview, index_span, true);
 BENCHMARK_CAPTURE(bm_match_batch_subview, gather_copy, false);
 
-// --- sharded matching: shard count x engine x batch x pre-filter ------------
+// --- sharded matching: shard count x engine x batch --------------------------
 //
 // The intra-broker parallelism sweep. Events are drawn once and the same
 // table population is sharded by anchor-attribute hash; {1 shard, 0
 // workers} through the ShardedMatcher wrapper measures pure sharding
-// overhead against the bm_match_batch numbers above, the multi-worker rows
-// measure the pool win (only visible on multi-core hosts), and the
-// pre-filter on/off pairs measure shard-aware event routing. The
+// overhead against the bm_match_batch numbers above, and the multi-worker
+// rows measure the pool win (only visible on multi-core hosts). The
 // skip_ratio counter (events_skipped / routed+skipped) reports the
-// per-shard work the pre-filter removed — counter-based, so the win shows
-// even on single-core hosts where wall clock can't.
+// per-shard work the shard pre-filter removed — counter-based, so it shows
+// even where wall clock can't.
 
 void bm_match_batch_sharded(benchmark::State& state,
                             const std::string& inner) {
@@ -662,13 +663,11 @@ void bm_match_batch_sharded(benchmark::State& state,
   const auto batch_size = static_cast<std::size_t>(state.range(1));
   const auto shard_count = static_cast<std::size_t>(state.range(2));
   const auto workers = static_cast<std::size_t>(state.range(3));
-  const bool prefilter = state.range(4) != 0;
   reef::util::Rng rng(42);
   ShardedMatcher matcher(
       ShardedMatcher::Config{.shard_count = shard_count,
                              .worker_threads = workers,
-                             .inner_engine = inner,
-                             .prefilter_enabled = prefilter});
+                             .inner_engine = inner});
   const auto filters = make_filters(table_size, 0.3, rng);
   for (std::size_t i = 0; i < filters.size(); ++i) {
     matcher.add(i + 1, filters[i]);
@@ -693,7 +692,6 @@ void bm_match_batch_sharded(benchmark::State& state,
   state.counters["batch"] = static_cast<double>(batch_size);
   state.counters["shards"] = static_cast<double>(shard_count);
   state.counters["workers"] = static_cast<double>(workers);
-  state.counters["prefilter"] = prefilter ? 1.0 : 0.0;
   const double pairs = static_cast<double>(matcher.events_routed() +
                                            matcher.events_skipped());
   state.counters["skip_ratio"] =
@@ -701,29 +699,24 @@ void bm_match_batch_sharded(benchmark::State& state,
                    : static_cast<double>(matcher.events_skipped()) / pairs;
 }
 
-// {table size, batch size, shard count, worker threads, pre-filter}. The
-// large-batch rows (1024) are the acceptance sweep: sharded 4/4 vs the
-// 1/0 baseline, each with its pre-filter off twin.
+// {table size, batch size, shard count, worker threads}. The large-batch
+// rows (1024) are the acceptance sweep: sharded 4/4 vs the 1/0 baseline.
 #define SHARD_SWEEP(table)                                      \
-      ->Args({table, 128, 1, 0, 1})                             \
-      ->Args({table, 128, 4, 0, 0})                             \
-      ->Args({table, 128, 4, 0, 1})                             \
-      ->Args({table, 128, 4, 4, 1})                             \
-      ->Args({table, 1024, 1, 0, 1})                            \
-      ->Args({table, 1024, 2, 2, 1})                            \
-      ->Args({table, 1024, 4, 0, 0})                            \
-      ->Args({table, 1024, 4, 0, 1})                            \
-      ->Args({table, 1024, 4, 4, 0})                            \
-      ->Args({table, 1024, 4, 4, 1})                            \
-      ->Args({table, 1024, 8, 4, 1})
+      ->Args({table, 128, 1, 0})                                \
+      ->Args({table, 128, 4, 0})                                \
+      ->Args({table, 128, 4, 4})                                \
+      ->Args({table, 1024, 1, 0})                               \
+      ->Args({table, 1024, 2, 2})                               \
+      ->Args({table, 1024, 4, 0})                               \
+      ->Args({table, 1024, 4, 4})                               \
+      ->Args({table, 1024, 8, 4})
 BENCHMARK_CAPTURE(bm_match_batch_sharded, anchor_index, "anchor-index")
     SHARD_SWEEP(10000) SHARD_SWEEP(50000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, bitset, "bitset")
     SHARD_SWEEP(10000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, brute_force, "brute-force")
-    ->Args({2000, 1024, 1, 0, 1})
-    ->Args({2000, 1024, 4, 4, 0})
-    ->Args({2000, 1024, 4, 4, 1})
+    ->Args({2000, 1024, 1, 0})
+    ->Args({2000, 1024, 4, 4})
     ->UseRealTime();
 #undef SHARD_SWEEP
 
@@ -853,13 +846,15 @@ int run_smoke() {
   std::vector<Event> events;
   for (int i = 0; i < 64; ++i) events.push_back(make_event(table_size, rng));
 
-  // 1. Every registry engine agrees with brute force, per-event and batch.
+  // 1. Every engine, bare and sharded, agrees with brute force, per-event
+  // and batch.
   BruteForceMatcher oracle;
   for (std::size_t i = 0; i < filters.size(); ++i) {
     oracle.add(i + 1, filters[i]);
   }
-  for (const auto& engine_name : MatcherRegistry::instance().names()) {
-    const auto engine = make_matcher(engine_name);
+  for (const EngineVariant& variant : engine_variants()) {
+    const auto engine = variant.make();
+    const std::string engine_name = variant.label();
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
@@ -1074,27 +1069,26 @@ int run_smoke() {
       benchmark::DoNotOptimize(batch_hits.data());
     }
     const auto end = std::chrono::steady_clock::now();
-    std::printf("  sharded:anchor-index (4 shards, %zu workers): "
+    std::printf("  anchor-index/4 (%zu workers): "
                 "match_batch %ldus\n",
                 workers, static_cast<long>(us(start, end)));
   }
 
   // 4. Shard-aware event pre-filtering: on the skewed-anchor workload the
   // pre-filter must skip (event, shard) pairs — the counter-based win that
-  // shows even on a single-core host — while producing byte-identical
-  // results. A zero skip ratio or any output difference fails the smoke.
+  // shows even where wall clock can't — through zero-copy index-span
+  // sub-batches, while producing the plain inner engine's match sets. A
+  // zero skip ratio, an event copy, or any output difference fails the
+  // smoke.
   {
-    ShardedMatcher with_pf(ShardedMatcher::Config{
-        .shard_count = 4, .inner_engine = "anchor-index",
-        .prefilter_enabled = true});
-    ShardedMatcher without_pf(ShardedMatcher::Config{
-        .shard_count = 4, .inner_engine = "anchor-index",
-        .prefilter_enabled = false});
+    ShardedMatcher sharded(ShardedMatcher::Config{
+        .shard_count = 4, .inner_engine = "anchor-index"});
+    const auto plain = make_matcher("anchor-index");
     for (std::size_t i = 0; i < filters.size(); ++i) {
-      with_pf.add(i + 1, filters[i]);
-      without_pf.add(i + 1, filters[i]);
+      sharded.add(i + 1, filters[i]);
+      plain->add(i + 1, filters[i]);
     }
-    const auto timed = [&](const ShardedMatcher& m) {
+    const auto timed = [&](const Matcher& m) {
       const auto start = std::chrono::steady_clock::now();
       for (int r = 0; r < rounds; ++r) {
         m.match_batch(events, batch_hits);
@@ -1103,7 +1097,7 @@ int run_smoke() {
       return std::chrono::steady_clock::now() - start;
     };
     const std::uint64_t copies_before = Event::copy_count();
-    const auto on_time = timed(with_pf);
+    const auto sharded_time = timed(sharded);
     if (Event::copy_count() != copies_before) {
       std::printf("FAIL: pre-filtered sub-batches copied events (%llu "
                   "copies; index-span views must be zero-copy)\n",
@@ -1111,34 +1105,39 @@ int run_smoke() {
                                                   copies_before));
       return 1;
     }
-    const auto off_time = timed(without_pf);
-    std::vector<std::vector<SubscriptionId>> hits_on;
-    std::vector<std::vector<SubscriptionId>> hits_off;
-    with_pf.match_batch(events, hits_on);
-    without_pf.match_batch(events, hits_off);
-    if (hits_on != hits_off) {
-      std::printf("FAIL: pre-filter changed match output\n");
+    const auto plain_time = timed(*plain);
+    std::vector<std::vector<SubscriptionId>> hits_sharded;
+    std::vector<std::vector<SubscriptionId>> hits_plain;
+    sharded.match_batch(events, hits_sharded);
+    plain->match_batch(events, hits_plain);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      std::sort(hits_sharded[i].begin(), hits_sharded[i].end());
+      std::sort(hits_plain[i].begin(), hits_plain[i].end());
+    }
+    if (hits_sharded != hits_plain) {
+      std::printf("FAIL: sharded match sets differ from the plain engine's\n");
       return 1;
     }
-    if (with_pf.events_skipped() == 0) {
+    if (sharded.events_skipped() == 0) {
       std::printf("FAIL: pre-filter skipped no (event, shard) pairs on the "
                   "skewed-anchor workload\n");
       return 1;
     }
-    const double pairs = static_cast<double>(with_pf.events_routed() +
-                                             with_pf.events_skipped());
-    std::printf("  pre-filter (4 shards, 0 workers): on %ldus, off %ldus, "
-                "skip_ratio %.2f (%llu of %.0f event-shard pairs skipped)\n",
+    const double pairs = static_cast<double>(sharded.events_routed() +
+                                             sharded.events_skipped());
+    std::printf("  pre-filter (4 shards, 0 workers): sharded %ldus, plain "
+                "%ldus, skip_ratio %.2f (%llu of %.0f event-shard pairs "
+                "skipped)\n",
                 static_cast<long>(
                     std::chrono::duration_cast<std::chrono::microseconds>(
-                        on_time)
+                        sharded_time)
                         .count()),
                 static_cast<long>(
                     std::chrono::duration_cast<std::chrono::microseconds>(
-                        off_time)
+                        plain_time)
                         .count()),
-                static_cast<double>(with_pf.events_skipped()) / pairs,
-                static_cast<unsigned long long>(with_pf.events_skipped()),
+                static_cast<double>(sharded.events_skipped()) / pairs,
+                static_cast<unsigned long long>(sharded.events_skipped()),
                 pairs);
   }
   std::printf("smoke OK\n");

@@ -45,10 +45,10 @@ struct Result {
 struct RunConfig {
   bool covering = true;
   std::string engine = "anchor-index";
-  bool batching = true;
+  /// Broker::Config::flush_max_events; 1 = one wire message per event.
+  std::size_t flush_max_events = 0;
   std::size_t shard_count = 1;
   std::size_t worker_threads = 0;
-  bool prefilter = true;
 };
 
 Result run(const RunConfig& rc, std::size_t brokers, std::size_t subscribers,
@@ -62,10 +62,9 @@ Result run(const RunConfig& rc, std::size_t brokers, std::size_t subscribers,
   pubsub::Broker::Config broker_config;
   broker_config.covering_enabled = rc.covering;
   broker_config.matcher_engine = rc.engine;
-  broker_config.batching_enabled = rc.batching;
+  broker_config.flush_max_events = rc.flush_max_events;
   broker_config.shard_count = rc.shard_count;
   broker_config.worker_threads = rc.worker_threads;
-  broker_config.prefilter_enabled = rc.prefilter;
   pubsub::Overlay overlay(sim, net, broker_config);
   for (std::size_t i = 0; i < brokers; ++i) overlay.add_broker();
   for (std::size_t i = 1; i < brokers; ++i) overlay.link(i - 1, i);
@@ -448,11 +447,9 @@ int main() {
   for (const std::size_t subscribers : {20, 50, 100, 200}) {
     for (const double broad : {0.0, 0.1}) {
       const Result with_cover =
-          run(RunConfig{true, "anchor-index", true}, 8, subscribers, 60,
-              broad);
+          run(RunConfig{.covering = true}, 8, subscribers, 60, broad);
       const Result without =
-          run(RunConfig{false, "anchor-index", true}, 8, subscribers, 60,
-              broad);
+          run(RunConfig{.covering = false}, 8, subscribers, 60, broad);
       std::printf("  %11zu %5.0f%%   cover %7s %14zu %12zu %12s %12s\n",
                   subscribers, broad * 100,
                   reef::util::with_commas(with_cover.subs_forwarded).c_str(),
@@ -472,16 +469,18 @@ int main() {
   // --- engine x batching: wire traffic on the event path -------------------
   std::printf("\n=== engine x batching: event-path wire traffic ===\n");
   std::printf("chain of 8 brokers, 100 subscribers, 500 events in bursts "
-              "of 10\n\n");
-  std::printf("  %-12s %-8s %12s %12s %10s %12s %12s\n", "engine", "batch",
-              "wire msgs", "events", "ev/msg", "bytes", "deliveries");
+              "of 10; flush_max_events 1 sends every event alone\n\n");
+  std::printf("  %-12s %-8s %12s %12s %10s %12s %12s\n", "engine",
+              "max ev", "wire msgs", "events", "ev/msg", "bytes",
+              "deliveries");
   std::printf("  %s\n", std::string(84, '-').c_str());
   for (const char* engine : {"anchor-index", "brute-force"}) {
-    for (const bool batching : {true, false}) {
-      const Result r =
-          run(RunConfig{true, engine, batching}, 8, 100, 60, 0.0);
+    for (const std::size_t max_events : {std::size_t{0}, std::size_t{1}}) {
+      const Result r = run(
+          RunConfig{.engine = engine, .flush_max_events = max_events}, 8,
+          100, 60, 0.0);
       std::printf("  %-12s %-8s %12s %12s %10.1f %12s %12s\n", engine,
-                  batching ? "on" : "off",
+                  max_events == 0 ? "unlim" : "1",
                   reef::util::with_commas(r.event_wire_msgs).c_str(),
                   reef::util::with_commas(r.event_units).c_str(),
                   r.event_wire_msgs == 0
@@ -492,45 +491,38 @@ int main() {
                   reef::util::with_commas(r.deliveries).c_str());
     }
   }
-  std::printf("\n  engines agree on deliveries; batching collapses the "
-              "per-event wire messages (ev/msg > 1). With settled "
-              "subscriptions (as here) deliveries match the unbatched "
-              "run; only events racing a subscription within one tick "
+  std::printf("\n  engines agree on deliveries; per-tick batching collapses "
+              "the per-event wire messages (ev/msg > 1). With settled "
+              "subscriptions (as here) deliveries match the one-event "
+              "budget; only events racing a subscription within one tick "
               "may differ.\n");
 
-  // --- sharded routing core: shard x worker x pre-filter sweep -------------
-  std::printf("\n=== sharded routing core: shard x worker x pre-filter "
-              "sweep ===\n");
+  // --- sharded routing core: shard x worker sweep --------------------------
+  std::printf("\n=== sharded routing core: shard x worker sweep ===\n");
   std::printf("chain of 8 brokers, 100 subscribers, anchor-index inner "
               "engine; deliveries must be identical on every row\n\n");
-  std::printf("  %-24s %-7s %-8s %-10s %12s %12s\n", "engine", "shards",
-              "workers", "prefilter", "wire msgs", "deliveries");
-  std::printf("  %s\n", std::string(80, '-').c_str());
+  std::printf("  %-14s %-7s %-8s %12s %12s\n", "engine", "shards",
+              "workers", "wire msgs", "deliveries");
+  std::printf("  %s\n", std::string(58, '-').c_str());
   struct ShardRow {
-    const char* engine;
-    std::size_t shards;
-    std::size_t workers;
-    bool prefilter = true;
+    std::size_t shards = 1;
+    std::size_t workers = 0;
   };
-  for (const ShardRow& row :
-       {ShardRow{"anchor-index", 1, 0},
-        ShardRow{"sharded:anchor-index", 4, 0, false},
-        ShardRow{"sharded:anchor-index", 4, 0},
-        ShardRow{"sharded:anchor-index", 4, 2, false},
-        ShardRow{"sharded:anchor-index", 4, 2}}) {
-    const Result r = run(
-        RunConfig{true, row.engine, true, row.shards, row.workers,
-                  row.prefilter},
-        8, 100, 60, 0.0);
-    std::printf("  %-24s %-7zu %-8zu %-10s %12s %12s\n", row.engine,
-                row.shards, row.workers, row.prefilter ? "on" : "off",
+  for (const ShardRow& row : {ShardRow{.shards = 1, .workers = 0},
+                              ShardRow{.shards = 4, .workers = 0},
+                              ShardRow{.shards = 4, .workers = 2}}) {
+    const Result r = run(RunConfig{.shard_count = row.shards,
+                                   .worker_threads = row.workers},
+                         8, 100, 60, 0.0);
+    std::printf("  %-14s %-7zu %-8zu %12s %12s\n", "anchor-index",
+                row.shards, row.workers,
                 reef::util::with_commas(r.event_wire_msgs).c_str(),
                 reef::util::with_commas(r.deliveries).c_str());
   }
   std::printf("\n  sharding partitions each broker's filter state by "
               "anchor attribute; worker threads fan match_batch over the "
-              "shards, and the pre-filter routes each event only to the "
-              "shards its attributes can reach — without changing a "
+              "shards, and the shard pre-filter routes each event only to "
+              "the shards its attributes can reach — without changing a "
               "single delivery.\n");
 
   // --- adaptive flush: latency vs throughput -------------------------------

@@ -1,4 +1,4 @@
-// Bitset posting-list matching engine ("bitset" in MatcherRegistry).
+// Bitset posting-list matching engine ("bitset" in engines.h).
 //
 // The classic IR answer to batch matching: every constraint index entry is
 // a dense, word-aligned bitmap over a stable *filter-slot* id space, and

@@ -22,7 +22,6 @@ RoutingTable::Config make_table_config(const Broker::Config& config) {
   table.engine = config.matcher_engine;
   table.shard_count = config.shard_count;
   table.worker_threads = config.worker_threads;
-  table.prefilter_enabled = config.prefilter_enabled;
   table.maintain_churn_threshold = config.maintain_churn_threshold;
   table.maintain_max_bucket = config.maintain_max_bucket;
   return table;
@@ -468,10 +467,6 @@ void Broker::note_flush(FlushCause cause, std::size_t units,
 
 void Broker::enqueue_publish(sim::NodeId neighbor, const Event& event) {
   ++stats_.pubs_forwarded;
-  if (!config_.batching_enabled) {
-    send_publishes(neighbor, {event});
-    return;
-  }
   PendingPubs& pending = pending_pubs_[neighbor];
   // Metering an entry costs an O(#attributes) wire_size() scan, so the
   // running batch size is maintained only while the byte budget is armed
@@ -501,12 +496,6 @@ void Broker::enqueue_delivery(sim::NodeId client, const Event& event,
                               std::vector<SubscriptionId> subs,
                               std::vector<double> scores) {
   ++stats_.deliveries;
-  if (!config_.batching_enabled) {
-    std::vector<DeliverMsg> one;
-    one.push_back(DeliverMsg{event, std::move(subs), std::move(scores)});
-    send_deliveries(client, std::move(one));
-    return;
-  }
   PendingDelivers& pending = pending_delivers_[client];
   DeliverMsg item{event, std::move(subs), std::move(scores)};
   if (config_.flush_max_bytes != 0) {

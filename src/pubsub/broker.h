@@ -58,7 +58,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "pubsub/matcher_registry.h"
+#include "pubsub/engines.h"
 #include "pubsub/messages.h"
 #include "pubsub/reliable_channel.h"
 #include "pubsub/routing_table.h"
@@ -72,25 +72,18 @@ class Broker final : public sim::Node {
   struct Config {
     /// Covering-based pruning of forwarded subscriptions (ablation knob).
     bool covering_enabled = true;
-    /// Matching engine, by MatcherRegistry name ("brute-force",
-    /// "anchor-index", "bitset", a "sharded:<inner>" variant, or anything
-    /// registered at runtime).
+    /// Matching engine, by built-in name ("brute-force", "anchor-index",
+    /// "bitset"; see engines.h).
     std::string matcher_engine = std::string(kDefaultEngine);
-    /// Filter-state shards inside this broker's routing table. 0 = auto
-    /// (plain engines stay unsharded — the ablation baseline — and
-    /// "sharded:" engines get their default shard count); any explicit
-    /// value shards `matcher_engine` by anchor-attribute hash.
-    std::size_t shard_count = 0;
+    /// Filter-state shards inside this broker's routing table. Any value
+    /// above 1 shards `matcher_engine` by anchor-attribute hash, with
+    /// shard-aware event pre-filtering (sharded_matcher.h); 1 keeps the
+    /// plain engine unless worker_threads is set.
+    std::size_t shard_count = 1;
     /// Worker threads fanning batch matching over the shards; 0 matches
     /// inline on the simulator thread. Match output is bit-identical for
     /// every setting (tests/pubsub_sharding_test.cpp holds this).
     std::size_t worker_threads = 0;
-    /// Shard-aware event pre-filtering inside a sharded matcher: events
-    /// are routed only to shards whose anchored filters can possibly
-    /// match them. Ablation knob; deliveries and traffic counters are
-    /// byte-identical on or off (the differential fuzz harness holds
-    /// this), only per-shard matching work differs.
-    bool prefilter_enabled = true;
     /// Subscription add/removes between Matcher::maintain passes (anchor
     /// rebalancing under churn); 0 disables churn-driven maintenance.
     std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;
@@ -105,20 +98,13 @@ class Broker final : public sim::Node {
     /// path (the neutral property the fuzz tier pins); only non-neutral
     /// specs attach scores and can suppress deliveries.
     bool scoring_enabled = false;
-    /// Coalesce publications/deliveries per interface within a sim tick
-    /// (ablation knob; off = one wire message per event, as the seed did,
-    /// and the flush budgets below are moot).
-    /// Matching results are identical either way; the one observable
-    /// difference is an event racing a subscription in the same tick —
-    /// deferring the event to end-of-tick can let the subscription be
-    /// installed upstream first (pub/sub gives no ordering guarantee in
-    /// that window).
-    bool batching_enabled = true;
     /// Adaptive flush: a pending per-interface batch is sent as soon as it
     /// holds this many events (0 = unlimited). Trips mid-tick: the wire
     /// message leaves synchronously at the enqueue that filled the batch,
     /// bounding batch size under heavy fan-in at the cost of more
-    /// messages. See the flush-policy invariants above.
+    /// messages. 1 sends every event the moment it is routed, in its own
+    /// wire message (no coalescing at all). See the flush-policy
+    /// invariants above.
     std::size_t flush_max_events = 0;
     /// Adaptive flush: byte-budget twin of flush_max_events, metered with
     /// the shared batch wire-size accounting in messages.h (batch header
@@ -179,8 +165,8 @@ class Broker final : public sim::Node {
     std::uint64_t flushes_by_events = 0; ///< wire msgs sent on the event budget
     std::uint64_t flushes_by_bytes = 0;  ///< wire msgs sent on the byte budget
     std::uint64_t flushes_by_delay = 0;  ///< wire msgs sent by the flush timer
-    /// Logical units (events / deliveries) that went through the batching
-    /// path, denominating residence_ticks_total.
+    /// Logical units (events / deliveries) flushed, denominating
+    /// residence_ticks_total.
     std::uint64_t flushed_units = 0;
     /// Sum over flushed units of (flush time - enqueue time) in sim clock
     /// ticks; mean event residence = residence_ticks_total / flushed_units.
@@ -277,8 +263,7 @@ class Broker final : public sim::Node {
   void send_resync_request(sim::NodeId peer);
   void heartbeat_tick();
 
-  /// Files one matched event into the per-interface output queues (or
-  /// sends immediately when batching is disabled).
+  /// Files one matched event into the per-interface output queues.
   void route_event(sim::NodeId from, const Event& event,
                    const std::vector<RoutingTable::Destination>& hits);
 

@@ -1,7 +1,7 @@
 // Event-to-subscription matching engines.
 //
-// Three implementations share one interface, selected by name through the
-// MatcherRegistry (see matcher_registry.h):
+// Three implementations share one interface, selected by name through
+// make_matcher (see engines.h):
 //   "brute-force"  — linear scan; the correctness oracle in tests and the
 //                    ablation baseline in benches.
 //   "anchor-index" — every filter anchored in exactly one per-op index
@@ -139,10 +139,10 @@ class EventBatchView {
 ///
 /// ## The Matcher contract
 ///
-/// Every engine behind MatcherRegistry is held to three invariants; the
+/// Every built-in engine (engines.h) is held to three invariants; the
 /// differential fuzz harness (tests/pubsub_differential_fuzz_test.cpp)
-/// replays adversarial schedules through every registered engine against
-/// the brute-force oracle to enforce them:
+/// replays adversarial schedules through every engine, bare and sharded,
+/// against the brute-force oracle to enforce them:
 ///
 ///   1. **Set semantics.** match / match_batch report exactly the ids of
 ///      the registered filters the event satisfies — no duplicates, order

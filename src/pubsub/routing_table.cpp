@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "pubsub/matcher_registry.h"
+#include "pubsub/engines.h"
 #include "pubsub/range_index.h"
 #include "pubsub/sharded_matcher.h"
 #include "util/hash.h"
@@ -13,31 +13,16 @@ namespace reef::pubsub {
 
 namespace {
 
-/// Builds the configured engine: a plain registry engine for the unsharded
-/// baseline, a ShardedMatcher honoring the config knobs whenever the
-/// engine name carries the "sharded:" prefix or either knob is set. With
-/// shard_count 0 (auto) a "sharded:" name gets kDefaultShardCount, so the
-/// same engine string means the same thing here as in registry creation.
+/// Builds the configured engine: the plain named engine, wrapped in a
+/// ShardedMatcher iff the config asks for shards or workers.
 std::unique_ptr<Matcher> make_table_matcher(const RoutingTable::Config& cfg) {
-  const auto inner = sharded_inner_engine(cfg.engine);
-  if (!inner && cfg.shard_count <= 1 && cfg.worker_threads == 0) {
+  if (cfg.shard_count <= 1 && cfg.worker_threads == 0) {
     return make_matcher(cfg.engine);
   }
-  ShardedMatcher::Config sharded;
-  sharded.shard_count = cfg.shard_count != 0 ? cfg.shard_count
-                        : inner              ? kDefaultShardCount
-                                             : 1;
-  sharded.worker_threads = cfg.worker_threads;
-  sharded.inner_engine = inner ? *inner : cfg.engine;
-  sharded.prefilter_enabled = cfg.prefilter_enabled;
-  if (!MatcherRegistry::instance().contains(sharded.inner_engine)) {
-    // Not wrappable with the config knobs. Defer to the registry, which
-    // either resolves the name its own way (a factory registered under a
-    // literal "sharded:..." name) or throws the canonical unknown-engine
-    // error listing the registered names.
-    return make_matcher(cfg.engine);
-  }
-  return std::make_unique<ShardedMatcher>(std::move(sharded));
+  return std::make_unique<ShardedMatcher>(
+      ShardedMatcher::Config{.shard_count = cfg.shard_count,
+                             .worker_threads = cfg.worker_threads,
+                             .inner_engine = cfg.engine});
 }
 
 }  // namespace

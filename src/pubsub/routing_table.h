@@ -21,9 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include "pubsub/engines.h"
 #include "pubsub/filter.h"
 #include "pubsub/matcher.h"
-#include "pubsub/matcher_registry.h"
 
 namespace reef::pubsub {
 
@@ -48,22 +48,14 @@ class RoutingTable {
   struct Config {
     /// Covering-based pruning of forwarded subscriptions (ablation knob).
     bool covering_enabled = true;
-    /// Matching engine, by MatcherRegistry name. "sharded:<inner>" selects
-    /// the sharded layer explicitly; see shard_count / worker_threads.
+    /// Matching engine, by built-in name (make_matcher).
     std::string engine = std::string(kDefaultEngine);
-    /// Filter-state shards for the matching engine. 0 = auto: plain
-    /// engine names stay unsharded (the ablation baseline) while a
-    /// "sharded:" engine gets kDefaultShardCount, matching registry
-    /// creation by name. An explicit value wraps `engine` in a
-    /// ShardedMatcher with exactly that many shards (1 = the single-shard
-    /// ablation of the sharded structure).
-    std::size_t shard_count = 0;
+    /// Filter-state shards for the matching engine. The table wraps
+    /// `engine` in a ShardedMatcher iff shard_count > 1 or
+    /// worker_threads > 0; 1 with no workers is the plain engine.
+    std::size_t shard_count = 1;
     /// Worker threads fanning match_batch over the shards; 0 = inline.
     std::size_t worker_threads = 0;
-    /// Shard-aware event pre-filtering inside a sharded engine (ablation
-    /// knob; byte-identical output either way). Ignored when the engine
-    /// ends up unsharded.
-    bool prefilter_enabled = true;
     /// Filter add/removes between Matcher::maintain passes; 0 disables
     /// churn-driven maintenance.
     std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;

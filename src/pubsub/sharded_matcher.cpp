@@ -12,11 +12,6 @@ ShardedMatcher::ShardedMatcher(Config config) : config_(std::move(config)) {
   if (config_.shard_count == 0) {
     throw std::invalid_argument("ShardedMatcher: shard_count must be >= 1");
   }
-  if (sharded_inner_engine(config_.inner_engine)) {
-    throw std::invalid_argument(
-        "ShardedMatcher: inner engine must not itself be sharded (\"" +
-        config_.inner_engine + "\")");
-  }
   shards_.reserve(config_.shard_count + 1);
   for (std::size_t i = 0; i < config_.shard_count + 1; ++i) {
     shards_.push_back(make_matcher(config_.inner_engine));
@@ -96,11 +91,6 @@ void ShardedMatcher::candidate_shards(const Event& event,
 
 void ShardedMatcher::match(const Event& event,
                            std::vector<SubscriptionId>& out) const {
-  if (!config_.prefilter_enabled) {
-    events_routed_ += shards_.size();
-    for (const auto& shard : shards_) shard->match(event, out);
-    return;
-  }
   std::vector<std::size_t> candidates;
   candidate_shards(event, candidates);
   events_routed_ += candidates.size();
@@ -123,60 +113,55 @@ void ShardedMatcher::match_batch(
   // Everything here runs on the calling thread, so the fan-out below
   // stays free of shared mutable state.
   std::vector<std::vector<std::uint32_t>> routed(shard_total);
-  if (config_.prefilter_enabled) {
-    constexpr std::int32_t kUnresolved = -2;
-    // Memo sized to the largest id in the batch (attrs are id-sorted),
-    // never the whole interned universe — and skipped entirely when even
-    // that span dwarfs the batch (a stray late-interned id would buy an
-    // allocation larger than the work it saves; the identity-hash
-    // presence-map probe is the fallback).
-    AttrId max_attr = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto& attrs = events[i].attrs();
-      if (!attrs.empty()) max_attr = std::max(max_attr, attrs.back().first);
-    }
-    const std::size_t memo_span = static_cast<std::size_t>(max_attr) + 1;
-    const bool use_memo = memo_span <= 8 * count + 256;
-    std::vector<std::int32_t> shard_memo(use_memo ? memo_span : 0,
-                                         kUnresolved);
-    const auto shard_of_attr = [&](AttrId attr) -> std::int32_t {
-      std::int32_t probed = kUnresolved;
-      std::int32_t& memo = use_memo ? shard_memo[attr] : probed;
-      if (memo == kUnresolved) memo = anchor_shard_of(attr);
-      return memo;
-    };
-    std::vector<std::size_t> candidates;
-    std::size_t routed_total = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      candidates.clear();
-      for (const auto& [attr, value] : events[i].attrs()) {
-        const std::int32_t shard = shard_of_attr(attr);
-        if (shard == kNoAnchorShard) continue;
-        const auto s = static_cast<std::size_t>(shard);
-        if (std::find(candidates.begin(), candidates.end(), s) ==
-            candidates.end()) {
-          candidates.push_back(s);
-        }
-      }
-      for (const std::size_t s : candidates) routed[s].push_back(i);
-      // The spill shard sees everything; it runs the full view below, so
-      // no index list is materialized for it — only the accounting.
-      routed_total += candidates.size() + 1;
-    }
-    events_routed_ += routed_total;
-    events_skipped_ += shard_total * count - routed_total;
-  } else {
-    events_routed_ += shard_total * count;
+  constexpr std::int32_t kUnresolved = -2;
+  // Memo sized to the largest id in the batch (attrs are id-sorted),
+  // never the whole interned universe — and skipped entirely when even
+  // that span dwarfs the batch (a stray late-interned id would buy an
+  // allocation larger than the work it saves; the identity-hash
+  // presence-map probe is the fallback).
+  AttrId max_attr = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& attrs = events[i].attrs();
+    if (!attrs.empty()) max_attr = std::max(max_attr, attrs.back().first);
   }
+  const std::size_t memo_span = static_cast<std::size_t>(max_attr) + 1;
+  const bool use_memo = memo_span <= 8 * count + 256;
+  std::vector<std::int32_t> shard_memo(use_memo ? memo_span : 0,
+                                       kUnresolved);
+  const auto shard_of_attr = [&](AttrId attr) -> std::int32_t {
+    std::int32_t probed = kUnresolved;
+    std::int32_t& memo = use_memo ? shard_memo[attr] : probed;
+    if (memo == kUnresolved) memo = anchor_shard_of(attr);
+    return memo;
+  };
+  std::vector<std::size_t> candidates;
+  std::size_t routed_total = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    candidates.clear();
+    for (const auto& [attr, value] : events[i].attrs()) {
+      const std::int32_t shard = shard_of_attr(attr);
+      if (shard == kNoAnchorShard) continue;
+      const auto s = static_cast<std::size_t>(shard);
+      if (std::find(candidates.begin(), candidates.end(), s) ==
+          candidates.end()) {
+        candidates.push_back(s);
+      }
+    }
+    for (const std::size_t s : candidates) routed[s].push_back(i);
+    // The spill shard sees everything; it runs the full view below, so
+    // no index list is materialized for it — only the accounting.
+    routed_total += candidates.size() + 1;
+  }
+  events_routed_ += routed_total;
+  events_skipped_ += shard_total * count - routed_total;
   // One result buffer per shard; each task writes only its own slot, so
   // the fan-out needs no locking and the merge below is scheduling-free.
   // Pre-filtered shards match their index-span sub-view and scatter the
   // hits back to the view positions.
   std::vector<std::vector<std::vector<SubscriptionId>>> per_shard(
       shard_total);
-  const bool prefilter = config_.prefilter_enabled;
   const auto task = [&](std::size_t s) {
-    if (!prefilter || s == config_.shard_count ||  // spill: full view
+    if (s == config_.shard_count ||  // spill: full view
         routed[s].size() == count) {
       shards_[s]->match_batch(events, per_shard[s]);
       return;

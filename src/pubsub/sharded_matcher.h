@@ -7,24 +7,25 @@
 // event necessarily carries every constrained attribute; any deterministic
 // choice is correct). Filters with no constraints have no anchor and go to
 // a dedicated spill shard. Each shard is a full Matcher instance of the
-// configured inner engine, so "sharded:anchor-index" shards the selective
-// hash index and "sharded:bitset" shards the filter-slot bitmaps.
+// configured inner engine, so sharding "anchor-index" shards the selective
+// hash index and sharding "bitset" shards the filter-slot bitmaps. A
+// routing table wraps its engine in this layer when
+// RoutingTable::Config::shard_count > 1 or worker_threads > 0.
 //
-// Shard-aware event pre-filtering (Config::prefilter_enabled, default on):
-// a filter can only match an event that carries the filter's own anchor
-// attribute, so the matcher keeps an attribute-presence map (anchor
-// AttrId -> shard, with a live-filter refcount) and routes each event of a
-// batch only to the shards one of its attributes hashes to — plus the
-// spill shard, which holds anchorless (universal) filters and therefore
-// always participates, even for events with zero attributes. Sub-batches
-// are *zero-copy*: the per-shard routing pass builds index lists once per
-// batch (memoizing each attribute's shard in a dense AttrId-indexed table,
-// so repeated attributes across the batch resolve without a hash probe)
-// and hands every shard an EventBatchView over the original event storage
-// — no Event is ever copied, gathered, or moved, however sparse the
-// sub-batch. Shards no event reaches do no work at all. The events_routed
-// / events_skipped counters expose the saved (event, shard) pairs to
-// benches, so the win is visible even on single-core hosts where
+// Shard-aware event pre-filtering: a filter can only match an event that
+// carries the filter's own anchor attribute, so the matcher keeps an
+// attribute-presence map (anchor AttrId -> shard, with a live-filter
+// refcount) and routes each event of a batch only to the shards one of its
+// attributes hashes to — plus the spill shard, which holds anchorless
+// (universal) filters and therefore always participates, even for events
+// with zero attributes. Sub-batches are *zero-copy*: the per-shard routing
+// pass builds index lists once per batch (memoizing each attribute's shard
+// in a dense AttrId-indexed table, so repeated attributes across the batch
+// resolve without a hash probe) and hands every shard an EventBatchView
+// over the original event storage — no Event is ever copied, gathered, or
+// moved, however sparse the sub-batch. Shards no event reaches do no work
+// at all. The events_routed / events_skipped counters expose the saved
+// (event, shard) pairs to benches, so the win is visible even where
 // wall-clock can't show it.
 //
 // match_batch fans one task per shard over the pool (plus the calling
@@ -34,9 +35,9 @@
 // contributes exactly the hits it would have produced on the full batch
 // (skipped (event, shard) pairs are provably matchless, and per-event
 // engine output is independent of batch composition) — so output is
-// identical for any worker_threads setting, including 0, and for the
-// pre-filter on or off; tests/pubsub_sharding_test.cpp and the
-// differential fuzz harness pin this down.
+// identical for any worker_threads setting, including 0, and equal as a
+// set to the unsharded inner engine's; tests/pubsub_sharding_test.cpp and
+// the differential fuzz harness pin this down.
 #pragma once
 
 #include <cstdint>
@@ -47,29 +48,21 @@
 #include <vector>
 
 #include "pubsub/attr_table.h"
+#include "pubsub/engines.h"
 #include "pubsub/matcher.h"
-#include "pubsub/matcher_registry.h"
 #include "util/thread_pool.h"
 
 namespace reef::pubsub {
-
-/// Shard count used when a sharded engine is created by bare registry name
-/// ("sharded:<inner>") with no explicit configuration.
-inline constexpr std::size_t kDefaultShardCount = 4;
 
 class ShardedMatcher final : public Matcher {
  public:
   struct Config {
     /// Anchor-hash shards (>= 1); the spill shard is always extra.
-    std::size_t shard_count = kDefaultShardCount;
+    std::size_t shard_count = 1;
     /// Pool threads for match_batch; 0 = run shards inline on the caller.
     std::size_t worker_threads = 0;
-    /// Inner engine, by MatcherRegistry name. Must not itself be sharded.
+    /// Inner engine, by built-in name (make_matcher).
     std::string inner_engine = std::string(kDefaultEngine);
-    /// Shard-aware event pre-filtering (see the file comment). Ablation
-    /// knob: output is byte-identical on or off, only per-shard work and
-    /// the events_routed/events_skipped counters differ.
-    bool prefilter_enabled = true;
   };
 
   explicit ShardedMatcher(Config config);
@@ -81,14 +74,16 @@ class ShardedMatcher final : public Matcher {
   void match(const Event& event,
              std::vector<SubscriptionId>& out) const override;
   /// Fans the batch out over the shards (one task per shard, zero-copy
-  /// index-span sub-batches when pre-filtering is on) and merges the
-  /// per-shard hit lists in shard order; see the file comment.
+  /// index-span sub-batches) and merges the per-shard hit lists in shard
+  /// order; see the file comment.
   void match_batch(const EventBatchView& events,
                    std::vector<std::vector<SubscriptionId>>& out)
       const override;
   std::size_t size() const noexcept override { return placed_.size(); }
+  /// A display label, "<inner>/<shard_count>" (e.g. "anchor-index/4");
+  /// not an engine name make_matcher accepts.
   std::string name() const override {
-    return std::string(kShardedPrefix) + config_.inner_engine;
+    return config_.inner_engine + "/" + std::to_string(config_.shard_count);
   }
   /// Structural maintenance fans out to every shard (each inner engine
   /// repairs its own amortized state; shard placement never changes — it
@@ -100,9 +95,6 @@ class ShardedMatcher final : public Matcher {
   std::size_t worker_threads() const noexcept {
     return config_.worker_threads;
   }
-  bool prefilter_enabled() const noexcept {
-    return config_.prefilter_enabled;
-  }
   /// Filters on anchor shard `shard` (< shard_count()).
   std::size_t shard_size(std::size_t shard) const {
     return shards_.at(shard)->size();
@@ -110,10 +102,9 @@ class ShardedMatcher final : public Matcher {
   /// Anchorless (universal) filters parked on the spill shard.
   std::size_t spill_size() const { return shards_.back()->size(); }
   /// Cumulative (event, shard) pairs actually processed by a shard since
-  /// construction (or the last reset). With the pre-filter off every
-  /// event reaches every shard, so routed == events * (shard_count + 1).
+  /// construction (or the last reset).
   std::uint64_t events_routed() const noexcept { return events_routed_; }
-  /// Cumulative (event, shard) pairs the pre-filter actually avoided.
+  /// Cumulative (event, shard) pairs the pre-filter avoided.
   /// routed + skipped == events * (shard_count + 1).
   std::uint64_t events_skipped() const noexcept { return events_skipped_; }
   void reset_event_counters() const noexcept {
@@ -152,8 +143,7 @@ class ShardedMatcher final : public Matcher {
   std::vector<std::unique_ptr<Matcher>> shards_;
   std::unordered_map<SubscriptionId, Placement> placed_;
   /// Attribute-presence map for the pre-filter: anchor attribute id ->
-  /// {shard, live-filter count}. Maintained on add/remove regardless of
-  /// the knob so toggling it is purely a routing decision.
+  /// {shard, live-filter count}, maintained on add/remove.
   std::unordered_map<AttrId, AnchorAttr, AttrIdHash> anchor_attrs_;
   std::unique_ptr<util::ThreadPool> pool_;  // null when worker_threads == 0
   /// Pre-filter accounting; mutated only on the thread calling match /

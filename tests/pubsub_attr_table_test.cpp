@@ -15,10 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "engine_variants.h"
 #include "pubsub/attr_table.h"
 #include "pubsub/event.h"
 #include "pubsub/matcher.h"
-#include "pubsub/matcher_registry.h"
 
 namespace reef::pubsub {
 namespace {
@@ -192,8 +192,9 @@ TEST(EventBatchView, SubViewMatchesFullBatchPositionsForEveryEngine) {
   filters.push_back(Filter());  // universal
   filters.push_back(Filter().and_(exists("feed")));
 
-  for (const auto& engine_name : MatcherRegistry::instance().names()) {
-    const auto engine = make_matcher(engine_name);
+  for (const EngineVariant& variant : engine_variants()) {
+    const auto engine = variant.make();
+    const std::string engine_name = variant.label();
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }

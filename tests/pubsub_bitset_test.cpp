@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "pubsub/bitset_matcher.h"
-#include "pubsub/matcher_registry.h"
+#include "pubsub/engines.h"
 #include "util/rng.h"
 
 namespace reef::pubsub {
@@ -362,17 +362,12 @@ TEST(BitsetMatcher, FreelistChurnAgreesWithOracle) {
   EXPECT_LE(m.slot_capacity(), static_cast<std::size_t>(next));
 }
 
-TEST(BitsetMatcher, RegistryExposesBitsetAndShardedBitset) {
-  auto& registry = MatcherRegistry::instance();
-  ASSERT_TRUE(registry.contains("bitset"));
-  ASSERT_TRUE(registry.contains("sharded:bitset"));
-  EXPECT_EQ(registry.create("bitset")->name(), "bitset");
-  EXPECT_EQ(registry.create("sharded:bitset")->name(), "sharded:bitset");
-
-  const auto sharded = make_matcher("sharded:bitset");
-  sharded->add(1, Filter().and_(eq("sym", "ACME")));
-  sharded->add(2, Filter());
-  auto hits = sharded->match(Event().with("sym", "ACME"));
+TEST(BitsetMatcher, BuiltByName) {
+  const auto m = make_matcher("bitset");
+  EXPECT_EQ(m->name(), "bitset");
+  m->add(1, Filter().and_(eq("sym", "ACME")));
+  m->add(2, Filter());
+  auto hits = m->match(Event().with("sym", "ACME"));
   std::sort(hits.begin(), hits.end());
   EXPECT_EQ(hits, (std::vector<SubscriptionId>{1, 2}));
 }

@@ -325,7 +325,7 @@ TEST(Broker, BruteForceMatcherConfigWorksEndToEnd) {
   EXPECT_EQ(got, 1);
 }
 
-TEST(Broker, EveryRegistryEngineWorksEndToEnd) {
+TEST(Broker, EveryBuiltinEngineWorksEndToEnd) {
   for (const std::string engine : {"brute-force", "anchor-index", "bitset"}) {
     Broker::Config config;
     config.matcher_engine = engine;
@@ -377,9 +377,9 @@ TEST(Broker, SameTickPublicationsCoalesceIntoBatches) {
   EXPECT_EQ(sub.batches_received(), 1u);
 }
 
-TEST(Broker, BatchingDisabledSendsOneMessagePerEvent) {
+TEST(Broker, EventBudgetOfOneSendsOneMessagePerEvent) {
   Broker::Config config;
-  config.batching_enabled = false;
+  config.flush_max_events = 1;
   Harness h;
   Overlay overlay = Overlay::chain(h.sim, h.net, 2, config);
   Client pub(h.sim, h.net, "pub");

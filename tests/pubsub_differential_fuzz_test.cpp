@@ -2,9 +2,8 @@
 //
 // A seeded generator produces adversarial filter/event/churn *schedules*
 // and replays each one through every matching-engine configuration —
-// registry engines crossed with {pre-filter on/off} x {shard 1/4} x
-// {workers 0/4} — asserting byte-identical behavior against the
-// brute-force oracle at two levels:
+// built-in engines crossed with {shard 1/4} x {workers 0/4} — asserting
+// byte-identical behavior against the brute-force oracle at five levels:
 //
 //   1. Matcher level: match sets (per event, sorted) after every publish
 //      op, with periodic Matcher::maintain() calls interleaved so anchor
@@ -54,7 +53,7 @@
 // grow adversarially), anchorless/universal filters (empty conjunction —
 // spill-shard placement, covers everything in the forwarding reduction),
 // attribute-free events (match only universal filters; must still meet
-// them in the spill shard with pre-filtering on), covering chains
+// them in the sharded layer's spill shard), covering chains
 // (nested price ranges, so the covering reduction churns as they come and
 // go), range-heavy filters (int and double bounds colliding at the same
 // magnitudes, so the sorted-bounds indexes are probed exactly on their
@@ -66,11 +65,9 @@
 // set-membership filters over a small overlapping symbol universe with
 // mixed-type members and the occasional empty set, and 2^53-boundary
 // values where int/double comparison must stay exact.
-// Engines registered in MatcherRegistry are picked up by name at the
-// matcher level — both bare and through the shard/worker/pre-filter cross
-// product. The overlay levels (2-5) iterate kBuiltinEngines
-// (matcher_registry.h), so an engine added to that list inherits the
-// whole oracle matrix with no edit here.
+// Every level iterates kBuiltinEngines (engines.h) — the matcher level
+// both bare and through the shard/worker cross product — so an engine
+// added to that list inherits the whole oracle matrix with no edit here.
 //
 // ctest runs 3 fixed seeds (fast tier-1); CI's fuzz job sets
 // REEF_FUZZ_SEED_COUNT=25 for the nightly-strength sweep. Seeds are
@@ -87,8 +84,9 @@
 #include <string>
 #include <vector>
 
+#include "engine_variants.h"
 #include "pubsub/client.h"
-#include "pubsub/matcher_registry.h"
+#include "pubsub/engines.h"
 #include "pubsub/overlay.h"
 #include "pubsub/sharded_matcher.h"
 #include "util/rng.h"
@@ -331,8 +329,8 @@ Filter fuzz_filter(util::Rng& rng) {
 Event fuzz_event(util::Rng& rng, int seq) {
   switch (rng.index(14)) {
     case 0:
-      // Attribute-free: matches only universal filters; with pre-filtering
-      // on it must still reach the spill shard.
+      // Attribute-free: matches only universal filters; the shard
+      // pre-filter must still route it to the spill shard.
       return Event();
     case 1:
     case 2:
@@ -483,37 +481,30 @@ struct EngineCase {
   std::function<std::unique_ptr<Matcher>()> make;
 };
 
-/// The built-in engines by name (matcher_registry.h), the engine list of
-/// every overlay tier. Not MatcherRegistry::names(): that also holds the
-/// sharded variants and any engine a test registered at runtime.
+/// The built-in engines by name (engines.h), the engine list of every
+/// tier.
 std::vector<std::string> builtin_engines() {
   return std::vector<std::string>(kBuiltinEngines.begin(),
                                   kBuiltinEngines.end());
 }
 
-/// Every registry engine by bare name (the default configuration) plus,
-/// for every unsharded engine, the full {shard 1/4} x {workers 0/4} x
-/// {pre-filter on/off} cross product through ShardedMatcher.
+/// Every built-in engine bare (the default configuration) plus the full
+/// {shard 1/4} x {workers 0/4} cross product through ShardedMatcher.
 std::vector<EngineCase> engine_matrix() {
   std::vector<EngineCase> cases;
-  for (const auto& name : MatcherRegistry::instance().names()) {
+  for (const std::string& name : builtin_engines()) {
     cases.push_back({name, [name] { return make_matcher(name); }});
-    if (sharded_inner_engine(name)) continue;
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
-        for (const bool prefilter : {false, true}) {
-          const std::string label = name + "/s" + std::to_string(shards) +
-                                    "/w" + std::to_string(workers) +
-                                    (prefilter ? "/pf-on" : "/pf-off");
-          cases.push_back(
-              {label, [name, shards, workers, prefilter] {
-                 return std::make_unique<ShardedMatcher>(ShardedMatcher::Config{
-                     .shard_count = shards,
-                     .worker_threads = workers,
-                     .inner_engine = name,
-                     .prefilter_enabled = prefilter});
-               }});
-        }
+        const std::string label = name + "/s" + std::to_string(shards) +
+                                  "/w" + std::to_string(workers);
+        cases.push_back({label, [name, shards, workers] {
+                           return std::make_unique<ShardedMatcher>(
+                               ShardedMatcher::Config{
+                                   .shard_count = shards,
+                                   .worker_threads = workers,
+                                   .inner_engine = name});
+                         }});
       }
     }
   }
@@ -665,7 +656,7 @@ RunTrace run_schedule_through_overlay(const Schedule& schedule,
   return trace;
 }
 
-TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorkerPrefilter) {
+TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorker) {
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 100);
 
@@ -680,32 +671,28 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorkerPrefilter) {
     for (const std::string& engine : builtin_engines()) {
       for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
         for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
-          for (const bool prefilter : {false, true}) {
-            Broker::Config config;
-            config.matcher_engine = "sharded:" + engine;
-            config.shard_count = shards;
-            config.worker_threads = workers;
-            config.prefilter_enabled = prefilter;
-            // Aggressive churn-driven maintenance: the production
-            // rebalance path must run mid-schedule without disturbing a
-            // single byte of the trace.
-            config.maintain_churn_threshold = 16;
-            config.maintain_max_bucket = 4;
-            const RunTrace trace =
-                run_schedule_through_overlay(schedule, seed, config);
-            const std::string label =
-                engine + "/s" + std::to_string(shards) + "/w" +
-                std::to_string(workers) + (prefilter ? "/pf-on" : "/pf-off") +
-                " seed=" + std::to_string(seed);
-            EXPECT_EQ(trace.delivery_log, oracle.delivery_log) << label;
-            EXPECT_EQ(trace.total_messages, oracle.total_messages) << label;
-            EXPECT_EQ(trace.total_bytes, oracle.total_bytes) << label;
-            EXPECT_EQ(trace.total_units, oracle.total_units) << label;
-            EXPECT_EQ(trace.messages_by_type, oracle.messages_by_type)
-                << label;
-            EXPECT_EQ(trace.bytes_by_type, oracle.bytes_by_type) << label;
-            EXPECT_EQ(trace.units_by_type, oracle.units_by_type) << label;
-          }
+          Broker::Config config;
+          config.matcher_engine = engine;
+          config.shard_count = shards;
+          config.worker_threads = workers;
+          // Aggressive churn-driven maintenance: the production rebalance
+          // path must run mid-schedule without disturbing a single byte of
+          // the trace.
+          config.maintain_churn_threshold = 16;
+          config.maintain_max_bucket = 4;
+          const RunTrace trace =
+              run_schedule_through_overlay(schedule, seed, config);
+          const std::string label = engine + "/s" + std::to_string(shards) +
+                                    "/w" + std::to_string(workers) +
+                                    " seed=" + std::to_string(seed);
+          EXPECT_EQ(trace.delivery_log, oracle.delivery_log) << label;
+          EXPECT_EQ(trace.total_messages, oracle.total_messages) << label;
+          EXPECT_EQ(trace.total_bytes, oracle.total_bytes) << label;
+          EXPECT_EQ(trace.total_units, oracle.total_units) << label;
+          EXPECT_EQ(trace.messages_by_type, oracle.messages_by_type)
+              << label;
+          EXPECT_EQ(trace.bytes_by_type, oracle.bytes_by_type) << label;
+          EXPECT_EQ(trace.units_by_type, oracle.units_by_type) << label;
         }
       }
     }
@@ -755,7 +742,7 @@ TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
       if (engine == kBruteForceEngine) continue;
       for (const BudgetCase& budget : budgets) {
         Broker::Config config;
-        config.matcher_engine = "sharded:" + engine;
+        config.matcher_engine = engine;
         config.shard_count = 4;
         config.maintain_churn_threshold = 16;
         config.maintain_max_bucket = 4;
@@ -974,7 +961,7 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
       const EngineRow& row = rows[r];
       const std::string& engine = engines[r % engines.size()];
       Broker::Config config = base;
-      config.matcher_engine = "sharded:" + engine;
+      config.matcher_engine = engine;
       config.shard_count = row.shards;
       config.worker_threads = row.workers;
       config.maintain_churn_threshold = 16;
@@ -1258,7 +1245,7 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
     for (const std::string& engine : builtin_engines()) {
       for (const ScoredRow& row : rows) {
         Broker::Config config;
-        config.matcher_engine = "sharded:" + engine;
+        config.matcher_engine = engine;
         config.shard_count = row.shards;
         config.worker_threads = row.workers;
         config.maintain_churn_threshold = 16;
@@ -1303,40 +1290,34 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
 
 /// The neutral property: scoring_enabled=true with exclusively neutral
 /// specs (every plain subscribe) is byte-identical to scoring disabled —
-/// same delivery log, same wire counters — on every registry engine, bare
-/// and through the sharded s4/w4 configuration (the row the TSan CI job
+/// same delivery log, same wire counters — on every engine, bare and
+/// sharded, the sharded variants with 4 workers (the rows the TSan CI job
 /// exercises for cross-thread score plumbing).
 TEST(DifferentialFuzz, NeutralScoringByteIdenticalToDisabled) {
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 100);
-    for (const auto& name : MatcherRegistry::instance().names()) {
-      if (sharded_inner_engine(name)) continue;
-      for (const bool sharded : {false, true}) {
-        Broker::Config config;
-        config.matcher_engine = sharded ? "sharded:" + name : name;
-        if (sharded) {
-          config.shard_count = 4;
-          config.worker_threads = 4;
-        }
-        config.maintain_churn_threshold = 16;
-        config.maintain_max_bucket = 4;
-        const RunTrace off =
-            run_schedule_through_overlay(schedule, seed, config);
-        Broker::Config scored_config = config;
-        scored_config.scoring_enabled = true;
-        const RunTrace on =
-            run_schedule_through_overlay(schedule, seed, scored_config);
-        const std::string label = config.matcher_engine +
-                                  (sharded ? "/s4/w4" : "") +
-                                  " seed=" + std::to_string(seed);
-        EXPECT_EQ(on.delivery_log, off.delivery_log) << label;
-        EXPECT_EQ(on.total_messages, off.total_messages) << label;
-        EXPECT_EQ(on.total_bytes, off.total_bytes) << label;
-        EXPECT_EQ(on.total_units, off.total_units) << label;
-        EXPECT_EQ(on.messages_by_type, off.messages_by_type) << label;
-        EXPECT_EQ(on.bytes_by_type, off.bytes_by_type) << label;
-        EXPECT_EQ(on.units_by_type, off.units_by_type) << label;
-      }
+    for (const EngineVariant& variant : engine_variants()) {
+      Broker::Config config;
+      config.matcher_engine = variant.engine;
+      config.shard_count = variant.shard_count;
+      if (variant.shard_count > 1) config.worker_threads = 4;
+      config.maintain_churn_threshold = 16;
+      config.maintain_max_bucket = 4;
+      const RunTrace off = run_schedule_through_overlay(schedule, seed, config);
+      Broker::Config scored_config = config;
+      scored_config.scoring_enabled = true;
+      const RunTrace on =
+          run_schedule_through_overlay(schedule, seed, scored_config);
+      const std::string label = variant.label() + "/w" +
+                                std::to_string(config.worker_threads) +
+                                " seed=" + std::to_string(seed);
+      EXPECT_EQ(on.delivery_log, off.delivery_log) << label;
+      EXPECT_EQ(on.total_messages, off.total_messages) << label;
+      EXPECT_EQ(on.total_bytes, off.total_bytes) << label;
+      EXPECT_EQ(on.total_units, off.total_units) << label;
+      EXPECT_EQ(on.messages_by_type, off.messages_by_type) << label;
+      EXPECT_EQ(on.bytes_by_type, off.bytes_by_type) << label;
+      EXPECT_EQ(on.units_by_type, off.units_by_type) << label;
     }
   }
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "engine_variants.h"
 #include "pubsub/matcher.h"
-#include "pubsub/matcher_registry.h"
 #include "pubsub/sharded_matcher.h"
 #include "util/rng.h"
 
@@ -586,33 +586,32 @@ TEST(IndexMatcher, RebalanceMovesFiltersOntoTheirPatternPosting) {
   }
 }
 
-// --- MatcherRegistry -------------------------------------------------------
+// --- make_matcher ------------------------------------------------------------
 
-TEST(MatcherRegistry, BuiltInEnginesByName) {
-  auto& registry = MatcherRegistry::instance();
-  const auto names = registry.names();
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "brute-force") !=
-              names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "anchor-index") !=
-              names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "bitset") !=
-              names.end());
-  for (const auto& name : names) {
-    const auto matcher = registry.create(name);
+TEST(MakeMatcher, BuiltInEnginesByName) {
+  for (const std::string_view name : kBuiltinEngines) {
+    const auto matcher = make_matcher(name);
     ASSERT_NE(matcher, nullptr);
     EXPECT_EQ(matcher->name(), name);
   }
-  EXPECT_EQ(make_matcher("anchor-index")->name(), "anchor-index");
   EXPECT_THROW(make_matcher("definitely-not-an-engine"),
                std::invalid_argument);
 }
 
-TEST(MatcherRegistry, RuntimeRegistrationIsVisible) {
-  auto& registry = MatcherRegistry::instance();
-  registry.add("test-only-brute",
-               [] { return std::make_unique<BruteForceMatcher>(); });
-  EXPECT_TRUE(registry.contains("test-only-brute"));
-  EXPECT_EQ(registry.create("test-only-brute")->name(), "brute-force");
+TEST(MakeMatcher, RejectsShardedNames) {
+  // Sharding is a count (RoutingTable::Config::shard_count), never part of
+  // an engine name: neither a wrapper prefix nor a ShardedMatcher's
+  // display label names an engine.
+  const std::string wrapper = "sharded";
+  for (const std::string_view inner : kBuiltinEngines) {
+    EXPECT_THROW(make_matcher(wrapper + ":" + std::string(inner)),
+                 std::invalid_argument)
+        << inner;
+    const ShardedMatcher sharded(ShardedMatcher::Config{
+        .shard_count = 4, .inner_engine = std::string(inner)});
+    EXPECT_THROW(make_matcher(sharded.name()), std::invalid_argument)
+        << sharded.name();
+  }
 }
 
 // --- Equivalence property: every engine == brute force ----------------------
@@ -693,9 +692,8 @@ TEST_P(MatcherEquivalence, AllEnginesAgreeWithBruteForceUnderChurn) {
   util::Rng rng(GetParam());
   BruteForceMatcher brute;
   std::vector<std::unique_ptr<Matcher>> engines;
-  for (const auto& name : {"anchor-index", "bitset", "sharded:anchor-index",
-                           "sharded:bitset"}) {
-    engines.push_back(make_matcher(name));
+  for (const EngineVariant& variant : engine_variants()) {
+    engines.push_back(variant.make());
   }
   std::vector<SubscriptionId> live;
   SubscriptionId next = 1;
@@ -734,16 +732,9 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
   util::Rng rng(GetParam() ^ 0xba7c);
   std::vector<Filter> filters;
   for (int i = 0; i < 120; ++i) filters.push_back(random_filter(rng));
-  // Built-ins by name, not instance().names(): another test registers a
-  // test-only engine in the process-wide registry, and coverage here must
-  // not depend on test execution order.
-  std::vector<std::string> names;
-  for (const std::string_view name : kBuiltinEngines) {
-    names.emplace_back(name);
-    names.push_back(std::string(kShardedPrefix) + std::string(name));
-  }
-  for (const std::string& name : names) {
-    const auto engine = make_matcher(name);
+  for (const EngineVariant& variant : engine_variants()) {
+    const auto engine = variant.make();
+    const std::string name = variant.label();
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
@@ -821,7 +812,7 @@ TEST_P(MatcherEquivalence, ShardedAgreesWithUnshardedAcrossWorkerCounts) {
         std::sort(from_unsharded.begin(), from_unsharded.end());
         std::sort(from_sharded.begin(), from_sharded.end());
         ASSERT_EQ(from_sharded, expected)
-            << "sharded:" << inner << " on " << events[i].to_string();
+            << sharded.front()->name() << " on " << events[i].to_string();
         ASSERT_EQ(from_unsharded, expected)
             << inner << " on " << events[i].to_string();
       }
@@ -837,7 +828,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatcherEquivalence,
 TEST(ShardedMatcher, PlacementAndSpillBookkeeping) {
   ShardedMatcher m(
       ShardedMatcher::Config{.shard_count = 4, .inner_engine = "anchor-index"});
-  EXPECT_EQ(m.name(), "sharded:anchor-index");
+  EXPECT_EQ(m.name(), "anchor-index/4");
   EXPECT_EQ(m.shard_count(), 4u);
 
   m.add(1, Filter());  // anchorless -> spill
@@ -868,34 +859,12 @@ TEST(ShardedMatcher, PlacementAndSpillBookkeeping) {
   m.remove(99);  // unknown id: no-op
 }
 
-TEST(ShardedMatcher, RejectsNestedShardingAndZeroShards) {
-  EXPECT_THROW(
-      ShardedMatcher(ShardedMatcher::Config{.shard_count = 4,
-                                    .inner_engine = "sharded:anchor-index"}),
-      std::invalid_argument);
+TEST(ShardedMatcher, RejectsZeroShardsAndUnknownInnerEngines) {
   EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 0,
                                           .inner_engine = "anchor-index"}),
                std::invalid_argument);
   EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 4,
                                           .inner_engine = "no-such"}),
-               std::invalid_argument);
-}
-
-TEST(ShardedMatcher, RegistryExposesShardedVariants) {
-  auto& registry = MatcherRegistry::instance();
-  for (const std::string name :
-       {"sharded:brute-force", "sharded:anchor-index", "sharded:bitset"}) {
-    ASSERT_TRUE(registry.contains(name)) << name;
-    EXPECT_EQ(registry.create(name)->name(), name);
-  }
-  // Unregistered inner engines wrap on demand; nested sharding does not.
-  registry.add("test-only-inner",
-               [] { return std::make_unique<BruteForceMatcher>(); });
-  EXPECT_EQ(registry.create("sharded:test-only-inner")->name(),
-            "sharded:test-only-inner");
-  EXPECT_THROW(registry.create("sharded:sharded:bitset"),
-               std::invalid_argument);
-  EXPECT_THROW(registry.create("sharded:definitely-not-an-engine"),
                std::invalid_argument);
 }
 

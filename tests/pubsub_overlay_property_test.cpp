@@ -8,8 +8,8 @@
 #include <map>
 #include <memory>
 
+#include "engine_variants.h"
 #include "pubsub/client.h"
-#include "pubsub/matcher_registry.h"
 #include "pubsub/overlay.h"
 #include "util/rng.h"
 
@@ -182,8 +182,8 @@ Event random_overlay_event(util::Rng& rng) {
 }
 
 /// Property (and PR acceptance gate): on randomized filter/event sets,
-/// every registry engine's match_batch equals its own per-event match,
-/// and both equal the brute-force oracle.
+/// every engine's match_batch, bare and sharded, equals its own per-event
+/// match, and both equal the brute-force oracle.
 TEST_P(OverlayProperty, MatchBatchEqualsPerEventMatchAgainstOracle) {
   util::Rng rng(GetParam() ^ 0xbead);
   std::vector<Filter> filters;
@@ -200,8 +200,9 @@ TEST_P(OverlayProperty, MatchBatchEqualsPerEventMatchAgainstOracle) {
     oracle.add(i + 1, filters[i]);
   }
 
-  for (const auto& engine_name : MatcherRegistry::instance().names()) {
-    const auto engine = make_matcher(engine_name);
+  for (const EngineVariant& variant : engine_variants()) {
+    const auto engine = variant.make();
+    const std::string engine_name = variant.label();
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
@@ -225,16 +226,17 @@ TEST_P(OverlayProperty, MatchBatchEqualsPerEventMatchAgainstOracle) {
   }
 }
 
-/// Every registry engine drives the full overlay to identical deliveries.
+/// Every engine, bare and sharded, drives the full overlay to identical deliveries.
 TEST_P(OverlayProperty, AllEnginesDeliverIdenticallyThroughOverlay) {
   std::map<std::string, std::map<std::pair<std::size_t, std::size_t>, int>>
       per_engine;
-  for (const auto& engine_name : MatcherRegistry::instance().names()) {
+  for (const EngineVariant& variant : engine_variants()) {
     sim::Simulator sim;
     sim::Network net(sim, Scenario::net_config(GetParam()));
     util::Rng rng(GetParam());
     Broker::Config config;
-    config.matcher_engine = engine_name;
+    config.matcher_engine = variant.engine;
+    config.shard_count = variant.shard_count;
     Overlay overlay = Overlay::chain(sim, net, 3, config);
     std::vector<std::unique_ptr<Client>> clients;
     std::map<std::pair<std::size_t, std::size_t>, int> deliveries;
@@ -259,7 +261,7 @@ TEST_P(OverlayProperty, AllEnginesDeliverIdenticallyThroughOverlay) {
           Event().with("feed", static_cast<std::int64_t>(rng.index(4))));
     }
     sim.run_until(sim.now() + sim::kMinute);
-    per_engine[engine_name] = deliveries;
+    per_engine[variant.label()] = deliveries;
   }
   const auto& reference = per_engine.begin()->second;
   for (const auto& [engine_name, deliveries] : per_engine) {
@@ -268,39 +270,31 @@ TEST_P(OverlayProperty, AllEnginesDeliverIdenticallyThroughOverlay) {
 }
 
 /// Sharded engines drive the overlay to *order-identical* deliveries: for
-/// a seeded workload, "sharded:<inner>" (4 shards, with and without worker
-/// threads, event pre-filtering on and off) must produce the same
-/// per-client delivery sequence as the unsharded inner engine — not just
-/// the same delivery counts. The shard merge is ordered by shard index,
-/// the per-interface grouping in the broker is set-based per event, and a
-/// pre-filtered shard contributes exactly its full-batch hits, so the wire
-/// schedule cannot depend on shard placement, thread scheduling, or the
-/// pre-filter. The bare "sharded:" registry name (default config,
-/// pre-filter on) rides in the matrix so registry-created engines stay
-/// covered too.
+/// a seeded workload, each inner engine over 4 shards, with and without
+/// worker threads, must produce the same per-client delivery sequence as
+/// the unsharded inner engine — not just the same delivery counts. The
+/// shard merge is ordered by shard index, the per-interface grouping in
+/// the broker is set-based per event, and a pre-filtered shard contributes
+/// exactly its full-batch hits, so the wire schedule cannot depend on
+/// shard placement, thread scheduling, or the pre-filter.
 TEST_P(OverlayProperty, ShardedEnginesDeliverInIdenticalOrder) {
   struct EngineSetup {
-    std::string engine;
-    std::size_t shards;
-    std::size_t workers;
-    bool prefilter = true;
+    std::size_t shards = 1;
+    std::size_t workers = 0;
   };
   for (const std::string inner : {"anchor-index", "bitset"}) {
     std::map<std::string, std::vector<std::string>> logs;
     for (const EngineSetup& setup :
-         {EngineSetup{inner, 1, 0},
-          EngineSetup{"sharded:" + inner, 4, 0},
-          EngineSetup{"sharded:" + inner, 4, 0, false},
-          EngineSetup{"sharded:" + inner, 4, 2},
-          EngineSetup{"sharded:" + inner, 4, 2, false}}) {
+         {EngineSetup{.shards = 1, .workers = 0},
+          EngineSetup{.shards = 4, .workers = 0},
+          EngineSetup{.shards = 4, .workers = 2}}) {
       sim::Simulator sim;
       sim::Network net(sim, Scenario::net_config(GetParam()));
       util::Rng rng(GetParam() ^ 0x0dde);
       Broker::Config config;
-      config.matcher_engine = setup.engine;
+      config.matcher_engine = inner;
       config.shard_count = setup.shards;
       config.worker_threads = setup.workers;
-      config.prefilter_enabled = setup.prefilter;
       Overlay overlay = Overlay::chain(sim, net, 3, config);
       std::vector<std::string> log;
       std::vector<std::unique_ptr<Client>> clients;
@@ -330,10 +324,9 @@ TEST_P(OverlayProperty, ShardedEnginesDeliverInIdenticalOrder) {
         sim.run_until(sim.now() + sim::kSecond);
       }
       sim.run_until(sim.now() + sim::kMinute);
-      const std::string label =
-          setup.engine + "/s" + std::to_string(setup.shards) + "/w" +
-          std::to_string(setup.workers) +
-          (setup.prefilter ? "/pf-on" : "/pf-off");
+      const std::string label = inner + "/s" +
+                                std::to_string(setup.shards) + "/w" +
+                                std::to_string(setup.workers);
       logs[label] = std::move(log);
     }
     const auto& reference = logs.begin()->second;

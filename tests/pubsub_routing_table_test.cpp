@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "pubsub/matcher_registry.h"
+#include "engine_variants.h"
 #include "pubsub/routing_table.h"
 #include "util/rng.h"
 
@@ -390,9 +390,11 @@ TEST(RoutingTable, MinimalCoverIndexedEqualsNaiveOnEdgeCases) {
   EXPECT_EQ(cover.size(), 3u);
 }
 
-TEST(RoutingTable, EngineSelectedThroughRegistry) {
-  for (const auto& engine : MatcherRegistry::instance().names()) {
-    RoutingTable table(RoutingTable::Config{.engine = engine});
+TEST(RoutingTable, EngineSelectedByNameAndShardCount) {
+  for (const EngineVariant& variant : engine_variants()) {
+    RoutingTable table(RoutingTable::Config{
+        .engine = variant.engine, .shard_count = variant.shard_count});
+    const std::string engine = variant.label();
     EXPECT_EQ(table.matcher().name(), engine);
     table.client_subscribe(kClient, 1, feed("http://x/a"));
     std::vector<RoutingTable::Destination> hits;

@@ -1,7 +1,7 @@
 // Unit tier for the scored-matching layer (pubsub/scoring.h): ScoringSpec
 // neutrality/wire/hash semantics, score_event purity and the corpus-free
 // BM25 formula, TopKSelector's deterministic tie-breaking, the scored
-// decoration of every registry engine's match_batch (including sub-batch
+// decoration of every engine's match_batch, bare and sharded (including sub-batch
 // view composition), and small end-to-end broker runs composing the
 // min_score threshold with the top-k cut. The differential fuzz harness
 // (tests/pubsub_differential_fuzz_test.cpp, level 5) covers the same
@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "engine_variants.h"
 #include "pubsub/client.h"
 #include "pubsub/matcher.h"
-#include "pubsub/matcher_registry.h"
 #include "pubsub/overlay.h"
 #include "pubsub/scoring.h"
 #include "sim/network.h"
@@ -198,7 +198,7 @@ TEST(TopKSelector, TakeResetsTheSelector) {
   EXPECT_EQ(topk.take(), (std::vector<std::uint32_t>{3}));
 }
 
-// --- match_batch_scored across the engine registry ---------------------------
+// --- match_batch_scored across the engines ----------------------------------
 
 std::vector<ScoredHit> sorted_hits(std::vector<ScoredHit> hits) {
   std::sort(hits.begin(), hits.end(),
@@ -206,15 +206,16 @@ std::vector<ScoredHit> sorted_hits(std::vector<ScoredHit> hits) {
   return hits;
 }
 
-TEST(MatchBatchScored, DecoratesEveryRegistryEngine) {
+TEST(MatchBatchScored, DecoratesEveryEngine) {
   const ScoringSpec spec = bm25_spec({{"log", 1.0}}, {"text"}, 1, 0.0);
   const std::vector<Event> events = {
       Event().with("hot", std::int64_t{1}).with("text", "log"),
       Event().with("hot", std::int64_t{0}),
       Event().with("hot", std::int64_t{1}).with("text", "log log"),
   };
-  for (const auto& name : MatcherRegistry::instance().names()) {
-    auto engine = make_matcher(name);
+  for (const EngineVariant& variant : engine_variants()) {
+    auto engine = variant.make();
+    const std::string name = variant.label();
     engine->add(1, Filter().and_(eq("hot", std::int64_t{1})));
     engine->add(2, Filter());  // universal, no spec: scores constant
     ScoringIndex scoring;
@@ -252,8 +253,9 @@ TEST(MatchBatchScored, SubBatchViewScoresComposeWithFullBatch) {
                          .with("seq", static_cast<std::int64_t>(i)));
   }
   const std::vector<std::uint32_t> indices = {4, 1, 3};
-  for (const auto& name : MatcherRegistry::instance().names()) {
-    auto engine = make_matcher(name);
+  for (const EngineVariant& variant : engine_variants()) {
+    auto engine = variant.make();
+    const std::string name = variant.label();
     engine->add(1, Filter().and_(exists("file")));
     ScoringIndex scoring;
     scoring.set(1, spec);

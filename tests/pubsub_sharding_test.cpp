@@ -3,15 +3,17 @@
 // The contract under test: for a fixed shard count, a broker's observable
 // behavior — every client's delivery log, byte for byte, and every
 // sim::Network traffic counter — is identical for worker_threads 0 (no
-// pool), 1, and 4, AND for shard-aware event pre-filtering on or off.
-// Thread scheduling may vary freely between runs; the sharded matcher's
-// merge-by-shard-order and the broker's interface-ordered output make the
-// nondeterminism unobservable, and a pre-filtered shard contributes
-// exactly the hits it would have produced on the full batch.
+// pool), 1, and 4. Thread scheduling may vary freely between runs; the
+// sharded matcher's merge-by-shard-order and the broker's interface-ordered
+// output make the nondeterminism unobservable, and a pre-filtered shard
+// contributes exactly the hits it would have produced on the full batch.
 //
 // The shard count itself comes from REEF_TEST_SHARD_COUNT (default 4);
 // CMake registers this binary twice so ctest exercises both the multi-
-// shard and the single-shard (spill-heavy) layout.
+// shard and the single-shard (spill-heavy) layout. With one shard the
+// 0-worker baseline is the plain engine (the table shards only for
+// shard_count > 1 or worker_threads > 0), so that layout also holds the
+// 1-shard ShardedMatcher to the unsharded engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,7 +97,7 @@ struct RunTrace {
 /// that churns (subscribes, receives, unsubscribes), and 12 publication
 /// bursts entering at rotating brokers.
 RunTrace run_scenario(std::uint64_t seed, std::size_t shard_count,
-                      std::size_t worker_threads, bool prefilter = true) {
+                      std::size_t worker_threads) {
   sim::Simulator sim;
   sim::Network::Config net_config;
   net_config.default_latency = sim::kMillisecond;
@@ -104,10 +106,9 @@ RunTrace run_scenario(std::uint64_t seed, std::size_t shard_count,
   sim::Network net(sim, net_config);
 
   Broker::Config config;
-  config.matcher_engine = std::string(kShardedPrefix) + "anchor-index";
+  config.matcher_engine = "anchor-index";
   config.shard_count = shard_count;
   config.worker_threads = worker_threads;
-  config.prefilter_enabled = prefilter;
   Overlay overlay = Overlay::star(sim, net, 4, config);
 
   RunTrace trace;
@@ -169,20 +170,12 @@ TEST_P(ShardingDeterminism, WorkerThreadsNeverChangeObservableBehavior) {
   ASSERT_GE(shards, 1u);
   const RunTrace baseline = run_scenario(GetParam(), shards, 0);
   ASSERT_FALSE(baseline.delivery_log.empty());
-  // The golden-trace matrix: workers x pre-filter, every cell byte-equal
-  // to the 0-worker pre-filtered baseline.
-  struct Cell {
-    std::size_t workers;
-    bool prefilter;
-  };
-  for (const Cell cell : {Cell{0, false}, Cell{1, true}, Cell{1, false},
-                          Cell{4, true}, Cell{4, false}}) {
-    const RunTrace trace =
-        run_scenario(GetParam(), shards, cell.workers, cell.prefilter);
-    const std::string where =
-        "worker_threads=" + std::to_string(cell.workers) +
-        " prefilter=" + (cell.prefilter ? "on" : "off") +
-        " shard_count=" + std::to_string(shards);
+  // The golden-trace matrix: every worker count byte-equal to the
+  // 0-worker baseline.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const RunTrace trace = run_scenario(GetParam(), shards, workers);
+    const std::string where = "worker_threads=" + std::to_string(workers) +
+                              " shard_count=" + std::to_string(shards);
     EXPECT_EQ(trace.delivery_log, baseline.delivery_log)
         << "delivery log diverged at " << where;
     EXPECT_EQ(trace.total_messages, baseline.total_messages) << where;
@@ -208,56 +201,42 @@ TEST_P(ShardingDeterminism, RepeatRunsAreByteIdentical) {
 /// Regression pin for the pre-filter's one semantic hazard: an event with
 /// zero attributes reaches no anchor shard at all, and an anchorless
 /// (universal) filter lives only on the spill shard — they must still meet
-/// there with pre-filtering enabled, on both the single-event and the
-/// batch path.
+/// there, on both the single-event and the batch path.
 TEST(ShardedPrefilter, AttributeFreeEventsMeetUniversalFiltersInSpill) {
-  for (const bool prefilter : {true, false}) {
-    ShardedMatcher m(
-        ShardedMatcher::Config{.shard_count = 4,
-                               .inner_engine = "anchor-index",
-                               .prefilter_enabled = prefilter});
-    m.add(1, Filter());  // universal: anchorless, spill-shard placement
-    m.add(2, Filter().and_(eq("stream", "feed")));
-    ASSERT_EQ(m.spill_size(), 1u);
+  ShardedMatcher m(ShardedMatcher::Config{.shard_count = 4,
+                                          .inner_engine = "anchor-index"});
+  m.add(1, Filter());  // universal: anchorless, spill-shard placement
+  m.add(2, Filter().and_(eq("stream", "feed")));
+  ASSERT_EQ(m.spill_size(), 1u);
 
-    const Event bare;  // zero attributes
-    ASSERT_TRUE(bare.empty());
-    EXPECT_EQ(m.match(bare), (std::vector<SubscriptionId>{1}))
-        << "prefilter=" << prefilter;
+  const Event bare;  // zero attributes
+  ASSERT_TRUE(bare.empty());
+  EXPECT_EQ(m.match(bare), (std::vector<SubscriptionId>{1}));
 
-    std::vector<Event> events;
-    events.push_back(bare);
-    events.push_back(Event().with("stream", "feed"));
-    events.push_back(Event().with("unrelated", 7));
-    std::vector<std::vector<SubscriptionId>> hits;
-    m.match_batch(events, hits);
-    ASSERT_EQ(hits.size(), 3u);
-    EXPECT_EQ(hits[0], (std::vector<SubscriptionId>{1}))
-        << "prefilter=" << prefilter;
-    std::sort(hits[1].begin(), hits[1].end());
-    EXPECT_EQ(hits[1], (std::vector<SubscriptionId>{1, 2}))
-        << "prefilter=" << prefilter;
-    EXPECT_EQ(hits[2], (std::vector<SubscriptionId>{1}))
-        << "prefilter=" << prefilter;
+  std::vector<Event> events;
+  events.push_back(bare);
+  events.push_back(Event().with("stream", "feed"));
+  events.push_back(Event().with("unrelated", 7));
+  std::vector<std::vector<SubscriptionId>> hits;
+  m.match_batch(events, hits);
+  ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0], (std::vector<SubscriptionId>{1}));
+  std::sort(hits[1].begin(), hits[1].end());
+  EXPECT_EQ(hits[1], (std::vector<SubscriptionId>{1, 2}));
+  EXPECT_EQ(hits[2], (std::vector<SubscriptionId>{1}));
 
-    // The accounting shows the routing decision: with pre-filtering the
-    // bare and unrelated events skip every anchor shard; without it every
-    // event reaches every shard.
-    if (prefilter) {
-      EXPECT_GT(m.events_skipped(), 0u);
-      EXPECT_LT(m.events_routed(),
-                (m.shard_count() + 1) * 4);  // 1 single + 3 batched events
-    } else {
-      EXPECT_EQ(m.events_skipped(), 0u);
-      EXPECT_EQ(m.events_routed(), (m.shard_count() + 1) * 4);
-    }
-  }
+  // The accounting shows the routing decision: the bare and unrelated
+  // events skip every anchor shard.
+  EXPECT_GT(m.events_skipped(), 0u);
+  EXPECT_EQ(m.events_routed() + m.events_skipped(),
+            (m.shard_count() + 1) * 4);  // 1 single + 3 batched events
+  EXPECT_LT(m.events_routed(), (m.shard_count() + 1) * 4);
 }
 
-/// The pre-filter is pure routing: on a randomized workload the batch
-/// output is byte-identical (same order, not just same sets) with it on
-/// or off, while the counters prove shards were actually skipped.
-TEST(ShardedPrefilter, OutputByteIdenticalOnOrOff) {
+/// The pre-filter is pure routing: on a randomized workload every event's
+/// sharded hit set equals the plain inner engine's, while the counters
+/// prove shards were actually skipped.
+TEST(ShardedPrefilter, OutputEqualsPlainEngine) {
   util::Rng rng(0xf117e5);
   std::vector<Filter> filters;
   for (int i = 0; i < 120; ++i) filters.push_back(scenario_filter(rng));
@@ -268,23 +247,27 @@ TEST(ShardedPrefilter, OutputByteIdenticalOnOrOff) {
 
   for (const std::string inner : {"anchor-index", "bitset",
                                   "brute-force"}) {
-    ShardedMatcher on(ShardedMatcher::Config{
-        .shard_count = 4, .inner_engine = inner, .prefilter_enabled = true});
-    ShardedMatcher off(ShardedMatcher::Config{
-        .shard_count = 4, .inner_engine = inner, .prefilter_enabled = false});
+    ShardedMatcher sharded(
+        ShardedMatcher::Config{.shard_count = 4, .inner_engine = inner});
+    const auto plain = make_matcher(inner);
     for (std::size_t i = 0; i < filters.size(); ++i) {
-      on.add(i + 1, filters[i]);
-      off.add(i + 1, filters[i]);
+      sharded.add(i + 1, filters[i]);
+      plain->add(i + 1, filters[i]);
     }
-    std::vector<std::vector<SubscriptionId>> hits_on;
-    std::vector<std::vector<SubscriptionId>> hits_off;
-    on.match_batch(events, hits_on);
-    off.match_batch(events, hits_off);
-    EXPECT_EQ(hits_on, hits_off) << inner;
-    EXPECT_GT(on.events_skipped(), 0u) << inner;
-    EXPECT_EQ(off.events_skipped(), 0u) << inner;
-    EXPECT_EQ(on.events_routed() + on.events_skipped(),
-              off.events_routed())
+    std::vector<std::vector<SubscriptionId>> hits_sharded;
+    std::vector<std::vector<SubscriptionId>> hits_plain;
+    sharded.match_batch(events, hits_sharded);
+    plain->match_batch(events, hits_plain);
+    ASSERT_EQ(hits_sharded.size(), events.size()) << inner;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      std::sort(hits_sharded[i].begin(), hits_sharded[i].end());
+      std::sort(hits_plain[i].begin(), hits_plain[i].end());
+      EXPECT_EQ(hits_sharded[i], hits_plain[i])
+          << inner << " on " << events[i].to_string();
+    }
+    EXPECT_GT(sharded.events_skipped(), 0u) << inner;
+    EXPECT_EQ(sharded.events_routed() + sharded.events_skipped(),
+              events.size() * (sharded.shard_count() + 1))
         << inner;
   }
 }
@@ -295,8 +278,7 @@ TEST(ShardedPrefilter, OutputByteIdenticalOnOrOff) {
 TEST(ShardedPrefilter, SubBatchesPerformZeroEventCopies) {
   util::Rng rng(0x2e20c0);
   ShardedMatcher m(ShardedMatcher::Config{.shard_count = 8,
-                                          .inner_engine = "anchor-index",
-                                          .prefilter_enabled = true});
+                                          .inner_engine = "anchor-index"});
   for (int i = 0; i < 200; ++i) m.add(i + 1, scenario_filter(rng));
   std::vector<Event> events;
   for (int i = 0; i < 64; ++i) events.push_back(scenario_event(rng, i));
@@ -314,31 +296,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardingDeterminism,
 // --- RoutingTable-level sharded wiring --------------------------------------
 
 TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
-  // shard_count/worker_threads wrap a plain engine name...
-  RoutingTable wrapped(RoutingTable::Config{
-      .engine = "bitset", .shard_count = 4, .worker_threads = 2});
-  EXPECT_EQ(wrapped.matcher().name(), "sharded:bitset");
-  // ...a "sharded:" name honors the knobs as given...
-  RoutingTable named(
-      RoutingTable::Config{.engine = "sharded:anchor-index", .shard_count = 2});
-  EXPECT_EQ(named.matcher().name(), "sharded:anchor-index");
-  EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(named.matcher())
-                .shard_count(),
-            2u);
-  // ...and with the auto default (0) a "sharded:" name gets the same
-  // shard count as registry creation by name.
-  RoutingTable auto_sharded(
-      RoutingTable::Config{.engine = "sharded:anchor-index"});
-  EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(auto_sharded.matcher())
-                .shard_count(),
-            kDefaultShardCount);
-  // ...and the 1/0 defaults stay on the plain engine (ablation baseline).
+  // The defaults (1 shard, 0 workers) keep the plain engine.
+  EXPECT_EQ(RoutingTable::Config{}.shard_count, 1u);
   RoutingTable plain(RoutingTable::Config{.engine = "anchor-index"});
   EXPECT_EQ(plain.matcher().name(), "anchor-index");
-  // Unknown inner engines still fail with the canonical registry error.
+  // shard_count > 1 wraps the named engine with exactly that many shards...
+  RoutingTable counted(
+      RoutingTable::Config{.engine = "anchor-index", .shard_count = 2});
+  EXPECT_EQ(counted.matcher().name(), "anchor-index/2");
+  EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(counted.matcher())
+                .shard_count(),
+            2u);
+  // ...and so do worker threads, even over a single shard.
+  RoutingTable pooled(RoutingTable::Config{
+      .engine = "bitset", .shard_count = 4, .worker_threads = 2});
+  EXPECT_EQ(pooled.matcher().name(), "bitset/4");
+  EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(pooled.matcher())
+                .worker_threads(),
+            2u);
+  RoutingTable one_shard(RoutingTable::Config{
+      .engine = "anchor-index", .shard_count = 1, .worker_threads = 1});
+  EXPECT_EQ(one_shard.matcher().name(), "anchor-index/1");
+  // Unknown engines fail with the canonical make_matcher error, sharded
+  // or not.
+  EXPECT_THROW(RoutingTable(RoutingTable::Config{.engine = "no-such"}),
+               std::invalid_argument);
   EXPECT_THROW(
-      RoutingTable(
-          RoutingTable::Config{.engine = "sharded:no-such", .shard_count = 4}),
+      RoutingTable(RoutingTable::Config{.engine = "no-such", .shard_count = 4}),
       std::invalid_argument);
 }
 

@@ -11,7 +11,7 @@
 //
 // The engine sweep at the bottom pins the downstream consequence: eq-bucket
 // identity keys (canonical_numeric) must keep >2^53 ints distinct from
-// their rounded double neighbors in every registered engine — bitset
+// their rounded double neighbors in every engine, bare and sharded — bitset
 // trusts bucket identity without re-evaluating the constraint.
 #include <gtest/gtest.h>
 
@@ -19,9 +19,9 @@
 #include <cstdint>
 #include <limits>
 
+#include "engine_variants.h"
 #include "pubsub/filter_parser.h"
 #include "pubsub/matcher.h"
-#include "pubsub/matcher_registry.h"
 
 namespace reef::pubsub {
 namespace {
@@ -116,8 +116,9 @@ TEST(Value, CanonicalNumericKeepsInexactIntsDistinct) {
 }
 
 TEST(Value, EqBucketIdentityIsExactInEveryEngine) {
-  for (const auto& name : MatcherRegistry::instance().names()) {
-    const auto m = make_matcher(name);
+  for (const EngineVariant& variant : engine_variants()) {
+    const auto m = variant.make();
+    const std::string name = variant.label();
     m->add(1, Filter().and_(eq("p", kTwoPow53 + 1)));
     m->add(2, Filter().and_(eq("p", kTwoPow53)));
     EXPECT_EQ(m->match(Event().with("p", kTwoPow53 + 1)),
@@ -134,8 +135,9 @@ TEST(Value, EqBucketIdentityIsExactInEveryEngine) {
 }
 
 TEST(Value, RangeSemanticsAreExactInEveryEngine) {
-  for (const auto& name : MatcherRegistry::instance().names()) {
-    const auto m = make_matcher(name);
+  for (const EngineVariant& variant : engine_variants()) {
+    const auto m = variant.make();
+    const std::string name = variant.label();
     m->add(1, Filter().and_(gt("p", kTwoPow53)));
     EXPECT_EQ(m->match(Event().with("p", kTwoPow53 + 1)),
               (std::vector<SubscriptionId>{1}))
