@@ -33,6 +33,7 @@
 #include "../tests/engine_variants.h"
 #include "pubsub/engines.h"
 #include "pubsub/matcher.h"
+#include "pubsub/range_index.h"
 #include "pubsub/sharded_matcher.h"
 #include "util/rng.h"
 
@@ -606,6 +607,47 @@ BENCHMARK_CAPTURE(bm_match_batch_content, brute_force, "brute-force")
     ->Args({1000, 128})
     ->Args({10000, 128});
 
+// The contains probe alone: a bare ContainsTable over {150, 240} distinct
+// content terms (Reef's live population holds ~240, one per user), probed
+// with the content workload's ~500-character texts. ns_per_byte is the
+// kernel's cost per text byte, independent of either engine around it.
+void bm_contains_probe_content(benchmark::State& state) {
+  const auto distinct = static_cast<std::size_t>(state.range(0));
+  reef::util::Rng rng(42);
+  const auto terms = make_content_terms(4000, rng);
+  ContainsTable<int> table;
+  for (std::size_t i = 0, filed = 0; filed < distinct && i < terms.size();
+       ++i) {
+    if (table.find(terms[i]) != nullptr) continue;
+    table.insert(terms[i]);
+    ++filed;
+  }
+  std::vector<std::string> texts;
+  for (int i = 0; i < 256; ++i) {
+    texts.push_back(
+        make_content_event(1000, terms, rng).find("text")->as_string());
+  }
+
+  std::size_t cursor = 0;
+  std::size_t bytes = 0;
+  std::size_t fired = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const std::string& text = texts[cursor];
+    table.probe(text, [&](const ContainsTable<int>::Posting&) { ++fired; });
+    bytes += text.size();
+    cursor = (cursor + 1) % texts.size();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  benchmark::DoNotOptimize(fired);
+  state.counters["ns_per_byte"] =
+      elapsed.count() / static_cast<double>(std::max<std::size_t>(bytes, 1));
+  state.counters["hits_per_text"] =
+      static_cast<double>(fired) / static_cast<double>(state.iterations());
+}
+BENCHMARK(bm_contains_probe_content)->Arg(150)->Arg(240);
+
 // --- zero-copy sub-batches: index-span view vs gather-by-copy ---------------
 //
 // The sharded pre-filter hands every shard an EventBatchView — an index
@@ -1032,7 +1074,7 @@ int run_smoke() {
   // evaluate every one of them, brute force's cost); both engines hold
   // theirs only while the contains probe is one pass over the text rather
   // than one search per distinct pattern. Measured on a 4-vCPU dev host:
-  // anchor-index ~13-15x and bitset ~14-16x; with every content
+  // anchor-index ~24-28x and bitset ~31-35x; with every content
   // subscription on the stream bucket and one find() per pattern, the
   // same row measured 1.1x and 3.3x, so both floors fail that code.
   {

@@ -47,19 +47,38 @@
 // Contains has no single-probe order, so ContainsTable probes every
 // distinct pattern in *one pass over the event string*. Postings stay
 // sorted by (pattern length, pattern); next to them the table keeps a
-// bigram index: every pattern of length >= 1 is filed under its first
-// byte (a 257-entry offset table), and inside that run by its second byte
-// (length-1 patterns first), so a probe position i narrows to the
-// patterns starting with s[i] s[i+1] by one table read and one binary
-// search; those sit in (length, pattern) order, so each of their lengths
-// costs one more binary search for s's own substring of that length.
+// gated bigram index. Per first byte b it holds a *lead*: the posting of
+// the length-1 pattern "b" if there is one, and a 256-bit gate of the
+// second bytes that longer patterns starting with b use. Every pattern of
+// length >= 2 is filed in its (first byte, second byte) group, in posting
+// order, as a gram that carries its first min(length, 8) bytes (the
+// head), the mask of those bytes and its length inline. At text position
+// i the probe marks the lead's length-1 pattern, and one bit test of
+// s[i+1] in the gate rejects most positions. Past the gate, the rank of
+// that bit (per-word group bases plus one popcount) names the group; the
+// probe loads the text's next min(8, |s| - i) bytes into a zeroed word
+// once and confirms each candidate by one masked 64-bit compare against
+// its head. Only patterns longer than 8 bytes then compare their tail,
+// straight from the posting. A group's grams ascend in length, so the
+// first one longer than the rest of s ends the walk.
+//
+// Heads, masks and text words are all built by memcpy of bytes in memory
+// order into a zeroed word, so the compare is between two words loaded
+// the same way and does not depend on endianness. The text load never
+// reads past s.size(): within 8 bytes of the end it copies only the bytes
+// that are left, and any pattern that passes the length check has its
+// mask inside them.
+//
 // Hits are marked in a per-thread bitmap over posting positions, so a
 // pattern occurring many times in s is reported once, and fired
-// afterwards in posting order: ascending (length, pattern), so hit order
-// does not depend on where in s a pattern occurs. The bigram index is
-// rebuilt by two counting passes whenever a distinct pattern comes or
-// goes: O(distinct patterns) per change, no per-byte-pair flat tables.
-// Distinct patterns appear once no matter how many filters share them.
+// afterwards in posting order: ascending (length, pattern), with the
+// empty pattern, a substring of everything, first; hit order does not
+// depend on where in s a pattern occurs. The index is rebuilt whenever a
+// distinct pattern comes or goes, by one pass that sets gate bits, one
+// over the 256 leads that numbers the groups, and one counting pass that
+// files the grams: O(distinct patterns) per change, no per-byte-pair flat
+// tables. Distinct patterns appear once no matter how many filters share
+// them.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +88,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -258,8 +278,8 @@ void probe_prefixes(
 /// The contains postings of one attribute: distinct patterns sorted by
 /// (length, pattern), each carrying an engine `Payload` (the anchor
 /// index's subscription ids, the bitset engine's slot bitmap), plus the
-/// bigram index that lets probe() test all of them in one pass over an
-/// event string (see "Contains postings" above).
+/// gated bigram index that lets probe() test all of them in one pass over
+/// an event string (see "Contains postings" above).
 template <typename Payload>
 class ContainsTable {
  public:
@@ -327,37 +347,28 @@ class ContainsTable {
       hits[p / 64] |= std::uint64_t{1} << (p % 64);
     };
     if (postings_.front().pattern.empty()) mark(0);
-    // Bytes as unsigned: a signed char >= 0x80 would index first_ with a
+    // Bytes as unsigned: a signed char >= 0x80 would index leads_ with a
     // negative offset.
     const auto* const text = reinterpret_cast<const unsigned char*>(s.data());
     const std::size_t n = s.size();
-    const Gram* const grams = grams_.data();
     for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t lo = first_[text[i]];
-      const std::uint32_t hi = first_[text[i] + 1];
-      for (; lo < hi && grams[lo].second == 0; ++lo) mark(grams[lo].posting);
-      if (lo == hi || i + 1 == n) continue;
-      const auto [begin, end] = std::equal_range(
-          grams + lo, grams + hi, Gram{0, second_key(text[i + 1])},
-          [](const Gram& a, const Gram& b) { return a.second < b.second; });
-      // A bigram's grams are in posting order — runs of equal length in
-      // ascending length, each run sorted by pattern — so each run takes
-      // one binary search for s's own substring of that length, and the
-      // first run that overruns s ends the walk.
-      for (const Gram* run = begin; run != end;) {
-        const std::size_t len = pattern_of(*run).size();
-        if (len > n - i) break;
-        const Gram* const run_end =
-            std::partition_point(run, end, [&](const Gram& g) {
-              return pattern_of(g).size() == len;
-            });
-        const std::string_view key(s.data() + i, len);
-        const Gram* const hit =
-            std::partition_point(run, run_end, [&](const Gram& g) {
-              return std::string_view(pattern_of(g)) < key;
-            });
-        if (hit != run_end && pattern_of(*hit) == key) mark(hit->posting);
-        run = run_end;
+      const Lead& lead = leads_[text[i]];
+      if (lead.single != 0) mark(lead.single - 1);
+      if (i + 1 == n) break;
+      const unsigned char second = text[i + 1];
+      if (!lead.has_second(second)) continue;
+      // The group's grams are in posting order, so ascending length: the
+      // first one longer than the rest of s ends the walk.
+      const std::size_t rest = n - i;
+      const std::uint64_t word = load_head(text + i, rest);
+      const std::uint32_t group = lead.group(second);
+      const Gram* const end = grams_.data() + groups_[group + 1];
+      for (const Gram* g = grams_.data() + groups_[group];
+           g != end && g->length <= rest; ++g) {
+        if ((word & g->mask) == g->head &&
+            (g->length <= 8 || tail_matches(*g, text + i))) {
+          mark(g->posting);
+        }
       }
     }
     for (std::size_t w = 0; w < words; ++w) {
@@ -372,25 +383,58 @@ class ContainsTable {
   }
 
  private:
-  /// One pattern of length >= 1 in the bigram index: its posting position
-  /// and its second byte's key (0 for length-1 patterns).
+  /// One pattern of length >= 2 in the bigram index: its first
+  /// min(length, 8) bytes as loaded by load_head, the mask of those bytes,
+  /// its length and its posting position.
   struct Gram {
+    std::uint64_t head;
+    std::uint64_t mask;
+    std::uint32_t length;
     std::uint32_t posting;
-    std::uint16_t second;
   };
 
-  static std::uint16_t second_key(unsigned char byte) noexcept {
-    return static_cast<std::uint16_t>(byte + 1);
-  }
-  /// Second key of a pattern of length >= 1.
-  static std::uint16_t second_key(const std::string& pattern) noexcept {
-    return pattern.size() == 1
-               ? std::uint16_t{0}
-               : second_key(static_cast<unsigned char>(pattern[1]));
+  /// Everything the index keeps per first byte b: the length-1 pattern
+  /// "b" (its posting position + 1, 0 for none), the gate bitmap of the
+  /// second bytes that patterns starting with b use, and per gate word the
+  /// number of (first, second) groups before it in byte order.
+  struct Lead {
+    std::uint32_t single = 0;
+    std::array<std::uint32_t, 4> base{};
+    std::array<std::uint64_t, 4> seconds{};
+
+    void add_second(unsigned char byte) noexcept {
+      seconds[byte / 64] |= std::uint64_t{1} << (byte % 64);
+    }
+    bool has_second(unsigned char byte) const noexcept {
+      return (seconds[byte / 64] >> (byte % 64) & 1) != 0;
+    }
+    /// Group number of (this first byte, `byte`); `byte` must be gated in.
+    std::uint32_t group(unsigned char byte) const noexcept {
+      const std::uint64_t below = (std::uint64_t{1} << (byte % 64)) - 1;
+      return base[byte / 64] + static_cast<std::uint32_t>(std::popcount(
+                                   seconds[byte / 64] & below));
+    }
+  };
+
+  /// The first min(n, 8) bytes at `p` in memory order, zero above: never
+  /// reads past p + n, and text and pattern heads load the same way, so a
+  /// masked compare of the two is independent of endianness.
+  static std::uint64_t load_head(const unsigned char* p,
+                                 std::size_t n) noexcept {
+    std::uint64_t word = 0;
+    if (n >= 8) {
+      std::memcpy(&word, p, 8);
+    } else {
+      std::memcpy(&word, p, n);
+    }
+    return word;
   }
 
-  const std::string& pattern_of(const Gram& g) const noexcept {
-    return postings_[g.posting].pattern;
+  /// Whether the bytes of a pattern longer than 8 past its head match the
+  /// text at `at` (which has at least g.length bytes left).
+  bool tail_matches(const Gram& g, const unsigned char* at) const noexcept {
+    return std::memcmp(at + 8, postings_[g.posting].pattern.data() + 8,
+                       g.length - 8) == 0;
   }
 
   /// Lower-bound position of `pattern` in (length, pattern) order.
@@ -404,41 +448,60 @@ class ContainsTable {
     return static_cast<std::size_t>(it - postings_.begin());
   }
 
-  /// Files every pattern of length >= 1 under (first byte, second key,
-  /// posting position): a stable counting pass by second key, then a
-  /// stable one by first byte.
+  /// Rebuilds leads_, groups_ and grams_ from postings_: one pass sets the
+  /// gate bits and single-byte entries, a 256-lead pass numbers the groups,
+  /// and a counting pass files every pattern of length >= 2 into its
+  /// (first, second) group, kept in posting order.
   void rebuild_bigrams() {
-    std::array<std::uint32_t, 258> by_second{};
-    first_.fill(0);
-    for (const Posting& p : postings_) {
-      if (p.pattern.empty()) continue;
-      ++first_[static_cast<unsigned char>(p.pattern[0]) + 1u];
-      ++by_second[second_key(p.pattern) + 1u];
-    }
-    for (std::size_t b = 1; b < first_.size(); ++b) first_[b] += first_[b - 1];
-    for (std::size_t k = 1; k < by_second.size(); ++k) {
-      by_second[k] += by_second[k - 1];
-    }
-    std::vector<Gram> sorted_by_second(first_.back());
+    leads_.fill(Lead{});
+    const auto byte = [](const std::string& pattern, std::size_t k) {
+      return static_cast<unsigned char>(pattern[k]);
+    };
     for (std::uint32_t pos = 0; pos < postings_.size(); ++pos) {
       const std::string& pat = postings_[pos].pattern;
-      if (pat.empty()) continue;
-      const std::uint16_t second = second_key(pat);
-      sorted_by_second[by_second[second]++] = Gram{pos, second};
+      if (pat.size() == 1) leads_[byte(pat, 0)].single = pos + 1;
+      if (pat.size() < 2) continue;
+      leads_[byte(pat, 0)].add_second(byte(pat, 1));
     }
-    grams_.resize(sorted_by_second.size());
-    std::array<std::uint32_t, 257> next = first_;
-    for (const Gram& g : sorted_by_second) {
-      const auto first =
-          static_cast<unsigned char>(postings_[g.posting].pattern[0]);
-      grams_[next[first]++] = g;
+    std::uint32_t group_count = 0;
+    for (Lead& lead : leads_) {
+      for (std::size_t w = 0; w < lead.seconds.size(); ++w) {
+        lead.base[w] = group_count;
+        group_count +=
+            static_cast<std::uint32_t>(std::popcount(lead.seconds[w]));
+      }
+    }
+    // groups_[g] counts group g, then becomes its end by prefix sums, then
+    // its start as the reverse fill below steps back through it.
+    groups_.assign(group_count + 1, 0);
+    const auto group_of = [&](const std::string& pat) {
+      return leads_[byte(pat, 0)].group(byte(pat, 1));
+    };
+    for (const Posting& p : postings_) {
+      if (p.pattern.size() >= 2) ++groups_[group_of(p.pattern)];
+    }
+    for (std::size_t g = 1; g < groups_.size(); ++g) {
+      groups_[g] += groups_[g - 1];
+    }
+    grams_.resize(groups_.back());
+    for (std::uint32_t pos = static_cast<std::uint32_t>(postings_.size());
+         pos-- > 0;) {
+      const std::string& pat = postings_[pos].pattern;
+      if (pat.size() < 2) continue;
+      Gram g{load_head(reinterpret_cast<const unsigned char*>(pat.data()),
+                       pat.size()),
+             0, static_cast<std::uint32_t>(pat.size()), pos};
+      std::memset(&g.mask, 0xff, std::min<std::size_t>(pat.size(), 8));
+      grams_[--groups_[group_of(pat)]] = g;
     }
   }
 
   std::vector<Posting> postings_;  // sorted by (length, pattern), distinct
-  std::vector<Gram> grams_;        // by (first byte, second key, posting)
-  /// grams_ of patterns starting with byte b: [first_[b], first_[b + 1]).
-  std::array<std::uint32_t, 257> first_{};
+  /// Patterns of length >= 2 by (first byte, second byte, posting).
+  std::vector<Gram> grams_;
+  /// grams_ of (first, second) group g: [groups_[g], groups_[g + 1]).
+  std::vector<std::uint32_t> groups_;
+  std::array<Lead, 256> leads_{};  // by first byte
 };
 
 }  // namespace reef::pubsub

@@ -220,6 +220,27 @@ TEST(ContainsTable, FiresEachHitOnceInLengthThenPatternOrder) {
             (std::vector<std::string>{"", "a", "b", "ab", "ba", "abab"}));
   EXPECT_EQ(probed(table, "aba"),
             (std::vector<std::string>{"", "a", "b", "ab", "ba"}));
+
+  // Candidates are confirmed on their first 8 bytes, then on the rest.
+  // Patterns of 7, 8 and 9 bytes ending exactly at the text end (the 7-byte
+  // one sits where fewer than 8 text bytes are left to load), and two
+  // patterns that share an 8-byte head and differ only past it.
+  ContainsTable<int> heads;
+  for (const std::string pattern :
+       {"ghijklm", "fghijklm", "efghijklm", "abcdefgh-tail1",
+        "abcdefgh-tail2"}) {
+    heads.insert(pattern);
+  }
+  EXPECT_EQ(probed(heads, "abcdefghijklm"),
+            (std::vector<std::string>{"ghijklm", "fghijklm", "efghijklm"}));
+  EXPECT_EQ(probed(heads, "ghijklm"), (std::vector<std::string>{"ghijklm"}));
+  EXPECT_EQ(probed(heads, "fghijkl"), (std::vector<std::string>{}));
+  EXPECT_EQ(probed(heads, "x abcdefgh-tail2"),
+            (std::vector<std::string>{"abcdefgh-tail2"}));
+  EXPECT_EQ(probed(heads, "abcdefgh-tail1abcdefgh-tail2"),
+            (std::vector<std::string>{"abcdefgh-tail1", "abcdefgh-tail2"}));
+  EXPECT_TRUE(probed(heads, "abcdefgh-tail").empty());
+  EXPECT_TRUE(probed(heads, "abcdefgh-tail3").empty());
 }
 
 TEST(ContainsTable, HighBitBytesAndSharedLeadingBigrams) {
@@ -257,22 +278,30 @@ TEST(ContainsTable, HighBitBytesAndSharedLeadingBigrams) {
 
 TEST(ContainsTable, AgreesWithStringFindOnRandomAlphabets) {
   // 2,000 trials: a random table over a tiny alphabet (so patterns share
-  // bigrams, overlap, and repeat inside the text), including high-bit
-  // bytes and lengths 0..6, probed with random texts of length 0..40 and
-  // churned by erasing a random pattern between probes.
+  // bigrams, overlap, and repeat inside the text), including NUL and
+  // high-bit bytes and lengths 0..20 (across the 8-byte pattern head),
+  // probed with random texts of length 0..64 and churned by erasing a
+  // random pattern between probes. Each trial draws from a window of 1..5
+  // letters, so the one- and two-letter trials also hit long patterns.
   util::Rng rng(0xc0417a1);
-  const std::string alphabet = "ab\x80\xff";
+  const std::string alphabet("ab\x80\xff\0", 5);
+  std::size_t letters = alphabet.size();
+  std::size_t offset = 0;
   const auto random_string = [&](std::size_t max_len) {
     std::string s(rng.index(max_len + 1), 'a');
-    for (char& c : s) c = alphabet[rng.index(alphabet.size())];
+    for (char& c : s) {
+      c = alphabet[(offset + rng.index(letters)) % alphabet.size()];
+    }
     return s;
   };
   for (int trial = 0; trial < 2000; ++trial) {
+    letters = 1 + rng.index(alphabet.size());
+    offset = rng.index(alphabet.size());
     ContainsTable<int> table;
     std::vector<std::string> patterns;
     const std::size_t count = 1 + rng.index(12);
     for (std::size_t k = 0; k < count; ++k) {
-      const std::string p = random_string(6);
+      const std::string p = random_string(20);
       if (table.find(p) == nullptr) patterns.push_back(p);
       table.insert(p);
     }
@@ -287,7 +316,7 @@ TEST(ContainsTable, AgreesWithStringFindOnRandomAlphabets) {
                 return a.size() != b.size() ? a.size() < b.size() : a < b;
               });
     for (int probe = 0; probe < 3; ++probe) {
-      const std::string text = random_string(40);
+      const std::string text = random_string(64);
       std::vector<std::string> expected;
       for (const std::string& p : patterns) {
         if (text.find(p) != std::string::npos) expected.push_back(p);
