@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <any>
 #include <cassert>
-#include <set>
+#include <tuple>
 #include <utility>
 
 #include "util/log.h"
@@ -302,8 +302,8 @@ void Broker::route_event(sim::NodeId from, const Event& event,
   // is sorted, so the broker's output is a pure function of the match
   // *sets* — engines (sharded or not, any worker count) that agree on the
   // sets produce byte-identical wire traffic regardless of hit order.
-  std::map<sim::NodeId, std::vector<SubscriptionId>> client_hits;
-  std::set<sim::NodeId> broker_hits;
+  broker_hits_.clear();
+  client_hits_.clear();
   for (const RoutingTable::Destination& dest : hits) {
     if (dest.iface == from) continue;  // never echo back
     if (dest.is_broker) {
@@ -311,17 +311,44 @@ void Broker::route_event(sim::NodeId from, const Event& event,
       // neighbor's black hole. Its routes stay in the table and the
       // quarantine lifts on its first sign of life.
       if (quarantined_.contains(dest.iface)) continue;
-      broker_hits.insert(dest.iface);
+      broker_hits_.push_back(dest.iface);
     } else {
-      client_hits[dest.iface].push_back(dest.client_sub);
+      client_hits_.push_back(
+          ClientHit{.client = dest.iface, .sub = dest.client_sub});
     }
   }
-  for (const sim::NodeId neighbor : broker_hits) {
+  enqueue_routed(event);
+}
+
+void Broker::enqueue_routed(const Event& event) {
+  std::sort(broker_hits_.begin(), broker_hits_.end());
+  broker_hits_.erase(std::unique(broker_hits_.begin(), broker_hits_.end()),
+                     broker_hits_.end());
+  for (const sim::NodeId neighbor : broker_hits_) {
     enqueue_publish(neighbor, event);
   }
-  for (auto& [client, subs] : client_hits) {
-    std::sort(subs.begin(), subs.end());
-    enqueue_delivery(client, event, std::move(subs));
+  std::sort(client_hits_.begin(), client_hits_.end(),
+            [](const ClientHit& a, const ClientHit& b) {
+              return std::tie(a.client, a.sub) < std::tie(b.client, b.sub);
+            });
+  for (auto run = client_hits_.begin(); run != client_hits_.end();) {
+    const auto end = std::find_if(run, client_hits_.end(),
+                                  [client = run->client](const ClientHit& h) {
+                                    return h.client != client;
+                                  });
+    bool any_scored = false;
+    for (auto it = run; it != end; ++it) any_scored |= it->scored;
+    const auto count = static_cast<std::size_t>(end - run);
+    std::vector<SubscriptionId> subs;
+    std::vector<double> scores;
+    subs.reserve(count);
+    if (any_scored) scores.reserve(count);
+    for (auto it = run; it != end; ++it) {
+      subs.push_back(it->sub);
+      if (any_scored) scores.push_back(it->score);
+    }
+    enqueue_delivery(run->client, event, std::move(subs), std::move(scores));
+    run = end;
   }
 }
 
@@ -335,109 +362,104 @@ void Broker::route_scored(
   // The window is the wire-message batch, so its composition depends only
   // on what the publisher framed together, never on engine, shard, worker,
   // or flush-budget choices (see docs/ARCHITECTURE.md "Scored delivery").
-  struct Window {
+  // Sorting by (client, subscription, event) lays each window out as one
+  // run, its candidates in ascending event order.
+  struct Candidate {
+    sim::NodeId client = sim::kNoNode;
+    SubscriptionId sub = 0;
+    std::uint32_t index = 0;  // event position in the batch
+    double score = kConstantScore;
     const ScoringSpec* spec = nullptr;
-    std::vector<std::pair<std::uint32_t, double>> cands;  // (event idx, score)
   };
-  std::map<std::pair<sim::NodeId, SubscriptionId>, Window> windows;
+  std::vector<Candidate> cands;
   for (std::size_t i = 0; i < events.size(); ++i) {
     for (const RoutingTable::ScoredDestination& sd : hits[i]) {
       if (sd.dest.is_broker || sd.scoring == nullptr) continue;
       if (sd.dest.iface == from) continue;  // never echo back
       ++stats_.scored_matches;
-      Window& window = windows[{sd.dest.iface, sd.dest.client_sub}];
-      window.spec = sd.scoring;
-      window.cands.emplace_back(static_cast<std::uint32_t>(i), sd.score);
+      cands.push_back(Candidate{sd.dest.iface, sd.dest.client_sub,
+                                static_cast<std::uint32_t>(i), sd.score,
+                                sd.scoring});
     }
   }
+  std::sort(cands.begin(), cands.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return std::tie(a.client, a.sub, a.index) <
+                     std::tie(b.client, b.sub, b.index);
+            });
   // Pass 2: per window, the min_score filter then the bounded top-k cut.
   // Ties at the cut break by ascending event order (TopKSelector), so the
   // surviving set is a pure function of the window's (event, score) pairs.
-  SuppressedSet suppressed;
-  for (auto& [key, window] : windows) {
-    TopKSelector topk(window.spec->top_k);
+  suppressed_.clear();
+  for (auto run = cands.begin(); run != cands.end();) {
+    const auto end = std::find_if(run, cands.end(), [&run](const Candidate& c) {
+      return c.client != run->client || c.sub != run->sub;
+    });
+    const ScoringSpec& spec = *run->spec;
+    TopKSelector topk(spec.top_k);
     std::size_t eligible = 0;
-    for (const auto& [index, score] : window.cands) {
-      if (score < window.spec->min_score) {
+    for (auto it = run; it != end; ++it) {
+      if (it->score < spec.min_score) {
         ++stats_.suppressed_by_threshold;
-        suppressed.insert({index, key.first, key.second});
+        suppressed_.emplace_back(it->index, it->client, it->sub);
         continue;
       }
       ++eligible;
-      topk.offer(score, index);
+      topk.offer(it->score, it->index);
     }
     const std::vector<std::uint32_t> survivors = topk.take();
-    if (survivors.size() == eligible) continue;
-    stats_.suppressed_by_k += eligible - survivors.size();
-    // cands is in ascending event order and survivors is sorted, so one
-    // linear merge marks the evicted candidates.
-    std::size_t next = 0;
-    for (const auto& [index, score] : window.cands) {
-      if (score < window.spec->min_score) continue;  // marked above
-      if (next < survivors.size() && survivors[next] == index) {
-        ++next;
-        continue;
+    if (survivors.size() != eligible) {
+      stats_.suppressed_by_k += eligible - survivors.size();
+      // The run is in ascending event order and survivors is sorted, so
+      // one linear merge marks the evicted candidates.
+      std::size_t next = 0;
+      for (auto it = run; it != end; ++it) {
+        if (it->score < spec.min_score) continue;  // marked above
+        if (next < survivors.size() && survivors[next] == it->index) {
+          ++next;
+          continue;
+        }
+        suppressed_.emplace_back(it->index, it->client, it->sub);
       }
-      suppressed.insert({index, key.first, key.second});
     }
+    run = end;
   }
+  std::sort(suppressed_.begin(), suppressed_.end());
   // Pass 3: the boolean routing pass, per event in batch order, skipping
   // suppressed deliveries and attaching scores.
   for (std::size_t i = 0; i < events.size(); ++i) {
     route_event_scored(from, events[i], static_cast<std::uint32_t>(i),
-                       hits[i], suppressed);
+                       hits[i]);
   }
 }
 
 void Broker::route_event_scored(
     sim::NodeId from, const Event& event, std::uint32_t event_index,
-    const std::vector<RoutingTable::ScoredDestination>& hits,
-    const SuppressedSet& suppressed) {
+    const std::vector<RoutingTable::ScoredDestination>& hits) {
   // Mirrors route_event: interfaces in id order, per-client sub lists
   // sorted by id. Scores never influence grouping or order — a scored
   // delivery leaves in exactly the position its boolean twin would have.
-  struct ClientHit {
-    SubscriptionId sub = 0;
-    double score = kConstantScore;
-    bool scored = false;  // carries a non-neutral spec
-  };
-  std::map<sim::NodeId, std::vector<ClientHit>> client_hits;
-  std::set<sim::NodeId> broker_hits;
+  broker_hits_.clear();
+  client_hits_.clear();
   for (const RoutingTable::ScoredDestination& sd : hits) {
     if (sd.dest.iface == from) continue;  // never echo back
     if (sd.dest.is_broker) {
       if (quarantined_.contains(sd.dest.iface)) continue;
-      broker_hits.insert(sd.dest.iface);
+      broker_hits_.push_back(sd.dest.iface);
       continue;
     }
     if (sd.scoring != nullptr &&
-        suppressed.contains({event_index, sd.dest.iface,
-                             sd.dest.client_sub})) {
+        std::binary_search(suppressed_.begin(), suppressed_.end(),
+                           Suppressed{event_index, sd.dest.iface,
+                                      sd.dest.client_sub})) {
       continue;
     }
-    client_hits[sd.dest.iface].push_back(
-        ClientHit{sd.dest.client_sub, sd.score, sd.scoring != nullptr});
+    client_hits_.push_back(ClientHit{.client = sd.dest.iface,
+                                     .sub = sd.dest.client_sub,
+                                     .score = sd.score,
+                                     .scored = sd.scoring != nullptr});
   }
-  for (const sim::NodeId neighbor : broker_hits) {
-    enqueue_publish(neighbor, event);
-  }
-  for (auto& [client, entries] : client_hits) {
-    std::sort(entries.begin(), entries.end(),
-              [](const ClientHit& a, const ClientHit& b) {
-                return a.sub < b.sub;
-              });
-    bool any_scored = false;
-    for (const ClientHit& entry : entries) any_scored |= entry.scored;
-    std::vector<SubscriptionId> subs;
-    std::vector<double> scores;
-    subs.reserve(entries.size());
-    if (any_scored) scores.reserve(entries.size());
-    for (const ClientHit& entry : entries) {
-      subs.push_back(entry.sub);
-      if (any_scored) scores.push_back(entry.score);
-    }
-    enqueue_delivery(client, event, std::move(subs), std::move(scores));
-  }
+  enqueue_routed(event);
 }
 
 // --- adaptive output coalescing ----------------------------------------------
@@ -468,13 +490,7 @@ void Broker::note_flush(FlushCause cause, std::size_t units,
 void Broker::enqueue_publish(sim::NodeId neighbor, const Event& event) {
   ++stats_.pubs_forwarded;
   PendingPubs& pending = pending_pubs_[neighbor];
-  // Metering an entry costs an O(#attributes) wire_size() scan, so the
-  // running batch size is maintained only while the byte budget is armed
-  // — with it off (the default) the hot path stays at PR 4 cost and
-  // `bytes` holds just the header, which tripped_budget never reads.
-  if (config_.flush_max_bytes != 0) {
-    pending.bytes += publish_entry_wire_size(event);
-  }
+  pending.bytes += publish_entry_wire_size(event);
   pending.enqueue_time_sum += sim_.now();
   pending.events.push_back(event);
   if (const auto cause =
@@ -498,9 +514,7 @@ void Broker::enqueue_delivery(sim::NodeId client, const Event& event,
   ++stats_.deliveries;
   PendingDelivers& pending = pending_delivers_[client];
   DeliverMsg item{event, std::move(subs), std::move(scores)};
-  if (config_.flush_max_bytes != 0) {
-    pending.bytes += deliver_entry_wire_size(item);
-  }
+  pending.bytes += deliver_entry_wire_size(item);
   pending.enqueue_time_sum += sim_.now();
   pending.items.push_back(std::move(item));
   if (const auto cause =

@@ -50,7 +50,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <tuple>
@@ -267,32 +266,44 @@ class Broker final : public sim::Node {
   void route_event(sim::NodeId from, const Event& event,
                    const std::vector<RoutingTable::Destination>& hits);
 
+  /// One client destination of the event being routed; `score`/`scored`
+  /// are set only on the scored path.
+  struct ClientHit {
+    sim::NodeId client = sim::kNoNode;
+    SubscriptionId sub = 0;
+    double score = kConstantScore;
+    bool scored = false;  // carries a non-neutral spec
+  };
+  /// Enqueues the event collected in broker_hits_/client_hits_: one
+  /// forward per distinct neighbor in id order, then one delivery per
+  /// client in id order with its matched subs sorted by id (and scores
+  /// attached when any of them is scored).
+  void enqueue_routed(const Event& event);
+
   // --- scored delivery (Config::scoring_enabled) ---
   /// An (event index, client iface, client sub) triple suppressed by a
   /// delivery policy within one publication batch.
-  using SuppressedSet =
-      std::set<std::tuple<std::uint32_t, sim::NodeId, SubscriptionId>>;
+  using Suppressed = std::tuple<std::uint32_t, sim::NodeId, SubscriptionId>;
 
   /// The scored twin of the publish path: applies each non-neutral
   /// subscription's min_score filter and top-k cut over the *publication
   /// batch* (the events of this one wire message — the deterministic
   /// top-k window; see docs/ARCHITECTURE.md "Scored delivery"), then
-  /// routes each event in batch order with the suppression set applied
-  /// and scores attached. With no non-neutral subscription matched, the
+  /// routes each event in batch order with the suppressions applied and
+  /// scores attached. With no non-neutral subscription matched, the
   /// output is byte-identical to the boolean path.
   void route_scored(
       sim::NodeId from, std::span<const Event> events,
       const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits);
 
-  /// route_event with scoring decoration: suppressed client destinations
-  /// are skipped, and the per-client matched-sub list carries parallel
-  /// scores when any matched subscription is non-neutral. Grouping and
-  /// ordering are identical to route_event — delivery order keys on
-  /// canonical event order and sorted sub ids, never on score.
+  /// route_event with scoring decoration: client destinations listed in
+  /// suppressed_ are skipped, and the per-client matched-sub list carries
+  /// parallel scores when any matched subscription is non-neutral.
+  /// Grouping and ordering are identical to route_event — delivery order
+  /// keys on canonical event order and sorted sub ids, never on score.
   void route_event_scored(
       sim::NodeId from, const Event& event, std::uint32_t event_index,
-      const std::vector<RoutingTable::ScoredDestination>& hits,
-      const SuppressedSet& suppressed);
+      const std::vector<RoutingTable::ScoredDestination>& hits);
 
   /// Sends the refresh diff for `neighbor` computed by the routing table.
   void refresh_neighbor(sim::NodeId neighbor);
@@ -305,8 +316,11 @@ class Broker final : public sim::Node {
 
   /// Pending per-interface output plus the bookkeeping the flush budgets
   /// need: the running batch wire size (incrementally maintained with the
-  /// shared per-entry accounting in messages.h) and the sum of enqueue
-  /// times (residence of n units flushed at time t is n*t - enqueue_sum).
+  /// shared per-entry accounting in messages.h; Event::wire_size() is a
+  /// cached field read) and the sum of enqueue times (residence of n units
+  /// flushed at time t is n*t - enqueue_sum). The queued Events and
+  /// DeliverMsgs are handles sharing the publication's one attribute
+  /// block, so pending output holds no private copy of any event.
   struct PendingPubs {
     std::vector<Event> events;
     std::size_t bytes = kBatchHeaderBytes;
@@ -364,6 +378,13 @@ class Broker final : public sim::Node {
   std::map<sim::NodeId, PendingPubs> pending_pubs_;
   std::map<sim::NodeId, PendingDelivers> pending_delivers_;
   bool flush_scheduled_ = false;
+
+  /// Per-event routing scratch, reused across events (routing never
+  /// re-enters itself: sends deliver asynchronously).
+  std::vector<sim::NodeId> broker_hits_;
+  std::vector<ClientHit> client_hits_;
+  /// The current publication batch's suppressions, sorted (scored path).
+  std::vector<Suppressed> suppressed_;
 
   Stats stats_;
 };

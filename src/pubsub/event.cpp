@@ -6,33 +6,37 @@ namespace reef::pubsub {
 
 std::atomic<std::uint64_t> Event::copy_count_{0};
 
+const std::vector<std::pair<AttrId, Value>> Event::kNoAttrs;
+
 void Event::set(AttrId id, Value value) {
+  if (!body_) {
+    body_ = std::make_shared<Body>();
+  } else if (body_.use_count() > 1) {
+    // Copy-on-write: other handles share the block, so write to a clone
+    // and leave theirs untouched.
+    body_ = std::make_shared<Body>(*body_);
+  }
+  Body& body = *body_;
   const auto it = std::lower_bound(
-      attrs_.begin(), attrs_.end(), id,
+      body.attrs.begin(), body.attrs.end(), id,
       [](const auto& entry, AttrId key) { return entry.first < key; });
-  if (it != attrs_.end() && it->first == id) {
-    it->second = std::move(value);  // insert_or_assign semantics
+  if (it != body.attrs.end() && it->first == id) {
+    // insert_or_assign semantics; the name's bytes are already counted.
+    body.wire = body.wire - it->second.wire_size() + value.wire_size();
+    it->second = std::move(value);
   } else {
-    attrs_.emplace(it, id, std::move(value));
+    body.wire += 2 + AttrTable::instance().name(id).size() + value.wire_size();
+    body.attrs.emplace(it, id, std::move(value));
   }
 }
 
 const Value* Event::find(AttrId id) const noexcept {
   // Events carry a handful of attributes; a linear scan with the sorted-id
   // early exit beats binary search at these sizes.
-  for (const auto& [attr, value] : attrs_) {
+  for (const auto& [attr, value] : attrs()) {
     if (attr >= id) return attr == id ? &value : nullptr;
   }
   return nullptr;
-}
-
-std::size_t Event::wire_size() const noexcept {
-  std::size_t bytes = 16;  // envelope: id + count + framing
-  const AttrTable& table = AttrTable::instance();
-  for (const auto& [id, value] : attrs_) {
-    bytes += 2 + table.name(id).size() + value.wire_size();
-  }
-  return bytes;
 }
 
 std::string Event::to_string() const {
@@ -41,8 +45,8 @@ std::string Event::to_string() const {
   // scratch view by name here, off the hot path.
   const AttrTable& table = AttrTable::instance();
   std::vector<const std::pair<AttrId, Value>*> by_name;
-  by_name.reserve(attrs_.size());
-  for (const auto& entry : attrs_) by_name.push_back(&entry);
+  by_name.reserve(size());
+  for (const auto& entry : attrs()) by_name.push_back(&entry);
   std::sort(by_name.begin(), by_name.end(),
             [&table](const auto* a, const auto* b) {
               return table.name(a->first) < table.name(b->first);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -17,30 +18,45 @@ namespace reef::pubsub {
 /// Monotone identifier for an event instance (assigned by publishers).
 using EventId = std::uint64_t;
 
-/// An immutable-after-construction notification. Attribute names are
-/// interned through the process-wide AttrTable at construction, and the
-/// attributes live in a flat vector sorted by AttrId — matching engines
-/// iterate and probe by integer id, never touching the strings. The
-/// canonical textual form (to_string), wire size, and equality semantics
-/// are byte-for-byte identical to the original name-keyed representation
-/// (tests/pubsub_attr_table_test.cpp pins the golden strings).
+/// A notification: a value-semantic handle to one shared, immutable block
+/// of attributes. Attribute names are interned through the process-wide
+/// AttrTable, and the attributes live in a flat vector sorted by AttrId —
+/// matching engines iterate and probe by integer id, never touching the
+/// strings. The canonical textual form (to_string), wire size, and
+/// equality semantics are byte-for-byte identical to the original
+/// name-keyed representation (tests/pubsub_attr_table_test.cpp pins the
+/// golden strings).
+///
+/// Copying an Event copies the handle (one refcount bump), not the
+/// attributes: every forward and delivery of one publication shares the
+/// block the publisher built, and the last holder frees it. set()/with()
+/// are copy-on-write — they clone the block only while another handle
+/// shares it — and keep the cached wire size current, so wire_size() is a
+/// field read. The id lives in the handle, so set_id() never clones.
+///
+/// Thread rule: an Event is mutated only by the thread that owns it, and
+/// only before it is shared with another thread. Readers on other threads
+/// (the sharded matcher's workers) never mutate, so the use_count() test
+/// that guards the clone cannot race.
 class Event {
  public:
   Event() = default;
 
-  // Copies are counted (relaxed, process-global) so the zero-copy batch
-  // contract is testable: the sharded pre-filter's index-span sub-batches
-  // must not copy a single Event (tests/pubsub_sharding_test.cpp and the
-  // bench smoke assert copy_count() stays flat across match_batch).
-  Event(const Event& other) : attrs_(other.attrs_), id_(other.id_) {
+  // Handle copies are counted (relaxed, process-global) so the zero-copy
+  // batch contract is testable: the sharded pre-filter's index-span
+  // sub-batches must not copy a single Event, not even a handle
+  // (tests/pubsub_sharding_test.cpp and the bench smoke assert copy_count()
+  // stays flat across match_batch).
+  Event(const Event& other) : body_(other.body_), id_(other.id_) {
     copy_count_.fetch_add(1, std::memory_order_relaxed);
   }
   Event& operator=(const Event& other) {
-    attrs_ = other.attrs_;
+    body_ = other.body_;
     id_ = other.id_;
     copy_count_.fetch_add(1, std::memory_order_relaxed);
     return *this;
   }
+  /// A moved-from Event reads as empty (no attributes).
   Event(Event&&) noexcept = default;
   Event& operator=(Event&&) noexcept = default;
 
@@ -76,21 +92,25 @@ class Event {
   const Value* find(AttrId id) const noexcept;
 
   bool has(std::string_view name) const noexcept { return find(name); }
-  std::size_t size() const noexcept { return attrs_.size(); }
-  bool empty() const noexcept { return attrs_.empty(); }
+  std::size_t size() const noexcept { return attrs().size(); }
+  bool empty() const noexcept { return attrs().empty(); }
 
   /// Flat attribute storage, sorted by AttrId. The matching engines'
   /// iteration surface; names are recovered via AttrTable::name when a
-  /// human-readable form is needed.
+  /// human-readable form is needed. Every copy of an Event returns the
+  /// same vector until one of them is mutated.
   const std::vector<std::pair<AttrId, Value>>& attrs() const noexcept {
-    return attrs_;
+    return body_ ? body_->attrs : kNoAttrs;
   }
 
   EventId id() const noexcept { return id_; }
   void set_id(EventId id) noexcept { id_ = id; }
 
-  /// Approximate wire size in bytes for traffic accounting.
-  std::size_t wire_size() const noexcept;
+  /// Approximate wire size in bytes for traffic accounting: a 16-byte
+  /// envelope plus 2 + name.size() + value.wire_size() per attribute.
+  std::size_t wire_size() const noexcept {
+    return body_ ? body_->wire : kEnvelopeBytes;
+  }
 
   /// Canonical text, e.g. {price=12.5, symbol="ACME"} — attributes in
   /// name order, exactly as the original map-backed representation.
@@ -100,15 +120,24 @@ class Event {
   /// so comparing the id-sorted flat vectors is equivalent to comparing
   /// the original name-sorted maps.
   friend bool operator==(const Event& a, const Event& b) noexcept {
-    return a.attrs_ == b.attrs_;
+    return a.attrs() == b.attrs();
   }
 
  private:
+  static constexpr std::size_t kEnvelopeBytes = 16;  // id + count + framing
+
+  /// The shared attribute block; `wire` caches wire_size().
+  struct Body {
+    std::vector<std::pair<AttrId, Value>> attrs;  // sorted by AttrId
+    std::size_t wire = kEnvelopeBytes;
+  };
+
   void set(AttrId id, Value value);
 
   static std::atomic<std::uint64_t> copy_count_;
+  static const std::vector<std::pair<AttrId, Value>> kNoAttrs;
 
-  std::vector<std::pair<AttrId, Value>> attrs_;  // sorted by AttrId
+  std::shared_ptr<Body> body_;  // null until the first attribute
   EventId id_ = 0;
 };
 

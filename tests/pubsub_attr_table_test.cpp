@@ -1,6 +1,6 @@
 // AttrTable (interned attribute names) and the interned-Event invariants.
 //
-// Two contracts live here:
+// Three contracts live here:
 //   1. AttrTable concurrency: lookup()/name() are lock-free and safe while
 //      other threads intern() — the racing test below runs under the TSan
 //      CI job, which is the real assertion.
@@ -8,6 +8,9 @@
 //      storage must not change a single observable byte — to_string,
 //      wire_size, and equality are pinned against golden values computed
 //      from the original std::map<std::string, Value> representation.
+//   3. Event value semantics: copies share one attribute block, and a
+//      write through any handle (copy-on-write) leaves every other handle
+//      and its cached wire size as it was.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 #include "pubsub/attr_table.h"
 #include "pubsub/event.h"
 #include "pubsub/matcher.h"
+#include "util/rng.h"
 
 namespace reef::pubsub {
 namespace {
@@ -170,6 +174,105 @@ TEST(EventCanonicalization, FindByNameAndById) {
   ASSERT_NE(seq_id, kNoAttrId);
   ASSERT_NE(e.find(seq_id), nullptr);
   EXPECT_EQ(e.find(seq_id)->as_int(), 9);
+}
+
+// --- Event value semantics over the shared attribute block -------------------
+
+/// Copies share one block (event.h); with() on a copy must clone it first,
+/// so nothing observable about the original moves.
+TEST(EventValueSemantics, MutatingACopyLeavesTheOriginalUnchanged) {
+  const Event original =
+      Event().with("symbol", "ACME").with("price", 12.5).with("note", "hi");
+  const std::string text = original.to_string();
+  const std::size_t wire = original.wire_size();
+  const auto attrs = original.attrs();
+  const Event snapshot = Event().with("note", "hi").with("symbol", "ACME")
+                             .with("price", 12.5);
+  ASSERT_EQ(original, snapshot);
+
+  Event added = original;
+  EXPECT_EQ(&added.attrs(), &original.attrs());  // shared until written
+  added.with("value_semantics_extra", 7);
+  Event overwritten = original;
+  overwritten.with("note", "a much longer note than before");
+  Event bool_for_string = original;
+  bool_for_string.with("symbol", true);
+
+  for (const Event* copy : {&added, &overwritten, &bool_for_string}) {
+    EXPECT_NE(&copy->attrs(), &original.attrs());
+    EXPECT_FALSE(*copy == original) << copy->to_string();
+  }
+  EXPECT_EQ(added.size(), original.size() + 1);
+  EXPECT_EQ(overwritten.size(), original.size());
+  EXPECT_EQ(overwritten.wire_size(), wire + 30 - 2);
+  EXPECT_EQ(bool_for_string.wire_size(), wire - (4 + 4) + 1);
+  EXPECT_EQ(original.attrs(), attrs);
+  EXPECT_EQ(original.to_string(), text);
+  EXPECT_EQ(original.wire_size(), wire);
+  EXPECT_EQ(original, snapshot);
+}
+
+TEST(EventValueSemantics, MovedFromEventReadsAsEmpty) {
+  Event source = Event().with("stream", "feed").with("seq", 3);
+  const Event target = std::move(source);
+  EXPECT_EQ(target.size(), 2u);
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the test.
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.size(), 0u);
+  EXPECT_TRUE(source.attrs().empty());
+  EXPECT_EQ(source.find("stream"), nullptr);
+  EXPECT_EQ(source.to_string(), "{}");
+  EXPECT_EQ(source.wire_size(), Event().wire_size());
+  EXPECT_EQ(source, Event());
+  // A moved-from event is reusable.
+  source.with("stream", "video");
+  EXPECT_EQ(source.to_string(), "{stream=\"video\"}");
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(target.find("stream")->as_string(), "feed");
+}
+
+/// The wire size is cached and updated incrementally by every with(); it
+/// must equal the golden formula 16 + sum(2 + name + value.wire_size())
+/// recomputed from scratch, on every event of a pool grown by random
+/// copies and by random builds and overwrites of any member (writes to a
+/// member that shares its block with others go through the clone).
+TEST(EventValueSemantics, CachedWireSizeMatchesGoldenFormula) {
+  const auto golden = [](const Event& event) {
+    std::size_t bytes = 16;
+    for (const auto& [id, value] : event.attrs()) {
+      bytes += 2 + AttrTable::instance().name(id).size() + value.wire_size();
+    }
+    return bytes;
+  };
+  const std::vector<std::string> names{"wire_a", "wire_bb", "wire_ccc",
+                                       "wire_dddd", "text"};
+  util::Rng rng(0x3e7ca5e);
+  const auto random_value = [&rng]() -> Value {
+    switch (rng.index(5)) {
+      case 0: return Value();
+      case 1: return rng.chance(0.5);
+      case 2: return static_cast<std::int64_t>(rng.index(1000));
+      case 3: return rng.uniform(0.0, 1.0);
+      default: return std::string(rng.index(40), 'x');
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Event> pool(1);
+    const std::size_t steps = 1 + rng.index(32);
+    for (std::size_t step = 0; step < steps; ++step) {
+      const std::size_t pick = rng.index(pool.size());
+      if (rng.chance(0.3)) {
+        Event copy = pool[pick];
+        pool.push_back(std::move(copy));
+        continue;
+      }
+      pool[pick].with(names[rng.index(names.size())], random_value());
+    }
+    for (const Event& event : pool) {
+      EXPECT_EQ(event.wire_size(), golden(event))
+          << "trial " << trial << " " << event.to_string();
+    }
+  }
 }
 
 // --- EventBatchView ----------------------------------------------------------

@@ -428,6 +428,68 @@ TEST(Broker, ClientPublishBatchFlowsThroughBatchMatchPath) {
   EXPECT_EQ(overlay.broker(0).stats().pubs_received, 6u);
 }
 
+/// An Event is a handle to one shared attribute block (event.h), and the
+/// broker path copies only handles: every forward and every delivery of
+/// one publication, on every broker of the line, through handlers and the
+/// inbox, single messages and batches, reads the block the publisher built.
+TEST(Broker, EveryDeliveryOfAPublicationSharesItsAttributeBlock) {
+  for (const bool scoring : {false, true}) {
+    Broker::Config config;
+    config.scoring_enabled = scoring;  // the scored routing path too
+    Harness h;
+    Overlay overlay = Overlay::chain(h.sim, h.net, 3, config);
+    Client pub(h.sim, h.net, "pub");
+    pub.connect(overlay.broker(0));
+    std::vector<std::unique_ptr<Client>> subs;
+    // (seq, block) for every handler delivery on every broker.
+    std::vector<std::pair<std::int64_t, const void*>> seen;
+    for (std::size_t b = 0; b < 3; ++b) {
+      for (const bool inbox : {false, true}) {
+        auto& client = subs.emplace_back(std::make_unique<Client>(
+            h.sim, h.net, "sub" + std::to_string(b) + (inbox ? "i" : "")));
+        client->connect(overlay.broker(b));
+        if (inbox) {
+          client->subscribe(stock("A"));
+          continue;
+        }
+        client->subscribe(stock("A"), [&](const Event& e, SubscriptionId) {
+          seen.emplace_back(e.find("seq")->as_int(), &e.attrs());
+        });
+        client->subscribe(Filter().and_(exists("seq")),
+                          [&](const Event& e, SubscriptionId) {
+                            seen.emplace_back(e.find("seq")->as_int(),
+                                              &e.attrs());
+                          });
+      }
+    }
+    h.settle();
+
+    std::vector<Event> published;  // the publisher keeps a handle to each
+    for (int i = 0; i < 4; ++i) {
+      published.push_back(Event().with("sym", "A").with("seq", i));
+    }
+    pub.publish(published[0]);  // a single PublishMsg
+    h.settle();
+    pub.publish_batch({published[1], published[2], published[3]});
+    h.settle();
+
+    // 3 brokers x 2 matching subscriptions of the handler client.
+    ASSERT_EQ(seen.size(), 4u * 3 * 2) << "scoring " << scoring;
+    for (const auto& [seq, block] : seen) {
+      EXPECT_EQ(block, &published[seq].attrs())
+          << "scoring " << scoring << " seq " << seq;
+    }
+    for (const auto& client : subs) {
+      for (const auto& [event, sub] : client->inbox()) {
+        const std::int64_t seq = event.find("seq")->as_int();
+        EXPECT_EQ(&event.attrs(), &published[seq].attrs())
+            << "scoring " << scoring << " inbox of " << client->name();
+      }
+    }
+    EXPECT_EQ(subs[1]->inbox().size(), 4u);
+  }
+}
+
 // --- adaptive flush budgets --------------------------------------------------
 
 TEST(BrokerFlush, DefaultConfigFlushesPerTickWithDelayCause) {

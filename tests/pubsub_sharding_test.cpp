@@ -290,6 +290,50 @@ TEST(ShardedPrefilter, SubBatchesPerformZeroEventCopies) {
   EXPECT_GT(m.events_skipped(), 0u);  // the pre-filter did prune shards
 }
 
+/// Copies of an Event share one attribute block (event.h), so the worker
+/// pool reads one block from many batch positions at once. The hits must
+/// equal those of the same batch built from distinct blocks, and dropping
+/// the last handles between rounds, with the pool live, must not race (the
+/// TSan job runs this binary).
+TEST(ShardedMatcher, SharedEventBlocksMatchLikeDistinctOnes) {
+  util::Rng rng(0x5ba4ed);
+  ShardedMatcher m(ShardedMatcher::Config{.shard_count = 4,
+                                          .worker_threads = 4,
+                                          .inner_engine = "anchor-index"});
+  for (int i = 0; i < 200; ++i) m.add(i + 1, scenario_filter(rng));
+  std::vector<Event> originals;
+  for (int i = 0; i < 8; ++i) originals.push_back(scenario_event(rng, i));
+
+  const AttrTable& names = AttrTable::instance();
+  std::vector<Event> shared;
+  std::vector<Event> distinct;
+  for (std::size_t i = 0; i < 256; ++i) {
+    const Event& source = originals[i % originals.size()];
+    shared.push_back(source);
+    Event rebuilt;  // same attributes, a block of its own
+    for (const auto& [id, value] : source.attrs()) {
+      rebuilt.with(names.name(id), value);
+    }
+    distinct.push_back(std::move(rebuilt));
+  }
+  ASSERT_EQ(&shared[0].attrs(), &shared[8].attrs());
+  ASSERT_NE(&distinct[0].attrs(), &distinct[8].attrs());
+  originals.clear();  // the batch now holds the only handles
+
+  std::vector<std::vector<SubscriptionId>> hits_shared;
+  std::vector<std::vector<SubscriptionId>> hits_distinct;
+  for (int round = 0; round < 4; ++round) {
+    m.match_batch(shared, hits_shared);
+    m.match_batch(distinct, hits_distinct);
+    ASSERT_EQ(hits_shared.size(), shared.size());
+    EXPECT_EQ(hits_shared, hits_distinct) << "round " << round;
+    // Release a quarter of the handles (freeing the blocks whose last
+    // holders go) before the pool reads the rest again.
+    shared.resize(shared.size() * 3 / 4);
+    distinct.resize(shared.size());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardingDeterminism,
                          ::testing::Values(7, 19, 31));
 
