@@ -10,14 +10,13 @@
 // events — the win is the broker's per-tick coalescing made visible.
 //
 // `--smoke` (used by CI) skips google-benchmark and instead runs a quick
-// cross-engine correctness pass, a batch-vs-loop timing, a fixed-ratio
-// anchor-index-vs-brute-force speedup floor, a bitset-vs-anchor-index
-// floor on the dense/high-overlap workload, anchor-index and bitset
-// floors over brute force on the eq-free range/prefix workload, the
-// suffix/contains/in-set workload and the Reef content workload, and a
-// zero-copy check on the pre-filtered sub-batch path, so the bench
-// binary can't bit-rot — and the interned hot path can't silently
-// regress — without failing the workflow.
+// cross-engine correctness pass, a batch-vs-loop timing, fixed-ratio
+// floors of the bitset engine over brute force on the dense/high-overlap
+// workload, the eq-free range/prefix workload, the suffix/contains/in-set
+// workload and the Reef content workload, and a zero-copy check on the
+// pre-filtered sub-batch path, so the bench binary can't bit-rot — and
+// the interned hot path can't silently regress — without failing the
+// workflow.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "../tests/engine_variants.h"
@@ -78,10 +76,9 @@ std::vector<Filter> make_filters(std::size_t n, double content_share,
 /// Dense/high-overlap population: every filter is 2-3 equality
 /// constraints drawn from a tiny vocabulary (hot x cat x tier is 48
 /// combinations), so any event satisfies a large fraction of the table.
-/// Candidate-driven engines drown here — each anchor bucket holds ~n/8
-/// filters and every candidate pays a full Filter::matches — while the
-/// bitset engine resolves ~3 index entries once and sweeps words. This is
-/// the workload the bitset smoke floor pins.
+/// Brute force pays a full Filter::matches per filter and event, while the
+/// bitset engine resolves ~3 index entries once and sweeps words. The
+/// smoke's dense floor pins this workload.
 std::vector<Filter> make_dense_filters(std::size_t n, reef::util::Rng& rng) {
   std::vector<Filter> filters;
   filters.reserve(n);
@@ -106,13 +103,12 @@ Event make_dense_event(reef::util::Rng& rng) {
 }
 
 /// Range/prefix-heavy population: no equality constraint anywhere, so
-/// every filter must anchor in the sorted-bounds or prefix-pattern
-/// structures (before this PR, all of these fell into the linear scan
-/// list). Bounds come from a coarse grid so the bitset engine's
-/// entry-level dedup is visible; bands anchor on their upper bound (kLt
-/// sorts before kGe), and make_range_event draws prices from the top
-/// decile of the grid, so a sorted probe touches a thin slice of the
-/// table while brute force pays all n Filter::matches per event.
+/// every filter must be resolved through the sorted-bounds or
+/// prefix-pattern structures. Bounds come from a coarse grid so the bitset
+/// engine's entry-level dedup is visible, and make_range_event draws
+/// prices from the top decile of the grid, so a sorted probe touches a
+/// thin slice of the bound arrays while brute force pays all n
+/// Filter::matches per event.
 std::vector<Filter> make_range_filters(std::size_t n, reef::util::Rng& rng) {
   std::vector<Filter> filters;
   filters.reserve(n);
@@ -153,12 +149,10 @@ Event make_range_event(reef::util::Rng& rng) {
 /// Suffix/contains-heavy population: tail subscriptions (file extensions
 /// and deep item tails sharing reversed-prefix structure), substring
 /// subscriptions over a segment vocabulary, and a set-membership slice
-/// over a small symbol universe. Before this PR every suffix/contains
-/// filter sat in the linear scan list (and in-set didn't exist), so the
-/// "indexed" engines were brute force on this entire shape; now suffixes
-/// resolve via one binary search per live length over reversed patterns,
-/// contains via the one-pass contains probe, and in-set via per-member eq
-/// buckets (anchor index) or shared residual postings (bitset).
+/// over a small symbol universe. Suffixes resolve via one binary search
+/// per live length over reversed patterns, contains via the one-pass
+/// contains probe, and in-set via shared residual postings evaluated once
+/// per distinct constraint.
 std::vector<Filter> make_suffix_filters(std::size_t n, reef::util::Rng& rng) {
   std::vector<Filter> filters;
   filters.reserve(n);
@@ -229,8 +223,7 @@ std::vector<std::string> make_content_terms(std::size_t count,
 /// thirds feed subscriptions [stream=feed && feed=<url>], one third content
 /// subscriptions [stream=feed && contains(text, <term>)]. The only eq
 /// constraint a content subscription has is the one every filter shares,
-/// so anchoring them on eq buckets alone piles them into one bucket that
-/// every event probes.
+/// so the contains probe over the long item text does the selecting.
 std::vector<Filter> make_content_filters(std::size_t n,
                                          const std::vector<std::string>& terms,
                                          reef::util::Rng& rng) {
@@ -324,13 +317,6 @@ void bm_match(benchmark::State& state, const std::string& engine) {
 }
 
 // {table size, % content (substring/range) filters}
-BENCHMARK_CAPTURE(bm_match, anchor_index, "anchor-index")
-    ->Args({100, 0})
-    ->Args({1000, 0})
-    ->Args({10000, 0})
-    ->Args({50000, 0})
-    ->Args({1000, 30})
-    ->Args({10000, 30});
 BENCHMARK_CAPTURE(bm_match, bitset, "bitset")
     ->Args({100, 0})
     ->Args({1000, 0})
@@ -394,8 +380,6 @@ void bm_match_batch(benchmark::State& state, const std::string& engine) {
 // {table size, batch size}
 #define BATCH_ARGS \
   ->Args({10000, 8})->Args({10000, 32})->Args({10000, 128})
-BENCHMARK_CAPTURE(bm_match_loop, anchor_index, "anchor-index") BATCH_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch, anchor_index, "anchor-index") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_loop, bitset, "bitset") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch, bitset, "bitset") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_loop, brute_force, "brute-force")
@@ -404,15 +388,14 @@ BENCHMARK_CAPTURE(bm_match_batch, brute_force, "brute-force")
     ->Args({2000, 32});
 #undef BATCH_ARGS
 
-// --- dense/high-overlap workload: bitset vs candidate-driven engines --------
+// --- dense/high-overlap workload ---------------------------------------------
 //
-// make_dense_filters above: tiny eq vocabulary, huge bucket overlap. The
-// per-(table, batch) pairs put the bitset engine's word streams against
-// the anchor index's candidate walks on the population shape each was
-// built for the *other* side of — the Reef-like sweep above favors
-// selective buckets; this one has none. CI's bench sweep picks these rows
-// up via --benchmark_filter='sharded|dense|range', and run_smoke()
-// enforces the bitset >= anchor-index floor on this same shape.
+// make_dense_filters above: tiny eq vocabulary, huge entry overlap — the
+// Reef-like sweep above has selective feed entries; this one has none, so
+// every event satisfies a large share of the table. CI's bench sweep
+// picks these rows up via --benchmark_filter='sharded|dense|range', and
+// run_smoke() enforces the bitset-over-brute-force floor on this same
+// shape.
 
 void bm_match_batch_dense(benchmark::State& state, const std::string& engine) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
@@ -448,20 +431,18 @@ void bm_match_batch_dense(benchmark::State& state, const std::string& engine) {
 #define DENSE_ARGS \
   ->Args({1000, 128})->Args({10000, 128})->Args({10000, 1024})
 BENCHMARK_CAPTURE(bm_match_batch_dense, bitset, "bitset") DENSE_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_dense, anchor_index, "anchor-index")
-    DENSE_ARGS;
 #undef DENSE_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_dense, brute_force, "brute-force")
     ->Args({1000, 128});
 
-// --- range/prefix workload: sorted indexes vs the old scan list -------------
+// --- range/prefix workload: the sorted indexes ------------------------------
 //
 // make_range_filters above: eq-free bands, thresholds, and prefixes.
-// Every one of these anchored in the linear scan list before the sorted
-// indexes existed, which degenerated to brute force as the range share
-// grew. CI's bench sweep picks these rows up via
-// --benchmark_filter='sharded|dense|range', and run_smoke() enforces the
-// anchor-index and bitset >= brute-force floors on this same shape.
+// Without the sorted indexes every one of these would be a per-event
+// predicate evaluation, brute force by another name. CI's bench sweep
+// picks these rows up via --benchmark_filter='sharded|dense|range', and
+// run_smoke() enforces the bitset-over-brute-force floor on this same
+// shape.
 
 void bm_match_batch_range(benchmark::State& state, const std::string& engine) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
@@ -496,22 +477,19 @@ void bm_match_batch_range(benchmark::State& state, const std::string& engine) {
 // {table size, batch size}
 #define RANGE_ARGS \
   ->Args({1000, 128})->Args({10000, 128})->Args({10000, 1024})
-BENCHMARK_CAPTURE(bm_match_batch_range, anchor_index, "anchor-index")
-    RANGE_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_range, bitset, "bitset") RANGE_ARGS;
 #undef RANGE_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_range, brute_force, "brute-force")
     ->Args({1000, 128})
     ->Args({10000, 128});
 
-// --- suffix/contains workload: pattern tables vs the old scan list ----------
+// --- suffix/contains workload: the pattern tables ---------------------------
 //
 // make_suffix_filters above: tail, substring, and set-membership
-// subscriptions — zero eq/range/prefix constraints, so before this PR the
-// whole population scanned linearly. CI's bench sweep picks these rows up
-// via --benchmark_filter='sharded|dense|range|suffix', and run_smoke()
-// enforces the anchor-index and bitset >= brute-force floors on this same
-// shape.
+// subscriptions — zero eq/range/prefix constraints, so only the pattern
+// tables keep them from a linear scan. CI's bench sweep picks these rows
+// up via --benchmark_filter='sharded|dense|range|suffix', and run_smoke()
+// enforces the bitset-over-brute-force floor on this same shape.
 
 void bm_match_batch_suffix(benchmark::State& state,
                            const std::string& engine) {
@@ -547,22 +525,19 @@ void bm_match_batch_suffix(benchmark::State& state,
 // {table size, batch size}
 #define SUFFIX_ARGS \
   ->Args({1000, 128})->Args({10000, 128})->Args({10000, 1024})
-BENCHMARK_CAPTURE(bm_match_batch_suffix, anchor_index, "anchor-index")
-    SUFFIX_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_suffix, bitset, "bitset") SUFFIX_ARGS;
 #undef SUFFIX_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_suffix, brute_force, "brute-force")
     ->Args({1000, 128})
     ->Args({10000, 128});
 
-// --- Reef content workload: pattern anchors + the one-pass contains probe ---
+// --- Reef content workload: the one-pass contains probe ---------------------
 //
 // make_content_filters above: feed and content subscriptions that all
 // share stream=feed, matched against ~500-character feed item texts. CI's
 // bench sweep picks these rows up via
 // --benchmark_filter='sharded|dense|range|suffix|content', and run_smoke()
-// enforces the anchor-index and bitset >= brute-force floors on this same
-// shape.
+// enforces the bitset-over-brute-force floor on this same shape.
 
 void bm_match_batch_content(benchmark::State& state,
                             const std::string& engine) {
@@ -599,8 +574,6 @@ void bm_match_batch_content(benchmark::State& state,
 // {table size, batch size}
 #define CONTENT_ARGS \
   ->Args({1000, 128})->Args({10000, 128})->Args({10000, 1024})
-BENCHMARK_CAPTURE(bm_match_batch_content, anchor_index, "anchor-index")
-    CONTENT_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_content, bitset, "bitset") CONTENT_ARGS;
 #undef CONTENT_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_content, brute_force, "brute-force")
@@ -660,7 +633,7 @@ void bm_match_batch_subview(benchmark::State& state, bool zero_copy) {
   const std::size_t table_size = 10000;
   const std::size_t batch_size = 1024;
   reef::util::Rng rng(42);
-  const auto matcher = populated_matcher("anchor-index", table_size, 0.3, rng);
+  const auto matcher = populated_matcher("bitset", table_size, 0.3, rng);
   std::vector<Event> events;
   for (std::size_t i = 0; i < batch_size; ++i) {
     events.push_back(make_event(table_size, rng));
@@ -691,7 +664,7 @@ BENCHMARK_CAPTURE(bm_match_batch_subview, gather_copy, false);
 // --- sharded matching: shard count x engine x batch --------------------------
 //
 // The intra-broker parallelism sweep. Events are drawn once and the same
-// table population is sharded by anchor-attribute hash; {1 shard, 0
+// table population is sharded by placement-attribute hash; {1 shard, 0
 // workers} through the ShardedMatcher wrapper measures pure sharding
 // overhead against the bm_match_batch numbers above, and the multi-worker
 // rows measure the pool win (only visible on multi-core hosts). The
@@ -752,8 +725,6 @@ void bm_match_batch_sharded(benchmark::State& state,
       ->Args({table, 1024, 4, 0})                               \
       ->Args({table, 1024, 4, 4})                               \
       ->Args({table, 1024, 8, 4})
-BENCHMARK_CAPTURE(bm_match_batch_sharded, anchor_index, "anchor-index")
-    SHARD_SWEEP(10000) SHARD_SWEEP(50000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, bitset, "bitset")
     SHARD_SWEEP(10000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, brute_force, "brute-force")
@@ -767,16 +738,16 @@ BENCHMARK_CAPTURE(bm_match_batch_sharded, brute_force, "brute-force")
 void bm_subscription_churn(benchmark::State& state) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
   reef::util::Rng rng(7);
-  IndexMatcher matcher;
+  const auto matcher = make_matcher(kDefaultEngine);
   const auto filters = make_filters(table_size, 0.3, rng);
   for (std::size_t i = 0; i < filters.size(); ++i) {
-    matcher.add(i + 1, filters[i]);
+    matcher->add(i + 1, filters[i]);
   }
   std::size_t next = filters.size() + 1;
   std::size_t victim = 1;
   for (auto _ : state) {
-    matcher.remove(victim++);
-    matcher.add(next++, filters[rng.index(filters.size())]);
+    matcher->remove(victim++);
+    matcher->add(next++, filters[rng.index(filters.size())]);
     if (victim > filters.size()) {
       state.SkipWithError("table drained");
       break;
@@ -825,57 +796,43 @@ long best_of_three_us(const Matcher& m, const std::vector<Event>& events,
   return best;
 }
 
-/// One smoke floor row: anchor-index and bitset must agree with the
-/// brute-force oracle on `filters` x `events` and beat brute force's
-/// match_batch by at least the given ratios (best of three, 20 rounds).
-/// Prints the row; false (after printing why) on failure.
-bool floors_over_brute(const char* workload, const std::vector<Filter>& filters,
-                       const std::vector<Event>& events, double anchor_floor,
-                       double bitset_floor) {
+/// One smoke floor row: the bitset engine must agree with the brute-force
+/// oracle on `filters` x `events` and beat brute force's match_batch by at
+/// least `floor` (best of three, 20 rounds). Prints the row; false (after
+/// printing why) on failure.
+bool floor_over_brute(const char* workload, const std::vector<Filter>& filters,
+                      const std::vector<Event>& events, double floor) {
   constexpr int ratio_rounds = 20;
   const auto brute = make_matcher("brute-force");
-  const auto anchor = make_matcher("anchor-index");
   const auto bitset = make_matcher("bitset");
   for (std::size_t i = 0; i < filters.size(); ++i) {
     brute->add(i + 1, filters[i]);
-    anchor->add(i + 1, filters[i]);
     bitset->add(i + 1, filters[i]);
   }
   std::vector<std::vector<SubscriptionId>> oracle_hits;
+  std::vector<std::vector<SubscriptionId>> bitset_hits;
   brute->match_batch(events, oracle_hits);
+  bitset->match_batch(events, bitset_hits);
   for (auto& row : oracle_hits) std::sort(row.begin(), row.end());
-  for (const auto* engine : {&anchor, &bitset}) {
-    std::vector<std::vector<SubscriptionId>> engine_hits;
-    (*engine)->match_batch(events, engine_hits);
-    for (auto& row : engine_hits) std::sort(row.begin(), row.end());
-    if (engine_hits != oracle_hits) {
-      std::printf("FAIL: %s diverges from oracle on the %s workload\n",
-                  (*engine)->name().c_str(), workload);
-      return false;
-    }
+  for (auto& row : bitset_hits) std::sort(row.begin(), row.end());
+  if (bitset_hits != oracle_hits) {
+    std::printf("FAIL: bitset diverges from oracle on the %s workload\n",
+                workload);
+    return false;
   }
   const auto brute_us = best_of_three_us(*brute, events, ratio_rounds);
-  const auto anchor_us = best_of_three_us(*anchor, events, ratio_rounds);
   const auto bitset_us = best_of_three_us(*bitset, events, ratio_rounds);
-  const auto speedup_of = [&](long engine_us, double floor) {
-    return engine_us == 0 ? floor
-                          : static_cast<double>(brute_us) /
-                                static_cast<double>(engine_us);
-  };
-  std::printf("  %s workload (%zu filters): brute %ldus, anchor-index %ldus "
-              "(%.1fx, floor %.1fx), bitset %ldus (%.1fx, floor %.1fx)\n",
-              workload, filters.size(), brute_us, anchor_us,
-              speedup_of(anchor_us, anchor_floor), anchor_floor, bitset_us,
-              speedup_of(bitset_us, bitset_floor), bitset_floor);
-  for (const auto& [name, engine_us, floor] :
-       {std::tuple{"anchor-index", anchor_us, anchor_floor},
-        std::tuple{"bitset", bitset_us, bitset_floor}}) {
-    if (speedup_of(engine_us, floor) < floor) {
-      std::printf("FAIL: %s fell below the %.1fx floor over brute force on "
-                  "the %s workload\n",
-                  name, floor, workload);
-      return false;
-    }
+  const double speedup = bitset_us == 0 ? floor
+                                        : static_cast<double>(brute_us) /
+                                              static_cast<double>(bitset_us);
+  std::printf("  %s workload (%zu filters): brute %ldus, bitset %ldus "
+              "(%.1fx, floor %.2fx)\n",
+              workload, filters.size(), brute_us, bitset_us, speedup, floor);
+  if (speedup < floor) {
+    std::printf("FAIL: bitset fell below the %.2fx floor over brute force on "
+                "the %s workload\n",
+                floor, workload);
+    return false;
   }
   return true;
 }
@@ -919,8 +876,8 @@ int run_smoke() {
                 engine_name.c_str(), table_size, events.size());
   }
 
-  // 2. One quick batch-vs-loop timing on the anchor index.
-  const auto matcher = make_matcher("anchor-index");
+  // 2. One quick batch-vs-loop timing on the bitset engine.
+  const auto matcher = make_matcher("bitset");
   for (std::size_t i = 0; i < filters.size(); ++i) {
     matcher->add(i + 1, filters[i]);
   }
@@ -945,95 +902,41 @@ int run_smoke() {
     return std::chrono::duration_cast<std::chrono::microseconds>(b - a)
         .count();
   };
-  std::printf("  anchor-index: per-event loop %ldus, match_batch %ldus "
+  std::printf("  bitset: per-event loop %ldus, match_batch %ldus "
               "(batch=%zu, %d rounds)\n",
               static_cast<long>(us(loop_start, loop_end)),
               static_cast<long>(us(loop_end, batch_end)), events.size(),
               rounds);
 
-  // 2b. The interned anchor-index batch path must beat brute force by a
-  // fixed ratio — a floor, not a target (it sits far above it on this
-  // workload); a regression that erases the index's advantage (e.g.
-  // strings sneaking back into the hot path) fails CI here instead of
-  // landing silently.
+  // 2b-2e. Fixed floors of the bitset engine over brute force, one per
+  // workload shape (floor_over_brute: oracle agreement, then the min of
+  // three timed trials). A floor is not a target: each sits well below
+  // the ratio measured, so only a regression that erases the engine's
+  // advantage fails CI here.
+  //
+  // 2b. Dense/high-overlap population: every event satisfies a large
+  // share of the table, the shape the word streams and the counting
+  // threshold pass are built for. Measured 43-52x on a 4-vCPU dev host
+  // (2.1 GHz); the 10x floor is under a quarter of that, so only a
+  // regressed kernel (e.g. a per-filter evaluation creeping back in)
+  // fails it.
   {
-    constexpr double kMinSpeedup = 3.0;
-    constexpr int ratio_rounds = 40;
-    const auto brute = make_matcher("brute-force");
-    for (std::size_t i = 0; i < filters.size(); ++i) {
-      brute->add(i + 1, filters[i]);
-    }
-    const auto anchor_us = best_of_three_us(*matcher, events, ratio_rounds);
-    const auto brute_us = best_of_three_us(*brute, events, ratio_rounds);
-    const double speedup = anchor_us == 0
-                               ? kMinSpeedup
-                               : static_cast<double>(brute_us) /
-                                     static_cast<double>(anchor_us);
-    std::printf("  anchor-index vs brute-force match_batch: %ldus vs %ldus "
-                "(%.1fx, floor %.1fx)\n",
-                static_cast<long>(anchor_us), static_cast<long>(brute_us),
-                speedup, kMinSpeedup);
-    if (speedup < kMinSpeedup) {
-      std::printf("FAIL: anchor-index batch path fell below the %.1fx "
-                  "speedup floor over brute force\n",
-                  kMinSpeedup);
-      return 1;
-    }
-  }
-
-  // 2c. On the dense/high-overlap population the bitset engine's word
-  // streams must at least match the anchor index's candidate walks — a
-  // >= 1.0x floor (it sits well above it; the anchor index pays a full
-  // Filter::matches per candidate and every bucket here holds ~n/8 of the
-  // table). Same min-of-three discipline as 2b. This is the workload the
-  // bitset engine exists for; losing it means the kernel regressed.
-  {
-    constexpr double kMinRatio = 1.0;
-    constexpr int ratio_rounds = 40;
     reef::util::Rng dense_rng(42);
-    const std::size_t dense_table = 8000;
-    const auto dense_filters = make_dense_filters(dense_table, dense_rng);
+    const auto dense_filters = make_dense_filters(8000, dense_rng);
     std::vector<Event> dense_events;
     for (int i = 0; i < 64; ++i) {
       dense_events.push_back(make_dense_event(dense_rng));
     }
-    const auto bitset = make_matcher("bitset");
-    const auto anchor = make_matcher("anchor-index");
-    for (std::size_t i = 0; i < dense_filters.size(); ++i) {
-      bitset->add(i + 1, dense_filters[i]);
-      anchor->add(i + 1, dense_filters[i]);
-    }
-    const auto bitset_us =
-        best_of_three_us(*bitset, dense_events, ratio_rounds);
-    const auto anchor_us =
-        best_of_three_us(*anchor, dense_events, ratio_rounds);
-    const double ratio = bitset_us == 0
-                             ? kMinRatio
-                             : static_cast<double>(anchor_us) /
-                                   static_cast<double>(bitset_us);
-    std::printf("  bitset vs anchor-index on dense workload: %ldus vs %ldus "
-                "(%.1fx, floor %.1fx, %zu filters)\n",
-                static_cast<long>(bitset_us), static_cast<long>(anchor_us),
-                ratio, kMinRatio, dense_table);
-    if (ratio < kMinRatio) {
-      std::printf("FAIL: bitset fell below anchor-index on the dense "
-                  "workload (floor %.1fx)\n",
-                  kMinRatio);
+    if (!floor_over_brute("dense", dense_filters, dense_events,
+                          /*floor=*/10.0)) {
       return 1;
     }
   }
 
-  // 2d. Range/prefix workload floor: on the eq-free population every
-  // filter anchors in the sorted-bounds / prefix-pattern structures, and
-  // both index consumers (anchor-index candidate walks, bitset entry
-  // resolution) must beat brute force by a fixed ratio. Before the sorted
-  // indexes, this whole population sat in the linear scan list and the
-  // "indexed" engines WERE brute force here. Floors sit well below the
-  // observed ratios (anchor-index ~5x, bitset ~2.3x on a single-core dev
-  // host) — the bitset pays an entry-bitmap sweep for every satisfied
-  // lower bound, so its win on this shape is structurally smaller than
-  // the anchor index's. Outputs are also checked against the oracle since
-  // section 1 runs a different population.
+  // 2c. Range/prefix workload: on the eq-free population every filter
+  // resolves through the sorted-bounds / prefix-pattern structures. The
+  // floor is low (~2.3x measured on a single-core dev host) because the
+  // engine pays an entry-bitmap sweep for every satisfied lower bound.
   {
     reef::util::Rng range_rng(42);
     const auto range_filters = make_range_filters(10000, range_rng);
@@ -1041,19 +944,15 @@ int run_smoke() {
     for (int i = 0; i < 64; ++i) {
       range_events.push_back(make_range_event(range_rng));
     }
-    if (!floors_over_brute("range/prefix", range_filters, range_events,
-                           /*anchor_floor=*/2.5, /*bitset_floor=*/1.5)) {
+    if (!floor_over_brute("range/prefix", range_filters, range_events,
+                          /*floor=*/1.5)) {
       return 1;
     }
   }
 
-  // 2e. Suffix/contains workload floor: tail, substring, and
-  // set-membership subscriptions — the population that sat entirely in
-  // the linear scan list before the reversed-pattern and contains tables
-  // (and per-member in-set buckets) existed. The anchor index must beat
-  // brute force by 2x; the bitset floor is lower (1.25x) because its
-  // in-set slice stays a residual posting evaluated once per distinct
-  // symbol, a structurally smaller win than the anchor's bucket probes.
+  // 2d. Suffix/contains workload: tail, substring, and set-membership
+  // subscriptions. The floor is lower still (1.25x) because the in-set
+  // slice stays a residual posting evaluated once per distinct symbol.
   {
     reef::util::Rng suffix_rng(42);
     const auto suffix_filters = make_suffix_filters(10000, suffix_rng);
@@ -1061,22 +960,17 @@ int run_smoke() {
     for (int i = 0; i < 64; ++i) {
       suffix_events.push_back(make_suffix_event(suffix_rng));
     }
-    if (!floors_over_brute("suffix/contains", suffix_filters, suffix_events,
-                           /*anchor_floor=*/2.0, /*bitset_floor=*/1.25)) {
+    if (!floor_over_brute("suffix/contains", suffix_filters, suffix_events,
+                          /*floor=*/1.25)) {
       return 1;
     }
   }
 
-  // 2f. Reef content workload floor: feed and content subscriptions that
-  // all share stream=feed, over ~500-character item texts. The anchor
-  // index holds its floor only while content subscriptions anchor on
-  // their pattern postings (on the shared stream bucket every event would
-  // evaluate every one of them, brute force's cost); both engines hold
-  // theirs only while the contains probe is one pass over the text rather
-  // than one search per distinct pattern. Measured on a 4-vCPU dev host:
-  // anchor-index ~24-28x and bitset ~31-35x; with every content
-  // subscription on the stream bucket and one find() per pattern, the
-  // same row measured 1.1x and 3.3x, so both floors fail that code.
+  // 2e. Reef content workload: feed and content subscriptions that all
+  // share stream=feed, over ~500-character item texts. The engine holds
+  // its floor only while the contains probe is one pass over the text
+  // rather than one search per distinct pattern: measured ~25-35x on a
+  // 4-vCPU dev host, against 3.3x with one find() per pattern.
   {
     constexpr std::size_t content_table = 10000;
     reef::util::Rng content_rng(42);
@@ -1088,8 +982,8 @@ int run_smoke() {
       content_events.push_back(
           make_content_event(content_table, terms, content_rng));
     }
-    if (!floors_over_brute("content", content_filters, content_events,
-                           /*anchor_floor=*/5.0, /*bitset_floor=*/6.0)) {
+    if (!floor_over_brute("content", content_filters, content_events,
+                          /*floor=*/6.0)) {
       return 1;
     }
   }
@@ -1101,7 +995,7 @@ int run_smoke() {
     ShardedMatcher sharded(
         ShardedMatcher::Config{.shard_count = 4,
                                .worker_threads = workers,
-                               .inner_engine = "anchor-index"});
+                               .inner_engine = "bitset"});
     for (std::size_t i = 0; i < filters.size(); ++i) {
       sharded.add(i + 1, filters[i]);
     }
@@ -1111,12 +1005,12 @@ int run_smoke() {
       benchmark::DoNotOptimize(batch_hits.data());
     }
     const auto end = std::chrono::steady_clock::now();
-    std::printf("  anchor-index/4 (%zu workers): "
+    std::printf("  bitset/4 (%zu workers): "
                 "match_batch %ldus\n",
                 workers, static_cast<long>(us(start, end)));
   }
 
-  // 4. Shard-aware event pre-filtering: on the skewed-anchor workload the
+  // 4. Shard-aware event pre-filtering: on the Reef-like workload the
   // pre-filter must skip (event, shard) pairs — the counter-based win that
   // shows even where wall clock can't — through zero-copy index-span
   // sub-batches, while producing the plain inner engine's match sets. A
@@ -1124,8 +1018,8 @@ int run_smoke() {
   // smoke.
   {
     ShardedMatcher sharded(ShardedMatcher::Config{
-        .shard_count = 4, .inner_engine = "anchor-index"});
-    const auto plain = make_matcher("anchor-index");
+        .shard_count = 4, .inner_engine = "bitset"});
+    const auto plain = make_matcher("bitset");
     for (std::size_t i = 0; i < filters.size(); ++i) {
       sharded.add(i + 1, filters[i]);
       plain->add(i + 1, filters[i]);
@@ -1162,7 +1056,7 @@ int run_smoke() {
     }
     if (sharded.events_skipped() == 0) {
       std::printf("FAIL: pre-filter skipped no (event, shard) pairs on the "
-                  "skewed-anchor workload\n");
+                  "Reef-like workload\n");
       return 1;
     }
     const double pairs = static_cast<double>(sharded.events_routed() +

@@ -11,10 +11,12 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "feeds/feed_events_proxy.h"
 #include "pubsub/client.h"
+#include "pubsub/engines.h"
 #include "pubsub/overlay.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -44,7 +46,7 @@ struct Result {
 
 struct RunConfig {
   bool covering = true;
-  std::string engine = "anchor-index";
+  std::string engine = std::string(pubsub::kDefaultEngine);
   /// Broker::Config::flush_max_events; 1 = one wire message per event.
   std::size_t flush_max_events = 0;
   std::size_t shard_count = 1;
@@ -177,7 +179,6 @@ FlushResult run_flush_sweep(const FlushRow& row, std::size_t brokers,
   sim::Network net(sim, net_config);
 
   pubsub::Broker::Config broker_config;
-  broker_config.matcher_engine = "anchor-index";
   broker_config.flush_max_delay_ticks = row.delay;
   broker_config.flush_max_events = row.max_events;
   broker_config.flush_max_bytes = row.max_bytes;
@@ -474,12 +475,14 @@ int main() {
               "max ev", "wire msgs", "events", "ev/msg", "bytes",
               "deliveries");
   std::printf("  %s\n", std::string(84, '-').c_str());
-  for (const char* engine : {"anchor-index", "brute-force"}) {
+  for (const std::string_view name : pubsub::kBuiltinEngines) {
+    const std::string engine(name);
     for (const std::size_t max_events : {std::size_t{0}, std::size_t{1}}) {
       const Result r = run(
           RunConfig{.engine = engine, .flush_max_events = max_events}, 8,
           100, 60, 0.0);
-      std::printf("  %-12s %-8s %12s %12s %10.1f %12s %12s\n", engine,
+      std::printf("  %-12s %-8s %12s %12s %10.1f %12s %12s\n",
+                  engine.c_str(),
                   max_events == 0 ? "unlim" : "1",
                   reef::util::with_commas(r.event_wire_msgs).c_str(),
                   reef::util::with_commas(r.event_units).c_str(),
@@ -499,8 +502,10 @@ int main() {
 
   // --- sharded routing core: shard x worker sweep --------------------------
   std::printf("\n=== sharded routing core: shard x worker sweep ===\n");
-  std::printf("chain of 8 brokers, 100 subscribers, anchor-index inner "
-              "engine; deliveries must be identical on every row\n\n");
+  const std::string default_engine(pubsub::kDefaultEngine);
+  std::printf("chain of 8 brokers, 100 subscribers, %s inner engine; "
+              "deliveries must be identical on every row\n\n",
+              default_engine.c_str());
   std::printf("  %-14s %-7s %-8s %12s %12s\n", "engine", "shards",
               "workers", "wire msgs", "deliveries");
   std::printf("  %s\n", std::string(58, '-').c_str());
@@ -514,14 +519,15 @@ int main() {
     const Result r = run(RunConfig{.shard_count = row.shards,
                                    .worker_threads = row.workers},
                          8, 100, 60, 0.0);
-    std::printf("  %-14s %-7zu %-8zu %12s %12s\n", "anchor-index",
+    std::printf("  %-14s %-7zu %-8zu %12s %12s\n", default_engine.c_str(),
                 row.shards, row.workers,
                 reef::util::with_commas(r.event_wire_msgs).c_str(),
                 reef::util::with_commas(r.deliveries).c_str());
   }
   std::printf("\n  sharding partitions each broker's filter state by "
-              "anchor attribute; worker threads fan match_batch over the "
-              "shards, and the shard pre-filter routes each event only to "
+              "the attribute of each filter's first constraint; worker "
+              "threads fan match_batch over the shards, and the shard "
+              "pre-filter routes each event only to "
               "the shards its attributes can reach — without changing a "
               "single delivery.\n");
 
@@ -593,9 +599,11 @@ int main() {
               "event bytes");
   std::printf("  %s\n", std::string(88, '-').c_str());
   bool topk_ok = true;
-  for (const char* engine : {"anchor-index", "bitset"}) {
+  for (const std::string_view name : pubsub::kBuiltinEngines) {
+    const std::string engine(name);
     const TopKResult boolean = run_topk(engine, false, 0, 4, 60, 30);
-    std::printf("  %-14s %-6s %12s %14s %10s %10s %14s\n", engine, "bool",
+    std::printf("  %-14s %-6s %12s %14s %10s %10s %14s\n", engine.c_str(),
+                "bool",
                 reef::util::with_commas(boolean.deliveries).c_str(), "-",
                 "-", "-",
                 reef::util::with_commas(boolean.event_bytes).c_str());

@@ -1,7 +1,7 @@
-// Batch grouping shared by the engines' match_batch paths: a batch is cut
-// into per-attribute occurrence lists, and each list into per-value groups,
-// so every index probe runs once per distinct (attribute, canonical value)
-// of the batch instead of once per event.
+// Batch grouping for BitsetMatcher::match_batch: a batch is cut into
+// per-attribute occurrence lists, and each list into per-value groups, so
+// every index probe runs once per distinct (attribute, canonical value) of
+// the batch instead of once per event.
 #pragma once
 
 #include <algorithm>

@@ -460,9 +460,8 @@ void BitsetMatcher::match_batch(
   }
   // Phase 1 — resolve satisfied index entries, amortized across the batch.
   // Occurrences are grouped by attribute and then by canonical value
-  // (batch_group.h, the same grouping IndexMatcher::match_batch uses), so
-  // each eq probe and each noneq predicate runs once per distinct
-  // (attribute, value) of the whole batch. The result is one
+  // (batch_group.h), so each eq probe and each noneq predicate runs once
+  // per distinct (attribute, value) of the whole batch. The result is one
   // satisfied-entry list per event — a pure function of that event and the
   // registered filters, so per-event output is independent of the rest of
   // the batch (contract invariant 2).

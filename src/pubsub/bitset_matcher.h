@@ -19,21 +19,20 @@
 //
 // Equality constraints index as eq[attr][canonical value] -> bitmap of the
 // slots carrying that constraint (cross-type numerics collapse onto one
-// entry via canonical_numeric, exactly like the hash engines' buckets).
+// entry via canonical_numeric, so eq(p, 3) and eq(p, 3.0) share it).
 // Numeric range constraints (< <= > >=) index as *sorted bound arrays* per
 // attribute — one bitmap entry per distinct bound — and resolve per event
-// value by the same binary-search probes as the anchor index (see
-// range_index.h): the satisfied lower bounds are a prefix of the sorted
-// array, the satisfied upper bounds a suffix, so no range predicate is
-// ever *evaluated* on the hot path, satisfied entries are enumerated.
+// value by binary-search probes (see range_index.h): the satisfied lower
+// bounds are a prefix of the sorted array, the satisfied upper bounds a
+// suffix, so no range predicate is ever *evaluated* on the hot path,
+// satisfied entries are enumerated.
 // String prefix constraints index as a sorted pattern table probed with
 // one lexicographic binary search per live pattern length; suffix
 // constraints as the same table over *reversed* patterns, probed with the
 // reversed event string; contains constraints as a table of distinct
 // patterns probed in one pass over the event string (see range_index.h
-// for all three probes, shared with the anchor index). Every other
-// operator (ne/exists, in-set, plus range/pattern shapes the sorted
-// structures cannot hold) indexes as
+// for all three probes). Every other operator (ne/exists, in-set, plus
+// range/pattern shapes the sorted structures cannot hold) indexes as
 // noneq[attr] -> (constraint, bitmap) postings, one per *distinct*
 // constraint — filters sharing `text =$ ".log"` share one entry, so the
 // predicate is evaluated once per event (or once per distinct value in a
@@ -62,17 +61,18 @@
 // precomputed bitmap so empty events skip the counter pass entirely).
 //
 // This is the Gryphon/Siena counting algorithm, batched: a counting table
-// *is* bitmap intersection with count thresholds. It wins
-// on dense/high-overlap filter populations — many filters per
-// (attribute, value) bucket — where the anchor index degenerates to
-// fetching and fully evaluating huge candidate lists per event; see the
-// dense workload in bench_pubsub_matching and the bitset-vs-anchor floor
-// in its --smoke mode.
+// *is* bitmap intersection with count thresholds. Its cost per event is
+// the satisfied entries times the slot words, independent of how many
+// filters share an (attribute, value) entry, so dense/high-overlap
+// populations — every feed subscription carries stream = "feed" — cost no
+// more than selective ones; see the dense workload in
+// bench_pubsub_matching and the bitset-over-brute-force floors in its
+// --smoke mode. Sharding (sharded_matcher.h) splits the slot space when
+// one bitmap word stream per entry grows too long.
 //
 // Scratch memory (the counter slices) is allocated per call, never stored,
-// so the const matching methods stay safe to call concurrently, like every
-// other engine (ROADMAP item 5's per-tick arenas are the planned home for
-// this scratch).
+// so the const matching methods stay safe to call concurrently, as the
+// sharded layer's worker pool requires.
 #pragma once
 
 #include <cstdint>

@@ -22,8 +22,6 @@ RoutingTable::Config make_table_config(const Broker::Config& config) {
   table.engine = config.matcher_engine;
   table.shard_count = config.shard_count;
   table.worker_threads = config.worker_threads;
-  table.maintain_churn_threshold = config.maintain_churn_threshold;
-  table.maintain_max_bucket = config.maintain_max_bucket;
   return table;
 }
 

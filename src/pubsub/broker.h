@@ -71,8 +71,8 @@ class Broker final : public sim::Node {
   struct Config {
     /// Covering-based pruning of forwarded subscriptions (ablation knob).
     bool covering_enabled = true;
-    /// Matching engine, by built-in name ("brute-force", "anchor-index",
-    /// "bitset"; see engines.h).
+    /// Matching engine, by built-in name ("brute-force" or "bitset"; see
+    /// engines.h).
     std::string matcher_engine = std::string(kDefaultEngine);
     /// Filter-state shards inside this broker's routing table. Any value
     /// above 1 shards `matcher_engine` by anchor-attribute hash, with
@@ -83,11 +83,6 @@ class Broker final : public sim::Node {
     /// inline on the simulator thread. Match output is bit-identical for
     /// every setting (tests/pubsub_sharding_test.cpp holds this).
     std::size_t worker_threads = 0;
-    /// Subscription add/removes between Matcher::maintain passes (anchor
-    /// rebalancing under churn); 0 disables churn-driven maintenance.
-    std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;
-    /// Equality-bucket bound handed to Matcher::maintain.
-    std::size_t maintain_max_bucket = kDefaultMaintainMaxBucket;
     /// Scored delivery (see scoring.h): publications are matched through
     /// the scored batch path and each client subscription's ScoringSpec
     /// (top_k / min_score) is applied per publication batch before

@@ -9,7 +9,6 @@ namespace reef::pubsub {
 
 std::unique_ptr<Matcher> make_matcher(std::string_view engine) {
   if (engine == kBruteForceEngine) return std::make_unique<BruteForceMatcher>();
-  if (engine == kAnchorIndexEngine) return std::make_unique<IndexMatcher>();
   if (engine == kBitsetEngine) return std::make_unique<BitsetMatcher>();
   std::string known;
   for (const std::string_view name : kBuiltinEngines) {

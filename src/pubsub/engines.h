@@ -1,7 +1,7 @@
 // The built-in matching engines, selected by name.
 //
 // Broker configuration, benches, and examples select an engine by name
-// ("brute-force", "anchor-index", "bitset") instead of hard-coding a type.
+// ("brute-force", "bitset") instead of hard-coding a type.
 // Sharding is not part of the name: RoutingTable::Config::shard_count /
 // worker_threads wrap the named engine in a ShardedMatcher.
 #pragma once
@@ -16,17 +16,16 @@ namespace reef::pubsub {
 
 // Canonical names of the built-in engines.
 inline constexpr std::string_view kBruteForceEngine = "brute-force";
-inline constexpr std::string_view kAnchorIndexEngine = "anchor-index";
 inline constexpr std::string_view kBitsetEngine = "bitset";
 
 /// Every built-in engine. make_matcher accepts exactly these names, and
 /// the differential fuzz harness iterates this list, so an engine added
 /// here (with its case in make_matcher) inherits the whole oracle matrix.
-inline constexpr std::array<std::string_view, 3> kBuiltinEngines = {
-    kBruteForceEngine, kAnchorIndexEngine, kBitsetEngine};
+inline constexpr std::array<std::string_view, 2> kBuiltinEngines = {
+    kBruteForceEngine, kBitsetEngine};
 
 /// Default engine used by brokers when a Config does not name one.
-inline constexpr std::string_view kDefaultEngine = kAnchorIndexEngine;
+inline constexpr std::string_view kDefaultEngine = kBitsetEngine;
 
 /// Instantiates the built-in engine named `engine`; throws
 /// std::invalid_argument (listing kBuiltinEngines) for any other name.

@@ -1,10 +1,9 @@
-// Shared sorted-bound / sorted-prefix probe arithmetic for the per-op
-// predicate indexes: IndexMatcher's range/prefix anchor structures and
-// BitsetMatcher's range/prefix entry tables both sort their postings with
-// the comparators here and enumerate the satisfied postings with the same
-// partition-point probes, so the two engines cannot drift on boundary
-// semantics (strict vs inclusive at an exactly-equal bound is where the
-// off-by-ones live).
+// Sorted-bound / sorted-prefix probe arithmetic for the per-op predicate
+// indexes of BitsetMatcher: its range and prefix/suffix entry tables sort
+// their postings with the comparators here and enumerate the satisfied
+// postings with partition-point probes. The boundary semantics (strict vs
+// inclusive at an exactly-equal bound is where the off-by-ones live) are
+// defined in this one place.
 //
 // ## Range postings
 //
@@ -276,10 +275,10 @@ void probe_prefixes(
 }
 
 /// The contains postings of one attribute: distinct patterns sorted by
-/// (length, pattern), each carrying an engine `Payload` (the anchor
-/// index's subscription ids, the bitset engine's slot bitmap), plus the
-/// gated bigram index that lets probe() test all of them in one pass over
-/// an event string (see "Contains postings" above).
+/// (length, pattern), each carrying an engine `Payload` (the bitset
+/// engine's slot bitmap), plus the gated bigram index that lets probe()
+/// test all of them in one pass over an event string (see "Contains
+/// postings" above).
 template <typename Payload>
 class ContainsTable {
  public:

@@ -50,7 +50,6 @@ std::uint64_t RoutingTable::add_entry(Filter filter, IfaceId iface,
                    EngineEntry{std::move(filter), iface, from_broker,
                                client_sub});
   scoring_index_.set(engine_id, std::move(scoring));  // no-op when neutral
-  note_churn();
   return engine_id;
 }
 
@@ -58,21 +57,6 @@ void RoutingTable::remove_entry(std::uint64_t engine_id) {
   matcher_->remove(engine_id);
   entries_.erase(engine_id);
   scoring_index_.erase(engine_id);
-  note_churn();
-}
-
-void RoutingTable::note_churn() {
-  // Anchors are chosen against bucket sizes at add time, so sustained
-  // churn can strand long-lived filters in buckets that have since grown
-  // (the Siena/REEF high-churn failure mode); repair is scheduled purely
-  // by churn volume.
-  if (config_.maintain_churn_threshold == 0 ||
-      ++churn_since_maintain_ < config_.maintain_churn_threshold) {
-    return;
-  }
-  churn_since_maintain_ = 0;
-  ++maintain_runs_;
-  maintain_changes_ += matcher_->maintain(config_.maintain_max_bucket);
 }
 
 void RoutingTable::client_subscribe(IfaceId client, SubscriptionId sub_id,

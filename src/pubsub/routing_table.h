@@ -27,16 +27,6 @@
 
 namespace reef::pubsub {
 
-/// Default churn budget between structural-maintenance passes: after this
-/// many filter add/removes the routing table invokes Matcher::maintain
-/// (anchor rebalancing in the anchor index, fanned out per shard by the
-/// sharded layer). Maintenance never changes match results, so it is on by
-/// default; 0 disables it (the ablation baseline).
-inline constexpr std::size_t kDefaultMaintainChurnThreshold = 1024;
-/// Default equality-bucket bound handed to Matcher::maintain: filters in
-/// buckets that grew past this are re-anchored.
-inline constexpr std::size_t kDefaultMaintainMaxBucket = 64;
-
 class RoutingTable {
  public:
   /// Interface identifier. Deliberately a bare integer (not sim::NodeId)
@@ -56,11 +46,6 @@ class RoutingTable {
     std::size_t shard_count = 1;
     /// Worker threads fanning match_batch over the shards; 0 = inline.
     std::size_t worker_threads = 0;
-    /// Filter add/removes between Matcher::maintain passes; 0 disables
-    /// churn-driven maintenance.
-    std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;
-    /// Equality-bucket bound passed to Matcher::maintain.
-    std::size_t maintain_max_bucket = kDefaultMaintainMaxBucket;
   };
 
   /// Where a matched event must go: an interface plus, for client
@@ -206,13 +191,10 @@ class RoutingTable {
   std::size_t forwarded_size(IfaceId neighbor) const;
   const Matcher& matcher() const noexcept { return *matcher_; }
   const Config& config() const noexcept { return config_; }
-  /// Maintenance passes run so far (one per maintain_churn_threshold
-  /// filter add/removes).
-  std::uint64_t maintain_runs() const noexcept { return maintain_runs_; }
-  /// Total structural changes (e.g. filters re-anchored) those passes made.
-  std::uint64_t maintain_changes() const noexcept {
-    return maintain_changes_;
-  }
+  /// Always 0: no engine needs structural maintenance, so the table runs
+  /// none. Kept only because the end-to-end benchmark (bench/e2e) still
+  /// reports it as a per-layer metric.
+  std::uint64_t maintain_runs() const noexcept { return 0; }
 
   // --- covering reduction (public for tests and benches) --------------------
   /// Reduces a key->filter set to its maximal elements under covering,
@@ -243,9 +225,6 @@ class RoutingTable {
   std::uint64_t add_entry(Filter filter, IfaceId iface, bool from_broker,
                           SubscriptionId client_sub, ScoringSpec scoring = {});
   void remove_entry(std::uint64_t engine_id);
-  /// Counts one add/remove toward the maintenance budget and runs
-  /// Matcher::maintain every maintain_churn_threshold of them.
-  void note_churn();
   Destination destination_of(std::uint64_t engine_id) const;
   /// The stored spec of an entry (neutral when it has none).
   ScoringSpec entry_scoring(std::uint64_t engine_id) const;
@@ -264,10 +243,6 @@ class RoutingTable {
   /// path's lookup surface; see Matcher::match_batch_scored).
   ScoringIndex scoring_index_;
   std::uint64_t next_engine_id_ = 1;
-
-  std::size_t churn_since_maintain_ = 0;
-  std::uint64_t maintain_runs_ = 0;
-  std::uint64_t maintain_changes_ = 0;
 };
 
 }  // namespace reef::pubsub

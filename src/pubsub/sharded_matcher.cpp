@@ -55,12 +55,6 @@ void ShardedMatcher::remove(SubscriptionId id) {
   placed_.erase(it);
 }
 
-std::size_t ShardedMatcher::maintain(std::size_t max_bucket) {
-  std::size_t changed = 0;
-  for (const auto& shard : shards_) changed += shard->maintain(max_bucket);
-  return changed;
-}
-
 std::int32_t ShardedMatcher::anchor_shard_of(AttrId attr) const noexcept {
   const auto it = anchor_attrs_.find(attr);
   return it == anchor_attrs_.end()

@@ -7,10 +7,11 @@
 // event necessarily carries every constrained attribute; any deterministic
 // choice is correct). Filters with no constraints have no anchor and go to
 // a dedicated spill shard. Each shard is a full Matcher instance of the
-// configured inner engine, so sharding "anchor-index" shards the selective
-// hash index and sharding "bitset" shards the filter-slot bitmaps. A
-// routing table wraps its engine in this layer when
-// RoutingTable::Config::shard_count > 1 or worker_threads > 0.
+// configured inner engine, so sharding "bitset" splits its filter-slot
+// bitmaps: each shard's threshold pass and bitmap ANDs span only its own
+// slots, and an event skips the shards it cannot match. A routing table
+// wraps its engine in this layer when RoutingTable::Config::shard_count > 1
+// or worker_threads > 0.
 //
 // Shard-aware event pre-filtering: a filter can only match an event that
 // carries the filter's own anchor attribute, so the matcher keeps an
@@ -80,15 +81,11 @@ class ShardedMatcher final : public Matcher {
                    std::vector<std::vector<SubscriptionId>>& out)
       const override;
   std::size_t size() const noexcept override { return placed_.size(); }
-  /// A display label, "<inner>/<shard_count>" (e.g. "anchor-index/4");
+  /// A display label, "<inner>/<shard_count>" (e.g. "bitset/4");
   /// not an engine name make_matcher accepts.
   std::string name() const override {
     return config_.inner_engine + "/" + std::to_string(config_.shard_count);
   }
-  /// Structural maintenance fans out to every shard (each inner engine
-  /// repairs its own amortized state; shard placement never changes — it
-  /// is a pure function of the filter's first-constraint attribute).
-  std::size_t maintain(std::size_t max_bucket) override;
 
   // --- introspection (tests and benches) ------------------------------------
   std::size_t shard_count() const noexcept { return config_.shard_count; }

@@ -19,8 +19,8 @@ struct EngineVariant {
   std::string engine;           ///< built-in engine name (engines.h)
   std::size_t shard_count = 1;  ///< 1 = the plain engine
 
-  /// The name() of the matcher make() builds: "anchor-index", or
-  /// "anchor-index/4" when sharded.
+  /// The name() of the matcher make() builds: "bitset", or "bitset/4"
+  /// when sharded.
   std::string label() const {
     return shard_count == 1 ? engine
                             : engine + "/" + std::to_string(shard_count);

@@ -182,8 +182,8 @@ TEST(BitsetMatcher, RangeEntriesResolveViaSortedProbes) {
   m.add(3, Filter().and_(lt("p", 20)).and_(gt("p", 5)));
   m.add(4, Filter().and_(gt("p", 10)));  // shares the > 10 entry with 1
   EXPECT_EQ(m.entry_count(), 4u);        // > 10, >= 10, < 20, > 5
-  // Exactly on a bound only the inclusive entry resolves — the same
-  // strict/inclusive partition edge as the anchor index (range_index.h).
+  // Exactly on a bound only the inclusive entry resolves — the
+  // strict/inclusive partition edge range_index.h encodes.
   EXPECT_EQ(sorted(m.match(Event().with("p", 10))),
             (std::vector<SubscriptionId>{2, 3}));
   EXPECT_EQ(sorted(m.match(Event().with("p", 15))),

@@ -326,7 +326,7 @@ TEST(Broker, BruteForceMatcherConfigWorksEndToEnd) {
 }
 
 TEST(Broker, EveryBuiltinEngineWorksEndToEnd) {
-  for (const std::string engine : {"brute-force", "anchor-index", "bitset"}) {
+  for (const std::string_view engine : kBuiltinEngines) {
     Broker::Config config;
     config.matcher_engine = engine;
     Harness h;

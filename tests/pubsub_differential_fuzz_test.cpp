@@ -6,13 +6,10 @@
 // byte-identical behavior against the brute-force oracle at five levels:
 //
 //   1. Matcher level: match sets (per event, sorted) after every publish
-//      op, with periodic Matcher::maintain() calls interleaved so anchor
-//      rebalancing is fuzzed in the loop (maintenance must never change a
-//      match set).
+//      op, from both match_batch and match.
 //   2. Broker/sim level: full overlay runs where every configuration must
 //      reproduce the oracle's delivery trace and sim::Network traffic
-//      counters byte for byte — including configurations running the
-//      churn-driven maintenance path aggressively.
+//      counters byte for byte.
 //   3. Flush-budget level: the broker's adaptive flush policy
 //      (Broker::Config::flush_max_{events,bytes,delay_ticks}) crossed
 //      with engines, asserting delivery sets and every traffic counter
@@ -49,9 +46,10 @@
 //                (sim level) the event bundle.
 //
 // The generator stresses the known engine failure modes: hot-attribute
-// skew (many filters sharing one equality attribute, so anchor buckets
-// grow adversarially), anchorless/universal filters (empty conjunction —
-// spill-shard placement, covers everything in the forwarding reduction),
+// skew (many filters sharing one equality attribute, so a few shared eq
+// entries carry a large share of the slots), anchorless/universal filters
+// (empty conjunction — spill-shard placement, covers everything in the
+// forwarding reduction),
 // attribute-free events (match only universal filters; must still meet
 // them in the sharded layer's spill shard), covering chains
 // (nested price ranges, so the covering reduction churns as they come and
@@ -151,9 +149,9 @@ Filter fuzz_filter(util::Rng& rng) {
       return Filter();
     case 1:
     case 2: {
-      // Hot-attribute skew: a large share of filters anchors on the same
-      // equality attribute with only two values, so those buckets grow
-      // past any static balance assumption.
+      // Hot-attribute skew: a large share of filters carries the same
+      // equality attribute with only two values, so those two shared eq
+      // entries hold a large share of the slots.
       Filter f =
           Filter().and_(eq("hot", static_cast<std::int64_t>(rng.index(2))));
       if (rng.chance(0.5)) {
@@ -191,11 +189,11 @@ Filter fuzz_filter(util::Rng& rng) {
       return Filter().and_(
           exists(rng.chance(0.5) ? "price" : "hot"));
     case 7: {
-      // Range-heavy: eq-free filters that anchor in the sorted bound
+      // Range-heavy: eq-free filters that index in the sorted bound
       // arrays, with int and double bounds interleaved at the same small
       // magnitudes so strict/inclusive edges collide across types — plus
-      // an occasional string bound that must stay on the residual scan
-      // path.
+      // an occasional string bound that must stay on the residual
+      // predicate path.
       const auto bound = [&rng]() -> Value {
         const auto b = static_cast<std::int64_t>(rng.index(6));
         return rng.chance(0.5) ? Value(b) : Value(static_cast<double>(b));
@@ -293,9 +291,9 @@ Filter fuzz_filter(util::Rng& rng) {
     case 12:
     case 13: {
       // Reef content shape: the eq value every filter of the shape shares
-      // (so its one bucket would hold them all) plus prefix/suffix/contains
-      // patterns over long multi-term texts — the shape the anchor rule
-      // moves onto pattern postings and the one-pass contains probe tests.
+      // (so its one eq entry holds them all) plus prefix/suffix/contains
+      // patterns over long multi-term texts — the shape the one-pass
+      // contains probe tests.
       const auto& patterns = body_patterns();
       const auto pattern = [&] { return patterns[rng.index(patterns.size())]; };
       Filter f = Filter().and_(eq("stream", "feed"));
@@ -520,8 +518,6 @@ std::vector<SubscriptionId> sorted(std::vector<SubscriptionId> ids) {
 
 /// Replays `schedule` through `engine` in lockstep with a fresh
 /// brute-force oracle, comparing match sets after every publish op.
-/// Every 16 ops the engine (never the oracle) runs maintain(4), so anchor
-/// rebalancing interleaves with churn and must stay invisible.
 void replay_against_oracle(const Schedule& schedule, Matcher& engine,
                            const std::string& label, std::uint64_t seed) {
   BruteForceMatcher oracle;
@@ -563,7 +559,6 @@ void replay_against_oracle(const Schedule& schedule, Matcher& engine,
         break;
       }
     }
-    if (op_index % 16 == 0) engine.maintain(4);
   }
   EXPECT_EQ(engine.size(), oracle.size()) << label << " seed=" << seed;
 }
@@ -660,10 +655,9 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorker) {
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 100);
 
-    // Oracle: brute force, unsharded, maintenance off.
+    // Oracle: brute force, unsharded.
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
-    oracle_config.maintain_churn_threshold = 0;
     const RunTrace oracle =
         run_schedule_through_overlay(schedule, seed, oracle_config);
     ASSERT_FALSE(oracle.delivery_log.empty()) << "seed=" << seed;
@@ -675,11 +669,6 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorker) {
           config.matcher_engine = engine;
           config.shard_count = shards;
           config.worker_threads = workers;
-          // Aggressive churn-driven maintenance: the production rebalance
-          // path must run mid-schedule without disturbing a single byte of
-          // the trace.
-          config.maintain_churn_threshold = 16;
-          config.maintain_max_bucket = 4;
           const RunTrace trace =
               run_schedule_through_overlay(schedule, seed, config);
           const std::string label = engine + "/s" + std::to_string(shards) +
@@ -730,7 +719,6 @@ TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
 
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
-    oracle_config.maintain_churn_threshold = 0;
     const RunTrace oracle =
         run_schedule_through_overlay(schedule, seed, oracle_config);
     ASSERT_FALSE(oracle.delivery_log.empty()) << "seed=" << seed;
@@ -744,8 +732,6 @@ TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
         Broker::Config config;
         config.matcher_engine = engine;
         config.shard_count = 4;
-        config.maintain_churn_threshold = 16;
-        config.maintain_max_bucket = 4;
         config.flush_max_events = budget.max_events;
         config.flush_max_bytes = budget.max_bytes;
         config.flush_max_delay_ticks = budget.max_delay;
@@ -930,7 +916,6 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
 
     Broker::Config base;
     base.matcher_engine = "brute-force";
-    base.maintain_churn_threshold = 0;
     base.reliable_control = true;
     // Broker-broker links run at 10ms latency (Overlay::link default), so
     // the worst acked RTT with jitter is ~25ms; 60ms keeps the
@@ -964,8 +949,6 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
       config.matcher_engine = engine;
       config.shard_count = row.shards;
       config.worker_threads = row.workers;
-      config.maintain_churn_threshold = 16;
-      config.maintain_max_bucket = 4;
       config.flush_max_delay_ticks = row.flush_delay;
       const FaultRun faulted =
           run_schedule_with_faults(schedule, seed, config, plan, true);
@@ -1221,7 +1204,6 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
     // Overlay oracle: brute force, unsharded, per-tick flush, scoring on.
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
-    oracle_config.maintain_churn_threshold = 0;
     oracle_config.scoring_enabled = true;
     const ScoredRun oracle =
         run_scored_schedule(schedule, seed, oracle_config);
@@ -1248,8 +1230,6 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
         config.matcher_engine = engine;
         config.shard_count = row.shards;
         config.worker_threads = row.workers;
-        config.maintain_churn_threshold = 16;
-        config.maintain_max_bucket = 4;
         config.flush_max_delay_ticks = row.flush_delay;
         config.scoring_enabled = true;
         const ScoredRun run = run_scored_schedule(schedule, seed, config);
@@ -1301,8 +1281,6 @@ TEST(DifferentialFuzz, NeutralScoringByteIdenticalToDisabled) {
       config.matcher_engine = variant.engine;
       config.shard_count = variant.shard_count;
       if (variant.shard_count > 1) config.worker_threads = 4;
-      config.maintain_churn_threshold = 16;
-      config.maintain_max_bucket = 4;
       const RunTrace off = run_schedule_through_overlay(schedule, seed, config);
       Broker::Config scored_config = config;
       scored_config.scoring_enabled = true;

@@ -4,6 +4,7 @@
 
 #include "engine_variants.h"
 #include "pubsub/matcher.h"
+#include "pubsub/range_index.h"
 #include "pubsub/sharded_matcher.h"
 #include "util/rng.h"
 
@@ -14,178 +15,138 @@ Filter stock_filter(const std::string& sym, double min_price) {
   return Filter().and_(eq("sym", sym)).and_(ge("price", min_price));
 }
 
-TEST(IndexMatcher, BasicMatch) {
-  IndexMatcher m;
-  m.add(1, stock_filter("ACME", 10.0));
-  m.add(2, stock_filter("ACME", 20.0));
-  m.add(3, stock_filter("XYZ", 5.0));
-
-  auto hits = m.match(Event().with("sym", "ACME").with("price", 15.0));
+std::vector<SubscriptionId> sorted_hits(const Matcher& m, const Event& e) {
+  auto hits = m.match(e);
   std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1}));
-
-  hits = m.match(Event().with("sym", "ACME").with("price", 25.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1, 2}));
-
-  EXPECT_TRUE(m.match(Event().with("sym", "NONE").with("price", 99.0)).empty());
+  return hits;
 }
 
-TEST(IndexMatcher, EmptyFilterMatchesEverything) {
-  IndexMatcher m;
-  m.add(7, Filter());
-  EXPECT_EQ(m.match(Event()).size(), 1u);
-  EXPECT_EQ(m.match(Event().with("x", 1)).size(), 1u);
+/// Runs `body` on a fresh instance of every built-in engine, so the
+/// matching-semantics tests below hold each one to the same answers.
+template <typename Body>
+void for_each_engine(Body body) {
+  for (const std::string_view name : kBuiltinEngines) {
+    SCOPED_TRACE(name);
+    const auto m = make_matcher(name);
+    body(*m);
+  }
 }
 
-TEST(IndexMatcher, RemoveStopsMatching) {
-  IndexMatcher m;
-  m.add(1, stock_filter("A", 1.0));
-  m.remove(1);
-  EXPECT_TRUE(m.match(Event().with("sym", "A").with("price", 5.0)).empty());
-  EXPECT_EQ(m.size(), 0u);
-  m.remove(99);  // unknown id: no-op
+TEST(EngineSemantics, BasicMatch) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, stock_filter("ACME", 10.0));
+    m.add(2, stock_filter("ACME", 20.0));
+    m.add(3, stock_filter("XYZ", 5.0));
+    EXPECT_EQ(sorted_hits(m, Event().with("sym", "ACME").with("price", 15.0)),
+              (std::vector<SubscriptionId>{1}));
+    EXPECT_EQ(sorted_hits(m, Event().with("sym", "ACME").with("price", 25.0)),
+              (std::vector<SubscriptionId>{1, 2}));
+    EXPECT_TRUE(
+        m.match(Event().with("sym", "NONE").with("price", 99.0)).empty());
+  });
 }
 
-TEST(IndexMatcher, ReplaceSemantics) {
-  IndexMatcher m;
-  m.add(1, stock_filter("A", 1.0));
-  m.add(1, stock_filter("B", 1.0));
-  EXPECT_EQ(m.size(), 1u);
-  EXPECT_TRUE(m.match(Event().with("sym", "A").with("price", 5.0)).empty());
-  EXPECT_EQ(m.match(Event().with("sym", "B").with("price", 5.0)).size(), 1u);
+TEST(EngineSemantics, EmptyFilterMatchesEverything) {
+  for_each_engine([](Matcher& m) {
+    m.add(7, Filter());
+    EXPECT_EQ(m.match(Event()).size(), 1u);
+    EXPECT_EQ(m.match(Event().with("x", 1)).size(), 1u);
+  });
 }
 
-TEST(IndexMatcher, CrossTypeNumericEqualityViaHashPath) {
-  IndexMatcher m;
-  m.add(1, Filter().and_(eq("p", 3)));  // int constraint
-  EXPECT_EQ(m.match(Event().with("p", 3.0)).size(), 1u);  // double event
-  m.add(2, Filter().and_(eq("q", 2.0)));  // double constraint
-  EXPECT_EQ(m.match(Event().with("q", 2)).size(), 1u);  // int event
+TEST(EngineSemantics, RemoveStopsMatching) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, stock_filter("A", 1.0));
+    m.remove(1);
+    EXPECT_TRUE(m.match(Event().with("sym", "A").with("price", 5.0)).empty());
+    EXPECT_EQ(m.size(), 0u);
+    m.remove(99);  // unknown id: no-op
+  });
 }
 
-TEST(IndexMatcher, MultipleConstraintsSameAttribute) {
-  IndexMatcher m;
-  // range (5, 10): two constraints on one attribute
-  m.add(1, Filter().and_(gt("p", 5)).and_(lt("p", 10)));
-  EXPECT_EQ(m.match(Event().with("p", 7)).size(), 1u);
-  EXPECT_TRUE(m.match(Event().with("p", 4)).empty());
-  EXPECT_TRUE(m.match(Event().with("p", 11)).empty());
+TEST(EngineSemantics, ReplaceSemantics) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, stock_filter("A", 1.0));
+    m.add(1, stock_filter("B", 1.0));
+    EXPECT_EQ(m.size(), 1u);
+    EXPECT_TRUE(m.match(Event().with("sym", "A").with("price", 5.0)).empty());
+    EXPECT_EQ(m.match(Event().with("sym", "B").with("price", 5.0)).size(), 1u);
+  });
 }
 
-TEST(IndexMatcher, AnchorBookkeeping) {
-  IndexMatcher m;
-  // Filter with an equality constraint anchors in an eq bucket...
-  m.add(1, Filter().and_(eq("a", 1)).and_(gt("b", 2)));
-  EXPECT_EQ(m.eq_anchored(), 1u);
-  EXPECT_EQ(m.range_anchored(), 0u);
-  EXPECT_EQ(m.scan_anchored(), 0u);
-  // ...one without any equality constraint anchors in the sorted range
-  // bound array of its first numeric range constraint...
-  m.add(2, Filter().and_(gt("b", 2)));
-  EXPECT_EQ(m.eq_anchored(), 1u);
-  EXPECT_EQ(m.range_anchored(), 1u);
-  EXPECT_EQ(m.scan_anchored(), 0u);
-  // ...a prefix-only filter in the sorted prefix table...
-  m.add(3, Filter().and_(prefix("t", "ab")));
-  EXPECT_EQ(m.prefix_anchored(), 1u);
-  EXPECT_EQ(m.scan_anchored(), 0u);
-  // ...suffix and contains filters in their own sorted pattern tables
-  // (suffix probes are prefix probes over the reversed strings)...
-  m.add(4, Filter().and_(contains("t", "x")));
-  m.add(6, Filter().and_(suffix("t", "z")));
-  EXPECT_EQ(m.contains_anchored(), 1u);
-  EXPECT_EQ(m.suffix_anchored(), 1u);
-  // ...set membership in the per-member eq buckets...
-  m.add(7, Filter().and_(in_("k", {Value(1), Value(2)})));
-  EXPECT_EQ(m.in_anchored(), 1u);
-  EXPECT_EQ(m.eq_anchored(), 1u);  // the in-anchor is not an eq anchor
-  // ...and only shapes no sorted structure holds fall back to the scan
-  // list (ne/exists, string-bounded ranges, non-string patterns).
-  m.add(5, Filter().and_(gt("name", "m")));  // string bound: residual
-  EXPECT_EQ(m.scan_anchored(), 1u);
-  for (SubscriptionId id = 1; id <= 7; ++id) m.remove(id);
-  EXPECT_EQ(m.eq_anchored(), 0u);
-  EXPECT_EQ(m.range_anchored(), 0u);
-  EXPECT_EQ(m.prefix_anchored(), 0u);
-  EXPECT_EQ(m.suffix_anchored(), 0u);
-  EXPECT_EQ(m.contains_anchored(), 0u);
-  EXPECT_EQ(m.in_anchored(), 0u);
-  EXPECT_EQ(m.scan_anchored(), 0u);
+TEST(EngineSemantics, CrossTypeNumericEqualityViaHashPath) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(eq("p", 3)));                    // int constraint
+    EXPECT_EQ(m.match(Event().with("p", 3.0)).size(), 1u);  // double event
+    m.add(2, Filter().and_(eq("q", 2.0)));                  // double constraint
+    EXPECT_EQ(m.match(Event().with("q", 2)).size(), 1u);    // int event
+  });
 }
 
-TEST(IndexMatcher, InSetAnchorsAcrossMemberBuckets) {
-  IndexMatcher m;
-  m.add(1, Filter().and_(in_("sym", {Value("ACME"), Value("XYZ")})));
-  m.add(2, Filter().and_(in_("p", {Value(1), Value(2.0)})));
-  EXPECT_EQ(m.in_anchored(), 2u);
-  EXPECT_EQ(m.eq_anchored(), 0u);
-  EXPECT_EQ(m.match(Event().with("sym", "ACME")).size(), 1u);
-  EXPECT_EQ(m.match(Event().with("sym", "XYZ")).size(), 1u);
-  EXPECT_TRUE(m.match(Event().with("sym", "OTHER")).empty());
-  // Cross-type numeric members collapse onto canonical buckets, so either
-  // event representation hits — and hits exactly once (no duplicate ids
-  // from a value landing in two member buckets).
-  EXPECT_EQ(m.match(Event().with("p", 1.0)),
-            (std::vector<SubscriptionId>{2}));
-  EXPECT_EQ(m.match(Event().with("p", 2)), (std::vector<SubscriptionId>{2}));
-  m.remove(1);
-  EXPECT_TRUE(m.match(Event().with("sym", "ACME")).empty());
-  EXPECT_EQ(m.in_anchored(), 1u);
-  m.remove(2);
-  EXPECT_EQ(m.in_anchored(), 0u);
-  EXPECT_EQ(m.largest_eq_bucket(), 0u);
+TEST(EngineSemantics, MultipleConstraintsSameAttribute) {
+  for_each_engine([](Matcher& m) {
+    // range (5, 10): two constraints on one attribute
+    m.add(1, Filter().and_(gt("p", 5)).and_(lt("p", 10)));
+    EXPECT_EQ(m.match(Event().with("p", 7)).size(), 1u);
+    EXPECT_TRUE(m.match(Event().with("p", 4)).empty());
+    EXPECT_TRUE(m.match(Event().with("p", 11)).empty());
+  });
 }
 
-TEST(IndexMatcher, SuffixAnchorProbesEveryPatternLength) {
-  IndexMatcher m;
-  m.add(1, Filter().and_(suffix("t", "")));  // empty pattern: matches all
-  m.add(2, Filter().and_(suffix("t", "g")));
-  m.add(3, Filter().and_(suffix("t", "og")));
-  m.add(4, Filter().and_(suffix("t", "log")));
-  m.add(5, Filter().and_(suffix("t", "x")));
-  EXPECT_EQ(m.suffix_anchored(), 5u);
-  const auto sorted_hits = [&](const Event& e) {
-    auto hits = m.match(e);
-    std::sort(hits.begin(), hits.end());
-    return hits;
-  };
-  EXPECT_EQ(sorted_hits(Event().with("t", "alog")),
-            (std::vector<SubscriptionId>{1, 2, 3, 4}));
-  EXPECT_EQ(sorted_hits(Event().with("t", "og")),
-            (std::vector<SubscriptionId>{1, 2, 3}));
-  EXPECT_EQ(sorted_hits(Event().with("t", "")),
-            (std::vector<SubscriptionId>{1}));
-  EXPECT_TRUE(m.match(Event().with("t", 7)).empty());  // non-string value
-  m.remove(3);
-  EXPECT_EQ(sorted_hits(Event().with("t", "alog")),
-            (std::vector<SubscriptionId>{1, 2, 4}));
-  EXPECT_EQ(m.suffix_anchored(), 4u);
+TEST(EngineSemantics, InSetMatchesEachMemberOnce) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(in_("sym", {Value("ACME"), Value("XYZ")})));
+    m.add(2, Filter().and_(in_("p", {Value(1), Value(2.0)})));
+    EXPECT_EQ(m.match(Event().with("sym", "ACME")).size(), 1u);
+    EXPECT_EQ(m.match(Event().with("sym", "XYZ")).size(), 1u);
+    EXPECT_TRUE(m.match(Event().with("sym", "OTHER")).empty());
+    // Cross-type numeric members are equal to either event
+    // representation, and a value equal to one member hits exactly once.
+    EXPECT_EQ(m.match(Event().with("p", 1.0)),
+              (std::vector<SubscriptionId>{2}));
+    EXPECT_EQ(m.match(Event().with("p", 2)), (std::vector<SubscriptionId>{2}));
+    m.remove(1);
+    EXPECT_TRUE(m.match(Event().with("sym", "ACME")).empty());
+  });
 }
 
-TEST(IndexMatcher, ContainsAnchorWalksPatternsInLengthOrder) {
-  IndexMatcher m;
-  m.add(1, Filter().and_(contains("t", "")));  // empty pattern: matches all
-  m.add(2, Filter().and_(contains("t", "a")));
-  m.add(3, Filter().and_(contains("t", "ab")));
-  m.add(4, Filter().and_(contains("t", "bb")));
-  EXPECT_EQ(m.contains_anchored(), 4u);
-  const auto sorted_hits = [&](const Event& e) {
-    auto hits = m.match(e);
-    std::sort(hits.begin(), hits.end());
-    return hits;
-  };
-  EXPECT_EQ(sorted_hits(Event().with("t", "xaby")),
-            (std::vector<SubscriptionId>{1, 2, 3}));
-  EXPECT_EQ(sorted_hits(Event().with("t", "bb")),
-            (std::vector<SubscriptionId>{1, 4}));
-  EXPECT_EQ(sorted_hits(Event().with("t", "")),
-            (std::vector<SubscriptionId>{1}));
-  EXPECT_TRUE(m.match(Event().with("t", 7)).empty());
-  m.remove(2);
-  EXPECT_EQ(sorted_hits(Event().with("t", "xaby")),
-            (std::vector<SubscriptionId>{1, 3}));
-  EXPECT_EQ(m.contains_anchored(), 3u);
+TEST(EngineSemantics, SuffixProbesEveryPatternLength) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(suffix("t", "")));  // empty pattern: matches all
+    m.add(2, Filter().and_(suffix("t", "g")));
+    m.add(3, Filter().and_(suffix("t", "og")));
+    m.add(4, Filter().and_(suffix("t", "log")));
+    m.add(5, Filter().and_(suffix("t", "x")));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "alog")),
+              (std::vector<SubscriptionId>{1, 2, 3, 4}));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "og")),
+              (std::vector<SubscriptionId>{1, 2, 3}));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "")),
+              (std::vector<SubscriptionId>{1}));
+    EXPECT_TRUE(m.match(Event().with("t", 7)).empty());  // non-string value
+    m.remove(3);
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "alog")),
+              (std::vector<SubscriptionId>{1, 2, 4}));
+  });
+}
+
+TEST(EngineSemantics, ContainsProbesEveryPatternLength) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(contains("t", "")));  // empty pattern: matches all
+    m.add(2, Filter().and_(contains("t", "a")));
+    m.add(3, Filter().and_(contains("t", "ab")));
+    m.add(4, Filter().and_(contains("t", "bb")));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "xaby")),
+              (std::vector<SubscriptionId>{1, 2, 3}));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "bb")),
+              (std::vector<SubscriptionId>{1, 4}));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "")),
+              (std::vector<SubscriptionId>{1}));
+    EXPECT_TRUE(m.match(Event().with("t", 7)).empty());
+    m.remove(2);
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "xaby")),
+              (std::vector<SubscriptionId>{1, 3}));
+  });
 }
 
 // --- the one-pass contains probe ---------------------------------------
@@ -327,15 +288,15 @@ TEST(ContainsTable, AgreesWithStringFindOnRandomAlphabets) {
 }
 
 TEST(Matcher, ContainsProbeAgreesWithBruteForceOnEveryEngine) {
-  // The same edge cases, end to end through both engines that use the
-  // probe: one filter per pattern, hits compared with brute force.
+  // The same edge cases, end to end through every engine: one filter per
+  // pattern, hits compared with brute force.
   const std::vector<std::string> patterns{
       "",    "a",  "aa", "aaa", "ab",  "caf\xc3\xa9", "\xc3",
       "\xff", "ca", "cab", "caf", "a much longer pattern than any text"};
   const std::vector<std::string> texts{
       "",      "a",     "aaaa",    "abab", "un caf\xc3\xa9 \xff",
       "a cab", "\xff\xff", "cafcaf"};
-  for (const std::string name : {"anchor-index", "bitset"}) {
+  for (const std::string_view name : kBuiltinEngines) {
     const auto m = make_matcher(name);
     BruteForceMatcher oracle;
     for (std::size_t k = 0; k < patterns.size(); ++k) {
@@ -398,221 +359,118 @@ TEST(Matcher, EmptyPatternsMatchEveryStringOnEveryEngine) {
   }
 }
 
-TEST(IndexMatcher, RangeAnchorBoundarySemantics) {
-  IndexMatcher m;
-  m.add(1, Filter().and_(gt("p", 10)));
-  m.add(2, Filter().and_(ge("p", 10)));
-  m.add(3, Filter().and_(lt("p", 10)));
-  m.add(4, Filter().and_(le("p", 10)));
-  EXPECT_EQ(m.range_anchored(), 4u);
-  const auto sorted_hits = [&](const Event& e) {
-    auto hits = m.match(e);
-    std::sort(hits.begin(), hits.end());
-    return hits;
-  };
-  // Exactly on the bound: only the inclusive postings fire — the
-  // strict/inclusive split at a compare-equal bound is the partition-point
-  // edge the sorted arrays encode.
-  EXPECT_EQ(sorted_hits(Event().with("p", 10)),
-            (std::vector<SubscriptionId>{2, 4}));
-  EXPECT_EQ(sorted_hits(Event().with("p", 10.0)),  // cross-type, same edge
-            (std::vector<SubscriptionId>{2, 4}));
-  EXPECT_EQ(sorted_hits(Event().with("p", 11)),
-            (std::vector<SubscriptionId>{1, 2}));
-  EXPECT_EQ(sorted_hits(Event().with("p", 9.5)),
-            (std::vector<SubscriptionId>{3, 4}));
-  // Non-numeric event values satisfy no numeric range constraint.
-  EXPECT_TRUE(m.match(Event().with("p", "10")).empty());
-  m.remove(2);
-  EXPECT_EQ(sorted_hits(Event().with("p", 10)),
-            (std::vector<SubscriptionId>{4}));
-  EXPECT_EQ(m.range_anchored(), 3u);
+TEST(EngineSemantics, RangeBoundarySemantics) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(gt("p", 10)));
+    m.add(2, Filter().and_(ge("p", 10)));
+    m.add(3, Filter().and_(lt("p", 10)));
+    m.add(4, Filter().and_(le("p", 10)));
+    // Exactly on the bound: only the inclusive constraints fire — the
+    // strict/inclusive split at a compare-equal bound is the
+    // partition-point edge the sorted bound arrays encode.
+    EXPECT_EQ(sorted_hits(m, Event().with("p", 10)),
+              (std::vector<SubscriptionId>{2, 4}));
+    EXPECT_EQ(sorted_hits(m, Event().with("p", 10.0)),  // cross-type, same edge
+              (std::vector<SubscriptionId>{2, 4}));
+    EXPECT_EQ(sorted_hits(m, Event().with("p", 11)),
+              (std::vector<SubscriptionId>{1, 2}));
+    EXPECT_EQ(sorted_hits(m, Event().with("p", 9.5)),
+              (std::vector<SubscriptionId>{3, 4}));
+    // Non-numeric event values satisfy no numeric range constraint.
+    EXPECT_TRUE(m.match(Event().with("p", "10")).empty());
+    m.remove(2);
+    EXPECT_EQ(sorted_hits(m, Event().with("p", 10)),
+              (std::vector<SubscriptionId>{4}));
+  });
 }
 
-TEST(IndexMatcher, RangeProbesStayExactPastDoublePrecision) {
+TEST(EngineSemantics, RangeProbesStayExactPastDoublePrecision) {
   constexpr std::int64_t kBig = 9007199254740992;  // 2^53
-  IndexMatcher m;
-  m.add(1, Filter().and_(gt("p", kBig)));
-  m.add(2, Filter().and_(le("p", kBig)));
-  // 2^53 + 1 is strictly greater than 2^53 even though both cast to the
-  // same double — the sorted-bound probe must use the exact compare.
-  EXPECT_EQ(m.match(Event().with("p", kBig + 1)),
-            (std::vector<SubscriptionId>{1}));
-  EXPECT_EQ(m.match(Event().with("p", kBig)),
-            (std::vector<SubscriptionId>{2}));
-  // The double 2^53 compares equal to the int bound.
-  EXPECT_EQ(m.match(Event().with("p", 9007199254740992.0)),
-            (std::vector<SubscriptionId>{2}));
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(gt("p", kBig)));
+    m.add(2, Filter().and_(le("p", kBig)));
+    // 2^53 + 1 is strictly greater than 2^53 even though both cast to the
+    // same double — the sorted-bound probe must use the exact compare.
+    EXPECT_EQ(m.match(Event().with("p", kBig + 1)),
+              (std::vector<SubscriptionId>{1}));
+    EXPECT_EQ(m.match(Event().with("p", kBig)),
+              (std::vector<SubscriptionId>{2}));
+    // The double 2^53 compares equal to the int bound.
+    EXPECT_EQ(m.match(Event().with("p", 9007199254740992.0)),
+              (std::vector<SubscriptionId>{2}));
+  });
 }
 
-TEST(IndexMatcher, PrefixAnchorProbesEveryPatternLength) {
-  IndexMatcher m;
-  m.add(1, Filter().and_(prefix("t", "")));  // empty pattern: matches all
-  m.add(2, Filter().and_(prefix("t", "a")));
-  m.add(3, Filter().and_(prefix("t", "ab")));
-  m.add(4, Filter().and_(prefix("t", "abc")));
-  m.add(5, Filter().and_(prefix("t", "b")));
-  EXPECT_EQ(m.prefix_anchored(), 5u);
-  const auto sorted_hits = [&](const Event& e) {
-    auto hits = m.match(e);
-    std::sort(hits.begin(), hits.end());
-    return hits;
-  };
-  EXPECT_EQ(sorted_hits(Event().with("t", "abx")),
-            (std::vector<SubscriptionId>{1, 2, 3}));
-  EXPECT_EQ(sorted_hits(Event().with("t", "abc")),
-            (std::vector<SubscriptionId>{1, 2, 3, 4}));
-  EXPECT_EQ(sorted_hits(Event().with("t", "")),
-            (std::vector<SubscriptionId>{1}));
-  EXPECT_TRUE(m.match(Event().with("t", 7)).empty());  // non-string value
-  m.remove(3);
-  EXPECT_EQ(sorted_hits(Event().with("t", "abx")),
-            (std::vector<SubscriptionId>{1, 2}));
-  EXPECT_EQ(m.prefix_anchored(), 4u);
+TEST(EngineSemantics, PrefixProbesEveryPatternLength) {
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(prefix("t", "")));  // empty pattern: matches all
+    m.add(2, Filter().and_(prefix("t", "a")));
+    m.add(3, Filter().and_(prefix("t", "ab")));
+    m.add(4, Filter().and_(prefix("t", "abc")));
+    m.add(5, Filter().and_(prefix("t", "b")));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "abx")),
+              (std::vector<SubscriptionId>{1, 2, 3}));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "abc")),
+              (std::vector<SubscriptionId>{1, 2, 3, 4}));
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "")),
+              (std::vector<SubscriptionId>{1}));
+    EXPECT_TRUE(m.match(Event().with("t", 7)).empty());  // non-string value
+    m.remove(3);
+    EXPECT_EQ(sorted_hits(m, Event().with("t", "abx")),
+              (std::vector<SubscriptionId>{1, 2}));
+  });
 }
 
-TEST(IndexMatcher, NumericCanonicalizationUnifiesIntAndDouble) {
-  // Eq(3) (int) and an event value 3.0 (double) must land in the same
-  // hash bucket; canonical_numeric is the shared normalization.
+TEST(EngineSemantics, NumericCanonicalizationUnifiesIntAndDouble) {
+  // Eq(3) (int) and an event value 3.0 (double) must land on the same
+  // index entry; canonical_numeric is the shared normalization.
   EXPECT_EQ(canonical_numeric(Value(3)), Value(3.0));
   EXPECT_EQ(canonical_numeric(Value(3.0)), Value(3.0));
   EXPECT_EQ(canonical_numeric(Value("x")), Value("x"));
   EXPECT_EQ(std::hash<Value>{}(canonical_numeric(Value(3))),
             std::hash<Value>{}(canonical_numeric(Value(3.0))));
 
-  IndexMatcher m;
-  m.add(1, Filter().and_(eq("p", 3)));
-  EXPECT_EQ(m.match(Event().with("p", 3.0)).size(), 1u);
-  EXPECT_EQ(m.match(Event().with("p", 3)).size(), 1u);
-  EXPECT_TRUE(m.match(Event().with("p", "3")).empty());  // string != number
+  for_each_engine([](Matcher& m) {
+    m.add(1, Filter().and_(eq("p", 3)));
+    EXPECT_EQ(m.match(Event().with("p", 3.0)).size(), 1u);
+    EXPECT_EQ(m.match(Event().with("p", 3)).size(), 1u);
+    EXPECT_TRUE(m.match(Event().with("p", "3")).empty());  // string != number
+  });
 }
 
-TEST(IndexMatcher, AnchorRebalancesAwayFromGrowingBucket) {
-  IndexMatcher m;
-  // Both constraints are equality; with empty buckets the first (sorted)
-  // attribute wins the anchor.
-  m.add(1, Filter().and_(eq("a", 1)).and_(eq("b", 1)));
-  EXPECT_EQ(m.anchor_attribute(1), "a");
-  // The (a=1) bucket now holds one filter; a new filter with the same
-  // constraints anchors on the still-empty (b=1) bucket instead.
-  m.add(2, Filter().and_(eq("a", 1)).and_(eq("b", 1)));
-  EXPECT_EQ(m.anchor_attribute(2), "b");
-
-  // Removing the first filter empties (a=1); a re-add of that id anchors
-  // back onto the smallest bucket.
-  m.remove(1);
-  m.add(3, Filter().and_(eq("a", 1)).and_(eq("b", 1)));
-  EXPECT_EQ(m.anchor_attribute(3), "a");
-
-  // Replace semantics re-run anchor selection too: id 2 re-added while
-  // (b=1) holds itself but (a=1) holds id 3 -> the bucket sizes seen at
-  // re-add time decide (b's bucket empties when 2 is removed first).
-  m.add(2, Filter().and_(eq("a", 1)).and_(eq("b", 1)));
-  EXPECT_EQ(m.anchor_attribute(2), "b");
-  EXPECT_EQ(m.eq_anchored(), 2u);
+TEST(EngineSemantics, SharedStreamConstraintDoesNotWidenFeedMatches) {
+  // All filters share stream="feed"; an event hits exactly the 2 filters
+  // of its own feed, however many filters carry the shared constraint.
+  for_each_engine([](Matcher& m) {
+    for (int i = 0; i < 100; ++i) {
+      m.add(static_cast<SubscriptionId>(i + 1),
+            Filter()
+                .and_(eq("stream", "feed"))
+                .and_(eq("feed", "http://s" + std::to_string(i / 2) + "/f")));
+    }
+    EXPECT_EQ(sorted_hits(m, Event()
+                                 .with("stream", "feed")
+                                 .with("feed", "http://s7/f")),
+              (std::vector<SubscriptionId>{15, 16}));
+  });
 }
 
-TEST(IndexMatcher, AnchorsAvoidNonSelectiveAttribute) {
-  // All filters share stream="feed"; selective anchoring must spread them
-  // across the per-feed buckets rather than piling onto the stream bucket.
-  IndexMatcher m;
-  for (int i = 0; i < 100; ++i) {
-    m.add(static_cast<SubscriptionId>(i + 1),
-          Filter()
-              .and_(eq("stream", "feed"))
-              .and_(eq("feed", "http://s" + std::to_string(i / 2) + "/f")));
-  }
-  // A probe event should evaluate only the 2 filters of its feed bucket
-  // (result size proves correctness; the perf bench proves selectivity).
-  const auto hits = m.match(Event()
-                                .with("stream", "feed")
-                                .with("feed", "http://s7/f"));
-  EXPECT_EQ(hits.size(), 2u);
-}
-
-TEST(IndexMatcher, ContentFiltersAnchorOnTheirPatternNotTheStreamBucket) {
-  // Reef's content subscriptions: stream=feed plus one contains term, and
-  // no second eq constraint. Only the first can take the (then empty)
-  // stream bucket on the eq-wins tie; every later one finds its own
-  // pattern posting smaller than the stream bucket.
-  IndexMatcher m;
-  BruteForceMatcher oracle;
-  for (SubscriptionId id = 1; id <= 60; ++id) {
-    const Filter f = Filter()
-                         .and_(eq("stream", "feed"))
-                         .and_(contains("text",
-                                        "term" + std::to_string(id)));
-    m.add(id, f);
-    oracle.add(id, f);
-  }
-  EXPECT_EQ(m.contains_anchored(), 59u);
-  EXPECT_LE(m.largest_eq_bucket(), 1u);
-  for (const std::string text : {"a term7 and term13", "term1", "nothing"}) {
-    const Event e = Event().with("stream", "feed").with("text", text);
-    auto want = oracle.match(e);
-    auto got = m.match(e);
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, want) << text;
-  }
-}
-
-TEST(IndexMatcher, EqAnchorWinsATieWithAPatternPosting) {
-  IndexMatcher m;
-  // Both postings empty: the eq bucket wins the tie.
-  m.add(1, Filter().and_(eq("feed", "u")).and_(contains("text", "x")));
-  EXPECT_EQ(m.anchor_attribute(1), "feed");
-  // (feed=u) holds 1 and contains(text,"y") is empty: the pattern wins.
-  m.add(2, Filter().and_(eq("feed", "u")).and_(contains("text", "y")));
-  EXPECT_EQ(m.anchor_attribute(2), "text");
-  // (feed=v) holds 0 against the pattern's 1: eq is smaller...
-  m.add(3, Filter().and_(eq("feed", "v")).and_(contains("text", "y")));
-  EXPECT_EQ(m.anchor_attribute(3), "feed");
-  // ...and at 1 vs 1 it wins the tie.
-  m.add(4, Filter().and_(eq("feed", "v")).and_(contains("text", "y")));
-  EXPECT_EQ(m.anchor_attribute(4), "feed");
-  EXPECT_EQ(m.eq_anchored(), 3u);
-  EXPECT_EQ(m.contains_anchored(), 1u);
-}
-
-TEST(IndexMatcher, RebalanceMovesFiltersOntoTheirPatternPosting) {
-  IndexMatcher m;
-  BruteForceMatcher oracle;
-  const auto add_both = [&](SubscriptionId id, const Filter& f) {
-    m.add(id, f);
-    oracle.add(id, f);
-  };
-  // Ballast: 8 pattern-only filters make the contains(text,"t") posting
-  // look expensive when the long-lived filters arrive.
-  for (SubscriptionId id = 200; id < 208; ++id) {
-    add_both(id, Filter().and_(contains("text", "t")));
-  }
-  // Long-lived filters anchor on (hot=1) while it holds 0..7 < 8.
-  for (SubscriptionId id = 1; id <= 8; ++id) {
-    add_both(id, Filter().and_(eq("hot", 1)).and_(contains("text", "t")));
-    ASSERT_EQ(m.anchor_attribute(id), "hot") << id;
-  }
-  // (hot=1) then grows with pinned single-eq filters.
-  for (SubscriptionId id = 100; id < 140; ++id) {
-    add_both(id, Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_EQ(m.largest_eq_bucket(), 48u);
-  EXPECT_EQ(m.rebalance(/*max_bucket=*/8), 8u);
-  for (SubscriptionId id = 1; id <= 8; ++id) {
-    EXPECT_EQ(m.anchor_attribute(id), "text") << id;
-  }
-  EXPECT_EQ(m.largest_eq_bucket(), 40u);
-  EXPECT_EQ(m.contains_anchored(), 16u);
-  EXPECT_EQ(m.rebalance(/*max_bucket=*/8), 0u);
-  for (const Event& probe :
-       {Event().with("hot", 1).with("text", "at"), Event().with("hot", 1),
-        Event().with("text", "t")}) {
-    auto want = oracle.match(probe);
-    auto got = m.match(probe);
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, want) << probe.to_string();
-  }
+TEST(EngineSemantics, ContentFiltersAgreeWithBruteForce) {
+  // Reef's content subscriptions: stream=feed plus one contains term.
+  for_each_engine([](Matcher& m) {
+    BruteForceMatcher oracle;
+    for (SubscriptionId id = 1; id <= 60; ++id) {
+      const Filter f = Filter()
+                           .and_(eq("stream", "feed"))
+                           .and_(contains("text", "term" + std::to_string(id)));
+      m.add(id, f);
+      oracle.add(id, f);
+    }
+    for (const std::string text : {"a term7 and term13", "term1", "nothing"}) {
+      const Event e = Event().with("stream", "feed").with("text", text);
+      ASSERT_EQ(sorted_hits(m, e), sorted_hits(oracle, e)) << text;
+    }
+  });
 }
 
 // --- make_matcher ------------------------------------------------------------
@@ -625,6 +483,8 @@ TEST(MakeMatcher, BuiltInEnginesByName) {
   }
   EXPECT_THROW(make_matcher("definitely-not-an-engine"),
                std::invalid_argument);
+  // A deleted engine's name is rejected like any other unknown name.
+  EXPECT_THROW(make_matcher("anchor-index"), std::invalid_argument);
 }
 
 TEST(MakeMatcher, RejectsShardedNames) {
@@ -794,7 +654,8 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
 /// because the sharded merge is by shard index, never thread schedule.
 TEST_P(MatcherEquivalence, ShardedAgreesWithUnshardedAcrossWorkerCounts) {
   util::Rng rng(GetParam() ^ 0x51a8d);
-  for (const std::string inner : {"anchor-index", "bitset"}) {
+  for (const std::string_view engine : kBuiltinEngines) {
+    const std::string inner(engine);
     BruteForceMatcher oracle;
     const auto unsharded = make_matcher(inner);
     std::vector<std::unique_ptr<ShardedMatcher>> sharded;
@@ -856,8 +717,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatcherEquivalence,
 
 TEST(ShardedMatcher, PlacementAndSpillBookkeeping) {
   ShardedMatcher m(
-      ShardedMatcher::Config{.shard_count = 4, .inner_engine = "anchor-index"});
-  EXPECT_EQ(m.name(), "anchor-index/4");
+      ShardedMatcher::Config{.shard_count = 4, .inner_engine = "bitset"});
+  EXPECT_EQ(m.name(), "bitset/4");
   EXPECT_EQ(m.shard_count(), 4u);
 
   m.add(1, Filter());  // anchorless -> spill
@@ -890,175 +751,11 @@ TEST(ShardedMatcher, PlacementAndSpillBookkeeping) {
 
 TEST(ShardedMatcher, RejectsZeroShardsAndUnknownInnerEngines) {
   EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 0,
-                                          .inner_engine = "anchor-index"}),
+                                          .inner_engine = "bitset"}),
                std::invalid_argument);
   EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 4,
                                           .inner_engine = "no-such"}),
                std::invalid_argument);
-}
-
-// --- anchor rebalancing under adversarial churn -----------------------------
-
-TEST(IndexMatcher, RebalanceMovesLongLivedFiltersOffGrownBuckets) {
-  IndexMatcher m;
-  BruteForceMatcher oracle;
-  const auto add_both = [&](SubscriptionId id, const Filter& f) {
-    m.add(id, f);
-    oracle.add(id, f);
-  };
-  // Ballast: 8 filters per (user=i) bucket, so those buckets look
-  // expensive when the long-lived filters arrive.
-  SubscriptionId ballast = 200;
-  for (std::int64_t user = 1; user <= 8; ++user) {
-    for (int n = 0; n < 8; ++n) {
-      add_both(ballast++, Filter().and_(eq("user", user)).and_(
-                              ge("score", static_cast<std::int64_t>(n))));
-    }
-  }
-  // Long-lived filters anchor on (hot=1): at add time that bucket (size
-  // 0..7) is strictly smaller than their (user=i) alternative (size 8).
-  for (SubscriptionId id = 1; id <= 8; ++id) {
-    add_both(id, Filter()
-                     .and_(eq("hot", 1))
-                     .and_(eq("user", static_cast<std::int64_t>(id))));
-    ASSERT_EQ(m.anchor_attribute(id), "hot") << id;
-  }
-  // Adversarial churn: (hot=1) then grows with single-constraint filters
-  // that have nowhere else to anchor; the long-lived filters are stuck on
-  // what has become the hottest bucket in the index.
-  for (SubscriptionId id = 100; id < 140; ++id) {
-    add_both(id, Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_EQ(m.largest_eq_bucket(), 48u);
-
-  // Long-lived filters still match correctly from the hot bucket.
-  const Event event = Event().with("hot", 1).with("user", 3);
-  auto expected = oracle.match(event);
-  auto actual = m.match(event);
-  std::sort(expected.begin(), expected.end());
-  std::sort(actual.begin(), actual.end());
-  ASSERT_EQ(actual, expected);
-
-  // A rebalance pass moves every filter with an alternative anchor out.
-  const std::size_t moved = m.rebalance(/*max_bucket=*/8);
-  EXPECT_EQ(moved, 8u);
-  for (SubscriptionId id = 1; id <= 8; ++id) {
-    EXPECT_EQ(m.anchor_attribute(id), "user") << id;
-  }
-  // Documented residual skew: the 40 single-constraint filters are pinned
-  // to (hot=1) — no rebalance can shrink that bucket below their count.
-  EXPECT_EQ(m.largest_eq_bucket(), 40u);
-  // A second pass finds only pinned filters and moves nothing.
-  EXPECT_EQ(m.rebalance(/*max_bucket=*/8), 0u);
-
-  // Matching is unchanged by re-anchoring.
-  for (const Event& probe :
-       {event, Event().with("hot", 1),
-        Event().with("user", 5).with("score", 3)}) {
-    auto want = oracle.match(probe);
-    auto got = m.match(probe);
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, want) << probe.to_string();
-  }
-}
-
-// --- the Matcher::maintain hook ----------------------------------------------
-
-TEST(Matcher, MaintainDefaultsToNoOpOnEnginesWithoutAmortizedState) {
-  BruteForceMatcher brute;
-  for (SubscriptionId id = 1; id <= 10; ++id) {
-    brute.add(id, Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_EQ(brute.maintain(2), 0u);
-}
-
-TEST(IndexMatcher, MaintainIsRebalance) {
-  // Same skew shape as the rebalance test, driven through the hook: 8
-  // ballast filters per (user=i) bucket, two-anchor filters landing on
-  // (hot=1) while it is small, then (hot=1) grows past them.
-  IndexMatcher m;
-  SubscriptionId ballast = 200;
-  for (std::int64_t user = 1; user <= 4; ++user) {
-    for (int n = 0; n < 8; ++n) {
-      m.add(ballast++, Filter().and_(eq("user", user)).and_(
-                           ge("score", static_cast<std::int64_t>(n))));
-    }
-  }
-  for (SubscriptionId id = 1; id <= 4; ++id) {
-    m.add(id, Filter()
-                  .and_(eq("hot", 1))
-                  .and_(eq("user", static_cast<std::int64_t>(id))));
-  }
-  for (SubscriptionId id = 100; id < 130; ++id) {
-    m.add(id, Filter().and_(eq("hot", 1)));
-  }
-  // Balanced threshold: nothing above max_bucket => maintain is free.
-  EXPECT_EQ(m.maintain(64), 0u);
-  // Tight threshold: the hook moves exactly the re-anchorable filters.
-  EXPECT_EQ(m.maintain(8), 4u);
-  for (SubscriptionId id = 1; id <= 4; ++id) {
-    EXPECT_EQ(m.anchor_attribute(id), "user") << id;
-  }
-}
-
-TEST(ShardedMatcher, MaintainFansOutToTheShards) {
-  // Two independent skew groups. Each group leads with exists("a<g>") —
-  // the canonically-first constraint — so the whole group shards together
-  // by that attribute, and the adversarial structure (ballast inflating
-  // the (u<g>=id) buckets, victims stranded on (h<g>=1) as growers pile
-  // in) plays out inside one inner IndexMatcher, exactly as in the
-  // unsharded rebalance test. The sharded hook must reach both groups'
-  // shards and leave matching untouched.
-  ShardedMatcher m(
-      ShardedMatcher::Config{.shard_count = 4, .inner_engine = "anchor-index"});
-  BruteForceMatcher oracle;
-  const auto add_both = [&](SubscriptionId id, const Filter& f) {
-    m.add(id, f);
-    oracle.add(id, f);
-  };
-  SubscriptionId next = 1;
-  std::vector<SubscriptionId> victims;
-  for (const int g : {0, 1}) {
-    const std::string suffix = std::to_string(g);
-    const std::string a = "a" + suffix;
-    const std::string h = "h" + suffix;
-    const std::string u = "u" + suffix;
-    const std::string z = "z" + suffix;
-    // Ballast: 8 filters anchored in each (u<g>=id) bucket.
-    for (std::int64_t user = 1; user <= 4; ++user) {
-      for (std::int64_t n = 0; n < 8; ++n) {
-        add_both(next++,
-                 Filter().and_(exists(a)).and_(eq(u, user)).and_(ge(z, n)));
-      }
-    }
-    // Victims anchor on (h<g>=1) while it is smaller than their (u<g>=id)
-    // alternative (size 8)...
-    for (std::int64_t user = 1; user <= 4; ++user) {
-      victims.push_back(next);
-      add_both(next++,
-               Filter().and_(exists(a)).and_(eq(h, 1)).and_(eq(u, user)));
-    }
-    // ...then (h<g>=1) grows past any threshold with pinned single-eq
-    // filters.
-    for (int i = 0; i < 20; ++i) {
-      add_both(next++, Filter().and_(exists(a)).and_(eq(h, 1)));
-    }
-  }
-  // The hook moves the 4 victims of each group off their grown buckets.
-  EXPECT_EQ(m.maintain(8), 8u);
-  // A second pass finds only pinned filters everywhere.
-  EXPECT_EQ(m.maintain(8), 0u);
-  for (const Event& probe :
-       {Event().with("a0", 1).with("h0", 1).with("u0", 2),
-        Event().with("a1", 1).with("h1", 1).with("u1", 3),
-        Event().with("a0", 1).with("u0", 1).with("z0", 5), Event()}) {
-    auto want = oracle.match(probe);
-    auto got = m.match(probe);
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, want) << probe.to_string();
-  }
 }
 
 }  // namespace

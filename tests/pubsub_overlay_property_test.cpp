@@ -282,7 +282,8 @@ TEST_P(OverlayProperty, ShardedEnginesDeliverInIdenticalOrder) {
     std::size_t shards = 1;
     std::size_t workers = 0;
   };
-  for (const std::string inner : {"anchor-index", "bitset"}) {
+  for (const std::string_view engine : kBuiltinEngines) {
+    const std::string inner(engine);
     std::map<std::string, std::vector<std::string>> logs;
     for (const EngineSetup& setup :
          {EngineSetup{.shards = 1, .workers = 0},

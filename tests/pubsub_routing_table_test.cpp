@@ -62,7 +62,7 @@ TEST(RoutingTable, CoveringPrunesNarrowFilters) {
 
 TEST(RoutingTable, CoveringDisabledForwardsEverything) {
   RoutingTable table(RoutingTable::Config{.covering_enabled = false,
-                                          .engine = "anchor-index"});
+                                          .engine = "bitset"});
   table.add_broker_iface(kNeighbor);
   table.client_subscribe(kClient, 1, broad());
   table.client_subscribe(kClient, 2, feed("http://x/a"));
@@ -263,7 +263,7 @@ Filter churn_filter(util::Rng& rng) {
 /// the naive pairwise oracle fed the same operations.
 TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
   util::Rng rng(0xc0ffee);
-  RoutingTable indexed(RoutingTable::Config{.engine = "anchor-index"});
+  RoutingTable indexed(RoutingTable::Config{.engine = "bitset"});
   indexed.add_broker_iface(kNeighbor);
   indexed.add_broker_iface(kOtherNeighbor);
   // The oracle side: the live client filters (all visible to both
@@ -337,6 +337,8 @@ TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
       diff_signature(naive[kFreshNeighbor].refresh(visible()));
   EXPECT_GT(full_indexed.size(), 1u);
   EXPECT_EQ(full_indexed, full_naive);
+  // No engine needs structural maintenance, however heavy the churn.
+  EXPECT_EQ(indexed.maintain_runs(), 0u);
 }
 
 /// Direct equivalence of the two reductions on adversarial shapes the
@@ -405,100 +407,6 @@ TEST(RoutingTable, EngineSelectedByNameAndShardCount) {
   EXPECT_THROW(
       RoutingTable(RoutingTable::Config{.engine = "no-such-engine"}),
       std::invalid_argument);
-}
-
-// --- churn-driven structural maintenance -------------------------------------
-
-TEST(RoutingTable, ChurnTriggersMaintainOnSchedule) {
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  config.maintain_max_bucket = 4;
-  RoutingTable table(config);
-  EXPECT_EQ(table.maintain_runs(), 0u);
-  // 25 adds = two full churn windows of 10 (plus 5 left over).
-  for (SubscriptionId id = 1; id <= 25; ++id) {
-    table.client_subscribe(kClient, id,
-                           Filter().and_(eq("hot", 1)).and_(
-                               eq("user", static_cast<std::int64_t>(id))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 2u);
-  // Removes count toward the same budget: 5 pending + 5 removes trips it.
-  for (SubscriptionId id = 1; id <= 5; ++id) {
-    table.client_unsubscribe(kClient, id);
-  }
-  EXPECT_EQ(table.maintain_runs(), 3u);
-}
-
-TEST(RoutingTable, MaintainMovesStrandedAnchorsWithoutChangingMatches) {
-  // Adversarial churn shaped like the IndexMatcher rebalance test, driven
-  // purely through the production subscribe/unsubscribe path: ballast
-  // inflates the (user=i) buckets, two-anchor filters land on (hot=1)
-  // while it is cheap, then single-anchor filters pile onto it. The
-  // maintained table must re-anchor the stranded filters (changes > 0)
-  // and keep matching identical to an unmaintained twin.
-  RoutingTable::Config maintained_config;
-  maintained_config.engine = "anchor-index";
-  maintained_config.maintain_churn_threshold = 8;
-  maintained_config.maintain_max_bucket = 4;
-  RoutingTable maintained(maintained_config);
-  RoutingTable::Config plain_config;
-  plain_config.engine = "anchor-index";
-  plain_config.maintain_churn_threshold = 0;  // ablation baseline
-  RoutingTable plain(plain_config);
-
-  SubscriptionId next = 1;
-  const auto subscribe_both = [&](const Filter& f) {
-    maintained.client_subscribe(kClient, next, f);
-    plain.client_subscribe(kClient, next, f);
-    ++next;
-  };
-  for (std::int64_t user = 1; user <= 6; ++user) {
-    for (std::int64_t n = 0; n < 8; ++n) {
-      subscribe_both(Filter().and_(eq("user", user)).and_(ge("score", n)));
-    }
-  }
-  for (std::int64_t user = 1; user <= 6; ++user) {
-    subscribe_both(Filter().and_(eq("hot", 1)).and_(eq("user", user)));
-  }
-  for (int i = 0; i < 30; ++i) {
-    subscribe_both(Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_GT(maintained.maintain_runs(), 0u);
-  EXPECT_GT(maintained.maintain_changes(), 0u);
-  EXPECT_EQ(plain.maintain_runs(), 0u);
-
-  const auto destinations = [](const RoutingTable& table, const Event& e) {
-    std::vector<RoutingTable::Destination> hits;
-    table.match(e, hits);
-    std::vector<SubscriptionId> subs;
-    for (const auto& d : hits) subs.push_back(d.client_sub);
-    std::sort(subs.begin(), subs.end());
-    return subs;
-  };
-  for (const Event& probe :
-       {Event().with("hot", 1).with("user", 3),
-        Event().with("user", 2).with("score", 5), Event().with("hot", 1)}) {
-    EXPECT_EQ(destinations(maintained, probe), destinations(plain, probe))
-        << probe.to_string();
-  }
-}
-
-TEST(RoutingTable, DefaultConfigMaintainsOnChurnCountAlone) {
-  // A perfectly balanced workload (every equality bucket holds one
-  // filter) still gets one maintain pass per churn window: scheduling
-  // depends on the number of add/removes and nothing else.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  RoutingTable table(config);
-  for (SubscriptionId id = 1; id <= 20; ++id) {
-    table.client_subscribe(kClient, id,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(id))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 2u);
-  EXPECT_EQ(table.maintain_changes(), 0u);
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ RunTrace run_scenario(std::uint64_t seed, std::size_t shard_count,
   sim::Network net(sim, net_config);
 
   Broker::Config config;
-  config.matcher_engine = "anchor-index";
+  config.matcher_engine = "bitset";
   config.shard_count = shard_count;
   config.worker_threads = worker_threads;
   Overlay overlay = Overlay::star(sim, net, 4, config);
@@ -204,7 +204,7 @@ TEST_P(ShardingDeterminism, RepeatRunsAreByteIdentical) {
 /// there, on both the single-event and the batch path.
 TEST(ShardedPrefilter, AttributeFreeEventsMeetUniversalFiltersInSpill) {
   ShardedMatcher m(ShardedMatcher::Config{.shard_count = 4,
-                                          .inner_engine = "anchor-index"});
+                                          .inner_engine = "bitset"});
   m.add(1, Filter());  // universal: anchorless, spill-shard placement
   m.add(2, Filter().and_(eq("stream", "feed")));
   ASSERT_EQ(m.spill_size(), 1u);
@@ -245,8 +245,8 @@ TEST(ShardedPrefilter, OutputEqualsPlainEngine) {
   for (int i = 0; i < 60; ++i) events.push_back(scenario_event(rng, i));
   events.push_back(Event());  // and one attribute-free event
 
-  for (const std::string inner : {"anchor-index", "bitset",
-                                  "brute-force"}) {
+  for (const std::string_view engine : kBuiltinEngines) {
+    const std::string inner(engine);
     ShardedMatcher sharded(
         ShardedMatcher::Config{.shard_count = 4, .inner_engine = inner});
     const auto plain = make_matcher(inner);
@@ -278,7 +278,7 @@ TEST(ShardedPrefilter, OutputEqualsPlainEngine) {
 TEST(ShardedPrefilter, SubBatchesPerformZeroEventCopies) {
   util::Rng rng(0x2e20c0);
   ShardedMatcher m(ShardedMatcher::Config{.shard_count = 8,
-                                          .inner_engine = "anchor-index"});
+                                          .inner_engine = "bitset"});
   for (int i = 0; i < 200; ++i) m.add(i + 1, scenario_filter(rng));
   std::vector<Event> events;
   for (int i = 0; i < 64; ++i) events.push_back(scenario_event(rng, i));
@@ -299,7 +299,7 @@ TEST(ShardedMatcher, SharedEventBlocksMatchLikeDistinctOnes) {
   util::Rng rng(0x5ba4ed);
   ShardedMatcher m(ShardedMatcher::Config{.shard_count = 4,
                                           .worker_threads = 4,
-                                          .inner_engine = "anchor-index"});
+                                          .inner_engine = "bitset"});
   for (int i = 0; i < 200; ++i) m.add(i + 1, scenario_filter(rng));
   std::vector<Event> originals;
   for (int i = 0; i < 8; ++i) originals.push_back(scenario_event(rng, i));
@@ -342,12 +342,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardingDeterminism,
 TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
   // The defaults (1 shard, 0 workers) keep the plain engine.
   EXPECT_EQ(RoutingTable::Config{}.shard_count, 1u);
-  RoutingTable plain(RoutingTable::Config{.engine = "anchor-index"});
-  EXPECT_EQ(plain.matcher().name(), "anchor-index");
+  RoutingTable plain;
+  EXPECT_EQ(plain.matcher().name(), kDefaultEngine);
   // shard_count > 1 wraps the named engine with exactly that many shards...
   RoutingTable counted(
-      RoutingTable::Config{.engine = "anchor-index", .shard_count = 2});
-  EXPECT_EQ(counted.matcher().name(), "anchor-index/2");
+      RoutingTable::Config{.engine = "brute-force", .shard_count = 2});
+  EXPECT_EQ(counted.matcher().name(), "brute-force/2");
   EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(counted.matcher())
                 .shard_count(),
             2u);
@@ -359,8 +359,8 @@ TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
                 .worker_threads(),
             2u);
   RoutingTable one_shard(RoutingTable::Config{
-      .engine = "anchor-index", .shard_count = 1, .worker_threads = 1});
-  EXPECT_EQ(one_shard.matcher().name(), "anchor-index/1");
+      .engine = "brute-force", .shard_count = 1, .worker_threads = 1});
+  EXPECT_EQ(one_shard.matcher().name(), "brute-force/1");
   // Unknown engines fail with the canonical make_matcher error, sharded
   // or not.
   EXPECT_THROW(RoutingTable(RoutingTable::Config{.engine = "no-such"}),
@@ -397,13 +397,13 @@ TEST(ShardedRoutingTable, MatchAgreesAcrossShardAndWorkerConfigs) {
   };
 
   std::vector<RoutingTable> tables;
-  tables.emplace_back(RoutingTable::Config{.engine = "anchor-index"});
+  tables.emplace_back(RoutingTable::Config{.engine = "bitset"});
   tables.emplace_back(
-      RoutingTable::Config{.engine = "anchor-index", .shard_count = 4});
+      RoutingTable::Config{.engine = "bitset", .shard_count = 4});
   tables.emplace_back(RoutingTable::Config{
-      .engine = "anchor-index", .shard_count = 4, .worker_threads = 4});
+      .engine = "bitset", .shard_count = 4, .worker_threads = 4});
   tables.emplace_back(RoutingTable::Config{
-      .engine = "anchor-index", .shard_count = 1, .worker_threads = 1});
+      .engine = "bitset", .shard_count = 1, .worker_threads = 1});
   for (RoutingTable& table : tables) {
     table.add_broker_iface(1);
     for (std::size_t i = 0; i < filters.size(); ++i) {
