@@ -4,18 +4,20 @@
 // Reef-like filter population (feed-equality subscriptions plus
 // content/range filters), sweeping the subscription-table size. Engines
 // are selected by name (make_matcher); the smoke's correctness pass
-// iterates every built-in engine, bare and sharded, so a new engine is
-// checked there without code changes. The batch benchmarks compare the amortized
+// iterates every built-in engine, so a new engine is checked there without
+// code changes. The batch benchmarks compare the amortized
 // Matcher::match_batch path against a per-event match loop over the same
-// events — the win is the broker's per-tick coalescing made visible.
+// events — the win is the broker's per-tick coalescing made visible — and
+// the workers sweep times the routing table's split of one batch over
+// worker threads.
 //
 // `--smoke` (used by CI) skips google-benchmark and instead runs a quick
 // cross-engine correctness pass, a batch-vs-loop timing, fixed-ratio
 // floors of the bitset engine over brute force on the dense/high-overlap
 // workload, the eq-free range/prefix workload, the suffix/contains/in-set
-// workload and the Reef content workload, and a zero-copy check on the
-// pre-filtered sub-batch path, so the bench binary can't bit-rot — and
-// the interned hot path can't silently regress — without failing the
+// workload and the Reef content workload, and a check that the worker
+// split gives the unsplit hit lists, so the bench binary can't bit-rot —
+// and the interned hot path can't silently regress — without failing the
 // workflow.
 #include <benchmark/benchmark.h>
 
@@ -28,11 +30,10 @@
 #include <string_view>
 #include <vector>
 
-#include "../tests/engine_variants.h"
 #include "pubsub/engines.h"
 #include "pubsub/matcher.h"
 #include "pubsub/range_index.h"
-#include "pubsub/sharded_matcher.h"
+#include "pubsub/routing_table.h"
 #include "util/rng.h"
 
 namespace {
@@ -393,9 +394,9 @@ BENCHMARK_CAPTURE(bm_match_batch, brute_force, "brute-force")
 // make_dense_filters above: tiny eq vocabulary, huge entry overlap — the
 // Reef-like sweep above has selective feed entries; this one has none, so
 // every event satisfies a large share of the table. CI's bench sweep
-// picks these rows up via --benchmark_filter='sharded|dense|range', and
-// run_smoke() enforces the bitset-over-brute-force floor on this same
-// shape.
+// picks these rows up via
+// --benchmark_filter='dense|range|suffix|content|workers', and run_smoke()
+// enforces the bitset-over-brute-force floor on this same shape.
 
 void bm_match_batch_dense(benchmark::State& state, const std::string& engine) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
@@ -440,9 +441,9 @@ BENCHMARK_CAPTURE(bm_match_batch_dense, brute_force, "brute-force")
 // make_range_filters above: eq-free bands, thresholds, and prefixes.
 // Without the sorted indexes every one of these would be a per-event
 // predicate evaluation, brute force by another name. CI's bench sweep
-// picks these rows up via --benchmark_filter='sharded|dense|range', and
-// run_smoke() enforces the bitset-over-brute-force floor on this same
-// shape.
+// picks these rows up via
+// --benchmark_filter='dense|range|suffix|content|workers', and run_smoke()
+// enforces the bitset-over-brute-force floor on this same shape.
 
 void bm_match_batch_range(benchmark::State& state, const std::string& engine) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
@@ -488,8 +489,9 @@ BENCHMARK_CAPTURE(bm_match_batch_range, brute_force, "brute-force")
 // make_suffix_filters above: tail, substring, and set-membership
 // subscriptions — zero eq/range/prefix constraints, so only the pattern
 // tables keep them from a linear scan. CI's bench sweep picks these rows
-// up via --benchmark_filter='sharded|dense|range|suffix', and run_smoke()
-// enforces the bitset-over-brute-force floor on this same shape.
+// up via --benchmark_filter='dense|range|suffix|content|workers', and
+// run_smoke() enforces the bitset-over-brute-force floor on this same
+// shape.
 
 void bm_match_batch_suffix(benchmark::State& state,
                            const std::string& engine) {
@@ -536,7 +538,7 @@ BENCHMARK_CAPTURE(bm_match_batch_suffix, brute_force, "brute-force")
 // make_content_filters above: feed and content subscriptions that all
 // share stream=feed, matched against ~500-character feed item texts. CI's
 // bench sweep picks these rows up via
-// --benchmark_filter='sharded|dense|range|suffix|content', and run_smoke()
+// --benchmark_filter='dense|range|suffix|content|workers', and run_smoke()
 // enforces the bitset-over-brute-force floor on this same shape.
 
 void bm_match_batch_content(benchmark::State& state,
@@ -621,71 +623,28 @@ void bm_contains_probe_content(benchmark::State& state) {
 }
 BENCHMARK(bm_contains_probe_content)->Arg(150)->Arg(240);
 
-// --- zero-copy sub-batches: index-span view vs gather-by-copy ---------------
+// --- worker split: one engine, contiguous event ranges ---------------------
 //
-// The sharded pre-filter hands every shard an EventBatchView — an index
-// span over the original event storage — instead of gathering a copied
-// sub-batch (the PR 3 path this PR deleted). This pair quantifies the
-// difference on a sparse slice (every 8th event of a 1024-event batch):
-// same matching work, with and without the per-event copies.
+// The intra-broker parallelism sweep. The routing table cuts each batch
+// into min(worker_threads + 1, batch size) contiguous ranges and matches
+// them through its one engine on the pool plus the calling thread
+// (RoutingTable::Config::worker_threads). The table holds the Reef-like
+// population as client subscriptions, so every row includes the
+// engine-id-to-destination translation the broker pays; the 0-worker row
+// is the unsplit baseline, and the multi-worker rows show the pool win
+// (only on multi-core hosts).
 
-void bm_match_batch_subview(benchmark::State& state, bool zero_copy) {
-  const std::size_t table_size = 10000;
-  const std::size_t batch_size = 1024;
-  reef::util::Rng rng(42);
-  const auto matcher = populated_matcher("bitset", table_size, 0.3, rng);
-  std::vector<Event> events;
-  for (std::size_t i = 0; i < batch_size; ++i) {
-    events.push_back(make_event(table_size, rng));
-  }
-  std::vector<std::uint32_t> indices;
-  for (std::uint32_t i = 0; i < batch_size; i += 8) indices.push_back(i);
-
-  std::vector<std::vector<SubscriptionId>> hits;
-  for (auto _ : state) {
-    if (zero_copy) {
-      matcher->match_batch(EventBatchView(events, indices), hits);
-    } else {
-      std::vector<Event> gathered;  // what the deleted gather path paid
-      gathered.reserve(indices.size());
-      for (const std::uint32_t i : indices) gathered.push_back(events[i]);
-      matcher->match_batch(gathered, hits);
-    }
-    benchmark::DoNotOptimize(hits.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * indices.size()));
-  state.counters["subbatch"] = static_cast<double>(indices.size());
-}
-
-BENCHMARK_CAPTURE(bm_match_batch_subview, index_span, true);
-BENCHMARK_CAPTURE(bm_match_batch_subview, gather_copy, false);
-
-// --- sharded matching: shard count x engine x batch --------------------------
-//
-// The intra-broker parallelism sweep. Events are drawn once and the same
-// table population is sharded by placement-attribute hash; {1 shard, 0
-// workers} through the ShardedMatcher wrapper measures pure sharding
-// overhead against the bm_match_batch numbers above, and the multi-worker
-// rows measure the pool win (only visible on multi-core hosts). The
-// skip_ratio counter (events_skipped / routed+skipped) reports the
-// per-shard work the shard pre-filter removed — counter-based, so it shows
-// even where wall clock can't.
-
-void bm_match_batch_sharded(benchmark::State& state,
-                            const std::string& inner) {
+void bm_match_batch_workers(benchmark::State& state,
+                            const std::string& engine) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
   const auto batch_size = static_cast<std::size_t>(state.range(1));
-  const auto shard_count = static_cast<std::size_t>(state.range(2));
-  const auto workers = static_cast<std::size_t>(state.range(3));
+  const auto workers = static_cast<std::size_t>(state.range(2));
   reef::util::Rng rng(42);
-  ShardedMatcher matcher(
-      ShardedMatcher::Config{.shard_count = shard_count,
-                             .worker_threads = workers,
-                             .inner_engine = inner});
+  RoutingTable table(
+      RoutingTable::Config{.engine = engine, .worker_threads = workers});
   const auto filters = make_filters(table_size, 0.3, rng);
   for (std::size_t i = 0; i < filters.size(); ++i) {
-    matcher.add(i + 1, filters[i]);
+    table.client_subscribe(1, i + 1, filters[i]);
   }
   std::vector<Event> events;
   const std::size_t universe = std::max(batch_size, std::size_t{256});
@@ -694,10 +653,10 @@ void bm_match_batch_sharded(benchmark::State& state,
   }
 
   std::size_t cursor = 0;
-  std::vector<std::vector<SubscriptionId>> hits;
+  std::vector<std::vector<RoutingTable::Destination>> hits;
   for (auto _ : state) {
     const std::size_t start = cursor % (events.size() - batch_size + 1);
-    matcher.match_batch(
+    table.match_batch(
         std::span<const Event>(events.data() + start, batch_size), hits);
     benchmark::DoNotOptimize(hits.data());
     cursor = (cursor + batch_size) % events.size();
@@ -705,33 +664,23 @@ void bm_match_batch_sharded(benchmark::State& state,
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * batch_size));
   state.counters["batch"] = static_cast<double>(batch_size);
-  state.counters["shards"] = static_cast<double>(shard_count);
   state.counters["workers"] = static_cast<double>(workers);
-  const double pairs = static_cast<double>(matcher.events_routed() +
-                                           matcher.events_skipped());
-  state.counters["skip_ratio"] =
-      pairs == 0.0 ? 0.0
-                   : static_cast<double>(matcher.events_skipped()) / pairs;
 }
 
-// {table size, batch size, shard count, worker threads}. The large-batch
-// rows (1024) are the acceptance sweep: sharded 4/4 vs the 1/0 baseline.
-#define SHARD_SWEEP(table)                                      \
-      ->Args({table, 128, 1, 0})                                \
-      ->Args({table, 128, 4, 0})                                \
-      ->Args({table, 128, 4, 4})                                \
-      ->Args({table, 1024, 1, 0})                               \
-      ->Args({table, 1024, 2, 2})                               \
-      ->Args({table, 1024, 4, 0})                               \
-      ->Args({table, 1024, 4, 4})                               \
-      ->Args({table, 1024, 8, 4})
-BENCHMARK_CAPTURE(bm_match_batch_sharded, bitset, "bitset")
-    SHARD_SWEEP(10000)->UseRealTime();
-BENCHMARK_CAPTURE(bm_match_batch_sharded, brute_force, "brute-force")
-    ->Args({2000, 1024, 1, 0})
-    ->Args({2000, 1024, 4, 4})
-    ->UseRealTime();
-#undef SHARD_SWEEP
+// {table size, batch size, worker threads}. The 1024-event rows are the
+// acceptance sweep: 4 workers against the 0-worker baseline.
+#define WORKER_SWEEP(table, batch)                               \
+      ->Args({table, batch, 0})                                  \
+      ->Args({table, batch, 1})                                  \
+      ->Args({table, batch, 3})                                  \
+      ->Args({table, batch, 4})
+BENCHMARK_CAPTURE(bm_match_batch_workers, bitset, "bitset")
+    ->Args({10000, 128, 0})
+    ->Args({10000, 128, 4})
+    WORKER_SWEEP(10000, 1024)->UseRealTime();
+BENCHMARK_CAPTURE(bm_match_batch_workers, brute_force, "brute-force")
+    WORKER_SWEEP(2000, 1024)->UseRealTime();
+#undef WORKER_SWEEP
 
 // --- subscription churn ------------------------------------------------------
 
@@ -845,15 +794,14 @@ int run_smoke() {
   std::vector<Event> events;
   for (int i = 0; i < 64; ++i) events.push_back(make_event(table_size, rng));
 
-  // 1. Every engine, bare and sharded, agrees with brute force, per-event
-  // and batch.
+  // 1. Every engine agrees with brute force, per-event and batch.
   BruteForceMatcher oracle;
   for (std::size_t i = 0; i < filters.size(); ++i) {
     oracle.add(i + 1, filters[i]);
   }
-  for (const EngineVariant& variant : engine_variants()) {
-    const auto engine = variant.make();
-    const std::string engine_name = variant.label();
+  for (const std::string_view name : kBuiltinEngines) {
+    const auto engine = make_matcher(name);
+    const std::string engine_name(name);
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
@@ -934,9 +882,11 @@ int run_smoke() {
   }
 
   // 2c. Range/prefix workload: on the eq-free population every filter
-  // resolves through the sorted-bounds / prefix-pattern structures. The
-  // floor is low (~2.3x measured on a single-core dev host) because the
-  // engine pays an entry-bitmap sweep for every satisfied lower bound.
+  // resolves through the sorted-bounds / prefix-pattern structures, and
+  // each satisfied bound costs only its entry's non-zero words. Measured
+  // 5.1-11.2x (median 9.6x, six runs) on a 4-vCPU dev host; the 3x floor
+  // is under a third of the median, and dense entry bitmaps (2-3x) fail
+  // it.
   {
     reef::util::Rng range_rng(42);
     const auto range_filters = make_range_filters(10000, range_rng);
@@ -945,14 +895,15 @@ int run_smoke() {
       range_events.push_back(make_range_event(range_rng));
     }
     if (!floor_over_brute("range/prefix", range_filters, range_events,
-                          /*floor=*/1.5)) {
+                          /*floor=*/3.0)) {
       return 1;
     }
   }
 
   // 2d. Suffix/contains workload: tail, substring, and set-membership
-  // subscriptions. The floor is lower still (1.25x) because the in-set
-  // slice stays a residual posting evaluated once per distinct symbol.
+  // subscriptions; the in-set slice stays a residual posting evaluated
+  // once per distinct symbol. Measured 7.0-8.1x (median 8.0x, six runs)
+  // on a 4-vCPU dev host; the floor is 3.5x.
   {
     reef::util::Rng suffix_rng(42);
     const auto suffix_filters = make_suffix_filters(10000, suffix_rng);
@@ -961,7 +912,7 @@ int run_smoke() {
       suffix_events.push_back(make_suffix_event(suffix_rng));
     }
     if (!floor_over_brute("suffix/contains", suffix_filters, suffix_events,
-                          /*floor=*/1.25)) {
+                          /*floor=*/3.5)) {
       return 1;
     }
   }
@@ -969,8 +920,9 @@ int run_smoke() {
   // 2e. Reef content workload: feed and content subscriptions that all
   // share stream=feed, over ~500-character item texts. The engine holds
   // its floor only while the contains probe is one pass over the text
-  // rather than one search per distinct pattern: measured ~25-35x on a
-  // 4-vCPU dev host, against 3.3x with one find() per pattern.
+  // rather than one search per distinct pattern: measured 33-45x (median
+  // 39x, six runs) on a 4-vCPU dev host, against 3.3x with one find() per
+  // pattern; the floor is 12x.
   {
     constexpr std::size_t content_table = 10000;
     reef::util::Rng content_rng(42);
@@ -983,98 +935,43 @@ int run_smoke() {
           make_content_event(content_table, terms, content_rng));
     }
     if (!floor_over_brute("content", content_filters, content_events,
-                          /*floor=*/6.0)) {
+                          /*floor=*/12.0)) {
       return 1;
     }
   }
 
-  // 3. Sharded baseline vs worker pool on the same table (keeps the
-  // sharded fan-out exercised in CI even though the speedup itself only
-  // shows on multi-core hosts).
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
-    ShardedMatcher sharded(
-        ShardedMatcher::Config{.shard_count = 4,
-                               .worker_threads = workers,
-                               .inner_engine = "bitset"});
-    for (std::size_t i = 0; i < filters.size(); ++i) {
-      sharded.add(i + 1, filters[i]);
-    }
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      sharded.match_batch(events, batch_hits);
-      benchmark::DoNotOptimize(batch_hits.data());
-    }
-    const auto end = std::chrono::steady_clock::now();
-    std::printf("  bitset/4 (%zu workers): "
-                "match_batch %ldus\n",
-                workers, static_cast<long>(us(start, end)));
-  }
-
-  // 4. Shard-aware event pre-filtering: on the Reef-like workload the
-  // pre-filter must skip (event, shard) pairs — the counter-based win that
-  // shows even where wall clock can't — through zero-copy index-span
-  // sub-batches, while producing the plain inner engine's match sets. A
-  // zero skip ratio, an event copy, or any output difference fails the
-  // smoke.
+  // 3. The worker split: a routing table with 3 workers cuts the batch
+  // into 4 contiguous ranges over its one engine; its hit lists must be
+  // the unsplit table's, byte for byte, hit order included.
   {
-    ShardedMatcher sharded(ShardedMatcher::Config{
-        .shard_count = 4, .inner_engine = "bitset"});
-    const auto plain = make_matcher("bitset");
-    for (std::size_t i = 0; i < filters.size(); ++i) {
-      sharded.add(i + 1, filters[i]);
-      plain->add(i + 1, filters[i]);
-    }
-    const auto timed = [&](const Matcher& m) {
-      const auto start = std::chrono::steady_clock::now();
-      for (int r = 0; r < rounds; ++r) {
-        m.match_batch(events, batch_hits);
-        benchmark::DoNotOptimize(batch_hits.data());
+    std::vector<std::vector<std::vector<RoutingTable::Destination>>> rows;
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+      RoutingTable table(
+          RoutingTable::Config{.engine = "bitset", .worker_threads = workers});
+      for (std::size_t i = 0; i < filters.size(); ++i) {
+        table.client_subscribe(1, i + 1, filters[i]);
       }
-      return std::chrono::steady_clock::now() - start;
+      table.match_batch(events, rows.emplace_back());
+    }
+    const auto same = [](const RoutingTable::Destination& a,
+                         const RoutingTable::Destination& b) {
+      return a.iface == b.iface && a.is_broker == b.is_broker &&
+             a.client_sub == b.client_sub;
     };
-    const std::uint64_t copies_before = Event::copy_count();
-    const auto sharded_time = timed(sharded);
-    if (Event::copy_count() != copies_before) {
-      std::printf("FAIL: pre-filtered sub-batches copied events (%llu "
-                  "copies; index-span views must be zero-copy)\n",
-                  static_cast<unsigned long long>(Event::copy_count() -
-                                                  copies_before));
+    bool identical = rows[0].size() == rows[1].size();
+    std::size_t total = 0;
+    for (std::size_t i = 0; identical && i < rows[0].size(); ++i) {
+      identical = std::equal(rows[0][i].begin(), rows[0][i].end(),
+                             rows[1][i].begin(), rows[1][i].end(), same);
+      total += rows[0][i].size();
+    }
+    if (!identical) {
+      std::printf("FAIL: 3 workers change the routing table's hit lists\n");
       return 1;
     }
-    const auto plain_time = timed(*plain);
-    std::vector<std::vector<SubscriptionId>> hits_sharded;
-    std::vector<std::vector<SubscriptionId>> hits_plain;
-    sharded.match_batch(events, hits_sharded);
-    plain->match_batch(events, hits_plain);
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      std::sort(hits_sharded[i].begin(), hits_sharded[i].end());
-      std::sort(hits_plain[i].begin(), hits_plain[i].end());
-    }
-    if (hits_sharded != hits_plain) {
-      std::printf("FAIL: sharded match sets differ from the plain engine's\n");
-      return 1;
-    }
-    if (sharded.events_skipped() == 0) {
-      std::printf("FAIL: pre-filter skipped no (event, shard) pairs on the "
-                  "Reef-like workload\n");
-      return 1;
-    }
-    const double pairs = static_cast<double>(sharded.events_routed() +
-                                             sharded.events_skipped());
-    std::printf("  pre-filter (4 shards, 0 workers): sharded %ldus, plain "
-                "%ldus, skip_ratio %.2f (%llu of %.0f event-shard pairs "
-                "skipped)\n",
-                static_cast<long>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        sharded_time)
-                        .count()),
-                static_cast<long>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        plain_time)
-                        .count()),
-                static_cast<double>(sharded.events_skipped()) / pairs,
-                static_cast<unsigned long long>(sharded.events_skipped()),
-                pairs);
+    std::printf("  worker split: 0 and 3 workers give identical hit lists "
+                "(%zu events, %zu hits)\n",
+                events.size(), total);
   }
   std::printf("smoke OK\n");
   return 0;

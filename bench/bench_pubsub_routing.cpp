@@ -49,7 +49,6 @@ struct RunConfig {
   std::string engine = std::string(pubsub::kDefaultEngine);
   /// Broker::Config::flush_max_events; 1 = one wire message per event.
   std::size_t flush_max_events = 0;
-  std::size_t shard_count = 1;
   std::size_t worker_threads = 0;
 };
 
@@ -65,7 +64,6 @@ Result run(const RunConfig& rc, std::size_t brokers, std::size_t subscribers,
   broker_config.covering_enabled = rc.covering;
   broker_config.matcher_engine = rc.engine;
   broker_config.flush_max_events = rc.flush_max_events;
-  broker_config.shard_count = rc.shard_count;
   broker_config.worker_threads = rc.worker_threads;
   pubsub::Overlay overlay(sim, net, broker_config);
   for (std::size_t i = 0; i < brokers; ++i) overlay.add_broker();
@@ -500,36 +498,36 @@ int main() {
               "budget; only events racing a subscription within one tick "
               "may differ.\n");
 
-  // --- sharded routing core: shard x worker sweep --------------------------
-  std::printf("\n=== sharded routing core: shard x worker sweep ===\n");
+  // --- worker split: worker sweep -----------------------------------------
+  std::printf("\n=== worker split: worker sweep ===\n");
   const std::string default_engine(pubsub::kDefaultEngine);
-  std::printf("chain of 8 brokers, 100 subscribers, %s inner engine; "
+  std::printf("chain of 8 brokers, 100 subscribers, %s engine; "
               "deliveries must be identical on every row\n\n",
               default_engine.c_str());
-  std::printf("  %-14s %-7s %-8s %12s %12s\n", "engine", "shards",
-              "workers", "wire msgs", "deliveries");
-  std::printf("  %s\n", std::string(58, '-').c_str());
-  struct ShardRow {
-    std::size_t shards = 1;
-    std::size_t workers = 0;
-  };
-  for (const ShardRow& row : {ShardRow{.shards = 1, .workers = 0},
-                              ShardRow{.shards = 4, .workers = 0},
-                              ShardRow{.shards = 4, .workers = 2}}) {
-    const Result r = run(RunConfig{.shard_count = row.shards,
-                                   .worker_threads = row.workers},
-                         8, 100, 60, 0.0);
-    std::printf("  %-14s %-7zu %-8zu %12s %12s\n", default_engine.c_str(),
-                row.shards, row.workers,
-                reef::util::with_commas(r.event_wire_msgs).c_str(),
+  std::printf("  %-14s %-8s %12s %12s\n", "engine", "workers", "wire msgs",
+              "deliveries");
+  std::printf("  %s\n", std::string(50, '-').c_str());
+  bool workers_identical = true;
+  Result first_workers_row;
+  for (const std::size_t workers :
+       {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+    const Result r =
+        run(RunConfig{.worker_threads = workers}, 8, 100, 60, 0.0);
+    if (workers == 0) {
+      first_workers_row = r;
+    } else if (r.event_wire_msgs != first_workers_row.event_wire_msgs ||
+               r.deliveries != first_workers_row.deliveries) {
+      workers_identical = false;
+    }
+    std::printf("  %-14s %-8zu %12s %12s\n", default_engine.c_str(),
+                workers, reef::util::with_commas(r.event_wire_msgs).c_str(),
                 reef::util::with_commas(r.deliveries).c_str());
   }
-  std::printf("\n  sharding partitions each broker's filter state by "
-              "the attribute of each filter's first constraint; worker "
-              "threads fan match_batch over the shards, and the shard "
-              "pre-filter routes each event only to "
-              "the shards its attributes can reach — without changing a "
-              "single delivery.\n");
+  std::printf("\n  worker threads split each broker's batch match into "
+              "contiguous event ranges over its one engine, each range "
+              "writing its own slice of the output — without changing a "
+              "single wire message or delivery (a difference is a hard "
+              "failure).\n");
 
   // --- adaptive flush: latency vs throughput -------------------------------
   std::printf("\n=== adaptive flush: latency vs throughput sweep ===\n");
@@ -684,13 +682,14 @@ int main() {
               "the widest resync, the leaf the cheapest. DNF on any row is "
               "a hard failure.\n");
 
-  if (!residence_monotone || !deliveries_identical || !all_converged ||
-      !topk_ok) {
-    std::printf("\nFAIL: sweep invariants violated (residence_monotone=%d, "
-                "deliveries_identical=%d, crash_reconvergence=%d, "
-                "topk_sweep=%d)\n",
-                residence_monotone ? 1 : 0, deliveries_identical ? 1 : 0,
-                all_converged ? 1 : 0, topk_ok ? 1 : 0);
+  if (!workers_identical || !residence_monotone || !deliveries_identical ||
+      !all_converged || !topk_ok) {
+    std::printf("\nFAIL: sweep invariants violated (worker_sweep=%d, "
+                "residence_monotone=%d, deliveries_identical=%d, "
+                "crash_reconvergence=%d, topk_sweep=%d)\n",
+                workers_identical ? 1 : 0, residence_monotone ? 1 : 0,
+                deliveries_identical ? 1 : 0, all_converged ? 1 : 0,
+                topk_ok ? 1 : 0);
     return 1;
   }
   return 0;

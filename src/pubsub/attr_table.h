@@ -13,8 +13,8 @@
 // concurrently with intern(). The table is append-only — ids are never
 // reused or remapped, and an interned name's storage is never moved — so
 // readers only need acquire loads on the published index and chunk
-// pointers. The sharded matcher's worker pool matches concurrently with
-// other threads subscribing; tests/pubsub_attr_table_test.cpp runs the
+// pointers. The routing table's match workers read names concurrently
+// with other threads interning them; tests/pubsub_attr_table_test.cpp runs the
 // intern/lookup race under TSan.
 //
 // Cardinality assumption: attribute *names* are schema-like — a bounded

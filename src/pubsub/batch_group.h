@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,11 +15,11 @@
 
 namespace reef::pubsub {
 
-/// One attribute across a batch: (position in the view, the event's value).
+/// One attribute across a batch: (position in the batch, the event's value).
 using Occurrences = std::vector<std::pair<std::uint32_t, const Value*>>;
 
 /// Invokes `fn(attr, occurrences)` once per attribute present in the batch,
-/// in ascending AttrId, with the events in view order inside each list —
+/// in ascending AttrId, with the events in batch order inside each list —
 /// so per-event output built group by group is independent of which other
 /// events share the batch (event.attrs() iterates ascending too). Two
 /// grouping strategies, same output: a dense AttrId-indexed table when the
@@ -28,7 +29,7 @@ using Occurrences = std::vector<std::pair<std::uint32_t, const Value*>>;
 /// a stray late-interned id would make the dense table bigger than the work
 /// it saves.
 template <typename Fn>
-void for_each_attr_group(const EventBatchView& events, Fn&& fn) {
+void for_each_attr_group(std::span<const Event> events, Fn&& fn) {
   std::size_t occurrence_count = 0;
   AttrId max_attr = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -75,7 +76,7 @@ void for_each_attr_group(const EventBatchView& events, Fn&& fn) {
 
 /// Invokes `fn(canonical, positions)` once per distinct canonical value
 /// (canonical_numeric identity: an int with an exact double image groups
-/// with that double) among `occurrences`, with the view positions carrying
+/// with that double) among `occurrences`, with the batch positions carrying
 /// it. Groups are keyed by pointer into the events, so no value is copied —
 /// only ints are, into their canonical double, when the group is visited.
 /// Value::hash already hashes such ints through their double image.

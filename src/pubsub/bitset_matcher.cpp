@@ -29,34 +29,13 @@ FilterSlot BitsetMatcher::acquire_slot() {
 }
 
 void BitsetMatcher::grow_words(std::size_t min_words) {
+  // Entries are sparse (only their non-zero words), so widening the slot
+  // space touches the dense per-slot bitmaps only.
   words_ = min_words;
   live_.resize(words_, 0);
   zero_req_.resize(words_, 0);
+  zero_words_.resize((words_ + kWordBits - 1) / kWordBits, 0);
   for (auto& slice : required_) slice.resize(words_, 0);
-  for (auto& [attr, by_value] : eq_) {
-    for (auto& [value, entry] : by_value) entry.bits.resize(words_, 0);
-  }
-  for (auto& [attr, entries] : range_) {
-    for (auto& posting : entries.lower) posting.entry.bits.resize(words_, 0);
-    for (auto& posting : entries.upper) posting.entry.bits.resize(words_, 0);
-  }
-  for (auto& [attr, entries] : prefix_) {
-    for (auto& posting : entries.postings) {
-      posting.entry.bits.resize(words_, 0);
-    }
-  }
-  for (auto& [attr, entries] : suffix_) {
-    for (auto& posting : entries.postings) {
-      posting.entry.bits.resize(words_, 0);
-    }
-  }
-  for (auto& [attr, entries] : contains_) {
-    entries.for_each_payload(
-        [this](Entry& entry) { entry.bits.resize(words_, 0); });
-  }
-  for (auto& [attr, postings] : noneq_) {
-    for (auto& posting : postings) posting.entry.bits.resize(words_, 0);
-  }
 }
 
 void BitsetMatcher::ensure_slices(std::uint32_t required) {
@@ -96,6 +75,64 @@ std::uint32_t BitsetMatcher::for_each_entry(const Filter& filter, EqFn&& eq_fn,
   return count;
 }
 
+namespace {
+
+using SparseWords = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+SparseWords::iterator word_pos(SparseWords& words, std::size_t index) {
+  return std::lower_bound(
+      words.begin(), words.end(), index,
+      [](const std::pair<std::uint32_t, std::uint64_t>& word,
+         std::size_t i) { return word.first < i; });
+}
+
+/// Sets `bit` in word `index`; true when the word was zero (inserted).
+bool sparse_set(SparseWords& words, std::size_t index, std::uint64_t bit) {
+  const auto it = word_pos(words, index);
+  if (it != words.end() && it->first == index) {
+    it->second |= bit;
+    return false;
+  }
+  words.insert(it, {static_cast<std::uint32_t>(index), bit});
+  return true;
+}
+
+/// Clears `bit` in word `index` (which must hold it); true when the word
+/// became zero (dropped).
+bool sparse_clear(SparseWords& words, std::size_t index, std::uint64_t bit) {
+  const auto it = word_pos(words, index);
+  it->second &= ~bit;
+  if (it->second != 0) return false;
+  words.erase(it);
+  return true;
+}
+
+}  // namespace
+
+void BitsetMatcher::Entry::set(std::size_t w, Word bit) {
+  if (sparse_set(words, w, bit)) {
+    sparse_set(blocks, w / kWordBits, Word{1} << (w % kWordBits));
+  }
+}
+
+void BitsetMatcher::Entry::clear(std::size_t w, Word bit) {
+  if (sparse_clear(words, w, bit)) {
+    sparse_clear(blocks, w / kWordBits, Word{1} << (w % kWordBits));
+  }
+}
+
+void BitsetMatcher::add_to_entry(Entry& entry, std::size_t w, Word bit) {
+  if (entry.slot_count++ == 0) ++entries_;
+  entry.set(w, bit);
+}
+
+bool BitsetMatcher::remove_from_entry(Entry& entry, std::size_t w, Word bit) {
+  entry.clear(w, bit);
+  if (--entry.slot_count != 0) return false;
+  --entries_;
+  return true;
+}
+
 void BitsetMatcher::add(SubscriptionId id, Filter filter) {
   remove(id);  // replace semantics
   const FilterSlot slot = acquire_slot();
@@ -104,13 +141,7 @@ void BitsetMatcher::add(SubscriptionId id, Filter filter) {
   const std::uint32_t required = for_each_entry(
       filter,
       [&](AttrId attr, const Value& canonical) {
-        Entry& entry = eq_[attr][canonical];
-        if (entry.bits.empty()) {
-          entry.bits.assign(words_, 0);
-          ++entries_;
-        }
-        entry.bits[w] |= bit;
-        ++entry.slot_count;
+        add_to_entry(eq_[attr][canonical], w, bit);
       },
       [&](const Constraint& c) {
         // Distinct constraints map to distinct entries in every class:
@@ -133,7 +164,6 @@ void BitsetMatcher::add(SubscriptionId id, Filter filter) {
                                  });
           if (it == postings.end()) {
             RangePosting posting{c.value(), strict, Entry{}};
-            posting.entry.bits.assign(words_, 0);
             if (is_lower_bound_op(c.op())) {
               it = postings.insert(
                   std::upper_bound(postings.begin(), postings.end(), posting,
@@ -145,63 +175,44 @@ void BitsetMatcher::add(SubscriptionId id, Filter filter) {
                                    upper_bound_order<RangePosting>),
                   std::move(posting));
             }
-            ++entries_;
           }
           entry = &it->entry;
-        } else if (is_sortable_prefix(c)) {
-          PrefixEntries& entries = prefix_[c.attr_id()];
-          const std::string& pattern = c.value().as_string();
+        } else if (is_sortable_prefix(c) || is_sortable_suffix(c)) {
+          const bool is_prefix = is_sortable_prefix(c);
+          PrefixEntries& entries =
+              (is_prefix ? prefix_ : suffix_)[c.attr_id()];
+          const std::string pattern = is_prefix
+                                          ? c.value().as_string()
+                                          : reversed(c.value().as_string());
           auto it = prefix_posting_pos(entries.postings, pattern);
           if (it == entries.postings.end() || it->prefix != pattern) {
             it = entries.postings.insert(it, PrefixPosting{pattern, Entry{}});
-            it->entry.bits.assign(words_, 0);
             add_prefix_length(entries.lengths, pattern.size());
-            ++entries_;
-          }
-          entry = &it->entry;
-        } else if (is_sortable_suffix(c)) {
-          PrefixEntries& entries = suffix_[c.attr_id()];
-          const std::string pattern = reversed(c.value().as_string());
-          auto it = prefix_posting_pos(entries.postings, pattern);
-          if (it == entries.postings.end() || it->prefix != pattern) {
-            it = entries.postings.insert(it, PrefixPosting{pattern, Entry{}});
-            it->entry.bits.assign(words_, 0);
-            add_prefix_length(entries.lengths, pattern.size());
-            ++entries_;
           }
           entry = &it->entry;
         } else if (is_sortable_contains(c)) {
           entry = &contains_[c.attr_id()].insert(c.value().as_string())
                        .payload;
-          if (entry->bits.empty()) {
-            entry->bits.assign(words_, 0);
-            ++entries_;
-          }
         } else {
           auto& postings = noneq_[c.attr_id()];
-          NonEqPosting* posting = nullptr;
-          for (auto& p : postings) {
-            if (p.constraint == c) {
-              posting = &p;
-              break;
-            }
-          }
-          if (posting == nullptr) {
-            posting = &postings.emplace_back(NonEqPosting{c, Entry{}});
-            posting->entry.bits.assign(words_, 0);
-            ++entries_;
-          }
-          entry = &posting->entry;
+          const auto it = std::find_if(
+              postings.begin(), postings.end(),
+              [&](const NonEqPosting& p) { return p.constraint == c; });
+          entry = it != postings.end()
+                      ? &it->entry
+                      : &postings.emplace_back(NonEqPosting{c, Entry{}}).entry;
         }
-        entry->bits[w] |= bit;
-        ++entry->slot_count;
+        add_to_entry(*entry, w, bit);
       });
   ensure_slices(required);
   for (std::size_t s = 0; s < required_.size(); ++s) {
     if ((required >> s) & 1u) required_[s][w] |= bit;
   }
   live_[w] |= bit;
-  if (required == 0) zero_req_[w] |= bit;
+  if (required == 0) {
+    zero_req_[w] |= bit;
+    zero_words_[w / kWordBits] |= Word{1} << (w % kWordBits);
+  }
   Slot& stored = slots_[slot];
   stored.sub = id;
   stored.filter = std::move(filter);
@@ -220,12 +231,9 @@ void BitsetMatcher::remove(SubscriptionId id) {
       [&](AttrId attr, const Value& canonical) {
         const auto attr_it = eq_.find(attr);
         const auto value_it = attr_it->second.find(canonical);
-        Entry& entry = value_it->second;
-        entry.bits[w] &= ~bit;
-        if (--entry.slot_count == 0) {
+        if (remove_from_entry(value_it->second, w, bit)) {
           attr_it->second.erase(value_it);
           if (attr_it->second.empty()) eq_.erase(attr_it);
-          --entries_;
         }
       },
       [&](const Constraint& c) {
@@ -241,53 +249,34 @@ void BitsetMatcher::remove(SubscriptionId id) {
                              return p.strict == strict &&
                                     p.bound == c.value();
                            });
-          Entry& entry = posting_it->entry;
-          entry.bits[w] &= ~bit;
-          if (--entry.slot_count == 0) {
+          if (remove_from_entry(posting_it->entry, w, bit)) {
             postings.erase(posting_it);
             if (entries.lower.empty() && entries.upper.empty()) {
               range_.erase(attr_it);
             }
-            --entries_;
           }
-        } else if (is_sortable_prefix(c)) {
-          const auto attr_it = prefix_.find(c.attr_id());
+        } else if (is_sortable_prefix(c) || is_sortable_suffix(c)) {
+          const bool is_prefix = is_sortable_prefix(c);
+          auto& table = is_prefix ? prefix_ : suffix_;
+          const auto attr_it = table.find(c.attr_id());
           PrefixEntries& entries = attr_it->second;
-          const std::string& pattern = c.value().as_string();
+          const std::string pattern = is_prefix
+                                          ? c.value().as_string()
+                                          : reversed(c.value().as_string());
           const auto posting_it =
               prefix_posting_pos(entries.postings, pattern);
-          Entry& entry = posting_it->entry;
-          entry.bits[w] &= ~bit;
-          if (--entry.slot_count == 0) {
+          if (remove_from_entry(posting_it->entry, w, bit)) {
             remove_prefix_length(entries.lengths, pattern.size());
             entries.postings.erase(posting_it);
-            if (entries.postings.empty()) prefix_.erase(attr_it);
-            --entries_;
-          }
-        } else if (is_sortable_suffix(c)) {
-          const auto attr_it = suffix_.find(c.attr_id());
-          PrefixEntries& entries = attr_it->second;
-          const std::string pattern = reversed(c.value().as_string());
-          const auto posting_it =
-              prefix_posting_pos(entries.postings, pattern);
-          Entry& entry = posting_it->entry;
-          entry.bits[w] &= ~bit;
-          if (--entry.slot_count == 0) {
-            remove_prefix_length(entries.lengths, pattern.size());
-            entries.postings.erase(posting_it);
-            if (entries.postings.empty()) suffix_.erase(attr_it);
-            --entries_;
+            if (entries.postings.empty()) table.erase(attr_it);
           }
         } else if (is_sortable_contains(c)) {
           const auto attr_it = contains_.find(c.attr_id());
           ContainsEntries& entries = attr_it->second;
           const std::string& pattern = c.value().as_string();
-          Entry& entry = entries.find(pattern)->payload;
-          entry.bits[w] &= ~bit;
-          if (--entry.slot_count == 0) {
+          if (remove_from_entry(entries.find(pattern)->payload, w, bit)) {
             entries.erase(pattern);
             if (entries.empty()) contains_.erase(attr_it);
-            --entries_;
           }
         } else {
           const auto attr_it = noneq_.find(c.attr_id());
@@ -297,17 +286,17 @@ void BitsetMatcher::remove(SubscriptionId id) {
                            [&](const NonEqPosting& p) {
                              return p.constraint == c;
                            });
-          Entry& entry = posting_it->entry;
-          entry.bits[w] &= ~bit;
-          if (--entry.slot_count == 0) {
+          if (remove_from_entry(posting_it->entry, w, bit)) {
             postings.erase(posting_it);
             if (postings.empty()) noneq_.erase(attr_it);
-            --entries_;
           }
         }
       });
   live_[w] &= ~bit;
   zero_req_[w] &= ~bit;
+  if (zero_req_[w] == 0) {
+    zero_words_[w / kWordBits] &= ~(Word{1} << (w % kWordBits));
+  }
   for (auto& slice : required_) slice[w] &= ~bit;
   slots_[slot] = Slot{};  // release the filter's memory while freelisted
   free_slots_.push_back(slot);
@@ -318,6 +307,14 @@ std::optional<FilterSlot> BitsetMatcher::slot_of(SubscriptionId id) const {
   const auto it = slot_of_.find(id);
   if (it == slot_of_.end()) return std::nullopt;
   return it->second;
+}
+
+std::size_t BitsetMatcher::universal_words() const noexcept {
+  std::size_t count = 0;
+  for (const Word summary : zero_words_) {
+    count += static_cast<std::size_t>(std::popcount(summary));
+  }
+  return count;
 }
 
 // --- matching ---------------------------------------------------------------
@@ -384,16 +381,15 @@ void BitsetMatcher::collect_satisfied(AttrId attr, const Value& canonical,
   }
 }
 
-void BitsetMatcher::accumulate(const std::vector<Word>& bits,
-                               std::vector<Word>& counters) const {
+void BitsetMatcher::accumulate(const Entry& entry, Scratch& scratch) const {
+  for (const auto& [k, mask] : entry.blocks) scratch.touched[k] |= mask;
   const std::size_t slices = required_.size();
-  for (std::size_t w = 0; w < words_; ++w) {
-    Word carry = bits[w];
-    if (carry == 0) continue;
+  for (const auto& [w, bits] : entry.words) {
+    Word carry = bits;
+    Word* counter = &scratch.counters[w * slices];
     for (std::size_t s = 0; s < slices && carry != 0; ++s) {
-      Word& slice = counters[s * words_ + w];
-      const Word next = slice & carry;
-      slice ^= carry;
+      const Word next = counter[s] & carry;
+      counter[s] ^= carry;
       carry = next;
     }
     // No carry-out is possible: a slot's counter never exceeds its own
@@ -402,32 +398,63 @@ void BitsetMatcher::accumulate(const std::vector<Word>& bits,
   }
 }
 
-void BitsetMatcher::emit_matches(const std::vector<Word>& counters,
+void BitsetMatcher::emit_matches(Scratch& scratch,
                                  std::vector<SubscriptionId>& out) const {
+  // Only touched words can hold a non-zero counter; an untouched word
+  // fires exactly its universal slots, so visiting the touched words plus
+  // the words with universal slots covers every match, in ascending slot
+  // order. Visiting a word re-zeroes its counters for the next event.
   const std::size_t slices = required_.size();
-  for (std::size_t w = 0; w < words_; ++w) {
-    Word diff = 0;
-    for (std::size_t s = 0; s < slices; ++s) {
-      diff |= counters[s * words_ + w] ^ required_[s][w];
-    }
-    Word fire = live_[w] & ~diff;
-    while (fire != 0) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(fire));
-      fire &= fire - 1;
-      out.push_back(slots_[w * kWordBits + b].sub);
+  for (std::size_t k = 0; k < scratch.touched.size(); ++k) {
+    const Word visit = scratch.touched[k] | zero_words_[k];
+    if (visit == 0) continue;
+    scratch.touched[k] = 0;
+    // A straight walk from the block's first to its last visited word:
+    // one predictable bit test per word, whether the block is dense or
+    // holds a single visited word.
+    const auto last =
+        kWordBits - static_cast<std::size_t>(std::countl_zero(visit));
+    for (auto b = static_cast<std::size_t>(std::countr_zero(visit));
+         b < last; ++b) {
+      if (((visit >> b) & 1) == 0) continue;
+      const std::size_t w = k * kWordBits + b;
+      Word* counter = &scratch.counters[w * slices];
+      Word diff = 0;
+      for (std::size_t s = 0; s < slices; ++s) {
+        diff |= counter[s] ^ required_[s][w];
+        counter[s] = 0;
+      }
+      // Emitted inline: as a call, the per-word cost shows on dense
+      // populations.
+      for (Word fire = live_[w] & ~diff; fire != 0; fire &= fire - 1) {
+        out.push_back(
+            slots_[w * kWordBits +
+                   static_cast<std::size_t>(std::countr_zero(fire))]
+                .sub);
+      }
     }
   }
 }
 
 void BitsetMatcher::emit_universal(std::vector<SubscriptionId>& out) const {
-  for (std::size_t w = 0; w < words_; ++w) {
-    Word fire = zero_req_[w];
-    while (fire != 0) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(fire));
-      fire &= fire - 1;
-      out.push_back(slots_[w * kWordBits + b].sub);
+  for (std::size_t k = 0; k < zero_words_.size(); ++k) {
+    for (Word visit = zero_words_[k]; visit != 0; visit &= visit - 1) {
+      const std::size_t w =
+          k * kWordBits + static_cast<std::size_t>(std::countr_zero(visit));
+      for (Word fire = zero_req_[w]; fire != 0; fire &= fire - 1) {
+        out.push_back(
+            slots_[w * kWordBits +
+                   static_cast<std::size_t>(std::countr_zero(fire))]
+                .sub);
+      }
     }
   }
+}
+
+BitsetMatcher::Scratch BitsetMatcher::make_scratch() const {
+  return Scratch{
+      std::vector<Word>(words_ * required_.size(), 0),
+      std::vector<Word>((words_ + kWordBits - 1) / kWordBits, 0)};
 }
 
 void BitsetMatcher::match(const Event& event,
@@ -443,13 +470,13 @@ void BitsetMatcher::match(const Event& event,
     emit_universal(out);
     return;
   }
-  std::vector<Word> counters(required_.size() * words_, 0);
-  for (const Entry* entry : satisfied) accumulate(entry->bits, counters);
-  emit_matches(counters, out);
+  Scratch scratch = make_scratch();
+  for (const Entry* entry : satisfied) accumulate(*entry, scratch);
+  emit_matches(scratch, out);
 }
 
 void BitsetMatcher::match_batch(
-    const EventBatchView& events,
+    std::span<const Event> events,
     std::vector<std::vector<SubscriptionId>>& out) const {
   out.assign(events.size(), {});
   if (slot_of_.empty() || events.empty()) return;
@@ -486,18 +513,18 @@ void BitsetMatcher::match_batch(
       }
     });
   });
-  // Phase 2 — per event: ripple-carry the satisfied bitmaps into the
-  // counter slices (reused scratch, re-zeroed per event) and run the
-  // threshold pass. Word loops only; no hash probe survives phase 1.
-  std::vector<Word> counters(required_.size() * words_, 0);
+  // Phase 2 — per event: ripple-carry the satisfied entries' words into
+  // the counters and run the threshold pass over the words they touched.
+  // Word loops only; no hash probe survives phase 1. The scratch is
+  // reused: the threshold pass leaves it zeroed.
+  Scratch scratch = make_scratch();
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (satisfied[i].empty()) {
       emit_universal(out[i]);
       continue;
     }
-    std::fill(counters.begin(), counters.end(), 0);
-    for (const Entry* entry : satisfied[i]) accumulate(entry->bits, counters);
-    emit_matches(counters, out[i]);
+    for (const Entry* entry : satisfied[i]) accumulate(*entry, scratch);
+    emit_matches(scratch, out[i]);
   }
 }
 

@@ -57,26 +57,40 @@
 // bits via countr_zero/popcount. Universal (empty) filters hold slots with
 // requirement 0 and fall out of the same equation — an attribute-free
 // event satisfies no entries, every counter is 0, and exactly the
-// requirement-0 slots fire (the engine keeps that zero-entry answer as a
-// precomputed bitmap so empty events skip the counter pass entirely).
+// requirement-0 slots fire (the engine keeps those slots as a precomputed
+// bitmap so empty events skip the counter pass entirely).
 //
 // This is the Gryphon/Siena counting algorithm, batched: a counting table
-// *is* bitmap intersection with count thresholds. Its cost per event is
-// the satisfied entries times the slot words, independent of how many
-// filters share an (attribute, value) entry, so dense/high-overlap
-// populations — every feed subscription carries stream = "feed" — cost no
-// more than selective ones; see the dense workload in
-// bench_pubsub_matching and the bitset-over-brute-force floors in its
-// --smoke mode. Sharding (sharded_matcher.h) splits the slot space when
-// one bitmap word stream per entry grows too long.
+// *is* bitmap intersection with count thresholds.
 //
-// Scratch memory (the counter slices) is allocated per call, never stored,
-// so the const matching methods stay safe to call concurrently, as the
-// sharded layer's worker pool requires.
+// ## Sparse entries: cost follows the hits, not the table
+//
+// Entry bitmaps are stored sparse, roaring-style (Lemire et al., "Roaring
+// Bitmaps", arXiv 1402.6407): an entry keeps only its non-zero 64-slot
+// words, as a sorted (word index, word) list, plus the same list one level
+// up (bit b of block k set iff word 64k + b is held). Accumulating an entry
+// ripple-carries just those words and ORs its blocks into a per-call
+// touched-word summary (one bit per word); the threshold pass then visits
+// only the touched words plus the words holding universal slots (a
+// maintained summary of the requirement-0 bitmap) — an untouched word's
+// counters are all zero, so it can fire only its universal slots — and
+// re-zeroes the counters of the words it visits. Per event the cost is the
+// satisfied entries' own words plus the words they touched, independent of
+// how wide the slot space has grown and of how many filters share an
+// (attribute, value) entry, so dense/high-overlap populations — every feed
+// subscription carries stream = "feed" — cost no more than selective
+// ones; see the dense workload in bench_pubsub_matching and the
+// bitset-over-brute-force floors in its --smoke mode.
+//
+// Scratch memory (the counter slices and the touched summary) is allocated
+// per call, never stored, so the const matching methods stay safe to call
+// concurrently — the routing table's worker split runs contiguous ranges
+// of one batch through one engine at once.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -96,7 +110,6 @@ using FilterSlot = std::uint32_t;
 class BitsetMatcher final : public Matcher {
  public:
   using Matcher::match;
-  using Matcher::match_batch;
   void add(SubscriptionId id, Filter filter) override;
   void remove(SubscriptionId id) override;
   void match(const Event& event,
@@ -106,7 +119,7 @@ class BitsetMatcher final : public Matcher {
   /// predicate evaluated once per distinct value across the batch, and
   /// the per-event counter accumulation + threshold pass run over the
   /// collected entry bitmaps — word loops only.
-  void match_batch(const EventBatchView& events,
+  void match_batch(std::span<const Event> events,
                    std::vector<std::vector<SubscriptionId>>& out)
       const override;
   std::size_t size() const noexcept override { return slot_of_.size(); }
@@ -122,6 +135,9 @@ class BitsetMatcher final : public Matcher {
   std::size_t slice_count() const noexcept { return required_.size(); }
   /// Live index entries (eq value entries + distinct noneq postings).
   std::size_t entry_count() const noexcept { return entries_; }
+  /// Slot words holding at least one universal (requirement-0) slot: the
+  /// words the threshold pass visits even when no entry touched them.
+  std::size_t universal_words() const noexcept;
   /// Slot currently assigned to `id` (nullopt for unknown ids). Pins the
   /// freelist-reuse behavior in tests.
   std::optional<FilterSlot> slot_of(SubscriptionId id) const;
@@ -130,10 +146,20 @@ class BitsetMatcher final : public Matcher {
   using Word = std::uint64_t;
   static constexpr std::size_t kWordBits = 64;
 
-  /// One index entry: the slots whose filters carry this constraint.
+  /// One index entry: the slots whose filters carry this constraint, as
+  /// the non-zero words of its bitmap sorted by word index (see "Sparse
+  /// entries" above).
   struct Entry {
-    std::vector<Word> bits;    // words_ wide, like every bitmap here
+    std::vector<std::pair<std::uint32_t, Word>> words;
+    /// The same shape one level up: bit b of block k is set iff word
+    /// 64k + b is in `words` (what accumulate marks touched).
+    std::vector<std::pair<std::uint32_t, Word>> blocks;
     std::size_t slot_count = 0;  // set bits; entry is erased at zero
+    /// Sets `bit` in word `w`, inserting the word when it was zero.
+    void set(std::size_t w, Word bit);
+    /// Clears `bit` in word `w` (which must hold it), dropping the word
+    /// once it is zero.
+    void clear(std::size_t w, Word bit);
   };
   struct NonEqPosting {
     Constraint constraint;
@@ -167,6 +193,14 @@ class BitsetMatcher final : public Matcher {
     std::uint32_t required = 0;  // distinct index entries referenced
   };
 
+  /// Per-call matching scratch: word-major counter slices (slot word w's
+  /// slice s at counters[w * slices + s]) and the touched-word summary,
+  /// both all-zero between events.
+  struct Scratch {
+    std::vector<Word> counters;
+    std::vector<Word> touched;
+  };
+
   FilterSlot acquire_slot();
   void grow_words(std::size_t min_words);
   void ensure_slices(std::uint32_t required);
@@ -179,16 +213,24 @@ class BitsetMatcher final : public Matcher {
   std::uint32_t for_each_entry(const Filter& filter, EqFn&& eq_fn,
                                NonEqFn&& noneq_fn) const;
 
+  /// Adds the slot at (`w`, `bit`) to `entry`, counting the entry when it
+  /// is new.
+  void add_to_entry(Entry& entry, std::size_t w, Word bit);
+  /// Removes the slot at (`w`, `bit`) from `entry`; true (and the entry
+  /// uncounted) once no slot is left, so the caller erases it.
+  bool remove_from_entry(Entry& entry, std::size_t w, Word bit);
+
   /// Appends the entry bitmaps satisfied by (attr, value) to `out`.
   void collect_satisfied(AttrId attr, const Value& canonical,
                          std::vector<const Entry*>& out) const;
-  /// Ripple-carry add of `bits` into the slice-major counter table.
-  void accumulate(const std::vector<Word>& bits,
-                  std::vector<Word>& counters) const;
-  /// Threshold pass: emits the subscription ids of every live slot whose
-  /// counter equals its requirement.
-  void emit_matches(const std::vector<Word>& counters,
-                    std::vector<SubscriptionId>& out) const;
+  Scratch make_scratch() const;
+  /// Ripple-carry add of `entry`'s words into the counters, marking its
+  /// words touched.
+  void accumulate(const Entry& entry, Scratch& scratch) const;
+  /// Threshold pass over the touched and universal words: emits the
+  /// subscription ids of every live slot whose counter equals its
+  /// requirement, and leaves `scratch` zeroed.
+  void emit_matches(Scratch& scratch, std::vector<SubscriptionId>& out) const;
   /// Fast path for events that satisfied no entry: exactly the
   /// requirement-0 (universal) slots fire.
   void emit_universal(std::vector<SubscriptionId>& out) const;
@@ -213,6 +255,8 @@ class BitsetMatcher final : public Matcher {
   std::unordered_map<AttrId, std::vector<NonEqPosting>, AttrIdHash> noneq_;
   std::vector<Word> live_;      // occupied slots
   std::vector<Word> zero_req_;  // live slots with requirement 0 (universal)
+  /// Summary of zero_req_: bit w is set iff zero_req_[w] != 0.
+  std::vector<Word> zero_words_;
   /// Required-count bit slices: required_[b] bit s == bit b of slot s's
   /// distinct-entry count. Grows (never shrinks) with the largest
   /// requirement seen.

@@ -20,7 +20,6 @@ RoutingTable::Config make_table_config(const Broker::Config& config) {
   RoutingTable::Config table;
   table.covering_enabled = config.covering_enabled;
   table.engine = config.matcher_engine;
-  table.shard_count = config.shard_count;
   table.worker_threads = config.worker_threads;
   return table;
 }
@@ -298,7 +297,7 @@ void Broker::route_event(sim::NodeId from, const Event& event,
   // Group matches by interface; an event crosses each interface once.
   // Interfaces are visited in id order and each client's matched-sub list
   // is sorted, so the broker's output is a pure function of the match
-  // *sets* — engines (sharded or not, any worker count) that agree on the
+  // *sets* — engines (any worker count) that agree on the
   // sets produce byte-identical wire traffic regardless of hit order.
   broker_hits_.clear();
   client_hits_.clear();
@@ -358,7 +357,7 @@ void Broker::route_scored(
   // Pass 1: collect, per (client, subscription) with a non-neutral policy,
   // the scored candidates of this publication batch — the top-k window.
   // The window is the wire-message batch, so its composition depends only
-  // on what the publisher framed together, never on engine, shard, worker,
+  // on what the publisher framed together, never on engine, worker count,
   // or flush-budget choices (see docs/ARCHITECTURE.md "Scored delivery").
   // Sorting by (client, subscription, event) lays each window out as one
   // run, its candidates in ascending event order.

@@ -74,14 +74,11 @@ class Broker final : public sim::Node {
     /// Matching engine, by built-in name ("brute-force" or "bitset"; see
     /// engines.h).
     std::string matcher_engine = std::string(kDefaultEngine);
-    /// Filter-state shards inside this broker's routing table. Any value
-    /// above 1 shards `matcher_engine` by anchor-attribute hash, with
-    /// shard-aware event pre-filtering (sharded_matcher.h); 1 keeps the
-    /// plain engine unless worker_threads is set.
-    std::size_t shard_count = 1;
-    /// Worker threads fanning batch matching over the shards; 0 matches
-    /// inline on the simulator thread. Match output is bit-identical for
-    /// every setting (tests/pubsub_sharding_test.cpp holds this).
+    /// Worker threads sharing each batch match: the routing table cuts a
+    /// batch into contiguous event ranges, one per worker plus the
+    /// calling thread, over its one engine; 0 matches inline on the
+    /// simulator thread. Match output is bit-identical for every setting
+    /// (tests/pubsub_workers_test.cpp holds this).
     std::size_t worker_threads = 0;
     /// Scored delivery (see scoring.h): publications are matched through
     /// the scored batch path and each client subscription's ScoringSpec

@@ -1,9 +1,9 @@
 // The built-in matching engines, selected by name.
 //
 // Broker configuration, benches, and examples select an engine by name
-// ("brute-force", "bitset") instead of hard-coding a type.
-// Sharding is not part of the name: RoutingTable::Config::shard_count /
-// worker_threads wrap the named engine in a ShardedMatcher.
+// ("brute-force", "bitset") instead of hard-coding a type. Parallelism is
+// not part of the engine: RoutingTable::Config::worker_threads splits a
+// batch over the one named engine.
 #pragma once
 
 #include <array>

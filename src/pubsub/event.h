@@ -36,17 +36,17 @@ using EventId = std::uint64_t;
 ///
 /// Thread rule: an Event is mutated only by the thread that owns it, and
 /// only before it is shared with another thread. Readers on other threads
-/// (the sharded matcher's workers) never mutate, so the use_count() test
+/// (the routing table's match workers) never mutate, so the use_count() test
 /// that guards the clone cannot race.
 class Event {
  public:
   Event() = default;
 
   // Handle copies are counted (relaxed, process-global) so the zero-copy
-  // batch contract is testable: the sharded pre-filter's index-span
-  // sub-batches must not copy a single Event, not even a handle
-  // (tests/pubsub_sharding_test.cpp and the bench smoke assert copy_count()
-  // stays flat across match_batch).
+  // batch contract is testable: matching a batch, or the contiguous
+  // sub-spans the routing table's worker split hands out, must not copy a
+  // single Event, not even a handle (tests/pubsub_workers_test.cpp and
+  // tests/pubsub_attr_table_test.cpp assert copy_count() stays flat).
   Event(const Event& other) : body_(other.body_), id_(other.id_) {
     copy_count_.fetch_add(1, std::memory_order_relaxed);
   }

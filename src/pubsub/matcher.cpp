@@ -17,14 +17,14 @@ Value canonical_numeric(const Value& v) {
   return v;
 }
 
-void Matcher::match_batch(const EventBatchView& events,
+void Matcher::match_batch(std::span<const Event> events,
                           std::vector<std::vector<SubscriptionId>>& out) const {
   out.assign(events.size(), {});
   for (std::size_t i = 0; i < events.size(); ++i) match(events[i], out[i]);
 }
 
 void Matcher::match_batch_scored(
-    const EventBatchView& events, const ScoringIndex& scoring,
+    std::span<const Event> events, const ScoringIndex& scoring,
     std::vector<std::vector<ScoredHit>>& out) const {
   std::vector<std::vector<SubscriptionId>> hits;
   match_batch(events, hits);
@@ -56,7 +56,7 @@ void BruteForceMatcher::match(const Event& event,
 }
 
 void BruteForceMatcher::match_batch(
-    const EventBatchView& events,
+    std::span<const Event> events,
     std::vector<std::vector<SubscriptionId>>& out) const {
   out.assign(events.size(), {});
   for (const auto& [id, filter] : filters_) {

@@ -15,11 +15,10 @@
 // hashing or compares survive past construction.
 //
 // All engines expose a batch entry point, match_batch, which amortizes
-// index probes and candidate fetches across a batch of events; the
-// broker's per-tick publication coalescing feeds it. Batches are passed as
-// an EventBatchView — a span of events plus an optional index span
-// selecting a sub-batch *in place* — so the sharded layer's pre-filtered
-// sub-batches reach the inner engines without copying a single Event.
+// index probes and candidate fetches across a contiguous span of events;
+// the broker's per-tick publication coalescing feeds it, and the routing
+// table's worker split hands each worker a contiguous sub-span of one
+// batch.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +52,9 @@ struct ScoredHit {
 /// subscriptions, consulted by Matcher::match_batch_scored. Subscriptions
 /// absent here score kConstantScore. Kept outside the engines on purpose:
 /// scores *decorate* boolean matching (they are a pure function of (spec,
-/// event), computed after the match), so no engine — sharded or not —
-/// needs to know scoring exists, and identical match sets imply identical
-/// scored output by construction.
+/// event), computed after the match), so no engine needs to know scoring
+/// exists, and identical match sets imply identical scored output by
+/// construction.
 class ScoringIndex {
  public:
   /// Registers (or replaces) the spec for `id`. Neutral specs are
@@ -88,52 +87,15 @@ class ScoringIndex {
 /// correctly distinct. Identity on non-numeric values.
 Value canonical_numeric(const Value& v);
 
-/// A zero-copy view of (a subset of) an event batch: the backing span plus
-/// an optional index span selecting which events, in which order. The
-/// sharded layer's pre-filter builds index lists once per batch and hands
-/// each shard its slice of the original storage — no Event is ever copied
-/// or moved. Both spans must outlive the view; the view itself is two
-/// pointers and two sizes.
-class EventBatchView {
- public:
-  /// The whole batch, in order.
-  explicit EventBatchView(std::span<const Event> events) noexcept
-      : events_(events), all_(true) {}
-  /// The sub-batch events_[indices_[0]], events_[indices_[1]], ...
-  /// Every index must be < events.size().
-  EventBatchView(std::span<const Event> events,
-                 std::span<const std::uint32_t> indices) noexcept
-      : events_(events), indices_(indices), all_(false) {}
-
-  std::size_t size() const noexcept {
-    return all_ ? events_.size() : indices_.size();
-  }
-  bool empty() const noexcept { return size() == 0; }
-  const Event& operator[](std::size_t pos) const noexcept {
-    return all_ ? events_[pos] : events_[indices_[pos]];
-  }
-  /// Position in the *backing* span of the view's pos-th event.
-  std::uint32_t backing_index(std::size_t pos) const noexcept {
-    return all_ ? static_cast<std::uint32_t>(pos) : indices_[pos];
-  }
-  /// True when the view is the whole backing span in order.
-  bool spans_all() const noexcept { return all_; }
-  std::span<const Event> backing() const noexcept { return events_; }
-
- private:
-  std::span<const Event> events_;
-  std::span<const std::uint32_t> indices_;
-  bool all_ = true;
-};
-
 /// Common interface of the matching engines.
 ///
 /// ## The Matcher contract
 ///
 /// Every built-in engine (engines.h) is held to two invariants; the
 /// differential fuzz harness (tests/pubsub_differential_fuzz_test.cpp)
-/// replays adversarial schedules through every engine, bare and sharded,
-/// against the brute-force oracle to enforce them:
+/// replays adversarial schedules through every engine, with and without
+/// the routing table's worker split, against the brute-force oracle to
+/// enforce them:
 ///
 ///   1. **Set semantics.** match / match_batch report exactly the ids of
 ///      the registered filters the event satisfies — no duplicates, order
@@ -141,12 +103,12 @@ class EventBatchView {
 ///      that need canonical output sort (the Broker does).
 ///   2. **Batch-composition independence.** The per-event output of
 ///      match_batch is a function of the event and the registered filters
-///      only — never of which other events share the view, their order,
-///      or whether the view is a sub-batch. A sub-batch view produces
-///      exactly the hit lists the full batch would have produced at those
-///      positions. The sharded layer's zero-copy pre-filter is built on
-///      this: it hands each shard an index-span view and splices shard
-///      outputs back by backing index.
+///      only — never of which other events share the span or their order.
+///      A contiguous sub-span produces exactly the hit lists, in the same
+///      order, that the full batch would have produced at those positions.
+///      The routing table's worker split is built on this: it cuts a batch
+///      into contiguous ranges, matches each on its own thread, and
+///      concatenates the outputs.
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -162,41 +124,27 @@ class Matcher {
   virtual void match(const Event& event,
                      std::vector<SubscriptionId>& out) const = 0;
 
-  /// Batch matching: replaces `out` with one hit vector per event of the
-  /// view, parallel to the view's order (per-event contract as for
-  /// `match`). Per-event output is independent of which other events share
-  /// the view — a sub-batch view produces exactly the hit lists the full
-  /// batch would have produced at those positions (the sharded layer's
-  /// zero-copy pre-filter relies on this; the differential fuzz harness
-  /// enforces it). The base implementation loops over `match`; engines
-  /// override it to amortize index probes across the batch.
-  virtual void match_batch(const EventBatchView& events,
+  /// Batch matching: replaces `out` with one hit vector per event,
+  /// parallel to `events` (per-event contract as for `match`). Per-event
+  /// output is independent of which other events share the span (contract
+  /// point 2; the routing table's worker split relies on it). The base
+  /// implementation loops over `match`; engines override it to amortize
+  /// index probes across the batch. Const and scratch-per-call, so several
+  /// threads may match disjoint sub-spans at once.
+  virtual void match_batch(std::span<const Event> events,
                            std::vector<std::vector<SubscriptionId>>& out) const;
-
-  /// Convenience overload for whole-span callers (broker, tests, benches).
-  void match_batch(std::span<const Event> events,
-                   std::vector<std::vector<SubscriptionId>>& out) const {
-    match_batch(EventBatchView(events), out);
-  }
 
   /// Scored batch matching: runs the engine's match_batch, then decorates
   /// each hit with score_event under its spec in `scoring` (kConstantScore
-  /// for ids with no spec). Non-virtual on purpose — scoring happens on
-  /// the calling thread *after* the (possibly sharded, multi-threaded)
-  /// boolean match merges, so every engine inherits the same scored
+  /// for ids with no spec). Non-virtual on purpose — scoring happens
+  /// *after* the boolean match, so every engine inherits the same scored
   /// output for the same match sets, and the batch-composition
-  /// independence of contract point 2 extends to scores: a sub-batch view
-  /// produces exactly the (id, score) lists the full batch would have at
-  /// those positions.
-  void match_batch_scored(const EventBatchView& events,
-                          const ScoringIndex& scoring,
-                          std::vector<std::vector<ScoredHit>>& out) const;
-
+  /// independence of contract point 2 extends to scores: a contiguous
+  /// sub-span produces exactly the (id, score) lists the full batch would
+  /// have at those positions.
   void match_batch_scored(std::span<const Event> events,
                           const ScoringIndex& scoring,
-                          std::vector<std::vector<ScoredHit>>& out) const {
-    match_batch_scored(EventBatchView(events), scoring, out);
-  }
+                          std::vector<std::vector<ScoredHit>>& out) const;
 
   /// Number of registered filters.
   virtual std::size_t size() const noexcept = 0;
@@ -215,14 +163,13 @@ class Matcher {
 class BruteForceMatcher final : public Matcher {
  public:
   using Matcher::match;
-  using Matcher::match_batch;
   void add(SubscriptionId id, Filter filter) override;
   void remove(SubscriptionId id) override;
   void match(const Event& event,
              std::vector<SubscriptionId>& out) const override;
   /// One pass over the table with the events in the inner loop (each
   /// filter is fetched once per batch instead of once per event).
-  void match_batch(const EventBatchView& events,
+  void match_batch(std::span<const Event> events,
                    std::vector<std::vector<SubscriptionId>>& out)
       const override;
   std::size_t size() const noexcept override { return filters_.size(); }

@@ -323,12 +323,6 @@ class ContainsTable {
     rebuild_bigrams();
   }
 
-  /// Visits every payload (e.g. to widen every bitmap together).
-  template <typename Fn>
-  void for_each_payload(Fn&& fn) {
-    for (Posting& p : postings_) fn(p.payload);
-  }
-
   /// Invokes `fn(posting)` once for every posting whose pattern occurs in
   /// `s`, in ascending (length, pattern) order; the length-0 pattern, a
   /// substring of everything, always fires first. One pass over `s`.

@@ -6,31 +6,18 @@
 
 #include "pubsub/engines.h"
 #include "pubsub/range_index.h"
-#include "pubsub/sharded_matcher.h"
 #include "util/hash.h"
 
 namespace reef::pubsub {
 
-namespace {
-
-/// Builds the configured engine: the plain named engine, wrapped in a
-/// ShardedMatcher iff the config asks for shards or workers.
-std::unique_ptr<Matcher> make_table_matcher(const RoutingTable::Config& cfg) {
-  if (cfg.shard_count <= 1 && cfg.worker_threads == 0) {
-    return make_matcher(cfg.engine);
-  }
-  return std::make_unique<ShardedMatcher>(
-      ShardedMatcher::Config{.shard_count = cfg.shard_count,
-                             .worker_threads = cfg.worker_threads,
-                             .inner_engine = cfg.engine});
-}
-
-}  // namespace
-
 RoutingTable::RoutingTable() : RoutingTable(Config{}) {}
 
 RoutingTable::RoutingTable(Config config)
-    : config_(std::move(config)), matcher_(make_table_matcher(config_)) {}
+    : config_(std::move(config)), matcher_(make_matcher(config_.engine)) {
+  if (config_.worker_threads > 0) {
+    pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
+  }
+}
 
 void RoutingTable::add_broker_iface(IfaceId iface) {
   broker_ifaces_.try_emplace(iface);
@@ -480,11 +467,35 @@ void RoutingTable::match(const Event& event,
   }
 }
 
+void RoutingTable::match_engine_batch(
+    std::span<const Event> events,
+    std::vector<std::vector<SubscriptionId>>& out) const {
+  const std::size_t ranges =
+      std::min(config_.worker_threads + 1, events.size());
+  if (ranges <= 1) {
+    matcher_->match_batch(events, out);
+    return;
+  }
+  // Contiguous ranges, each matched into its own slice of `out`: per-event
+  // engine output does not depend on the rest of the batch (Matcher
+  // contract point 2), so the result is the same for every range count
+  // and every thread schedule.
+  out.assign(events.size(), {});
+  pool_->parallel_for(ranges, [&](std::size_t r) {
+    const std::size_t begin = events.size() * r / ranges;
+    const std::size_t end = events.size() * (r + 1) / ranges;
+    std::vector<std::vector<SubscriptionId>> hits;
+    matcher_->match_batch(events.subspan(begin, end - begin), hits);
+    std::move(hits.begin(), hits.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(begin));
+  });
+}
+
 void RoutingTable::match_batch(
     std::span<const Event> events,
     std::vector<std::vector<Destination>>& out) const {
   std::vector<std::vector<SubscriptionId>> engine_hits;
-  matcher_->match_batch(events, engine_hits);
+  match_engine_batch(events, engine_hits);
   out.assign(events.size(), {});
   for (std::size_t i = 0; i < events.size(); ++i) {
     out[i].reserve(engine_hits[i].size());
@@ -497,14 +508,17 @@ void RoutingTable::match_batch(
 void RoutingTable::match_batch_scored(
     std::span<const Event> events,
     std::vector<std::vector<ScoredDestination>>& out) const {
-  std::vector<std::vector<ScoredHit>> engine_hits;
-  matcher_->match_batch_scored(events, scoring_index_, engine_hits);
+  std::vector<std::vector<SubscriptionId>> engine_hits;
+  match_engine_batch(events, engine_hits);
   out.assign(events.size(), {});
   for (std::size_t i = 0; i < events.size(); ++i) {
     out[i].reserve(engine_hits[i].size());
-    for (const ScoredHit& hit : engine_hits[i]) {
-      out[i].push_back(ScoredDestination{destination_of(hit.id), hit.score,
-                                         scoring_index_.find(hit.id)});
+    for (const SubscriptionId engine_id : engine_hits[i]) {
+      const ScoringSpec* spec = scoring_index_.find(engine_id);
+      out[i].push_back(ScoredDestination{
+          destination_of(engine_id),
+          spec != nullptr ? score_event(*spec, events[i]) : kConstantScore,
+          spec});
     }
   }
 }

@@ -24,6 +24,7 @@
 #include "pubsub/engines.h"
 #include "pubsub/filter.h"
 #include "pubsub/matcher.h"
+#include "util/thread_pool.h"
 
 namespace reef::pubsub {
 
@@ -40,11 +41,12 @@ class RoutingTable {
     bool covering_enabled = true;
     /// Matching engine, by built-in name (make_matcher).
     std::string engine = std::string(kDefaultEngine);
-    /// Filter-state shards for the matching engine. The table wraps
-    /// `engine` in a ShardedMatcher iff shard_count > 1 or
-    /// worker_threads > 0; 1 with no workers is the plain engine.
-    std::size_t shard_count = 1;
-    /// Worker threads fanning match_batch over the shards; 0 = inline.
+    /// Worker threads sharing each batch match. The table cuts a batch
+    /// into min(worker_threads + 1, batch size) contiguous event ranges
+    /// and matches them on the pool plus the calling thread, each range
+    /// through the one engine's const match_batch into its own slice of
+    /// the output, so output is identical for every setting. 0 = inline,
+    /// no pool.
     std::size_t worker_threads = 0;
   };
 
@@ -168,18 +170,19 @@ class RoutingTable {
   /// neighbor filter); the caller deduplicates broker interfaces.
   void match(const Event& event, std::vector<Destination>& out) const;
 
-  /// Batch matching through Matcher::match_batch: `out` is replaced with
-  /// one destination vector per event, parallel to `events`.
+  /// Batch matching through Matcher::match_batch, split over the workers
+  /// (Config::worker_threads): `out` is replaced with one destination
+  /// vector per event, parallel to `events`.
   void match_batch(std::span<const Event> events,
                    std::vector<std::vector<Destination>>& out) const;
 
-  /// Scored batch matching through Matcher::match_batch_scored: same
-  /// destinations as match_batch, each decorated with its relevance score
-  /// and (for client subscriptions with a non-neutral spec) the delivery
-  /// policy. Scores are computed after the boolean match on the calling
-  /// thread, so they are identical for every engine/shard/worker config
-  /// that agrees on the match sets — which the Matcher contract
-  /// guarantees.
+  /// Scored batch matching: same destinations as match_batch, each
+  /// decorated with its relevance score (score_event, as in
+  /// Matcher::match_batch_scored) and (for client subscriptions with a
+  /// non-neutral spec) the delivery policy. Scores are computed after the
+  /// boolean match on the calling thread, so they are identical for every
+  /// engine/worker config that agrees on the match sets — which the
+  /// Matcher contract guarantees.
   void match_batch_scored(std::span<const Event> events,
                           std::vector<std::vector<ScoredDestination>>& out)
       const;
@@ -233,11 +236,17 @@ class RoutingTable {
   /// canonical key).
   std::map<std::string, Filter> filters_not_from(IfaceId excluded) const;
 
+  /// Engine hits for `events`, one id vector per event, split over the
+  /// pool in contiguous ranges (see Config::worker_threads).
+  void match_engine_batch(std::span<const Event> events,
+                          std::vector<std::vector<SubscriptionId>>& out) const;
+
   Config config_;
   std::unordered_map<IfaceId, BrokerIface> broker_ifaces_;
   std::unordered_map<IfaceId, ClientIface> client_ifaces_;
 
   std::unique_ptr<Matcher> matcher_;
+  std::unique_ptr<util::ThreadPool> pool_;  // null when worker_threads == 0
   std::unordered_map<std::uint64_t, EngineEntry> entries_;
   /// Non-neutral specs by engine id, mirroring entries_ (the scored match
   /// path's lookup surface; see Matcher::match_batch_scored).

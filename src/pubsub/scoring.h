@@ -21,14 +21,14 @@
 //     weights (e.g. Offer Weight scores from ir::select_terms) and length
 //     normalization uses the fixed kScoringAvgDocLen pivot — the score is
 //     a pure function of (spec, event), which is what makes scored
-//     delivery reproducible across engines, shards, and workers.
+//     delivery reproducible across engines and worker counts.
 //
 // Determinism rule (the contract the scored differential fuzz tier
 // enforces): scores are computed *after* boolean matching, from (spec,
 // event) alone, and the top-k cut breaks ties by ascending event order
-// within the publication batch — never by hit order, shard order, or
-// thread schedule. Identical match sets therefore imply identical scored
-// delivery, byte for byte.
+// within the publication batch — never by hit order or thread schedule.
+// Identical match sets therefore imply identical scored delivery, byte for
+// byte.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +120,7 @@ struct ClientSubscription {
 
 /// Relevance of `event` under `spec`. Pure and deterministic: no corpus,
 /// no clock, no randomness — equal (spec, event) pairs score equal on
-/// every broker, shard, and worker. kConstant returns kConstantScore;
+/// every broker and worker. kConstant returns kConstantScore;
 /// kBm25 tokenizes the designated text attributes into one bag of words
 /// and sums, in query order,
 ///   max(weight, 0) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avg))

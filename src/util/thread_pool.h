@@ -4,8 +4,9 @@
 // across the workers plus the calling thread and block until every index
 // has completed. Tasks are claimed from a shared atomic cursor, so the
 // *assignment* of indices to threads is nondeterministic — callers that
-// need deterministic output (the sharded matcher does) must write each
-// task's result to its own slot and merge in index order afterwards.
+// need deterministic output (the routing table's match split does) must
+// write each task's result to its own slot and merge in index order
+// afterwards.
 //
 // A pool built with zero threads spawns nothing and runs parallel_for
 // inline on the caller, which keeps `worker_threads = 0` configurations

@@ -14,12 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "engine_variants.h"
 #include "pubsub/attr_table.h"
+#include "pubsub/engines.h"
 #include "pubsub/event.h"
 #include "pubsub/matcher.h"
 #include "util/rng.h"
@@ -275,12 +276,12 @@ TEST(EventValueSemantics, CachedWireSizeMatchesGoldenFormula) {
   }
 }
 
-// --- EventBatchView ----------------------------------------------------------
+// --- contiguous sub-spans ---------------------------------------------------
 
-/// An index-span sub-view must produce, per engine, exactly the hit lists
-/// the full batch produces at those positions — the invariant the sharded
-/// layer's zero-copy pre-filter rests on.
-TEST(EventBatchView, SubViewMatchesFullBatchPositionsForEveryEngine) {
+/// A contiguous sub-span must produce, per engine, exactly the hit lists
+/// the full batch produces at those positions, without copying an Event —
+/// the invariant the routing table's worker split rests on.
+TEST(BatchSubSpan, MatchesFullBatchPositionsForEveryEngine) {
   std::vector<Event> events;
   events.push_back(Event().with("stream", "feed").with("feed", 1));
   events.push_back(Event());  // attribute-free
@@ -295,9 +296,9 @@ TEST(EventBatchView, SubViewMatchesFullBatchPositionsForEveryEngine) {
   filters.push_back(Filter());  // universal
   filters.push_back(Filter().and_(exists("feed")));
 
-  for (const EngineVariant& variant : engine_variants()) {
-    const auto engine = variant.make();
-    const std::string engine_name = variant.label();
+  for (const std::string_view name : kBuiltinEngines) {
+    const auto engine = make_matcher(name);
+    const std::string engine_name(name);
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
@@ -305,16 +306,21 @@ TEST(EventBatchView, SubViewMatchesFullBatchPositionsForEveryEngine) {
     engine->match_batch(events, full);
     ASSERT_EQ(full.size(), events.size()) << engine_name;
 
-    const std::vector<std::uint32_t> indices{4, 1, 2};  // any order works
-    const std::uint64_t copies_before = Event::copy_count();
-    std::vector<std::vector<SubscriptionId>> sub;
-    engine->match_batch(EventBatchView(events, indices), sub);
-    EXPECT_EQ(Event::copy_count(), copies_before)
-        << engine_name << " copied events matching an index-span view";
-    ASSERT_EQ(sub.size(), indices.size()) << engine_name;
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      EXPECT_EQ(sub[j], full[indices[j]])
-          << engine_name << " sub-view position " << j;
+    for (std::size_t begin = 0; begin < events.size(); ++begin) {
+      for (std::size_t end = begin; end <= events.size(); ++end) {
+        const std::uint64_t copies_before = Event::copy_count();
+        std::vector<std::vector<SubscriptionId>> sub;
+        engine->match_batch(
+            std::span<const Event>(events).subspan(begin, end - begin), sub);
+        EXPECT_EQ(Event::copy_count(), copies_before)
+            << engine_name << " copied events matching a sub-span";
+        ASSERT_EQ(sub.size(), end - begin) << engine_name;
+        for (std::size_t j = 0; j < sub.size(); ++j) {
+          EXPECT_EQ(sub[j], full[begin + j])
+              << engine_name << " span [" << begin << ", " << end
+              << ") position " << j;
+        }
+      }
     }
   }
 }

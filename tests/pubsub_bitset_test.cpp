@@ -3,10 +3,13 @@
 // freelist reuse after unsubscribe, bitmap growth past one word and past a
 // capacity doubling, index-entry sharing and the distinct-entry required
 // count, and the degenerate inputs the threshold pass must get right
-// (all-noneq filters, zero-attribute events, universal filters).
+// (all-noneq filters, zero-attribute events, universal filters), and the
+// sparse-entry threshold pass that visits only touched and universal words.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "pubsub/bitset_matcher.h"
@@ -372,7 +375,7 @@ TEST(BitsetMatcher, BuiltByName) {
   EXPECT_EQ(hits, (std::vector<SubscriptionId>{1, 2}));
 }
 
-TEST(BitsetMatcher, SubBatchViewMatchesFullBatchPositions) {
+TEST(BitsetMatcher, SubSpanMatchesFullBatchPositions) {
   BitsetMatcher m;
   m.add(1, Filter().and_(eq("a", 1)));
   m.add(2, Filter().and_(gt("b", 5)));
@@ -382,13 +385,146 @@ TEST(BitsetMatcher, SubBatchViewMatchesFullBatchPositions) {
   }
   std::vector<std::vector<SubscriptionId>> full;
   m.match_batch(events, full);
-  const std::vector<std::uint32_t> indices{6, 1, 3};
-  std::vector<std::vector<SubscriptionId>> sub;
-  m.match_batch(EventBatchView(events, indices), sub);
-  ASSERT_EQ(sub.size(), indices.size());
-  for (std::size_t pos = 0; pos < indices.size(); ++pos) {
-    EXPECT_EQ(sorted(sub[pos]), sorted(full[indices[pos]])) << pos;
+  for (std::size_t begin = 0; begin + 3 <= events.size(); begin += 2) {
+    std::vector<std::vector<SubscriptionId>> sub;
+    m.match_batch(std::span<const Event>(events).subspan(begin, 3), sub);
+    ASSERT_EQ(sub.size(), 3u);
+    for (std::size_t pos = 0; pos < sub.size(); ++pos) {
+      EXPECT_EQ(sub[pos], full[begin + pos]) << begin << "+" << pos;
+    }
   }
+}
+
+// --- sparse entries: the threshold pass visits touched + universal words ----
+
+/// Registers `count` filters eq("a", i), i = 0..count-1, on slots 0..count-1.
+void add_eq_filters(BitsetMatcher& m, SubscriptionId first, int count) {
+  for (int i = 0; i < count; ++i) {
+    m.add(first + static_cast<SubscriptionId>(i),
+          Filter().and_(eq("a", static_cast<std::int64_t>(i))));
+  }
+}
+
+TEST(BitsetMatcher, UniversalSlotInAnUntouchedWordStillFires) {
+  BitsetMatcher m;
+  add_eq_filters(m, 1, 130);    // slots 0..129: words 0, 1 and 2
+  m.add(1000, Filter());        // slot 130, word 2
+  ASSERT_EQ(*m.slot_of(1000), 130u);
+  ASSERT_EQ(m.universal_words(), 1u);
+  // a = 5 satisfies one entry, whose only word is word 0; word 2 is never
+  // touched, yet its universal slot fires.
+  const Event e = Event().with("a", 5);
+  EXPECT_EQ(sorted(m.match(e)), (std::vector<SubscriptionId>{6, 1000}));
+  const std::vector<Event> events{e, Event().with("zzz", 1), Event()};
+  std::vector<std::vector<SubscriptionId>> out;
+  m.match_batch(events, out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(sorted(out[0]), (std::vector<SubscriptionId>{6, 1000}));
+  EXPECT_EQ(out[1], (std::vector<SubscriptionId>{1000}));
+  EXPECT_EQ(out[2], (std::vector<SubscriptionId>{1000}));
+}
+
+TEST(BitsetMatcher, RemovingTheLastUniversalSlotOfAWordStopsItFiring) {
+  BitsetMatcher m;
+  add_eq_filters(m, 1, 130);  // slots 0..129
+  m.add(1000, Filter());      // slot 130, word 2
+  m.add(1001, Filter());      // slot 131, word 2
+  m.add(1002, Filter());      // slot 132, word 2
+  ASSERT_EQ(m.universal_words(), 1u);
+  const Event e = Event().with("a", 5);  // touches word 0 only
+  m.remove(1000);
+  m.remove(1002);
+  // One universal slot is left in word 2: the word stays summarized.
+  EXPECT_EQ(m.universal_words(), 1u);
+  EXPECT_EQ(sorted(m.match(e)), (std::vector<SubscriptionId>{6, 1001}));
+  m.remove(1001);
+  // The last one is gone: the summary bit is cleared and nothing fires
+  // there, on either path.
+  EXPECT_EQ(m.universal_words(), 0u);
+  EXPECT_EQ(m.match(e), (std::vector<SubscriptionId>{6}));
+  EXPECT_TRUE(m.match(Event()).empty());
+  std::vector<std::vector<SubscriptionId>> out;
+  m.match_batch(std::vector<Event>{e, Event()}, out);
+  EXPECT_EQ(out[0], (std::vector<SubscriptionId>{6}));
+  EXPECT_TRUE(out[1].empty());
+  // A non-universal filter reusing the freed slot fires only on its own
+  // entry.
+  m.add(2000, Filter().and_(eq("b", 1)));
+  EXPECT_EQ(m.universal_words(), 0u);
+  EXPECT_EQ(m.match(e), (std::vector<SubscriptionId>{6}));
+  EXPECT_EQ(m.match(Event().with("b", 1)), (std::vector<SubscriptionId>{2000}));
+}
+
+/// Slot reuse through the freelist while the live population swings across
+/// several word boundaries: entries gain and drop words at both ends of
+/// their sorted word lists, and the universal summary flips bits in words
+/// the churn keeps vacating. Brute force agrees after every operation.
+TEST(BitsetMatcher, FreelistReuseAcrossWordBoundariesAgreesWithOracle) {
+  util::Rng rng(0x5a125e);
+  BitsetMatcher m;
+  BruteForceMatcher oracle;
+  std::vector<SubscriptionId> live;
+  SubscriptionId next = 1;
+  const std::vector<std::string> attrs{"a", "b", "c"};
+  const auto random_event = [&] {
+    Event e;
+    const std::size_t n = rng.index(3);  // 0 => attribute-free
+    for (std::size_t i = 0; i < n; ++i) {
+      e.with(attrs[rng.index(attrs.size())],
+             static_cast<std::int64_t>(rng.index(6)));
+    }
+    return e;
+  };
+  bool growing = true;
+  std::size_t max_capacity = 0;
+  for (int op = 0; op < 10000; ++op) {
+    // Swing the population between ~20 and ~300 live filters (past the
+    // 64-, 128- and 192-slot boundaries).
+    if (live.size() >= 300) growing = false;
+    if (live.size() <= 20) growing = true;
+    if (live.empty() || rng.chance(growing ? 0.8 : 0.2)) {
+      Filter f;
+      const std::size_t n = rng.index(4);  // 0 => universal
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::string& attr = attrs[rng.index(attrs.size())];
+        const auto v = static_cast<std::int64_t>(rng.index(6));
+        switch (rng.index(3)) {
+          case 0:
+            f.and_(eq(attr, v));
+            break;
+          case 1:
+            f.and_(ge(attr, v));
+            break;
+          default:
+            f.and_(exists(attr));
+            break;
+        }
+      }
+      m.add(next, f);
+      oracle.add(next, f);
+      live.push_back(next++);
+    } else {
+      const std::size_t idx = rng.index(live.size());
+      m.remove(live[idx]);
+      oracle.remove(live[idx]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+    max_capacity = std::max(max_capacity, m.slot_capacity());
+    const Event e = random_event();
+    ASSERT_EQ(sorted(m.match(e)), sorted(oracle.match(e)))
+        << "op " << op << " event " << e.to_string();
+    if (op % 16 == 0) {
+      std::vector<Event> events;
+      for (int i = 0; i < 8; ++i) events.push_back(random_event());
+      std::vector<std::vector<SubscriptionId>> out;
+      m.match_batch(events, out);
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(sorted(out[i]), sorted(oracle.match(events[i])))
+            << "op " << op << " batch event " << events[i].to_string();
+      }
+    }
+  }
+  EXPECT_GT(max_capacity, 3 * 64u);
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 //
 // A seeded generator produces adversarial filter/event/churn *schedules*
 // and replays each one through every matching-engine configuration —
-// built-in engines crossed with {shard 1/4} x {workers 0/4} — asserting
-// byte-identical behavior against the brute-force oracle at five levels:
+// built-in engines crossed with the routing table's {workers 0/4} —
+// asserting byte-identical behavior against the brute-force oracle at five
+// levels:
 //
 //   1. Matcher level: match sets (per event, sorted) after every publish
-//      op, from both match_batch and match.
+//      op, from both match_batch and match, plus the contiguous sub-span
+//      composition the worker split relies on (each half of a bundle
+//      matches exactly as the full bundle did at those positions).
 //   2. Broker/sim level: full overlay runs where every configuration must
 //      reproduce the oracle's delivery trace and sim::Network traffic
 //      counters byte for byte.
@@ -21,13 +24,13 @@
 //      indistinguishable from a never-faulted oracle: per-broker routing
 //      fingerprints identical at the quiesce point (zero lost
 //      control-plane ops), post-heal delivery sets identical, no stuck
-//      quarantines — across engines x shards x workers x flush budgets.
+//      quarantines — across engines x workers x flush budgets.
 //   5. Scored level: every subscription carries a deterministic
 //      ScoringSpec cycling the {constant, bm25} x {top_k 0/1/4} x
 //      {min_score 0/0.5} grid; a *software* scored oracle (brute-force
 //      matching + score_event + an independent top-k implementation)
 //      predicts the exact scored delivery lines and the broker suppression
-//      counters, and every engine x shards x workers x flush-budget
+//      counters, and every engine x workers x flush-budget
 //      configuration must reproduce them byte for byte. A separate
 //      neutral-property run pins scoring_enabled=true with all-neutral
 //      specs to the scoring-disabled trace, byte for byte.
@@ -48,10 +51,10 @@
 // The generator stresses the known engine failure modes: hot-attribute
 // skew (many filters sharing one equality attribute, so a few shared eq
 // entries carry a large share of the slots), anchorless/universal filters
-// (empty conjunction — spill-shard placement, covers everything in the
-// forwarding reduction),
-// attribute-free events (match only universal filters; must still meet
-// them in the sharded layer's spill shard), covering chains
+// (empty conjunction — requirement-0 slots the bitset threshold pass must
+// visit even in words no satisfied entry touched; covers everything in the
+// forwarding reduction), attribute-free events (match only universal
+// filters, through the universal-word summary alone), covering chains
 // (nested price ranges, so the covering reduction churns as they come and
 // go), range-heavy filters (int and double bounds colliding at the same
 // magnitudes, so the sorted-bounds indexes are probed exactly on their
@@ -63,9 +66,8 @@
 // set-membership filters over a small overlapping symbol universe with
 // mixed-type members and the occasional empty set, and 2^53-boundary
 // values where int/double comparison must stay exact.
-// Every level iterates kBuiltinEngines (engines.h) — the matcher level
-// both bare and through the shard/worker cross product — so an engine
-// added to that list inherits the whole oracle matrix with no edit here.
+// Every level iterates kBuiltinEngines (engines.h), so an engine added to
+// that list inherits the whole oracle matrix with no edit here.
 //
 // ctest runs 3 fixed seeds (fast tier-1); CI's fuzz job sets
 // REEF_FUZZ_SEED_COUNT=25 for the nightly-strength sweep. Seeds are
@@ -75,18 +77,17 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "engine_variants.h"
 #include "pubsub/client.h"
 #include "pubsub/engines.h"
 #include "pubsub/overlay.h"
-#include "pubsub/sharded_matcher.h"
 #include "util/rng.h"
 
 namespace reef::pubsub {
@@ -144,8 +145,9 @@ std::string body_text(util::Rng& rng) {
 Filter fuzz_filter(util::Rng& rng) {
   switch (rng.index(15)) {
     case 0:
-      // Anchorless universal subscription: spill-shard placement, and the
-      // covering reduction collapses everything else beneath it.
+      // Universal subscription: a requirement-0 slot that fires in words no
+      // satisfied entry touched, and the covering reduction collapses
+      // everything else beneath it.
       return Filter();
     case 1:
     case 2: {
@@ -327,8 +329,8 @@ Filter fuzz_filter(util::Rng& rng) {
 Event fuzz_event(util::Rng& rng, int seq) {
   switch (rng.index(14)) {
     case 0:
-      // Attribute-free: matches only universal filters; the shard
-      // pre-filter must still route it to the spill shard.
+      // Attribute-free: satisfies no entry, so it matches exactly the
+      // universal filters, found through the universal-word summary.
       return Event();
     case 1:
     case 2:
@@ -474,39 +476,11 @@ std::vector<std::uint64_t> fuzz_seeds() {
 
 // --- engine configuration matrix ---------------------------------------------
 
-struct EngineCase {
-  std::string label;
-  std::function<std::unique_ptr<Matcher>()> make;
-};
-
 /// The built-in engines by name (engines.h), the engine list of every
 /// tier.
 std::vector<std::string> builtin_engines() {
   return std::vector<std::string>(kBuiltinEngines.begin(),
                                   kBuiltinEngines.end());
-}
-
-/// Every built-in engine bare (the default configuration) plus the full
-/// {shard 1/4} x {workers 0/4} cross product through ShardedMatcher.
-std::vector<EngineCase> engine_matrix() {
-  std::vector<EngineCase> cases;
-  for (const std::string& name : builtin_engines()) {
-    cases.push_back({name, [name] { return make_matcher(name); }});
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
-        const std::string label = name + "/s" + std::to_string(shards) +
-                                  "/w" + std::to_string(workers);
-        cases.push_back({label, [name, shards, workers] {
-                           return std::make_unique<ShardedMatcher>(
-                               ShardedMatcher::Config{
-                                   .shard_count = shards,
-                                   .worker_threads = workers,
-                                   .inner_engine = name});
-                         }});
-      }
-    }
-  }
-  return cases;
 }
 
 // --- level 1: matcher-level differential replay ------------------------------
@@ -556,6 +530,22 @@ void replay_against_oracle(const Schedule& schedule, Matcher& engine,
               << label << "::match diverges from its own batch (seed="
               << seed << ", op " << op_index << ")";
         }
+        // Contract point 2, as the worker split uses it: each contiguous
+        // half of the bundle yields the full bundle's lists, in order.
+        const std::span<const Event> events(op.events);
+        const std::size_t half = events.size() / 2;
+        for (const auto& [begin, count] :
+             {std::pair{std::size_t{0}, half},
+              std::pair{half, events.size() - half}}) {
+          std::vector<std::vector<SubscriptionId>> part;
+          engine.match_batch(events.subspan(begin, count), part);
+          ASSERT_EQ(part.size(), count) << label;
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(part[i], batched[begin + i])
+                << label << " sub-span diverges from its full batch (seed="
+                << seed << ", op " << op_index << ")";
+          }
+        }
         break;
       }
     }
@@ -564,12 +554,11 @@ void replay_against_oracle(const Schedule& schedule, Matcher& engine,
 }
 
 TEST(DifferentialFuzz, EveryEngineConfigurationMatchesOracle) {
-  const auto cases = engine_matrix();
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 160);
-    for (const EngineCase& engine_case : cases) {
-      const auto engine = engine_case.make();
-      replay_against_oracle(schedule, *engine, engine_case.label, seed);
+    for (const std::string& name : builtin_engines()) {
+      const auto engine = make_matcher(name);
+      replay_against_oracle(schedule, *engine, name, seed);
     }
   }
 }
@@ -651,11 +640,11 @@ RunTrace run_schedule_through_overlay(const Schedule& schedule,
   return trace;
 }
 
-TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorker) {
+TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineWorker) {
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 100);
 
-    // Oracle: brute force, unsharded.
+    // Oracle: brute force, no workers.
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
     const RunTrace oracle =
@@ -663,26 +652,21 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorker) {
     ASSERT_FALSE(oracle.delivery_log.empty()) << "seed=" << seed;
 
     for (const std::string& engine : builtin_engines()) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-        for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
-          Broker::Config config;
-          config.matcher_engine = engine;
-          config.shard_count = shards;
-          config.worker_threads = workers;
-          const RunTrace trace =
-              run_schedule_through_overlay(schedule, seed, config);
-          const std::string label = engine + "/s" + std::to_string(shards) +
-                                    "/w" + std::to_string(workers) +
-                                    " seed=" + std::to_string(seed);
-          EXPECT_EQ(trace.delivery_log, oracle.delivery_log) << label;
-          EXPECT_EQ(trace.total_messages, oracle.total_messages) << label;
-          EXPECT_EQ(trace.total_bytes, oracle.total_bytes) << label;
-          EXPECT_EQ(trace.total_units, oracle.total_units) << label;
-          EXPECT_EQ(trace.messages_by_type, oracle.messages_by_type)
-              << label;
-          EXPECT_EQ(trace.bytes_by_type, oracle.bytes_by_type) << label;
-          EXPECT_EQ(trace.units_by_type, oracle.units_by_type) << label;
-        }
+      for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+        Broker::Config config;
+        config.matcher_engine = engine;
+        config.worker_threads = workers;
+        const RunTrace trace =
+            run_schedule_through_overlay(schedule, seed, config);
+        const std::string label = engine + "/w" + std::to_string(workers) +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(trace.delivery_log, oracle.delivery_log) << label;
+        EXPECT_EQ(trace.total_messages, oracle.total_messages) << label;
+        EXPECT_EQ(trace.total_bytes, oracle.total_bytes) << label;
+        EXPECT_EQ(trace.total_units, oracle.total_units) << label;
+        EXPECT_EQ(trace.messages_by_type, oracle.messages_by_type) << label;
+        EXPECT_EQ(trace.bytes_by_type, oracle.bytes_by_type) << label;
+        EXPECT_EQ(trace.units_by_type, oracle.units_by_type) << label;
       }
     }
   }
@@ -731,14 +715,14 @@ TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
       for (const BudgetCase& budget : budgets) {
         Broker::Config config;
         config.matcher_engine = engine;
-        config.shard_count = 4;
+        config.worker_threads = 4;
         config.flush_max_events = budget.max_events;
         config.flush_max_bytes = budget.max_bytes;
         config.flush_max_delay_ticks = budget.max_delay;
         const RunTrace trace =
             run_schedule_through_overlay(schedule, seed, config);
-        const std::string label =
-            engine + "/" + budget.label + " seed=" + std::to_string(seed);
+        const std::string label = engine + "/w4/" + budget.label +
+                                  " seed=" + std::to_string(seed);
 
         std::vector<std::string> trace_sorted = trace.delivery_log;
         std::sort(trace_sorted.begin(), trace_sorted.end());
@@ -928,17 +912,16 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
     ASSERT_EQ(oracle.retransmits, 0u) << "seed=" << seed;
     ASSERT_EQ(oracle.quarantined_at_split, 0u) << "seed=" << seed;
 
-    // Six (shards, workers, flush delay) shapes, dealt round-robin over
-    // the built-in engines other than the oracle's, so every shape runs
+    // Four (workers, flush delay) shapes, dealt round-robin over the
+    // built-in engines other than the oracle's, so every shape runs
     // whatever the engine list holds.
     struct EngineRow {
-      std::size_t shards, workers;
+      std::size_t workers;
       sim::Time flush_delay;
     };
     const std::vector<EngineRow> rows = {
-        {1, 0, 0}, {4, 4, 0}, {4, 4, 3 * sim::kMillisecond},
-        {1, 0, 3 * sim::kMillisecond}, {4, 0, 0},
-        {1, 4, 3 * sim::kMillisecond},
+        {0, 0}, {4, 0}, {4, 3 * sim::kMillisecond},
+        {0, 3 * sim::kMillisecond},
     };
     std::vector<std::string> engines = builtin_engines();
     std::erase(engines, std::string(kBruteForceEngine));
@@ -947,13 +930,11 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
       const std::string& engine = engines[r % engines.size()];
       Broker::Config config = base;
       config.matcher_engine = engine;
-      config.shard_count = row.shards;
       config.worker_threads = row.workers;
       config.flush_max_delay_ticks = row.flush_delay;
       const FaultRun faulted =
           run_schedule_with_faults(schedule, seed, config, plan, true);
-      const std::string label = engine + "/s" +
-                                std::to_string(row.shards) + "/w" +
+      const std::string label = engine + "/w" +
                                 std::to_string(row.workers) + "/d" +
                                 std::to_string(row.flush_delay) +
                                 " seed=" + std::to_string(seed);
@@ -1201,7 +1182,7 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
     EXPECT_GT(expected.suppressed_by_k, 0u) << "seed=" << seed;
     EXPECT_GT(expected.suppressed_by_threshold, 0u) << "seed=" << seed;
 
-    // Overlay oracle: brute force, unsharded, per-tick flush, scoring on.
+    // Overlay oracle: brute force, no workers, per-tick flush, scoring on.
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
     oracle_config.scoring_enabled = true;
@@ -1219,23 +1200,21 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
         << "seed=" << seed;
 
     struct ScoredRow {
-      std::size_t shards = 1, workers = 0;
+      std::size_t workers = 0;
       sim::Time flush_delay = 0;
     };
     const std::vector<ScoredRow> rows = {
-        {1, 0, 0}, {4, 4, 0}, {4, 0, 3 * sim::kMillisecond}};
+        {0, 0}, {4, 0}, {4, 3 * sim::kMillisecond}};
     for (const std::string& engine : builtin_engines()) {
       for (const ScoredRow& row : rows) {
         Broker::Config config;
         config.matcher_engine = engine;
-        config.shard_count = row.shards;
         config.worker_threads = row.workers;
         config.flush_max_delay_ticks = row.flush_delay;
         config.scoring_enabled = true;
         const ScoredRun run = run_scored_schedule(schedule, seed, config);
         const std::string label =
-            engine + "/s" + std::to_string(row.shards) + "/w" +
-            std::to_string(row.workers) + "/d" +
+            engine + "/w" + std::to_string(row.workers) + "/d" +
             std::to_string(row.flush_delay) + " seed=" + std::to_string(seed);
         if (row.flush_delay == 0) {
           // Same batch boundaries and timing: chronological byte equality
@@ -1270,32 +1249,33 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
 
 /// The neutral property: scoring_enabled=true with exclusively neutral
 /// specs (every plain subscribe) is byte-identical to scoring disabled —
-/// same delivery log, same wire counters — on every engine, bare and
-/// sharded, the sharded variants with 4 workers (the rows the TSan CI job
-/// exercises for cross-thread score plumbing).
+/// same delivery log, same wire counters — on every engine with 0 and 4
+/// workers (the 4-worker rows are the ones the TSan CI job exercises for
+/// cross-thread score plumbing).
 TEST(DifferentialFuzz, NeutralScoringByteIdenticalToDisabled) {
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 100);
-    for (const EngineVariant& variant : engine_variants()) {
-      Broker::Config config;
-      config.matcher_engine = variant.engine;
-      config.shard_count = variant.shard_count;
-      if (variant.shard_count > 1) config.worker_threads = 4;
-      const RunTrace off = run_schedule_through_overlay(schedule, seed, config);
-      Broker::Config scored_config = config;
-      scored_config.scoring_enabled = true;
-      const RunTrace on =
-          run_schedule_through_overlay(schedule, seed, scored_config);
-      const std::string label = variant.label() + "/w" +
-                                std::to_string(config.worker_threads) +
-                                " seed=" + std::to_string(seed);
-      EXPECT_EQ(on.delivery_log, off.delivery_log) << label;
-      EXPECT_EQ(on.total_messages, off.total_messages) << label;
-      EXPECT_EQ(on.total_bytes, off.total_bytes) << label;
-      EXPECT_EQ(on.total_units, off.total_units) << label;
-      EXPECT_EQ(on.messages_by_type, off.messages_by_type) << label;
-      EXPECT_EQ(on.bytes_by_type, off.bytes_by_type) << label;
-      EXPECT_EQ(on.units_by_type, off.units_by_type) << label;
+    for (const std::string& engine : builtin_engines()) {
+      for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+        Broker::Config config;
+        config.matcher_engine = engine;
+        config.worker_threads = workers;
+        const RunTrace off =
+            run_schedule_through_overlay(schedule, seed, config);
+        Broker::Config scored_config = config;
+        scored_config.scoring_enabled = true;
+        const RunTrace on =
+            run_schedule_through_overlay(schedule, seed, scored_config);
+        const std::string label = engine + "/w" + std::to_string(workers) +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(on.delivery_log, off.delivery_log) << label;
+        EXPECT_EQ(on.total_messages, off.total_messages) << label;
+        EXPECT_EQ(on.total_bytes, off.total_bytes) << label;
+        EXPECT_EQ(on.total_units, off.total_units) << label;
+        EXPECT_EQ(on.messages_by_type, off.messages_by_type) << label;
+        EXPECT_EQ(on.bytes_by_type, off.bytes_by_type) << label;
+        EXPECT_EQ(on.units_by_type, off.units_by_type) << label;
+      }
     }
   }
 }

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-#include "engine_variants.h"
+#include "pubsub/engines.h"
 #include "pubsub/matcher.h"
 #include "pubsub/range_index.h"
-#include "pubsub/sharded_matcher.h"
 #include "util/rng.h"
 
 namespace reef::pubsub {
@@ -488,18 +487,14 @@ TEST(MakeMatcher, BuiltInEnginesByName) {
 }
 
 TEST(MakeMatcher, RejectsShardedNames) {
-  // Sharding is a count (RoutingTable::Config::shard_count), never part of
-  // an engine name: neither a wrapper prefix nor a ShardedMatcher's
-  // display label names an engine.
-  const std::string wrapper = "sharded";
-  for (const std::string_view inner : kBuiltinEngines) {
-    EXPECT_THROW(make_matcher(wrapper + ":" + std::string(inner)),
-                 std::invalid_argument)
+  // Parallelism is a routing-table count (worker_threads), never part of
+  // an engine name: neither a wrapper prefix nor a shard suffix names an
+  // engine.
+  for (const std::string_view engine : kBuiltinEngines) {
+    const std::string inner(engine);
+    EXPECT_THROW(make_matcher("sharded:" + inner), std::invalid_argument)
         << inner;
-    const ShardedMatcher sharded(ShardedMatcher::Config{
-        .shard_count = 4, .inner_engine = std::string(inner)});
-    EXPECT_THROW(make_matcher(sharded.name()), std::invalid_argument)
-        << sharded.name();
+    EXPECT_THROW(make_matcher(inner + "/4"), std::invalid_argument) << inner;
   }
 }
 
@@ -581,8 +576,8 @@ TEST_P(MatcherEquivalence, AllEnginesAgreeWithBruteForceUnderChurn) {
   util::Rng rng(GetParam());
   BruteForceMatcher brute;
   std::vector<std::unique_ptr<Matcher>> engines;
-  for (const EngineVariant& variant : engine_variants()) {
-    engines.push_back(variant.make());
+  for (const std::string_view name : kBuiltinEngines) {
+    engines.push_back(make_matcher(name));
   }
   std::vector<SubscriptionId> live;
   SubscriptionId next = 1;
@@ -621,9 +616,9 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
   util::Rng rng(GetParam() ^ 0xba7c);
   std::vector<Filter> filters;
   for (int i = 0; i < 120; ++i) filters.push_back(random_filter(rng));
-  for (const EngineVariant& variant : engine_variants()) {
-    const auto engine = variant.make();
-    const std::string name = variant.label();
+  for (const std::string_view engine_name : kBuiltinEngines) {
+    const auto engine = make_matcher(engine_name);
+    const std::string name(engine_name);
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
@@ -648,115 +643,8 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
   }
 }
 
-/// Sharded engines with real worker threads agree with their unsharded
-/// inner engine and the brute-force oracle under churn — match sets *and*
-/// per-batch hit order are deterministic (identical across worker counts)
-/// because the sharded merge is by shard index, never thread schedule.
-TEST_P(MatcherEquivalence, ShardedAgreesWithUnshardedAcrossWorkerCounts) {
-  util::Rng rng(GetParam() ^ 0x51a8d);
-  for (const std::string_view engine : kBuiltinEngines) {
-    const std::string inner(engine);
-    BruteForceMatcher oracle;
-    const auto unsharded = make_matcher(inner);
-    std::vector<std::unique_ptr<ShardedMatcher>> sharded;
-    for (const std::size_t workers : {0u, 1u, 4u}) {
-      sharded.push_back(std::make_unique<ShardedMatcher>(
-          ShardedMatcher::Config{.shard_count = 4,
-                                 .worker_threads = workers,
-                                 .inner_engine = inner}));
-    }
-    std::vector<SubscriptionId> live;
-    SubscriptionId next = 1;
-    for (int round = 0; round < 60; ++round) {
-      for (int step = 0; step < 5; ++step) {
-        if (live.empty() || rng.chance(0.7)) {
-          const Filter f = random_filter(rng);
-          oracle.add(next, f);
-          unsharded->add(next, f);
-          for (auto& engine : sharded) engine->add(next, f);
-          live.push_back(next++);
-        } else {
-          const std::size_t idx = rng.index(live.size());
-          oracle.remove(live[idx]);
-          unsharded->remove(live[idx]);
-          for (auto& engine : sharded) engine->remove(live[idx]);
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-        }
-      }
-      std::vector<Event> events;
-      for (int i = 0; i < 16; ++i) events.push_back(random_event(rng));
-      std::vector<std::vector<SubscriptionId>> reference;
-      sharded.front()->match_batch(events, reference);
-      for (std::size_t w = 1; w < sharded.size(); ++w) {
-        std::vector<std::vector<SubscriptionId>> batched;
-        sharded[w]->match_batch(events, batched);
-        ASSERT_EQ(batched, reference)
-            << inner << " with " << sharded[w]->worker_threads()
-            << " workers diverges from the 0-worker merge order";
-      }
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        auto expected = oracle.match(events[i]);
-        auto from_unsharded = unsharded->match(events[i]);
-        auto from_sharded = reference[i];
-        std::sort(expected.begin(), expected.end());
-        std::sort(from_unsharded.begin(), from_unsharded.end());
-        std::sort(from_sharded.begin(), from_sharded.end());
-        ASSERT_EQ(from_sharded, expected)
-            << sharded.front()->name() << " on " << events[i].to_string();
-        ASSERT_EQ(from_unsharded, expected)
-            << inner << " on " << events[i].to_string();
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherEquivalence,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
-
-// --- ShardedMatcher unit behavior -------------------------------------------
-
-TEST(ShardedMatcher, PlacementAndSpillBookkeeping) {
-  ShardedMatcher m(
-      ShardedMatcher::Config{.shard_count = 4, .inner_engine = "bitset"});
-  EXPECT_EQ(m.name(), "bitset/4");
-  EXPECT_EQ(m.shard_count(), 4u);
-
-  m.add(1, Filter());  // anchorless -> spill
-  m.add(2, stock_filter("ACME", 10.0));
-  m.add(3, stock_filter("ACME", 20.0));  // same anchor attr -> same shard
-  EXPECT_EQ(m.size(), 3u);
-  EXPECT_EQ(m.spill_size(), 1u);
-  std::size_t across_shards = 0;
-  for (std::size_t s = 0; s < m.shard_count(); ++s) {
-    across_shards += m.shard_size(s);
-  }
-  EXPECT_EQ(across_shards, 2u);
-
-  // Universal filter matches everything; anchored ones only their events.
-  auto hits = m.match(Event().with("sym", "ACME").with("price", 15.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1, 2}));
-  EXPECT_EQ(m.match(Event()).size(), 1u);
-
-  // Replace semantics move a filter between shards (universal -> anchored).
-  m.add(1, stock_filter("XYZ", 1.0));
-  EXPECT_EQ(m.size(), 3u);
-  EXPECT_EQ(m.spill_size(), 0u);
-  m.remove(1);
-  m.remove(2);
-  m.remove(3);
-  EXPECT_EQ(m.size(), 0u);
-  m.remove(99);  // unknown id: no-op
-}
-
-TEST(ShardedMatcher, RejectsZeroShardsAndUnknownInnerEngines) {
-  EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 0,
-                                          .inner_engine = "bitset"}),
-               std::invalid_argument);
-  EXPECT_THROW(ShardedMatcher(ShardedMatcher::Config{.shard_count = 4,
-                                          .inner_engine = "no-such"}),
-               std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace reef::pubsub

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 
-#include "engine_variants.h"
 #include "pubsub/client.h"
 #include "pubsub/overlay.h"
 #include "util/rng.h"
@@ -182,7 +181,7 @@ Event random_overlay_event(util::Rng& rng) {
 }
 
 /// Property (and PR acceptance gate): on randomized filter/event sets,
-/// every engine's match_batch, bare and sharded, equals its own per-event
+/// every engine's match_batch equals its own per-event
 /// match, and both equal the brute-force oracle.
 TEST_P(OverlayProperty, MatchBatchEqualsPerEventMatchAgainstOracle) {
   util::Rng rng(GetParam() ^ 0xbead);
@@ -200,9 +199,9 @@ TEST_P(OverlayProperty, MatchBatchEqualsPerEventMatchAgainstOracle) {
     oracle.add(i + 1, filters[i]);
   }
 
-  for (const EngineVariant& variant : engine_variants()) {
-    const auto engine = variant.make();
-    const std::string engine_name = variant.label();
+  for (const std::string_view name : kBuiltinEngines) {
+    const auto engine = make_matcher(name);
+    const std::string engine_name(name);
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
@@ -226,17 +225,16 @@ TEST_P(OverlayProperty, MatchBatchEqualsPerEventMatchAgainstOracle) {
   }
 }
 
-/// Every engine, bare and sharded, drives the full overlay to identical deliveries.
+/// Every engine drives the full overlay to identical deliveries.
 TEST_P(OverlayProperty, AllEnginesDeliverIdenticallyThroughOverlay) {
   std::map<std::string, std::map<std::pair<std::size_t, std::size_t>, int>>
       per_engine;
-  for (const EngineVariant& variant : engine_variants()) {
+  for (const std::string_view engine : kBuiltinEngines) {
     sim::Simulator sim;
     sim::Network net(sim, Scenario::net_config(GetParam()));
     util::Rng rng(GetParam());
     Broker::Config config;
-    config.matcher_engine = variant.engine;
-    config.shard_count = variant.shard_count;
+    config.matcher_engine = std::string(engine);
     Overlay overlay = Overlay::chain(sim, net, 3, config);
     std::vector<std::unique_ptr<Client>> clients;
     std::map<std::pair<std::size_t, std::size_t>, int> deliveries;
@@ -261,7 +259,7 @@ TEST_P(OverlayProperty, AllEnginesDeliverIdenticallyThroughOverlay) {
           Event().with("feed", static_cast<std::int64_t>(rng.index(4))));
     }
     sim.run_until(sim.now() + sim::kMinute);
-    per_engine[variant.label()] = deliveries;
+    per_engine[std::string(engine)] = deliveries;
   }
   const auto& reference = per_engine.begin()->second;
   for (const auto& [engine_name, deliveries] : per_engine) {
@@ -269,33 +267,23 @@ TEST_P(OverlayProperty, AllEnginesDeliverIdenticallyThroughOverlay) {
   }
 }
 
-/// Sharded engines drive the overlay to *order-identical* deliveries: for
-/// a seeded workload, each inner engine over 4 shards, with and without
-/// worker threads, must produce the same per-client delivery sequence as
-/// the unsharded inner engine — not just the same delivery counts. The
-/// shard merge is ordered by shard index, the per-interface grouping in
-/// the broker is set-based per event, and a pre-filtered shard contributes
-/// exactly its full-batch hits, so the wire schedule cannot depend on
-/// shard placement, thread scheduling, or the pre-filter.
-TEST_P(OverlayProperty, ShardedEnginesDeliverInIdenticalOrder) {
-  struct EngineSetup {
-    std::size_t shards = 1;
-    std::size_t workers = 0;
-  };
+/// Worker counts drive the overlay to *order-identical* deliveries: for a
+/// seeded workload, each engine with and without worker threads must
+/// produce the same per-client delivery sequence — not just the same
+/// delivery counts. The worker split concatenates contiguous ranges in
+/// batch order and the per-interface grouping in the broker is set-based
+/// per event, so the wire schedule cannot depend on thread scheduling.
+TEST_P(OverlayProperty, WorkerCountsDeliverInIdenticalOrder) {
   for (const std::string_view engine : kBuiltinEngines) {
     const std::string inner(engine);
     std::map<std::string, std::vector<std::string>> logs;
-    for (const EngineSetup& setup :
-         {EngineSetup{.shards = 1, .workers = 0},
-          EngineSetup{.shards = 4, .workers = 0},
-          EngineSetup{.shards = 4, .workers = 2}}) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
       sim::Simulator sim;
       sim::Network net(sim, Scenario::net_config(GetParam()));
       util::Rng rng(GetParam() ^ 0x0dde);
       Broker::Config config;
       config.matcher_engine = inner;
-      config.shard_count = setup.shards;
-      config.worker_threads = setup.workers;
+      config.worker_threads = workers;
       Overlay overlay = Overlay::chain(sim, net, 3, config);
       std::vector<std::string> log;
       std::vector<std::unique_ptr<Client>> clients;
@@ -325,9 +313,7 @@ TEST_P(OverlayProperty, ShardedEnginesDeliverInIdenticalOrder) {
         sim.run_until(sim.now() + sim::kSecond);
       }
       sim.run_until(sim.now() + sim::kMinute);
-      const std::string label = inner + "/s" +
-                                std::to_string(setup.shards) + "/w" +
-                                std::to_string(setup.workers);
+      const std::string label = inner + "/w" + std::to_string(workers);
       logs[label] = std::move(log);
     }
     const auto& reference = logs.begin()->second;

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "engine_variants.h"
 #include "pubsub/routing_table.h"
 #include "util/rng.h"
 
@@ -392,11 +391,10 @@ TEST(RoutingTable, MinimalCoverIndexedEqualsNaiveOnEdgeCases) {
   EXPECT_EQ(cover.size(), 3u);
 }
 
-TEST(RoutingTable, EngineSelectedByNameAndShardCount) {
-  for (const EngineVariant& variant : engine_variants()) {
-    RoutingTable table(RoutingTable::Config{
-        .engine = variant.engine, .shard_count = variant.shard_count});
-    const std::string engine = variant.label();
+TEST(RoutingTable, EngineSelectedByName) {
+  for (const std::string_view name : kBuiltinEngines) {
+    const std::string engine(name);
+    RoutingTable table(RoutingTable::Config{.engine = engine});
     EXPECT_EQ(table.matcher().name(), engine);
     table.client_subscribe(kClient, 1, feed("http://x/a"));
     std::vector<RoutingTable::Destination> hits;

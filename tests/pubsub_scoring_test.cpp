@@ -1,8 +1,8 @@
 // Unit tier for the scored-matching layer (pubsub/scoring.h): ScoringSpec
 // neutrality/wire/hash semantics, score_event purity and the corpus-free
 // BM25 formula, TopKSelector's deterministic tie-breaking, the scored
-// decoration of every engine's match_batch, bare and sharded (including sub-batch
-// view composition), and small end-to-end broker runs composing the
+// decoration of every engine's match_batch (including contiguous sub-span
+// composition), and small end-to-end broker runs composing the
 // min_score threshold with the top-k cut. The differential fuzz harness
 // (tests/pubsub_differential_fuzz_test.cpp, level 5) covers the same
 // contract at scale; this file pins the boundaries.
@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "engine_variants.h"
 #include "pubsub/client.h"
+#include "pubsub/engines.h"
 #include "pubsub/matcher.h"
 #include "pubsub/overlay.h"
 #include "pubsub/scoring.h"
@@ -213,9 +213,9 @@ TEST(MatchBatchScored, DecoratesEveryEngine) {
       Event().with("hot", std::int64_t{0}),
       Event().with("hot", std::int64_t{1}).with("text", "log log"),
   };
-  for (const EngineVariant& variant : engine_variants()) {
-    auto engine = variant.make();
-    const std::string name = variant.label();
+  for (const std::string_view engine_name : kBuiltinEngines) {
+    auto engine = make_matcher(engine_name);
+    const std::string name(engine_name);
     engine->add(1, Filter().and_(eq("hot", std::int64_t{1})));
     engine->add(2, Filter());  // universal, no spec: scores constant
     ScoringIndex scoring;
@@ -244,7 +244,7 @@ TEST(MatchBatchScored, DecoratesEveryEngine) {
   }
 }
 
-TEST(MatchBatchScored, SubBatchViewScoresComposeWithFullBatch) {
+TEST(MatchBatchScored, SubSpanScoresComposeWithFullBatch) {
   const ScoringSpec spec = bm25_spec({{"log", 2.0}, {"rss", 1.0}}, {"file"});
   std::vector<Event> events;
   for (int i = 0; i < 6; ++i) {
@@ -252,27 +252,31 @@ TEST(MatchBatchScored, SubBatchViewScoresComposeWithFullBatch) {
                          .with("file", i % 2 ? "a.log" : "feed.rss")
                          .with("seq", static_cast<std::int64_t>(i)));
   }
-  const std::vector<std::uint32_t> indices = {4, 1, 3};
-  for (const EngineVariant& variant : engine_variants()) {
-    auto engine = variant.make();
-    const std::string name = variant.label();
+  for (const std::string_view engine_name : kBuiltinEngines) {
+    auto engine = make_matcher(engine_name);
+    const std::string name(engine_name);
     engine->add(1, Filter().and_(exists("file")));
     ScoringIndex scoring;
     scoring.set(1, spec);
 
     std::vector<std::vector<ScoredHit>> full;
     engine->match_batch_scored(std::span<const Event>(events), scoring, full);
-    std::vector<std::vector<ScoredHit>> sub;
-    engine->match_batch_scored(
-        EventBatchView(std::span<const Event>(events),
-                       std::span<const std::uint32_t>(indices)),
-        scoring, sub);
-    ASSERT_EQ(sub.size(), indices.size()) << name;
-    for (std::size_t pos = 0; pos < indices.size(); ++pos) {
-      // Batch-composition independence extends to scores: the sub-batch
-      // view's (id, score) lists are the full batch's at those positions.
-      EXPECT_EQ(sorted_hits(sub[pos]), sorted_hits(full[indices[pos]]))
-          << name << " pos " << pos;
+    // Batch-composition independence extends to scores: every contiguous
+    // sub-span's (id, score) lists are the full batch's at those
+    // positions, in the same order.
+    for (std::size_t begin = 0; begin < events.size(); ++begin) {
+      for (std::size_t end = begin + 1; end <= events.size(); ++end) {
+        std::vector<std::vector<ScoredHit>> sub;
+        engine->match_batch_scored(
+            std::span<const Event>(events).subspan(begin, end - begin),
+            scoring, sub);
+        ASSERT_EQ(sub.size(), end - begin) << name;
+        for (std::size_t pos = 0; pos < sub.size(); ++pos) {
+          EXPECT_EQ(sub[pos], full[begin + pos])
+              << name << " span [" << begin << ", " << end << ") pos "
+              << pos;
+        }
+      }
     }
   }
 }
