@@ -359,9 +359,9 @@ ConvergenceResult run_convergence(Topology topology, std::size_t brokers,
   sim::Network net(sim, net_config);
 
   pubsub::Broker::Config broker_config;
-  broker_config.reliable_control = true;
+  broker_config.control.enabled = true;
   // Broker links run at 10ms; keep the timeout clear of the acked RTT.
-  broker_config.retransmit_timeout = 60 * sim::kMillisecond;
+  broker_config.control.retransmit_timeout = 60 * sim::kMillisecond;
   pubsub::Overlay overlay =
       topology == Topology::kChain
           ? pubsub::Overlay::chain(sim, net, brokers, broker_config)
@@ -369,9 +369,6 @@ ConvergenceResult run_convergence(Topology topology, std::size_t brokers,
                 ? pubsub::Overlay::star(sim, net, brokers, broker_config)
                 : pubsub::Overlay::tree(sim, net, brokers, 2, broker_config);
 
-  pubsub::ReliableChannel::Config client_channel;
-  client_channel.enabled = true;
-  client_channel.retransmit_timeout = 60 * sim::kMillisecond;
   util::Rng rng(99);
   util::ZipfSampler popularity(60, 1.0);
   std::vector<std::unique_ptr<pubsub::Client>> clients;
@@ -379,7 +376,7 @@ ConvergenceResult run_convergence(Topology topology, std::size_t brokers,
     auto client = std::make_unique<pubsub::Client>(
         sim, net, "sub" + std::to_string(s));
     client->connect(overlay.broker(s % brokers));
-    client->enable_reliable_control(client_channel);
+    client->enable_reliable_control(broker_config.control);
     const std::size_t per_user = 3 + rng.index(5);
     for (std::size_t f = 0; f < per_user; ++f) {
       client->subscribe(feed_filter_for(popularity.sample(rng)));

@@ -480,6 +480,12 @@ void BitsetMatcher::match_batch(
     std::vector<std::vector<SubscriptionId>>& out) const {
   out.assign(events.size(), {});
   if (slot_of_.empty() || events.empty()) return;
+  if (events.size() == 1) {
+    // Grouping only amortizes work across events; one event goes straight
+    // through the per-event path.
+    match(events.front(), out.front());
+    return;
+  }
   if (entries_ == 0) {
     // Only universal filters are registered.
     for (auto& hits : out) emit_universal(hits);

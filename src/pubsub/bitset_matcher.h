@@ -118,7 +118,8 @@ class BitsetMatcher final : public Matcher {
   /// value) occurrence lists, each eq entry is probed and each noneq
   /// predicate evaluated once per distinct value across the batch, and
   /// the per-event counter accumulation + threshold pass run over the
-  /// collected entry bitmaps — word loops only.
+  /// collected entry bitmaps — word loops only. A one-event span is
+  /// answered by match: grouping only amortizes work across events.
   void match_batch(std::span<const Event> events,
                    std::vector<std::vector<SubscriptionId>>& out)
       const override;

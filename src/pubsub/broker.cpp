@@ -4,6 +4,7 @@
 #include <any>
 #include <cassert>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "util/log.h"
@@ -24,12 +25,14 @@ RoutingTable::Config make_table_config(const Broker::Config& config) {
   return table;
 }
 
-ReliableChannel::Config make_channel_config(const Broker::Config& config) {
-  ReliableChannel::Config channel;
-  channel.enabled = config.reliable_control;
-  channel.retransmit_timeout = config.retransmit_timeout;
-  channel.retransmit_timeout_max = config.retransmit_timeout_max;
-  return channel;
+/// The Destination of a routing hit of either kind.
+const RoutingTable::Destination& destination(
+    const RoutingTable::Destination& hit) {
+  return hit;
+}
+const RoutingTable::Destination& destination(
+    const RoutingTable::ScoredDestination& hit) {
+  return hit.dest;
 }
 
 }  // namespace
@@ -44,7 +47,7 @@ Broker::Broker(sim::Simulator& sim, sim::Network& net, std::string name,
       name_(std::move(name)),
       config_(config),
       table_(make_table_config(config_)),
-      channel_(sim, net, make_channel_config(config_)) {
+      channel_(sim, net, config_.control) {
   id_ = net_.attach(*this, name_);
   channel_.bind(id_);
   channel_.set_deliver(
@@ -83,84 +86,61 @@ void Broker::handle_message(const sim::Message& msg) {
   }
   if (channel_.on_message(msg)) return;
   if (msg.type == kTypeHeartbeat) return;  // liveness recorded above
-  if (msg.type == kTypeClientSubscribe) {
-    on_client_subscribe(msg.from,
-                        std::any_cast<const ClientSubscribeMsg&>(msg.payload));
-  } else if (msg.type == kTypeClientUnsubscribe) {
-    on_client_unsubscribe(
-        msg.from, std::any_cast<const ClientUnsubscribeMsg&>(msg.payload));
-  } else if (msg.type == kTypeSubscribe) {
-    on_broker_subscribe(msg.from,
-                        std::any_cast<const SubscribeMsg&>(msg.payload));
-  } else if (msg.type == kTypeUnsubscribe) {
-    on_broker_unsubscribe(msg.from,
-                          std::any_cast<const UnsubscribeMsg&>(msg.payload));
-  } else if (msg.type == kTypePublish) {
-    on_publish(msg.from, std::any_cast<const PublishMsg&>(msg.payload).event);
+  if (msg.type == kTypePublish) {
+    on_publish(msg.from,
+               {&std::any_cast<const PublishMsg&>(msg.payload).event, 1});
   } else if (msg.type == kTypePublishBatch) {
-    on_publish_batch(msg.from,
-                     std::any_cast<const PublishBatchMsg&>(msg.payload));
+    on_publish(msg.from,
+               std::any_cast<const PublishBatchMsg&>(msg.payload).events);
   } else {
     util::log_warn("broker") << name_ << ": unknown message type " << msg.type;
   }
 }
 
-void Broker::on_client_subscribe(sim::NodeId from,
-                                 const ClientSubscribeMsg& msg) {
-  ++stats_.subs_received;
-  table_.client_subscribe(from, msg.sub_id, msg.filter, msg.scoring);
-  refresh_all_neighbors_except(sim::kNoNode);
-}
-
-void Broker::on_client_unsubscribe(sim::NodeId from,
-                                   const ClientUnsubscribeMsg& msg) {
-  ++stats_.subs_received;
-  if (!table_.client_unsubscribe(from, msg.sub_id)) return;
-  refresh_all_neighbors_except(sim::kNoNode);
-}
-
-void Broker::on_broker_subscribe(sim::NodeId from, const SubscribeMsg& msg) {
-  ++stats_.subs_received;
-  if (!table_.broker_subscribe(from, msg.filter)) return;  // re-subscribe
-  // Propagate onward, but never back where it came from.
-  refresh_all_neighbors_except(from);
-}
-
-void Broker::on_broker_unsubscribe(sim::NodeId from,
-                                   const UnsubscribeMsg& msg) {
-  ++stats_.subs_received;
-  if (!table_.broker_unsubscribe(from, msg.filter)) return;
-  refresh_all_neighbors_except(from);
-}
-
-// --- fault tolerance ---------------------------------------------------------
-
 void Broker::on_ctrl_op(sim::NodeId from, const CtrlOp& op) {
   switch (op.kind) {
-    case CtrlOp::Kind::kSubscribe:
-      on_broker_subscribe(from, SubscribeMsg{op.filter});
-      break;
-    case CtrlOp::Kind::kUnsubscribe:
-      on_broker_unsubscribe(from, UnsubscribeMsg{op.filter});
-      break;
     case CtrlOp::Kind::kClientSubscribe:
-      on_client_subscribe(
-          from, ClientSubscribeMsg{op.sub_id, op.filter, op.scoring});
+      ++stats_.subs_received;
+      table_.client_subscribe(from, op.sub_id, op.filter, op.scoring);
+      refresh_all_neighbors_except(sim::kNoNode);
       break;
     case CtrlOp::Kind::kClientUnsubscribe:
-      on_client_unsubscribe(from, ClientUnsubscribeMsg{op.sub_id});
+      ++stats_.subs_received;
+      if (table_.client_unsubscribe(from, op.sub_id)) {
+        refresh_all_neighbors_except(sim::kNoNode);
+      }
+      break;
+    case CtrlOp::Kind::kSubscribe:
+      ++stats_.subs_received;
+      // Propagate onward, but never back where it came from; a
+      // re-subscribe changes nothing.
+      if (table_.broker_subscribe(from, op.filter)) {
+        refresh_all_neighbors_except(from);
+      }
+      break;
+    case CtrlOp::Kind::kUnsubscribe:
+      ++stats_.subs_received;
+      if (table_.broker_unsubscribe(from, op.filter)) {
+        refresh_all_neighbors_except(from);
+      }
       break;
     case CtrlOp::Kind::kResyncRequest:
       on_resync_request(from, op.digest);
       break;
     case CtrlOp::Kind::kResyncState:
-      on_resync_state(from, op.filters);
+      if (table_.broker_resync(from, op.filters)) {
+        refresh_all_neighbors_except(from);
+      }
       break;
     case CtrlOp::Kind::kClientResyncState:
-      on_client_resync_state(from, op.subs);
+      if (table_.client_resync(from, op.subs)) {
+        refresh_all_neighbors_except(sim::kNoNode);
+      }
       break;
   }
 }
+
+// --- fault tolerance ---------------------------------------------------------
 
 void Broker::on_peer_restart(sim::NodeId peer) {
   // The peer's epoch bumped: it lost all state. Restart our stream toward
@@ -197,19 +177,6 @@ void Broker::on_resync_request(sim::NodeId from, std::uint64_t digest) {
   ++stats_.resync_msgs;
   stats_.resync_bytes += ctrl_op_wire_size(op);
   channel_.send(from, std::move(op));
-}
-
-void Broker::on_resync_state(sim::NodeId from, const std::vector<Filter>& want) {
-  if (table_.broker_resync(from, want)) {
-    refresh_all_neighbors_except(from);
-  }
-}
-
-void Broker::on_client_resync_state(
-    sim::NodeId from, const std::vector<ClientSubscription>& subs) {
-  if (table_.client_resync(from, subs)) {
-    refresh_all_neighbors_except(sim::kNoNode);
-  }
 }
 
 void Broker::heartbeat_tick() {
@@ -253,7 +220,7 @@ void Broker::restart() {
     last_heard_[neighbor] = sim_.now();  // fresh suspicion clock
   }
   for (const sim::NodeId client : clients_) table_.add_client_iface(client);
-  if (!config_.reliable_control) return;  // best-effort: empty until churn
+  if (!config_.control.enabled) return;  // best-effort: empty until churn
   // Anti-entropy: ask every peer for the state this incarnation lost. The
   // requests ride the (fresh-epoch) reliable streams, so they survive any
   // fault that outlives the restart.
@@ -261,47 +228,40 @@ void Broker::restart() {
   for (const sim::NodeId client : clients_) send_resync_request(client);
 }
 
-void Broker::on_publish(sim::NodeId from, const Event& event) {
-  ++stats_.pubs_received;
+void Broker::on_publish(sim::NodeId from, std::span<const Event> events) {
+  stats_.pubs_received += events.size();
   ++stats_.matches_run;
   if (config_.scoring_enabled) {
-    const std::span<const Event> events{&event, 1};
     std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
     table_.match_batch_scored(events, hits);
-    route_scored(from, events, hits);
-    return;
-  }
-  std::vector<RoutingTable::Destination> hits;
-  table_.match(event, hits);
-  route_event(from, event, hits);
-}
-
-void Broker::on_publish_batch(sim::NodeId from, const PublishBatchMsg& msg) {
-  stats_.pubs_received += msg.events.size();
-  ++stats_.matches_run;
-  if (config_.scoring_enabled) {
-    std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
-    table_.match_batch_scored(msg.events, hits);
-    route_scored(from, msg.events, hits);
+    select_deliveries(from, hits);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      route_event(from, events[i], static_cast<std::uint32_t>(i), hits[i]);
+    }
     return;
   }
   std::vector<std::vector<RoutingTable::Destination>> hits;
-  table_.match_batch(msg.events, hits);
-  for (std::size_t i = 0; i < msg.events.size(); ++i) {
-    route_event(from, msg.events[i], hits[i]);
+  table_.match_batch(events, hits);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    route_event(from, events[i], static_cast<std::uint32_t>(i), hits[i]);
   }
 }
 
+template <typename Hit>
 void Broker::route_event(sim::NodeId from, const Event& event,
-                         const std::vector<RoutingTable::Destination>& hits) {
+                         std::uint32_t index, const std::vector<Hit>& hits) {
   // Group matches by interface; an event crosses each interface once.
   // Interfaces are visited in id order and each client's matched-sub list
   // is sorted, so the broker's output is a pure function of the match
   // *sets* — engines (any worker count) that agree on the
-  // sets produce byte-identical wire traffic regardless of hit order.
+  // sets produce byte-identical wire traffic regardless of hit order. A
+  // scored delivery leaves in exactly the position its boolean twin would.
+  constexpr bool kScored =
+      std::is_same_v<Hit, RoutingTable::ScoredDestination>;
   broker_hits_.clear();
   client_hits_.clear();
-  for (const RoutingTable::Destination& dest : hits) {
+  for (const Hit& hit : hits) {
+    const RoutingTable::Destination& dest = destination(hit);
     if (dest.iface == from) continue;  // never echo back
     if (dest.is_broker) {
       // Graceful degradation: no data-plane traffic into a suspected-dead
@@ -309,10 +269,21 @@ void Broker::route_event(sim::NodeId from, const Event& event,
       // quarantine lifts on its first sign of life.
       if (quarantined_.contains(dest.iface)) continue;
       broker_hits_.push_back(dest.iface);
-    } else {
-      client_hits_.push_back(
-          ClientHit{.client = dest.iface, .sub = dest.client_sub});
+      continue;
     }
+    ClientHit client{.client = dest.iface, .sub = dest.client_sub};
+    if constexpr (kScored) {
+      if (hit.scoring != nullptr) {
+        if (std::binary_search(suppressed_.begin(), suppressed_.end(),
+                               Suppressed{index, dest.iface,
+                                          dest.client_sub})) {
+          continue;
+        }
+        client.score = hit.score;
+        client.scored = true;
+      }
+    }
+    client_hits_.push_back(client);
   }
   enqueue_routed(event);
 }
@@ -351,8 +322,8 @@ void Broker::enqueue_routed(const Event& event) {
 
 // --- scored delivery (Config::scoring_enabled) -------------------------------
 
-void Broker::route_scored(
-    sim::NodeId from, std::span<const Event> events,
+void Broker::select_deliveries(
+    sim::NodeId from,
     const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits) {
   // Pass 1: collect, per (client, subscription) with a non-neutral policy,
   // the scored candidates of this publication batch — the top-k window.
@@ -369,7 +340,7 @@ void Broker::route_scored(
     const ScoringSpec* spec = nullptr;
   };
   std::vector<Candidate> cands;
-  for (std::size_t i = 0; i < events.size(); ++i) {
+  for (std::size_t i = 0; i < hits.size(); ++i) {
     for (const RoutingTable::ScoredDestination& sd : hits[i]) {
       if (sd.dest.is_broker || sd.scoring == nullptr) continue;
       if (sd.dest.iface == from) continue;  // never echo back
@@ -422,41 +393,6 @@ void Broker::route_scored(
     run = end;
   }
   std::sort(suppressed_.begin(), suppressed_.end());
-  // Pass 3: the boolean routing pass, per event in batch order, skipping
-  // suppressed deliveries and attaching scores.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    route_event_scored(from, events[i], static_cast<std::uint32_t>(i),
-                       hits[i]);
-  }
-}
-
-void Broker::route_event_scored(
-    sim::NodeId from, const Event& event, std::uint32_t event_index,
-    const std::vector<RoutingTable::ScoredDestination>& hits) {
-  // Mirrors route_event: interfaces in id order, per-client sub lists
-  // sorted by id. Scores never influence grouping or order — a scored
-  // delivery leaves in exactly the position its boolean twin would have.
-  broker_hits_.clear();
-  client_hits_.clear();
-  for (const RoutingTable::ScoredDestination& sd : hits) {
-    if (sd.dest.iface == from) continue;  // never echo back
-    if (sd.dest.is_broker) {
-      if (quarantined_.contains(sd.dest.iface)) continue;
-      broker_hits_.push_back(sd.dest.iface);
-      continue;
-    }
-    if (sd.scoring != nullptr &&
-        std::binary_search(suppressed_.begin(), suppressed_.end(),
-                           Suppressed{event_index, sd.dest.iface,
-                                      sd.dest.client_sub})) {
-      continue;
-    }
-    client_hits_.push_back(ClientHit{.client = sd.dest.iface,
-                                     .sub = sd.dest.client_sub,
-                                     .score = sd.score,
-                                     .scored = sd.scoring != nullptr});
-  }
-  enqueue_routed(event);
 }
 
 // --- adaptive output coalescing ----------------------------------------------
@@ -595,29 +531,17 @@ void Broker::refresh_neighbor(sim::NodeId neighbor) {
   RoutingTable::Diff diff = table_.refresh(neighbor);
   for (Filter& filter : diff.subscribe) {
     ++stats_.subs_forwarded;
-    if (config_.reliable_control) {
-      CtrlOp op;
-      op.kind = CtrlOp::Kind::kSubscribe;
-      op.filter = std::move(filter);
-      channel_.send(neighbor, std::move(op));
-      continue;
-    }
-    const std::size_t bytes = filter.wire_size() + 8;
-    net_.send(id_, neighbor, std::string(kTypeSubscribe),
-              SubscribeMsg{std::move(filter)}, bytes);
+    CtrlOp op;
+    op.kind = CtrlOp::Kind::kSubscribe;
+    op.filter = std::move(filter);
+    channel_.send(neighbor, std::move(op));
   }
   for (Filter& filter : diff.unsubscribe) {
     ++stats_.unsubs_forwarded;
-    if (config_.reliable_control) {
-      CtrlOp op;
-      op.kind = CtrlOp::Kind::kUnsubscribe;
-      op.filter = std::move(filter);
-      channel_.send(neighbor, std::move(op));
-      continue;
-    }
-    const std::size_t bytes = filter.wire_size() + 8;
-    net_.send(id_, neighbor, std::string(kTypeUnsubscribe),
-              UnsubscribeMsg{std::move(filter)}, bytes);
+    CtrlOp op;
+    op.kind = CtrlOp::Kind::kUnsubscribe;
+    op.filter = std::move(filter);
+    channel_.send(neighbor, std::move(op));
   }
 }
 

@@ -114,16 +114,15 @@ class Broker final : public sim::Node {
     /// ride an already-armed timer and wait at most the remainder of its
     /// window, never longer than the budget.
     sim::Time flush_max_delay_ticks = 0;
-    /// Reliable control channel: subscription traffic (broker-broker and
+    /// The control channel every subscription op goes through. With
+    /// `control.enabled`, subscription traffic (broker-broker and
     /// client-broker) rides per-peer sequenced streams with cumulative
     /// acks and timeout/backoff retransmission, so partitions and lossy
     /// links can delay but never lose a subscribe/unsubscribe. Off by
-    /// default: the seed's raw best-effort messages, byte for byte.
-    bool reliable_control = false;
-    /// Initial retransmission timeout of the reliable channel; doubles
-    /// per retry up to retransmit_timeout_max.
-    sim::Time retransmit_timeout = 50 * sim::kMillisecond;
-    sim::Time retransmit_timeout_max = sim::kSecond;
+    /// default: each op is sent once, best-effort, under its own type tag.
+    /// Clients take the same config through
+    /// Client::enable_reliable_control.
+    ReliableChannel::Config control;
     /// Neighbor-liveness heartbeat period; 0 (default) disables
     /// heartbeats and suspicion entirely.
     sim::Time heartbeat_period = 0;
@@ -136,8 +135,8 @@ class Broker final : public sim::Node {
 
   struct Stats {
     std::uint64_t subs_received = 0;    ///< control msgs in (sub+unsub)
-    std::uint64_t subs_forwarded = 0;   ///< SubscribeMsg sent to neighbors
-    std::uint64_t unsubs_forwarded = 0; ///< UnsubscribeMsg sent to neighbors
+    std::uint64_t subs_forwarded = 0;   ///< kSubscribe ops sent to neighbors
+    std::uint64_t unsubs_forwarded = 0; ///< kUnsubscribe ops sent
     std::uint64_t pubs_received = 0;    ///< events in (batch counts each)
     std::uint64_t pubs_forwarded = 0;   ///< events out to neighbors
     std::uint64_t pub_msgs_sent = 0;    ///< wire messages carrying them
@@ -163,7 +162,7 @@ class Broker final : public sim::Node {
     /// ticks; mean event residence = residence_ticks_total / flushed_units.
     /// 0 under per-tick flushing (everything leaves the instant it arrived).
     sim::Time residence_ticks_total = 0;
-    // --- fault tolerance (reliable_control / heartbeat_period) ---
+    // --- fault tolerance (control.enabled / heartbeat_period) ---
     std::uint64_t retransmits = 0;     ///< control msgs resent on timeout
     std::uint64_t acks_sent = 0;       ///< cumulative acks emitted
     std::uint64_t heartbeats_sent = 0; ///< liveness probes to neighbors
@@ -197,7 +196,7 @@ class Broker final : public sim::Node {
 
   /// Restarts a crashed broker with an *empty* routing table: the static
   /// topology (neighbor and client interfaces) is re-declared, and with
-  /// reliable_control on, anti-entropy resync requests go to every
+  /// control.enabled, anti-entropy resync requests go to every
   /// neighbor and client to rebuild subscription state (without it the
   /// broker black-holes until new churn happens to repopulate it).
   void restart();
@@ -232,31 +231,31 @@ class Broker final : public sim::Node {
   }
 
  private:
-  void on_client_subscribe(sim::NodeId from, const ClientSubscribeMsg& msg);
-  void on_client_unsubscribe(sim::NodeId from,
-                             const ClientUnsubscribeMsg& msg);
-  void on_broker_subscribe(sim::NodeId from, const SubscribeMsg& msg);
-  void on_broker_unsubscribe(sim::NodeId from, const UnsubscribeMsg& msg);
-  void on_publish(sim::NodeId from, const Event& event);
-  void on_publish_batch(sim::NodeId from, const PublishBatchMsg& msg);
+  /// Matches one inbound publication message (a PublishMsg is a span of
+  /// one) and files every event into the per-interface output queues.
+  void on_publish(sim::NodeId from, std::span<const Event> events);
+
+  /// The one control-op dispatcher: subscription ops from either channel
+  /// mode and the anti-entropy ops of the reliable stream.
+  void on_ctrl_op(sim::NodeId from, const CtrlOp& op);
 
   // --- fault tolerance ---
-  /// Dispatches one reliably-delivered control operation.
-  void on_ctrl_op(sim::NodeId from, const CtrlOp& op);
   /// A peer came back with a higher epoch: drop its stale state and
   /// restart our stream toward it (the resync request follows on the
   /// fresh stream).
   void on_peer_restart(sim::NodeId peer);
   void on_resync_request(sim::NodeId from, std::uint64_t digest);
-  void on_resync_state(sim::NodeId from, const std::vector<Filter>& want);
-  void on_client_resync_state(sim::NodeId from,
-                              const std::vector<ClientSubscription>& subs);
   void send_resync_request(sim::NodeId peer);
   void heartbeat_tick();
 
-  /// Files one matched event into the per-interface output queues.
-  void route_event(sim::NodeId from, const Event& event,
-                   const std::vector<RoutingTable::Destination>& hits);
+  /// Files the event at `index` of the batch being routed into the
+  /// per-interface output queues. `Hit` is RoutingTable::Destination or,
+  /// on the scored path, RoutingTable::ScoredDestination: then client
+  /// hits listed in suppressed_ are skipped and non-neutral ones carry
+  /// their score. Scores never influence grouping or order.
+  template <typename Hit>
+  void route_event(sim::NodeId from, const Event& event, std::uint32_t index,
+                   const std::vector<Hit>& hits);
 
   /// One client destination of the event being routed; `score`/`scored`
   /// are set only on the scored path.
@@ -277,25 +276,14 @@ class Broker final : public sim::Node {
   /// delivery policy within one publication batch.
   using Suppressed = std::tuple<std::uint32_t, sim::NodeId, SubscriptionId>;
 
-  /// The scored twin of the publish path: applies each non-neutral
-  /// subscription's min_score filter and top-k cut over the *publication
-  /// batch* (the events of this one wire message — the deterministic
-  /// top-k window; see docs/ARCHITECTURE.md "Scored delivery"), then
-  /// routes each event in batch order with the suppressions applied and
-  /// scores attached. With no non-neutral subscription matched, the
-  /// output is byte-identical to the boolean path.
-  void route_scored(
-      sim::NodeId from, std::span<const Event> events,
+  /// Fills suppressed_ for one publication batch: applies each non-neutral
+  /// subscription's min_score filter and top-k cut over the batch (the
+  /// events of this one wire message — the deterministic top-k window;
+  /// see docs/ARCHITECTURE.md "Scored delivery"). With no non-neutral
+  /// subscription matched, nothing is suppressed.
+  void select_deliveries(
+      sim::NodeId from,
       const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits);
-
-  /// route_event with scoring decoration: client destinations listed in
-  /// suppressed_ are skipped, and the per-client matched-sub list carries
-  /// parallel scores when any matched subscription is non-neutral.
-  /// Grouping and ordering are identical to route_event — delivery order
-  /// keys on canonical event order and sorted sub ids, never on score.
-  void route_event_scored(
-      sim::NodeId from, const Event& event, std::uint32_t event_index,
-      const std::vector<RoutingTable::ScoredDestination>& hits);
 
   /// Sends the refresh diff for `neighbor` computed by the routing table.
   void refresh_neighbor(sim::NodeId neighbor);

@@ -5,7 +5,6 @@
 #include <memory>
 #include <unordered_set>
 
-#include "util/hash.h"
 #include "util/log.h"
 
 namespace reef::pubsub {
@@ -53,20 +52,16 @@ SubscriptionId Client::subscribe_scored(Filter filter, ScoringSpec scoring,
   const SubscriptionId sub_id =
       (static_cast<std::uint64_t>(id_) << 32) | next_sub_++;
   handlers_.emplace(sub_id, std::move(handler));
+  // Only the reliable channel's resync replay reads this copy.
   if (channel_.enabled()) {
     subs_.emplace(sub_id, ClientSubscription{sub_id, filter, scoring});
-    CtrlOp op;
-    op.kind = CtrlOp::Kind::kClientSubscribe;
-    op.sub_id = sub_id;
-    op.filter = std::move(filter);
-    op.scoring = std::move(scoring);
-    channel_.send(broker_, std::move(op));
-    return sub_id;
   }
-  const std::size_t bytes = filter.wire_size() + 16 + scoring.wire_size();
-  net_.send(id_, broker_, std::string(kTypeClientSubscribe),
-            ClientSubscribeMsg{sub_id, std::move(filter), std::move(scoring)},
-            bytes);
+  CtrlOp op;
+  op.kind = CtrlOp::Kind::kClientSubscribe;
+  op.sub_id = sub_id;
+  op.filter = std::move(filter);
+  op.scoring = std::move(scoring);
+  channel_.send(broker_, std::move(op));
   return sub_id;
 }
 
@@ -94,15 +89,10 @@ std::vector<SubscriptionId> Client::subscribe_any(
 void Client::unsubscribe(SubscriptionId id) {
   if (handlers_.erase(id) == 0) return;
   subs_.erase(id);
-  if (channel_.enabled()) {
-    CtrlOp op;
-    op.kind = CtrlOp::Kind::kClientUnsubscribe;
-    op.sub_id = id;
-    channel_.send(broker_, std::move(op));
-    return;
-  }
-  net_.send(id_, broker_, std::string(kTypeClientUnsubscribe),
-            ClientUnsubscribeMsg{id}, 16);
+  CtrlOp op;
+  op.kind = CtrlOp::Kind::kClientUnsubscribe;
+  op.sub_id = id;
+  channel_.send(broker_, std::move(op));
 }
 
 void Client::publish(Event event) {
@@ -137,16 +127,12 @@ void Client::on_ctrl_op(sim::NodeId from, const CtrlOp& op) {
     return;
   }
   // The broker restarted and asks what we subscribe to, sending its digest
-  // of our registrations (same formula as RoutingTable::client_iface_digest,
-  // so matching state is recognized without a replay).
+  // of our registrations (RoutingTable::client_iface_digest folds the same
+  // client_subscription_digest, so matching state is recognized without a
+  // replay).
   std::uint64_t digest = 0;
   for (const auto& [sub_id, sub] : subs_) {
-    digest ^= util::hash_combine(util::fnv1a64(sub.filter.key()), sub_id);
-    // Scoring folds in only when non-neutral, so unscored state keeps the
-    // PR 9 digest value (see RoutingTable::client_iface_digest).
-    if (!sub.scoring.neutral()) {
-      digest ^= util::hash_combine(sub.scoring.hash(), sub_id);
-    }
+    digest ^= client_subscription_digest(sub_id, sub.filter, sub.scoring);
   }
   if (digest == op.digest) return;
   CtrlOp reply;

@@ -39,8 +39,9 @@ class Client final : public sim::Node {
   void connect(Broker& broker);
   bool connected() const noexcept { return broker_ != sim::kNoNode; }
 
-  /// Puts subscription control traffic on the reliable channel (pair this
-  /// with Broker::Config::reliable_control on the broker side). Call
+  /// Configures the control channel every subscribe/unsubscribe goes
+  /// through; `config.enabled` puts that traffic on the reliable stream
+  /// (pass the broker's Broker::Config::control to match it). Call
   /// before the first subscribe/unsubscribe. Also arms the client's side
   /// of broker-restart recovery: on a resync request from a restarted
   /// broker the client replays its full live subscription set.

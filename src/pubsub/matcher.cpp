@@ -23,23 +23,6 @@ void Matcher::match_batch(std::span<const Event> events,
   for (std::size_t i = 0; i < events.size(); ++i) match(events[i], out[i]);
 }
 
-void Matcher::match_batch_scored(
-    std::span<const Event> events, const ScoringIndex& scoring,
-    std::vector<std::vector<ScoredHit>>& out) const {
-  std::vector<std::vector<SubscriptionId>> hits;
-  match_batch(events, hits);
-  out.assign(events.size(), {});
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    out[i].reserve(hits[i].size());
-    for (const SubscriptionId id : hits[i]) {
-      const ScoringSpec* spec = scoring.find(id);
-      out[i].push_back(
-          {id, spec != nullptr ? score_event(*spec, events[i])
-                               : kConstantScore});
-    }
-  }
-}
-
 // --- BruteForceMatcher ------------------------------------------------------
 
 void BruteForceMatcher::add(SubscriptionId id, Filter filter) {

@@ -32,53 +32,11 @@
 #include "pubsub/attr_table.h"
 #include "pubsub/event.h"
 #include "pubsub/filter.h"
-#include "pubsub/scoring.h"
 
 namespace reef::pubsub {
 
 /// Identifier a matcher client associates with a registered filter.
 using SubscriptionId = std::uint64_t;
-
-/// One scored boolean match: the subscription plus its relevance under the
-/// subscription's ScoringSpec (kConstantScore when it has none).
-struct ScoredHit {
-  SubscriptionId id = 0;
-  double score = kConstantScore;
-
-  friend bool operator==(const ScoredHit&, const ScoredHit&) = default;
-};
-
-/// Registry of the non-neutral scoring specs among a matcher's
-/// subscriptions, consulted by Matcher::match_batch_scored. Subscriptions
-/// absent here score kConstantScore. Kept outside the engines on purpose:
-/// scores *decorate* boolean matching (they are a pure function of (spec,
-/// event), computed after the match), so no engine needs to know scoring
-/// exists, and identical match sets imply identical scored output by
-/// construction.
-class ScoringIndex {
- public:
-  /// Registers (or replaces) the spec for `id`. Neutral specs are
-  /// dropped — they are indistinguishable from absence.
-  void set(SubscriptionId id, ScoringSpec spec) {
-    if (spec.neutral()) {
-      specs_.erase(id);
-    } else {
-      specs_[id] = std::move(spec);
-    }
-  }
-  void erase(SubscriptionId id) { specs_.erase(id); }
-  /// Spec for `id`, or nullptr when it scores the neutral constant. The
-  /// pointer is stable until that id is set/erased (node-based map).
-  const ScoringSpec* find(SubscriptionId id) const {
-    const auto it = specs_.find(id);
-    return it == specs_.end() ? nullptr : &it->second;
-  }
-  std::size_t size() const noexcept { return specs_.size(); }
-  bool empty() const noexcept { return specs_.empty(); }
-
- private:
-  std::unordered_map<SubscriptionId, ScoringSpec> specs_;
-};
 
 /// Normalizes ints with an exact double image to that double, so Eq(3) and
 /// an event value 3.0 land in the same hash bucket (Value::compare treats
@@ -133,18 +91,6 @@ class Matcher {
   /// threads may match disjoint sub-spans at once.
   virtual void match_batch(std::span<const Event> events,
                            std::vector<std::vector<SubscriptionId>>& out) const;
-
-  /// Scored batch matching: runs the engine's match_batch, then decorates
-  /// each hit with score_event under its spec in `scoring` (kConstantScore
-  /// for ids with no spec). Non-virtual on purpose — scoring happens
-  /// *after* the boolean match, so every engine inherits the same scored
-  /// output for the same match sets, and the batch-composition
-  /// independence of contract point 2 extends to scores: a contiguous
-  /// sub-span produces exactly the (id, score) lists the full batch would
-  /// have at those positions.
-  void match_batch_scored(std::span<const Event> events,
-                          const ScoringIndex& scoring,
-                          std::vector<std::vector<ScoredHit>>& out) const;
 
   /// Number of registered filters.
   virtual std::size_t size() const noexcept = 0;

@@ -10,34 +10,9 @@
 
 #include "pubsub/event.h"
 #include "pubsub/filter.h"
-#include "pubsub/matcher.h"
+#include "pubsub/scoring.h"
 
 namespace reef::pubsub {
-
-/// Broker-to-broker subscription propagation (aggregated per filter).
-struct SubscribeMsg {
-  Filter filter;
-};
-
-/// Broker-to-broker subscription retraction.
-struct UnsubscribeMsg {
-  Filter filter;
-};
-
-/// Client-to-broker subscription with the client's own id for the filter.
-/// `scoring` is the subscription's delivery policy; the default (neutral)
-/// spec is the unscored subscription of PR 1-9, metered at zero extra
-/// wire bytes.
-struct ClientSubscribeMsg {
-  SubscriptionId sub_id = 0;
-  Filter filter;
-  ScoringSpec scoring;
-};
-
-/// Client-to-broker retraction by id.
-struct ClientUnsubscribeMsg {
-  SubscriptionId sub_id = 0;
-};
 
 /// A publication travelling client->broker or broker->broker.
 struct PublishMsg {
@@ -68,17 +43,20 @@ struct DeliverBatchMsg {
   std::vector<DeliverMsg> items;
 };
 
-// --- reliable control channel (fault tolerance) ------------------------------
+// --- control plane -----------------------------------------------------------
 //
-// When reliability is enabled (Broker::Config::reliable_control), every
-// subscription-control operation rides a CtrlMsg over a per-peer go-back-N
-// stream: monotone sequence numbers starting at 1, cumulative acks, and
-// timeout/backoff retransmission driven by sim timers. The epoch is bumped
-// when the sender restarts, so a receiver can tell a fresh stream from a
-// late duplicate of the old one (FIFO links guarantee the old stream's
-// tail is delivered before the new stream's head).
+// Every subscription-control operation is a CtrlOp, sent through
+// ReliableChannel::send. With reliability off (the default) the op travels
+// once, best-effort, as the payload of a message tagged by its kind
+// (ctrl_op_type). With reliability on (Broker::Config::control.enabled) it
+// rides a CtrlMsg over a per-peer go-back-N stream: monotone sequence
+// numbers starting at 1, cumulative acks, and timeout/backoff
+// retransmission driven by sim timers. The epoch is bumped when the sender
+// restarts, so a receiver can tell a fresh stream from a late duplicate of
+// the old one (FIFO links guarantee the old stream's tail is delivered
+// before the new stream's head).
 
-/// One control-plane operation carried by a CtrlMsg.
+/// One control-plane operation, sent bare (best-effort) or in a CtrlMsg.
 struct CtrlOp {
   enum class Kind {
     kSubscribe,          ///< broker->broker filter propagation
@@ -164,9 +142,9 @@ inline std::size_t deliver_batch_wire_size(
   return bytes;
 }
 
-/// Wire size of one CtrlOp (the payload inside a CtrlMsg). Mirrors the
-/// raw-message sizes so the reliable and best-effort control planes meter
-/// the same encoding per operation.
+/// Wire size of one CtrlOp: a best-effort message's whole size, or the
+/// payload inside a CtrlMsg, so the reliable and best-effort control
+/// planes meter the same encoding per operation.
 inline std::size_t ctrl_op_wire_size(const CtrlOp& op) {
   switch (op.kind) {
     case CtrlOp::Kind::kSubscribe:
@@ -213,5 +191,19 @@ inline constexpr std::string_view kTypeDeliverBatch = "pubsub.deliverbatch";
 inline constexpr std::string_view kTypeCtrl = "pubsub.ctrl";
 inline constexpr std::string_view kTypeCtrlAck = "pubsub.ctrlack";
 inline constexpr std::string_view kTypeHeartbeat = "pubsub.hb";
+
+/// Type tag of a best-effort CtrlOp message. Only the four subscription
+/// ops travel best-effort; the anti-entropy ops exist only on the reliable
+/// stream, so they get an empty tag (ReliableChannel::send sequences them
+/// whatever its mode).
+inline std::string_view ctrl_op_type(CtrlOp::Kind kind) {
+  switch (kind) {
+    case CtrlOp::Kind::kSubscribe: return kTypeSubscribe;
+    case CtrlOp::Kind::kUnsubscribe: return kTypeUnsubscribe;
+    case CtrlOp::Kind::kClientSubscribe: return kTypeClientSubscribe;
+    case CtrlOp::Kind::kClientUnsubscribe: return kTypeClientUnsubscribe;
+    default: return {};
+  }
+}
 
 }  // namespace reef::pubsub

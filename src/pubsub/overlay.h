@@ -33,7 +33,7 @@ class Overlay {
   /// from it is lost) and its in-memory routing state is dropped.
   void crash(std::size_t i);
   /// Brings broker `i` back up with an empty routing table; with
-  /// Broker::Config::reliable_control on, anti-entropy resync against its
+  /// Broker::Config::control.enabled, anti-entropy resync against its
   /// neighbors and clients rebuilds the state (see Broker::restart).
   void restart(std::size_t i);
   /// Blocks/unblocks the link between brokers `a` and `b` (indices).

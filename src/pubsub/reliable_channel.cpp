@@ -18,8 +18,13 @@ void ReliableChannel::transmit(sim::NodeId peer, const CtrlMsg& msg) {
 }
 
 void ReliableChannel::send(sim::NodeId peer, CtrlOp op) {
-  assert(config_.enabled && "ReliableChannel::send with reliability off");
   assert(self_ != sim::kNoNode && "ReliableChannel used before bind()");
+  const std::string_view type = ctrl_op_type(op.kind);
+  if (!config_.enabled && !type.empty()) {
+    const std::size_t bytes = ctrl_op_wire_size(op);
+    net_.send(self_, peer, std::string(type), std::move(op), bytes);
+    return;
+  }
   SendState& state = send_[peer];
   CtrlMsg msg{epoch_, state.next_seq++, std::move(op)};
   transmit(peer, msg);
@@ -81,6 +86,12 @@ bool ReliableChannel::on_message(const sim::Message& msg) {
       state.timer_gen = 0;
       state.timeout = config_.retransmit_timeout;
     }
+    return true;
+  }
+  if (const auto* op = std::any_cast<CtrlOp>(&msg.payload)) {
+    // A bare op is a best-effort one (tagged by ctrl_op_type): no stream
+    // state and no ack.
+    if (deliver_) deliver_(msg.from, *op);
     return true;
   }
   if (msg.type != kTypeCtrl) return false;

@@ -1,5 +1,8 @@
-// Reliable per-peer control stream (go-back-N over the lossy simulated
-// network), shared by Broker and Client for subscription-control traffic.
+// The control-plane sender and receiver shared by Broker and Client: every
+// subscription-control op goes out through ReliableChannel::send. Disabled
+// (the default), the channel sends each op once, best-effort, under its
+// kind's type tag (ctrl_op_type). Enabled, it runs a reliable per-peer
+// control stream (go-back-N over the lossy simulated network).
 //
 // Each (self, peer) direction is an independent stream: monotone sequence
 // numbers starting at 1 within the sender's current epoch, cumulative acks
@@ -34,8 +37,8 @@ namespace reef::pubsub {
 class ReliableChannel {
  public:
   struct Config {
-    /// Off by default: control traffic goes out as the raw best-effort
-    /// messages of the seed protocol and this class is never consulted.
+    /// Off by default: each op is sent once, unsequenced and unacked,
+    /// under its kind's type tag.
     bool enabled = false;
     /// Initial retransmission timeout; doubles per retry (binary backoff).
     sim::Time retransmit_timeout = 50 * sim::kMillisecond;
@@ -52,7 +55,8 @@ class ReliableChannel {
     std::uint64_t gaps_dropped = 0;        ///< seq above expected
   };
 
-  /// Called once per control operation, in send order per peer.
+  /// Called once per control operation: in send order per peer on the
+  /// reliable stream, on arrival for best-effort ops.
   using DeliverFn = std::function<void(sim::NodeId from, const CtrlOp& op)>;
   /// Called when `peer` shows up with a higher epoch (it restarted),
   /// before the first op of the new epoch is delivered.
@@ -78,11 +82,14 @@ class ReliableChannel {
   /// Messages awaiting ack toward `peer` (introspection for tests).
   std::size_t unacked(sim::NodeId peer) const;
 
-  /// Sends `op` on the reliable stream to `peer` (requires enabled()).
+  /// Sends `op` to `peer`: on the reliable stream when enabled(),
+  /// otherwise once, best-effort. The anti-entropy ops always take the
+  /// stream: a disabled channel still answers a reliable peer's resync.
   void send(sim::NodeId peer, CtrlOp op);
 
-  /// Consumes kTypeCtrl / kTypeCtrlAck messages; returns false for any
-  /// other type so the caller can fall through to its own dispatch.
+  /// Consumes kTypeCtrl / kTypeCtrlAck messages and best-effort ops (both
+  /// kinds of op reach the deliver hook); returns false for any other type
+  /// so the caller can fall through to its own dispatch.
   bool on_message(const sim::Message& msg);
 
   /// Crash/restart lifecycle: forgets every per-peer stream and bumps the

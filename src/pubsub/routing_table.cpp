@@ -179,14 +179,8 @@ std::uint64_t RoutingTable::client_iface_digest(IfaceId iface) const {
   if (it == client_ifaces_.end()) return 0;
   std::uint64_t digest = 0;
   for (const auto& [sub_id, engine_id] : it->second.engine_ids) {
-    digest ^= util::hash_combine(util::fnv1a64(entries_.at(engine_id).filter.key()),
-                                 sub_id);
-    // Fold non-neutral scoring specs so a spec change (same filter) is
-    // not mistaken for matching state; ScoringSpec::hash() is 0 for
-    // neutral specs, and folding nothing then keeps the PR 9 digest.
-    if (const ScoringSpec* spec = scoring_index_.find(engine_id)) {
-      digest ^= util::hash_combine(spec->hash(), sub_id);
-    }
+    digest ^= client_subscription_digest(
+        sub_id, entries_.at(engine_id).filter, entry_scoring(engine_id));
   }
   return digest;
 }
@@ -455,16 +449,6 @@ RoutingTable::Destination RoutingTable::destination_of(
 ScoringSpec RoutingTable::entry_scoring(std::uint64_t engine_id) const {
   const ScoringSpec* spec = scoring_index_.find(engine_id);
   return spec != nullptr ? *spec : ScoringSpec{};
-}
-
-void RoutingTable::match(const Event& event,
-                         std::vector<Destination>& out) const {
-  std::vector<SubscriptionId> engine_hits;
-  matcher_->match(event, engine_hits);
-  out.reserve(out.size() + engine_hits.size());
-  for (const std::uint64_t engine_id : engine_hits) {
-    out.push_back(destination_of(engine_id));
-  }
 }
 
 void RoutingTable::match_engine_batch(

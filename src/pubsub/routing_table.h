@@ -24,6 +24,7 @@
 #include "pubsub/engines.h"
 #include "pubsub/filter.h"
 #include "pubsub/matcher.h"
+#include "pubsub/scoring.h"
 #include "util/thread_pool.h"
 
 namespace reef::pubsub {
@@ -136,7 +137,9 @@ class RoutingTable {
   /// requester sends this in its ResyncRequest; a responder whose
   /// forwarded_digest matches can skip the replay.
   std::uint64_t broker_iface_digest(IfaceId iface) const;
-  /// Digest of the (sub_id, filter) pairs received from a client.
+  /// Digest of the subscriptions received from a client: the XOR of
+  /// client_subscription_digest over them, the value a Client computes
+  /// over its own live subscriptions.
   std::uint64_t client_iface_digest(IfaceId iface) const;
   /// Digest of the filters currently forwarded *to* a neighbor.
   std::uint64_t forwarded_digest(IfaceId iface) const;
@@ -165,24 +168,22 @@ class RoutingTable {
   Diff refresh(IfaceId neighbor);
 
   // --- matching -------------------------------------------------------------
-  /// Appends one Destination per matching registration. An interface can
-  /// appear multiple times (once per matching client subscription /
-  /// neighbor filter); the caller deduplicates broker interfaces.
-  void match(const Event& event, std::vector<Destination>& out) const;
-
   /// Batch matching through Matcher::match_batch, split over the workers
   /// (Config::worker_threads): `out` is replaced with one destination
-  /// vector per event, parallel to `events`.
+  /// vector per event, parallel to `events`, holding one Destination per
+  /// matching registration. An interface can appear multiple times (once
+  /// per matching client subscription / neighbor filter); the caller
+  /// deduplicates broker interfaces. A single event is a span of one.
   void match_batch(std::span<const Event> events,
                    std::vector<std::vector<Destination>>& out) const;
 
   /// Scored batch matching: same destinations as match_batch, each
-  /// decorated with its relevance score (score_event, as in
-  /// Matcher::match_batch_scored) and (for client subscriptions with a
-  /// non-neutral spec) the delivery policy. Scores are computed after the
-  /// boolean match on the calling thread, so they are identical for every
-  /// engine/worker config that agrees on the match sets — which the
-  /// Matcher contract guarantees.
+  /// decorated with its relevance score (score_event under the
+  /// subscription's spec, kConstantScore without one) and (for client
+  /// subscriptions with a non-neutral spec) the delivery policy. Scores
+  /// are computed after the boolean match on the calling thread, so they
+  /// are identical for every engine/worker config that agrees on the
+  /// match sets — which the Matcher contract guarantees.
   void match_batch_scored(std::span<const Event> events,
                           std::vector<std::vector<ScoredDestination>>& out)
       const;
@@ -249,7 +250,7 @@ class RoutingTable {
   std::unique_ptr<util::ThreadPool> pool_;  // null when worker_threads == 0
   std::unordered_map<std::uint64_t, EngineEntry> entries_;
   /// Non-neutral specs by engine id, mirroring entries_ (the scored match
-  /// path's lookup surface; see Matcher::match_batch_scored).
+  /// path's lookup surface; see match_batch_scored).
   ScoringIndex scoring_index_;
   std::uint64_t next_engine_id_ = 1;
 };

@@ -54,6 +54,15 @@ std::string ScoringSpec::summary() const {
   return out;
 }
 
+std::uint64_t client_subscription_digest(SubscriptionId sub_id,
+                                         const Filter& filter,
+                                         const ScoringSpec& spec) {
+  std::uint64_t digest =
+      util::hash_combine(util::fnv1a64(filter.key()), sub_id);
+  if (!spec.neutral()) digest ^= util::hash_combine(spec.hash(), sub_id);
+  return digest;
+}
+
 double score_event(const ScoringSpec& spec, const Event& event) {
   if (spec.policy == ScoringPolicy::kConstant) return kConstantScore;
   // One bag of words over the designated text attributes, in spec order.

@@ -33,6 +33,8 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/term_weighting.h"
@@ -62,7 +64,7 @@ enum class ScoringPolicy : std::uint8_t {
 const char* scoring_policy_name(ScoringPolicy policy) noexcept;
 
 /// Per-subscription scoring + delivery policy. Travels with the client's
-/// subscription (ClientSubscribeMsg / CtrlOp), lives in the routing
+/// subscription (the kClientSubscribe CtrlOp), lives in the routing
 /// table's entry for it, and is applied by the delivering broker; neighbor
 /// brokers forward on boolean covering only — suppression is strictly an
 /// edge-delivery policy, so the overlay's subscription forwarding is
@@ -117,6 +119,45 @@ struct ClientSubscription {
   Filter filter;
   ScoringSpec scoring;
 };
+
+/// Registry of the non-neutral scoring specs among a routing table's
+/// subscriptions, consulted by RoutingTable::match_batch_scored.
+/// Subscriptions absent here score kConstantScore. Kept outside the
+/// matching engines on purpose: scores *decorate* boolean matching (they
+/// are a pure function of (spec, event), computed after the match), so no
+/// engine needs to know scoring exists, and identical match sets imply
+/// identical scored output by construction.
+class ScoringIndex {
+ public:
+  /// Registers (or replaces) the spec for `id`. Neutral specs are
+  /// dropped — they are indistinguishable from absence.
+  void set(SubscriptionId id, ScoringSpec spec) {
+    if (spec.neutral()) {
+      specs_.erase(id);
+    } else {
+      specs_[id] = std::move(spec);
+    }
+  }
+  void erase(SubscriptionId id) { specs_.erase(id); }
+  /// Spec for `id`, or nullptr when it scores the neutral constant. The
+  /// pointer is stable until that id is set/erased (node-based map).
+  const ScoringSpec* find(SubscriptionId id) const {
+    const auto it = specs_.find(id);
+    return it == specs_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  std::unordered_map<SubscriptionId, ScoringSpec> specs_;
+};
+
+/// One subscription's share of a client resync digest: XOR-folded over a
+/// client's live subscriptions by both RoutingTable::client_iface_digest
+/// (the broker's view) and the Client (its own view), so the two sides
+/// agree exactly when they hold the same subscriptions. A neutral spec
+/// folds nothing, so unscored state digests as if scoring did not exist.
+std::uint64_t client_subscription_digest(SubscriptionId sub_id,
+                                         const Filter& filter,
+                                         const ScoringSpec& spec);
 
 /// Relevance of `event` under `spec`. Pure and deterministic: no corpus,
 /// no clock, no randomness — equal (spec, event) pairs score equal on

@@ -395,6 +395,32 @@ TEST(BitsetMatcher, SubSpanMatchesFullBatchPositions) {
   }
 }
 
+TEST(BitsetMatcher, OneEventBatchEqualsMatchAtTheShortcutGuards) {
+  // A one-event batch goes straight to match, skipping the batch path's
+  // guards for an empty table and a universal-only table; both answers
+  // must agree there and on an attribute-free event.
+  const std::vector<Event> events = {Event(), Event().with("a", 1),
+                                     Event().with("zzz", 0)};
+  const auto check = [&](const BitsetMatcher& m, const std::string& table) {
+    for (const Event& event : events) {
+      std::vector<std::vector<SubscriptionId>> out;
+      m.match_batch(std::span<const Event>(&event, 1), out);
+      ASSERT_EQ(out.size(), 1u) << table;
+      EXPECT_EQ(sorted(out.front()), sorted(m.match(event)))
+          << table << " on " << event.to_string();
+    }
+  };
+  BitsetMatcher m;
+  check(m, "empty");
+  m.add(1, Filter());
+  m.add(2, Filter());
+  check(m, "universal-only");
+  m.add(3, Filter().and_(eq("a", 1)));
+  check(m, "mixed");
+  m.remove(3);
+  check(m, "universal-only after removal");
+}
+
 // --- sparse entries: the threshold pass visits touched + universal words ----
 
 /// Registers `count` filters eq("a", i), i = 0..count-1, on slots 0..count-1.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "pubsub/client.h"
 #include "pubsub/overlay.h"
 #include "sim/network.h"
@@ -113,6 +116,53 @@ TEST(Broker, UnsubscribeStopsDelivery) {
   // Routing state fully retracted on both brokers.
   EXPECT_EQ(overlay.broker(0).table_size(), 0u);
   EXPECT_EQ(overlay.broker(1).table_size(), 0u);
+}
+
+TEST(Broker, BestEffortControlOpsSendOneMessageEach) {
+  // With reliability off each subscription op leaves exactly once,
+  // unsequenced and unacked, under its own type tag, at the byte size
+  // ctrl_op_wire_size gives its kind.
+  Harness h;
+  Overlay overlay = Overlay::chain(h.sim, h.net, 2);
+  Client sub(h.sim, h.net, "sub");
+  sub.connect(overlay.broker(0));
+  h.settle();
+  const auto count = [&](std::string_view type) {
+    return h.net.messages_by_type().get(std::string(type));
+  };
+  const auto bytes = [&](std::string_view type) {
+    return h.net.bytes_by_type().get(std::string(type));
+  };
+  ScoringSpec spec;
+  spec.policy = ScoringPolicy::kBm25;
+  spec.query = {{"acme", 1.5}};
+  spec.text_attrs = {"title"};
+  spec.top_k = 2;
+  ASSERT_FALSE(spec.neutral());
+  ASSERT_GT(spec.wire_size(), 0u);
+  const Filter filter = stock("ACME");
+
+  const SubscriptionId id = sub.subscribe_scored(filter, spec);
+  h.settle();
+  EXPECT_EQ(overlay.broker(0).table_size(), 1u);
+  EXPECT_EQ(overlay.broker(1).table_size(), 1u);
+  EXPECT_EQ(count(kTypeClientSubscribe), 1u);
+  EXPECT_EQ(bytes(kTypeClientSubscribe),
+            filter.wire_size() + 16 + spec.wire_size());
+  EXPECT_EQ(count(kTypeSubscribe), 1u);
+  EXPECT_EQ(bytes(kTypeSubscribe), filter.wire_size() + 8);
+
+  sub.unsubscribe(id);
+  h.settle();
+  EXPECT_EQ(overlay.broker(0).table_size(), 0u);
+  EXPECT_EQ(overlay.broker(1).table_size(), 0u);
+  EXPECT_EQ(count(kTypeClientUnsubscribe), 1u);
+  EXPECT_EQ(bytes(kTypeClientUnsubscribe), 16u);
+  EXPECT_EQ(count(kTypeUnsubscribe), 1u);
+  EXPECT_EQ(bytes(kTypeUnsubscribe), filter.wire_size() + 8);
+  // Nothing rode the reliable stream.
+  EXPECT_EQ(count(kTypeCtrl), 0u);
+  EXPECT_EQ(count(kTypeCtrlAck), 0u);
 }
 
 TEST(Broker, CoveringPrunesForwardedSubscriptions) {

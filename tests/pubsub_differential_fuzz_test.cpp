@@ -797,17 +797,13 @@ FaultRun run_schedule_with_faults(const Schedule& schedule, std::uint64_t seed,
   sim::Network net(sim, net_config);
   Overlay overlay = Overlay::star(sim, net, 4, config);
 
-  ReliableChannel::Config client_channel;
-  client_channel.enabled = true;
-  client_channel.retransmit_timeout = config.retransmit_timeout;
-
   FaultRun run;
   bool in_phase_b = false;
   std::vector<std::unique_ptr<Client>> clients;
   for (std::size_t c = 0; c < kSlots; ++c) {
     auto client = std::make_unique<Client>(sim, net, "c" + std::to_string(c));
     client->connect(overlay.broker(c % 4));
-    client->enable_reliable_control(client_channel);
+    client->enable_reliable_control(config.control);
     clients.push_back(std::move(client));
   }
   sim.run_until(sim.now() + sim::kSecond);
@@ -900,11 +896,11 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
 
     Broker::Config base;
     base.matcher_engine = "brute-force";
-    base.reliable_control = true;
+    base.control.enabled = true;
     // Broker-broker links run at 10ms latency (Overlay::link default), so
     // the worst acked RTT with jitter is ~25ms; 60ms keeps the
     // never-faulted oracle retransmit-free.
-    base.retransmit_timeout = 60 * sim::kMillisecond;
+    base.control.retransmit_timeout = 60 * sim::kMillisecond;
     base.heartbeat_period = 100 * sim::kMillisecond;
     const FaultRun oracle =
         run_schedule_with_faults(schedule, seed, base, plan, /*inject=*/false);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pubsub/client.h"
@@ -42,10 +43,10 @@ ReliableChannel::Config fast_channel() {
 
 Broker::Config reliable_config() {
   Broker::Config config;
-  config.reliable_control = true;
+  config.control.enabled = true;
   // Broker-broker links run at 10ms (Overlay::link default): keep the
   // timeout clear of the 20ms acked RTT so only real faults retransmit.
-  config.retransmit_timeout = 50 * sim::kMillisecond;
+  config.control.retransmit_timeout = 50 * sim::kMillisecond;
   return config;
 }
 
@@ -56,6 +57,7 @@ struct ChannelNode final : sim::Node {
   sim::NodeId id = sim::kNoNode;
   ReliableChannel channel;
   std::vector<std::string> got;  ///< delivered op filter keys, in order
+  std::vector<CtrlOp> ops;       ///< the delivered ops themselves
 
   ChannelNode(Harness& h, const std::string& name,
               ReliableChannel::Config config = fast_channel())
@@ -64,6 +66,7 @@ struct ChannelNode final : sim::Node {
     channel.bind(id);
     channel.set_deliver([this](sim::NodeId, const CtrlOp& op) {
       got.push_back(op.filter.key());
+      ops.push_back(op);
     });
   }
   void handle_message(const sim::Message& msg) override {
@@ -271,6 +274,126 @@ TEST(FaultTolerance, RestartResyncReplaysClientSubscriptions) {
   pub.publish(Event().with("sym", "ACME"));
   h.settle();
   EXPECT_EQ(got, 1);
+}
+
+/// Registers, delivers through and retracts one subscription across a
+/// two-broker chain whose brokers use `broker_config` and whose clients use
+/// `client_channel`; returns the subscriber's delivery count.
+int register_deliver_retract(Harness& h, const Broker::Config& broker_config,
+                             const ReliableChannel::Config& client_channel) {
+  Overlay overlay = Overlay::chain(h.sim, h.net, 2, broker_config);
+  Client pub(h.sim, h.net, "pub");
+  Client sub(h.sim, h.net, "sub");
+  pub.connect(overlay.broker(0));
+  sub.connect(overlay.broker(1));
+  pub.enable_reliable_control(client_channel);
+  sub.enable_reliable_control(client_channel);
+  int got = 0;
+  const SubscriptionId id = sub.subscribe(
+      stock("ACME"), [&](const Event&, SubscriptionId) { ++got; });
+  h.settle();
+  EXPECT_EQ(overlay.broker(0).table_size(), 1u);
+  pub.publish(Event().with("sym", "ACME"));
+  h.settle();
+  sub.unsubscribe(id);
+  h.settle();
+  EXPECT_EQ(overlay.broker(0).table_size(), 0u);
+  EXPECT_EQ(overlay.broker(1).table_size(), 0u);
+  return got;
+}
+
+std::uint64_t messages_of(const Harness& h, std::string_view type) {
+  return h.net.messages_by_type().get(std::string(type));
+}
+
+TEST(FaultTolerance, ReliableClientRegistersAtBestEffortBroker) {
+  Harness h;
+  EXPECT_EQ(register_deliver_retract(h, Broker::Config{}, fast_channel()), 1);
+  // The client's ops rode the stream; the brokers' went best-effort.
+  EXPECT_EQ(messages_of(h, kTypeClientSubscribe), 0u);
+  EXPECT_EQ(messages_of(h, kTypeClientUnsubscribe), 0u);
+  EXPECT_EQ(messages_of(h, kTypeCtrl), 2u);
+  EXPECT_EQ(messages_of(h, kTypeSubscribe), 1u);
+  EXPECT_EQ(messages_of(h, kTypeUnsubscribe), 1u);
+}
+
+TEST(FaultTolerance, BestEffortClientRegistersAtReliableBroker) {
+  Harness h;
+  EXPECT_EQ(register_deliver_retract(h, reliable_config(),
+                                     ReliableChannel::Config{}),
+            1);
+  // The client's ops went best-effort; the brokers' rode the stream.
+  EXPECT_EQ(messages_of(h, kTypeClientSubscribe), 1u);
+  EXPECT_EQ(messages_of(h, kTypeClientUnsubscribe), 1u);
+  EXPECT_EQ(messages_of(h, kTypeSubscribe), 0u);
+  EXPECT_EQ(messages_of(h, kTypeUnsubscribe), 0u);
+  EXPECT_EQ(messages_of(h, kTypeCtrl), 2u);
+}
+
+TEST(FaultTolerance, BestEffortNeighborAnswersResyncOnTheStream) {
+  // A restarted reliable broker asks its best-effort neighbor for the
+  // filters it forwards; the neighbor's channel answers on the stream.
+  Harness h;
+  Broker plain(h.sim, h.net, "plain");
+  Broker reliable(h.sim, h.net, "reliable", reliable_config());
+  plain.add_neighbor(reliable);
+  reliable.add_neighbor(plain);
+  Client sub(h.sim, h.net, "sub");
+  sub.connect(plain);
+  sub.subscribe(stock("ACME"));
+  h.settle();
+  ASSERT_EQ(reliable.table_size(), 1u);
+
+  h.net.set_node_up(reliable.id(), false);
+  reliable.crash();
+  h.run_for(100 * sim::kMillisecond);
+  h.net.set_node_up(reliable.id(), true);
+  reliable.restart();
+  h.settle();
+  EXPECT_EQ(reliable.table_size(), 1u);
+  EXPECT_EQ(plain.control_channel().stats().ctrl_sent, 1u);  // the replay
+}
+
+TEST(FaultTolerance, ClientResyncDigestMatchesTableDigest) {
+  Harness h;
+  Broker broker(h.sim, h.net, "b0", reliable_config());
+  Client sub(h.sim, h.net, "sub");
+  sub.connect(broker);
+  sub.enable_reliable_control(fast_channel());
+  ScoringSpec bm25;
+  bm25.policy = ScoringPolicy::kBm25;
+  bm25.query = {{"acme", 2.0}};
+  bm25.text_attrs = {"title"};
+  bm25.min_score = 0.5;
+  const SubscriptionId neutral_id = sub.subscribe(stock("ACME"));
+  const SubscriptionId scored_id =
+      sub.subscribe_scored(stock("INITECH"), bm25);
+  h.settle();
+  const std::uint64_t digest =
+      broker.routing_table().client_iface_digest(sub.id());
+  EXPECT_EQ(digest,
+            client_subscription_digest(neutral_id, stock("ACME"), {}) ^
+                client_subscription_digest(scored_id, stock("INITECH"), bm25));
+  // The BM25 spec is part of the digest.
+  EXPECT_NE(digest,
+            client_subscription_digest(neutral_id, stock("ACME"), {}) ^
+                client_subscription_digest(scored_id, stock("INITECH"), {}));
+
+  // Ask the client for its state the way a restarted broker does: it
+  // replays only when the request's digest differs from its own.
+  ChannelNode probe(h, "probe");
+  CtrlOp request;
+  request.kind = CtrlOp::Kind::kResyncRequest;
+  request.digest = digest;
+  probe.channel.send(sub.id(), request);
+  h.settle();
+  EXPECT_TRUE(probe.ops.empty());
+  request.digest = digest ^ 1;
+  probe.channel.send(sub.id(), request);
+  h.settle();
+  ASSERT_EQ(probe.ops.size(), 1u);
+  EXPECT_EQ(probe.ops[0].kind, CtrlOp::Kind::kClientResyncState);
+  EXPECT_EQ(probe.ops[0].subs.size(), 2u);
 }
 
 TEST(FaultTolerance, HeartbeatSuspicionQuarantinesAndRecovers) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,9 +143,12 @@ TEST(RoutingTable, MatchResolvesDestinations) {
   table.client_subscribe(kClient, 7, feed("http://x/a"));
   table.broker_subscribe(kNeighbor, broad());
 
-  std::vector<RoutingTable::Destination> hits;
-  table.match(Event().with("stream", "feed").with("feed", "http://x/a"),
-              hits);
+  const std::vector<Event> events = {
+      Event().with("stream", "feed").with("feed", "http://x/a")};
+  std::vector<std::vector<RoutingTable::Destination>> batch;
+  table.match_batch(events, batch);
+  ASSERT_EQ(batch.size(), 1u);
+  const std::vector<RoutingTable::Destination>& hits = batch.front();
   ASSERT_EQ(hits.size(), 2u);
   const auto client_hit = std::find_if(
       hits.begin(), hits.end(),
@@ -182,9 +186,10 @@ TEST(RoutingTable, MatchBatchAgreesWithPerEventMatch) {
     return out;
   };
   for (std::size_t i = 0; i < events.size(); ++i) {
-    std::vector<RoutingTable::Destination> single;
-    table.match(events[i], single);
-    EXPECT_EQ(sig(batched[i]), sig(single)) << "event " << i;
+    std::vector<std::vector<RoutingTable::Destination>> single;
+    table.match_batch(std::span<const Event>(&events[i], 1), single);
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(sig(batched[i]), sig(single.front())) << "event " << i;
   }
 }
 
@@ -397,10 +402,12 @@ TEST(RoutingTable, EngineSelectedByName) {
     RoutingTable table(RoutingTable::Config{.engine = engine});
     EXPECT_EQ(table.matcher().name(), engine);
     table.client_subscribe(kClient, 1, feed("http://x/a"));
-    std::vector<RoutingTable::Destination> hits;
-    table.match(Event().with("stream", "feed").with("feed", "http://x/a"),
-                hits);
-    EXPECT_EQ(hits.size(), 1u) << engine;
+    const std::vector<Event> events = {
+        Event().with("stream", "feed").with("feed", "http://x/a")};
+    std::vector<std::vector<RoutingTable::Destination>> hits;
+    table.match_batch(events, hits);
+    ASSERT_EQ(hits.size(), 1u) << engine;
+    EXPECT_EQ(hits.front().size(), 1u) << engine;
   }
   EXPECT_THROW(
       RoutingTable(RoutingTable::Config{.engine = "no-such-engine"}),

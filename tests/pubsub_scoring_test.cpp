@@ -1,21 +1,23 @@
 // Unit tier for the scored-matching layer (pubsub/scoring.h): ScoringSpec
 // neutrality/wire/hash semantics, score_event purity and the corpus-free
-// BM25 formula, TopKSelector's deterministic tie-breaking, the scored
-// decoration of every engine's match_batch (including contiguous sub-span
-// composition), and small end-to-end broker runs composing the
-// min_score threshold with the top-k cut. The differential fuzz harness
-// (tests/pubsub_differential_fuzz_test.cpp, level 5) covers the same
-// contract at scale; this file pins the boundaries.
+// BM25 formula, TopKSelector's deterministic tie-breaking, the routing
+// table's scored decoration of every engine's match_batch (including
+// contiguous sub-span composition), and small end-to-end broker runs
+// composing the min_score threshold with the top-k cut. The differential
+// fuzz harness (tests/pubsub_differential_fuzz_test.cpp, level 5) covers
+// the same contract at scale; this file pins the boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "pubsub/client.h"
 #include "pubsub/engines.h"
-#include "pubsub/matcher.h"
 #include "pubsub/overlay.h"
+#include "pubsub/routing_table.h"
 #include "pubsub/scoring.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -198,12 +200,20 @@ TEST(TopKSelector, TakeResetsTheSelector) {
   EXPECT_EQ(topk.take(), (std::vector<std::uint32_t>{3}));
 }
 
-// --- match_batch_scored across the engines ----------------------------------
+// --- RoutingTable::match_batch_scored across the engines ---------------------
 
-std::vector<ScoredHit> sorted_hits(std::vector<ScoredHit> hits) {
-  std::sort(hits.begin(), hits.end(),
-            [](const ScoredHit& a, const ScoredHit& b) { return a.id < b.id; });
-  return hits;
+constexpr RoutingTable::IfaceId kClient = 7;
+
+/// (client sub, score, has spec) per scored destination, sorted by sub.
+using ScoredKey = std::tuple<SubscriptionId, double, bool>;
+std::vector<ScoredKey> scored_keys(
+    const std::vector<RoutingTable::ScoredDestination>& hits) {
+  std::vector<ScoredKey> keys;
+  for (const RoutingTable::ScoredDestination& hit : hits) {
+    keys.emplace_back(hit.dest.client_sub, hit.score, hit.scoring != nullptr);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 TEST(MatchBatchScored, DecoratesEveryEngine) {
@@ -214,32 +224,35 @@ TEST(MatchBatchScored, DecoratesEveryEngine) {
       Event().with("hot", std::int64_t{1}).with("text", "log log"),
   };
   for (const std::string_view engine_name : kBuiltinEngines) {
-    auto engine = make_matcher(engine_name);
     const std::string name(engine_name);
-    engine->add(1, Filter().and_(eq("hot", std::int64_t{1})));
-    engine->add(2, Filter());  // universal, no spec: scores constant
-    ScoringIndex scoring;
-    scoring.set(1, spec);
+    RoutingTable table(RoutingTable::Config{.engine = name});
+    table.client_subscribe(kClient, 1,
+                           Filter().and_(eq("hot", std::int64_t{1})), spec);
+    // Universal, no spec: scores constant.
+    table.client_subscribe(kClient, 2, Filter());
 
-    std::vector<std::vector<ScoredHit>> scored;
-    engine->match_batch_scored(events, scoring, scored);
+    std::vector<std::vector<RoutingTable::ScoredDestination>> scored;
+    table.match_batch_scored(events, scored);
     ASSERT_EQ(scored.size(), events.size()) << name;
 
-    std::vector<std::vector<SubscriptionId>> boolean;
-    engine->match_batch(events, boolean);
+    std::vector<std::vector<RoutingTable::Destination>> boolean;
+    table.match_batch(events, boolean);
     for (std::size_t i = 0; i < events.size(); ++i) {
       // Same hit set as the boolean batch...
-      std::vector<ScoredHit> expected;
-      for (const SubscriptionId id : boolean[i]) {
-        expected.push_back(
-            {id, id == 1 ? score_event(spec, events[i]) : kConstantScore});
+      std::vector<ScoredKey> expected;
+      for (const RoutingTable::Destination& dest : boolean[i]) {
+        const bool has_spec = dest.client_sub == 1;
+        expected.emplace_back(
+            dest.client_sub,
+            has_spec ? score_event(spec, events[i]) : kConstantScore,
+            has_spec);
       }
+      std::sort(expected.begin(), expected.end());
       // ...each hit carrying score_event of its spec.
-      EXPECT_EQ(sorted_hits(scored[i]), sorted_hits(expected))
-          << name << " event " << i;
+      EXPECT_EQ(scored_keys(scored[i]), expected) << name << " event " << i;
     }
-    EXPECT_EQ(sorted_hits(scored[1]),
-              (std::vector<ScoredHit>{{2, kConstantScore}}))
+    EXPECT_EQ(scored_keys(scored[1]),
+              (std::vector<ScoredKey>{{2, kConstantScore, false}}))
         << name;
   }
 }
@@ -253,26 +266,23 @@ TEST(MatchBatchScored, SubSpanScoresComposeWithFullBatch) {
                          .with("seq", static_cast<std::int64_t>(i)));
   }
   for (const std::string_view engine_name : kBuiltinEngines) {
-    auto engine = make_matcher(engine_name);
     const std::string name(engine_name);
-    engine->add(1, Filter().and_(exists("file")));
-    ScoringIndex scoring;
-    scoring.set(1, spec);
+    RoutingTable table(RoutingTable::Config{.engine = name});
+    table.client_subscribe(kClient, 1, Filter().and_(exists("file")), spec);
 
-    std::vector<std::vector<ScoredHit>> full;
-    engine->match_batch_scored(std::span<const Event>(events), scoring, full);
+    std::vector<std::vector<RoutingTable::ScoredDestination>> full;
+    table.match_batch_scored(events, full);
     // Batch-composition independence extends to scores: every contiguous
-    // sub-span's (id, score) lists are the full batch's at those
-    // positions, in the same order.
+    // sub-span's (sub, score) lists are the full batch's at those
+    // positions.
     for (std::size_t begin = 0; begin < events.size(); ++begin) {
       for (std::size_t end = begin + 1; end <= events.size(); ++end) {
-        std::vector<std::vector<ScoredHit>> sub;
-        engine->match_batch_scored(
-            std::span<const Event>(events).subspan(begin, end - begin),
-            scoring, sub);
+        std::vector<std::vector<RoutingTable::ScoredDestination>> sub;
+        table.match_batch_scored(
+            std::span<const Event>(events).subspan(begin, end - begin), sub);
         ASSERT_EQ(sub.size(), end - begin) << name;
         for (std::size_t pos = 0; pos < sub.size(); ++pos) {
-          EXPECT_EQ(sub[pos], full[begin + pos])
+          EXPECT_EQ(scored_keys(sub[pos]), scored_keys(full[begin + pos]))
               << name << " span [" << begin << ", " << end << ") pos "
               << pos;
         }

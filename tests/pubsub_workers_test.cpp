@@ -298,12 +298,8 @@ TEST(RoutingTableWorkers, HitListsByteIdenticalAcrossWorkerCountsUnderChurn) {
       }
       // And the split output is the oracle's per-event match, as a set.
       for (std::size_t i = 0; i < events.size(); ++i) {
-        std::vector<RoutingTable::Destination> single;
-        oracle.match(events[i], single);
-        std::vector<DestinationKey> expected;
-        for (const auto& d : single) {
-          expected.emplace_back(d.iface, d.is_broker, d.client_sub);
-        }
+        std::vector<DestinationKey> expected =
+            destinations(oracle, {events[i]}).front();
         std::vector<DestinationKey> actual = reference[i];
         std::sort(expected.begin(), expected.end());
         std::sort(actual.begin(), actual.end());
