@@ -7,9 +7,10 @@
 // iterates every built-in engine, so a new engine is checked there without
 // code changes. The batch benchmarks compare the amortized
 // Matcher::match_batch path against a per-event match loop over the same
-// events — the win is the broker's per-tick coalescing made visible — and
-// the workers sweep times the routing table's split of one batch over
-// worker threads.
+// events (the win is the broker's per-tick coalescing made visible), the
+// workers sweep times the routing table's split of one batch over worker
+// threads, and bm_match_batch_scored_content times the routing table's
+// BM25-scored match.
 //
 // `--smoke` (used by CI) skips google-benchmark and instead runs a quick
 // cross-engine correctness pass, a batch-vs-loop timing, fixed-ratio
@@ -622,6 +623,82 @@ void bm_contains_probe_content(benchmark::State& state) {
       static_cast<double>(fired) / static_cast<double>(state.iterations());
 }
 BENCHMARK(bm_contains_probe_content)->Arg(150)->Arg(240);
+
+// The delivering broker's scored match (RoutingTable::match_batch_scored)
+// over the content population plus 240 BM25 top-4 subscriptions, one per
+// user, each scoring three terms against the item title, fed 32-event
+// batches of titled content events (the end-to-end scored_topk shape).
+// ns_per_scored_hit is the wall time of the whole call per BM25 hit, the
+// boolean match included; scored_hits_per_event counts those hits. CI's
+// bench sweep picks the row up through its `content` filter; it has no
+// smoke floor.
+void bm_match_batch_scored_content(benchmark::State& state) {
+  const auto table_size = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kScoredSubs = 240;
+  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kTitleTerms = 8;
+  constexpr std::size_t kTitleVocabulary = 200;  // so query terms recur
+  reef::util::Rng rng(42);
+  const auto terms = make_content_terms(4000, rng);
+  RoutingTable table;
+  const auto filters = make_content_filters(table_size, terms, rng);
+  for (std::size_t i = 0; i < filters.size(); ++i) {
+    table.client_subscribe(1, i + 1, filters[i]);
+  }
+  for (std::size_t user = 0; user < kScoredSubs; ++user) {
+    ScoringSpec spec;
+    spec.policy = ScoringPolicy::kBm25;
+    spec.top_k = 4;
+    spec.text_attrs = {"title"};
+    for (int t = 0; t < 3; ++t) {
+      spec.query.push_back(
+          {terms[rng.index(kTitleVocabulary)], 1.0 + rng.uniform01()});
+    }
+    table.client_subscribe(2, table_size + user + 1,
+                           Filter().and_(eq("stream", "feed")),
+                           std::move(spec));
+  }
+  std::vector<Event> events;
+  for (int i = 0; i < 256; ++i) {
+    Event event = make_content_event(table_size, terms, rng);
+    std::string title;
+    for (std::size_t t = 0; t < kTitleTerms; ++t) {
+      if (t != 0) title += ' ';
+      title += terms[rng.index(kTitleVocabulary)];
+    }
+    events.push_back(std::move(event).with("title", std::move(title)));
+  }
+
+  std::size_t cursor = 0;
+  std::size_t scored_hits = 0;
+  std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    table.match_batch_scored(
+        std::span<const Event>(events.data() + cursor, kBatch), hits);
+    benchmark::DoNotOptimize(hits.data());
+    for (const auto& event_hits : hits) {
+      for (const RoutingTable::ScoredDestination& hit : event_hits) {
+        if (hit.scoring != nullptr &&
+            hit.scoring->policy == ScoringPolicy::kBm25) {
+          ++scored_hits;
+        }
+      }
+    }
+    cursor = (cursor + kBatch) % events.size();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  const auto processed = static_cast<std::size_t>(state.iterations()) * kBatch;
+  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+  state.counters["ns_per_scored_hit"] =
+      elapsed.count() /
+      static_cast<double>(std::max<std::size_t>(scored_hits, 1));
+  state.counters["scored_hits_per_event"] =
+      static_cast<double>(scored_hits) /
+      static_cast<double>(std::max<std::size_t>(processed, 1));
+}
+BENCHMARK(bm_match_batch_scored_content)->Arg(1000);
 
 // --- worker split: one engine, contiguous event ranges ---------------------
 //

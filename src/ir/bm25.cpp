@@ -30,7 +30,7 @@ double Bm25::score(const std::vector<ScoredTerm>& weighted_query,
   const Document& doc = corpus_.doc(doc_index);
   double total = 0.0;
   for (const auto& [term, weight] : weighted_query) {
-    if (weight <= 0.0) continue;
+    if (!(weight > 0.0)) continue;  // negative, zero and NaN add nothing
     total += weight * term_score(term, doc);
   }
   return total;

@@ -35,7 +35,8 @@ class Bm25 {
                std::size_t doc_index) const;
 
   /// Score with per-term query weights (e.g. Offer Weight scores); each
-  /// term's BM25 contribution is multiplied by max(weight, 0).
+  /// term's BM25 contribution is multiplied by its weight, and a weight
+  /// that is not > 0 (negative, zero or NaN) contributes nothing.
   double score(const std::vector<ScoredTerm>& weighted_query,
                std::size_t doc_index) const;
 

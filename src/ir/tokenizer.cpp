@@ -1,35 +1,55 @@
 #include "ir/tokenizer.h"
 
-#include <algorithm>
 #include <cctype>
 #include <unordered_set>
 
 namespace reef::ir {
 
-std::vector<std::string> tokenize(std::string_view text,
-                                  const TokenizerOptions& options) {
-  std::vector<std::string> tokens;
-  std::string current;
+void tokenize_append(std::string_view text, const TokenizerOptions& options,
+                     std::string& bytes, std::vector<std::size_t>& ends) {
+  std::size_t start = bytes.size();  // first byte of the pending run
+  std::size_t run = 0;               // run length, including bytes not kept
   bool all_digits = true;
   const auto flush = [&] {
-    if (current.size() >= options.min_length &&
-        current.size() <= options.max_length &&
+    if (run >= options.min_length && run <= options.max_length &&
         !(options.drop_numeric && all_digits)) {
-      tokens.push_back(current);
+      ends.push_back(bytes.size());
+      start = bytes.size();
+    } else {
+      bytes.resize(start);
     }
-    current.clear();
+    run = 0;
     all_digits = true;
   };
   for (const char raw : text) {
     const auto c = static_cast<unsigned char>(raw);
     if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
+      // A run past max_length is rejected at its end, so its bytes past
+      // the limit are never needed.
+      if (run < options.max_length) {
+        bytes.push_back(static_cast<char>(std::tolower(c)));
+      }
+      ++run;
       if (!std::isdigit(c)) all_digits = false;
     } else {
       flush();
     }
   }
   flush();
+}
+
+std::vector<std::string> tokenize(std::string_view text,
+                                  const TokenizerOptions& options) {
+  std::string bytes;
+  std::vector<std::size_t> ends;
+  tokenize_append(text, options, bytes, ends);
+  std::vector<std::string> tokens;
+  tokens.reserve(ends.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    tokens.emplace_back(bytes, begin, end - begin);
+    begin = end;
+  }
   return tokens;
 }
 

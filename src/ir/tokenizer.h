@@ -7,6 +7,7 @@
 // for the BM25 / Offer Weight computations in this module.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,17 @@ struct TokenizerOptions {
 std::vector<std::string> tokenize(std::string_view text,
                                   const TokenizerOptions& options);
 std::vector<std::string> tokenize(std::string_view text);
+
+/// Streaming form of tokenize(), the one loop that holds the token rules:
+/// appends each token of `text` to `bytes` (lower-cased, back to back, no
+/// separators) and the token's end offset in `bytes` to `ends`. Started
+/// from two empty buffers, or from what earlier calls left in them, token
+/// i spans [ends[i - 1], ends[i]) and the first token starts at 0. A run
+/// longer than max_length is buffered to max_length bytes at most, so a
+/// caller that reuses one pair of buffers across documents allocates
+/// nothing once they have grown to the largest document.
+void tokenize_append(std::string_view text, const TokenizerOptions& options,
+                     std::string& bytes, std::vector<std::size_t>& ends);
 
 /// True for terms in the built-in English stopword list (already
 /// lower-case input expected).

@@ -241,8 +241,8 @@ std::string RoutingTable::state_fingerprint() const {
       // Non-neutral scoring is routing state too (a healed broker that
       // lost a spec would over-deliver); neutral entries keep the PR 9
       // fingerprint lines.
-      if (const ScoringSpec* spec = scoring_index_.find(engine_id)) {
-        line += " " + spec->summary();
+      if (const auto* scored = scoring_index_.find(engine_id)) {
+        line += " " + scored->spec.summary();
       }
       lines.push_back(std::move(line));
     }
@@ -447,8 +447,8 @@ RoutingTable::Destination RoutingTable::destination_of(
 }
 
 ScoringSpec RoutingTable::entry_scoring(std::uint64_t engine_id) const {
-  const ScoringSpec* spec = scoring_index_.find(engine_id);
-  return spec != nullptr ? *spec : ScoringSpec{};
+  const ScoringIndex::Entry* scored = scoring_index_.find(engine_id);
+  return scored != nullptr ? scored->spec : ScoringSpec{};
 }
 
 void RoutingTable::match_engine_batch(
@@ -495,14 +495,38 @@ void RoutingTable::match_batch_scored(
   std::vector<std::vector<SubscriptionId>> engine_hits;
   match_engine_batch(events, engine_hits);
   out.assign(events.size(), {});
+  // One TermBag per event per distinct attribute list, built at the first
+  // BM25 hit that needs it; every other hit with an equal list scores
+  // against it. The slots and their buffers are reused across the batch.
+  struct BagSlot {
+    const std::vector<AttrId>* attrs = nullptr;
+    TermBag bag;
+  };
+  std::vector<BagSlot> bags;
   for (std::size_t i = 0; i < events.size(); ++i) {
+    std::size_t live = 0;  // slots built for event i
+    const auto bag_for = [&](const std::vector<AttrId>& attrs) -> TermBag& {
+      for (std::size_t b = 0; b < live; ++b) {
+        if (bags[b].attrs == &attrs || *bags[b].attrs == attrs) {
+          return bags[b].bag;
+        }
+      }
+      if (live == bags.size()) bags.emplace_back();
+      BagSlot& slot = bags[live++];
+      slot.attrs = &attrs;
+      slot.bag.assign(events[i], attrs);
+      return slot.bag;
+    };
     out[i].reserve(engine_hits[i].size());
     for (const SubscriptionId engine_id : engine_hits[i]) {
-      const ScoringSpec* spec = scoring_index_.find(engine_id);
+      const ScoringIndex::Entry* scored = scoring_index_.find(engine_id);
+      double score = kConstantScore;
+      if (scored != nullptr && scored->spec.policy == ScoringPolicy::kBm25) {
+        score = bag_for(scored->attr_ids).score(scored->spec.query);
+      }
       out[i].push_back(ScoredDestination{
-          destination_of(engine_id),
-          spec != nullptr ? score_event(*spec, events[i]) : kConstantScore,
-          spec});
+          destination_of(engine_id), score,
+          scored != nullptr ? &scored->spec : nullptr});
     }
   }
 }

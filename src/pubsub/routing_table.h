@@ -178,12 +178,17 @@ class RoutingTable {
                    std::vector<std::vector<Destination>>& out) const;
 
   /// Scored batch matching: same destinations as match_batch, each
-  /// decorated with its relevance score (score_event under the
-  /// subscription's spec, kConstantScore without one) and (for client
-  /// subscriptions with a non-neutral spec) the delivery policy. Scores
-  /// are computed after the boolean match on the calling thread, so they
-  /// are identical for every engine/worker config that agrees on the
-  /// match sets — which the Matcher contract guarantees.
+  /// decorated with its relevance score (kConstantScore without a spec)
+  /// and (for client subscriptions with a non-neutral spec) the delivery
+  /// policy. A BM25 hit is scored against its event's TermBag for the
+  /// spec's text attributes (interned to ids when the spec was
+  /// registered); the bag is built once per event per distinct attribute
+  /// list, on the first hit that needs it, so an event's hits tokenize
+  /// its text once. TermBag::score is score_event's formula, so each
+  /// score is bitwise score_event(spec, event). Scores are computed after
+  /// the boolean match on the calling thread, with scratch local to the
+  /// call, so they are identical for every engine/worker config that
+  /// agrees on the match sets — which the Matcher contract guarantees.
   void match_batch_scored(std::span<const Event> events,
                           std::vector<std::vector<ScoredDestination>>& out)
       const;

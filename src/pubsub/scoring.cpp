@@ -1,7 +1,6 @@
 #include "pubsub/scoring.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "ir/bm25.h"
 #include "ir/tokenizer.h"
@@ -63,36 +62,91 @@ std::uint64_t client_subscription_digest(SubscriptionId sub_id,
   return digest;
 }
 
-double score_event(const ScoringSpec& spec, const Event& event) {
-  if (spec.policy == ScoringPolicy::kConstant) return kConstantScore;
-  // One bag of words over the designated text attributes, in spec order.
-  std::unordered_map<std::string, std::uint32_t> tf;
-  std::size_t len = 0;
+void ScoringIndex::set(SubscriptionId id, ScoringSpec spec) {
+  if (spec.neutral()) {
+    specs_.erase(id);
+    return;
+  }
+  std::vector<AttrId> attr_ids;
+  attr_ids.reserve(spec.text_attrs.size());
   for (const std::string& attr : spec.text_attrs) {
+    attr_ids.push_back(AttrTable::instance().intern(attr));
+  }
+  specs_[id] = Entry{std::move(spec), std::move(attr_ids)};
+}
+
+void TermBag::assign(const Event& event, std::span<const AttrId> attrs) {
+  bytes_.clear();
+  ends_.clear();
+  entries_.clear();
+  for (const AttrId attr : attrs) {
     const Value* value = event.find(attr);
     if (value == nullptr || !value->is_string()) continue;
-    for (std::string& token : ir::tokenize(value->as_string())) {
-      ++tf[std::move(token)];
-      ++len;
+    ir::tokenize_append(value->as_string(), ir::TokenizerOptions{}, bytes_,
+                        ends_);
+  }
+  std::size_t begin = 0;
+  for (const std::size_t end : ends_) {
+    entries_.push_back(Entry{begin, end - begin, 1});
+    begin = end;
+  }
+  std::sort(entries_.begin(), entries_.end(),
+            [this](const Entry& a, const Entry& b) {
+              return token(a) < token(b);
+            });
+  // Collapse runs of equal tokens into one entry counting them.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (kept > 0 && token(entries_[kept - 1]) == token(entries_[i])) {
+      ++entries_[kept - 1].tf;
+    } else {
+      entries_[kept++] = entries_[i];
     }
   }
-  if (len == 0) return 0.0;
+  entries_.resize(kept);
+}
+
+std::uint32_t TermBag::frequency(std::string_view term) const noexcept {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), term,
+      [this](const Entry& entry, std::string_view t) {
+        return token(entry) < t;
+      });
+  return it != entries_.end() && token(*it) == term ? it->tf : 0;
+}
+
+double TermBag::score(const std::vector<ir::ScoredTerm>& query) const noexcept {
+  if (length() == 0) return 0.0;
   const ir::Bm25Params params;
   const double norm =
       params.k1 *
       (1.0 - params.b +
-       params.b * static_cast<double>(len) / kScoringAvgDocLen);
+       params.b * static_cast<double>(length()) / kScoringAvgDocLen);
   double score = 0.0;
   // Summation order is the query order — fixed by the spec, so the
   // floating-point result is bit-identical everywhere.
-  for (const ir::ScoredTerm& term : spec.query) {
-    const auto it = tf.find(term.term);
-    if (it == tf.end()) continue;
-    const double weight = std::max(term.score, 0.0);
-    const double freq = static_cast<double>(it->second);
+  for (const ir::ScoredTerm& term : query) {
+    const std::uint32_t tf = frequency(term.term);
+    if (tf == 0) continue;
+    const double weight = term.score > 0.0 ? term.score : 0.0;
+    const double freq = static_cast<double>(tf);
     score += weight * freq * (params.k1 + 1.0) / (freq + norm);
   }
   return score;
+}
+
+double score_event(const ScoringSpec& spec, const Event& event) {
+  if (spec.policy == ScoringPolicy::kConstant) return kConstantScore;
+  std::vector<AttrId> attr_ids;
+  attr_ids.reserve(spec.text_attrs.size());
+  for (const std::string& attr : spec.text_attrs) {
+    // A name never interned is on no event, so it adds nothing.
+    const AttrId id = AttrTable::instance().lookup(attr);
+    if (id != kNoAttrId) attr_ids.push_back(id);
+  }
+  TermBag bag;
+  bag.assign(event, attr_ids);
+  return bag.score(spec.query);
 }
 
 void TopKSelector::offer(double score, std::uint32_t order) {

@@ -13,15 +13,19 @@
 //     top_k = 0 and min_score <= 0 this is the *neutral* spec: provably
 //     unable to suppress anything, byte-identical wire output to a run
 //     with scoring disabled (the property the neutral fuzz tier pins).
-//   * kBm25 — the event's designated text attributes are tokenized
-//     (ir::tokenize) into one bag of words and scored against a weighted
-//     term query with the BM25 term-frequency saturation formula
-//     (ir::Bm25Params k1/b; see bm25.h). There is no corpus at a broker,
-//     so document-frequency evidence rides in as the per-term query
-//     weights (e.g. Offer Weight scores from ir::select_terms) and length
-//     normalization uses the fixed kScoringAvgDocLen pivot — the score is
-//     a pure function of (spec, event), which is what makes scored
-//     delivery reproducible across engines and worker counts.
+//   * kBm25 — two steps. First the event's designated text attributes
+//     are tokenized (ir::tokenize rules) into one TermBag; then a
+//     weighted term query is scored against the bag with the BM25
+//     term-frequency saturation formula (ir::Bm25Params k1/b; see
+//     bm25.h). The bag depends on the event and the attribute list only,
+//     so the routing table builds it once per event per attribute list
+//     and scores every BM25 hit of that event against it. There is no
+//     corpus at a broker, so document-frequency evidence rides in as the
+//     per-term query weights (e.g. Offer Weight scores from
+//     ir::select_terms) and length normalization uses the fixed
+//     kScoringAvgDocLen pivot — the score is a pure function of (spec,
+//     event), which is what makes scored delivery reproducible across
+//     engines and worker counts.
 //
 // Determinism rule (the contract the scored differential fuzz tier
 // enforces): scores are computed *after* boolean matching, from (spec,
@@ -31,8 +35,11 @@
 // byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -71,8 +78,9 @@ const char* scoring_policy_name(ScoringPolicy policy) noexcept;
 /// untouched.
 struct ScoringSpec {
   ScoringPolicy policy = ScoringPolicy::kConstant;
-  /// Weighted query terms (kBm25); weights are clamped to >= 0 like
-  /// ir::Bm25::score's weighted overload.
+  /// Weighted query terms (kBm25); a weight that is not > 0 (negative,
+  /// zero or NaN) contributes nothing, like ir::Bm25::score's weighted
+  /// overload.
   std::vector<ir::ScoredTerm> query;
   /// Attribute names whose string values form the scored document, in
   /// spec order (kBm25). Non-string or absent attributes contribute
@@ -129,25 +137,29 @@ struct ClientSubscription {
 /// identical scored output by construction.
 class ScoringIndex {
  public:
-  /// Registers (or replaces) the spec for `id`. Neutral specs are
-  /// dropped — they are indistinguishable from absence.
-  void set(SubscriptionId id, ScoringSpec spec) {
-    if (spec.neutral()) {
-      specs_.erase(id);
-    } else {
-      specs_[id] = std::move(spec);
-    }
-  }
+  struct Entry {
+    ScoringSpec spec;
+    /// spec.text_attrs as interned ids, in spec order (duplicates kept),
+    /// so the scored match path never hashes an attribute name.
+    std::vector<AttrId> attr_ids;
+  };
+
+  /// Registers (or replaces) the spec for `id`, interning its text
+  /// attribute names. Interning, not AttrTable::lookup: a spec may arrive
+  /// before any event carries its attribute, and the id it resolves to
+  /// must be the one those events get. Neutral specs are dropped — they
+  /// are indistinguishable from absence.
+  void set(SubscriptionId id, ScoringSpec spec);
   void erase(SubscriptionId id) { specs_.erase(id); }
-  /// Spec for `id`, or nullptr when it scores the neutral constant. The
+  /// Entry for `id`, or nullptr when it scores the neutral constant. The
   /// pointer is stable until that id is set/erased (node-based map).
-  const ScoringSpec* find(SubscriptionId id) const {
+  const Entry* find(SubscriptionId id) const {
     const auto it = specs_.find(id);
     return it == specs_.end() ? nullptr : &it->second;
   }
 
  private:
-  std::unordered_map<SubscriptionId, ScoringSpec> specs_;
+  std::unordered_map<SubscriptionId, Entry> specs_;
 };
 
 /// One subscription's share of a client resync digest: XOR-folded over a
@@ -159,14 +171,53 @@ std::uint64_t client_subscription_digest(SubscriptionId sub_id,
                                          const Filter& filter,
                                          const ScoringSpec& spec);
 
+/// The bag of words of one scored document: the tokens of an event's
+/// designated text attributes (ir::tokenize rules), lower-cased into one
+/// reused byte buffer, sorted into (token, tf) entries, plus the token
+/// count that BM25 normalizes length by. assign() keeps every buffer, so
+/// one bag rebuilt per event allocates nothing once it has grown.
+class TermBag {
+ public:
+  /// Rebuilds the bag from the string values of `event`'s attributes
+  /// `attrs`, in order; absent and non-string attributes add nothing, and
+  /// a repeated id adds its text again.
+  void assign(const Event& event, std::span<const AttrId> attrs);
+
+  /// Number of tokens (with repeats) — the BM25 document length.
+  std::size_t length() const noexcept { return ends_.size(); }
+
+  /// BM25 relevance of `query` against the bag: in query order, each
+  /// term present sums
+  ///   w * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avg))
+  /// with w = weight > 0 ? weight : 0 (so a NaN weight counts 0), the
+  /// default ir::Bm25Params and the kScoringAvgDocLen pivot. An empty bag
+  /// scores 0.
+  double score(const std::vector<ir::ScoredTerm>& query) const noexcept;
+
+ private:
+  struct Entry {
+    std::size_t begin = 0;  // offset of the token in bytes_
+    std::size_t size = 0;
+    std::uint32_t tf = 0;
+  };
+  std::string_view token(const Entry& entry) const noexcept {
+    return std::string_view(bytes_).substr(entry.begin, entry.size);
+  }
+  /// Occurrences of `term` (exact bytes), 0 when absent.
+  std::uint32_t frequency(std::string_view term) const noexcept;
+
+  std::string bytes_;              // token bytes, back to back
+  std::vector<std::size_t> ends_;  // each token's end offset in bytes_
+  std::vector<Entry> entries_;     // distinct tokens, sorted by bytes
+};
+
 /// Relevance of `event` under `spec`. Pure and deterministic: no corpus,
 /// no clock, no randomness — equal (spec, event) pairs score equal on
-/// every broker and worker. kConstant returns kConstantScore;
-/// kBm25 tokenizes the designated text attributes into one bag of words
-/// and sums, in query order,
-///   max(weight, 0) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avg))
-/// with the default ir::Bm25Params and the kScoringAvgDocLen pivot. An
-/// event with no tokenizable text scores 0 under kBm25.
+/// every broker and worker. kConstant returns kConstantScore; kBm25
+/// builds the TermBag of spec.text_attrs and returns its score of
+/// spec.query — the formula the routing table's shared bags apply, so
+/// both give bitwise-equal scores. An event with no tokenizable text
+/// scores 0 under kBm25.
 double score_event(const ScoringSpec& spec, const Event& event);
 
 /// Bounded top-k selector over (score, event-order) candidates: keeps the

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "ir/bm25.h"
 #include "ir/corpus.h"
 #include "ir/metrics.h"
 #include "ir/term_weighting.h"
 #include "ir/tokenizer.h"
+#include "util/rng.h"
 
 namespace reef::ir {
 namespace {
@@ -38,6 +43,102 @@ TEST(Tokenizer, MaxLengthDropsMonsterTokens) {
   opts.max_length = 5;
   const auto tokens = tokenize("short toolongtoken ok", opts);
   EXPECT_EQ(tokens, (std::vector<std::string>{"short", "ok"}));
+}
+
+/// The token rules as one self-contained loop (split on non-alphanumeric
+/// bytes, lower-case, drop short/long/numeric runs), kept independent of
+/// the library so both of its forms are checked against it.
+std::vector<std::string> reference_tokenize(std::string_view text,
+                                            const TokenizerOptions& options) {
+  std::vector<std::string> tokens;
+  std::string current;
+  bool all_digits = true;
+  const auto flush = [&] {
+    if (current.size() >= options.min_length &&
+        current.size() <= options.max_length &&
+        !(options.drop_numeric && all_digits)) {
+      tokens.push_back(current);
+    }
+    current.clear();
+    all_digits = true;
+  };
+  for (const char raw : text) {
+    const auto c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c)) {
+      current.push_back(static_cast<char>(std::tolower(c)));
+      if (!std::isdigit(c)) all_digits = false;
+    } else {
+      flush();
+    }
+  }
+  flush();
+  return tokens;
+}
+
+/// Seeded byte string: letters of both cases, digits, punctuation,
+/// high-bit bytes, and now and then a run longer than 40 bytes.
+std::string random_text(util::Rng& rng) {
+  static constexpr std::string_view kPunct = " ,.-_/:;'\"!?+\t\n";
+  std::string text;
+  const std::size_t pieces = rng.index(12);
+  for (std::size_t p = 0; p < pieces; ++p) {
+    const std::size_t run = rng.chance(0.1) ? 38 + rng.index(8) : rng.index(7);
+    const std::size_t kind = rng.index(5);
+    for (std::size_t i = 0; i < run; ++i) {
+      switch (kind) {
+        case 0: text += static_cast<char>('a' + rng.index(26)); break;
+        case 1: text += static_cast<char>('A' + rng.index(26)); break;
+        case 2: text += static_cast<char>('0' + rng.index(10)); break;
+        case 3: text += static_cast<char>(0x80 + rng.index(128)); break;
+        default: {
+          const char letters[] = {'q', 'Z', '7', 'e'};
+          text += letters[rng.index(4)];
+        }
+      }
+    }
+    text += kPunct[rng.index(kPunct.size())];
+  }
+  return text;
+}
+
+TEST(Tokenizer, StreamingFormAgreesWithVectorForm) {
+  TokenizerOptions defaults;
+  TokenizerOptions loose;
+  loose.min_length = 1;
+  loose.max_length = 5;
+  loose.drop_numeric = false;
+  TokenizerOptions empty_tokens;  // separators themselves yield ""
+  empty_tokens.min_length = 0;
+  empty_tokens.drop_numeric = false;
+  util::Rng rng(20);
+  for (const TokenizerOptions& options : {defaults, loose, empty_tokens}) {
+    // One pair of buffers reused across every document, as a caller
+    // tokenizing a stream of events does.
+    std::string bytes;
+    std::vector<std::size_t> ends;
+    for (int trial = 0; trial < 500; ++trial) {
+      const std::string text = random_text(rng);
+      const std::vector<std::string> expected =
+          reference_tokenize(text, options);
+      EXPECT_EQ(tokenize(text, options), expected) << text;
+
+      const std::size_t first = ends.size();
+      std::size_t begin = ends.empty() ? 0 : ends.back();
+      ASSERT_EQ(bytes.size(), begin);
+      tokenize_append(text, options, bytes, ends);
+      std::vector<std::string> streamed;
+      for (std::size_t t = first; t < ends.size(); ++t) {
+        streamed.emplace_back(bytes, begin, ends[t] - begin);
+        begin = ends[t];
+      }
+      EXPECT_EQ(streamed, expected) << text;
+      EXPECT_EQ(bytes.size(), begin) << "rejected bytes left behind";
+      if (trial % 50 == 49) {
+        bytes.clear();
+        ends.clear();
+      }
+    }
+  }
 }
 
 TEST(Stopwords, CommonWordsAreStopwords) {
@@ -284,6 +385,18 @@ TEST(Bm25, WeightedQueryScalesContribution) {
   EXPECT_NEAR(bm25.score(doubly, 0), 2.0 * bm25.score(singly, 0), 1e-12);
   const std::vector<ScoredTerm> negative{{"storm", -5.0}};
   EXPECT_EQ(bm25.score(negative, 0), 0.0);  // negative weights ignored
+}
+
+TEST(Bm25, NanWeightContributesNothing) {
+  const Corpus archive = make_archive();
+  const Bm25 bm25(archive);
+  const std::vector<ScoredTerm> nan_only{{"storm", std::nan("")}};
+  EXPECT_EQ(bm25.score(nan_only, 0), 0.0);
+  const std::vector<ScoredTerm> singly{{"storm", 1.0}};
+  const std::vector<ScoredTerm> with_nan{{"storm", 1.0},
+                                         {"storm", std::nan("")}};
+  EXPECT_GT(bm25.score(singly, 0), 0.0);
+  EXPECT_EQ(bm25.score(with_nan, 0), bm25.score(singly, 0));
 }
 
 TEST(Bm25, LengthNormalizationPenalizesLongDocs) {

@@ -956,6 +956,9 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
 /// schedule (global ordinal, 1-based) walks the full {constant, bm25} x
 /// {top_k 0/1/4} x {min_score 0/0.5} grid, so every schedule interleaves
 /// neutral subscriptions (n = 12m) with every non-neutral combination.
+/// BM25 specs also cycle through four text attribute lists and,
+/// independently, three queries, so one batch scores against several bags
+/// per event: shared by equal lists, separate for different ones.
 ScoringSpec fuzz_spec(std::size_t n) {
   ScoringSpec spec;
   spec.policy = (n % 2) ? ScoringPolicy::kBm25 : ScoringPolicy::kConstant;
@@ -965,9 +968,18 @@ ScoringSpec fuzz_spec(std::size_t n) {
   if (spec.policy == ScoringPolicy::kBm25) {
     // Terms that occur in fuzz_event's text/file values, with distinct
     // weights so scores spread on both sides of the 0.5 threshold (events
-    // with no tokenizable text score 0 and fall below it).
-    spec.query = {{"abc", 1.0}, {"log", 2.0}, {"rss", 1.5}, {"say", 0.5}};
-    spec.text_attrs = {"text", "file"};
+    // with no tokenizable text score 0 and fall below it). The second
+    // query repeats a term, the third gives two terms zero weight.
+    static const std::vector<ir::ScoredTerm> kQueries[] = {
+        {{"abc", 1.0}, {"log", 2.0}, {"rss", 1.5}, {"say", 0.5}},
+        {{"log", 2.0}, {"abc", 1.0}, {"log", 0.75}, {"blog", 1.25}},
+        {{"xbc", 0.0}, {"abc", 1.5}, {"rss", 2.0}, {"say", 0.0}}};
+    // Both attributes, one, one twice (its tokens count double), and one
+    // that no event carries (every event scores 0).
+    static const std::vector<std::string> kAttrLists[] = {
+        {"text", "file"}, {"file"}, {"text", "text"}, {"headline"}};
+    spec.query = kQueries[(n / 4) % 3];
+    spec.text_attrs = kAttrLists[(n / 2) % 4];
   }
   return spec;
 }

@@ -1,19 +1,27 @@
 // Unit tier for the scored-matching layer (pubsub/scoring.h): ScoringSpec
 // neutrality/wire/hash semantics, score_event purity and the corpus-free
-// BM25 formula, TopKSelector's deterministic tie-breaking, the routing
-// table's scored decoration of every engine's match_batch (including
-// contiguous sub-span composition), and small end-to-end broker runs
-// composing the min_score threshold with the top-k cut. The differential
-// fuzz harness (tests/pubsub_differential_fuzz_test.cpp, level 5) covers
-// the same contract at scale; this file pins the boundaries.
+// BM25 formula (the TermBag path held bitwise to a reference copy of the
+// earlier per-hit formula), TopKSelector's deterministic tie-breaking,
+// the routing table's scored decoration of every engine's match_batch
+// (including contiguous sub-span composition), and small end-to-end
+// broker runs composing the min_score threshold with the top-k cut. The
+// differential fuzz harness (tests/pubsub_differential_fuzz_test.cpp,
+// level 5) covers the same contract at scale; this file pins the
+// boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
+#include "ir/bm25.h"
+#include "ir/tokenizer.h"
 #include "pubsub/client.h"
 #include "pubsub/engines.h"
 #include "pubsub/overlay.h"
@@ -21,6 +29,7 @@
 #include "pubsub/scoring.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace reef::pubsub {
 namespace {
@@ -36,6 +45,8 @@ ScoringSpec bm25_spec(std::vector<ir::ScoredTerm> query,
   spec.min_score = min_score;
   return spec;
 }
+
+constexpr RoutingTable::IfaceId kClient = 7;
 
 // --- ScoringSpec -------------------------------------------------------------
 
@@ -118,6 +129,19 @@ TEST(ScoreEvent, Bm25QueryWeightsScaleAndClamp) {
   EXPECT_EQ(score_event(bm25_spec({{"log", -3.0}}, {"text"}), event), 0.0);
 }
 
+TEST(ScoreEvent, NanWeightContributesNothing) {
+  const Event event = Event().with("text", "log feed log");
+  const double nan = std::nan("");
+  EXPECT_EQ(score_event(bm25_spec({{"log", nan}}, {"text"}), event), 0.0);
+  const double without =
+      score_event(bm25_spec({{"log", 1.0}, {"feed", 0.5}}, {"text"}), event);
+  EXPECT_GT(without, 0.0);
+  EXPECT_EQ(score_event(bm25_spec({{"log", 1.0}, {"feed", nan}, {"feed", 0.5}},
+                                  {"text"}),
+                        event),
+            without);
+}
+
 TEST(ScoreEvent, Bm25DesignatedAttributesFormOneBag) {
   // Two designated attributes concatenate into one bag of words: same
   // token multiset, same score as a single attribute holding both.
@@ -139,6 +163,142 @@ TEST(ScoreEvent, DeterministicAcrossCalls) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(score_event(spec, event), first);  // bitwise, not approx
   }
+}
+
+/// The pre-TermBag score_event body, verbatim: a fresh unordered_map bag
+/// per call. The bitwise-agreement test holds the production formula to
+/// it.
+double reference_score(const ScoringSpec& spec, const Event& event) {
+  if (spec.policy == ScoringPolicy::kConstant) return kConstantScore;
+  // One bag of words over the designated text attributes, in spec order.
+  std::unordered_map<std::string, std::uint32_t> tf;
+  std::size_t len = 0;
+  for (const std::string& attr : spec.text_attrs) {
+    const Value* value = event.find(attr);
+    if (value == nullptr || !value->is_string()) continue;
+    for (std::string& token : ir::tokenize(value->as_string())) {
+      ++tf[std::move(token)];
+      ++len;
+    }
+  }
+  if (len == 0) return 0.0;
+  const ir::Bm25Params params;
+  const double norm =
+      params.k1 *
+      (1.0 - params.b +
+       params.b * static_cast<double>(len) / kScoringAvgDocLen);
+  double score = 0.0;
+  // Summation order is the query order — fixed by the spec, so the
+  // floating-point result is bit-identical everywhere.
+  for (const ir::ScoredTerm& term : spec.query) {
+    const auto it = tf.find(term.term);
+    if (it == tf.end()) continue;
+    const double weight = std::max(term.score, 0.0);
+    const double freq = static_cast<double>(it->second);
+    score += weight * freq * (params.k1 + 1.0) / (freq + norm);
+  }
+  return score;
+}
+
+// Vocabulary of the bitwise trials: mixed case, 1-, 40- and 41-byte
+// tokens (the default tokenizer keeps 2..40), all-numeric runs and
+// high-bit bytes (separators to the tokenizer).
+const std::vector<std::string>& trial_words() {
+  static const std::vector<std::string> kWords = {
+      "log", "Log", "LOG", "rss", "feed", "News", "a", "x", "7",
+      "12345", "caf\xe9", "\xc3\xa9t\xc3\xa9", std::string(40, 'q'),
+      std::string(41, 'q'), "mIxEd", "mixed"};
+  return kWords;
+}
+
+std::string trial_text(util::Rng& rng) {
+  static constexpr const char* kSeparators[] = {" ", ", ", "-", "\xff", "/"};
+  if (rng.chance(0.1)) return "";
+  if (rng.chance(0.05)) return "2024 10 18";  // all numeric: no tokens
+  std::string text;
+  const std::size_t words = 1 + rng.index(10);
+  for (std::size_t w = 0; w < words; ++w) {
+    if (w != 0) text += kSeparators[rng.index(5)];
+    text += trial_words()[rng.index(trial_words().size())];
+  }
+  return text;
+}
+
+Event trial_event(util::Rng& rng, std::int64_t seq) {
+  Event event = Event().with("seq", seq);
+  for (const char* attr : {"title", "text", "file"}) {
+    if (rng.chance(0.25)) continue;  // absent
+    if (rng.chance(0.1)) {
+      event.with(attr, static_cast<std::int64_t>(rng.index(100)));
+    } else {
+      event.with(attr, trial_text(rng));
+    }
+  }
+  return event;
+}
+
+ScoringSpec trial_spec(util::Rng& rng) {
+  static const std::vector<std::vector<std::string>> kAttrLists = {
+      {"title"},         {"text", "file"}, {"file", "text"},
+      {"title", "title"}, {"text", "text", "file"}, {},
+      {"nowhere_attr"},  {"title", "nowhere_attr"}};
+  static constexpr const char* kTerms[] = {
+      "log", "rss", "feed", "news", "a", "x", "12345", "caf", "mixed",
+      "LOG", "t", "qqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqq"};
+  static constexpr double kWeights[] = {1.0, 2.5, 0.0, -1.0, -0.0, 0.3, 1e-3};
+  ScoringSpec spec;
+  spec.policy =
+      rng.chance(0.9) ? ScoringPolicy::kBm25 : ScoringPolicy::kConstant;
+  spec.top_k = static_cast<std::uint32_t>(1 + rng.index(4));
+  spec.text_attrs = kAttrLists[rng.index(kAttrLists.size())];
+  const std::size_t terms = rng.chance(0.1) ? 0 : 1 + rng.index(5);
+  for (std::size_t t = 0; t < terms; ++t) {
+    const double weight =
+        rng.chance(0.5) ? kWeights[rng.index(7)] : rng.uniform(-1.0, 3.0);
+    spec.query.push_back({kTerms[rng.index(12)], weight});
+    if (rng.chance(0.2)) spec.query.push_back(spec.query.back());  // dup
+  }
+  return spec;
+}
+
+TEST(ScoreEvent, TermBagAgreesBitwiseWithReferenceFormula) {
+  util::Rng rng(0x7e4b);
+  std::size_t trials = 0;
+  std::size_t nonzero = 0;
+  for (int round = 0; round < 120; ++round) {
+    // Eight specs on one table, several sharing an attribute list, so the
+    // batch path both shares and separates bags within each event.
+    RoutingTable table;
+    std::vector<ScoringSpec> specs;
+    for (SubscriptionId sub = 1; sub <= 8; ++sub) {
+      specs.push_back(trial_spec(rng));
+      table.client_subscribe(kClient, sub, Filter(), specs.back());
+    }
+    std::vector<Event> events;
+    for (std::int64_t seq = 0; seq < 4; ++seq) {
+      events.push_back(trial_event(rng, seq));
+    }
+    std::vector<std::vector<RoutingTable::ScoredDestination>> scored;
+    table.match_batch_scored(events, scored);
+    ASSERT_EQ(scored.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ASSERT_EQ(scored[i].size(), specs.size());
+      for (const RoutingTable::ScoredDestination& hit : scored[i]) {
+        const ScoringSpec& spec = specs[hit.dest.client_sub - 1];
+        const double expected = reference_score(spec, events[i]);
+        const auto bits = std::bit_cast<std::uint64_t>(expected);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(score_event(spec, events[i])),
+                  bits)
+            << spec.summary() << " " << events[i].to_string();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.score), bits)
+            << spec.summary() << " " << events[i].to_string();
+        ++trials;
+        if (spec.policy == ScoringPolicy::kBm25 && expected > 0.0) ++nonzero;
+      }
+    }
+  }
+  EXPECT_GE(trials, 2000u);
+  EXPECT_GT(nonzero, trials / 10) << "trials must exercise real scores";
 }
 
 // --- TopKSelector ------------------------------------------------------------
@@ -201,8 +361,6 @@ TEST(TopKSelector, TakeResetsTheSelector) {
 }
 
 // --- RoutingTable::match_batch_scored across the engines ---------------------
-
-constexpr RoutingTable::IfaceId kClient = 7;
 
 /// (client sub, score, has spec) per scored destination, sorted by sub.
 using ScoredKey = std::tuple<SubscriptionId, double, bool>;
@@ -291,6 +449,28 @@ TEST(MatchBatchScored, SubSpanScoresComposeWithFullBatch) {
   }
 }
 
+TEST(MatchBatchScored, SpecRegisteredBeforeItsAttributeIsInterned) {
+  // A name no event or filter in this binary uses: the spec interns it,
+  // and the events published afterwards must resolve to the same id.
+  const std::string attr = "headline_first_named_by_a_spec";
+  ASSERT_EQ(AttrTable::instance().lookup(attr), kNoAttrId);
+  const ScoringSpec spec = bm25_spec({{"storm", 1.0}, {"coast", 0.5}}, {attr});
+  RoutingTable table;
+  table.client_subscribe(kClient, 1, Filter(), spec);
+  const std::vector<Event> events = {
+      Event().with(attr, "Storm on the coast"),
+      Event().with(attr, "storm storm").with("text", "coast"),
+  };
+  std::vector<std::vector<RoutingTable::ScoredDestination>> scored;
+  table.match_batch_scored(events, scored);
+  ASSERT_EQ(scored.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(scored[i].size(), 1u);
+    EXPECT_GT(scored[i][0].score, 0.0) << i;
+    EXPECT_EQ(scored[i][0].score, score_event(spec, events[i])) << i;
+  }
+}
+
 // --- end-to-end: threshold + top-k composition at a broker -------------------
 
 struct Harness {
@@ -342,6 +522,40 @@ TEST(ScoredDelivery, ThresholdAppliesBeforeTopKCut) {
   EXPECT_EQ(broker.stats().scored_matches, 3u);
   EXPECT_EQ(broker.stats().suppressed_by_threshold, 1u);
   EXPECT_EQ(broker.stats().suppressed_by_k, 1u);
+}
+
+TEST(ScoredDelivery, NanWeightTermDeliversAsIfAbsent) {
+  // A NaN weight must neither slip past min_score nor disturb the top-k
+  // order: the window delivers exactly what the spec without that term
+  // delivers, with the same scores.
+  const auto deliveries = [](const ScoringSpec& spec) {
+    Harness h;
+    Broker broker(h.sim, h.net, "b0", scored_config());
+    Client pub(h.sim, h.net, "pub");
+    Client sub(h.sim, h.net, "sub");
+    pub.connect(broker);
+    sub.connect(broker);
+    std::vector<std::pair<std::string, double>> got;
+    sub.subscribe_scored(Filter(), spec,
+                         [&](const Event& e, SubscriptionId, double score) {
+                           got.emplace_back(e.to_string(), score);
+                         });
+    h.settle();
+    pub.publish_batch({Event().with("text", "feed"),
+                       Event().with("text", "log log log"),
+                       Event().with("text", "log feed"),
+                       Event().with("text", "log"),
+                       Event().with("text", "rss")});
+    h.settle();
+    return got;
+  };
+  const ScoringSpec plain =
+      bm25_spec({{"log", 1.0}, {"rss", 0.4}}, {"text"}, 2, 0.5);
+  const ScoringSpec with_nan = bm25_spec(
+      {{"log", 1.0}, {"feed", std::nan("")}, {"rss", 0.4}}, {"text"}, 2, 0.5);
+  const auto expected = deliveries(plain);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(deliveries(with_nan), expected);
 }
 
 TEST(ScoredDelivery, TopKZeroDeliversAllWithScoresAttached) {
