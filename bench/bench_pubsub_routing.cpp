@@ -436,31 +436,39 @@ ConvergenceResult run_convergence(Topology topology, std::size_t brokers,
 int main() {
   std::printf("=== E7b: Broker routing, covering ablation ===\n");
   std::printf("chain of 8 brokers, Zipf feed popularity, 500 publications\n\n");
-  std::printf("  %11s %6s %14s %14s %12s %12s %12s\n", "subscribers",
-              "broad", "subs fwd'd", "tables (sum)", "edge table",
-              "pubs fwd'd", "deliveries");
-  std::printf("  %s\n", std::string(88, '-').c_str());
+  std::printf("  %11s %6s %14s %14s %14s %12s %12s %12s\n", "subscribers",
+              "broad", "subs fwd'd", "unsubs fwd'd", "tables (sum)",
+              "edge table", "pubs fwd'd", "deliveries");
+  std::printf("  %s\n", std::string(103, '-').c_str());
+  // Covering prunes control traffic and routing state, never a delivery:
+  // a hard invariant, feeding the exit code.
+  bool cover_deliveries_identical = true;
   for (const std::size_t subscribers : {20, 50, 100, 200}) {
     for (const double broad : {0.0, 0.1}) {
       const Result with_cover =
           run(RunConfig{.covering = true}, 8, subscribers, 60, broad);
       const Result without =
           run(RunConfig{.covering = false}, 8, subscribers, 60, broad);
-      std::printf("  %11zu %5.0f%%   cover %7s %14zu %12zu %12s %12s\n",
+      cover_deliveries_identical = cover_deliveries_identical &&
+                                   with_cover.deliveries == without.deliveries;
+      std::printf("  %11zu %5.0f%%   cover %7s %14s %14zu %12zu %12s %12s\n",
                   subscribers, broad * 100,
                   reef::util::with_commas(with_cover.subs_forwarded).c_str(),
+                  reef::util::with_commas(with_cover.unsubs_forwarded).c_str(),
                   with_cover.total_table, with_cover.edge_broker_table,
                   reef::util::with_commas(with_cover.pubs_forwarded).c_str(),
                   reef::util::with_commas(with_cover.deliveries).c_str());
-      std::printf("  %11s %6s no-cover %5s %14zu %12zu %12s %12s\n", "", "",
-                  reef::util::with_commas(without.subs_forwarded).c_str(),
+      std::printf("  %11s %6s no-cover %5s %14s %14zu %12zu %12s %12s\n", "",
+                  "", reef::util::with_commas(without.subs_forwarded).c_str(),
+                  reef::util::with_commas(without.unsubs_forwarded).c_str(),
                   without.total_table, without.edge_broker_table,
                   reef::util::with_commas(without.pubs_forwarded).c_str(),
                   reef::util::with_commas(without.deliveries).c_str());
     }
   }
-  std::printf("\n  deliveries are identical; covering cuts control traffic "
-              "and routing state, most visibly with broad subscribers.\n");
+  std::printf("\n  deliveries %s; covering cuts control traffic "
+              "and routing state, most visibly with broad subscribers.\n",
+              cover_deliveries_identical ? "are identical" : "DIFFER");
 
   // --- engine x batching: wire traffic on the event path -------------------
   std::printf("\n=== engine x batching: event-path wire traffic ===\n");
@@ -679,11 +687,14 @@ int main() {
               "the widest resync, the leaf the cheapest. DNF on any row is "
               "a hard failure.\n");
 
-  if (!workers_identical || !residence_monotone || !deliveries_identical ||
-      !all_converged || !topk_ok) {
-    std::printf("\nFAIL: sweep invariants violated (worker_sweep=%d, "
-                "residence_monotone=%d, deliveries_identical=%d, "
-                "crash_reconvergence=%d, topk_sweep=%d)\n",
+  if (!cover_deliveries_identical || !workers_identical ||
+      !residence_monotone || !deliveries_identical || !all_converged ||
+      !topk_ok) {
+    std::printf("\nFAIL: sweep invariants violated (cover_deliveries=%d, "
+                "worker_sweep=%d, residence_monotone=%d, "
+                "deliveries_identical=%d, crash_reconvergence=%d, "
+                "topk_sweep=%d)\n",
+                cover_deliveries_identical ? 1 : 0,
                 workers_identical ? 1 : 0, residence_monotone ? 1 : 0,
                 deliveries_identical ? 1 : 0, all_converged ? 1 : 0,
                 topk_ok ? 1 : 0);

@@ -67,7 +67,8 @@ void Broker::add_neighbor(Broker& other) {
   table_.add_broker_iface(other.id());
   last_heard_[other.id()] = sim_.now();
   // Bring the new neighbor up to date with everything reachable through us.
-  refresh_neighbor(other.id());
+  dirty_.push_back(true);
+  schedule_refresh();
 }
 
 void Broker::attach_client(sim::NodeId client) {
@@ -102,12 +103,12 @@ void Broker::on_ctrl_op(sim::NodeId from, const CtrlOp& op) {
     case CtrlOp::Kind::kClientSubscribe:
       ++stats_.subs_received;
       table_.client_subscribe(from, op.sub_id, op.filter, op.scoring);
-      refresh_all_neighbors_except(sim::kNoNode);
+      mark_dirty(sim::kNoNode);
       break;
     case CtrlOp::Kind::kClientUnsubscribe:
       ++stats_.subs_received;
       if (table_.client_unsubscribe(from, op.sub_id)) {
-        refresh_all_neighbors_except(sim::kNoNode);
+        mark_dirty(sim::kNoNode);
       }
       break;
     case CtrlOp::Kind::kSubscribe:
@@ -115,13 +116,13 @@ void Broker::on_ctrl_op(sim::NodeId from, const CtrlOp& op) {
       // Propagate onward, but never back where it came from; a
       // re-subscribe changes nothing.
       if (table_.broker_subscribe(from, op.filter)) {
-        refresh_all_neighbors_except(from);
+        mark_dirty(from);
       }
       break;
     case CtrlOp::Kind::kUnsubscribe:
       ++stats_.subs_received;
       if (table_.broker_unsubscribe(from, op.filter)) {
-        refresh_all_neighbors_except(from);
+        mark_dirty(from);
       }
       break;
     case CtrlOp::Kind::kResyncRequest:
@@ -129,12 +130,12 @@ void Broker::on_ctrl_op(sim::NodeId from, const CtrlOp& op) {
       break;
     case CtrlOp::Kind::kResyncState:
       if (table_.broker_resync(from, op.filters)) {
-        refresh_all_neighbors_except(from);
+        mark_dirty(from);
       }
       break;
     case CtrlOp::Kind::kClientResyncState:
       if (table_.client_resync(from, op.subs)) {
-        refresh_all_neighbors_except(sim::kNoNode);
+        mark_dirty(sim::kNoNode);
       }
       break;
   }
@@ -150,7 +151,7 @@ void Broker::on_peer_restart(sim::NodeId peer) {
   channel_.reset_peer_send(peer);
   if (!table_.has_broker_iface(peer)) return;
   if (table_.drop_broker_iface_state(peer)) {
-    refresh_all_neighbors_except(peer);
+    mark_dirty(peer);
   }
 }
 
@@ -207,6 +208,7 @@ void Broker::crash() {
   table_ = RoutingTable(make_table_config(config_));
   pending_pubs_.clear();
   pending_delivers_.clear();
+  dirty_.assign(dirty_.size(), false);
   quarantined_.clear();
   channel_.reset_all();
 }
@@ -545,9 +547,30 @@ void Broker::refresh_neighbor(sim::NodeId neighbor) {
   }
 }
 
-void Broker::refresh_all_neighbors_except(sim::NodeId except) {
-  for (const sim::NodeId neighbor : neighbors_) {
-    if (neighbor != except) refresh_neighbor(neighbor);
+void Broker::mark_dirty(sim::NodeId except) {
+  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
+    if (neighbors_[i] != except) dirty_[i] = true;
+  }
+  schedule_refresh();
+}
+
+void Broker::schedule_refresh() {
+  if (refresh_scheduled_) return;
+  if (std::find(dirty_.begin(), dirty_.end(), true) == dirty_.end()) return;
+  // Like the per-tick flush, the pass runs at this instant after every
+  // arrival already queued for it (see the control-plane coalescing
+  // invariants in broker.h).
+  refresh_scheduled_ = true;
+  sim_.after(0, [this] { refresh_dirty(); });
+}
+
+void Broker::refresh_dirty() {
+  refresh_scheduled_ = false;
+  if (!alive_) return;  // crashed with a pass in flight: its state is gone
+  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
+    if (!dirty_[i]) continue;
+    dirty_[i] = false;
+    refresh_neighbor(neighbors_[i]);
   }
 }
 

@@ -44,6 +44,27 @@
 //      per-event residence (flush time minus enqueue time, in sim clock
 //      ticks) accumulates in residence_ticks_total — the bench's
 //      latency-vs-throughput sweep reads both.
+//
+// ## Control-plane coalescing (one refresh pass per instant)
+//
+// A subscription op or a peer restart only marks the neighbors whose
+// forwarded set it may change; the first mark of an instant arms one pass
+// at that instant, after every arrival already queued for it (the
+// same-instant FIFO the per-tick flush relies on).
+//
+//   1. One RoutingTable::refresh per dirty neighbor per instant: a burst
+//      of ops (a population install, a resync) pays one pass, not one per
+//      op.
+//   2. Only the net diff crosses the link: a filter subscribed and
+//      retracted, or subscribed and then covered, within the instant is
+//      never forwarded.
+//   3. The forwarded set at quiescence is unchanged. refresh() makes it a
+//      function of current state alone, so coalescing moves only the order
+//      of same-instant sends, never their sim time or the converged state.
+//   4. A crash clears the dirty set and a pass in flight returns, so a dead
+//      incarnation sends nothing. A resync request still refreshes its
+//      requester synchronously (its digest compare needs synced
+//      bookkeeping); the pass after it finds an empty diff.
 #pragma once
 
 #include <cstdint>
@@ -287,7 +308,11 @@ class Broker final : public sim::Node {
 
   /// Sends the refresh diff for `neighbor` computed by the routing table.
   void refresh_neighbor(sim::NodeId neighbor);
-  void refresh_all_neighbors_except(sim::NodeId except);
+  /// Marks every neighbor but `except` dirty and arms the refresh pass.
+  void mark_dirty(sim::NodeId except);
+  void schedule_refresh();
+  /// The coalesced pass: one refresh_neighbor per dirty neighbor.
+  void refresh_dirty();
 
   // --- adaptive output coalescing ---
   /// Why a pending batch left the broker; each sent wire message is
@@ -338,6 +363,9 @@ class Broker final : public sim::Node {
   sim::NodeId id_;
 
   std::vector<sim::NodeId> neighbors_;
+  /// Parallel to neighbors_: whose forwarded set awaits the refresh pass.
+  std::vector<bool> dirty_;
+  bool refresh_scheduled_ = false;
   std::vector<sim::NodeId> clients_;
   RoutingTable table_;
 

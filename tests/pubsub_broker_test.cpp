@@ -222,6 +222,53 @@ TEST(Broker, UncoveringResendsOnBroadUnsubscribe) {
   EXPECT_GE(got, 1);
 }
 
+TEST(Broker, SameInstantBurstForwardsOnlyItsCoveringNetDiff) {
+  // N narrow filters, then the broad one covering them, all reaching the
+  // edge broker in one instant: each hop forwards the broad filter once
+  // and nothing else — no narrow subscribe later retracted by the broad.
+  Harness h;
+  Overlay overlay = Overlay::chain(h.sim, h.net, 3);
+  Client sub(h.sim, h.net, "sub");
+  sub.connect(overlay.broker(2));
+  h.settle();
+  constexpr int kNarrow = 5;
+  for (int i = 0; i < kNarrow; ++i) {
+    sub.subscribe(Filter()
+                      .and_(eq("stream", "feed"))
+                      .and_(eq("feed", "http://x/" + std::to_string(i))));
+  }
+  sub.subscribe(Filter().and_(eq("stream", "feed")));
+  h.settle();
+  for (const std::size_t b : {std::size_t{2}, std::size_t{1}}) {
+    EXPECT_EQ(overlay.broker(b).stats().subs_forwarded, 1u) << "broker " << b;
+    EXPECT_EQ(overlay.broker(b).stats().unsubs_forwarded, 0u)
+        << "broker " << b;
+  }
+  EXPECT_EQ(overlay.broker(0).stats().subs_forwarded, 0u);
+  EXPECT_EQ(h.net.messages_by_type().get(std::string(kTypeSubscribe)), 2u);
+  EXPECT_EQ(h.net.messages_by_type().get(std::string(kTypeUnsubscribe)), 0u);
+  EXPECT_EQ(overlay.broker(0).table_size(), 1u);
+  EXPECT_EQ(overlay.broker(2).table_size(),
+            static_cast<std::size_t>(kNarrow + 1));
+}
+
+TEST(Broker, SameInstantSubscribeAndRetractForwardsNothing) {
+  Harness h;
+  Overlay overlay = Overlay::chain(h.sim, h.net, 2);
+  Client sub(h.sim, h.net, "sub");
+  sub.connect(overlay.broker(1));
+  h.settle();
+  sub.unsubscribe(sub.subscribe(stock("ACME")));
+  h.settle();
+  for (const std::size_t b : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_EQ(overlay.broker(b).stats().subs_received, b == 1 ? 2u : 0u);
+    EXPECT_EQ(overlay.broker(b).stats().subs_forwarded, 0u) << "broker " << b;
+    EXPECT_EQ(overlay.broker(b).stats().unsubs_forwarded, 0u)
+        << "broker " << b;
+    EXPECT_EQ(overlay.broker(b).table_size(), 0u) << "broker " << b;
+  }
+}
+
 TEST(Broker, CoveringDisabledForwardsEverything) {
   Broker::Config no_cover;
   no_cover.covering_enabled = false;

@@ -276,6 +276,67 @@ TEST(FaultTolerance, RestartResyncReplaysClientSubscriptions) {
   EXPECT_EQ(got, 1);
 }
 
+TEST(FaultTolerance, CrashWithRefreshPassPendingHealsToNeverFaultedState) {
+  // Broker 1 crashes in the instant two client subscribes reached it:
+  // after their arrival marked its neighbors dirty, before the coalesced
+  // refresh pass ran. The dead incarnation must forward nothing, and
+  // restart + resync must rebuild the never-faulted run's state.
+  struct Outcome {
+    std::vector<std::string> fingerprints;
+    int broad = 0, narrow = 0, early = 0;
+  };
+  const auto run = [](bool crash) {
+    Harness h;
+    Overlay overlay = Overlay::chain(h.sim, h.net, 3, reliable_config());
+    Client pub(h.sim, h.net, "pub");
+    Client early(h.sim, h.net, "early");
+    Client sub(h.sim, h.net, "sub");
+    pub.connect(overlay.broker(0));
+    early.connect(overlay.broker(2));
+    sub.connect(overlay.broker(1));
+    for (Client* client : {&pub, &early, &sub}) {
+      client->enable_reliable_control(fast_channel());
+    }
+    Outcome out;
+    early.subscribe(stock("ACME"),
+                    [&](const Event&, SubscriptionId) { ++out.early; });
+    h.settle();
+    const Broker::Stats before = overlay.broker(1).stats();
+    sub.subscribe(stock("INIT"),
+                  [&](const Event&, SubscriptionId) { ++out.broad; });
+    sub.subscribe(Filter().and_(eq("sym", "INIT")).and_(eq("venue", "X")),
+                  [&](const Event&, SubscriptionId) { ++out.narrow; });
+    if (crash) {
+      // Queued after both arrivals (client link: 1 ms), so it runs
+      // between them and the pass they armed.
+      h.sim.at(h.sim.now() + sim::kMillisecond, [&] { overlay.crash(1); });
+      h.run_for(5 * sim::kMillisecond);
+      const Broker::Stats dead = overlay.broker(1).stats();
+      EXPECT_EQ(dead.subs_received, before.subs_received + 2);
+      EXPECT_EQ(dead.subs_forwarded, before.subs_forwarded);
+      EXPECT_EQ(dead.unsubs_forwarded, before.unsubs_forwarded);
+      h.run_for(100 * sim::kMillisecond);
+      overlay.restart(1);
+    }
+    h.settle();
+    for (std::size_t b = 0; b < overlay.size(); ++b) {
+      out.fingerprints.push_back(
+          overlay.broker(b).routing_table().state_fingerprint());
+    }
+    pub.publish(Event().with("sym", "INIT").with("venue", "X"));
+    pub.publish(Event().with("sym", "ACME"));
+    h.settle();
+    return out;
+  };
+  const Outcome healed = run(true);
+  const Outcome oracle = run(false);
+  EXPECT_EQ(healed.fingerprints, oracle.fingerprints);
+  EXPECT_EQ(healed.broad, 1);
+  EXPECT_EQ(healed.narrow, 1);
+  EXPECT_EQ(healed.early, 1);
+  EXPECT_EQ(oracle.broad, 1);
+}
+
 /// Registers, delivers through and retracts one subscription across a
 /// two-broker chain whose brokers use `broker_config` and whose clients use
 /// `client_channel`; returns the subscriber's delivery count.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "pubsub/client.h"
 #include "pubsub/overlay.h"
@@ -130,6 +131,175 @@ TEST_P(OverlayProperty, UnsubscribeDrainsAllRoutingState) {
   for (const auto id : ids) extra->unsubscribe(id);
   scenario.sim.run_until(scenario.sim.now() + sim::kMinute);
   EXPECT_LT(scenario.overlay->total_table_size(), with_extra);
+}
+
+// --- same-instant control bursts ---------------------------------------------
+
+/// A seeded churn plan: a tree, client placement, and bursts of client
+/// subscription ops. A subscribe draws from a covering family (eq on a
+/// feed, that plus a stream, ge on a feed, exists), may repeat a filter
+/// already used, and a retraction often targets a subscription added
+/// earlier in the same burst.
+struct BurstPlan {
+  struct Op {
+    std::size_t client = 0;
+    std::optional<Filter> filter;  ///< set: subscribe this filter
+    std::size_t target = 0;        ///< unset: retract the target-th subscribe
+  };
+  std::size_t brokers = 0;
+  std::vector<std::size_t> placement;  ///< client -> broker index
+  std::vector<std::vector<Op>> bursts;
+  std::vector<sim::Time> gaps;  ///< sim time after each burst
+
+  explicit BurstPlan(std::uint64_t seed) {
+    util::Rng rng(seed ^ 0xb0b5);
+    brokers = 2 + rng.index(7);
+    const std::size_t clients = 3 + rng.index(6);
+    for (std::size_t c = 0; c < clients; ++c) {
+      placement.push_back(rng.index(brokers));
+    }
+    std::vector<Filter> used;
+    std::vector<std::size_t> owner;  // subscribe index -> client
+    std::vector<std::size_t> live;   // subscribe indices not yet retracted
+    for (int b = 0; b < 8; ++b) {
+      std::vector<Op> burst;
+      const std::size_t fresh_from = owner.size();
+      const std::size_t ops = 1 + rng.index(10);
+      for (std::size_t i = 0; i < ops; ++i) {
+        if (!live.empty() && rng.chance(0.35)) {
+          // Retract, preferring a subscription of this very burst.
+          std::size_t pick = rng.index(live.size());
+          if (live.back() >= fresh_from && rng.chance(0.6)) {
+            pick = live.size() - 1;
+          }
+          const std::size_t target = live[pick];
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+          burst.push_back(Op{owner[target], std::nullopt, target});
+          continue;
+        }
+        const std::size_t client = rng.index(clients);
+        Filter filter = !used.empty() && rng.chance(0.25)
+                            ? used[rng.index(used.size())]
+                            : covering_family_filter(rng);
+        used.push_back(filter);
+        live.push_back(owner.size());
+        owner.push_back(client);
+        burst.push_back(Op{client, std::move(filter), 0});
+      }
+      bursts.push_back(std::move(burst));
+      gaps.push_back(static_cast<sim::Time>(1 + rng.index(40)) *
+                     sim::kMillisecond);
+    }
+  }
+
+  static Filter covering_family_filter(util::Rng& rng) {
+    const auto feed = static_cast<std::int64_t>(rng.index(5));
+    switch (rng.index(4)) {
+      case 0: return Filter().and_(eq("feed", feed));
+      case 1: return Filter().and_(eq("feed", feed)).and_(eq("stream", "s"));
+      case 2: return Filter().and_(ge("feed", feed));
+      default: return Filter().and_(exists("feed"));
+    }
+  }
+};
+
+/// Outcome of one execution of a BurstPlan.
+struct BurstOutcome {
+  std::vector<std::string> fingerprints;  ///< per broker, at quiescence
+  std::map<SubscriptionId, int> deliveries;
+  std::map<SubscriptionId, int> expected;  ///< per live subscription
+};
+
+/// Runs `plan` issuing each burst in one instant (`same_instant`) or one
+/// op per instant, then publishes from every broker.
+BurstOutcome run_burst_plan(std::uint64_t seed, const BurstPlan& plan,
+                            bool same_instant) {
+  sim::Simulator sim;
+  sim::Network net(sim, Scenario::net_config(seed));
+  util::Rng tree_rng(seed);
+  Overlay overlay = Overlay::random_tree(sim, net, plan.brokers, tree_rng);
+  BurstOutcome out;
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::size_t c = 0; c < plan.placement.size(); ++c) {
+    clients.push_back(
+        std::make_unique<Client>(sim, net, "c" + std::to_string(c)));
+    clients.back()->connect(overlay.broker(plan.placement[c]));
+  }
+  std::vector<std::unique_ptr<Client>> publishers;
+  for (std::size_t b = 0; b < plan.brokers; ++b) {
+    publishers.push_back(
+        std::make_unique<Client>(sim, net, "p" + std::to_string(b)));
+    publishers.back()->connect(overlay.broker(b));
+  }
+  sim.run_until(sim.now() + sim::kMinute);
+
+  std::vector<SubscriptionId> ids;
+  std::map<SubscriptionId, Filter> live;
+  for (std::size_t b = 0; b < plan.bursts.size(); ++b) {
+    for (const BurstPlan::Op& op : plan.bursts[b]) {
+      Client& client = *clients[op.client];
+      if (op.filter) {
+        const SubscriptionId id = client.subscribe(
+            *op.filter, [&out](const Event&, SubscriptionId sub) {
+              ++out.deliveries[sub];
+            });
+        ids.push_back(id);
+        live.emplace(id, *op.filter);
+      } else {
+        client.unsubscribe(ids[op.target]);
+        live.erase(ids[op.target]);
+      }
+      if (!same_instant) sim.run_until(sim.now() + 1);
+    }
+    sim.run_until(sim.now() + plan.gaps[b]);
+  }
+  sim.run_until(sim.now() + sim::kMinute);
+  for (std::size_t b = 0; b < plan.brokers; ++b) {
+    out.fingerprints.push_back(
+        overlay.broker(b).routing_table().state_fingerprint());
+  }
+
+  util::Rng rng(seed ^ 0x9e7);
+  std::vector<Event> published;
+  for (int i = 0; i < 30; ++i) {
+    Event event = Event().with("feed", static_cast<std::int64_t>(rng.index(6)));
+    if (rng.chance(0.5)) event.with("stream", "s");
+    published.push_back(event);
+    publishers[rng.index(publishers.size())]->publish(std::move(event));
+  }
+  sim.run_until(sim.now() + sim::kMinute);
+  for (const auto& [id, filter] : live) {
+    out.expected[id] = static_cast<int>(std::count_if(
+        published.begin(), published.end(),
+        [&filter](const Event& e) { return filter.matches(e); }));
+  }
+  return out;
+}
+
+/// Coalescing is invisible at quiescence: bursts of subscribes, duplicates
+/// and same-burst retractions issued in one instant leave every broker in
+/// the state the same ops reach one per instant, and later events reach
+/// every live subscription exactly once.
+TEST_P(OverlayProperty, SameInstantBurstsConvergeToPerInstantState) {
+  const BurstPlan plan(GetParam());
+  const BurstOutcome burst = run_burst_plan(GetParam(), plan, true);
+  const BurstOutcome serial = run_burst_plan(GetParam(), plan, false);
+  ASSERT_EQ(burst.fingerprints.size(), serial.fingerprints.size());
+  for (std::size_t b = 0; b < burst.fingerprints.size(); ++b) {
+    EXPECT_EQ(burst.fingerprints[b], serial.fingerprints[b]) << "broker " << b;
+  }
+  for (const BurstOutcome* run : {&burst, &serial}) {
+    int expected_total = 0;
+    for (const auto& [id, count] : run->expected) {
+      const auto it = run->deliveries.find(id);
+      EXPECT_EQ(it == run->deliveries.end() ? 0 : it->second, count)
+          << "subscription " << id;
+      expected_total += count;
+    }
+    int total = 0;
+    for (const auto& [id, count] : run->deliveries) total += count;
+    EXPECT_EQ(total, expected_total);
+  }
 }
 
 // --- batch/engine equivalence on randomized filter/event sets ---------------
