@@ -47,8 +47,6 @@ struct Result {
 struct RunConfig {
   bool covering = true;
   std::string engine = std::string(pubsub::kDefaultEngine);
-  /// Broker::Config::flush_max_events; 1 = one wire message per event.
-  std::size_t flush_max_events = 0;
   std::size_t worker_threads = 0;
 };
 
@@ -63,7 +61,6 @@ Result run(const RunConfig& rc, std::size_t brokers, std::size_t subscribers,
   pubsub::Broker::Config broker_config;
   broker_config.covering_enabled = rc.covering;
   broker_config.matcher_engine = rc.engine;
-  broker_config.flush_max_events = rc.flush_max_events;
   broker_config.worker_threads = rc.worker_threads;
   pubsub::Overlay overlay(sim, net, broker_config);
   for (std::size_t i = 0; i < brokers; ++i) overlay.add_broker();
@@ -132,20 +129,11 @@ Result run(const RunConfig& rc, std::size_t brokers, std::size_t subscribers,
   return result;
 }
 
-// --- adaptive flush: latency vs throughput -----------------------------------
-
-struct FlushRow {
-  sim::Time delay = 0;
-  std::size_t max_events = 0;
-  std::size_t max_bytes = 0;
-};
+// --- flush delay: latency vs throughput --------------------------------------
 
 struct FlushResult {
   std::uint64_t event_wire_msgs = 0;
   std::uint64_t event_units = 0;
-  std::uint64_t flushes_by_events = 0;
-  std::uint64_t flushes_by_bytes = 0;
-  std::uint64_t flushes_by_delay = 0;
   std::uint64_t flushed_units = 0;
   sim::Time residence_total = 0;
   std::uint64_t deliveries = 0;
@@ -167,7 +155,7 @@ struct FlushResult {
 /// Paced traffic (one event per ms), where strict per-tick flushing has
 /// nothing to coalesce: every tick holds one event, so ev/msg pins at ~1
 /// and only a delay budget can trade residence for batching.
-FlushResult run_flush_sweep(const FlushRow& row, std::size_t brokers,
+FlushResult run_flush_sweep(sim::Time delay, std::size_t brokers,
                             std::size_t subscribers, std::size_t feeds,
                             int events) {
   sim::Simulator sim;
@@ -177,9 +165,7 @@ FlushResult run_flush_sweep(const FlushRow& row, std::size_t brokers,
   sim::Network net(sim, net_config);
 
   pubsub::Broker::Config broker_config;
-  broker_config.flush_max_delay_ticks = row.delay;
-  broker_config.flush_max_events = row.max_events;
-  broker_config.flush_max_bytes = row.max_bytes;
+  broker_config.flush_max_delay_ticks = delay;
   pubsub::Overlay overlay(sim, net, broker_config);
   for (std::size_t i = 0; i < brokers; ++i) overlay.add_broker();
   for (std::size_t i = 1; i < brokers; ++i) overlay.link(i - 1, i);
@@ -222,9 +208,6 @@ FlushResult run_flush_sweep(const FlushRow& row, std::size_t brokers,
   }
   for (std::size_t i = 0; i < brokers; ++i) {
     const pubsub::Broker::Stats& stats = overlay.broker(i).stats();
-    result.flushes_by_events += stats.flushes_by_events;
-    result.flushes_by_bytes += stats.flushes_by_bytes;
-    result.flushes_by_delay += stats.flushes_by_delay;
     result.flushed_units += stats.flushed_units;
     result.residence_total += stats.residence_ticks_total;
   }
@@ -473,35 +456,26 @@ int main() {
   // --- engine x batching: wire traffic on the event path -------------------
   std::printf("\n=== engine x batching: event-path wire traffic ===\n");
   std::printf("chain of 8 brokers, 100 subscribers, 500 events in bursts "
-              "of 10; flush_max_events 1 sends every event alone\n\n");
-  std::printf("  %-12s %-8s %12s %12s %10s %12s %12s\n", "engine",
-              "max ev", "wire msgs", "events", "ev/msg", "bytes",
-              "deliveries");
-  std::printf("  %s\n", std::string(84, '-').c_str());
+              "of 10; events = the logical events those wire messages "
+              "carry, one message each if nothing were coalesced\n\n");
+  std::printf("  %-12s %12s %12s %10s %12s %12s\n", "engine", "wire msgs",
+              "events", "ev/msg", "bytes", "deliveries");
+  std::printf("  %s\n", std::string(75, '-').c_str());
   for (const std::string_view name : pubsub::kBuiltinEngines) {
     const std::string engine(name);
-    for (const std::size_t max_events : {std::size_t{0}, std::size_t{1}}) {
-      const Result r = run(
-          RunConfig{.engine = engine, .flush_max_events = max_events}, 8,
-          100, 60, 0.0);
-      std::printf("  %-12s %-8s %12s %12s %10.1f %12s %12s\n",
-                  engine.c_str(),
-                  max_events == 0 ? "unlim" : "1",
-                  reef::util::with_commas(r.event_wire_msgs).c_str(),
-                  reef::util::with_commas(r.event_units).c_str(),
-                  r.event_wire_msgs == 0
-                      ? 0.0
-                      : static_cast<double>(r.event_units) /
-                            static_cast<double>(r.event_wire_msgs),
-                  reef::util::with_commas(r.event_bytes).c_str(),
-                  reef::util::with_commas(r.deliveries).c_str());
-    }
+    const Result r = run(RunConfig{.engine = engine}, 8, 100, 60, 0.0);
+    std::printf("  %-12s %12s %12s %10.1f %12s %12s\n", engine.c_str(),
+                reef::util::with_commas(r.event_wire_msgs).c_str(),
+                reef::util::with_commas(r.event_units).c_str(),
+                r.event_wire_msgs == 0
+                    ? 0.0
+                    : static_cast<double>(r.event_units) /
+                          static_cast<double>(r.event_wire_msgs),
+                reef::util::with_commas(r.event_bytes).c_str(),
+                reef::util::with_commas(r.deliveries).c_str());
   }
   std::printf("\n  engines agree on deliveries; per-tick batching collapses "
-              "the per-event wire messages (ev/msg > 1). With settled "
-              "subscriptions (as here) deliveries match the one-event "
-              "budget; only events racing a subscription within one tick "
-              "may differ.\n");
+              "the per-event wire messages (ev/msg > 1).\n");
 
   // --- worker split: worker sweep -----------------------------------------
   std::printf("\n=== worker split: worker sweep ===\n");
@@ -534,48 +508,36 @@ int main() {
               "single wire message or delivery (a difference is a hard "
               "failure).\n");
 
-  // --- adaptive flush: latency vs throughput -------------------------------
-  std::printf("\n=== adaptive flush: latency vs throughput sweep ===\n");
+  // --- flush delay: latency vs throughput ---------------------------------
+  std::printf("\n=== flush delay: latency vs throughput sweep ===\n");
   std::printf("chain of 4 brokers, 60 subscribers, 400 events paced 1/ms "
               "(per-tick flushing has nothing to coalesce here)\n\n");
-  std::printf("  %-10s %-7s %-9s | %10s %7s %7s %7s %9s %14s %11s\n",
-              "delay", "max_ev", "max_bytes", "wire msgs", "ev/msg",
-              "fl_ev", "fl_by", "fl_delay", "res(ticks)", "deliveries");
-  std::printf("  %s\n", std::string(106, '-').c_str());
+  std::printf("  %-10s | %10s %7s %14s %11s\n", "delay", "wire msgs",
+              "ev/msg", "res(ticks)", "deliveries");
+  std::printf("  %s\n", std::string(60, '-').c_str());
   double prev_residence = -1.0;
   bool residence_monotone = true;
   std::uint64_t first_deliveries = 0;
   bool first_row_seen = false;
   bool deliveries_identical = true;
-  for (const FlushRow& row :
-       {FlushRow{0, 0, 0}, FlushRow{1 * sim::kMillisecond, 0, 0},
-        FlushRow{5 * sim::kMillisecond, 0, 0},
-        FlushRow{20 * sim::kMillisecond, 0, 0},
-        FlushRow{20 * sim::kMillisecond, 8, 0},
-        FlushRow{20 * sim::kMillisecond, 0, 600}}) {
-    const FlushResult r = run_flush_sweep(row, 4, 60, 30, 400);
+  for (const sim::Time delay :
+       {sim::Time{0}, 1 * sim::kMillisecond, 5 * sim::kMillisecond,
+        20 * sim::kMillisecond}) {
+    const FlushResult r = run_flush_sweep(delay, 4, 60, 30, 400);
     char delay_label[24];
     std::snprintf(delay_label, sizeof(delay_label), "%lldms",
-                  static_cast<long long>(row.delay / sim::kMillisecond));
-    std::printf("  %-10s %-7zu %-9zu | %10s %7.1f %7s %7s %9s %14.0f %11s\n",
-                delay_label, row.max_events, row.max_bytes,
+                  static_cast<long long>(delay / sim::kMillisecond));
+    std::printf("  %-10s | %10s %7.1f %14.0f %11s\n", delay_label,
                 reef::util::with_commas(r.event_wire_msgs).c_str(),
-                r.ev_per_msg(),
-                reef::util::with_commas(r.flushes_by_events).c_str(),
-                reef::util::with_commas(r.flushes_by_bytes).c_str(),
-                reef::util::with_commas(r.flushes_by_delay).c_str(),
-                r.mean_residence(),
+                r.ev_per_msg(), r.mean_residence(),
                 reef::util::with_commas(r.deliveries).c_str());
-    // Residence must tighten monotonically with the delay budget across
-    // the pure-delay rows (the first four), and flush budgets must never
-    // change a delivery; both are hard failures (nonzero exit), so a
+    // Residence must grow monotonically with the delay, and the delay must
+    // never change a delivery; both are hard failures (nonzero exit), so a
     // regression fails CI instead of hiding in the report artifact.
-    if (row.max_events == 0 && row.max_bytes == 0) {
-      if (prev_residence >= 0.0 && r.mean_residence() < prev_residence) {
-        residence_monotone = false;
-      }
-      prev_residence = r.mean_residence();
+    if (prev_residence >= 0.0 && r.mean_residence() < prev_residence) {
+      residence_monotone = false;
     }
+    prev_residence = r.mean_residence();
     if (!first_row_seen) {
       first_deliveries = r.deliveries;
       first_row_seen = true;
@@ -585,9 +547,8 @@ int main() {
   }
   std::printf("\n  residence (mean ticks an event waits in a broker before "
               "its batch is cut) %s monotonically as the delay budget "
-              "loosens, buying ev/msg; the event/byte budgets cap batch "
-              "size inside the delay window — deliveries are identical on "
-              "every row.\n",
+              "loosens, buying ev/msg — deliveries are identical on every "
+              "row.\n",
               residence_monotone ? "grows" : "DOES NOT GROW (REGRESSION!)");
 
   // --- bm_deliver_topk: scored top-k delivery sweep ------------------------

@@ -15,7 +15,7 @@ namespace {
 
 /// Forwards the broker's routing/matching knobs into the routing core.
 /// Field-by-field (not positional) so the two Config structs can evolve
-/// independently; the flush budgets stay broker-local — the table never
+/// independently; the flush delay stays broker-local — the table never
 /// touches the network.
 RoutingTable::Config make_table_config(const Broker::Config& config) {
   RoutingTable::Config table;
@@ -187,9 +187,7 @@ void Broker::heartbeat_tick() {
     net_.send(id_, neighbor, std::string(kTypeHeartbeat), HeartbeatMsg{},
               kHeartbeatWireBytes);
   }
-  const sim::Time timeout = config_.suspicion_timeout > 0
-                                ? config_.suspicion_timeout
-                                : 4 * config_.heartbeat_period;
+  const sim::Time timeout = 4 * config_.heartbeat_period;
   for (const sim::NodeId neighbor : neighbors_) {
     if (quarantined_.contains(neighbor)) continue;
     if (sim_.now() - last_heard_[neighbor] > timeout) {
@@ -330,8 +328,9 @@ void Broker::select_deliveries(
   // Pass 1: collect, per (client, subscription) with a non-neutral policy,
   // the scored candidates of this publication batch — the top-k window.
   // The window is the wire-message batch, so its composition depends only
-  // on what the publisher framed together, never on engine, worker count,
-  // or flush-budget choices (see docs/ARCHITECTURE.md "Scored delivery").
+  // on what the sender framed together, never on engine or worker count;
+  // an upstream flush delay that merges publications merges windows (see
+  // docs/ARCHITECTURE.md "Scored delivery").
   // Sorting by (client, subscription, event) lays each window out as one
   // run, its candidates in ascending event order.
   struct Candidate {
@@ -397,26 +396,9 @@ void Broker::select_deliveries(
   std::sort(suppressed_.begin(), suppressed_.end());
 }
 
-// --- adaptive output coalescing ----------------------------------------------
+// --- output coalescing -------------------------------------------------------
 
-std::optional<Broker::FlushCause> Broker::tripped_budget(
-    std::size_t events, std::size_t bytes) const {
-  if (config_.flush_max_events != 0 && events >= config_.flush_max_events) {
-    return FlushCause::kEvents;
-  }
-  if (config_.flush_max_bytes != 0 && bytes >= config_.flush_max_bytes) {
-    return FlushCause::kBytes;
-  }
-  return std::nullopt;
-}
-
-void Broker::note_flush(FlushCause cause, std::size_t units,
-                        sim::Time enqueue_time_sum) {
-  switch (cause) {
-    case FlushCause::kEvents: ++stats_.flushes_by_events; break;
-    case FlushCause::kBytes: ++stats_.flushes_by_bytes; break;
-    case FlushCause::kDelay: ++stats_.flushes_by_delay; break;
-  }
+void Broker::note_flush(std::size_t units, sim::Time enqueue_time_sum) {
   stats_.flushed_units += units;
   stats_.residence_ticks_total +=
       static_cast<sim::Time>(units) * sim_.now() - enqueue_time_sum;
@@ -425,21 +407,8 @@ void Broker::note_flush(FlushCause cause, std::size_t units,
 void Broker::enqueue_publish(sim::NodeId neighbor, const Event& event) {
   ++stats_.pubs_forwarded;
   PendingPubs& pending = pending_pubs_[neighbor];
-  pending.bytes += publish_entry_wire_size(event);
   pending.enqueue_time_sum += sim_.now();
   pending.events.push_back(event);
-  if (const auto cause =
-          tripped_budget(pending.events.size(), pending.bytes)) {
-    // Budget trip: this interface's batch leaves mid-tick, synchronously.
-    // Extract before sending so a re-entrant enqueue (there is none today —
-    // sends deliver asynchronously — but the invariant is cheap) starts a
-    // fresh batch.
-    auto node = pending_pubs_.extract(neighbor);
-    PendingPubs& full = node.mapped();
-    note_flush(*cause, full.events.size(), full.enqueue_time_sum);
-    send_publishes(neighbor, std::move(full.events));
-    return;
-  }
   schedule_flush();
 }
 
@@ -448,18 +417,9 @@ void Broker::enqueue_delivery(sim::NodeId client, const Event& event,
                               std::vector<double> scores) {
   ++stats_.deliveries;
   PendingDelivers& pending = pending_delivers_[client];
-  DeliverMsg item{event, std::move(subs), std::move(scores)};
-  pending.bytes += deliver_entry_wire_size(item);
   pending.enqueue_time_sum += sim_.now();
-  pending.items.push_back(std::move(item));
-  if (const auto cause =
-          tripped_budget(pending.items.size(), pending.bytes)) {
-    auto node = pending_delivers_.extract(client);
-    PendingDelivers& full = node.mapped();
-    note_flush(*cause, full.items.size(), full.enqueue_time_sum);
-    send_deliveries(client, std::move(full.items));
-    return;
-  }
+  pending.items.push_back(
+      DeliverMsg{event, std::move(subs), std::move(scores)});
   schedule_flush();
 }
 
@@ -469,8 +429,8 @@ void Broker::schedule_flush() {
   // after every already-queued event for this instant — i.e. after all
   // publications arriving this tick have been matched — so one wire
   // message carries the whole tick's output (the per-tick baseline). With
-  // a delay budget the timer is armed by the oldest pending event and
-  // later arrivals ride along, so no event waits longer than the budget.
+  // a delay the timer is armed by the oldest pending event and later
+  // arrivals ride along, so no event waits longer than the delay.
   flush_scheduled_ = true;
   sim_.after(config_.flush_max_delay_ticks, [this] { flush_pending(); });
 }
@@ -481,18 +441,15 @@ void Broker::flush_pending() {
   // Drain by moving the maps out so the flush (and the maps' memory) stay
   // proportional to this window's destinations, not every interface ever
   // sent to. Nothing re-enters the pending maps during the loop — sends
-  // deliver asynchronously. The maps can be empty: a budget trip may have
-  // drained everything since the timer was armed.
+  // deliver asynchronously.
   auto pubs = std::exchange(pending_pubs_, {});
   for (auto& [neighbor, pending] : pubs) {
-    note_flush(FlushCause::kDelay, pending.events.size(),
-               pending.enqueue_time_sum);
+    note_flush(pending.events.size(), pending.enqueue_time_sum);
     send_publishes(neighbor, std::move(pending.events));
   }
   auto delivers = std::exchange(pending_delivers_, {});
   for (auto& [client, pending] : delivers) {
-    note_flush(FlushCause::kDelay, pending.items.size(),
-               pending.enqueue_time_sum);
+    note_flush(pending.items.size(), pending.enqueue_time_sum);
     send_deliveries(client, std::move(pending.items));
   }
 }

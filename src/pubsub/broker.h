@@ -6,44 +6,39 @@
 // the Broker is a thin adapter that decodes protocol messages, feeds the
 // table, and ships the table's answers over the simulated network.
 //
-// Publications crossing the broker are *coalesced per interface* under an
-// adaptive flush policy: instead of one wire message per event, everything
+// Publications crossing the broker are *coalesced per interface* until the
+// flush timer fires: instead of one wire message per event, everything
 // bound for the same neighbor (or client) leaves in a single
 // PublishBatchMsg / DeliverBatchMsg, and inbound batches are matched
 // through the amortized Matcher::match_batch path.
 //
-// ## Flush-policy invariants (Config::flush_max_{events,bytes,delay_ticks})
+// ## Flush-policy invariants (Config::flush_max_delay_ticks)
 //
-// When a pending per-interface batch is flushed is governed by three
-// budgets; *what* it contains is not:
+// Pending per-interface output leaves on the flush timer only; the delay
+// budget decides *when*, never *what*:
 //
-//   1. Delivery sets are budget-independent. A budget decides only how
-//      pending output is cut into wire messages and when they leave; every
-//      (event, interface, subscription) delivery the match sets imply is
-//      eventually sent exactly once, in enqueue order per interface, for
-//      every budget setting. (One caveat inherited from per-tick batching:
-//      holding an event longer can let it race a subscription change
-//      in flight — pub/sub gives no ordering guarantee in that window.
-//      With settled subscriptions, delivery sets are identical across all
-//      budgets; the differential fuzz harness holds this.)
-//   2. Output is order-canonical. Timer-driven flushes visit pending
-//      interfaces in interface-id order and client matched-sub lists are
-//      sorted, so any two configurations that produce the same batch
-//      boundaries produce byte-identical wire traffic. Budget trips flush
-//      mid-tick — synchronously, at the enqueue that tripped the budget —
-//      which is deterministic too: enqueues happen in interface-id order
-//      per matched event.
-//   3. flush_max_delay_ticks = 0 with unlimited event/byte budgets is
-//      exactly the per-tick coalescing of PR 1-4: the flush runs at the
-//      current instant after every already-queued arrival (the Simulator
-//      guarantees same-instant FIFO), so one wire message carries the
-//      whole tick's output, byte for byte as before.
-//   4. Every flush is attributed to exactly one cause in Stats
-//      (flushes_by_events / flushes_by_bytes / flushes_by_delay; the event
-//      budget wins when both size budgets trip on the same enqueue), and
-//      per-event residence (flush time minus enqueue time, in sim clock
-//      ticks) accumulates in residence_ticks_total — the bench's
-//      latency-vs-throughput sweep reads both.
+//   1. Delivery sets are delay-independent. Every (event, interface,
+//      subscription) delivery the match sets imply is eventually sent
+//      exactly once, in enqueue order per interface, for every delay.
+//      (One caveat inherited from per-tick batching: holding an event
+//      longer can let it race a subscription change in flight — pub/sub
+//      gives no ordering guarantee in that window. With settled
+//      subscriptions, delivery sets are identical across all delays; the
+//      differential fuzz harness holds this.) Scored top-k windows are the
+//      exception: a window is one inbound wire message, so a delay that
+//      merges publications upstream can merge windows downstream.
+//   2. Output is order-canonical. The flush visits pending interfaces in
+//      interface-id order and client matched-sub lists are sorted, so any
+//      two configurations that produce the same batch boundaries produce
+//      byte-identical wire traffic.
+//   3. flush_max_delay_ticks = 0 is exactly the per-tick coalescing of
+//      PR 1-4: the flush runs at the current instant after every
+//      already-queued arrival (the Simulator guarantees same-instant
+//      FIFO), so one wire message per interface carries the whole tick's
+//      output, byte for byte as before.
+//   4. Per-event residence (flush time minus enqueue time, in sim clock
+//      ticks) accumulates in residence_ticks_total over flushed_units —
+//      the bench's latency-vs-throughput sweep reads both.
 //
 // ## Control-plane coalescing (one refresh pass per instant)
 //
@@ -70,7 +65,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -110,20 +104,7 @@ class Broker final : public sim::Node {
     /// path (the neutral property the fuzz tier pins); only non-neutral
     /// specs attach scores and can suppress deliveries.
     bool scoring_enabled = false;
-    /// Adaptive flush: a pending per-interface batch is sent as soon as it
-    /// holds this many events (0 = unlimited). Trips mid-tick: the wire
-    /// message leaves synchronously at the enqueue that filled the batch,
-    /// bounding batch size under heavy fan-in at the cost of more
-    /// messages. 1 sends every event the moment it is routed, in its own
-    /// wire message (no coalescing at all). See the flush-policy
-    /// invariants above.
-    std::size_t flush_max_events = 0;
-    /// Adaptive flush: byte-budget twin of flush_max_events, metered with
-    /// the shared batch wire-size accounting in messages.h (batch header
-    /// plus per-entry framing). A pending batch is sent as soon as its
-    /// wire size reaches this budget (0 = unlimited).
-    std::size_t flush_max_bytes = 0;
-    /// Adaptive flush: how long (in sim clock ticks, i.e. sim::Time
+    /// The one flush rule: how long (in sim clock ticks, i.e. sim::Time
     /// microseconds) pending output may wait for more arrivals before the
     /// timer-driven flush sends it. 0 = flush at the end of the current
     /// instant — the strict per-tick coalescing of PR 1-4 and the
@@ -133,7 +114,7 @@ class Broker final : public sim::Node {
     /// trade). The deadline is armed when output goes pending with no
     /// timer in flight, so it is a *max* residence bound: later arrivals
     /// ride an already-armed timer and wait at most the remainder of its
-    /// window, never longer than the budget.
+    /// window, never longer than the delay.
     sim::Time flush_max_delay_ticks = 0;
     /// The control channel every subscription op goes through. With
     /// `control.enabled`, subscription traffic (broker-broker and
@@ -145,13 +126,11 @@ class Broker final : public sim::Node {
     /// Client::enable_reliable_control.
     ReliableChannel::Config control;
     /// Neighbor-liveness heartbeat period; 0 (default) disables
-    /// heartbeats and suspicion entirely.
+    /// heartbeats and suspicion entirely. A neighbor silent for more than
+    /// four periods is suspected and its routes quarantined (data-plane
+    /// traffic stops being forwarded into the black hole; control traffic
+    /// keeps retransmitting). Any message from the neighbor un-quarantines.
     sim::Time heartbeat_period = 0;
-    /// How long a neighbor may stay silent before it is suspected and its
-    /// routes quarantined (data-plane traffic stops being forwarded into
-    /// the black hole; control traffic keeps retransmitting). 0 = four
-    /// heartbeat periods. Any message from the neighbor un-quarantines.
-    sim::Time suspicion_timeout = 0;
   };
 
   struct Stats {
@@ -172,10 +151,7 @@ class Broker final : public sim::Node {
     std::uint64_t suppressed_by_k = 0;
     /// Candidate deliveries scoring below a subscription's min_score.
     std::uint64_t suppressed_by_threshold = 0;
-    // --- adaptive-flush introspection (see the flush-policy invariants) ---
-    std::uint64_t flushes_by_events = 0; ///< wire msgs sent on the event budget
-    std::uint64_t flushes_by_bytes = 0;  ///< wire msgs sent on the byte budget
-    std::uint64_t flushes_by_delay = 0;  ///< wire msgs sent by the flush timer
+    // --- flush introspection (see the flush-policy invariants) ---
     /// Logical units (events / deliveries) flushed, denominating
     /// residence_ticks_total.
     std::uint64_t flushed_units = 0;
@@ -314,26 +290,18 @@ class Broker final : public sim::Node {
   /// The coalesced pass: one refresh_neighbor per dirty neighbor.
   void refresh_dirty();
 
-  // --- adaptive output coalescing ---
-  /// Why a pending batch left the broker; each sent wire message is
-  /// attributed to exactly one cause in Stats.
-  enum class FlushCause { kEvents, kBytes, kDelay };
-
-  /// Pending per-interface output plus the bookkeeping the flush budgets
-  /// need: the running batch wire size (incrementally maintained with the
-  /// shared per-entry accounting in messages.h; Event::wire_size() is a
-  /// cached field read) and the sum of enqueue times (residence of n units
-  /// flushed at time t is n*t - enqueue_sum). The queued Events and
-  /// DeliverMsgs are handles sharing the publication's one attribute
-  /// block, so pending output holds no private copy of any event.
+  // --- output coalescing ---
+  /// Pending per-interface output plus the sum of its enqueue times
+  /// (residence of n units flushed at time t is n*t - enqueue_sum). The
+  /// queued Events and DeliverMsgs are handles sharing the publication's
+  /// one attribute block, so pending output holds no private copy of any
+  /// event.
   struct PendingPubs {
     std::vector<Event> events;
-    std::size_t bytes = kBatchHeaderBytes;
     sim::Time enqueue_time_sum = 0;
   };
   struct PendingDelivers {
     std::vector<DeliverMsg> items;
-    std::size_t bytes = kBatchHeaderBytes;
     sim::Time enqueue_time_sum = 0;
   };
 
@@ -343,14 +311,9 @@ class Broker final : public sim::Node {
   void enqueue_delivery(sim::NodeId client, const Event& event,
                         std::vector<SubscriptionId> subs,
                         std::vector<double> scores = {});
-  /// The size budget an enqueue just tripped, if any (event budget wins
-  /// when both trip).
-  std::optional<FlushCause> tripped_budget(std::size_t events,
-                                           std::size_t bytes) const;
-  /// Accounts cause + residence for one outgoing batch of `units` logical
-  /// units whose enqueue times sum to `enqueue_time_sum`.
-  void note_flush(FlushCause cause, std::size_t units,
-                  sim::Time enqueue_time_sum);
+  /// Accounts residence for one outgoing batch of `units` logical units
+  /// whose enqueue times sum to `enqueue_time_sum`.
+  void note_flush(std::size_t units, sim::Time enqueue_time_sum);
   void schedule_flush();
   void flush_pending();
   void send_publishes(sim::NodeId neighbor, std::vector<Event> events);
@@ -381,8 +344,7 @@ class Broker final : public sim::Node {
   /// Events awaiting the timer-driven flush, per destination interface.
   /// Ordered maps so the flush emits wire messages in interface order —
   /// part of the engine- and scheduling-independent output contract (see
-  /// route_event). A budget trip extracts and sends a single interface's
-  /// entry mid-tick.
+  /// route_event).
   std::map<sim::NodeId, PendingPubs> pending_pubs_;
   std::map<sim::NodeId, PendingDelivers> pending_delivers_;
   bool flush_scheduled_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "util/log.h"
@@ -24,6 +25,10 @@ Client::Client(sim::Simulator& sim, sim::Network& net, std::string name)
 }
 
 void Client::enable_reliable_control(ReliableChannel::Config config) {
+  if (next_sub_ != 1) {
+    throw std::logic_error(name_ +
+                           ": enable_reliable_control after subscribe");
+  }
   channel_.configure(config);
 }
 

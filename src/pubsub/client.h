@@ -41,10 +41,12 @@ class Client final : public sim::Node {
 
   /// Configures the control channel every subscribe/unsubscribe goes
   /// through; `config.enabled` puts that traffic on the reliable stream
-  /// (pass the broker's Broker::Config::control to match it). Call
-  /// before the first subscribe/unsubscribe. Also arms the client's side
-  /// of broker-restart recovery: on a resync request from a restarted
-  /// broker the client replays its full live subscription set.
+  /// (pass the broker's Broker::Config::control to match it). Also arms
+  /// the client's side of broker-restart recovery: on a resync request
+  /// from a restarted broker the client replays its full live
+  /// subscription set. Throws std::logic_error once the client has
+  /// subscribed: subscriptions made before it would be missing from
+  /// every later replay.
   void enable_reliable_control(ReliableChannel::Config config);
 
   /// Registers `filter`; `handler` (optional) runs on each delivery.
@@ -83,10 +85,10 @@ class Client final : public sim::Node {
   std::uint64_t deliveries() const noexcept { return deliveries_; }
   /// DeliverBatchMsg wire messages received (their events are unpacked
   /// into the normal per-subscription handler/inbox path). How the broker
-  /// cuts deliveries into wire messages is a function of its flush
-  /// budgets (Broker::Config::flush_max_{events,bytes,delay_ticks}) —
-  /// clients observe the same deliveries in the same per-interface order
-  /// under every budget, only the framing and timing differ.
+  /// cuts deliveries into wire messages is a function of its flush delay
+  /// (Broker::Config::flush_max_delay_ticks) — clients observe the same
+  /// deliveries in the same per-interface order under every delay, only
+  /// the framing and timing differ.
   std::uint64_t batches_received() const noexcept { return batches_received_; }
   std::uint64_t published() const noexcept { return published_; }
   std::size_t active_subscriptions() const noexcept {

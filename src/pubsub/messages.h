@@ -99,10 +99,7 @@ struct HeartbeatMsg {};
 /// Wire-size accounting, shared by every sender so all paths meter the
 /// same encoding. Batch messages carry an 8-byte batch header plus 2 bytes
 /// of per-entry framing; single-event messages carry an 8-byte message
-/// header instead. The broker's byte-budget flush policy
-/// (Broker::Config::flush_max_bytes) meters pending output with the
-/// per-entry sizes below, so a budget of B bytes bounds the batch wire
-/// size at B plus one entry.
+/// header instead.
 inline constexpr std::size_t kBatchHeaderBytes = 8;
 
 /// Per-entry cost of one event inside a PublishBatchMsg.

@@ -57,7 +57,7 @@ void ReliableChannel::on_timeout(sim::NodeId peer, std::uint64_t gen) {
     transmit(peer, msg);
     ++stats_.retransmits;
   }
-  state.timeout = std::min(state.timeout * 2, config_.retransmit_timeout_max);
+  state.timeout = std::min(state.timeout * 2, kMaxRetransmitTimeout);
   arm_timer(peer, state);
 }
 

@@ -40,11 +40,13 @@ class ReliableChannel {
     /// Off by default: each op is sent once, unsequenced and unacked,
     /// under its kind's type tag.
     bool enabled = false;
-    /// Initial retransmission timeout; doubles per retry (binary backoff).
+    /// Initial retransmission timeout; doubles per retry (binary backoff)
+    /// up to kMaxRetransmitTimeout.
     sim::Time retransmit_timeout = 50 * sim::kMillisecond;
-    /// Backoff cap.
-    sim::Time retransmit_timeout_max = sim::kSecond;
   };
+
+  /// Backoff cap of the retransmission timeout.
+  static constexpr sim::Time kMaxRetransmitTimeout = sim::kSecond;
 
   struct Stats {
     std::uint64_t ctrl_sent = 0;        ///< first transmissions

@@ -96,8 +96,8 @@ class Network {
   /// message was dropped at send time (unknown destination).
   ///
   /// Safe to call from inside handle_message, including for the instant
-  /// currently executing (intra-tick emission — the broker's
-  /// budget-tripped flushes send mid-tick this way). Jitter is drawn per
+  /// currently executing (intra-tick emission — control-op sends from
+  /// handle_message, such as a resync reply or an ack). Jitter is drawn per
   /// send from one deterministic stream, so two runs issuing the same
   /// sends in the same order see identical delivery times.
   ///

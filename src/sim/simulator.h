@@ -12,8 +12,8 @@
 //     every arrival of the tick before cutting wire messages.
 //   - Intra-tick emission: a callback may schedule more work (including
 //     zero-delay sends) for the instant it is running in; the queue is
-//     live. The broker's budget-tripped flushes emit wire messages
-//     mid-tick this way, from inside handle_message.
+//     live. Control-op sends from inside handle_message (a broker's
+//     resync reply, the reliable channel's acks) go out this way.
 #pragma once
 
 #include <cstdint>

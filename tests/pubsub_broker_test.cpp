@@ -474,30 +474,6 @@ TEST(Broker, SameTickPublicationsCoalesceIntoBatches) {
   EXPECT_EQ(sub.batches_received(), 1u);
 }
 
-TEST(Broker, EventBudgetOfOneSendsOneMessagePerEvent) {
-  Broker::Config config;
-  config.flush_max_events = 1;
-  Harness h;
-  Overlay overlay = Overlay::chain(h.sim, h.net, 2, config);
-  Client pub(h.sim, h.net, "pub");
-  Client sub(h.sim, h.net, "sub");
-  pub.connect(overlay.broker(0));
-  sub.connect(overlay.broker(1));
-  int got = 0;
-  sub.subscribe(stock("A"), [&](const Event&, SubscriptionId) { ++got; });
-  h.settle();
-  for (int i = 0; i < 10; ++i) {
-    pub.publish(Event().with("sym", "A").with("seq", i));
-  }
-  h.settle();
-  EXPECT_EQ(got, 10);
-  const Broker::Stats& b0 = overlay.broker(0).stats();
-  EXPECT_EQ(b0.pubs_forwarded, 10u);
-  EXPECT_EQ(b0.pub_msgs_sent, 10u);
-  EXPECT_EQ(h.net.messages_by_type().get(std::string(kTypePublishBatch)),
-            0u);
-}
-
 TEST(Broker, ClientPublishBatchFlowsThroughBatchMatchPath) {
   Harness h;
   Overlay overlay = Overlay::chain(h.sim, h.net, 2);
@@ -587,12 +563,12 @@ TEST(Broker, EveryDeliveryOfAPublicationSharesItsAttributeBlock) {
   }
 }
 
-// --- adaptive flush budgets --------------------------------------------------
+// --- flush timer -------------------------------------------------------------
 
-TEST(BrokerFlush, DefaultConfigFlushesPerTickWithDelayCause) {
-  // The ablation baseline: delay budget 0, size budgets unlimited — the
-  // whole tick's output leaves in one message, attributed to the timer,
-  // with zero residence (nothing ever waits past its arrival instant).
+TEST(BrokerFlush, DefaultConfigFlushesPerTick) {
+  // The ablation baseline: delay 0 — the whole tick's output leaves in one
+  // message per interface, with zero residence (nothing ever waits past
+  // its arrival instant).
   Harness h;
   Overlay overlay = Overlay::chain(h.sim, h.net, 2);
   Client pub(h.sim, h.net, "pub");
@@ -609,77 +585,11 @@ TEST(BrokerFlush, DefaultConfigFlushesPerTickWithDelayCause) {
   EXPECT_EQ(got, 10);
   const Broker::Stats& b0 = overlay.broker(0).stats();
   EXPECT_EQ(b0.pub_msgs_sent, 1u);
-  EXPECT_EQ(b0.flushes_by_delay, 1u);
-  EXPECT_EQ(b0.flushes_by_events, 0u);
-  EXPECT_EQ(b0.flushes_by_bytes, 0u);
   EXPECT_EQ(b0.flushed_units, 10u);
   EXPECT_EQ(b0.residence_ticks_total, 0);
-}
-
-TEST(BrokerFlush, EventBudgetSplitsSameTickOutputMidTick) {
-  Broker::Config config;
-  config.flush_max_events = 3;
-  Harness h;
-  Overlay overlay = Overlay::chain(h.sim, h.net, 2, config);
-  Client pub(h.sim, h.net, "pub");
-  Client sub(h.sim, h.net, "sub");
-  pub.connect(overlay.broker(0));
-  sub.connect(overlay.broker(1));
-  int got = 0;
-  sub.subscribe(stock("A"), [&](const Event&, SubscriptionId) { ++got; });
-  h.settle();
-  // Ten same-tick matches: the budget trips at 3, 3, 3 (mid-tick,
-  // synchronous) and the end-of-tick timer carries the final 1.
-  for (int i = 0; i < 10; ++i) {
-    pub.publish(Event().with("sym", "A").with("seq", i));
-  }
-  h.settle();
-  EXPECT_EQ(got, 10);
-  const Broker::Stats& b0 = overlay.broker(0).stats();
-  EXPECT_EQ(b0.pubs_forwarded, 10u);
-  EXPECT_EQ(b0.pub_msgs_sent, 4u);
-  EXPECT_EQ(b0.flushes_by_events, 3u);
-  EXPECT_EQ(b0.flushes_by_bytes, 0u);
-  EXPECT_EQ(b0.flushes_by_delay, 1u);
-  // Three 3-event batch messages; the final single event goes as a plain
-  // PublishMsg (no batch framing for one event).
-  EXPECT_EQ(h.net.messages_by_type().get(std::string(kTypePublishBatch)),
-            3u);
-  EXPECT_EQ(h.net.units_by_type().get(std::string(kTypePublishBatch)), 9u);
-  // The downstream broker's deliveries split the same way.
   const Broker::Stats& b1 = overlay.broker(1).stats();
-  EXPECT_EQ(b1.deliveries, 10u);
-  EXPECT_EQ(b1.flushes_by_events, 3u);
-  EXPECT_EQ(sub.batches_received(), 3u);
-}
-
-TEST(BrokerFlush, ByteBudgetSplitsSameTickOutputMidTick) {
-  Broker::Config config;
-  config.flush_max_bytes = 1;  // every entry trips the budget immediately
-  Harness h;
-  Overlay overlay = Overlay::chain(h.sim, h.net, 2, config);
-  Client pub(h.sim, h.net, "pub");
-  Client sub(h.sim, h.net, "sub");
-  pub.connect(overlay.broker(0));
-  sub.connect(overlay.broker(1));
-  int got = 0;
-  sub.subscribe(stock("A"), [&](const Event&, SubscriptionId) { ++got; });
-  h.settle();
-  for (int i = 0; i < 5; ++i) {
-    pub.publish(Event().with("sym", "A").with("seq", i));
-  }
-  h.settle();
-  EXPECT_EQ(got, 5);
-  const Broker::Stats& b0 = overlay.broker(0).stats();
-  EXPECT_EQ(b0.pub_msgs_sent, 5u);
-  EXPECT_EQ(b0.flushes_by_bytes, 5u);
-  EXPECT_EQ(b0.flushes_by_events, 0u);
-  EXPECT_EQ(b0.flushes_by_delay, 0u);
-  // Deliveries and traffic are identical to the batched run, only the
-  // framing differs: single-event messages, no batch framing.
-  EXPECT_EQ(h.net.messages_by_type().get(std::string(kTypePublishBatch)),
-            0u);
-  EXPECT_EQ(overlay.broker(1).stats().flushes_by_bytes, 5u);
+  EXPECT_EQ(b1.deliver_msgs_sent, 1u);
+  EXPECT_EQ(b1.flushed_units, 10u);
 }
 
 TEST(BrokerFlush, DelayBudgetCoalescesAcrossTicks) {
@@ -706,48 +616,13 @@ TEST(BrokerFlush, DelayBudgetCoalescesAcrossTicks) {
   const Broker::Stats& b0 = overlay.broker(0).stats();
   EXPECT_EQ(b0.pubs_forwarded, 2u);
   EXPECT_EQ(b0.pub_msgs_sent, 1u);
-  EXPECT_EQ(b0.flushes_by_delay, 1u);
-  EXPECT_EQ(b0.flushes_by_events, 0u);
   EXPECT_EQ(b0.flushed_units, 2u);
   // The first event waited the full budget, the second (arriving 2ms
   // later) the remainder: 10ms + 8ms of residence.
   EXPECT_EQ(b0.residence_ticks_total, 18 * sim::kMillisecond);
   EXPECT_EQ(h.net.units_by_type().get(std::string(kTypePublishBatch)), 2u);
+  EXPECT_EQ(overlay.broker(1).stats().deliver_msgs_sent, 1u);
   EXPECT_EQ(sub.batches_received(), 1u);
-}
-
-TEST(BrokerFlush, EventBudgetBoundsResidenceUnderDelayBudget) {
-  // Budgets compose: with a delay window open, the event budget still
-  // trips mid-window and sends a full batch early.
-  Broker::Config config;
-  config.flush_max_delay_ticks = 50 * sim::kMillisecond;
-  config.flush_max_events = 2;
-  Harness h;
-  Overlay overlay = Overlay::chain(h.sim, h.net, 2, config);
-  Client pub(h.sim, h.net, "pub");
-  Client sub(h.sim, h.net, "sub");
-  pub.connect(overlay.broker(0));
-  sub.connect(overlay.broker(1));
-  int got = 0;
-  sub.subscribe(stock("A"), [&](const Event&, SubscriptionId) { ++got; });
-  h.settle();
-  for (int i = 0; i < 3; ++i) {
-    pub.publish(Event().with("sym", "A").with("seq", i));
-    h.sim.run_until(h.sim.now() + sim::kMillisecond);
-  }
-  h.settle();
-  EXPECT_EQ(got, 3);
-  const Broker::Stats& b0 = overlay.broker(0).stats();
-  // First two events leave on the event budget (the second arrival trips
-  // it); the third rides out the delay window event 0 armed.
-  EXPECT_EQ(b0.pub_msgs_sent, 2u);
-  EXPECT_EQ(b0.flushes_by_events, 1u);
-  EXPECT_EQ(b0.flushes_by_delay, 1u);
-  // Residence: event 0 waited 1ms for event 1 (event budget), event 1
-  // left on arrival, and event 2 — enqueued 2ms into the 50ms window
-  // event 0 armed — waited the remaining 48ms. The delay budget is a max
-  // residence bound; an already-armed timer can only flush *earlier*.
-  EXPECT_EQ(b0.residence_ticks_total, 49 * sim::kMillisecond);
 }
 
 }  // namespace

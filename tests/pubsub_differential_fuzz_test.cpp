@@ -13,24 +13,23 @@
 //   2. Broker/sim level: full overlay runs where every configuration must
 //      reproduce the oracle's delivery trace and sim::Network traffic
 //      counters byte for byte.
-//   3. Flush-budget level: the broker's adaptive flush policy
-//      (Broker::Config::flush_max_{events,bytes,delay_ticks}) crossed
-//      with engines, asserting delivery sets and every traffic counter
-//      against the per-tick oracle, and exact trace equality for every
-//      zero-delay budget configuration.
+//   3. Flush-delay level: the broker's flush timer
+//      (Broker::Config::flush_max_delay_ticks) crossed with engines,
+//      asserting delivery sets and every traffic counter against the
+//      per-tick oracle, and exact trace equality at zero delay.
 //   4. Fault level: a seeded crash/partition/loss schedule is interleaved
 //      with the op schedule (reliable control + heartbeats on), every
 //      fault heals before a quiesce point, and from there the run must be
 //      indistinguishable from a never-faulted oracle: per-broker routing
 //      fingerprints identical at the quiesce point (zero lost
 //      control-plane ops), post-heal delivery sets identical, no stuck
-//      quarantines — across engines x workers x flush budgets.
+//      quarantines — across engines x workers x flush delays.
 //   5. Scored level: every subscription carries a deterministic
 //      ScoringSpec cycling the {constant, bm25} x {top_k 0/1/4} x
 //      {min_score 0/0.5} grid; a *software* scored oracle (brute-force
 //      matching + score_event + an independent top-k implementation)
 //      predicts the exact scored delivery lines and the broker suppression
-//      counters, and every engine x workers x flush-budget
+//      counters, and every engine x workers x flush-delay
 //      configuration must reproduce them byte for byte. A separate
 //      neutral-property run pins scoring_enabled=true with all-neutral
 //      specs to the scoring-disabled trace, byte for byte.
@@ -672,31 +671,24 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineWorker) {
   }
 }
 
-// --- level 3: flush-budget differential replay -------------------------------
+// --- level 3: flush-delay differential replay --------------------------------
 
-/// The adaptive-flush dimension: per-tick is the oracle baseline; the
-/// event/byte budgets are armed but sized so no batch in this workload
-/// ever trips them (bundles are <= 8 events, far under 64 events / 1 MiB),
-/// and the delay budget holds output across ticks without merging
-/// anything new (ops are spaced 200ms apart, far past the 3ms window). So
-/// every configuration must reproduce the per-tick batch boundaries —
+/// The flush-delay dimension: per-tick is the oracle baseline, and the
+/// delay budget holds output across ticks without merging anything new
+/// (ops are spaced 200ms apart, far past the 3ms window). So every
+/// configuration must reproduce the per-tick batch boundaries —
 /// identical wire traffic counters — and the delivery *set* exactly; only
 /// the delay rows may reorder the chronological log (deliveries shift by
 /// hop-count * delay, and clients sit at different depths).
 struct BudgetCase {
   std::string label;
-  std::size_t max_events = 0;
-  std::size_t max_bytes = 0;
   sim::Time max_delay = 0;
 };
 
 TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
   const std::vector<BudgetCase> budgets = {
-      {"per-tick", 0, 0, 0},
-      {"event-budget", 64, 0, 0},
-      {"byte-budget", 0, std::size_t{1} << 20, 0},
-      {"delay-budget", 0, 0, 3 * sim::kMillisecond},
-      {"all-budgets", 64, std::size_t{1} << 20, 3 * sim::kMillisecond},
+      {"per-tick", 0},
+      {"delay-budget", 3 * sim::kMillisecond},
   };
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 100);
@@ -716,8 +708,6 @@ TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
         Broker::Config config;
         config.matcher_engine = engine;
         config.worker_threads = 4;
-        config.flush_max_events = budget.max_events;
-        config.flush_max_bytes = budget.max_bytes;
         config.flush_max_delay_ticks = budget.max_delay;
         const RunTrace trace =
             run_schedule_through_overlay(schedule, seed, config);

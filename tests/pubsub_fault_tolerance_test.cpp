@@ -3,6 +3,7 @@
 // anti-entropy resync, and heartbeat-driven neighbor quarantine.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -274,6 +275,28 @@ TEST(FaultTolerance, RestartResyncReplaysClientSubscriptions) {
   pub.publish(Event().with("sym", "ACME"));
   h.settle();
   EXPECT_EQ(got, 1);
+}
+
+TEST(FaultTolerance, EnablingReliableControlAfterSubscribeThrows) {
+  // A subscription made before the channel is enabled is never recorded
+  // for the resync replay, so a broker restart would lose it for good.
+  Harness h;
+  Overlay overlay = Overlay::chain(h.sim, h.net, 1, reliable_config());
+  Client sub(h.sim, h.net, "sub");
+  sub.connect(overlay.broker(0));
+  sub.subscribe(stock("ACME"));
+  EXPECT_THROW(sub.enable_reliable_control(fast_channel()), std::logic_error);
+  // A retracted subscription does not reopen the window either.
+  Client churned(h.sim, h.net, "churned");
+  churned.connect(overlay.broker(0));
+  churned.unsubscribe(churned.subscribe(stock("ACME")));
+  EXPECT_THROW(churned.enable_reliable_control(fast_channel()),
+               std::logic_error);
+  // Enabling first stays legal, also more than once.
+  Client fresh(h.sim, h.net, "fresh");
+  fresh.connect(overlay.broker(0));
+  fresh.enable_reliable_control(fast_channel());
+  EXPECT_NO_THROW(fresh.enable_reliable_control(fast_channel()));
 }
 
 TEST(FaultTolerance, CrashWithRefreshPassPendingHealsToNeverFaultedState) {
