@@ -31,11 +31,10 @@
 //      interface-id order and client matched-sub lists are sorted, so any
 //      two configurations that produce the same batch boundaries produce
 //      byte-identical wire traffic.
-//   3. flush_max_delay_ticks = 0 is exactly the per-tick coalescing of
-//      PR 1-4: the flush runs at the current instant after every
-//      already-queued arrival (the Simulator guarantees same-instant
-//      FIFO), so one wire message per interface carries the whole tick's
-//      output, byte for byte as before.
+//   3. flush_max_delay_ticks = 0 is strict per-tick coalescing: the
+//      flush runs at the current instant after every already-queued
+//      arrival (the Simulator guarantees same-instant FIFO), so one wire
+//      message per interface carries the whole tick's output.
 //   4. Per-event residence (flush time minus enqueue time, in sim clock
 //      ticks) accumulates in residence_ticks_total over flushed_units —
 //      the bench's latency-vs-throughput sweep reads both.
