@@ -230,9 +230,11 @@ struct TopKResult {
 /// whole publication bundle) plus a few neutral per-feed subscriptions.
 /// `scoring` off runs the identical workload through the boolean path
 /// (plain subscribes, scoring_enabled = false) — the overhead baseline.
+/// `min_score` > 0 also runs the threshold cut before the top-k cut.
 TopKResult run_topk(const std::string& engine, bool scoring,
                     std::uint32_t top_k, std::size_t brokers,
-                    std::size_t subscribers, std::size_t feeds) {
+                    std::size_t subscribers, std::size_t feeds,
+                    double min_score = 0.0) {
   sim::Simulator sim;
   sim::Network::Config net_config;
   net_config.default_latency = sim::kMillisecond;
@@ -251,6 +253,7 @@ TopKResult run_topk(const std::string& engine, bool scoring,
   spec.query = {{"news", 2.0}, {"update", 1.0}, {"alpha", 0.5}};
   spec.text_attrs = {"title"};
   spec.top_k = top_k;
+  spec.min_score = min_score;
 
   util::Rng rng(99);
   util::ZipfSampler popularity(feeds, 1.0);
@@ -557,7 +560,9 @@ int main() {
               "BM25-scored subscription (top-k window = the publication "
               "bundle of 20) plus 2 neutral feed subscriptions; 500 events. "
               "'bool' = scoring disabled baseline, k=unl = scored but "
-              "unbounded.\n\n");
+              "unbounded.\n");
+  std::printf("min=1 = k unbounded with min_score 1.0, so the threshold "
+              "cut runs.\n\n");
   std::printf("  %-14s %-6s %12s %14s %10s %10s %14s\n", "engine", "k",
               "deliveries", "scored match", "supp(k)", "supp(min)",
               "event bytes");
@@ -572,6 +577,7 @@ int main() {
                 "-", "-",
                 reef::util::with_commas(boolean.event_bytes).c_str());
     std::uint64_t prev_deliveries = 0;
+    TopKResult unbounded;
     for (const std::uint32_t k : {1u, 4u, 16u, 0u}) {
       const TopKResult r = run_topk(engine, true, k, 4, 60, 30);
       char k_label[16];
@@ -596,7 +602,21 @@ int main() {
       if (k == 0 && r.deliveries != boolean.deliveries) topk_ok = false;
       if (r.suppressed_by_threshold != 0) topk_ok = false;
       prev_deliveries = r.deliveries;
+      if (k == 0) unbounded = r;
     }
+    const TopKResult r = run_topk(engine, true, 0, 4, 60, 30, 1.0);
+    std::printf("  %-14s %-6s %12s %14s %10s %10s %14s\n", "", "min=1",
+                reef::util::with_commas(r.deliveries).c_str(),
+                reef::util::with_commas(r.scored_matches).c_str(),
+                reef::util::with_commas(r.suppressed_by_k).c_str(),
+                reef::util::with_commas(r.suppressed_by_threshold).c_str(),
+                reef::util::with_commas(r.event_bytes).c_str());
+    // The threshold row: min_score cuts something, only deliveries the
+    // unbounded row makes, and scores the same candidates it does.
+    if (r.suppressed_by_threshold == 0) topk_ok = false;
+    if (r.suppressed_by_k != 0) topk_ok = false;
+    if (r.deliveries > unbounded.deliveries) topk_ok = false;
+    if (r.scored_matches != unbounded.scored_matches) topk_ok = false;
   }
   std::printf("\n  the cut binds at the delivery edge only: bounded rows "
               "ship fewer deliver bytes, unbounded scoring reproduces the "

@@ -234,22 +234,25 @@ void Broker::on_publish(sim::NodeId from, std::span<const Event> events) {
   if (config_.scoring_enabled) {
     std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
     table_.match_batch_scored(events, hits);
-    select_deliveries(from, hits);
+    const DeliverySelector::Counts cut = selector_.select(from, hits);
+    stats_.scored_matches += cut.scored_matches;
+    stats_.suppressed_by_k += cut.suppressed_by_k;
+    stats_.suppressed_by_threshold += cut.suppressed_by_threshold;
     for (std::size_t i = 0; i < events.size(); ++i) {
-      route_event(from, events[i], static_cast<std::uint32_t>(i), hits[i]);
+      route_event(from, events[i], hits[i]);
     }
     return;
   }
   std::vector<std::vector<RoutingTable::Destination>> hits;
   table_.match_batch(events, hits);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    route_event(from, events[i], static_cast<std::uint32_t>(i), hits[i]);
+    route_event(from, events[i], hits[i]);
   }
 }
 
 template <typename Hit>
 void Broker::route_event(sim::NodeId from, const Event& event,
-                         std::uint32_t index, const std::vector<Hit>& hits) {
+                         const std::vector<Hit>& hits) {
   // Group matches by interface; an event crosses each interface once.
   // Interfaces are visited in id order and each client's matched-sub list
   // is sorted, so the broker's output is a pure function of the match
@@ -274,11 +277,7 @@ void Broker::route_event(sim::NodeId from, const Event& event,
     ClientHit client{.client = dest.iface, .sub = dest.client_sub};
     if constexpr (kScored) {
       if (hit.scoring != nullptr) {
-        if (std::binary_search(suppressed_.begin(), suppressed_.end(),
-                               Suppressed{index, dest.iface,
-                                          dest.client_sub})) {
-          continue;
-        }
+        if (hit.suppressed) continue;
         client.score = hit.score;
         client.scored = true;
       }
@@ -322,78 +321,67 @@ void Broker::enqueue_routed(const Event& event) {
 
 // --- scored delivery (Config::scoring_enabled) -------------------------------
 
-void Broker::select_deliveries(
-    sim::NodeId from,
-    const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits) {
-  // Pass 1: collect, per (client, subscription) with a non-neutral policy,
-  // the scored candidates of this publication batch — the top-k window.
+DeliverySelector::Counts DeliverySelector::select(
+    RoutingTable::IfaceId from,
+    std::vector<std::vector<RoutingTable::ScoredDestination>>& hits) {
   // The window is the wire-message batch, so its composition depends only
   // on what the sender framed together, never on engine or worker count;
-  // an upstream flush delay that merges publications merges windows (see
-  // docs/ARCHITECTURE.md "Scored delivery").
-  // Sorting by (client, subscription, event) lays each window out as one
-  // run, its candidates in ascending event order.
-  struct Candidate {
-    sim::NodeId client = sim::kNoNode;
-    SubscriptionId sub = 0;
-    std::uint32_t index = 0;  // event position in the batch
-    double score = kConstantScore;
-    const ScoringSpec* spec = nullptr;
+  // an upstream flush delay that merges publications merges windows.
+  const auto is_candidate = [from](const RoutingTable::ScoredDestination& sd) {
+    return sd.scoring != nullptr && sd.dest.iface != from;  // never echo
   };
-  std::vector<Candidate> cands;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    for (const RoutingTable::ScoredDestination& sd : hits[i]) {
-      if (sd.dest.is_broker || sd.scoring == nullptr) continue;
-      if (sd.dest.iface == from) continue;  // never echo back
-      ++stats_.scored_matches;
-      cands.push_back(Candidate{sd.dest.iface, sd.dest.client_sub,
-                                static_cast<std::uint32_t>(i), sd.score,
-                                sd.scoring});
+  // Pass 1: count each window's candidates.
+  ++epoch_;
+  live_.clear();
+  for (const auto& event_hits : hits) {
+    for (const RoutingTable::ScoredDestination& sd : event_hits) {
+      if (!is_candidate(sd)) continue;
+      assert(sd.slot != kNoScoringSlot && "a spec without a window slot");
+      if (sd.slot >= windows_.size()) windows_.resize(sd.slot + 1);
+      Window& window = windows_[sd.slot];
+      if (window.epoch != epoch_) {
+        window = Window{epoch_, sd.scoring, 0, 0};
+        live_.push_back(sd.slot);
+      }
+      ++window.size;
     }
   }
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return std::tie(a.client, a.sub, a.index) <
-                     std::tie(b.client, b.sub, b.index);
-            });
-  // Pass 2: per window, the min_score filter then the bounded top-k cut.
-  // Ties at the cut break by ascending event order (TopKSelector), so the
-  // surviving set is a pure function of the window's (event, score) pairs.
-  suppressed_.clear();
-  for (auto run = cands.begin(); run != cands.end();) {
-    const auto end = std::find_if(run, cands.end(), [&run](const Candidate& c) {
-      return c.client != run->client || c.sub != run->sub;
-    });
-    const ScoringSpec& spec = *run->spec;
-    TopKSelector topk(spec.top_k);
-    std::size_t eligible = 0;
-    for (auto it = run; it != end; ++it) {
-      if (it->score < spec.min_score) {
-        ++stats_.suppressed_by_threshold;
-        suppressed_.emplace_back(it->index, it->client, it->sub);
-        continue;
-      }
-      ++eligible;
-      topk.offer(it->score, it->index);
-    }
-    const std::vector<std::uint32_t> survivors = topk.take();
-    if (survivors.size() != eligible) {
-      stats_.suppressed_by_k += eligible - survivors.size();
-      // The run is in ascending event order and survivors is sorted, so
-      // one linear merge marks the evicted candidates.
-      std::size_t next = 0;
-      for (auto it = run; it != end; ++it) {
-        if (it->score < spec.min_score) continue;  // marked above
-        if (next < survivors.size() && survivors[next] == it->index) {
-          ++next;
-          continue;
-        }
-        suppressed_.emplace_back(it->index, it->client, it->sub);
-      }
-    }
-    run = end;
+  // Lay the windows' runs out back to back.
+  std::uint32_t total = 0;
+  for (const std::uint32_t slot : live_) {
+    Window& window = windows_[slot];
+    window.begin = total;
+    total += window.size;
+    window.size = 0;  // refilled by the scatter
   }
-  std::sort(suppressed_.begin(), suppressed_.end());
+  cands_.resize(total);
+  // Pass 2: scatter each candidate into its window's run, in event order.
+  for (std::uint32_t i = 0; i < hits.size(); ++i) {
+    for (std::uint32_t j = 0; j < hits[i].size(); ++j) {
+      const RoutingTable::ScoredDestination& sd = hits[i][j];
+      if (!is_candidate(sd)) continue;
+      Window& window = windows_[sd.slot];
+      cands_[window.begin + window.size++] = TopKCandidate{sd.score, i, j};
+    }
+  }
+  // Pass 3: per window, the min_score filter then the top-k cut; ties at
+  // the cut break by ascending event order, so the surviving set is a
+  // pure function of the window's (event, score) pairs.
+  Counts counts;
+  counts.scored_matches = total;
+  for (const std::uint32_t slot : live_) {
+    const Window& window = windows_[slot];
+    const std::span<TopKCandidate> run(cands_.data() + window.begin,
+                                       window.size);
+    const TopKCut cut =
+        cut_top_k(run, window.spec->top_k, window.spec->min_score);
+    counts.suppressed_by_threshold += run.size() - cut.eligible;
+    counts.suppressed_by_k += cut.eligible - cut.kept;
+    for (const TopKCandidate& c : run.subspan(cut.kept)) {
+      hits[c.order][c.handle].suppressed = true;
+    }
+  }
+  return counts;
 }
 
 // --- output coalescing -------------------------------------------------------

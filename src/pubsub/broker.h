@@ -66,7 +66,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -79,6 +78,44 @@
 #include "sim/simulator.h"
 
 namespace reef::pubsub {
+
+/// Scored delivery's per-batch cut (Broker::Config::scoring_enabled; see
+/// docs/ARCHITECTURE.md "Scored delivery"). A *window* is one non-neutral
+/// client subscription's hits within one publication batch — the events
+/// of one inbound wire message. Its buffers are reused across batches, so
+/// in steady state a batch allocates nothing per window or per hit.
+class DeliverySelector {
+ public:
+  struct Counts {
+    std::uint64_t scored_matches = 0;           ///< candidates seen
+    std::uint64_t suppressed_by_k = 0;          ///< cut by top_k
+    std::uint64_t suppressed_by_threshold = 0;  ///< below min_score
+  };
+
+  /// Applies each window's min_score filter and top-k cut (cut_top_k)
+  /// and marks the cut hits `suppressed` in place. Candidates are the
+  /// hits carrying a spec, except echoes back to `from`. One linear pass:
+  /// candidates are counted per window slot (ScoringIndex::Entry::slot),
+  /// scattered into back-to-back runs in event order, and each run is cut.
+  Counts select(RoutingTable::IfaceId from,
+                std::vector<std::vector<RoutingTable::ScoredDestination>>&
+                    hits);
+
+ private:
+  /// One live window: its candidates are cands_[begin, begin + size).
+  /// Stamped with its batch's epoch, so an entry from an earlier batch
+  /// reads as absent and nothing is cleared per batch.
+  struct Window {
+    std::uint64_t epoch = 0;
+    const ScoringSpec* spec = nullptr;
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+  };
+  std::vector<Window> windows_;        // by slot
+  std::vector<std::uint32_t> live_;    // this batch's slots, first-hit order
+  std::vector<TopKCandidate> cands_;   // every live window's run
+  std::uint64_t epoch_ = 0;
+};
 
 class Broker final : public sim::Node {
  public:
@@ -244,13 +281,13 @@ class Broker final : public sim::Node {
   void send_resync_request(sim::NodeId peer);
   void heartbeat_tick();
 
-  /// Files the event at `index` of the batch being routed into the
-  /// per-interface output queues. `Hit` is RoutingTable::Destination or,
-  /// on the scored path, RoutingTable::ScoredDestination: then client
-  /// hits listed in suppressed_ are skipped and non-neutral ones carry
+  /// Files one event of the batch being routed into the per-interface
+  /// output queues. `Hit` is RoutingTable::Destination or, on the scored
+  /// path, RoutingTable::ScoredDestination: then client hits the
+  /// selector_ marked `suppressed` are skipped and non-neutral ones carry
   /// their score. Scores never influence grouping or order.
   template <typename Hit>
-  void route_event(sim::NodeId from, const Event& event, std::uint32_t index,
+  void route_event(sim::NodeId from, const Event& event,
                    const std::vector<Hit>& hits);
 
   /// One client destination of the event being routed; `score`/`scored`
@@ -266,20 +303,6 @@ class Broker final : public sim::Node {
   /// client in id order with its matched subs sorted by id (and scores
   /// attached when any of them is scored).
   void enqueue_routed(const Event& event);
-
-  // --- scored delivery (Config::scoring_enabled) ---
-  /// An (event index, client iface, client sub) triple suppressed by a
-  /// delivery policy within one publication batch.
-  using Suppressed = std::tuple<std::uint32_t, sim::NodeId, SubscriptionId>;
-
-  /// Fills suppressed_ for one publication batch: applies each non-neutral
-  /// subscription's min_score filter and top-k cut over the batch (the
-  /// events of this one wire message — the deterministic top-k window;
-  /// see docs/ARCHITECTURE.md "Scored delivery"). With no non-neutral
-  /// subscription matched, nothing is suppressed.
-  void select_deliveries(
-      sim::NodeId from,
-      const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits);
 
   /// Sends the refresh diff for `neighbor` computed by the routing table.
   void refresh_neighbor(sim::NodeId neighbor);
@@ -352,8 +375,8 @@ class Broker final : public sim::Node {
   /// re-enters itself: sends deliver asynchronously).
   std::vector<sim::NodeId> broker_hits_;
   std::vector<ClientHit> client_hits_;
-  /// The current publication batch's suppressions, sorted (scored path).
-  std::vector<Suppressed> suppressed_;
+  /// The scored path's top-k cut and its scratch, reused across batches.
+  DeliverySelector selector_;
 
   Stats stats_;
 };

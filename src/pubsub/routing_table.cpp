@@ -526,7 +526,8 @@ void RoutingTable::match_batch_scored(
       }
       out[i].push_back(ScoredDestination{
           destination_of(engine_id), score,
-          scored != nullptr ? &scored->spec : nullptr});
+          scored != nullptr ? &scored->spec : nullptr,
+          scored != nullptr ? scored->slot : kNoScoringSlot});
     }
   }
 }

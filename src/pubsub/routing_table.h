@@ -61,15 +61,20 @@ class RoutingTable {
 
   /// A destination decorated with its relevance score and, for client
   /// subscriptions with a non-neutral ScoringSpec, the delivery policy to
-  /// apply (top_k / min_score). `scoring` is nullptr for neighbor-broker
-  /// destinations and for unscored subscriptions — forwarding between
-  /// brokers is boolean-only; suppression is an edge-delivery policy. The
-  /// pointer is owned by the table and stable until that subscription is
-  /// removed or replaced.
+  /// apply (top_k / min_score) and the spec's dense window slot
+  /// (ScoringIndex::Entry::slot). `scoring` is nullptr and `slot`
+  /// kNoScoringSlot for neighbor-broker destinations and for unscored
+  /// subscriptions — forwarding between brokers is boolean-only;
+  /// suppression is an edge-delivery policy. The pointer is owned by the
+  /// table and stable until that subscription is removed or replaced.
+  /// `suppressed` is false as matched; the broker's top-k selection sets
+  /// it on the hits its delivery policy cuts.
   struct ScoredDestination {
     Destination dest;
     double score = kConstantScore;
     const ScoringSpec* scoring = nullptr;
+    std::uint32_t slot = kNoScoringSlot;
+    bool suppressed = false;
   };
 
   /// Subscribe/unsubscribe delta for one neighbor, produced by refresh().

@@ -64,7 +64,7 @@ std::uint64_t client_subscription_digest(SubscriptionId sub_id,
 
 void ScoringIndex::set(SubscriptionId id, ScoringSpec spec) {
   if (spec.neutral()) {
-    specs_.erase(id);
+    erase(id);
     return;
   }
   std::vector<AttrId> attr_ids;
@@ -72,7 +72,24 @@ void ScoringIndex::set(SubscriptionId id, ScoringSpec spec) {
   for (const std::string& attr : spec.text_attrs) {
     attr_ids.push_back(AttrTable::instance().intern(attr));
   }
-  specs_[id] = Entry{std::move(spec), std::move(attr_ids)};
+  Entry& entry = specs_[id];
+  if (entry.slot == kNoScoringSlot) {  // new id: take a slot
+    if (free_slots_.empty()) {
+      entry.slot = next_slot_++;
+    } else {
+      entry.slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+  }
+  entry.spec = std::move(spec);
+  entry.attr_ids = std::move(attr_ids);
+}
+
+void ScoringIndex::erase(SubscriptionId id) {
+  const auto it = specs_.find(id);
+  if (it == specs_.end()) return;
+  free_slots_.push_back(it->second.slot);
+  specs_.erase(it);
 }
 
 void TermBag::assign(const Event& event, std::span<const AttrId> attrs) {
@@ -149,35 +166,24 @@ double score_event(const ScoringSpec& spec, const Event& event) {
   return bag.score(spec.query);
 }
 
-void TopKSelector::offer(double score, std::uint32_t order) {
-  const Entry entry{score, order};
-  if (k_ == 0) {  // unlimited: everything survives, no heap discipline
-    heap_.push_back(entry);
-    return;
+TopKCut cut_top_k(std::span<TopKCandidate> window, std::uint32_t top_k,
+                  double min_score) {
+  const auto eligible_end = std::partition(
+      window.begin(), window.end(),
+      [min_score](const TopKCandidate& c) { return !(c.score < min_score); });
+  TopKCut cut;
+  cut.eligible = static_cast<std::size_t>(eligible_end - window.begin());
+  cut.kept = cut.eligible;
+  if (top_k != 0 && cut.eligible > top_k) {
+    cut.kept = top_k;
+    // The total keep order: higher score first, then earlier event.
+    std::nth_element(window.begin(), window.begin() + top_k, eligible_end,
+                     [](const TopKCandidate& a, const TopKCandidate& b) {
+                       if (a.score != b.score) return a.score > b.score;
+                       return a.order < b.order;
+                     });
   }
-  // Strict weak order "a is a better keep than b"; the heap's maximum
-  // under it is the *worst* kept candidate, sitting at the root.
-  const auto better = [](const Entry& a, const Entry& b) {
-    return worse(b, a);
-  };
-  if (heap_.size() < k_) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), better);
-    return;
-  }
-  if (worse(entry, heap_.front())) return;  // not better than the worst kept
-  std::pop_heap(heap_.begin(), heap_.end(), better);
-  heap_.back() = entry;
-  std::push_heap(heap_.begin(), heap_.end(), better);
-}
-
-std::vector<std::uint32_t> TopKSelector::take() {
-  std::vector<std::uint32_t> orders;
-  orders.reserve(heap_.size());
-  for (const Entry& entry : heap_) orders.push_back(entry.order);
-  heap_.clear();
-  std::sort(orders.begin(), orders.end());
-  return orders;
+  return cut;
 }
 
 }  // namespace reef::pubsub

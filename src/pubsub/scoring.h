@@ -128,6 +128,9 @@ struct ClientSubscription {
   ScoringSpec scoring;
 };
 
+/// Window slot of a hit without a non-neutral spec.
+inline constexpr std::uint32_t kNoScoringSlot = 0xffffffff;
+
 /// Registry of the non-neutral scoring specs among a routing table's
 /// subscriptions, consulted by RoutingTable::match_batch_scored.
 /// Subscriptions absent here score kConstantScore. Kept outside the
@@ -135,6 +138,12 @@ struct ClientSubscription {
 /// are a pure function of (spec, event), computed after the match), so no
 /// engine needs to know scoring exists, and identical match sets imply
 /// identical scored output by construction.
+///
+/// Each registered spec also holds a *slot*: live entries' slots are
+/// distinct and dense from 0, so the broker's top-k selection can keep
+/// its per-window state in a flat array indexed by slot. Replacing an
+/// id's spec keeps its slot; erasing it (or setting it neutral) frees the
+/// slot for the next registration.
 class ScoringIndex {
  public:
   struct Entry {
@@ -142,6 +151,8 @@ class ScoringIndex {
     /// spec.text_attrs as interned ids, in spec order (duplicates kept),
     /// so the scored match path never hashes an attribute name.
     std::vector<AttrId> attr_ids;
+    /// Dense window slot, distinct among live entries.
+    std::uint32_t slot = kNoScoringSlot;
   };
 
   /// Registers (or replaces) the spec for `id`, interning its text
@@ -150,7 +161,7 @@ class ScoringIndex {
   /// must be the one those events get. Neutral specs are dropped — they
   /// are indistinguishable from absence.
   void set(SubscriptionId id, ScoringSpec spec);
-  void erase(SubscriptionId id) { specs_.erase(id); }
+  void erase(SubscriptionId id);
   /// Entry for `id`, or nullptr when it scores the neutral constant. The
   /// pointer is stable until that id is set/erased (node-based map).
   const Entry* find(SubscriptionId id) const {
@@ -160,6 +171,8 @@ class ScoringIndex {
 
  private:
   std::unordered_map<SubscriptionId, Entry> specs_;
+  std::vector<std::uint32_t> free_slots_;  // released slots, reused LIFO
+  std::uint32_t next_slot_ = 0;            // slots ever handed out
 };
 
 /// One subscription's share of a client resync digest: XOR-folded over a
@@ -220,40 +233,34 @@ class TermBag {
 /// scores 0 under kBm25.
 double score_event(const ScoringSpec& spec, const Event& event);
 
-/// Bounded top-k selector over (score, event-order) candidates: keeps the
-/// k best by descending score, ties broken by ascending order — the
-/// deterministic tie rule the scored delivery contract requires. k = 0
-/// means unlimited (every offered candidate survives). Standard bounded
-/// priority queue: a k-sized heap with the *worst* kept candidate at the
-/// root, so each offer is O(log k) and order-insensitive.
-class TopKSelector {
- public:
-  explicit TopKSelector(std::uint32_t k) : k_(k) {}
-
-  void offer(double score, std::uint32_t order);
-
-  /// Surviving candidates' orders, sorted ascending (canonical event
-  /// order — survivors are *delivered* in event order, never score
-  /// order). Resets the selector.
-  std::vector<std::uint32_t> take();
-
-  std::size_t size() const noexcept { return heap_.size(); }
-
- private:
-  struct Entry {
-    double score = 0.0;
-    std::uint32_t order = 0;
-  };
-  /// True when `a` is a worse keep than `b` (lower score, or equal score
-  /// and later order). The heap is ordered so the worst entry is at the
-  /// root — the one an incoming better candidate evicts.
-  static bool worse(const Entry& a, const Entry& b) noexcept {
-    if (a.score != b.score) return a.score < b.score;
-    return a.order > b.order;
-  }
-
-  std::vector<Entry> heap_;  // min-heap by keep-priority (root = worst)
-  std::uint32_t k_ = 0;
+/// One candidate delivery in a top-k window (one scored subscription's
+/// hits within one publication batch): its score, its event's position in
+/// the batch, and an opaque handle the caller maps back to the hit.
+struct TopKCandidate {
+  double score = 0.0;
+  std::uint32_t order = 0;   ///< event position: the tie-break
+  std::uint32_t handle = 0;  ///< caller's reference to the hit
 };
+
+/// Where cut_top_k left a window's candidates.
+struct TopKCut {
+  std::size_t kept = 0;      ///< survivors: window[0, kept)
+  std::size_t eligible = 0;  ///< scored >= min_score: window[0, eligible)
+};
+
+/// Applies one window's delivery policy in place: drops candidates scoring
+/// below `min_score`, then keeps the `top_k` best of the rest (0 =
+/// unlimited) by descending score, ties broken by ascending order — the
+/// deterministic tie rule the scored delivery contract requires. The
+/// window is permuted so that [0, kept) holds the survivors, [kept,
+/// eligible) the candidates cut by top_k and [eligible, size) those cut by
+/// min_score; the order within each range is unspecified (survivors are
+/// delivered in event order by the caller, never score order). Linear on
+/// average (one partition plus one std::nth_element), no allocation. The
+/// survivor set is a pure function of the window's (score, order) pairs
+/// as long as orders are distinct and no score is NaN — BM25 and constant
+/// scores never are.
+TopKCut cut_top_k(std::span<TopKCandidate> window, std::uint32_t top_k,
+                  double min_score);
 
 }  // namespace reef::pubsub

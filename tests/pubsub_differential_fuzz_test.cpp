@@ -995,7 +995,7 @@ struct ScoredExpectation {
 
 /// Software scored oracle: brute-force matching, the production
 /// score_event, and an *independent* top-k implementation (sort + truncate
-/// instead of TopKSelector's bounded heap). Replays the schedule applying
+/// instead of the broker's nth_element cut, cut_top_k). Replays the schedule applying
 /// the broker's scored-delivery contract directly:
 ///   window   = the events of one publish bundle matching the
 ///              subscription (they reach its broker in one wire batch);

@@ -1,7 +1,9 @@
 // Unit tier for the scored-matching layer (pubsub/scoring.h): ScoringSpec
 // neutrality/wire/hash semantics, score_event purity and the corpus-free
 // BM25 formula (the TermBag path held bitwise to a reference copy of the
-// earlier per-hit formula), TopKSelector's deterministic tie-breaking,
+// earlier per-hit formula), cut_top_k's deterministic tie-breaking and
+// the broker's DeliverySelector held to a verbatim copy of the earlier
+// sort-plus-heap selection, ScoringIndex's dense window slots,
 // the routing table's scored decoration of every engine's match_batch
 // (including contiguous sub-span composition), and small end-to-end
 // broker runs composing the min_score threshold with the top-k cut. The
@@ -22,6 +24,7 @@
 
 #include "ir/bm25.h"
 #include "ir/tokenizer.h"
+#include "pubsub/broker.h"
 #include "pubsub/client.h"
 #include "pubsub/engines.h"
 #include "pubsub/overlay.h"
@@ -301,63 +304,342 @@ TEST(ScoreEvent, TermBagAgreesBitwiseWithReferenceFormula) {
   EXPECT_GT(nonzero, trials / 10) << "trials must exercise real scores";
 }
 
-// --- TopKSelector ------------------------------------------------------------
+// --- cut_top_k: one window's tie rule ----------------------------------------
 
-std::vector<std::uint32_t> offer_all(
+/// Survivors' orders, sorted (the caller delivers in event order).
+std::vector<std::uint32_t> cut_all(
     std::uint32_t k, const std::vector<std::pair<double, std::uint32_t>>& c) {
-  TopKSelector topk(k);
-  for (const auto& [score, order] : c) topk.offer(score, order);
-  return topk.take();
+  std::vector<TopKCandidate> window;
+  for (const auto& [score, order] : c) {
+    window.push_back(TopKCandidate{score, order, order});
+  }
+  const TopKCut cut = cut_top_k(window, k, 0.0);
+  std::vector<std::uint32_t> kept;
+  for (std::size_t i = 0; i < cut.kept; ++i) kept.push_back(window[i].order);
+  std::sort(kept.begin(), kept.end());
+  return kept;
 }
 
-TEST(TopKSelector, ZeroMeansUnlimited) {
-  EXPECT_EQ(offer_all(0, {{0.1, 3}, {0.9, 1}, {0.5, 2}, {0.7, 0}}),
+TEST(TopKCut, ZeroMeansUnlimited) {
+  EXPECT_EQ(cut_all(0, {{0.1, 3}, {0.9, 1}, {0.5, 2}, {0.7, 0}}),
             (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
-TEST(TopKSelector, KLargerThanCandidateCountKeepsAll) {
-  EXPECT_EQ(offer_all(10, {{0.1, 2}, {0.9, 0}}),
+TEST(TopKCut, KLargerThanCandidateCountKeepsAll) {
+  EXPECT_EQ(cut_all(10, {{0.1, 2}, {0.9, 0}}),
             (std::vector<std::uint32_t>{0, 2}));
 }
 
-TEST(TopKSelector, KeepsHighestScoresInEventOrder) {
-  // Winners are 1 (0.9) and 3 (0.8); output is event order, never score
-  // order.
-  EXPECT_EQ(offer_all(2, {{0.2, 0}, {0.9, 1}, {0.1, 2}, {0.8, 3}}),
+TEST(TopKCut, KeepsHighestScores) {
+  // Winners are 1 (0.9) and 3 (0.8).
+  EXPECT_EQ(cut_all(2, {{0.2, 0}, {0.9, 1}, {0.1, 2}, {0.8, 3}}),
             (std::vector<std::uint32_t>{1, 3}));
 }
 
-TEST(TopKSelector, DuplicateScoresAtCutKeepEarliestOrders) {
-  EXPECT_EQ(offer_all(2, {{0.5, 0}, {0.5, 1}, {0.5, 2}}),
+TEST(TopKCut, DuplicateScoresAtCutKeepEarliestOrders) {
+  EXPECT_EQ(cut_all(2, {{0.5, 0}, {0.5, 1}, {0.5, 2}}),
             (std::vector<std::uint32_t>{0, 1}));
-  // Offer order must not matter: same candidates, reversed arrival.
-  EXPECT_EQ(offer_all(2, {{0.5, 2}, {0.5, 1}, {0.5, 0}}),
+  // Input order must not matter: same candidates, reversed.
+  EXPECT_EQ(cut_all(2, {{0.5, 2}, {0.5, 1}, {0.5, 0}}),
             (std::vector<std::uint32_t>{0, 1}));
 }
 
-TEST(TopKSelector, TieAgainstHigherScoreResolvesByOrder) {
+TEST(TopKCut, TieAgainstHigherScoreResolvesByOrder) {
   // 1 wins outright (0.9); the 0-vs-2 tie at 0.5 resolves to 0.
-  EXPECT_EQ(offer_all(2, {{0.5, 0}, {0.9, 1}, {0.5, 2}}),
+  EXPECT_EQ(cut_all(2, {{0.5, 0}, {0.9, 1}, {0.5, 2}}),
             (std::vector<std::uint32_t>{0, 1}));
 }
 
-TEST(TopKSelector, OfferOrderInsensitive) {
+TEST(TopKCut, InputOrderInsensitive) {
   std::vector<std::pair<double, std::uint32_t>> cands = {
       {0.5, 0}, {0.9, 1}, {0.5, 2}, {0.1, 3}};
   std::sort(cands.begin(), cands.end());
   const std::vector<std::uint32_t> expected = {0, 1};
   do {
-    EXPECT_EQ(offer_all(2, cands), expected);
+    EXPECT_EQ(cut_all(2, cands), expected);
   } while (std::next_permutation(cands.begin(), cands.end()));
 }
 
-TEST(TopKSelector, TakeResetsTheSelector) {
-  TopKSelector topk(1);
-  topk.offer(0.9, 7);
-  EXPECT_EQ(topk.take(), (std::vector<std::uint32_t>{7}));
-  EXPECT_EQ(topk.size(), 0u);
-  topk.offer(0.1, 3);
-  EXPECT_EQ(topk.take(), (std::vector<std::uint32_t>{3}));
+TEST(TopKCut, PartitionsTheWindowByFate) {
+  // [0, kept) survivors, [kept, eligible) cut by k, [eligible, size) below
+  // min_score; every handle stays with its candidate.
+  std::vector<TopKCandidate> window = {
+      {0.2, 0, 10}, {0.9, 1, 11}, {0.6, 2, 12}, {0.1, 3, 13}, {0.7, 4, 14}};
+  const TopKCut cut = cut_top_k(window, 2, 0.5);
+  EXPECT_EQ(cut.kept, 2u);
+  EXPECT_EQ(cut.eligible, 3u);
+  const auto orders = [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint32_t> out;
+    for (std::size_t i = begin; i < end; ++i) {
+      EXPECT_EQ(window[i].handle, window[i].order + 10);
+      out.push_back(window[i].order);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(orders(0, 2), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(orders(2, 3), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(orders(3, 5), (std::vector<std::uint32_t>{0, 3}));
+}
+
+// --- ScoringIndex window slots -----------------------------------------------
+
+TEST(ScoringIndex, SlotsAreDenseKeptOnReplaceAndReused) {
+  const ScoringSpec k1 = bm25_spec({{"log", 1.0}}, {"text"}, 1);
+  const ScoringSpec k2 = bm25_spec({{"log", 1.0}}, {"text"}, 2);
+  ScoringIndex index;
+  index.set(10, k1);
+  index.set(11, k1);
+  index.set(12, k2);
+  EXPECT_EQ(index.find(10)->slot, 0u);
+  EXPECT_EQ(index.find(11)->slot, 1u);
+  EXPECT_EQ(index.find(12)->slot, 2u);
+  // Replacing a spec keeps its slot.
+  index.set(11, k2);
+  EXPECT_EQ(index.find(11)->slot, 1u);
+  EXPECT_EQ(index.find(11)->spec, k2);
+  // An erased slot is reused by the next registration.
+  index.erase(10);
+  EXPECT_EQ(index.find(10), nullptr);
+  index.set(13, k1);
+  EXPECT_EQ(index.find(13)->slot, 0u);
+  // A neutral set frees the slot too.
+  index.set(12, ScoringSpec{});
+  EXPECT_EQ(index.find(12), nullptr);
+  index.set(14, k1);
+  EXPECT_EQ(index.find(14)->slot, 2u);
+  // Erasing an unknown id changes nothing.
+  index.erase(99);
+  index.set(15, k1);
+  EXPECT_EQ(index.find(15)->slot, 3u);
+}
+
+// --- DeliverySelector vs the sort-plus-heap reference ------------------------
+
+/// Reference: the bounded top-k heap the broker's selection used before
+/// its flat windows, kept verbatim as the equivalence oracle.
+class ReferenceTopKSelector {
+ public:
+  explicit ReferenceTopKSelector(std::uint32_t k) : k_(k) {}
+
+  void offer(double score, std::uint32_t order) {
+    const Entry entry{score, order};
+    if (k_ == 0) {  // unlimited: everything survives, no heap discipline
+      heap_.push_back(entry);
+      return;
+    }
+    const auto better = [](const Entry& a, const Entry& b) {
+      return worse(b, a);
+    };
+    if (heap_.size() < k_) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), better);
+      return;
+    }
+    if (worse(entry, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), better);
+    heap_.back() = entry;
+    std::push_heap(heap_.begin(), heap_.end(), better);
+  }
+
+  std::vector<std::uint32_t> take() {
+    std::vector<std::uint32_t> orders;
+    orders.reserve(heap_.size());
+    for (const Entry& entry : heap_) orders.push_back(entry.order);
+    heap_.clear();
+    std::sort(orders.begin(), orders.end());
+    return orders;
+  }
+
+ private:
+  struct Entry {
+    double score = 0.0;
+    std::uint32_t order = 0;
+  };
+  static bool worse(const Entry& a, const Entry& b) noexcept {
+    if (a.score != b.score) return a.score < b.score;
+    return a.order > b.order;
+  }
+
+  std::vector<Entry> heap_;
+  std::uint32_t k_ = 0;
+};
+
+/// (event index, client iface, client sub) of a suppressed hit.
+using Suppressed =
+    std::tuple<std::uint32_t, RoutingTable::IfaceId, SubscriptionId>;
+
+/// Reference: the per-batch sort of every candidate by (client, sub,
+/// event), then per run the min_score filter and the bounded heap, kept
+/// verbatim from the broker's earlier selection. Returns the sorted
+/// suppressions; `counts` receives the three counters.
+std::vector<Suppressed> reference_select(
+    RoutingTable::IfaceId from,
+    const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits,
+    DeliverySelector::Counts& counts) {
+  struct Candidate {
+    RoutingTable::IfaceId client = RoutingTable::kNoIface;
+    SubscriptionId sub = 0;
+    std::uint32_t index = 0;
+    double score = kConstantScore;
+    const ScoringSpec* spec = nullptr;
+  };
+  std::vector<Candidate> cands;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    for (const RoutingTable::ScoredDestination& sd : hits[i]) {
+      if (sd.dest.is_broker || sd.scoring == nullptr) continue;
+      if (sd.dest.iface == from) continue;  // never echo back
+      ++counts.scored_matches;
+      cands.push_back(Candidate{sd.dest.iface, sd.dest.client_sub,
+                                static_cast<std::uint32_t>(i), sd.score,
+                                sd.scoring});
+    }
+  }
+  std::sort(cands.begin(), cands.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return std::tie(a.client, a.sub, a.index) <
+                     std::tie(b.client, b.sub, b.index);
+            });
+  std::vector<Suppressed> suppressed;
+  for (auto run = cands.begin(); run != cands.end();) {
+    const auto end = std::find_if(run, cands.end(), [&run](const Candidate& c) {
+      return c.client != run->client || c.sub != run->sub;
+    });
+    const ScoringSpec& spec = *run->spec;
+    ReferenceTopKSelector topk(spec.top_k);
+    std::size_t eligible = 0;
+    for (auto it = run; it != end; ++it) {
+      if (it->score < spec.min_score) {
+        ++counts.suppressed_by_threshold;
+        suppressed.emplace_back(it->index, it->client, it->sub);
+        continue;
+      }
+      ++eligible;
+      topk.offer(it->score, it->index);
+    }
+    const std::vector<std::uint32_t> survivors = topk.take();
+    if (survivors.size() != eligible) {
+      counts.suppressed_by_k += eligible - survivors.size();
+      std::size_t next = 0;
+      for (auto it = run; it != end; ++it) {
+        if (it->score < spec.min_score) continue;  // marked above
+        if (next < survivors.size() && survivors[next] == it->index) {
+          ++next;
+          continue;
+        }
+        suppressed.emplace_back(it->index, it->client, it->sub);
+      }
+    }
+    run = end;
+  }
+  std::sort(suppressed.begin(), suppressed.end());
+  return suppressed;
+}
+
+TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
+  // Quantized scores (many ties), min_score below / at / above every
+  // score, top_k in {0, 1, 2, 4, larger than any window}, neutral client
+  // hits, neighbor-broker hits and echoes back to the sender mixed in,
+  // hit order shuffled per event. One selector serves every batch, so
+  // reuse of its windows across batches (and of freed slots) is covered.
+  constexpr RoutingTable::IfaceId kBroker = 100;
+  util::Rng rng(23);
+  const std::vector<double> levels = {0.0, 0.25, 0.5, 0.75, 1.0, 1.5};
+  const std::vector<double> mins = {-1.0, 0.0, 0.5, 1.0, 1.5, 2.0};
+  const std::vector<std::uint32_t> ks = {0, 1, 2, 4, 1000};
+
+  struct Sub {
+    RoutingTable::IfaceId client = 0;
+    SubscriptionId sub = 0;
+  };
+  ScoringIndex index;
+  std::vector<Sub> subs;  // live scored subscriptions; id = position + 1
+  SubscriptionId next_id = 1;
+  std::vector<SubscriptionId> live_ids;
+  const auto add_sub = [&] {
+    const SubscriptionId id = next_id++;
+    ScoringSpec spec;
+    spec.top_k = ks[rng.index(ks.size())];
+    spec.min_score = mins[rng.index(mins.size())];
+    if (spec.neutral()) spec.top_k = 1;
+    index.set(id, std::move(spec));
+    subs.push_back(Sub{static_cast<RoutingTable::IfaceId>(1 + rng.index(4)),
+                       id});
+    live_ids.push_back(id);
+  };
+  for (int i = 0; i < 12; ++i) add_sub();
+
+  DeliverySelector selector;
+  std::uint64_t total_k = 0;
+  std::uint64_t total_min = 0;
+  std::uint64_t total_kept = 0;
+  for (int batch = 0; batch < 600; ++batch) {
+    // Churn: retire one scored subscription, register a fresh one (which
+    // takes the freed slot).
+    if (batch % 50 == 49) {
+      const std::size_t victim = rng.index(live_ids.size());
+      index.erase(live_ids[victim]);
+      live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(victim));
+      add_sub();
+    }
+    const RoutingTable::IfaceId from =
+        rng.chance(0.3) ? kBroker
+                        : static_cast<RoutingTable::IfaceId>(1 + rng.index(4));
+    const std::size_t events = 1 + rng.index(24);
+    std::vector<std::vector<RoutingTable::ScoredDestination>> hits(events);
+    for (auto& event_hits : hits) {
+      for (const SubscriptionId id : live_ids) {
+        if (!rng.chance(0.6)) continue;
+        const ScoringIndex::Entry* entry = index.find(id);
+        const Sub& sub = subs[id - 1];
+        event_hits.push_back(RoutingTable::ScoredDestination{
+            {sub.client, false, sub.sub},
+            levels[rng.index(levels.size())],
+            &entry->spec,
+            entry->slot});
+      }
+      if (rng.chance(0.5)) {  // a neutral sibling
+        event_hits.push_back(RoutingTable::ScoredDestination{
+            {static_cast<RoutingTable::IfaceId>(1 + rng.index(4)), false,
+             1000 + rng.index(8)}});
+      }
+      if (rng.chance(0.5)) {  // a neighbor broker
+        event_hits.push_back(
+            RoutingTable::ScoredDestination{{kBroker, true, 0}});
+      }
+      std::shuffle(event_hits.begin(), event_hits.end(), rng);
+    }
+
+    DeliverySelector::Counts want;
+    const std::vector<Suppressed> suppressed =
+        reference_select(from, hits, want);
+    const DeliverySelector::Counts got = selector.select(from, hits);
+    ASSERT_EQ(got.scored_matches, want.scored_matches) << batch;
+    ASSERT_EQ(got.suppressed_by_k, want.suppressed_by_k) << batch;
+    ASSERT_EQ(got.suppressed_by_threshold, want.suppressed_by_threshold)
+        << batch;
+    for (std::uint32_t i = 0; i < hits.size(); ++i) {
+      for (const RoutingTable::ScoredDestination& sd : hits[i]) {
+        const bool expected =
+            sd.scoring != nullptr && sd.dest.iface != from &&
+            std::binary_search(
+                suppressed.begin(), suppressed.end(),
+                Suppressed{i, sd.dest.iface, sd.dest.client_sub});
+        ASSERT_EQ(sd.suppressed, expected)
+            << "batch " << batch << " event " << i << " sub "
+            << sd.dest.client_sub;
+        if (sd.scoring != nullptr && sd.dest.iface != from && !expected) {
+          ++total_kept;
+        }
+      }
+    }
+    total_k += got.suppressed_by_k;
+    total_min += got.suppressed_by_threshold;
+  }
+  // The trials must exercise every fate.
+  EXPECT_GT(total_k, 1000u);
+  EXPECT_GT(total_min, 1000u);
+  EXPECT_GT(total_kept, 1000u);
 }
 
 // --- RoutingTable::match_batch_scored across the engines ---------------------
@@ -643,6 +925,67 @@ TEST(ScoredDelivery, WindowIsThePublicationBatch) {
   h.settle();
   EXPECT_EQ(got, 2);
   EXPECT_EQ(broker.stats().suppressed_by_k, 0u);
+}
+
+TEST(ScoringIndex, CrashedBrokerFreshTableStartsAtSlotZero) {
+  Harness h;
+  Broker broker(h.sim, h.net, "b0", scored_config());
+  Client sub(h.sim, h.net, "sub");
+  sub.connect(broker);
+  const ScoringSpec spec = bm25_spec({{"log", 1.0}}, {"text"}, 1);
+  const std::vector<Event> events = {Event().with("text", "log")};
+  const auto slots = [&] {
+    std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+    broker.routing_table().match_batch_scored(events, hits);
+    std::vector<std::uint32_t> out;
+    for (const RoutingTable::ScoredDestination& hit : hits[0]) {
+      out.push_back(hit.slot);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  sub.subscribe_scored(Filter(), spec);
+  sub.subscribe_scored(Filter(), spec);
+  h.settle();
+  EXPECT_EQ(slots(), (std::vector<std::uint32_t>{0, 1}));
+  // The restarted incarnation (no anti-entropy here) has an empty table;
+  // its first scored subscription takes slot 0 again.
+  broker.crash();
+  broker.restart();
+  EXPECT_TRUE(slots().empty());
+  sub.subscribe_scored(Filter(), spec);
+  h.settle();
+  EXPECT_EQ(slots(), (std::vector<std::uint32_t>{0}));
+}
+
+TEST(ScoredDelivery, UpstreamFlushDelayMergesWindows) {
+  // The documented window rule: a top-k window is one inbound wire
+  // message, so an upstream flush delay that frames two publications
+  // together merges their windows two hops downstream.
+  const auto deliveries = [](sim::Time flush_delay) {
+    Harness h;
+    Broker::Config config = scored_config();
+    config.flush_max_delay_ticks = flush_delay;
+    Overlay overlay(h.sim, h.net, config);
+    for (int i = 0; i < 3; ++i) overlay.add_broker();
+    overlay.link(0, 1);
+    overlay.link(1, 2);
+    Client pub(h.sim, h.net, "pub");
+    Client sub(h.sim, h.net, "sub");
+    pub.connect(overlay.broker(0));
+    sub.connect(overlay.broker(2));
+    int got = 0;
+    sub.subscribe_scored(Filter(), bm25_spec({{"log", 1.0}}, {"text"}, 1),
+                         [&](const Event&, SubscriptionId, double) { ++got; });
+    h.settle();
+    pub.publish(Event().with("text", "log"));
+    h.sim.run_until(h.sim.now() + 2 * sim::kMillisecond);
+    pub.publish(Event().with("text", "log log"));
+    h.settle();
+    return got;
+  };
+  EXPECT_EQ(deliveries(0), 2);
+  EXPECT_EQ(deliveries(10 * sim::kMillisecond), 1);
 }
 
 TEST(ScoredDelivery, ScoringPolicyNames) {
