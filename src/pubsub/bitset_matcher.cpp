@@ -45,9 +45,9 @@ void BitsetMatcher::ensure_slices(std::uint32_t required) {
 
 // --- index maintenance ------------------------------------------------------
 
-template <typename EqFn, typename NonEqFn>
-std::uint32_t BitsetMatcher::for_each_entry(const Filter& filter, EqFn&& eq_fn,
-                                            NonEqFn&& noneq_fn) const {
+template <typename Fn>
+std::uint32_t BitsetMatcher::for_each_entry(const Filter& filter,
+                                            Fn&& fn) const {
   std::uint32_t count = 0;
   // Filter canonicalization exactly-dedups constraints, but two *distinct*
   // eq constraints (int 3 vs double 3.0) still collapse onto one canonical
@@ -66,9 +66,9 @@ std::uint32_t BitsetMatcher::for_each_entry(const Filter& filter, EqFn&& eq_fn,
       }
       if (duplicate) continue;
       seen_eq.emplace_back(c.attr_id(), std::move(canonical));
-      eq_fn(c.attr_id(), seen_eq.back().second);
+      fn(c, seen_eq.back().second);
     } else {
-      noneq_fn(c);
+      fn(c, c.value());
     }
     ++count;
   }
@@ -121,16 +121,116 @@ void BitsetMatcher::Entry::clear(std::size_t w, Word bit) {
   }
 }
 
-void BitsetMatcher::add_to_entry(Entry& entry, std::size_t w, Word bit) {
-  if (entry.slot_count++ == 0) ++entries_;
-  entry.set(w, bit);
+// Distinct constraints map to distinct entries in every class: eq keys on
+// the canonical value, range on (bound class, strictness, strict value
+// identity) — cross-type compare-equal bounds like `< 3` and `< 3.0` stay
+// separate entries that a probe always satisfies together, so the
+// per-filter requirement count stays exact — prefix/suffix/contains on the
+// pattern, and the residual class (ne/exists, in-set, unindexable shapes)
+// on full constraint identity.
+
+namespace {
+
+template <typename Postings>
+auto find_range(Postings& postings, const Constraint& c) {
+  const bool strict = is_strict_op(c.op());
+  return std::find_if(postings.begin(), postings.end(), [&](const auto& p) {
+    return p.strict == strict && p.bound == c.value();
+  });
 }
 
-bool BitsetMatcher::remove_from_entry(Entry& entry, std::size_t w, Word bit) {
-  entry.clear(w, bit);
-  if (--entry.slot_count != 0) return false;
-  --entries_;
-  return true;
+template <typename Postings>
+auto find_residual(Postings& postings, const Constraint& c) {
+  return std::find_if(postings.begin(), postings.end(),
+                      [&](const auto& p) { return p.constraint == c; });
+}
+
+/// The table key of a sortable prefix or suffix constraint: suffix tables
+/// hold reversed patterns.
+std::string pattern_key(const Constraint& c) {
+  return c.op() == Op::kPrefix ? c.value().as_string()
+                               : reversed(c.value().as_string());
+}
+
+}  // namespace
+
+BitsetMatcher::Entry& BitsetMatcher::acquire_entry(AttrIndex& index,
+                                                   const Constraint& c,
+                                                   const Value& key) {
+  if (c.op() == Op::kEq) return index.eq[key];
+  if (is_sortable_range(c)) {
+    const bool lower = is_lower_bound_op(c.op());
+    auto& postings = lower ? index.lower : index.upper;
+    auto it = find_range(postings, c);
+    if (it == postings.end()) {
+      RangePosting posting{c.value(), is_strict_op(c.op()), Entry{}};
+      const auto pos =
+          lower ? std::upper_bound(postings.begin(), postings.end(), posting,
+                                   lower_bound_order<RangePosting>)
+                : std::upper_bound(postings.begin(), postings.end(), posting,
+                                   upper_bound_order<RangePosting>);
+      it = postings.insert(pos, std::move(posting));
+    }
+    return it->entry;
+  }
+  if (is_sortable_prefix(c) || is_sortable_suffix(c)) {
+    PrefixEntries& entries =
+        c.op() == Op::kPrefix ? index.prefix : index.suffix;
+    std::string pattern = pattern_key(c);
+    auto it = prefix_posting_pos(entries.postings, pattern);
+    if (it == entries.postings.end() || it->prefix != pattern) {
+      add_prefix_length(entries.lengths, pattern.size());
+      it = entries.postings.insert(
+          it, PrefixPosting{std::move(pattern), Entry{}});
+    }
+    return it->entry;
+  }
+  if (is_sortable_contains(c)) {
+    if (!index.contains) index.contains = std::make_unique<ContainsEntries>();
+    return index.contains->insert(c.value().as_string()).payload;
+  }
+  const auto it = find_residual(index.noneq, c);
+  return it != index.noneq.end()
+             ? it->entry
+             : index.noneq.emplace_back(NonEqPosting{c, Entry{}}).entry;
+}
+
+void BitsetMatcher::release_entry(AttrIndex& index, const Constraint& c,
+                                  const Value& key, std::size_t w, Word bit) {
+  // Clears the slot; true once the entry is empty and must be erased.
+  const auto emptied = [&](Entry& entry) {
+    entry.clear(w, bit);
+    if (--entry.slot_count != 0) return false;
+    --index.entries;
+    --entries_;
+    return true;
+  };
+  if (c.op() == Op::kEq) {
+    const auto it = index.eq.find(key);
+    if (emptied(it->second)) index.eq.erase(it);
+  } else if (is_sortable_range(c)) {
+    auto& postings = is_lower_bound_op(c.op()) ? index.lower : index.upper;
+    const auto it = find_range(postings, c);
+    if (emptied(it->entry)) postings.erase(it);
+  } else if (is_sortable_prefix(c) || is_sortable_suffix(c)) {
+    PrefixEntries& entries =
+        c.op() == Op::kPrefix ? index.prefix : index.suffix;
+    const std::string pattern = pattern_key(c);
+    const auto it = prefix_posting_pos(entries.postings, pattern);
+    if (emptied(it->entry)) {
+      remove_prefix_length(entries.lengths, pattern.size());
+      entries.postings.erase(it);
+    }
+  } else if (is_sortable_contains(c)) {
+    const std::string& pattern = c.value().as_string();
+    if (emptied(index.contains->find(pattern)->payload)) {
+      index.contains->erase(pattern);
+      if (index.contains->empty()) index.contains.reset();
+    }
+  } else {
+    const auto it = find_residual(index.noneq, c);
+    if (emptied(it->entry)) index.noneq.erase(it);
+  }
 }
 
 void BitsetMatcher::add(SubscriptionId id, Filter filter) {
@@ -138,71 +238,16 @@ void BitsetMatcher::add(SubscriptionId id, Filter filter) {
   const FilterSlot slot = acquire_slot();
   const std::size_t w = slot / kWordBits;
   const Word bit = Word{1} << (slot % kWordBits);
-  const std::uint32_t required = for_each_entry(
-      filter,
-      [&](AttrId attr, const Value& canonical) {
-        add_to_entry(eq_[attr][canonical], w, bit);
-      },
-      [&](const Constraint& c) {
-        // Distinct constraints map to distinct entries in every class:
-        // range keys on (bound class, strictness, strict value identity) —
-        // cross-type compare-equal bounds like `< 3` and `< 3.0` stay
-        // separate entries that a probe always satisfies together, so the
-        // per-filter requirement count stays exact — prefix/suffix/
-        // contains key on the pattern, and the residual class (ne/exists,
-        // in-set, unindexable shapes) on full constraint identity.
-        Entry* entry = nullptr;
-        if (is_sortable_range(c)) {
-          RangeEntries& entries = range_[c.attr_id()];
-          auto& postings =
-              is_lower_bound_op(c.op()) ? entries.lower : entries.upper;
-          const bool strict = is_strict_op(c.op());
-          auto it = std::find_if(postings.begin(), postings.end(),
-                                 [&](const RangePosting& p) {
-                                   return p.strict == strict &&
-                                          p.bound == c.value();
-                                 });
-          if (it == postings.end()) {
-            RangePosting posting{c.value(), strict, Entry{}};
-            if (is_lower_bound_op(c.op())) {
-              it = postings.insert(
-                  std::upper_bound(postings.begin(), postings.end(), posting,
-                                   lower_bound_order<RangePosting>),
-                  std::move(posting));
-            } else {
-              it = postings.insert(
-                  std::upper_bound(postings.begin(), postings.end(), posting,
-                                   upper_bound_order<RangePosting>),
-                  std::move(posting));
-            }
-          }
-          entry = &it->entry;
-        } else if (is_sortable_prefix(c) || is_sortable_suffix(c)) {
-          const bool is_prefix = is_sortable_prefix(c);
-          PrefixEntries& entries =
-              (is_prefix ? prefix_ : suffix_)[c.attr_id()];
-          const std::string pattern = is_prefix
-                                          ? c.value().as_string()
-                                          : reversed(c.value().as_string());
-          auto it = prefix_posting_pos(entries.postings, pattern);
-          if (it == entries.postings.end() || it->prefix != pattern) {
-            it = entries.postings.insert(it, PrefixPosting{pattern, Entry{}});
-            add_prefix_length(entries.lengths, pattern.size());
-          }
-          entry = &it->entry;
-        } else if (is_sortable_contains(c)) {
-          entry = &contains_[c.attr_id()].insert(c.value().as_string())
-                       .payload;
-        } else {
-          auto& postings = noneq_[c.attr_id()];
-          const auto it = std::find_if(
-              postings.begin(), postings.end(),
-              [&](const NonEqPosting& p) { return p.constraint == c; });
-          entry = it != postings.end()
-                      ? &it->entry
-                      : &postings.emplace_back(NonEqPosting{c, Entry{}}).entry;
+  const std::uint32_t required =
+      for_each_entry(filter, [&](const Constraint& c, const Value& key) {
+        if (c.attr_id() >= attrs_.size()) attrs_.resize(c.attr_id() + 1);
+        AttrIndex& index = attrs_[c.attr_id()];
+        Entry& entry = acquire_entry(index, c, key);
+        if (entry.slot_count++ == 0) {
+          ++index.entries;
+          ++entries_;
         }
-        add_to_entry(*entry, w, bit);
+        entry.set(w, bit);
       });
   ensure_slices(required);
   for (std::size_t s = 0; s < required_.size(); ++s) {
@@ -226,72 +271,10 @@ void BitsetMatcher::remove(SubscriptionId id) {
   const FilterSlot slot = it->second;
   const std::size_t w = slot / kWordBits;
   const Word bit = Word{1} << (slot % kWordBits);
-  for_each_entry(
-      slots_[slot].filter,
-      [&](AttrId attr, const Value& canonical) {
-        const auto attr_it = eq_.find(attr);
-        const auto value_it = attr_it->second.find(canonical);
-        if (remove_from_entry(value_it->second, w, bit)) {
-          attr_it->second.erase(value_it);
-          if (attr_it->second.empty()) eq_.erase(attr_it);
-        }
-      },
-      [&](const Constraint& c) {
-        if (is_sortable_range(c)) {
-          const auto attr_it = range_.find(c.attr_id());
-          RangeEntries& entries = attr_it->second;
-          auto& postings =
-              is_lower_bound_op(c.op()) ? entries.lower : entries.upper;
-          const bool strict = is_strict_op(c.op());
-          const auto posting_it =
-              std::find_if(postings.begin(), postings.end(),
-                           [&](const RangePosting& p) {
-                             return p.strict == strict &&
-                                    p.bound == c.value();
-                           });
-          if (remove_from_entry(posting_it->entry, w, bit)) {
-            postings.erase(posting_it);
-            if (entries.lower.empty() && entries.upper.empty()) {
-              range_.erase(attr_it);
-            }
-          }
-        } else if (is_sortable_prefix(c) || is_sortable_suffix(c)) {
-          const bool is_prefix = is_sortable_prefix(c);
-          auto& table = is_prefix ? prefix_ : suffix_;
-          const auto attr_it = table.find(c.attr_id());
-          PrefixEntries& entries = attr_it->second;
-          const std::string pattern = is_prefix
-                                          ? c.value().as_string()
-                                          : reversed(c.value().as_string());
-          const auto posting_it =
-              prefix_posting_pos(entries.postings, pattern);
-          if (remove_from_entry(posting_it->entry, w, bit)) {
-            remove_prefix_length(entries.lengths, pattern.size());
-            entries.postings.erase(posting_it);
-            if (entries.postings.empty()) table.erase(attr_it);
-          }
-        } else if (is_sortable_contains(c)) {
-          const auto attr_it = contains_.find(c.attr_id());
-          ContainsEntries& entries = attr_it->second;
-          const std::string& pattern = c.value().as_string();
-          if (remove_from_entry(entries.find(pattern)->payload, w, bit)) {
-            entries.erase(pattern);
-            if (entries.empty()) contains_.erase(attr_it);
-          }
-        } else {
-          const auto attr_it = noneq_.find(c.attr_id());
-          auto& postings = attr_it->second;
-          const auto posting_it =
-              std::find_if(postings.begin(), postings.end(),
-                           [&](const NonEqPosting& p) {
-                             return p.constraint == c;
-                           });
-          if (remove_from_entry(posting_it->entry, w, bit)) {
-            postings.erase(posting_it);
-            if (postings.empty()) noneq_.erase(attr_it);
-          }
-        }
-      });
+  for_each_entry(slots_[slot].filter,
+                 [&](const Constraint& c, const Value& key) {
+                   release_entry(attrs_[c.attr_id()], c, key, w, bit);
+                 });
   live_[w] &= ~bit;
   zero_req_[w] &= ~bit;
   if (zero_req_[w] == 0) {
@@ -321,63 +304,54 @@ std::size_t BitsetMatcher::universal_words() const noexcept {
 
 void BitsetMatcher::collect_satisfied(AttrId attr, const Value& canonical,
                                       std::vector<const Entry*>& out) const {
-  if (const auto attr_it = eq_.find(attr); attr_it != eq_.end()) {
-    if (const auto value_it = attr_it->second.find(canonical);
-        value_it != attr_it->second.end()) {
-      out.push_back(&value_it->second);
+  const AttrIndex* index = index_of(attr);
+  if (index == nullptr) return;
+  if (!index->eq.empty()) {
+    if (const auto it = index->eq.find(canonical); it != index->eq.end()) {
+      out.push_back(&it->second);
     }
   }
-  if (const auto range_it = range_.find(attr);
-      range_it != range_.end() && range_sortable(canonical)) {
+  if (range_sortable(canonical)) {
     // Sorted-bound probes (see range_index.h): satisfied lower bounds are
     // a prefix of the array, satisfied upper bounds a suffix. Probing the
     // canonical value is exact — int -> double canonicalization only
     // happens when the image is exact, and Value::compare is value-based
     // across the types either way.
-    const RangeEntries& entries = range_it->second;
-    const std::size_t lower_end =
-        lower_satisfied_end(entries.lower, canonical);
+    const std::size_t lower_end = lower_satisfied_end(index->lower, canonical);
     for (std::size_t k = 0; k < lower_end; ++k) {
-      out.push_back(&entries.lower[k].entry);
+      out.push_back(&index->lower[k].entry);
     }
-    for (std::size_t k = upper_satisfied_begin(entries.upper, canonical);
-         k < entries.upper.size(); ++k) {
-      out.push_back(&entries.upper[k].entry);
+    for (std::size_t k = upper_satisfied_begin(index->upper, canonical);
+         k < index->upper.size(); ++k) {
+      out.push_back(&index->upper[k].entry);
     }
   }
-  if (const auto prefix_it = prefix_.find(attr);
-      prefix_it != prefix_.end() && canonical.is_string()) {
-    probe_prefixes(prefix_it->second.postings, prefix_it->second.lengths,
-                   canonical.as_string(), [&](const PrefixPosting& posting) {
-                     out.push_back(&posting.entry);
-                   });
-  }
-  if (const auto suffix_it = suffix_.find(attr);
-      suffix_it != suffix_.end() && canonical.is_string()) {
-    // Reversed-pattern table: one reversal of the event string, then the
-    // prefix probes (see range_index.h).
-    const std::string rev = reversed(canonical.as_string());
-    probe_prefixes(suffix_it->second.postings, suffix_it->second.lengths,
-                   rev, [&](const PrefixPosting& posting) {
-                     out.push_back(&posting.entry);
-                   });
-  }
-  if (const auto contains_it = contains_.find(attr);
-      contains_it != contains_.end() && canonical.is_string()) {
-    contains_it->second.probe(canonical.as_string(),
-                              [&](const ContainsEntries::Posting& posting) {
-                                out.push_back(&posting.payload);
-                              });
-  }
-  if (const auto noneq_it = noneq_.find(attr); noneq_it != noneq_.end()) {
-    // Evaluated against the *canonical* value in the single-event path too,
-    // so the batch path (which groups by canonical value) provably agrees:
-    // every operator's result is invariant under int -> double
-    // canonicalization (numeric comparisons compare numerics, string ops
-    // reject non-strings of either type, exists ignores the value).
-    for (const auto& posting : noneq_it->second) {
-      if (posting.constraint.matches(canonical)) out.push_back(&posting.entry);
+  if (canonical.is_string()) {
+    const std::string& s = canonical.as_string();
+    const auto collect = [&](const PrefixPosting& posting) {
+      out.push_back(&posting.entry);
+    };
+    probe_prefixes(index->prefix.postings, index->prefix.lengths, s, collect);
+    if (!index->suffix.postings.empty()) {
+      // Reversed-pattern table: one reversal of the event string, then the
+      // prefix probes (see range_index.h).
+      probe_prefixes(index->suffix.postings, index->suffix.lengths,
+                     reversed(s), collect);
     }
+    if (index->contains) {
+      index->contains->probe(s, [&](const ContainsEntries::Posting& posting) {
+        out.push_back(&posting.payload);
+      });
+    }
+  }
+  // Residual postings are evaluated against the *canonical* value in the
+  // single-event path too, so the batch path (which groups by canonical
+  // value) provably agrees: every operator's result is invariant under
+  // int -> double canonicalization (numeric comparisons compare numerics,
+  // string ops reject non-strings of either type, exists ignores the
+  // value).
+  for (const auto& posting : index->noneq) {
+    if (posting.constraint.matches(canonical)) out.push_back(&posting.entry);
   }
 }
 
@@ -502,11 +476,7 @@ void BitsetMatcher::match_batch(
   std::vector<const Entry*> group_entries;
   for_each_attr_group(events, [&](AttrId attr,
                                   const Occurrences& occurrences) {
-    if (!eq_.contains(attr) && !range_.contains(attr) &&
-        !prefix_.contains(attr) && !suffix_.contains(attr) &&
-        !contains_.contains(attr) && !noneq_.contains(attr)) {
-      return;
-    }
+    if (index_of(attr) == nullptr) return;
     for_each_value_group(occurrences, [&](const Value& value,
                                           const std::vector<std::uint32_t>&
                                               event_positions) {

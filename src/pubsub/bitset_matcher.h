@@ -17,7 +17,12 @@
 //
 // ## Index entries
 //
-// Equality constraints index as eq[attr][canonical value] -> bitmap of the
+// Every structure below lives in one record per attribute, held in a
+// vector indexed by AttrId (attribute names are a bounded vocabulary, see
+// attr_table.h): an event attribute resolves to its record with one array
+// index, and a record with no live entry is skipped whole.
+//
+// Equality constraints index as eq[canonical value] -> bitmap of the
 // slots carrying that constraint (cross-type numerics collapse onto one
 // entry via canonical_numeric, so eq(p, 3) and eq(p, 3.0) share it).
 // Numeric range constraints (< <= > >=) index as *sorted bound arrays* per
@@ -33,7 +38,7 @@
 // patterns probed in one pass over the event string (see range_index.h
 // for all three probes). Every other operator (ne/exists, in-set, plus
 // range/pattern shapes the sorted structures cannot hold) indexes as
-// noneq[attr] -> (constraint, bitmap) postings, one per *distinct*
+// residual (constraint, bitmap) postings, one per *distinct*
 // constraint — filters sharing `text =$ ".log"` share one entry, so the
 // predicate is evaluated once per event (or once per distinct value in a
 // batch), not once per filter. All resolved entries feed the same
@@ -89,6 +94,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -172,10 +178,6 @@ class BitsetMatcher final : public Matcher {
     bool strict;
     Entry entry;
   };
-  struct RangeEntries {
-    std::vector<RangePosting> lower;  // >/>= — lower_bound_order
-    std::vector<RangePosting> upper;  // </<= — upper_bound_order
-  };
   /// One distinct prefix pattern with the slots carrying that constraint.
   struct PrefixPosting {
     std::string prefix;
@@ -188,6 +190,24 @@ class BitsetMatcher final : public Matcher {
   };
   /// Distinct contains patterns, each with the slots carrying it.
   using ContainsEntries = ContainsTable<Entry>;
+  /// Everything indexed on one attribute, so add, remove and every probe
+  /// resolve the attribute once.
+  struct AttrIndex {
+    /// canonical value -> slots with that eq constraint.
+    std::unordered_map<Value, Entry> eq;
+    std::vector<RangePosting> lower;  // >/>= — lower_bound_order
+    std::vector<RangePosting> upper;  // </<= — upper_bound_order
+    PrefixEntries prefix;
+    /// Reversed suffix patterns (probed with the reversed event string).
+    PrefixEntries suffix;
+    /// Out of line (its 256-entry lead array is ~14 KB) and allocated only
+    /// while the attribute has a contains pattern.
+    std::unique_ptr<ContainsEntries> contains;
+    /// Residual distinct postings: operators the sorted structures cannot
+    /// hold, evaluated per distinct value.
+    std::vector<NonEqPosting> noneq;
+    std::size_t entries = 0;  // live entries above; 0 = nothing to probe
+  };
   struct Slot {
     SubscriptionId sub = 0;
     Filter filter;
@@ -205,21 +225,28 @@ class BitsetMatcher final : public Matcher {
   FilterSlot acquire_slot();
   void grow_words(std::size_t min_words);
   void ensure_slices(std::uint32_t required);
-  /// Invokes `eq_fn(attr, canonical_value)` / `noneq_fn(constraint)` once
-  /// per *distinct* index entry of `filter` (duplicate eq entries arise
-  /// from cross-type numeric constraints collapsing onto one canonical
-  /// value; noneq constraints are already exactly-deduplicated by Filter
+  /// Invokes `fn(constraint, key)` once per *distinct* index entry of
+  /// `filter`, where `key` is the canonical value for eq constraints and
+  /// the constraint's own value otherwise (duplicate eq entries arise from
+  /// cross-type numeric constraints collapsing onto one canonical value;
+  /// the rest are already exactly-deduplicated by Filter
   /// canonicalization). Returns the distinct-entry count.
-  template <typename EqFn, typename NonEqFn>
-  std::uint32_t for_each_entry(const Filter& filter, EqFn&& eq_fn,
-                               NonEqFn&& noneq_fn) const;
+  template <typename Fn>
+  std::uint32_t for_each_entry(const Filter& filter, Fn&& fn) const;
 
-  /// Adds the slot at (`w`, `bit`) to `entry`, counting the entry when it
-  /// is new.
-  void add_to_entry(Entry& entry, std::size_t w, Word bit);
-  /// Removes the slot at (`w`, `bit`) from `entry`; true (and the entry
-  /// uncounted) once no slot is left, so the caller erases it.
-  bool remove_from_entry(Entry& entry, std::size_t w, Word bit);
+  /// The entry `c` indexes under on its attribute (`key` as passed by
+  /// for_each_entry), created empty when new.
+  Entry& acquire_entry(AttrIndex& index, const Constraint& c,
+                       const Value& key);
+  /// Clears the slot at (`w`, `bit`) from `c`'s entry, which must hold it,
+  /// and drops the entry once no slot is left.
+  void release_entry(AttrIndex& index, const Constraint& c, const Value& key,
+                     std::size_t w, Word bit);
+  /// The attribute's index record, or nullptr when nothing is indexed on it.
+  const AttrIndex* index_of(AttrId attr) const noexcept {
+    return attr < attrs_.size() && attrs_[attr].entries != 0 ? &attrs_[attr]
+                                                             : nullptr;
+  }
 
   /// Appends the entry bitmaps satisfied by (attr, value) to `out`.
   void collect_satisfied(AttrId attr, const Value& canonical,
@@ -239,21 +266,7 @@ class BitsetMatcher final : public Matcher {
   std::unordered_map<SubscriptionId, FilterSlot> slot_of_;
   std::vector<Slot> slots_;            // indexed by FilterSlot
   std::vector<FilterSlot> free_slots_;  // LIFO freelist
-  /// attribute id -> canonical value -> slots with that eq constraint.
-  std::unordered_map<AttrId, std::unordered_map<Value, Entry>, AttrIdHash>
-      eq_;
-  /// attribute id -> sorted distinct range-bound entries on that attribute.
-  std::unordered_map<AttrId, RangeEntries, AttrIdHash> range_;
-  /// attribute id -> sorted distinct prefix-pattern entries.
-  std::unordered_map<AttrId, PrefixEntries, AttrIdHash> prefix_;
-  /// attribute id -> sorted distinct *reversed* suffix-pattern entries
-  /// (PrefixEntries layout; probed with the reversed event string).
-  std::unordered_map<AttrId, PrefixEntries, AttrIdHash> suffix_;
-  /// attribute id -> distinct contains-pattern entries.
-  std::unordered_map<AttrId, ContainsEntries, AttrIdHash> contains_;
-  /// attribute id -> residual distinct non-equality postings (operators
-  /// the sorted structures cannot hold; evaluated per distinct value).
-  std::unordered_map<AttrId, std::vector<NonEqPosting>, AttrIdHash> noneq_;
+  std::vector<AttrIndex> attrs_;  // indexed by AttrId
   std::vector<Word> live_;      // occupied slots
   std::vector<Word> zero_req_;  // live slots with requirement 0 (universal)
   /// Summary of zero_req_: bit w is set iff zero_req_[w] != 0.

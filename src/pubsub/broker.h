@@ -95,8 +95,9 @@ class DeliverySelector {
   /// Applies each window's min_score filter and top-k cut (cut_top_k)
   /// and marks the cut hits `suppressed` in place. Candidates are the
   /// hits carrying a spec, except echoes back to `from`. One linear pass:
-  /// candidates are counted per window slot (ScoringIndex::Entry::slot),
-  /// scattered into back-to-back runs in event order, and each run is cut.
+  /// candidates are counted per window slot (ScoredDestination::slot, the
+  /// subscription's engine id), scattered into back-to-back runs in event
+  /// order, and each run is cut.
   Counts select(RoutingTable::IfaceId from,
                 std::vector<std::vector<RoutingTable::ScoredDestination>>&
                     hits);

@@ -27,23 +27,40 @@ void RoutingTable::add_client_iface(IfaceId iface) {
   client_ifaces_.try_emplace(iface);
 }
 
-std::uint64_t RoutingTable::add_entry(Filter filter, IfaceId iface,
-                                      bool from_broker,
-                                      SubscriptionId client_sub,
-                                      ScoringSpec scoring) {
-  const std::uint64_t engine_id = next_engine_id_++;
+RoutingTable::EngineId RoutingTable::add_entry(Filter filter, IfaceId iface,
+                                               bool from_broker,
+                                               SubscriptionId client_sub,
+                                               ScoringSpec scoring) {
+  EngineId engine_id = static_cast<EngineId>(entries_.size());
+  if (free_ids_.empty()) {
+    entries_.emplace_back();
+  } else {
+    engine_id = free_ids_.back();
+    free_ids_.pop_back();
+  }
   matcher_->add(engine_id, filter);
-  entries_.emplace(engine_id,
-                   EngineEntry{std::move(filter), iface, from_broker,
-                               client_sub});
-  scoring_index_.set(engine_id, std::move(scoring));  // no-op when neutral
+  EngineEntry& entry = entries_[engine_id];
+  entry = EngineEntry{std::move(filter), iface, from_broker, client_sub,
+                      nullptr};
+  if (!scoring.neutral()) {
+    // Interning, not AttrTable::lookup: a spec may arrive before any event
+    // carries its attribute, and the id it resolves to must be the one
+    // those events get.
+    std::vector<AttrId> attr_ids;
+    attr_ids.reserve(scoring.text_attrs.size());
+    for (const std::string& attr : scoring.text_attrs) {
+      attr_ids.push_back(AttrTable::instance().intern(attr));
+    }
+    entry.scored = std::make_unique<const ScoredSpec>(
+        ScoredSpec{std::move(scoring), std::move(attr_ids)});
+  }
   return engine_id;
 }
 
-void RoutingTable::remove_entry(std::uint64_t engine_id) {
+void RoutingTable::remove_entry(EngineId engine_id) {
   matcher_->remove(engine_id);
-  entries_.erase(engine_id);
-  scoring_index_.erase(engine_id);
+  entries_[engine_id] = EngineEntry{};  // frees the filter and spec
+  free_ids_.push_back(engine_id);
 }
 
 void RoutingTable::client_subscribe(IfaceId client, SubscriptionId sub_id,
@@ -74,7 +91,7 @@ bool RoutingTable::broker_subscribe(IfaceId broker, Filter filter) {
   // Copy the key before add_entry moves the filter out.
   std::string key = filter.key();
   if (iface.engine_ids.contains(key)) return false;  // idempotent
-  const std::uint64_t engine_id =
+  const EngineId engine_id =
       add_entry(std::move(filter), broker, /*from_broker=*/true, 0);
   iface.engine_ids.emplace(std::move(key), engine_id);
   return true;
@@ -127,7 +144,7 @@ bool RoutingTable::broker_resync(IfaceId broker,
   // as-is, so a replayed state is a no-op).
   for (const auto& [key, filter] : desired) {
     if (iface.engine_ids.contains(key)) continue;
-    const std::uint64_t engine_id =
+    const EngineId engine_id =
         add_entry(*filter, broker, /*from_broker=*/true, 0);
     iface.engine_ids.emplace(key, engine_id);
     changed = true;
@@ -145,7 +162,7 @@ bool RoutingTable::client_resync(IfaceId client,
   for (auto it = iface.engine_ids.begin(); it != iface.engine_ids.end();) {
     const auto want = desired.find(it->first);
     if (want != desired.end() &&
-        entries_.at(it->second).filter.key() == want->second->filter.key() &&
+        entries_[it->second].filter.key() == want->second->filter.key() &&
         entry_scoring(it->second) == want->second->scoring) {
       ++it;  // identical (sub_id, filter, scoring): keep, idempotent
       continue;
@@ -180,7 +197,7 @@ std::uint64_t RoutingTable::client_iface_digest(IfaceId iface) const {
   std::uint64_t digest = 0;
   for (const auto& [sub_id, engine_id] : it->second.engine_ids) {
     digest ^= client_subscription_digest(
-        sub_id, entries_.at(engine_id).filter, entry_scoring(engine_id));
+        sub_id, entries_[engine_id].filter, entry_scoring(engine_id));
   }
   return digest;
 }
@@ -217,7 +234,7 @@ std::vector<ClientSubscription> RoutingTable::client_subscriptions(
   if (it == client_ifaces_.end()) return subs;
   subs.reserve(it->second.engine_ids.size());
   for (const auto& [sub_id, engine_id] : it->second.engine_ids) {
-    subs.push_back(ClientSubscription{sub_id, entries_.at(engine_id).filter,
+    subs.push_back(ClientSubscription{sub_id, entries_[engine_id].filter,
                                       entry_scoring(engine_id)});
   }
   std::sort(subs.begin(), subs.end(),
@@ -229,8 +246,9 @@ std::vector<ClientSubscription> RoutingTable::client_subscriptions(
 
 std::string RoutingTable::state_fingerprint() const {
   std::vector<std::string> lines;
-  lines.reserve(entries_.size());
-  for (const auto& [engine_id, entry] : entries_) {
+  lines.reserve(size());
+  for (const EngineEntry& entry : entries_) {
+    if (entry.iface == kNoIface) continue;  // free record
     if (entry.from_broker) {
       lines.push_back("B " + std::to_string(entry.iface) + " " +
                       entry.filter.key());
@@ -241,9 +259,7 @@ std::string RoutingTable::state_fingerprint() const {
       // Non-neutral scoring is routing state too (a healed broker that
       // lost a spec would over-deliver); neutral entries keep the PR 9
       // fingerprint lines.
-      if (const auto* scored = scoring_index_.find(engine_id)) {
-        line += " " + scored->spec.summary();
-      }
+      if (entry.scored) line += " " + entry.scored->spec.summary();
       lines.push_back(std::move(line));
     }
   }
@@ -264,8 +280,9 @@ std::string RoutingTable::state_fingerprint() const {
 std::map<std::string, Filter> RoutingTable::filters_not_from(
     IfaceId excluded) const {
   std::map<std::string, Filter> out;
-  for (const auto& [engine_id, entry] : entries_) {
-    if (entry.iface == excluded) continue;
+  for (const EngineEntry& entry : entries_) {
+    // A free record (iface kNoIface) holds a default, universal filter.
+    if (entry.iface == excluded || entry.iface == kNoIface) continue;
     out.try_emplace(entry.filter.key(), entry.filter);
   }
   return out;
@@ -440,15 +457,9 @@ RoutingTable::Diff RoutingTable::refresh(IfaceId neighbor) {
   return diff;
 }
 
-RoutingTable::Destination RoutingTable::destination_of(
-    std::uint64_t engine_id) const {
-  const EngineEntry& entry = entries_.at(engine_id);
-  return Destination{entry.iface, entry.from_broker, entry.client_sub};
-}
-
-ScoringSpec RoutingTable::entry_scoring(std::uint64_t engine_id) const {
-  const ScoringIndex::Entry* scored = scoring_index_.find(engine_id);
-  return scored != nullptr ? scored->spec : ScoringSpec{};
+ScoringSpec RoutingTable::entry_scoring(EngineId engine_id) const {
+  const EngineEntry& entry = entries_[engine_id];
+  return entry.scored ? entry.scored->spec : ScoringSpec{};
 }
 
 void RoutingTable::match_engine_batch(
@@ -483,8 +494,10 @@ void RoutingTable::match_batch(
   out.assign(events.size(), {});
   for (std::size_t i = 0; i < events.size(); ++i) {
     out[i].reserve(engine_hits[i].size());
-    for (const std::uint64_t engine_id : engine_hits[i]) {
-      out[i].push_back(destination_of(engine_id));
+    for (const SubscriptionId engine_id : engine_hits[i]) {
+      const EngineEntry& entry = entries_[engine_id];
+      out[i].push_back(
+          Destination{entry.iface, entry.from_broker, entry.client_sub});
     }
   }
 }
@@ -519,15 +532,16 @@ void RoutingTable::match_batch_scored(
     };
     out[i].reserve(engine_hits[i].size());
     for (const SubscriptionId engine_id : engine_hits[i]) {
-      const ScoringIndex::Entry* scored = scoring_index_.find(engine_id);
-      double score = kConstantScore;
-      if (scored != nullptr && scored->spec.policy == ScoringPolicy::kBm25) {
-        score = bag_for(scored->attr_ids).score(scored->spec.query);
+      const EngineEntry& entry = entries_[engine_id];
+      ScoredDestination& hit = out[i].emplace_back(ScoredDestination{
+          {entry.iface, entry.from_broker, entry.client_sub}});
+      if (const ScoredSpec* scored = entry.scored.get()) {
+        if (scored->spec.policy == ScoringPolicy::kBm25) {
+          hit.score = bag_for(scored->attr_ids).score(scored->spec.query);
+        }
+        hit.scoring = &scored->spec;
+        hit.slot = static_cast<std::uint32_t>(engine_id);
       }
-      out[i].push_back(ScoredDestination{
-          destination_of(engine_id), score,
-          scored != nullptr ? &scored->spec : nullptr,
-          scored != nullptr ? scored->slot : kNoScoringSlot});
     }
   }
 }

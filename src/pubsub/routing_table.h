@@ -61,8 +61,9 @@ class RoutingTable {
 
   /// A destination decorated with its relevance score and, for client
   /// subscriptions with a non-neutral ScoringSpec, the delivery policy to
-  /// apply (top_k / min_score) and the spec's dense window slot
-  /// (ScoringIndex::Entry::slot). `scoring` is nullptr and `slot`
+  /// apply (top_k / min_score) and the spec's top-k window slot (its
+  /// registration's engine id: distinct among live registrations and kept
+  /// on a same-sub_id replace). `scoring` is nullptr and `slot`
   /// kNoScoringSlot for neighbor-broker destinations and for unscored
   /// subscriptions — forwarding between brokers is boolean-only;
   /// suppression is an edge-delivery policy. The pointer is owned by the
@@ -200,7 +201,9 @@ class RoutingTable {
 
   // --- introspection --------------------------------------------------------
   /// Total filters stored across all interfaces.
-  std::size_t size() const noexcept { return entries_.size(); }
+  std::size_t size() const noexcept {
+    return entries_.size() - free_ids_.size();
+  }
   /// Filters currently forwarded to (i.e. requested from) `neighbor`.
   std::size_t forwarded_size(IfaceId neighbor) const;
   const Matcher& matcher() const noexcept { return *matcher_; }
@@ -220,28 +223,43 @@ class RoutingTable {
       std::map<std::string, Filter> filters);
 
  private:
+  /// Engine id: the registration's matcher id, its index in entries_ and
+  /// its top-k window slot. Dense, recycled LIFO.
+  using EngineId = std::uint32_t;
+
   struct ClientIface {
-    std::unordered_map<SubscriptionId, std::uint64_t> engine_ids;
+    std::unordered_map<SubscriptionId, EngineId> engine_ids;
   };
   struct BrokerIface {
     /// Aggregated filters received from this neighbor, by canonical key.
-    std::unordered_map<std::string, std::uint64_t> engine_ids;
+    std::unordered_map<std::string, EngineId> engine_ids;
     /// Filters we have handed out *to* this neighbor, by canonical key.
     std::unordered_map<std::string, Filter> forwarded;
   };
+  /// A non-neutral spec with its text attributes interned to ids, in spec
+  /// order (duplicates kept), so the scored match path never hashes an
+  /// attribute name.
+  struct ScoredSpec {
+    ScoringSpec spec;
+    std::vector<AttrId> attr_ids;
+  };
+  /// One registration. A free record (its id on free_ids_) has iface
+  /// kNoIface.
   struct EngineEntry {
     Filter filter;
     IfaceId iface = kNoIface;
     bool from_broker = false;
     SubscriptionId client_sub = 0;  // valid when !from_broker
+    /// Null for a neutral spec; behind a pointer so ScoredDestination's
+    /// view of it outlives growth of entries_.
+    std::unique_ptr<const ScoredSpec> scored;
   };
 
-  std::uint64_t add_entry(Filter filter, IfaceId iface, bool from_broker,
-                          SubscriptionId client_sub, ScoringSpec scoring = {});
-  void remove_entry(std::uint64_t engine_id);
-  Destination destination_of(std::uint64_t engine_id) const;
+  EngineId add_entry(Filter filter, IfaceId iface, bool from_broker,
+                     SubscriptionId client_sub, ScoringSpec scoring = {});
+  void remove_entry(EngineId engine_id);
   /// The stored spec of an entry (neutral when it has none).
-  ScoringSpec entry_scoring(std::uint64_t engine_id) const;
+  ScoringSpec entry_scoring(EngineId engine_id) const;
 
   /// Filters visible on interfaces other than `excluded` (deduplicated by
   /// canonical key).
@@ -258,11 +276,8 @@ class RoutingTable {
 
   std::unique_ptr<Matcher> matcher_;
   std::unique_ptr<util::ThreadPool> pool_;  // null when worker_threads == 0
-  std::unordered_map<std::uint64_t, EngineEntry> entries_;
-  /// Non-neutral specs by engine id, mirroring entries_ (the scored match
-  /// path's lookup surface; see match_batch_scored).
-  ScoringIndex scoring_index_;
-  std::uint64_t next_engine_id_ = 1;
+  std::vector<EngineEntry> entries_;  // by engine id
+  std::vector<EngineId> free_ids_;    // released ids, reused LIFO
 };
 
 }  // namespace reef::pubsub

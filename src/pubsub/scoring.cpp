@@ -62,36 +62,6 @@ std::uint64_t client_subscription_digest(SubscriptionId sub_id,
   return digest;
 }
 
-void ScoringIndex::set(SubscriptionId id, ScoringSpec spec) {
-  if (spec.neutral()) {
-    erase(id);
-    return;
-  }
-  std::vector<AttrId> attr_ids;
-  attr_ids.reserve(spec.text_attrs.size());
-  for (const std::string& attr : spec.text_attrs) {
-    attr_ids.push_back(AttrTable::instance().intern(attr));
-  }
-  Entry& entry = specs_[id];
-  if (entry.slot == kNoScoringSlot) {  // new id: take a slot
-    if (free_slots_.empty()) {
-      entry.slot = next_slot_++;
-    } else {
-      entry.slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
-  }
-  entry.spec = std::move(spec);
-  entry.attr_ids = std::move(attr_ids);
-}
-
-void ScoringIndex::erase(SubscriptionId id) {
-  const auto it = specs_.find(id);
-  if (it == specs_.end()) return;
-  free_slots_.push_back(it->second.slot);
-  specs_.erase(it);
-}
-
 void TermBag::assign(const Event& event, std::span<const AttrId> attrs) {
   bytes_.clear();
   ends_.clear();

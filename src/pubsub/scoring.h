@@ -40,7 +40,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -128,52 +127,9 @@ struct ClientSubscription {
   ScoringSpec scoring;
 };
 
-/// Window slot of a hit without a non-neutral spec.
+/// Top-k window slot of a hit without a non-neutral spec (see
+/// RoutingTable::ScoredDestination::slot).
 inline constexpr std::uint32_t kNoScoringSlot = 0xffffffff;
-
-/// Registry of the non-neutral scoring specs among a routing table's
-/// subscriptions, consulted by RoutingTable::match_batch_scored.
-/// Subscriptions absent here score kConstantScore. Kept outside the
-/// matching engines on purpose: scores *decorate* boolean matching (they
-/// are a pure function of (spec, event), computed after the match), so no
-/// engine needs to know scoring exists, and identical match sets imply
-/// identical scored output by construction.
-///
-/// Each registered spec also holds a *slot*: live entries' slots are
-/// distinct and dense from 0, so the broker's top-k selection can keep
-/// its per-window state in a flat array indexed by slot. Replacing an
-/// id's spec keeps its slot; erasing it (or setting it neutral) frees the
-/// slot for the next registration.
-class ScoringIndex {
- public:
-  struct Entry {
-    ScoringSpec spec;
-    /// spec.text_attrs as interned ids, in spec order (duplicates kept),
-    /// so the scored match path never hashes an attribute name.
-    std::vector<AttrId> attr_ids;
-    /// Dense window slot, distinct among live entries.
-    std::uint32_t slot = kNoScoringSlot;
-  };
-
-  /// Registers (or replaces) the spec for `id`, interning its text
-  /// attribute names. Interning, not AttrTable::lookup: a spec may arrive
-  /// before any event carries its attribute, and the id it resolves to
-  /// must be the one those events get. Neutral specs are dropped — they
-  /// are indistinguishable from absence.
-  void set(SubscriptionId id, ScoringSpec spec);
-  void erase(SubscriptionId id);
-  /// Entry for `id`, or nullptr when it scores the neutral constant. The
-  /// pointer is stable until that id is set/erased (node-based map).
-  const Entry* find(SubscriptionId id) const {
-    const auto it = specs_.find(id);
-    return it == specs_.end() ? nullptr : &it->second;
-  }
-
- private:
-  std::unordered_map<SubscriptionId, Entry> specs_;
-  std::vector<std::uint32_t> free_slots_;  // released slots, reused LIFO
-  std::uint32_t next_slot_ = 0;            // slots ever handed out
-};
 
 /// One subscription's share of a client resync digest: XOR-folded over a
 /// client's live subscriptions by both RoutingTable::client_iface_digest

@@ -83,13 +83,13 @@ std::optional<Time> Network::send(NodeId from, NodeId to, std::string type,
 
   const Time latency = latency_between(from, to);
   Time deliver_at = sim_.now() + latency;
-  if (config_.fifo_links) {
-    const std::uint64_t directed =
-        (static_cast<std::uint64_t>(from) << 32) | to;
-    Time& last = last_delivery_[directed];
-    if (deliver_at < last) deliver_at = last;
-    last = deliver_at;
-  }
+  // Links are FIFO: a message on a directed (from, to) pair is delivered
+  // no earlier than one sent before it (TCP-like). The pubsub control
+  // plane relies on this for subscription traffic.
+  const std::uint64_t directed = (static_cast<std::uint64_t>(from) << 32) | to;
+  Time& last = last_delivery_[directed];
+  if (deliver_at < last) deliver_at = last;
+  last = deliver_at;
   Message msg{from, to, std::move(type), bytes, std::move(payload)};
   sim_.at(deliver_at, [this, msg = std::move(msg), lost_to_link]() mutable {
     // Evaluate failures at delivery time: a crash or partition that happens

@@ -46,19 +46,15 @@ class Node {
 };
 
 /// Point-to-point message-passing substrate with latency, jitter, traffic
-/// metering, and failure injection. All state changes are deterministic
-/// given the seed.
+/// metering, and failure injection. Links are FIFO per directed pair:
+/// jitter never reorders two messages from one node to another. All state
+/// changes are deterministic given the seed.
 class Network {
  public:
   struct Config {
     Time default_latency = 20 * kMillisecond;
     /// Jitter drawn uniformly from [0, jitter_fraction * latency].
     double jitter_fraction = 0.25;
-    /// When true (default), deliveries on each directed (from, to) pair are
-    /// never reordered: a message sent later is delivered no earlier than
-    /// one sent before it (TCP-like). Protocol code in pubsub/ relies on
-    /// this for subscription control traffic.
-    bool fifo_links = true;
     std::uint64_t seed = 42;
   };
 

@@ -553,5 +553,126 @@ TEST(BitsetMatcher, FreelistReuseAcrossWordBoundariesAgreesWithOracle) {
   EXPECT_GT(max_capacity, 3 * 64u);
 }
 
+/// Every posting class shares one attribute's index record: eq (numeric
+/// and string), lower and upper range bounds, prefix, suffix, contains and
+/// the residual ne/exists/in-set postings, registered and retracted in a
+/// seeded churn. Brute force agrees after every operation, and once the
+/// last filter is gone no entry is left behind.
+TEST(BitsetMatcher, MixedPostingClassesOnOneAttributeChurnAgreesWithOracle) {
+  util::Rng rng(0xa771d);
+  BitsetMatcher m;
+  BruteForceMatcher oracle;
+  std::vector<SubscriptionId> live;
+  SubscriptionId next = 1;
+  const auto random_text = [&] {
+    std::string text;
+    const std::size_t n = rng.index(4);  // "" included
+    for (std::size_t i = 0; i < n; ++i) text += "abc"[rng.index(3)];
+    return text;
+  };
+  const auto random_number = [&] {
+    return Value(static_cast<std::int64_t>(rng.index(5)));
+  };
+  const auto random_event = [&] {
+    Event e;
+    switch (rng.index(4)) {
+      case 0:
+        break;  // the attribute absent
+      case 1:
+        e.with("x", random_number());
+        break;
+      case 2:
+        e.with("x", static_cast<double>(rng.index(5)) + 0.5);
+        break;
+      default:
+        e.with("x", random_text());
+        break;
+    }
+    return e;
+  };
+  constexpr std::size_t kClasses = 10;
+  std::vector<int> added(kClasses, 0);
+  std::size_t max_entries = 0;
+  for (int op = 0; op < 3000; ++op) {
+    if (live.empty() || rng.chance(0.55)) {
+      Filter f;
+      const std::size_t n = 1 + rng.index(3);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t kind = rng.index(kClasses);
+        ++added[kind];
+        switch (kind) {
+          case 0:
+            f.and_(eq("x", random_number()));
+            break;
+          case 1:
+            f.and_(eq("x", random_text()));
+            break;
+          case 2:
+            f.and_(rng.chance(0.5) ? ge("x", random_number())
+                                   : gt("x", random_number()));
+            break;
+          case 3:
+            f.and_(rng.chance(0.5) ? le("x", random_number())
+                                   : lt("x", random_number()));
+            break;
+          case 4:
+            f.and_(prefix("x", random_text()));
+            break;
+          case 5:
+            f.and_(suffix("x", random_text()));
+            break;
+          case 6:
+            f.and_(contains("x", random_text()));
+            break;
+          case 7:
+            f.and_(ne("x", random_number()));
+            break;
+          case 8:
+            f.and_(exists("x"));
+            break;
+          default:
+            f.and_(in_("x", {random_number(), Value(random_text())}));
+            break;
+        }
+      }
+      m.add(next, f);
+      oracle.add(next, f);
+      live.push_back(next++);
+    } else {
+      const std::size_t idx = rng.index(live.size());
+      m.remove(live[idx]);
+      oracle.remove(live[idx]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+    max_entries = std::max(max_entries, m.entry_count());
+    const Event e = random_event();
+    ASSERT_EQ(sorted(m.match(e)), sorted(oracle.match(e)))
+        << "op " << op << " event " << e.to_string();
+    if (op % 8 == 0) {
+      std::vector<Event> events;
+      for (int i = 0; i < 8; ++i) events.push_back(random_event());
+      std::vector<std::vector<SubscriptionId>> out;
+      m.match_batch(events, out);
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(sorted(out[i]), sorted(oracle.match(events[i])))
+            << "op " << op << " batch event " << events[i].to_string();
+      }
+    }
+  }
+  for (std::size_t kind = 0; kind < kClasses; ++kind) {
+    EXPECT_GT(added[kind], 100) << "class " << kind;
+  }
+  EXPECT_GT(max_entries, 50u);
+  for (const SubscriptionId id : live) {
+    m.remove(id);
+    oracle.remove(id);
+    ASSERT_EQ(sorted(m.match(Event().with("x", "abc"))),
+              sorted(oracle.match(Event().with("x", "abc"))));
+  }
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.entry_count(), 0u);
+  EXPECT_TRUE(m.match(Event().with("x", "abc")).empty());
+}
+
 }  // namespace
 }  // namespace reef::pubsub

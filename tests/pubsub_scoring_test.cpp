@@ -3,7 +3,7 @@
 // BM25 formula (the TermBag path held bitwise to a reference copy of the
 // earlier per-hit formula), cut_top_k's deterministic tie-breaking and
 // the broker's DeliverySelector held to a verbatim copy of the earlier
-// sort-plus-heap selection, ScoringIndex's dense window slots,
+// sort-plus-heap selection, the routing table's top-k window slots,
 // the routing table's scored decoration of every engine's match_batch
 // (including contiguous sub-span composition), and small end-to-end
 // broker runs composing the min_score threshold with the top-k cut. The
@@ -382,36 +382,65 @@ TEST(TopKCut, PartitionsTheWindowByFate) {
   EXPECT_EQ(orders(3, 5), (std::vector<std::uint32_t>{0, 3}));
 }
 
-// --- ScoringIndex window slots -----------------------------------------------
+// --- RoutingTable window slots ----------------------------------------------
 
-TEST(ScoringIndex, SlotsAreDenseKeptOnReplaceAndReused) {
+/// client sub -> window slot of every scored hit on an attribute-free
+/// event (which every universal filter matches).
+std::unordered_map<SubscriptionId, std::uint32_t> scored_slots(
+    const RoutingTable& table) {
+  const std::vector<Event> events = {Event()};
+  std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+  table.match_batch_scored(events, hits);
+  std::unordered_map<SubscriptionId, std::uint32_t> slots;
+  for (const RoutingTable::ScoredDestination& hit : hits[0]) {
+    if (hit.scoring == nullptr) {
+      EXPECT_EQ(hit.slot, kNoScoringSlot);
+      continue;
+    }
+    EXPECT_NE(hit.slot, kNoScoringSlot);
+    slots.emplace(hit.dest.client_sub, hit.slot);
+  }
+  return slots;
+}
+
+TEST(RoutingTableSlots, DistinctKeptOnReplaceAndReusedAfterUnsubscribe) {
   const ScoringSpec k1 = bm25_spec({{"log", 1.0}}, {"text"}, 1);
   const ScoringSpec k2 = bm25_spec({{"log", 1.0}}, {"text"}, 2);
-  ScoringIndex index;
-  index.set(10, k1);
-  index.set(11, k1);
-  index.set(12, k2);
-  EXPECT_EQ(index.find(10)->slot, 0u);
-  EXPECT_EQ(index.find(11)->slot, 1u);
-  EXPECT_EQ(index.find(12)->slot, 2u);
-  // Replacing a spec keeps its slot.
-  index.set(11, k2);
-  EXPECT_EQ(index.find(11)->slot, 1u);
-  EXPECT_EQ(index.find(11)->spec, k2);
-  // An erased slot is reused by the next registration.
-  index.erase(10);
-  EXPECT_EQ(index.find(10), nullptr);
-  index.set(13, k1);
-  EXPECT_EQ(index.find(13)->slot, 0u);
-  // A neutral set frees the slot too.
-  index.set(12, ScoringSpec{});
-  EXPECT_EQ(index.find(12), nullptr);
-  index.set(14, k1);
-  EXPECT_EQ(index.find(14)->slot, 2u);
-  // Erasing an unknown id changes nothing.
-  index.erase(99);
-  index.set(15, k1);
-  EXPECT_EQ(index.find(15)->slot, 3u);
+  RoutingTable table;
+  table.add_broker_iface(99);
+  table.broker_subscribe(99, Filter());  // an unscored neighbor entry
+  table.client_subscribe(kClient, 10, Filter(), k1);
+  table.client_subscribe(kClient, 20, Filter());  // unscored sibling
+  table.client_subscribe(kClient, 11, Filter(), k1);
+  table.client_subscribe(kClient + 1, 12, Filter(), k2);
+  auto slots = scored_slots(table);
+  ASSERT_EQ(slots.size(), 3u);
+  // Distinct among the live scored subscriptions.
+  EXPECT_NE(slots[10], slots[11]);
+  EXPECT_NE(slots[10], slots[12]);
+  EXPECT_NE(slots[11], slots[12]);
+  const auto before = slots;
+  // A same-sub_id replace keeps the slot, under the new spec.
+  table.client_subscribe(kClient, 11, Filter(), k2);
+  slots = scored_slots(table);
+  EXPECT_EQ(slots, before);
+  EXPECT_EQ(table.client_subscriptions(kClient)[1].scoring, k2);
+  // An unsubscribed slot is reused by the next registration.
+  ASSERT_TRUE(table.client_unsubscribe(kClient, 10));
+  EXPECT_FALSE(scored_slots(table).contains(10));
+  table.client_subscribe(kClient, 13, Filter(), k1);
+  slots = scored_slots(table);
+  EXPECT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[13], before.at(10));
+  // An unknown unsubscribe frees nothing: the next registration takes a
+  // slot no live subscription holds.
+  EXPECT_FALSE(table.client_unsubscribe(kClient, 10));
+  table.client_subscribe(kClient, 14, Filter(), k1);
+  slots = scored_slots(table);
+  ASSERT_EQ(slots.size(), 4u);
+  for (const SubscriptionId other : {11, 12, 13}) {
+    EXPECT_NE(slots[14], slots[other]) << other;
+  }
 }
 
 // --- DeliverySelector vs the sort-plus-heap reference ------------------------
@@ -548,26 +577,41 @@ TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
   const std::vector<double> mins = {-1.0, 0.0, 0.5, 1.0, 1.5, 2.0};
   const std::vector<std::uint32_t> ks = {0, 1, 2, 4, 1000};
 
-  struct Sub {
-    RoutingTable::IfaceId client = 0;
-    SubscriptionId sub = 0;
-  };
-  ScoringIndex index;
-  std::vector<Sub> subs;  // live scored subscriptions; id = position + 1
+  // The scored subscriptions live in a routing table, so every hit's
+  // spec pointer and window slot are the ones match_batch_scored hands
+  // the broker; all filters are universal, so one attribute-free probe
+  // event reads every live subscription's decorated hit.
+  RoutingTable table;
+  std::vector<RoutingTable::IfaceId> client_of;  // by id - 1
   SubscriptionId next_id = 1;
   std::vector<SubscriptionId> live_ids;
+  std::unordered_map<SubscriptionId, RoutingTable::ScoredDestination>
+      scored_hit;
+  const auto read_hits = [&] {
+    const std::vector<Event> probe = {Event()};
+    std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+    table.match_batch_scored(probe, hits);
+    scored_hit.clear();
+    for (const RoutingTable::ScoredDestination& hit : hits[0]) {
+      ASSERT_NE(hit.scoring, nullptr);
+      ASSERT_NE(hit.slot, kNoScoringSlot);
+      scored_hit.emplace(hit.dest.client_sub, hit);
+    }
+    ASSERT_EQ(scored_hit.size(), live_ids.size());
+  };
   const auto add_sub = [&] {
     const SubscriptionId id = next_id++;
     ScoringSpec spec;
     spec.top_k = ks[rng.index(ks.size())];
     spec.min_score = mins[rng.index(mins.size())];
     if (spec.neutral()) spec.top_k = 1;
-    index.set(id, std::move(spec));
-    subs.push_back(Sub{static_cast<RoutingTable::IfaceId>(1 + rng.index(4)),
-                       id});
+    client_of.push_back(
+        static_cast<RoutingTable::IfaceId>(1 + rng.index(4)));
+    table.client_subscribe(client_of.back(), id, Filter(), std::move(spec));
     live_ids.push_back(id);
   };
   for (int i = 0; i < 12; ++i) add_sub();
+  read_hits();
 
   DeliverySelector selector;
   std::uint64_t total_k = 0;
@@ -578,9 +622,11 @@ TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
     // takes the freed slot).
     if (batch % 50 == 49) {
       const std::size_t victim = rng.index(live_ids.size());
-      index.erase(live_ids[victim]);
+      const SubscriptionId id = live_ids[victim];
+      ASSERT_TRUE(table.client_unsubscribe(client_of[id - 1], id));
       live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(victim));
       add_sub();
+      read_hits();
     }
     const RoutingTable::IfaceId from =
         rng.chance(0.3) ? kBroker
@@ -590,13 +636,9 @@ TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
     for (auto& event_hits : hits) {
       for (const SubscriptionId id : live_ids) {
         if (!rng.chance(0.6)) continue;
-        const ScoringIndex::Entry* entry = index.find(id);
-        const Sub& sub = subs[id - 1];
-        event_hits.push_back(RoutingTable::ScoredDestination{
-            {sub.client, false, sub.sub},
-            levels[rng.index(levels.size())],
-            &entry->spec,
-            entry->slot});
+        RoutingTable::ScoredDestination hit = scored_hit.at(id);
+        hit.score = levels[rng.index(levels.size())];
+        event_hits.push_back(hit);
       }
       if (rng.chance(0.5)) {  // a neutral sibling
         event_hits.push_back(RoutingTable::ScoredDestination{
@@ -927,7 +969,7 @@ TEST(ScoredDelivery, WindowIsThePublicationBatch) {
   EXPECT_EQ(broker.stats().suppressed_by_k, 0u);
 }
 
-TEST(ScoringIndex, CrashedBrokerFreshTableStartsAtSlotZero) {
+TEST(RoutingTableSlots, CrashedBrokerFreshTableStartsAtSlotZero) {
   Harness h;
   Broker broker(h.sim, h.net, "b0", scored_config());
   Client sub(h.sim, h.net, "sub");

@@ -180,7 +180,6 @@ TEST(Network, FifoLinksNeverReorder) {
   Network::Config config;
   config.default_latency = 10 * kMillisecond;
   config.jitter_fraction = 2.0;  // aggressive jitter
-  config.fifo_links = true;
   config.seed = 7;
   Network net(sim, config);
   Recorder a, b;
