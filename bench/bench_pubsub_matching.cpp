@@ -5,15 +5,16 @@
 // content/range filters), sweeping the subscription-table size. Engines
 // are selected by name (make_matcher); the smoke's correctness pass
 // iterates every built-in engine, so a new engine is checked there without
-// code changes. The batch benchmarks compare the amortized
-// Matcher::match_batch path against a per-event match loop over the same
-// events (the win is the broker's per-tick coalescing made visible), the
-// workers sweep times the routing table's split of one batch over worker
-// threads, and bm_match_batch_scored_content times the routing table's
-// BM25-scored match.
+// code changes. The batch benchmarks time Matcher::match_batch, which runs
+// each engine's one per-event path over a span with its scratch reused,
+// against a per-event match loop over the same events, the workers sweep
+// times the routing table's split of one batch over worker threads, and
+// bm_match_batch_scored_content times the routing table's BM25-scored
+// match.
 //
 // `--smoke` (used by CI) skips google-benchmark and instead runs a quick
-// cross-engine correctness pass, a batch-vs-loop timing, fixed-ratio
+// cross-engine correctness pass, a batch-vs-loop timing that also fails
+// when the two give different hit lists, fixed-ratio
 // floors of the bitset engine over brute force on the dense/high-overlap
 // workload, the eq-free range/prefix workload, the suffix/contains/in-set
 // workload and the Reef content workload, and a check that the worker
@@ -901,19 +902,20 @@ int run_smoke() {
                 engine_name.c_str(), table_size, events.size());
   }
 
-  // 2. One quick batch-vs-loop timing on the bitset engine.
+  // 2. One quick batch-vs-loop timing on the bitset engine; the two must
+  // give the same hit lists, in the same order.
   const auto matcher = make_matcher("bitset");
   for (std::size_t i = 0; i < filters.size(); ++i) {
     matcher->add(i + 1, filters[i]);
   }
   const int rounds = 2000;
-  std::vector<SubscriptionId> hits;
+  std::vector<std::vector<SubscriptionId>> loop_hits(events.size());
   const auto loop_start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
-    for (const Event& event : events) {
-      hits.clear();
-      matcher->match(event, hits);
-      benchmark::DoNotOptimize(hits.data());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      loop_hits[i].clear();
+      matcher->match(events[i], loop_hits[i]);
+      benchmark::DoNotOptimize(loop_hits[i].data());
     }
   }
   const auto loop_end = std::chrono::steady_clock::now();
@@ -932,6 +934,13 @@ int run_smoke() {
               static_cast<long>(us(loop_start, loop_end)),
               static_cast<long>(us(loop_end, batch_end)), events.size(),
               rounds);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (batch_hits[i] != loop_hits[i]) {
+      std::printf("FAIL: bitset match_batch differs from match on event %zu\n",
+                  i);
+      return 1;
+    }
+  }
 
   // 2b-2e. Fixed floors of the bitset engine over brute force, one per
   // workload shape (floor_over_brute: oracle agreement, then the min of

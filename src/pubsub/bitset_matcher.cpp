@@ -2,30 +2,25 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
-#include "pubsub/batch_group.h"
 #include "pubsub/range_index.h"
 
 namespace reef::pubsub {
 
 // --- slot space -------------------------------------------------------------
 
-FilterSlot BitsetMatcher::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const FilterSlot slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const FilterSlot slot = static_cast<FilterSlot>(slots_.size());
-  slots_.emplace_back();
-  const std::size_t needed = (slots_.size() + kWordBits - 1) / kWordBits;
+void BitsetMatcher::reserve_slot(FilterSlot slot) {
+  if (slot < filters_.size()) return;
+  filters_.resize(std::size_t{slot} + 1);
+  const std::size_t needed = slot / kWordBits + 1;
   if (needed > words_) {
     // Capacity doubling: every bitmap in the engine is resized together,
     // so amortize the pass instead of paying it once per 64 slots.
     grow_words(std::max(needed, words_ * 2));
   }
-  return slot;
 }
 
 void BitsetMatcher::grow_words(std::size_t min_words) {
@@ -234,10 +229,14 @@ void BitsetMatcher::release_entry(AttrIndex& index, const Constraint& c,
 }
 
 void BitsetMatcher::add(SubscriptionId id, Filter filter) {
+  if (id > std::numeric_limits<FilterSlot>::max()) {
+    throw std::out_of_range("bitset: subscription id " + std::to_string(id) +
+                            " does not fit a filter slot");
+  }
   remove(id);  // replace semantics
-  const FilterSlot slot = acquire_slot();
-  const std::size_t w = slot / kWordBits;
-  const Word bit = Word{1} << (slot % kWordBits);
+  reserve_slot(static_cast<FilterSlot>(id));
+  const std::size_t w = id / kWordBits;
+  const Word bit = Word{1} << (id % kWordBits);
   const std::uint32_t required =
       for_each_entry(filter, [&](const Constraint& c, const Value& key) {
         if (c.attr_id() >= attrs_.size()) attrs_.resize(c.attr_id() + 1);
@@ -258,38 +257,25 @@ void BitsetMatcher::add(SubscriptionId id, Filter filter) {
     zero_req_[w] |= bit;
     zero_words_[w / kWordBits] |= Word{1} << (w % kWordBits);
   }
-  Slot& stored = slots_[slot];
-  stored.sub = id;
-  stored.filter = std::move(filter);
-  stored.required = required;
-  slot_of_.emplace(id, slot);
+  filters_[id] = std::move(filter);
+  ++size_;
 }
 
 void BitsetMatcher::remove(SubscriptionId id) {
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return;
-  const FilterSlot slot = it->second;
-  const std::size_t w = slot / kWordBits;
-  const Word bit = Word{1} << (slot % kWordBits);
-  for_each_entry(slots_[slot].filter,
-                 [&](const Constraint& c, const Value& key) {
-                   release_entry(attrs_[c.attr_id()], c, key, w, bit);
-                 });
+  if (!registered(id)) return;
+  const std::size_t w = id / kWordBits;
+  const Word bit = Word{1} << (id % kWordBits);
+  for_each_entry(filters_[id], [&](const Constraint& c, const Value& key) {
+    release_entry(attrs_[c.attr_id()], c, key, w, bit);
+  });
   live_[w] &= ~bit;
   zero_req_[w] &= ~bit;
   if (zero_req_[w] == 0) {
     zero_words_[w / kWordBits] &= ~(Word{1} << (w % kWordBits));
   }
   for (auto& slice : required_) slice[w] &= ~bit;
-  slots_[slot] = Slot{};  // release the filter's memory while freelisted
-  free_slots_.push_back(slot);
-  slot_of_.erase(it);
-}
-
-std::optional<FilterSlot> BitsetMatcher::slot_of(SubscriptionId id) const {
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return std::nullopt;
-  return it->second;
+  filters_[id] = Filter{};  // release the filter's memory while unused
+  --size_;
 }
 
 std::size_t BitsetMatcher::universal_words() const noexcept {
@@ -302,12 +288,11 @@ std::size_t BitsetMatcher::universal_words() const noexcept {
 
 // --- matching ---------------------------------------------------------------
 
-void BitsetMatcher::collect_satisfied(AttrId attr, const Value& canonical,
+void BitsetMatcher::collect_satisfied(const AttrIndex& index,
+                                      const Value& canonical,
                                       std::vector<const Entry*>& out) const {
-  const AttrIndex* index = index_of(attr);
-  if (index == nullptr) return;
-  if (!index->eq.empty()) {
-    if (const auto it = index->eq.find(canonical); it != index->eq.end()) {
+  if (!index.eq.empty()) {
+    if (const auto it = index.eq.find(canonical); it != index.eq.end()) {
       out.push_back(&it->second);
     }
   }
@@ -317,13 +302,13 @@ void BitsetMatcher::collect_satisfied(AttrId attr, const Value& canonical,
     // canonical value is exact — int -> double canonicalization only
     // happens when the image is exact, and Value::compare is value-based
     // across the types either way.
-    const std::size_t lower_end = lower_satisfied_end(index->lower, canonical);
+    const std::size_t lower_end = lower_satisfied_end(index.lower, canonical);
     for (std::size_t k = 0; k < lower_end; ++k) {
-      out.push_back(&index->lower[k].entry);
+      out.push_back(&index.lower[k].entry);
     }
-    for (std::size_t k = upper_satisfied_begin(index->upper, canonical);
-         k < index->upper.size(); ++k) {
-      out.push_back(&index->upper[k].entry);
+    for (std::size_t k = upper_satisfied_begin(index.upper, canonical);
+         k < index.upper.size(); ++k) {
+      out.push_back(&index.upper[k].entry);
     }
   }
   if (canonical.is_string()) {
@@ -331,26 +316,24 @@ void BitsetMatcher::collect_satisfied(AttrId attr, const Value& canonical,
     const auto collect = [&](const PrefixPosting& posting) {
       out.push_back(&posting.entry);
     };
-    probe_prefixes(index->prefix.postings, index->prefix.lengths, s, collect);
-    if (!index->suffix.postings.empty()) {
+    probe_prefixes(index.prefix.postings, index.prefix.lengths, s, collect);
+    if (!index.suffix.postings.empty()) {
       // Reversed-pattern table: one reversal of the event string, then the
       // prefix probes (see range_index.h).
-      probe_prefixes(index->suffix.postings, index->suffix.lengths,
+      probe_prefixes(index.suffix.postings, index.suffix.lengths,
                      reversed(s), collect);
     }
-    if (index->contains) {
-      index->contains->probe(s, [&](const ContainsEntries::Posting& posting) {
+    if (index.contains) {
+      index.contains->probe(s, [&](const ContainsEntries::Posting& posting) {
         out.push_back(&posting.payload);
       });
     }
   }
-  // Residual postings are evaluated against the *canonical* value in the
-  // single-event path too, so the batch path (which groups by canonical
-  // value) provably agrees: every operator's result is invariant under
-  // int -> double canonicalization (numeric comparisons compare numerics,
-  // string ops reject non-strings of either type, exists ignores the
-  // value).
-  for (const auto& posting : index->noneq) {
+  // Residual postings see the canonical value too; every operator's result
+  // is invariant under int -> double canonicalization (numeric comparisons
+  // compare numerics, string ops reject non-strings of either type, exists
+  // ignores the value).
+  for (const auto& posting : index.noneq) {
     if (posting.constraint.matches(canonical)) out.push_back(&posting.entry);
   }
 }
@@ -401,10 +384,8 @@ void BitsetMatcher::emit_matches(Scratch& scratch,
       // Emitted inline: as a call, the per-word cost shows on dense
       // populations.
       for (Word fire = live_[w] & ~diff; fire != 0; fire &= fire - 1) {
-        out.push_back(
-            slots_[w * kWordBits +
-                   static_cast<std::size_t>(std::countr_zero(fire))]
-                .sub);
+        out.push_back(w * kWordBits +
+                      static_cast<std::size_t>(std::countr_zero(fire)));
       }
     }
   }
@@ -416,10 +397,8 @@ void BitsetMatcher::emit_universal(std::vector<SubscriptionId>& out) const {
       const std::size_t w =
           k * kWordBits + static_cast<std::size_t>(std::countr_zero(visit));
       for (Word fire = zero_req_[w]; fire != 0; fire &= fire - 1) {
-        out.push_back(
-            slots_[w * kWordBits +
-                   static_cast<std::size_t>(std::countr_zero(fire))]
-                .sub);
+        out.push_back(w * kWordBits +
+                      static_cast<std::size_t>(std::countr_zero(fire)));
       }
     }
   }
@@ -428,79 +407,48 @@ void BitsetMatcher::emit_universal(std::vector<SubscriptionId>& out) const {
 BitsetMatcher::Scratch BitsetMatcher::make_scratch() const {
   return Scratch{
       std::vector<Word>(words_ * required_.size(), 0),
-      std::vector<Word>((words_ + kWordBits - 1) / kWordBits, 0)};
+      std::vector<Word>((words_ + kWordBits - 1) / kWordBits, 0), {}};
 }
 
-void BitsetMatcher::match(const Event& event,
-                          std::vector<SubscriptionId>& out) const {
-  if (slot_of_.empty()) return;
-  std::vector<const Entry*> satisfied;
+void BitsetMatcher::match_event(const Event& event, Scratch& scratch,
+                                std::vector<SubscriptionId>& out) const {
+  scratch.satisfied.clear();
   for (const auto& [attr, value] : event.attrs()) {
-    collect_satisfied(attr, canonical_numeric(value), satisfied);
+    const AttrIndex* index = index_of(attr);
+    if (index == nullptr) continue;
+    // Only ints change under canonical_numeric; every other value is
+    // probed in place, so no string is copied.
+    if (value.type() == Value::Type::kInt) {
+      collect_satisfied(*index, canonical_numeric(value), scratch.satisfied);
+    } else {
+      collect_satisfied(*index, value, scratch.satisfied);
+    }
   }
-  if (satisfied.empty()) {
+  if (scratch.satisfied.empty()) {
     // Zero satisfied entries means exactly the requirement-0 (universal)
     // slots fire; skip the counter pass.
     emit_universal(out);
     return;
   }
-  Scratch scratch = make_scratch();
-  for (const Entry* entry : satisfied) accumulate(*entry, scratch);
+  for (const Entry* entry : scratch.satisfied) accumulate(*entry, scratch);
   emit_matches(scratch, out);
+}
+
+void BitsetMatcher::match(const Event& event,
+                          std::vector<SubscriptionId>& out) const {
+  if (size_ == 0) return;
+  Scratch scratch = make_scratch();
+  match_event(event, scratch, out);
 }
 
 void BitsetMatcher::match_batch(
     std::span<const Event> events,
     std::vector<std::vector<SubscriptionId>>& out) const {
   out.assign(events.size(), {});
-  if (slot_of_.empty() || events.empty()) return;
-  if (events.size() == 1) {
-    // Grouping only amortizes work across events; one event goes straight
-    // through the per-event path.
-    match(events.front(), out.front());
-    return;
-  }
-  if (entries_ == 0) {
-    // Only universal filters are registered.
-    for (auto& hits : out) emit_universal(hits);
-    return;
-  }
-  // Phase 1 — resolve satisfied index entries, amortized across the batch.
-  // Occurrences are grouped by attribute and then by canonical value
-  // (batch_group.h), so each eq probe and each noneq predicate runs once
-  // per distinct (attribute, value) of the whole batch. The result is one
-  // satisfied-entry list per event — a pure function of that event and the
-  // registered filters, so per-event output is independent of the rest of
-  // the batch (contract invariant 2).
-  std::vector<std::vector<const Entry*>> satisfied(events.size());
-  std::vector<const Entry*> group_entries;
-  for_each_attr_group(events, [&](AttrId attr,
-                                  const Occurrences& occurrences) {
-    if (index_of(attr) == nullptr) return;
-    for_each_value_group(occurrences, [&](const Value& value,
-                                          const std::vector<std::uint32_t>&
-                                              event_positions) {
-      group_entries.clear();
-      collect_satisfied(attr, value, group_entries);
-      if (group_entries.empty()) return;
-      for (const std::uint32_t i : event_positions) {
-        satisfied[i].insert(satisfied[i].end(), group_entries.begin(),
-                            group_entries.end());
-      }
-    });
-  });
-  // Phase 2 — per event: ripple-carry the satisfied entries' words into
-  // the counters and run the threshold pass over the words they touched.
-  // Word loops only; no hash probe survives phase 1. The scratch is
-  // reused: the threshold pass leaves it zeroed.
+  if (size_ == 0) return;
   Scratch scratch = make_scratch();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (satisfied[i].empty()) {
-      emit_universal(out[i]);
-      continue;
-    }
-    for (const Entry* entry : satisfied[i]) accumulate(*entry, scratch);
-    emit_matches(scratch, out[i]);
+    match_event(events[i], scratch, out[i]);
   }
 }
 

@@ -8,12 +8,13 @@
 //
 // ## Slot space
 //
-// Each registered filter occupies one FilterSlot (uint32_t), the bit
-// position every index bitmap uses for it. Slots freed by remove() go on a
-// freelist and are reused by the next add(), so the bit space stays
-// compact under churn instead of growing with the all-time subscription
-// count; all bitmaps share one word width, grown together (capacity
-// doubling) when the slot space outgrows it.
+// The caller's id *is* the filter's FilterSlot (uint32_t): the bit
+// position every index bitmap uses for it and the index of the engine's
+// one copy of the filter. The Matcher contract's dense-id precondition
+// keeps the bit space compact under churn (the routing table reuses freed
+// ids LIFO); add() rejects an id that does not fit a FilterSlot. All dense
+// bitmaps share one word width, grown together (capacity doubling) when
+// an id outgrows it.
 //
 // ## Index entries
 //
@@ -40,9 +41,8 @@
 // range/pattern shapes the sorted structures cannot hold) indexes as
 // residual (constraint, bitmap) postings, one per *distinct*
 // constraint — filters sharing `text =$ ".log"` share one entry, so the
-// predicate is evaluated once per event (or once per distinct value in a
-// batch), not once per filter. All resolved entries feed the same
-// threshold pass below.
+// predicate is evaluated once per event, not once per filter. All resolved
+// entries feed the same threshold pass below.
 //
 // ## Matching: bitmap counters + threshold pass
 //
@@ -87,15 +87,15 @@
 // ones; see the dense workload in bench_pubsub_matching and the
 // bitset-over-brute-force floors in its --smoke mode.
 //
-// Scratch memory (the counter slices and the touched summary) is allocated
-// per call, never stored, so the const matching methods stay safe to call
-// concurrently — the routing table's worker split runs contiguous ranges
-// of one batch through one engine at once.
+// Scratch memory (the counter slices, the touched summary and the
+// satisfied-entry buffer) is allocated per call and reused across the
+// events of a batch, never stored, so the const matching methods stay safe
+// to call concurrently — the routing table's worker split runs contiguous
+// ranges of one batch through one engine at once.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -108,33 +108,33 @@
 
 namespace reef::pubsub {
 
-/// Dense bit position of a registered filter in every index bitmap; stable
-/// for the registration's lifetime, reused (via the freelist) after
-/// removal.
+/// Bit position of a registered filter in every index bitmap: its
+/// SubscriptionId, which must fit this type.
 using FilterSlot = std::uint32_t;
 
 class BitsetMatcher final : public Matcher {
  public:
   using Matcher::match;
+  /// Throws std::out_of_range, changing nothing, when `id` does not fit a
+  /// FilterSlot.
   void add(SubscriptionId id, Filter filter) override;
   void remove(SubscriptionId id) override;
   void match(const Event& event,
              std::vector<SubscriptionId>& out) const override;
-  /// Amortized batch path: the batch is grouped to (attribute, canonical
-  /// value) occurrence lists, each eq entry is probed and each noneq
-  /// predicate evaluated once per distinct value across the batch, and
-  /// the per-event counter accumulation + threshold pass run over the
-  /// collected entry bitmaps — word loops only. A one-event span is
-  /// answered by match: grouping only amortizes work across events.
+  /// The per-event path of match, event by event, with one scratch shared
+  /// by the whole span.
   void match_batch(std::span<const Event> events,
                    std::vector<std::vector<SubscriptionId>>& out)
       const override;
-  std::size_t size() const noexcept override { return slot_of_.size(); }
+  const Filter& filter(SubscriptionId id) const override {
+    return filters_[id];
+  }
+  std::size_t size() const noexcept override { return size_; }
   std::string name() const override { return "bitset"; }
 
   // --- introspection (tests and benches) ------------------------------------
-  /// High-water slot count (live + freelisted): how wide the bit space is.
-  std::size_t slot_capacity() const noexcept { return slots_.size(); }
+  /// One past the largest id ever registered: how wide the bit space is.
+  std::size_t slot_capacity() const noexcept { return filters_.size(); }
   /// Current bitmap width in 64-bit words (shared by every index entry).
   std::size_t word_count() const noexcept { return words_; }
   /// Counter/required bit slices currently needed (ceil log2(max required
@@ -145,9 +145,6 @@ class BitsetMatcher final : public Matcher {
   /// Slot words holding at least one universal (requirement-0) slot: the
   /// words the threshold pass visits even when no entry touched them.
   std::size_t universal_words() const noexcept;
-  /// Slot currently assigned to `id` (nullopt for unknown ids). Pins the
-  /// freelist-reuse behavior in tests.
-  std::optional<FilterSlot> slot_of(SubscriptionId id) const;
 
  private:
   using Word = std::uint64_t;
@@ -208,21 +205,22 @@ class BitsetMatcher final : public Matcher {
     std::vector<NonEqPosting> noneq;
     std::size_t entries = 0;  // live entries above; 0 = nothing to probe
   };
-  struct Slot {
-    SubscriptionId sub = 0;
-    Filter filter;
-    std::uint32_t required = 0;  // distinct index entries referenced
-  };
 
   /// Per-call matching scratch: word-major counter slices (slot word w's
   /// slice s at counters[w * slices + s]) and the touched-word summary,
-  /// both all-zero between events.
+  /// both all-zero between events, plus the event's satisfied entries.
   struct Scratch {
     std::vector<Word> counters;
     std::vector<Word> touched;
+    std::vector<const Entry*> satisfied;
   };
 
-  FilterSlot acquire_slot();
+  bool registered(SubscriptionId id) const noexcept {
+    return id < filters_.size() &&
+           ((live_[id / kWordBits] >> (id % kWordBits)) & 1) != 0;
+  }
+  /// Widens every dense bitmap to hold `slot`.
+  void reserve_slot(FilterSlot slot);
   void grow_words(std::size_t min_words);
   void ensure_slices(std::uint32_t required);
   /// Invokes `fn(constraint, key)` once per *distinct* index entry of
@@ -248,24 +246,29 @@ class BitsetMatcher final : public Matcher {
                                                              : nullptr;
   }
 
-  /// Appends the entry bitmaps satisfied by (attr, value) to `out`.
-  void collect_satisfied(AttrId attr, const Value& canonical,
+  /// Appends the entry bitmaps of `index` satisfied by `canonical` (an
+  /// event value through canonical_numeric) to `out`.
+  void collect_satisfied(const AttrIndex& index, const Value& canonical,
                          std::vector<const Entry*>& out) const;
   Scratch make_scratch() const;
+  /// The one per-event path behind match and match_batch: collects the
+  /// satisfied entries, accumulates them and runs the threshold pass,
+  /// leaving `scratch` zeroed for the next event.
+  void match_event(const Event& event, Scratch& scratch,
+                   std::vector<SubscriptionId>& out) const;
   /// Ripple-carry add of `entry`'s words into the counters, marking its
   /// words touched.
   void accumulate(const Entry& entry, Scratch& scratch) const;
-  /// Threshold pass over the touched and universal words: emits the
-  /// subscription ids of every live slot whose counter equals its
-  /// requirement, and leaves `scratch` zeroed.
+  /// Threshold pass over the touched and universal words: emits every live
+  /// slot whose counter equals its requirement, and leaves `scratch`
+  /// zeroed.
   void emit_matches(Scratch& scratch, std::vector<SubscriptionId>& out) const;
   /// Fast path for events that satisfied no entry: exactly the
   /// requirement-0 (universal) slots fire.
   void emit_universal(std::vector<SubscriptionId>& out) const;
 
-  std::unordered_map<SubscriptionId, FilterSlot> slot_of_;
-  std::vector<Slot> slots_;            // indexed by FilterSlot
-  std::vector<FilterSlot> free_slots_;  // LIFO freelist
+  std::vector<Filter> filters_;   // indexed by FilterSlot
+  std::size_t size_ = 0;          // registered filters
   std::vector<AttrIndex> attrs_;  // indexed by AttrId
   std::vector<Word> live_;      // occupied slots
   std::vector<Word> zero_req_;  // live slots with requirement 0 (universal)

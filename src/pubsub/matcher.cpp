@@ -38,15 +38,4 @@ void BruteForceMatcher::match(const Event& event,
   }
 }
 
-void BruteForceMatcher::match_batch(
-    std::span<const Event> events,
-    std::vector<std::vector<SubscriptionId>>& out) const {
-  out.assign(events.size(), {});
-  for (const auto& [id, filter] : filters_) {
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (filter.matches(events[i])) out[i].push_back(id);
-    }
-  }
-}
-
 }  // namespace reef::pubsub

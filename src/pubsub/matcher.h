@@ -5,18 +5,18 @@
 //   "brute-force"  — linear scan; the correctness oracle in tests and the
 //                    ablation baseline in benches.
 //   "bitset"       — the Gryphon/Siena counting algorithm over posting
-//                    lists kept as dense bitmaps over filter slots; batch
-//                    matching is AND/ANDNOT/popcount word streams with a
-//                    bit-sliced counting threshold pass (see
+//                    lists kept as bitmaps over filter slots (the caller's
+//                    ids); matching is AND/ANDNOT/popcount word streams
+//                    with a bit-sliced counting threshold pass (see
 //                    bitset_matcher.h).
 //
 // The bitset engine keys its indices by interned AttrId (see
 // attr_table.h), so the per-event inner loop is integer probes — no string
 // hashing or compares survive past construction.
 //
-// All engines expose a batch entry point, match_batch, which amortizes
-// index probes and candidate fetches across a contiguous span of events;
-// the broker's per-tick publication coalescing feeds it, and the routing
+// Every engine has one match path: match_batch matches each event of a
+// contiguous span in turn, reusing per-call scratch across the span. The
+// broker's per-tick publication coalescing feeds it, and the routing
 // table's worker split hands each worker a contiguous sub-span of one
 // batch.
 #pragma once
@@ -67,11 +67,19 @@ Value canonical_numeric(const Value& v);
 ///      The routing table's worker split is built on this: it cuts a batch
 ///      into contiguous ranges, matches each on its own thread, and
 ///      concatenates the outputs.
+///
+/// Callers meet one precondition: **ids are dense.** An engine may use the
+/// id itself as a position (bitset uses it as the filter's bit in every
+/// posting bitmap), so its memory grows with the largest id registered,
+/// and bitset rejects an id that does not fit a FilterSlot. Callers
+/// recycle freed ids instead of counting up forever; the routing table
+/// hands out its record indices, reused LIFO.
 class Matcher {
  public:
   virtual ~Matcher() = default;
 
-  /// Registers `filter` under `id`. Re-adding an existing id replaces it.
+  /// Registers `filter` under `id` (dense, see above). Re-adding an
+  /// existing id replaces it. The engine keeps the one copy of the filter.
   virtual void add(SubscriptionId id, Filter filter) = 0;
 
   /// Removes a registration; unknown ids are ignored.
@@ -86,11 +94,16 @@ class Matcher {
   /// parallel to `events` (per-event contract as for `match`). Per-event
   /// output is independent of which other events share the span (contract
   /// point 2; the routing table's worker split relies on it). The base
-  /// implementation loops over `match`; engines override it to amortize
-  /// index probes across the batch. Const and scratch-per-call, so several
-  /// threads may match disjoint sub-spans at once.
+  /// implementation loops over `match`; an engine overrides it only to
+  /// reuse its per-event scratch across the span. Const and
+  /// scratch-per-call, so several threads may match disjoint sub-spans at
+  /// once.
   virtual void match_batch(std::span<const Event> events,
                            std::vector<std::vector<SubscriptionId>>& out) const;
+
+  /// The filter registered under `id`, which must be registered. The
+  /// reference is stable until `id` is removed or replaced.
+  virtual const Filter& filter(SubscriptionId id) const = 0;
 
   /// Number of registered filters.
   virtual std::size_t size() const noexcept = 0;
@@ -113,11 +126,9 @@ class BruteForceMatcher final : public Matcher {
   void remove(SubscriptionId id) override;
   void match(const Event& event,
              std::vector<SubscriptionId>& out) const override;
-  /// One pass over the table with the events in the inner loop (each
-  /// filter is fetched once per batch instead of once per event).
-  void match_batch(std::span<const Event> events,
-                   std::vector<std::vector<SubscriptionId>>& out)
-      const override;
+  const Filter& filter(SubscriptionId id) const override {
+    return filters_.at(id);
+  }
   std::size_t size() const noexcept override { return filters_.size(); }
   std::string name() const override { return "brute-force"; }
 

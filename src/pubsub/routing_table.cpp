@@ -38,10 +38,9 @@ RoutingTable::EngineId RoutingTable::add_entry(Filter filter, IfaceId iface,
     engine_id = free_ids_.back();
     free_ids_.pop_back();
   }
-  matcher_->add(engine_id, filter);
+  matcher_->add(engine_id, std::move(filter));
   EngineEntry& entry = entries_[engine_id];
-  entry = EngineEntry{std::move(filter), iface, from_broker, client_sub,
-                      nullptr};
+  entry = EngineEntry{iface, from_broker, client_sub, nullptr};
   if (!scoring.neutral()) {
     // Interning, not AttrTable::lookup: a spec may arrive before any event
     // carries its attribute, and the id it resolves to must be the one
@@ -59,7 +58,7 @@ RoutingTable::EngineId RoutingTable::add_entry(Filter filter, IfaceId iface,
 
 void RoutingTable::remove_entry(EngineId engine_id) {
   matcher_->remove(engine_id);
-  entries_[engine_id] = EngineEntry{};  // frees the filter and spec
+  entries_[engine_id] = EngineEntry{};  // frees the spec
   free_ids_.push_back(engine_id);
 }
 
@@ -162,7 +161,7 @@ bool RoutingTable::client_resync(IfaceId client,
   for (auto it = iface.engine_ids.begin(); it != iface.engine_ids.end();) {
     const auto want = desired.find(it->first);
     if (want != desired.end() &&
-        entries_[it->second].filter.key() == want->second->filter.key() &&
+        matcher_->filter(it->second).key() == want->second->filter.key() &&
         entry_scoring(it->second) == want->second->scoring) {
       ++it;  // identical (sub_id, filter, scoring): keep, idempotent
       continue;
@@ -196,8 +195,8 @@ std::uint64_t RoutingTable::client_iface_digest(IfaceId iface) const {
   if (it == client_ifaces_.end()) return 0;
   std::uint64_t digest = 0;
   for (const auto& [sub_id, engine_id] : it->second.engine_ids) {
-    digest ^= client_subscription_digest(
-        sub_id, entries_[engine_id].filter, entry_scoring(engine_id));
+    digest ^= client_subscription_digest(sub_id, matcher_->filter(engine_id),
+                                         entry_scoring(engine_id));
   }
   return digest;
 }
@@ -234,7 +233,7 @@ std::vector<ClientSubscription> RoutingTable::client_subscriptions(
   if (it == client_ifaces_.end()) return subs;
   subs.reserve(it->second.engine_ids.size());
   for (const auto& [sub_id, engine_id] : it->second.engine_ids) {
-    subs.push_back(ClientSubscription{sub_id, entries_[engine_id].filter,
+    subs.push_back(ClientSubscription{sub_id, matcher_->filter(engine_id),
                                       entry_scoring(engine_id)});
   }
   std::sort(subs.begin(), subs.end(),
@@ -247,15 +246,15 @@ std::vector<ClientSubscription> RoutingTable::client_subscriptions(
 std::string RoutingTable::state_fingerprint() const {
   std::vector<std::string> lines;
   lines.reserve(size());
-  for (const EngineEntry& entry : entries_) {
+  for (EngineId id = 0; id < entries_.size(); ++id) {
+    const EngineEntry& entry = entries_[id];
     if (entry.iface == kNoIface) continue;  // free record
+    const std::string& key = matcher_->filter(id).key();
     if (entry.from_broker) {
-      lines.push_back("B " + std::to_string(entry.iface) + " " +
-                      entry.filter.key());
+      lines.push_back("B " + std::to_string(entry.iface) + " " + key);
     } else {
       std::string line = "C " + std::to_string(entry.iface) + " " +
-                         std::to_string(entry.client_sub) + " " +
-                         entry.filter.key();
+                         std::to_string(entry.client_sub) + " " + key;
       // Non-neutral scoring is routing state too (a healed broker that
       // lost a spec would over-deliver); neutral entries keep the PR 9
       // fingerprint lines.
@@ -280,10 +279,11 @@ std::string RoutingTable::state_fingerprint() const {
 std::map<std::string, Filter> RoutingTable::filters_not_from(
     IfaceId excluded) const {
   std::map<std::string, Filter> out;
-  for (const EngineEntry& entry : entries_) {
-    // A free record (iface kNoIface) holds a default, universal filter.
-    if (entry.iface == excluded || entry.iface == kNoIface) continue;
-    out.try_emplace(entry.filter.key(), entry.filter);
+  for (EngineId id = 0; id < entries_.size(); ++id) {
+    const IfaceId iface = entries_[id].iface;
+    if (iface == excluded || iface == kNoIface) continue;  // kNoIface: free
+    const Filter& filter = matcher_->filter(id);
+    out.try_emplace(filter.key(), filter);
   }
   return out;
 }

@@ -223,8 +223,9 @@ class RoutingTable {
       std::map<std::string, Filter> filters);
 
  private:
-  /// Engine id: the registration's matcher id, its index in entries_ and
-  /// its top-k window slot. Dense, recycled LIFO.
+  /// Engine id: the registration's matcher id (the engine owns its
+  /// filter), its index in entries_ and its top-k window slot. Dense,
+  /// recycled LIFO, as the Matcher contract asks.
   using EngineId = std::uint32_t;
 
   struct ClientIface {
@@ -243,10 +244,9 @@ class RoutingTable {
     ScoringSpec spec;
     std::vector<AttrId> attr_ids;
   };
-  /// One registration. A free record (its id on free_ids_) has iface
-  /// kNoIface.
+  /// One registration; its filter is matcher_->filter(engine id). A free
+  /// record (its id on free_ids_) has iface kNoIface.
   struct EngineEntry {
-    Filter filter;
     IfaceId iface = kNoIface;
     bool from_broker = false;
     SubscriptionId client_sub = 0;  // valid when !from_broker

@@ -1,14 +1,18 @@
 // BitsetMatcher-specific behavior: the slot/bitmap machinery the generic
-// equivalence and fuzz suites can't see from the Matcher interface — slot
-// freelist reuse after unsubscribe, bitmap growth past one word and past a
-// capacity doubling, index-entry sharing and the distinct-entry required
-// count, and the degenerate inputs the threshold pass must get right
-// (all-noneq filters, zero-attribute events, universal filters), and the
-// sparse-entry threshold pass that visits only touched and universal words.
+// equivalence and fuzz suites can't see from the Matcher interface — ids
+// are slots, so a recycled id reuses its slot and an id that does not fit
+// one is rejected; bitmap growth past one word and past a capacity
+// doubling, index-entry sharing and the distinct-entry required count, and
+// the degenerate inputs the threshold pass must get right (all-noneq
+// filters, zero-attribute events, universal filters), and the sparse-entry
+// threshold pass that visits only touched and universal words.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,28 +42,45 @@ TEST(BitsetMatcher, BasicMatchAndName) {
 }
 
 TEST(BitsetMatcher, SlotReuseAfterUnsubscribe) {
+  // Ids are slots, handed out from 0 and recycled by the caller, as the
+  // routing table does.
   BitsetMatcher m;
-  m.add(1, Filter().and_(eq("a", 1)));
-  m.add(2, Filter().and_(eq("a", 2)));
-  m.add(3, Filter().and_(eq("a", 3)));
+  m.add(0, Filter().and_(eq("a", 1)));
+  m.add(1, Filter().and_(eq("a", 2)));
+  m.add(2, Filter().and_(eq("a", 3)));
   ASSERT_EQ(m.slot_capacity(), 3u);
-  const auto freed = m.slot_of(2);
-  ASSERT_TRUE(freed.has_value());
 
-  // Freeing the middle registration and adding a new one must reuse its
-  // slot (LIFO freelist), not widen the bit space.
-  m.remove(2);
-  EXPECT_FALSE(m.slot_of(2).has_value());
-  m.add(9, Filter().and_(eq("a", 9)));
-  EXPECT_EQ(m.slot_of(9), freed);
+  // Freeing the middle registration and registering a new filter under
+  // the freed id reuses its slot, not a wider bit space.
+  m.remove(1);
+  EXPECT_EQ(m.size(), 2u);
+  m.add(1, Filter().and_(eq("a", 9)));
+  EXPECT_EQ(m.size(), 3u);
   EXPECT_EQ(m.slot_capacity(), 3u);
 
   // The recycled slot matches its new filter only — no ghost of the old.
   EXPECT_TRUE(m.match(Event().with("a", 2)).empty());
   EXPECT_EQ(sorted(m.match(Event().with("a", 9))),
-            (std::vector<SubscriptionId>{9}));
-  EXPECT_EQ(sorted(m.match(Event().with("a", 1))),
             (std::vector<SubscriptionId>{1}));
+  EXPECT_EQ(sorted(m.match(Event().with("a", 1))),
+            (std::vector<SubscriptionId>{0}));
+}
+
+TEST(BitsetMatcher, IdThatDoesNotFitASlotThrowsAndChangesNothing) {
+  BitsetMatcher m;
+  m.add(0, Filter().and_(eq("a", 1)));
+  m.add(1, Filter());
+  const SubscriptionId too_big =
+      SubscriptionId{std::numeric_limits<FilterSlot>::max()} + 1;
+  EXPECT_THROW(m.add(too_big, Filter().and_(eq("a", 1))), std::out_of_range);
+  EXPECT_THROW(m.add(too_big, Filter()), std::out_of_range);
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.slot_capacity(), 2u);
+  EXPECT_EQ(sorted(m.match(Event().with("a", 1))),
+            (std::vector<SubscriptionId>{0, 1}));
+  EXPECT_EQ(m.match(Event()), (std::vector<SubscriptionId>{1}));
+  m.remove(too_big);  // never registered: a no-op
+  EXPECT_EQ(m.size(), 2u);
 }
 
 TEST(BitsetMatcher, ReplaceSemanticsReuseTheSlot) {
@@ -67,7 +88,7 @@ TEST(BitsetMatcher, ReplaceSemanticsReuseTheSlot) {
   m.add(1, Filter().and_(eq("a", 1)));
   m.add(1, Filter().and_(eq("b", 2)));  // replace = remove + add
   EXPECT_EQ(m.size(), 1u);
-  EXPECT_EQ(m.slot_capacity(), 1u);
+  EXPECT_EQ(m.slot_capacity(), 2u);  // id 1 is slot 1
   EXPECT_TRUE(m.match(Event().with("a", 1)).empty());
   EXPECT_EQ(m.match(Event().with("b", 2)).size(), 1u);
   m.remove(99);  // unknown id: no-op
@@ -76,15 +97,15 @@ TEST(BitsetMatcher, ReplaceSemanticsReuseTheSlot) {
 TEST(BitsetMatcher, BitmapGrowthPastOneWordAndOneDoubling) {
   BitsetMatcher m;
   BruteForceMatcher oracle;
-  // 200 filters: past one 64-bit word (slot 64) and past the 2-word
-  // capacity doubling (slot 128; growth goes 1 -> 2 -> 4 words).
+  // 200 filters on slots 1..200: past one 64-bit word (slot 64) and past
+  // the 2-word capacity doubling (slot 128; growth goes 1 -> 2 -> 4 words).
   for (SubscriptionId id = 1; id <= 200; ++id) {
     const auto f =
         Filter().and_(eq("bucket", static_cast<std::int64_t>(id % 7)));
     m.add(id, f);
     oracle.add(id, f);
   }
-  EXPECT_EQ(m.slot_capacity(), 200u);
+  EXPECT_EQ(m.slot_capacity(), 201u);
   EXPECT_EQ(m.word_count(), 4u);
   for (std::int64_t v = 0; v < 7; ++v) {
     const Event e = Event().with("bucket", v);
@@ -328,7 +349,9 @@ TEST(BitsetMatcher, FreelistChurnAgreesWithOracle) {
   BitsetMatcher m;
   BruteForceMatcher oracle;
   std::vector<SubscriptionId> live;
+  std::vector<SubscriptionId> free_ids;  // recycled LIFO
   SubscriptionId next = 1;
+  std::size_t peak_live = 0;
   const std::vector<std::string> attrs{"a", "b", "c"};
   for (int round = 0; round < 400; ++round) {
     if (live.empty() || rng.chance(0.55)) {
@@ -342,13 +365,22 @@ TEST(BitsetMatcher, FreelistChurnAgreesWithOracle) {
           f.and_(le(attr, static_cast<std::int64_t>(rng.index(4))));
         }
       }
-      m.add(next, f);
-      oracle.add(next, f);
-      live.push_back(next++);
+      SubscriptionId id = next;
+      if (free_ids.empty()) {
+        ++next;
+      } else {
+        id = free_ids.back();
+        free_ids.pop_back();
+      }
+      m.add(id, f);
+      oracle.add(id, f);
+      live.push_back(id);
+      peak_live = std::max(peak_live, live.size());
     } else {
       const std::size_t idx = rng.index(live.size());
       m.remove(live[idx]);
       oracle.remove(live[idx]);
+      free_ids.push_back(live[idx]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     }
     Event e;
@@ -361,8 +393,9 @@ TEST(BitsetMatcher, FreelistChurnAgreesWithOracle) {
         << "round " << round << " event " << e.to_string();
     ASSERT_EQ(m.size(), oracle.size());
   }
-  // Churn never widened the slot space past the live high-water mark.
-  EXPECT_LE(m.slot_capacity(), static_cast<std::size_t>(next));
+  // Recycled ids never widened the slot space past the live high-water
+  // mark (ids start at 1, so slot 0 stays unused).
+  EXPECT_EQ(m.slot_capacity(), peak_live + 1);
 }
 
 TEST(BitsetMatcher, BuiltByName) {
@@ -396,9 +429,9 @@ TEST(BitsetMatcher, SubSpanMatchesFullBatchPositions) {
 }
 
 TEST(BitsetMatcher, OneEventBatchEqualsMatchAtTheShortcutGuards) {
-  // A one-event batch goes straight to match, skipping the batch path's
-  // guards for an empty table and a universal-only table; both answers
-  // must agree there and on an attribute-free event.
+  // match and match_batch share one per-event path behind their own
+  // empty-table guards; a one-event batch must equal match on an empty, a
+  // universal-only and a mixed table, and on an attribute-free event.
   const std::vector<Event> events = {Event(), Event().with("a", 1),
                                      Event().with("zzz", 0)};
   const auto check = [&](const BitsetMatcher& m, const std::string& table) {
@@ -423,74 +456,77 @@ TEST(BitsetMatcher, OneEventBatchEqualsMatchAtTheShortcutGuards) {
 
 // --- sparse entries: the threshold pass visits touched + universal words ----
 
-/// Registers `count` filters eq("a", i), i = 0..count-1, on slots 0..count-1.
-void add_eq_filters(BitsetMatcher& m, SubscriptionId first, int count) {
+/// Registers `count` filters eq("a", i), i = 0..count-1, on ids (slots)
+/// 0..count-1.
+void add_eq_filters(BitsetMatcher& m, int count) {
   for (int i = 0; i < count; ++i) {
-    m.add(first + static_cast<SubscriptionId>(i),
+    m.add(static_cast<SubscriptionId>(i),
           Filter().and_(eq("a", static_cast<std::int64_t>(i))));
   }
 }
 
 TEST(BitsetMatcher, UniversalSlotInAnUntouchedWordStillFires) {
   BitsetMatcher m;
-  add_eq_filters(m, 1, 130);    // slots 0..129: words 0, 1 and 2
-  m.add(1000, Filter());        // slot 130, word 2
-  ASSERT_EQ(*m.slot_of(1000), 130u);
+  add_eq_filters(m, 130);    // slots 0..129: words 0, 1 and 2
+  m.add(130, Filter());      // slot 130, word 2
+  ASSERT_EQ(m.slot_capacity(), 131u);
   ASSERT_EQ(m.universal_words(), 1u);
   // a = 5 satisfies one entry, whose only word is word 0; word 2 is never
   // touched, yet its universal slot fires.
   const Event e = Event().with("a", 5);
-  EXPECT_EQ(sorted(m.match(e)), (std::vector<SubscriptionId>{6, 1000}));
+  EXPECT_EQ(sorted(m.match(e)), (std::vector<SubscriptionId>{5, 130}));
   const std::vector<Event> events{e, Event().with("zzz", 1), Event()};
   std::vector<std::vector<SubscriptionId>> out;
   m.match_batch(events, out);
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(sorted(out[0]), (std::vector<SubscriptionId>{6, 1000}));
-  EXPECT_EQ(out[1], (std::vector<SubscriptionId>{1000}));
-  EXPECT_EQ(out[2], (std::vector<SubscriptionId>{1000}));
+  EXPECT_EQ(sorted(out[0]), (std::vector<SubscriptionId>{5, 130}));
+  EXPECT_EQ(out[1], (std::vector<SubscriptionId>{130}));
+  EXPECT_EQ(out[2], (std::vector<SubscriptionId>{130}));
 }
 
 TEST(BitsetMatcher, RemovingTheLastUniversalSlotOfAWordStopsItFiring) {
   BitsetMatcher m;
-  add_eq_filters(m, 1, 130);  // slots 0..129
-  m.add(1000, Filter());      // slot 130, word 2
-  m.add(1001, Filter());      // slot 131, word 2
-  m.add(1002, Filter());      // slot 132, word 2
+  add_eq_filters(m, 130);  // slots 0..129
+  m.add(130, Filter());    // word 2
+  m.add(131, Filter());    // word 2
+  m.add(132, Filter());    // word 2
   ASSERT_EQ(m.universal_words(), 1u);
   const Event e = Event().with("a", 5);  // touches word 0 only
-  m.remove(1000);
-  m.remove(1002);
+  m.remove(130);
+  m.remove(132);
   // One universal slot is left in word 2: the word stays summarized.
   EXPECT_EQ(m.universal_words(), 1u);
-  EXPECT_EQ(sorted(m.match(e)), (std::vector<SubscriptionId>{6, 1001}));
-  m.remove(1001);
+  EXPECT_EQ(sorted(m.match(e)), (std::vector<SubscriptionId>{5, 131}));
+  m.remove(131);
   // The last one is gone: the summary bit is cleared and nothing fires
   // there, on either path.
   EXPECT_EQ(m.universal_words(), 0u);
-  EXPECT_EQ(m.match(e), (std::vector<SubscriptionId>{6}));
+  EXPECT_EQ(m.match(e), (std::vector<SubscriptionId>{5}));
   EXPECT_TRUE(m.match(Event()).empty());
   std::vector<std::vector<SubscriptionId>> out;
   m.match_batch(std::vector<Event>{e, Event()}, out);
-  EXPECT_EQ(out[0], (std::vector<SubscriptionId>{6}));
+  EXPECT_EQ(out[0], (std::vector<SubscriptionId>{5}));
   EXPECT_TRUE(out[1].empty());
-  // A non-universal filter reusing the freed slot fires only on its own
-  // entry.
-  m.add(2000, Filter().and_(eq("b", 1)));
+  // A non-universal filter reusing the freed slot (the last id freed, as a
+  // LIFO caller hands it out) fires only on its own entry.
+  m.add(131, Filter().and_(eq("b", 1)));
   EXPECT_EQ(m.universal_words(), 0u);
-  EXPECT_EQ(m.match(e), (std::vector<SubscriptionId>{6}));
-  EXPECT_EQ(m.match(Event().with("b", 1)), (std::vector<SubscriptionId>{2000}));
+  EXPECT_EQ(m.match(e), (std::vector<SubscriptionId>{5}));
+  EXPECT_EQ(m.match(Event().with("b", 1)), (std::vector<SubscriptionId>{131}));
 }
 
-/// Slot reuse through the freelist while the live population swings across
-/// several word boundaries: entries gain and drop words at both ends of
-/// their sorted word lists, and the universal summary flips bits in words
-/// the churn keeps vacating. Brute force agrees after every operation.
+/// Slot reuse through a caller's LIFO id freelist (the routing table's
+/// recycling) while the live population swings across several word
+/// boundaries: entries gain and drop words at both ends of their sorted
+/// word lists, and the universal summary flips bits in words the churn
+/// keeps vacating. Brute force agrees after every operation.
 TEST(BitsetMatcher, FreelistReuseAcrossWordBoundariesAgreesWithOracle) {
   util::Rng rng(0x5a125e);
   BitsetMatcher m;
   BruteForceMatcher oracle;
   std::vector<SubscriptionId> live;
-  SubscriptionId next = 1;
+  std::vector<SubscriptionId> free_ids;  // recycled LIFO
+  SubscriptionId next = 0;
   const std::vector<std::string> attrs{"a", "b", "c"};
   const auto random_event = [&] {
     Event e;
@@ -503,6 +539,7 @@ TEST(BitsetMatcher, FreelistReuseAcrossWordBoundariesAgreesWithOracle) {
   };
   bool growing = true;
   std::size_t max_capacity = 0;
+  std::size_t peak_live = 0;
   for (int op = 0; op < 10000; ++op) {
     // Swing the population between ~20 and ~300 live filters (past the
     // 64-, 128- and 192-slot boundaries).
@@ -526,13 +563,22 @@ TEST(BitsetMatcher, FreelistReuseAcrossWordBoundariesAgreesWithOracle) {
             break;
         }
       }
-      m.add(next, f);
-      oracle.add(next, f);
-      live.push_back(next++);
+      SubscriptionId id = next;
+      if (free_ids.empty()) {
+        ++next;
+      } else {
+        id = free_ids.back();
+        free_ids.pop_back();
+      }
+      m.add(id, f);
+      oracle.add(id, f);
+      live.push_back(id);
+      peak_live = std::max(peak_live, live.size());
     } else {
       const std::size_t idx = rng.index(live.size());
       m.remove(live[idx]);
       oracle.remove(live[idx]);
+      free_ids.push_back(live[idx]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     }
     max_capacity = std::max(max_capacity, m.slot_capacity());
@@ -551,6 +597,8 @@ TEST(BitsetMatcher, FreelistReuseAcrossWordBoundariesAgreesWithOracle) {
     }
   }
   EXPECT_GT(max_capacity, 3 * 64u);
+  // Ids recycled from 0 keep the bit space at the live high-water mark.
+  EXPECT_EQ(max_capacity, peak_live);
 }
 
 /// Every posting class shares one attribute's index record: eq (numeric

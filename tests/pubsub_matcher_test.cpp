@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "pubsub/engines.h"
 #include "pubsub/matcher.h"
@@ -616,28 +618,59 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
   util::Rng rng(GetParam() ^ 0xba7c);
   std::vector<Filter> filters;
   for (int i = 0; i < 120; ++i) filters.push_back(random_filter(rng));
+  std::vector<std::vector<Event>> batches;
+  for (const std::size_t batch_size : {1u, 2u, 8u, 33u}) {
+    std::vector<Event> events;
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      events.push_back(random_event(rng));
+    }
+    batches.push_back(std::move(events));
+  }
+  // One more batch of the shapes an earlier batch path grouped specially,
+  // pinned on the one per-event path: an attribute interned late, far past
+  // the rest (grouping fell back to a sort on a sparse id range),
+  // int/double-equal values across events, several handles to one event
+  // block, and attribute-free events mid-batch.
+  for (int i = 0; i < 200; ++i) {
+    AttrTable::instance().intern("batch_pad_" + std::to_string(i));
+  }
+  const std::string stray = "batch_stray";
+  ASSERT_GE(AttrTable::instance().intern(stray), 200u);
+  filters.push_back(Filter().and_(eq(stray, 1)));
+  filters.push_back(Filter().and_(exists(stray)).and_(eq("a", 3)));
+  filters.push_back(Filter().and_(eq("a", 3.0)));
+  filters.push_back(Filter().and_(ge("a", 3)).and_(eq("b", "xy")));
+  const Event shared = Event().with("a", 3).with("b", "xy");
+  batches.push_back({Event().with("a", 3), Event(), Event().with("a", 3.0),
+                     shared, Event().with(stray, 1).with("a", 3.0), Event(),
+                     shared, Event().with(stray, 1.0).with("a", 3), shared,
+                     Event().with(stray, 2)});
+  BruteForceMatcher oracle;
+  for (std::size_t i = 0; i < filters.size(); ++i) {
+    oracle.add(i + 1, filters[i]);
+  }
   for (const std::string_view engine_name : kBuiltinEngines) {
     const auto engine = make_matcher(engine_name);
     const std::string name(engine_name);
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
     }
-    for (const std::size_t batch_size : {1u, 2u, 8u, 33u}) {
-      std::vector<Event> events;
-      for (std::size_t i = 0; i < batch_size; ++i) {
-        events.push_back(random_event(rng));
-      }
+    for (const std::vector<Event>& events : batches) {
       std::vector<std::vector<SubscriptionId>> batched;
       engine->match_batch(events, batched);
       ASSERT_EQ(batched.size(), events.size()) << name;
       for (std::size_t i = 0; i < events.size(); ++i) {
-        auto expected = engine->match(events[i]);
+        auto expected = oracle.match(events[i]);
+        auto single = engine->match(events[i]);
         auto actual = batched[i];
         std::sort(expected.begin(), expected.end());
+        std::sort(single.begin(), single.end());
         std::sort(actual.begin(), actual.end());
         ASSERT_EQ(actual, expected)
-            << name << " batch " << batch_size << " event "
+            << name << " batch " << events.size() << " event "
             << events[i].to_string();
+        ASSERT_EQ(single, expected)
+            << name << " event " << events[i].to_string();
       }
     }
   }
