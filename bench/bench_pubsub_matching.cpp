@@ -10,7 +10,8 @@
 // against a per-event match loop over the same events, the workers sweep
 // times the routing table's split of one batch over worker threads, and
 // bm_match_batch_scored_content times the routing table's BM25-scored
-// match.
+// match. bm_refresh_churn times the routing table's covering refresh per
+// call under subscription churn.
 //
 // `--smoke` (used by CI) skips google-benchmark and instead runs a quick
 // cross-engine correctness pass, a batch-vs-loop timing that also fails
@@ -397,8 +398,9 @@ BENCHMARK_CAPTURE(bm_match_batch, brute_force, "brute-force")
 // Reef-like sweep above has selective feed entries; this one has none, so
 // every event satisfies a large share of the table. CI's bench sweep
 // picks these rows up via
-// --benchmark_filter='dense|range|suffix|content|workers', and run_smoke()
-// enforces the bitset-over-brute-force floor on this same shape.
+// --benchmark_filter='dense|range|suffix|content|workers|refresh', and
+// run_smoke() enforces the bitset-over-brute-force floor on this same
+// shape.
 
 void bm_match_batch_dense(benchmark::State& state, const std::string& engine) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
@@ -444,8 +446,9 @@ BENCHMARK_CAPTURE(bm_match_batch_dense, brute_force, "brute-force")
 // Without the sorted indexes every one of these would be a per-event
 // predicate evaluation, brute force by another name. CI's bench sweep
 // picks these rows up via
-// --benchmark_filter='dense|range|suffix|content|workers', and run_smoke()
-// enforces the bitset-over-brute-force floor on this same shape.
+// --benchmark_filter='dense|range|suffix|content|workers|refresh', and
+// run_smoke() enforces the bitset-over-brute-force floor on this same
+// shape.
 
 void bm_match_batch_range(benchmark::State& state, const std::string& engine) {
   const auto table_size = static_cast<std::size_t>(state.range(0));
@@ -491,8 +494,8 @@ BENCHMARK_CAPTURE(bm_match_batch_range, brute_force, "brute-force")
 // make_suffix_filters above: tail, substring, and set-membership
 // subscriptions — zero eq/range/prefix constraints, so only the pattern
 // tables keep them from a linear scan. CI's bench sweep picks these rows
-// up via --benchmark_filter='dense|range|suffix|content|workers', and
-// run_smoke() enforces the bitset-over-brute-force floor on this same
+// up via --benchmark_filter='dense|range|suffix|content|workers|refresh',
+// and run_smoke() enforces the bitset-over-brute-force floor on this same
 // shape.
 
 void bm_match_batch_suffix(benchmark::State& state,
@@ -540,8 +543,9 @@ BENCHMARK_CAPTURE(bm_match_batch_suffix, brute_force, "brute-force")
 // make_content_filters above: feed and content subscriptions that all
 // share stream=feed, matched against ~500-character feed item texts. CI's
 // bench sweep picks these rows up via
-// --benchmark_filter='dense|range|suffix|content|workers', and run_smoke()
-// enforces the bitset-over-brute-force floor on this same shape.
+// --benchmark_filter='dense|range|suffix|content|workers|refresh', and
+// run_smoke() enforces the bitset-over-brute-force floor on this same
+// shape.
 
 void bm_match_batch_content(benchmark::State& state,
                             const std::string& engine) {
@@ -768,22 +772,84 @@ void bm_subscription_churn(benchmark::State& state) {
   const auto matcher = make_matcher(kDefaultEngine);
   const auto filters = make_filters(table_size, 0.3, rng);
   for (std::size_t i = 0; i < filters.size(); ++i) {
-    matcher->add(i + 1, filters[i]);
+    matcher->add(i, filters[i]);
   }
-  std::size_t next = filters.size() + 1;
-  std::size_t victim = 1;
+  // Ids stay dense (the Matcher contract): each iteration retracts the
+  // oldest registration and registers a new filter under the id it just
+  // freed, as the routing table reuses its freed engine ids LIFO, so the
+  // bit space stays at table_size however many iterations run.
+  std::size_t victim = 0;
   for (auto _ : state) {
-    matcher->remove(victim++);
-    matcher->add(next++, filters[rng.index(filters.size())]);
-    if (victim > filters.size()) {
-      state.SkipWithError("table drained");
-      break;
-    }
+    matcher->remove(victim);
+    matcher->add(victim, filters[rng.index(filters.size())]);
+    victim = (victim + 1) % filters.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
 BENCHMARK(bm_subscription_churn)->Arg(10000)->Iterations(5000);
+
+// --- covering refresh under subscription churn -----------------------------
+//
+// RoutingTable::refresh per call on Reef-shaped churn: the content
+// population (per-feed eq filters plus contains filters, all sharing
+// stream == "feed"), a quarter of it received from a second neighbor so
+// that visibility differs per neighbor. Each iteration retracts one random
+// client subscription and subscribes a filter drawn from the same mix
+// (untimed), then times the refresh of the first neighbor that every
+// subscription op ends in. diff_per_refresh is the mean number of
+// subscribe plus unsubscribe entries a refresh returned.
+
+void bm_refresh_churn(benchmark::State& state) {
+  const auto table_size = static_cast<std::size_t>(state.range(0));
+  constexpr RoutingTable::IfaceId kNeighbor = 1;
+  constexpr RoutingTable::IfaceId kOtherNeighbor = 2;
+  constexpr RoutingTable::IfaceId kFirstClient = 100;
+  constexpr std::size_t kClients = 16;
+  reef::util::Rng rng(13);
+  const auto terms = make_content_terms(4000, rng);
+  const auto population = make_content_filters(table_size, terms, rng);
+  const auto churn_pool = make_content_filters(table_size * 4, terms, rng);
+  const auto client_of = [](SubscriptionId sub) {
+    return static_cast<RoutingTable::IfaceId>(kFirstClient + sub % kClients);
+  };
+
+  RoutingTable table;
+  table.add_broker_iface(kNeighbor);
+  table.add_broker_iface(kOtherNeighbor);
+  std::vector<SubscriptionId> live;
+  SubscriptionId next_sub = 0;
+  for (const Filter& filter : population) {
+    if (rng.index(4) == 0) {
+      table.broker_subscribe(kOtherNeighbor, filter);
+      continue;
+    }
+    table.client_subscribe(client_of(next_sub), next_sub, filter);
+    live.push_back(next_sub++);
+  }
+  table.refresh(kNeighbor);
+
+  std::size_t diff_entries = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::size_t victim = rng.index(live.size());
+    table.client_unsubscribe(client_of(live[victim]), live[victim]);
+    table.client_subscribe(client_of(next_sub), next_sub,
+                           churn_pool[rng.index(churn_pool.size())]);
+    live[victim] = next_sub++;
+    state.ResumeTiming();
+    const RoutingTable::Diff diff = table.refresh(kNeighbor);
+    diff_entries += diff.subscribe.size() + diff.unsubscribe.size();
+    benchmark::DoNotOptimize(diff_entries);
+  }
+  state.counters["diff_per_refresh"] =
+      static_cast<double>(diff_entries) /
+      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
+  state.counters["forwarded"] =
+      static_cast<double>(table.forwarded_size(kNeighbor));
+}
+
+BENCHMARK(bm_refresh_churn)->Arg(320)->Arg(2000)->Unit(benchmark::kMicrosecond);
 
 void bm_covering_check(benchmark::State& state) {
   reef::util::Rng rng(11);

@@ -102,7 +102,8 @@ class Matcher {
                            std::vector<std::vector<SubscriptionId>>& out) const;
 
   /// The filter registered under `id`, which must be registered. The
-  /// reference is stable until `id` is removed or replaced.
+  /// reference is valid until the next add or remove (bitset keeps its
+  /// filters in a vector indexed by slot, which an add may grow).
   virtual const Filter& filter(SubscriptionId id) const = 0;
 
   /// Number of registered filters.

@@ -1,6 +1,7 @@
 #include "pubsub/routing_table.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -27,7 +28,24 @@ void RoutingTable::add_client_iface(IfaceId iface) {
   client_ifaces_.try_emplace(iface);
 }
 
-RoutingTable::EngineId RoutingTable::add_entry(Filter filter, IfaceId iface,
+RoutingTable::FilterId RoutingTable::intern(const Filter& filter) {
+  FilterId id = find_filter(filter.key());
+  if (id != kNoFilterId) return id;
+  // A new id comes off the free list LIFO, like engine ids.
+  id = static_cast<FilterId>(filters_.size());
+  if (free_filter_ids_.empty()) {
+    filters_.emplace_back();
+  } else {
+    id = free_filter_ids_.back();
+    free_filter_ids_.pop_back();
+  }
+  filters_[id].key_hash = util::fnv1a64(filter.key());
+  filter_ids_.emplace(filters_[id].key_hash, id);
+  return id;
+}
+
+RoutingTable::EngineId RoutingTable::add_entry(FilterId filter_id,
+                                               Filter filter, IfaceId iface,
                                                bool from_broker,
                                                SubscriptionId client_sub,
                                                ScoringSpec scoring) {
@@ -39,8 +57,15 @@ RoutingTable::EngineId RoutingTable::add_entry(Filter filter, IfaceId iface,
     free_ids_.pop_back();
   }
   matcher_->add(engine_id, std::move(filter));
+  FilterRecord& record = filters_[filter_id];
   EngineEntry& entry = entries_[engine_id];
-  entry = EngineEntry{iface, from_broker, client_sub, nullptr};
+  entry = EngineEntry{iface,   from_broker, client_sub,
+                      nullptr, filter_id,   record.first_reg};
+  record.first_reg = engine_id;
+  if (record.regs++ == 0) {
+    record.own.reset();  // the engine's copy takes over
+    cover_index_.add(filter_id, matcher_->filter(engine_id));
+  }
   if (!scoring.neutral()) {
     // Interning, not AttrTable::lookup: a spec may arrive before any event
     // carries its attribute, and the id it resolves to must be the one
@@ -57,9 +82,59 @@ RoutingTable::EngineId RoutingTable::add_entry(Filter filter, IfaceId iface,
 }
 
 void RoutingTable::remove_entry(EngineId engine_id) {
+  const FilterId filter_id = entries_[engine_id].filter;
+  FilterRecord& record = filters_[filter_id];
+  // Unlink the registration from its filter's list.
+  EngineId* link = &record.first_reg;
+  while (*link != engine_id) link = &entries_[*link].next_reg;
+  *link = entries_[engine_id].next_reg;
+  if (--record.regs == 0) {
+    const Filter& filter = matcher_->filter(engine_id);
+    cover_index_.remove(filter_id, filter);
+    // Still forwarded: keep a copy for the retraction the next refresh
+    // ships.
+    if (record.forwards > 0) {
+      record.own = std::make_unique<const Filter>(filter);
+    }
+  }
   matcher_->remove(engine_id);
   entries_[engine_id] = EngineEntry{};  // frees the spec
   free_ids_.push_back(engine_id);
+  release_if_unused(filter_id);
+}
+
+RoutingTable::FilterId RoutingTable::find_filter(const std::string& key) const {
+  const auto [begin, end] = filter_ids_.equal_range(util::fnv1a64(key));
+  for (auto it = begin; it != end; ++it) {
+    if (key_of(it->second) == key) return it->second;
+  }
+  return kNoFilterId;
+}
+
+const Filter& RoutingTable::filter_of(FilterId id) const {
+  const FilterRecord& record = filters_[id];
+  return record.regs > 0 ? matcher_->filter(record.first_reg) : *record.own;
+}
+
+void RoutingTable::release_forward(FilterId id) {
+  --filters_[id].forwards;
+  release_if_unused(id);
+}
+
+void RoutingTable::release_if_unused(FilterId id) {
+  FilterRecord& record = filters_[id];
+  if (record.regs > 0 || record.forwards > 0) return;
+  auto it = filter_ids_.find(record.key_hash);
+  while (it->second != id) ++it;  // equal keys are adjacent
+  filter_ids_.erase(it);
+  record = FilterRecord{};  // frees the own copy
+  free_filter_ids_.push_back(id);
+}
+
+void RoutingTable::sort_by_key(std::vector<FilterId>& ids) const {
+  std::sort(ids.begin(), ids.end(), [this](FilterId a, FilterId b) {
+    return key_of(a) < key_of(b);
+  });
 }
 
 void RoutingTable::client_subscribe(IfaceId client, SubscriptionId sub_id,
@@ -70,9 +145,10 @@ void RoutingTable::client_subscribe(IfaceId client, SubscriptionId sub_id,
       it != iface.engine_ids.end()) {
     remove_entry(it->second);  // replace semantics on duplicate sub_id
   }
+  const FilterId filter_id = intern(filter);
   iface.engine_ids[sub_id] =
-      add_entry(std::move(filter), client, /*from_broker=*/false, sub_id,
-                std::move(scoring));
+      add_entry(filter_id, std::move(filter), client, /*from_broker=*/false,
+                sub_id, std::move(scoring));
 }
 
 bool RoutingTable::client_unsubscribe(IfaceId client, SubscriptionId sub_id) {
@@ -86,23 +162,23 @@ bool RoutingTable::client_unsubscribe(IfaceId client, SubscriptionId sub_id) {
 }
 
 bool RoutingTable::broker_subscribe(IfaceId broker, Filter filter) {
-  auto& iface = broker_ifaces_[broker];
-  // Copy the key before add_entry moves the filter out.
-  std::string key = filter.key();
-  if (iface.engine_ids.contains(key)) return false;  // idempotent
-  const EngineId engine_id =
-      add_entry(std::move(filter), broker, /*from_broker=*/true, 0);
-  iface.engine_ids.emplace(std::move(key), engine_id);
+  BrokerIface& iface = broker_ifaces_[broker];
+  const FilterId filter_id = intern(filter);
+  if (iface.engine_ids.contains(filter_id)) return false;  // idempotent
+  iface.engine_ids.emplace(
+      filter_id, add_entry(filter_id, std::move(filter), broker,
+                           /*from_broker=*/true, 0));
   return true;
 }
 
 bool RoutingTable::broker_unsubscribe(IfaceId broker, const Filter& filter) {
   const auto iface_it = broker_ifaces_.find(broker);
   if (iface_it == broker_ifaces_.end()) return false;
-  const auto key_it = iface_it->second.engine_ids.find(filter.key());
-  if (key_it == iface_it->second.engine_ids.end()) return false;
-  remove_entry(key_it->second);
-  iface_it->second.engine_ids.erase(key_it);
+  const auto reg_it =
+      iface_it->second.engine_ids.find(find_filter(filter.key()));
+  if (reg_it == iface_it->second.engine_ids.end()) return false;
+  remove_entry(reg_it->second);
+  iface_it->second.engine_ids.erase(reg_it);
   return true;
 }
 
@@ -114,11 +190,13 @@ bool RoutingTable::drop_broker_iface_state(IfaceId iface) {
   BrokerIface& broker = it->second;
   const bool changed =
       !broker.engine_ids.empty() || !broker.forwarded.empty();
-  for (const auto& [key, engine_id] : broker.engine_ids) {
+  // Forwards first, so a filter losing both needs no interim copy.
+  for (const FilterId id : broker.forwarded) release_forward(id);
+  broker.forwarded.clear();
+  for (const auto& [id, engine_id] : broker.engine_ids) {
     remove_entry(engine_id);
   }
   broker.engine_ids.clear();
-  broker.forwarded.clear();
   return changed;
 }
 
@@ -126,12 +204,17 @@ bool RoutingTable::broker_resync(IfaceId broker,
                                  const std::vector<Filter>& want) {
   add_broker_iface(broker);
   BrokerIface& iface = broker_ifaces_.at(broker);
-  std::map<std::string, const Filter*> desired;
-  for (const Filter& filter : want) desired.emplace(filter.key(), &filter);
+  // The registrations `want` keeps, as sorted ids.
+  std::vector<FilterId> kept;
+  for (const Filter& filter : want) {
+    const FilterId id = find_filter(filter.key());
+    if (iface.engine_ids.contains(id)) kept.push_back(id);
+  }
+  std::sort(kept.begin(), kept.end());
   bool changed = false;
   // Remove what the neighbor no longer wants.
   for (auto it = iface.engine_ids.begin(); it != iface.engine_ids.end();) {
-    if (desired.contains(it->first)) {
+    if (std::binary_search(kept.begin(), kept.end(), it->first)) {
       ++it;
       continue;
     }
@@ -139,13 +222,14 @@ bool RoutingTable::broker_resync(IfaceId broker,
     it = iface.engine_ids.erase(it);
     changed = true;
   }
-  // Add what it wants and we don't have (dedup: present keys are kept
+  // Add what it wants and we don't have (dedup: present filters are kept
   // as-is, so a replayed state is a no-op).
-  for (const auto& [key, filter] : desired) {
-    if (iface.engine_ids.contains(key)) continue;
-    const EngineId engine_id =
-        add_entry(*filter, broker, /*from_broker=*/true, 0);
-    iface.engine_ids.emplace(key, engine_id);
+  for (const Filter& filter : want) {
+    const FilterId filter_id = intern(filter);
+    if (iface.engine_ids.contains(filter_id)) continue;
+    iface.engine_ids.emplace(
+        filter_id,
+        add_entry(filter_id, filter, broker, /*from_broker=*/true, 0));
     changed = true;
   }
   return changed;
@@ -161,7 +245,7 @@ bool RoutingTable::client_resync(IfaceId client,
   for (auto it = iface.engine_ids.begin(); it != iface.engine_ids.end();) {
     const auto want = desired.find(it->first);
     if (want != desired.end() &&
-        matcher_->filter(it->second).key() == want->second->filter.key() &&
+        key_of(entries_[it->second].filter) == want->second->filter.key() &&
         entry_scoring(it->second) == want->second->scoring) {
       ++it;  // identical (sub_id, filter, scoring): keep, idempotent
       continue;
@@ -172,9 +256,9 @@ bool RoutingTable::client_resync(IfaceId client,
   }
   for (const auto& [sub_id, sub] : desired) {
     if (iface.engine_ids.contains(sub_id)) continue;
-    iface.engine_ids[sub_id] = add_entry(sub->filter, client,
-                                         /*from_broker=*/false, sub_id,
-                                         sub->scoring);
+    iface.engine_ids[sub_id] =
+        add_entry(intern(sub->filter), sub->filter, client,
+                  /*from_broker=*/false, sub_id, sub->scoring);
     changed = true;
   }
   return changed;
@@ -184,8 +268,8 @@ std::uint64_t RoutingTable::broker_iface_digest(IfaceId iface) const {
   const auto it = broker_ifaces_.find(iface);
   if (it == broker_ifaces_.end()) return 0;
   std::uint64_t digest = 0;
-  for (const auto& [key, engine_id] : it->second.engine_ids) {
-    digest ^= util::fnv1a64(key);
+  for (const auto& [id, engine_id] : it->second.engine_ids) {
+    digest ^= util::fnv1a64(key_of(id));
   }
   return digest;
 }
@@ -205,8 +289,8 @@ std::uint64_t RoutingTable::forwarded_digest(IfaceId iface) const {
   const auto it = broker_ifaces_.find(iface);
   if (it == broker_ifaces_.end()) return 0;
   std::uint64_t digest = 0;
-  for (const auto& [key, filter] : it->second.forwarded) {
-    digest ^= util::fnv1a64(key);
+  for (const FilterId id : it->second.forwarded) {
+    digest ^= util::fnv1a64(key_of(id));
   }
   return digest;
 }
@@ -215,14 +299,10 @@ std::vector<Filter> RoutingTable::forwarded_filters(IfaceId iface) const {
   std::vector<Filter> filters;
   const auto it = broker_ifaces_.find(iface);
   if (it == broker_ifaces_.end()) return filters;
-  filters.reserve(it->second.forwarded.size());
-  // `forwarded` is keyed by canonical key in an unordered map; emit in
-  // key order for a deterministic replay.
-  std::map<std::string, const Filter*> ordered;
-  for (const auto& [key, filter] : it->second.forwarded) {
-    ordered.emplace(key, &filter);
-  }
-  for (const auto& [key, filter] : ordered) filters.push_back(*filter);
+  std::vector<FilterId> ordered = it->second.forwarded;
+  sort_by_key(ordered);  // key order: a deterministic replay
+  filters.reserve(ordered.size());
+  for (const FilterId id : ordered) filters.push_back(filter_of(id));
   return filters;
 }
 
@@ -249,7 +329,7 @@ std::string RoutingTable::state_fingerprint() const {
   for (EngineId id = 0; id < entries_.size(); ++id) {
     const EngineEntry& entry = entries_[id];
     if (entry.iface == kNoIface) continue;  // free record
-    const std::string& key = matcher_->filter(id).key();
+    const std::string& key = key_of(entry.filter);
     if (entry.from_broker) {
       lines.push_back("B " + std::to_string(entry.iface) + " " + key);
     } else {
@@ -263,8 +343,8 @@ std::string RoutingTable::state_fingerprint() const {
     }
   }
   for (const auto& [iface, broker] : broker_ifaces_) {
-    for (const auto& [key, filter] : broker.forwarded) {
-      lines.push_back("F " + std::to_string(iface) + " " + key);
+    for (const FilterId id : broker.forwarded) {
+      lines.push_back("F " + std::to_string(iface) + " " + key_of(id));
     }
   }
   std::sort(lines.begin(), lines.end());
@@ -276,184 +356,187 @@ std::string RoutingTable::state_fingerprint() const {
   return out;
 }
 
-std::map<std::string, Filter> RoutingTable::filters_not_from(
-    IfaceId excluded) const {
-  std::map<std::string, Filter> out;
-  for (EngineId id = 0; id < entries_.size(); ++id) {
-    const IfaceId iface = entries_[id].iface;
-    if (iface == excluded || iface == kNoIface) continue;  // kNoIface: free
-    const Filter& filter = matcher_->filter(id);
-    out.try_emplace(filter.key(), filter);
-  }
-  return out;
-}
+// --- covering signature index ------------------------------------------------
+//
+// Every non-empty filter is filed under one of its constraints, its
+// signature. Soundness rests on Filter::covers semantics — if g covers f,
+// then *every* constraint of g (its signature included) covers some
+// constraint of f on the same attribute. Hence g is reachable from f's own
+// constraints: an equality signature eq(a, v) only ever covers eq(a, v)
+// (cross-type numerics compare equal via canonical_numeric) or an *empty*
+// in-set (which everything covers vacuously), so value buckets plus the
+// empty-set fallback in any_candidate suffice. A set-membership signature
+// in(a, S) covers only eq(a, m) / in(a, T subset of S) with a bucketable
+// member in common, so filing g under every bucketable member value is
+// reachable from f's per-member probes (members that are null/NaN are
+// unsatisfiable and can never witness a cover, so skipping them is
+// sound). Any other signature — an equality on a null/NaN value included —
+// is reachable through the attribute bucket alone. Empty filters cover
+// everything: they share one bucket, which every probe takes.
 
 namespace {
 
-/// True when `filter` must be dropped from the minimal cover because
-/// `other` covers it (and is not merely an equivalent filter for which
-/// `filter` is the canonical, lexicographically-first representative).
-bool dominates(const std::string& other_key, const Filter& other,
-               const std::string& key, const Filter& filter) {
-  if (other_key == key) return false;
-  if (!other.covers(filter)) return false;
-  return !filter.covers(other) || other_key < key;
+/// The bucket key of eq(attr, value). Value::hash hashes an int through
+/// its exact double image, so eq(p, 3) and eq(p, 3.0) share a bucket.
+std::uint64_t value_key(AttrId attr, const Value& value) {
+  return util::hash_combine(attr, value.hash());
+}
+
+/// The bucket key of the attribute bucket of `attr`.
+constexpr std::uint64_t attr_key(AttrId attr) {
+  return util::hash_combine(attr, 0);
+}
+
+/// The bucket of the empty filters.
+constexpr std::uint64_t kEmptyKey = attr_key(kNoAttrId);
+
+/// Calls visit(key) for each bucket `filter` is filed under.
+/// Prefer an equality constraint as the signature: its value bucket
+/// prunes far harder than an attribute bucket (feed subscriptions all
+/// share their attributes but rarely their feed URL). Failing that, a
+/// set-membership constraint files under every bucketable member — still
+/// value-level pruning, at the cost of |set| entries.
+template <typename Visit>
+void for_each_signature(const Filter& filter, Visit&& visit) {
+  if (filter.empty()) {
+    visit(kEmptyKey);
+    return;
+  }
+  const Constraint* in_sig = nullptr;
+  for (const Constraint& c : filter.constraints()) {
+    if (c.op() == Op::kEq && eq_bucketable(c.value())) {
+      visit(value_key(c.attr_id(), c.value()));
+      return;
+    }
+    if (in_sig == nullptr && c.op() == Op::kIn &&
+        std::any_of(c.members().begin(), c.members().end(), eq_bucketable)) {
+      in_sig = &c;
+    }
+  }
+  if (in_sig != nullptr) {
+    for (const Value& m : in_sig->members()) {
+      if (eq_bucketable(m)) visit(value_key(in_sig->attr_id(), m));
+    }
+    return;
+  }
+  visit(attr_key(filter.constraints().front().attr_id()));
 }
 
 }  // namespace
 
-std::map<std::string, Filter> RoutingTable::minimal_cover_indexed(
-    std::map<std::string, Filter> filters) {
-  // Signature index: every non-empty filter is bucketed under one of its
-  // constraints. Soundness rests on Filter::covers semantics — if g covers
-  // f, then *every* constraint of g (its signature included) covers some
-  // constraint of f on the same attribute. Hence g is reachable from f's
-  // own constraints: an equality signature eq(a, v) only ever covers
-  // eq(a, v) (cross-type numerics compare equal via canonical_numeric) or
-  // an *empty* in-set (which everything covers vacuously), so value
-  // buckets plus the empty-set fallback below suffice. A set-membership
-  // signature in(a, S) covers only eq(a, m) / in(a, T subset of S) with a
-  // bucketable member in common, so bucketing g under every bucketable
-  // member value is reachable from f's per-member probes (members that are
-  // null/NaN are unsatisfiable and can never witness a cover, so skipping
-  // them is sound). Any other signature op is reachable through the
-  // attribute bucket alone. Empty filters cover everything and are always
-  // candidates.
-  using Item = const std::pair<const std::string, Filter>*;
-  std::vector<Item> empties;
-  std::unordered_map<AttrId, std::unordered_map<Value, std::vector<Item>>,
-                     AttrIdHash>
-      eq_sig;
-  std::unordered_map<AttrId, std::vector<Item>, AttrIdHash> attr_sig;
-  for (const auto& entry : filters) {
-    const Filter& filter = entry.second;
-    if (filter.empty()) {
-      empties.push_back(&entry);
-      continue;
-    }
-    // Prefer an equality constraint as the signature: its value bucket
-    // prunes far harder than an attribute bucket (feed subscriptions all
-    // share their attributes but rarely their feed URL). Failing that, a
-    // set-membership constraint buckets under every bucketable member —
-    // still value-level pruning, at the cost of |set| bucket entries.
-    const Constraint* sig = nullptr;
-    const Constraint* in_sig = nullptr;
-    for (const Constraint& c : filter.constraints()) {
-      if (c.op() == Op::kEq) {
-        sig = &c;
-        break;
-      }
-      if (in_sig == nullptr && c.op() == Op::kIn) {
-        for (const Value& m : c.members()) {
-          if (eq_bucketable(m)) {
-            in_sig = &c;
-            break;
-          }
-        }
-      }
-    }
-    if (sig != nullptr) {
-      eq_sig[sig->attr_id()][canonical_numeric(sig->value())].push_back(
-          &entry);
-    } else if (in_sig != nullptr) {
-      auto& buckets = eq_sig[in_sig->attr_id()];
-      for (const Value& m : in_sig->members()) {
-        if (eq_bucketable(m)) buckets[canonical_numeric(m)].push_back(&entry);
-      }
-    } else {
-      attr_sig[filter.constraints().front().attr_id()].push_back(&entry);
-    }
-  }
+void RoutingTable::SignatureIndex::add(FilterId id, const Filter& filter) {
+  for_each_signature(filter,
+                     [&](std::uint64_t key) { buckets_.emplace(key, id); });
+}
 
-  std::map<std::string, Filter> out;
-  std::vector<Item> candidates;
-  for (const auto& entry : filters) {
-    const auto& [key, filter] = entry;
-    candidates.assign(empties.begin(), empties.end());
-    AttrId prev_attr = kNoAttrId;
-    for (const Constraint& c : filter.constraints()) {
-      // Constraints are canonically sorted, so one attribute-bucket probe
-      // per distinct attribute.
-      if (prev_attr == kNoAttrId || prev_attr != c.attr_id()) {
-        prev_attr = c.attr_id();
-        if (const auto it = attr_sig.find(c.attr_id());
-            it != attr_sig.end()) {
-          candidates.insert(candidates.end(), it->second.begin(),
-                            it->second.end());
-        }
+void RoutingTable::SignatureIndex::remove(FilterId id, const Filter& filter) {
+  for_each_signature(filter, [&](std::uint64_t key) {
+    auto it = buckets_.find(key);
+    while (it->second != id) ++it;  // equal keys are adjacent
+    buckets_.erase(it);
+  });
+}
+
+template <typename Pred>
+bool RoutingTable::SignatureIndex::any_candidate(const Filter& filter,
+                                                 Pred&& pred) const {
+  const auto any_in = [&](std::uint64_t key) {
+    const auto [begin, end] = buckets_.equal_range(key);
+    for (auto it = begin; it != end; ++it) {
+      if (pred(it->second)) return true;
+    }
+    return false;
+  };
+  if (any_in(kEmptyKey)) return true;
+  AttrId prev_attr = kNoAttrId;
+  for (const Constraint& c : filter.constraints()) {
+    // Constraints are canonically sorted, so one attribute-bucket probe
+    // per distinct attribute.
+    if (c.attr_id() != prev_attr) {
+      prev_attr = c.attr_id();
+      if (any_in(attr_key(c.attr_id()))) return true;
+    }
+    if (c.op() == Op::kEq) {
+      if (eq_bucketable(c.value()) &&
+          any_in(value_key(c.attr_id(), c.value()))) {
+        return true;
       }
-      if (c.op() == Op::kIn) {
-        if (const auto attr_it = eq_sig.find(c.attr_id());
-            attr_it != eq_sig.end()) {
-          if (c.members().empty()) {
-            // in {} matches nothing, so every value-bucketed signature on
-            // this attribute covers it vacuously — all buckets are
-            // candidates.
-            for (const auto& bucket : attr_it->second) {
-              candidates.insert(candidates.end(), bucket.second.begin(),
-                                bucket.second.end());
-            }
-          } else {
-            for (const Value& m : c.members()) {
-              if (!eq_bucketable(m)) continue;
-              if (const auto value_it =
-                      attr_it->second.find(canonical_numeric(m));
-                  value_it != attr_it->second.end()) {
-                candidates.insert(candidates.end(), value_it->second.begin(),
-                                  value_it->second.end());
-              }
-            }
-          }
+    } else if (c.op() == Op::kIn) {
+      if (c.members().empty()) {
+        // in {} matches nothing, so every signature on this attribute
+        // covers it vacuously. Buckets are hashed, so take every filed
+        // filter; covers() drops the other attributes. That walks the
+        // whole index per such filter, but only a parsed or hand-built
+        // "in {}" makes one: the Reef recommenders build no set-membership
+        // constraint.
+        for (const auto& [key, id] : buckets_) {
+          if (pred(id)) return true;
         }
         continue;
       }
-      if (c.op() != Op::kEq) continue;
-      if (const auto attr_it = eq_sig.find(c.attr_id());
-          attr_it != eq_sig.end()) {
-        if (const auto value_it =
-                attr_it->second.find(canonical_numeric(c.value()));
-            value_it != attr_it->second.end()) {
-          candidates.insert(candidates.end(), value_it->second.begin(),
-                            value_it->second.end());
-        }
+      for (const Value& m : c.members()) {
+        if (eq_bucketable(m) && any_in(value_key(c.attr_id(), m))) return true;
       }
     }
-    bool dominated = false;
-    for (const Item other : candidates) {
-      if (dominates(other->first, other->second, key, filter)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.emplace(key, filter);
   }
-  return out;
+  return false;
 }
+
+// --- forwarding --------------------------------------------------------------
 
 RoutingTable::Diff RoutingTable::refresh(IfaceId neighbor) {
   BrokerIface& iface = broker_ifaces_.at(neighbor);
-  std::map<std::string, Filter> desired = filters_not_from(neighbor);
-  if (config_.covering_enabled) {
-    desired = minimal_cover_indexed(std::move(desired));
+  // A filter is visible to `neighbor` iff some interface other than the
+  // neighbor registered it: regs(f) > [neighbor registered f].
+  visible_.resize(filters_.size());  // geometric growth, unlike assign
+  for (FilterId id = 0; id < filters_.size(); ++id) {
+    visible_[id] = filters_[id].regs > 0 ? &filter_of(id) : nullptr;
+  }
+  for (const auto& [id, engine_id] : iface.engine_ids) {
+    if (filters_[id].regs == 1) visible_[id] = nullptr;
   }
 
+  // The desired forwarded set, built in id order (so sorted).
+  desired_.clear();
+  for (FilterId id = 0; id < filters_.size(); ++id) {
+    const Filter* filter = visible_[id];
+    if (filter == nullptr) continue;
+    // Dropped when another visible filter covers it, unless the two are
+    // equivalent and this one has the smaller key.
+    const bool dominated =
+        config_.covering_enabled &&
+        cover_index_.any_candidate(*filter, [&](FilterId other_id) {
+          const Filter* other = visible_[other_id];
+          if (other_id == id || other == nullptr) return false;
+          if (!other->covers(*filter)) return false;
+          return !filter->covers(*other) || key_of(other_id) < key_of(id);
+        });
+    if (!dominated) desired_.push_back(id);
+  }
+
+  // The delta is two set differences of sorted id vectors; only the
+  // emitted entries are put in key order.
+  std::vector<FilterId> added;
+  std::vector<FilterId> removed;
+  std::set_difference(desired_.begin(), desired_.end(), iface.forwarded.begin(),
+                      iface.forwarded.end(), std::back_inserter(added));
+  std::set_difference(iface.forwarded.begin(), iface.forwarded.end(),
+                      desired_.begin(), desired_.end(),
+                      std::back_inserter(removed));
+  sort_by_key(added);
+  sort_by_key(removed);
   Diff diff;
-  // Subscriptions that became necessary.
-  for (const auto& [key, filter] : desired) {
-    if (iface.forwarded.contains(key)) continue;
-    diff.subscribe.push_back(filter);
-    iface.forwarded.emplace(key, filter);
+  diff.subscribe.reserve(added.size());
+  for (const FilterId id : added) {
+    diff.subscribe.push_back(filter_of(id));
+    ++filters_[id].forwards;
   }
-  // Subscriptions no longer needed (or now covered). Collect keys in map
-  // order for a deterministic diff.
-  std::map<std::string, Filter> stale;
-  for (const auto& [key, filter] : iface.forwarded) {
-    if (!desired.contains(key)) stale.emplace(key, filter);
+  diff.unsubscribe.reserve(removed.size());
+  for (const FilterId id : removed) {
+    diff.unsubscribe.push_back(filter_of(id));
+    release_forward(id);
   }
-  for (auto& [key, filter] : stale) {
-    diff.unsubscribe.push_back(std::move(filter));
-    iface.forwarded.erase(key);
-  }
+  iface.forwarded.swap(desired_);
   return diff;
 }
 

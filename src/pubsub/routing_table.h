@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -170,7 +169,11 @@ class RoutingTable {
   /// visible on other interfaces, reduced to its covering-minimal form
   /// when covering is enabled), updates the forwarded bookkeeping, and
   /// returns the delta to ship. Deterministic: diff entries come out in
-  /// canonical-key order.
+  /// canonical-key order. Covering-minimal: a visible filter is dropped
+  /// when another visible filter covers it, and of mutually covering
+  /// filters the one with the smallest key survives. One pass over the
+  /// interned filters, probing the persistent signature index; the only
+  /// Filter copies made are the returned diff entries.
   Diff refresh(IfaceId neighbor);
 
   // --- matching -------------------------------------------------------------
@@ -212,30 +215,43 @@ class RoutingTable {
   /// none. Kept only because the end-to-end benchmark (bench/e2e) still
   /// reports it as a per-layer metric.
   std::uint64_t maintain_runs() const noexcept { return 0; }
-
-  // --- covering reduction (public for tests and benches) --------------------
-  /// Reduces a key->filter set to its maximal elements under covering,
-  /// pruning candidate cover pairs through a per-call signature index
-  /// (each filter is bucketed by one constraint; only filters whose
-  /// bucket a candidate's own constraints can reach are checked). Of
-  /// mutually covering filters, the one with the smallest key survives.
-  static std::map<std::string, Filter> minimal_cover_indexed(
-      std::map<std::string, Filter> filters);
+  /// Distinct filters the table holds: registered on some interface or
+  /// still forwarded to a neighbor. 0 once every filter is retracted and
+  /// every neighbor refreshed.
+  std::size_t interned_filters() const noexcept {
+    return filters_.size() - free_filter_ids_.size();
+  }
+  /// Entries of the covering signature index (one per registered
+  /// filter, one per member for a set-membership signature). 0 once no
+  /// filter is registered.
+  std::size_t signature_entries() const noexcept {
+    return cover_index_.size();
+  }
 
  private:
   /// Engine id: the registration's matcher id (the engine owns its
   /// filter), its index in entries_ and its top-k window slot. Dense,
   /// recycled LIFO, as the Matcher contract asks.
   using EngineId = std::uint32_t;
+  static constexpr EngineId kNoEngineId = 0xffffffff;
+  /// Interned filter: one per distinct canonical key in this table, dense
+  /// and recycled LIFO — the AttrTable idiom applied to filters, per
+  /// table and refcounted. The control plane (forwarded sets, broker
+  /// registrations, the cover index) works on these ids; keys appear only
+  /// at interning, on a mutual-cover tie, and in emitted (sorted) output.
+  using FilterId = std::uint32_t;
+  static constexpr FilterId kNoFilterId = 0xffffffff;
 
   struct ClientIface {
     std::unordered_map<SubscriptionId, EngineId> engine_ids;
   };
   struct BrokerIface {
-    /// Aggregated filters received from this neighbor, by canonical key.
-    std::unordered_map<std::string, EngineId> engine_ids;
-    /// Filters we have handed out *to* this neighbor, by canonical key.
-    std::unordered_map<std::string, Filter> forwarded;
+    /// Filters received from this neighbor (at most one registration per
+    /// distinct filter).
+    std::unordered_map<FilterId, EngineId> engine_ids;
+    /// Filters we have handed out *to* this neighbor, sorted by id; each
+    /// holds a forward reference on its FilterRecord.
+    std::vector<FilterId> forwarded;
   };
   /// A non-neutral spec with its text attributes interned to ids, in spec
   /// order (duplicates kept), so the scored match path never hashes an
@@ -253,17 +269,68 @@ class RoutingTable {
     /// Null for a neutral spec; behind a pointer so ScoredDestination's
     /// view of it outlives growth of entries_.
     std::unique_ptr<const ScoredSpec> scored;
+    FilterId filter = 0;
+    /// Next registration of the same filter (FilterRecord::first_reg).
+    EngineId next_reg = kNoEngineId;
+  };
+  /// One distinct filter. The table keeps no copy of its own while the
+  /// filter is registered: it reads the engine's copy of its first
+  /// registration. Only a filter still forwarded after its last
+  /// registration went keeps one (`own`) until the neighbors retract it.
+  /// A free record (its id on free_filter_ids_) has regs == forwards == 0.
+  struct FilterRecord {
+    std::uint64_t key_hash = 0;        // its filter_ids_ key
+    std::uint32_t regs = 0;            // registrations (engine entries)
+    std::uint32_t forwards = 0;        // forwarded sets holding it
+    EngineId first_reg = kNoEngineId;  // head of the registrations' list
+    std::unique_ptr<const Filter> own;  // iff regs == 0 < forwards
   };
 
-  EngineId add_entry(Filter filter, IfaceId iface, bool from_broker,
-                     SubscriptionId client_sub, ScoringSpec scoring = {});
+  /// Persistent covering signature index over the registered filters
+  /// (regs > 0): a filter is filed when its registration count goes 0->1
+  /// and unfiled on 1->0. Buckets are multimap keys, so an emptied bucket
+  /// leaves nothing behind. See routing_table.cpp for the signature rule
+  /// and why probing a filter's own constraints reaches every filter that
+  /// can cover it.
+  class SignatureIndex {
+   public:
+    void add(FilterId id, const Filter& filter);
+    void remove(FilterId id, const Filter& filter);
+    /// True when `pred(id)` holds for some filed id that may cover
+    /// `filter` (the filter's own id included, ids possibly repeated);
+    /// stops at the first hit.
+    template <typename Pred>
+    bool any_candidate(const Filter& filter, Pred&& pred) const;
+    std::size_t size() const noexcept { return buckets_.size(); }
+
+   private:
+    /// Keyed by a hash of (attribute, value) for a value bucket, of the
+    /// attribute alone for an attribute bucket, and one fixed key for the
+    /// empty filters: a collision only adds candidates that Filter::covers
+    /// rejects.
+    std::unordered_multimap<std::uint64_t, FilterId> buckets_;
+  };
+
+  /// The id `filter`'s key is interned under, interning it when new (a
+  /// new record has no registration yet: add_entry it).
+  FilterId intern(const Filter& filter);
+  /// Registers `filter`, interned as `filter_id`, under a new engine id.
+  EngineId add_entry(FilterId filter_id, Filter filter, IfaceId iface,
+                     bool from_broker, SubscriptionId client_sub,
+                     ScoringSpec scoring = {});
   void remove_entry(EngineId engine_id);
   /// The stored spec of an entry (neutral when it has none).
   ScoringSpec entry_scoring(EngineId engine_id) const;
 
-  /// Filters visible on interfaces other than `excluded` (deduplicated by
-  /// canonical key).
-  std::map<std::string, Filter> filters_not_from(IfaceId excluded) const;
+  /// The id `key` is interned under, or kNoFilterId.
+  FilterId find_filter(const std::string& key) const;
+  const Filter& filter_of(FilterId id) const;
+  const std::string& key_of(FilterId id) const { return filter_of(id).key(); }
+  /// Drops one forward reference, freeing the record when none is left.
+  void release_forward(FilterId id);
+  void release_if_unused(FilterId id);
+  /// Sorts `ids` by canonical key (the wire and replay order).
+  void sort_by_key(std::vector<FilterId>& ids) const;
 
   /// Engine hits for `events`, one id vector per event, split over the
   /// pool in contiguous ranges (see Config::worker_threads).
@@ -278,6 +345,17 @@ class RoutingTable {
   std::unique_ptr<util::ThreadPool> pool_;  // null when worker_threads == 0
   std::vector<EngineEntry> entries_;  // by engine id
   std::vector<EngineId> free_ids_;    // released ids, reused LIFO
+
+  /// Interning, keyed by fnv1a64 of the canonical key; the filter itself
+  /// holds the key, so colliding hashes are told apart by comparing it.
+  std::unordered_multimap<std::uint64_t, FilterId> filter_ids_;
+  std::vector<FilterRecord> filters_;  // by FilterId
+  std::vector<FilterId> free_filter_ids_;  // released ids, reused LIFO
+  SignatureIndex cover_index_;
+
+  // refresh() scratch, kept across calls for its capacity.
+  std::vector<const Filter*> visible_;  // by FilterId; null = not visible
+  std::vector<FilterId> desired_;
 };
 
 }  // namespace reef::pubsub

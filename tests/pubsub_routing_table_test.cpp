@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "pubsub/routing_table.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace reef::pubsub {
@@ -196,7 +199,7 @@ TEST(RoutingTable, MatchBatchAgreesWithPerEventMatch) {
 // --- indexed covering check vs the naive pairwise oracle --------------------
 
 /// The O(n^2) pairwise reduction: the oracle for the signature-indexed
-/// RoutingTable::minimal_cover_indexed. A filter is dropped when another
+/// covering step of RoutingTable::refresh. A filter is dropped when another
 /// one covers it, unless the two are equivalent and it has the smaller
 /// key (the canonical representative survives).
 std::map<std::string, Filter> minimal_cover_naive(
@@ -222,8 +225,9 @@ std::map<std::string, Filter> minimal_cover_naive(
 struct NaiveNeighbor {
   std::map<std::string, Filter> forwarded;
 
-  RoutingTable::Diff refresh(const std::map<std::string, Filter>& visible) {
-    const auto desired = minimal_cover_naive(visible);
+  RoutingTable::Diff refresh(const std::map<std::string, Filter>& visible,
+                             bool covering = true) {
+    const auto desired = covering ? minimal_cover_naive(visible) : visible;
     RoutingTable::Diff diff;
     for (const auto& [key, filter] : desired) {
       if (!forwarded.contains(key)) diff.subscribe.push_back(filter);
@@ -345,33 +349,42 @@ TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
   EXPECT_EQ(indexed.maintain_runs(), 0u);
 }
 
-/// Direct equivalence of the two reductions on adversarial shapes the
-/// churn mix may miss: equivalent filters (canonical-representative
-/// tie-break), chains of mutual covering, and universal filters.
-TEST(RoutingTable, MinimalCoverIndexedEqualsNaiveOnEdgeCases) {
+/// refresh() against the naive reduction on adversarial shapes the churn
+/// mix may miss: equivalent filters (canonical-representative tie-break),
+/// chains of mutual covering, universal filters and set membership. Each
+/// case is a fresh table whose one neighbor receives every filter, so its
+/// first refresh subscribes exactly the covering-minimal set, in key order.
+TEST(RoutingTable, RefreshEqualsNaiveCoverOnEdgeCases) {
   const auto run_both = [](const std::vector<Filter>& filters) {
+    RoutingTable table;
+    table.add_broker_iface(kNeighbor);
     std::map<std::string, Filter> input;
-    for (const Filter& f : filters) input.emplace(f.key(), f);
-    const auto a = RoutingTable::minimal_cover_indexed(input);
-    const auto b = minimal_cover_naive(input);
-    EXPECT_EQ(a.size(), b.size());
-    auto it_a = a.begin();
-    for (const auto& [key, filter] : b) {
-      if (it_a == a.end()) {
-        ADD_FAILURE() << "indexed cover missing key " << key;
+    SubscriptionId sub = 1;
+    for (const Filter& f : filters) {
+      table.client_subscribe(kClient, sub++, f);
+      input.emplace(f.key(), f);
+    }
+    const RoutingTable::Diff diff = table.refresh(kNeighbor);
+    const auto naive = minimal_cover_naive(input);
+    EXPECT_TRUE(diff.unsubscribe.empty());
+    EXPECT_EQ(diff.subscribe.size(), naive.size());
+    auto it = diff.subscribe.begin();
+    for (const auto& [key, filter] : naive) {
+      if (it == diff.subscribe.end()) {
+        ADD_FAILURE() << "refresh missing key " << key;
         break;
       }
-      EXPECT_EQ(it_a->first, key);
-      EXPECT_EQ(it_a->second, filter);
-      ++it_a;
+      EXPECT_EQ(it->key(), key);
+      EXPECT_EQ(*it, filter);
+      ++it;
     }
-    return a;
+    return diff.subscribe;
   };
 
   // Universal filter covers everything (and survives alone).
   auto cover = run_both({Filter(), broad(), feed("http://x/a")});
   EXPECT_EQ(cover.size(), 1u);
-  EXPECT_TRUE(cover.begin()->second.empty());
+  EXPECT_TRUE(cover.front().empty());
 
   // Cross-type numeric equality: eq(p, 3) and eq(p, 3.0) are equivalent
   // but have distinct keys — exactly one survives, via the tie-break.
@@ -394,6 +407,256 @@ TEST(RoutingTable, MinimalCoverIndexedEqualsNaiveOnEdgeCases) {
   cover = run_both({feed("http://x/a"), feed("http://x/b"),
                     Filter().and_(ge("price", 5.0))});
   EXPECT_EQ(cover.size(), 3u);
+
+  // Set membership: an in-set signature is filed under each member, so a
+  // narrower set and an equality on a shared member both find it; the
+  // empty set is covered by any equality on its attribute.
+  cover = run_both({Filter().and_(in_("c", {1, 2, 3})),
+                    Filter().and_(in_("c", {2, 3})),
+                    Filter().and_(eq("c", 3.0)),
+                    Filter().and_(in_("c", {})),
+                    Filter().and_(in_("c", {4, 5}))});
+  EXPECT_EQ(cover.size(), 2u);
+}
+
+// --- routing-table oracle over every control operation ----------------------
+
+/// A random filter from a small pool, so the same filter is often
+/// registered by several interfaces at once: the churn mix plus
+/// set-membership filters, an empty set and cross-type numeric twins.
+Filter oracle_filter(util::Rng& rng) {
+  switch (rng.index(8)) {
+    case 0:
+    case 1:
+    case 2:
+      return feed("http://s" + std::to_string(rng.index(30)) + "/f");
+    case 3:
+      return rng.chance(0.1) ? broad()
+                             : Filter().and_(eq("stream", "quotes"))
+                                   .and_(ge("price", static_cast<double>(
+                                                         rng.index(10))));
+    case 4:
+      return Filter().and_(
+          prefix("feed", "http://s" + std::to_string(rng.index(4))));
+    case 5: {
+      std::vector<Value> members;
+      for (std::size_t n = rng.index(3); n > 0; --n) {
+        members.emplace_back(static_cast<int>(rng.index(6)));
+      }
+      return Filter().and_(in_("c", std::move(members)));
+    }
+    case 6:
+      return rng.chance(0.5)
+                 ? Filter().and_(eq("c", static_cast<int>(rng.index(6))))
+                 : Filter().and_(eq("c", static_cast<double>(rng.index(6))));
+    default:
+      return rng.chance(0.05) ? Filter()
+                              : Filter().and_(exists("price")).and_(lt(
+                                    "price",
+                                    static_cast<double>(rng.index(10))));
+  }
+}
+
+/// The table's state re-derived from maps: client subscriptions, the
+/// filters each neighbor registered, and what each neighbor was sent.
+struct NaiveTable {
+  std::map<std::pair<RoutingTable::IfaceId, SubscriptionId>, Filter> clients;
+  std::map<RoutingTable::IfaceId, std::map<std::string, Filter>> brokers;
+  std::map<RoutingTable::IfaceId, NaiveNeighbor> neighbors;
+  bool covering = true;
+
+  std::map<std::string, Filter> visible_to(RoutingTable::IfaceId n) const {
+    std::map<std::string, Filter> out;
+    for (const auto& [id, f] : clients) out.try_emplace(f.key(), f);
+    for (const auto& [b, filters] : brokers) {
+      if (b != n) out.insert(filters.begin(), filters.end());
+    }
+    return out;
+  }
+
+  RoutingTable::Diff refresh(RoutingTable::IfaceId n) {
+    return neighbors[n].refresh(visible_to(n), covering);
+  }
+
+  std::string fingerprint() const {
+    std::vector<std::string> lines;
+    for (const auto& [id, f] : clients) {
+      lines.push_back("C " + std::to_string(id.first) + " " +
+                      std::to_string(id.second) + " " + f.key());
+    }
+    for (const auto& [b, filters] : brokers) {
+      for (const auto& [key, f] : filters) {
+        lines.push_back("B " + std::to_string(b) + " " + key);
+      }
+    }
+    for (const auto& [n, neighbor] : neighbors) {
+      for (const auto& [key, f] : neighbor.forwarded) {
+        lines.push_back("F " + std::to_string(n) + " " + key);
+      }
+    }
+    std::sort(lines.begin(), lines.end());
+    std::string out;
+    for (const std::string& line : lines) out += line + "\n";
+    return out;
+  }
+};
+
+std::vector<std::string> diff_keys(const RoutingTable::Diff& diff) {
+  std::vector<std::string> sig;
+  for (const Filter& f : diff.subscribe) sig.push_back("+" + f.key());
+  sig.push_back("|");
+  for (const Filter& f : diff.unsubscribe) sig.push_back("-" + f.key());
+  return sig;
+}
+
+std::uint64_t key_digest(const std::map<std::string, Filter>& filters) {
+  std::uint64_t digest = 0;
+  for (const auto& [key, f] : filters) digest ^= util::fnv1a64(key);
+  return digest;
+}
+
+/// 10k random control operations — client subscribe / replace /
+/// unsubscribe, filters received from neighbors (so visibility differs
+/// per neighbor, and one filter is often registered from a client and a
+/// neighbor at once), drop_broker_iface_state with forwards pending,
+/// broker_resync, and refresh of a random neighbor — against NaiveTable.
+/// Every diff, forwarded set, digest and (periodically) the fingerprint
+/// must equal the reference; after every retract the interned filters
+/// and the signature buckets drain to zero.
+void run_oracle(RoutingTable::Config config, std::uint64_t seed) {
+  constexpr std::array<RoutingTable::IfaceId, 3> kBrokers = {100, 101, 102};
+  constexpr std::array<RoutingTable::IfaceId, 3> kClients = {200, 201, 202};
+  util::Rng rng(seed);
+  NaiveTable naive;
+  naive.covering = config.covering_enabled;
+  RoutingTable table(std::move(config));
+  for (const auto b : kBrokers) table.add_broker_iface(b);
+
+  const auto pick = [&](const auto& ids) { return ids[rng.index(ids.size())]; };
+  const auto check_refresh = [&](RoutingTable::IfaceId n, int op) {
+    ASSERT_EQ(diff_keys(table.refresh(n)), diff_keys(naive.refresh(n)))
+        << "op " << op << " neighbor " << n;
+    const auto& forwarded = naive.neighbors[n].forwarded;
+    ASSERT_EQ(table.forwarded_size(n), forwarded.size()) << "op " << op;
+    ASSERT_EQ(table.forwarded_digest(n), key_digest(forwarded)) << "op " << op;
+  };
+
+  int refreshes_with_diff = 0;
+  int drops_with_forwards = 0;
+  for (int op = 0; op < 10000; ++op) {
+    const std::size_t kind = rng.index(100);
+    if (kind < 30) {  // client subscribe, or replace an existing sub id
+      const auto client = pick(kClients);
+      const SubscriptionId sub = rng.index(40);
+      Filter f = oracle_filter(rng);
+      naive.clients.insert_or_assign({client, sub}, f);
+      table.client_subscribe(client, sub, std::move(f));
+    } else if (kind < 45) {  // client unsubscribe (maybe unknown)
+      const auto client = pick(kClients);
+      const SubscriptionId sub = rng.index(40);
+      const bool known = naive.clients.erase({client, sub}) > 0;
+      ASSERT_EQ(table.client_unsubscribe(client, sub), known) << "op " << op;
+    } else if (kind < 60) {  // neighbor subscribe; often a client's filter
+      const auto b = pick(kBrokers);
+      Filter f = oracle_filter(rng);
+      if (!naive.clients.empty() && rng.chance(0.3)) {
+        auto it = naive.clients.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.index(naive.clients.size())));
+        f = it->second;
+      }
+      const bool fresh = naive.brokers[b].try_emplace(f.key(), f).second;
+      ASSERT_EQ(table.broker_subscribe(b, std::move(f)), fresh) << "op " << op;
+    } else if (kind < 70) {  // neighbor unsubscribe (maybe unknown)
+      const auto b = pick(kBrokers);
+      const Filter f = oracle_filter(rng);
+      const bool known = naive.brokers[b].erase(f.key()) > 0;
+      ASSERT_EQ(table.broker_unsubscribe(b, f), known) << "op " << op;
+    } else if (kind < 72) {  // neighbor restart with forwards pending
+      const auto b = pick(kBrokers);
+      const bool had = !naive.brokers[b].empty() ||
+                       !naive.neighbors[b].forwarded.empty();
+      if (table.forwarded_size(b) > 0) ++drops_with_forwards;
+      naive.brokers[b].clear();
+      naive.neighbors[b].forwarded.clear();
+      ASSERT_EQ(table.drop_broker_iface_state(b), had) << "op " << op;
+    } else if (kind < 76) {  // anti-entropy resync: keep some, add some
+      const auto b = pick(kBrokers);
+      std::vector<Filter> want;
+      for (const auto& [key, f] : naive.brokers[b]) {
+        if (rng.chance(0.7)) want.push_back(f);
+      }
+      for (std::size_t n = rng.index(4); n > 0; --n) {
+        want.push_back(oracle_filter(rng));
+      }
+      if (!want.empty() && rng.chance(0.3)) want.push_back(want.front());
+      std::map<std::string, Filter> next;
+      for (const Filter& f : want) next.try_emplace(f.key(), f);
+      const bool changed = next.size() != naive.brokers[b].size() ||
+                           !std::equal(next.begin(), next.end(),
+                                       naive.brokers[b].begin(),
+                                       [](const auto& x, const auto& y) {
+                                         return x.first == y.first;
+                                       });
+      naive.brokers[b] = std::move(next);
+      ASSERT_EQ(table.broker_resync(b, want), changed) << "op " << op;
+      ASSERT_EQ(table.broker_iface_digest(b), key_digest(naive.brokers[b]));
+    } else {  // refresh one neighbor
+      const auto n = pick(kBrokers);
+      const std::size_t before = naive.neighbors[n].forwarded.size();
+      check_refresh(n, op);
+      if (before != naive.neighbors[n].forwarded.size()) ++refreshes_with_diff;
+    }
+    if (::testing::Test::HasFatalFailure()) return;  // from check_refresh
+    if (op % 250 == 0) {
+      ASSERT_EQ(table.state_fingerprint(), naive.fingerprint()) << "op " << op;
+    }
+  }
+  EXPECT_GT(refreshes_with_diff, 100);
+  EXPECT_GT(drops_with_forwards, 5);
+
+  // Forwarded filters replay in key order.
+  for (const auto n : kBrokers) {
+    check_refresh(n, -1);
+    std::vector<std::string> replay;
+    for (const Filter& f : table.forwarded_filters(n)) {
+      replay.push_back(f.key());
+    }
+    std::vector<std::string> expected;
+    for (const auto& [key, f] : naive.neighbors[n].forwarded) {
+      expected.push_back(key);
+    }
+    EXPECT_EQ(replay, expected);
+  }
+  EXPECT_EQ(table.state_fingerprint(), naive.fingerprint());
+
+  // Retract everything: forwarded sets still hold filters whose last
+  // registration is gone until each neighbor is refreshed.
+  for (const auto& [id, f] : naive.clients) {
+    EXPECT_TRUE(table.client_unsubscribe(id.first, id.second));
+  }
+  naive.clients.clear();
+  for (const auto b : kBrokers) {
+    table.broker_resync(b, {});
+    naive.brokers[b].clear();
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.signature_entries(), 0u);
+  for (const auto n : kBrokers) check_refresh(n, -2);
+  EXPECT_EQ(table.interned_filters(), 0u);
+  EXPECT_EQ(table.state_fingerprint(), "");
+}
+
+TEST(RoutingTable, RefreshMatchesNaiveOracleUnder10kOps) {
+  run_oracle(RoutingTable::Config{}, 0x5eed);
+}
+
+TEST(RoutingTable, RefreshMatchesNaiveOracleOnBruteForceEngine) {
+  run_oracle(RoutingTable::Config{.engine = "brute-force"}, 0xface);
+}
+
+TEST(RoutingTable, RefreshMatchesNaiveOracleWithoutCovering) {
+  run_oracle(RoutingTable::Config{.covering_enabled = false}, 0xbeef);
 }
 
 TEST(RoutingTable, EngineSelectedByName) {
