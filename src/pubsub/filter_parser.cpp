@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace reef::pubsub {
@@ -169,7 +170,8 @@ class Parser {
   }
 
   /// One literal: quoted string (with \" and \\ escapes), true/false/null
-  /// word, or a number (int64 unless it carries '.', 'e', or 'E').
+  /// word, or a signed number: digits (int64 unless they carry '.', 'e', or
+  /// 'E'), or inf / nan as Value::to_string prints non-finite doubles.
   std::variant<Value, ParseError> parse_value() {
     if (peek() == '"') {
       ++pos_;
@@ -181,17 +183,19 @@ class Parser {
       if (!consume('"')) return error("unterminated string");
       return Value(std::move(value));
     }
-    // true/false/null
+    const bool negative = consume('-');
+    const bool has_sign = negative || consume('+');
+    const std::size_t start = pos_;  // from_chars takes no '+'
     if (is_attr_start(peek())) {
       const std::string word = parse_identifier();
+      if (word == "inf") return Value(negative ? -HUGE_VAL : HUGE_VAL);
+      if (word == "nan") return Value(negative ? -std::nan("") : std::nan(""));
+      if (has_sign) return error("bad number");
       if (word == "true") return Value(true);
       if (word == "false") return Value(false);
       if (word == "null") return Value();
       return error("unquoted value (strings need quotes)");
     }
-    // number
-    const std::size_t start = pos_;
-    if (peek() == '-' || peek() == '+') ++pos_;
     bool is_float = false;
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
@@ -203,8 +207,9 @@ class Parser {
       }
       ++pos_;
     }
-    if (pos_ == start) return error("expected value");
-    const std::string_view number = text_.substr(start, pos_ - start);
+    if (pos_ == start && !has_sign) return error("expected value");
+    const std::string_view number =
+        text_.substr(start - negative, pos_ - start + negative);
     if (is_float) {
       double parsed = 0.0;
       const auto [ptr, ec] =

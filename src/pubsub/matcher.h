@@ -72,8 +72,9 @@ Value canonical_numeric(const Value& v);
 /// id itself as a position (bitset uses it as the filter's bit in every
 /// posting bitmap), so its memory grows with the largest id registered,
 /// and bitset rejects an id that does not fit a FilterSlot. Callers
-/// recycle freed ids instead of counting up forever; the routing table
-/// hands out its record indices, reused LIFO.
+/// recycle freed ids instead of counting up forever. The routing table
+/// registers each distinct filter once, under its interned FilterId
+/// (reused LIFO), and expands a hit to the filter's registrations itself.
 class Matcher {
  public:
   virtual ~Matcher() = default;

@@ -28,10 +28,10 @@ void RoutingTable::add_client_iface(IfaceId iface) {
   client_ifaces_.try_emplace(iface);
 }
 
-RoutingTable::FilterId RoutingTable::intern(const Filter& filter) {
+RoutingTable::FilterId RoutingTable::intern(Filter filter) {
   FilterId id = find_filter(filter.key());
   if (id != kNoFilterId) return id;
-  // A new id comes off the free list LIFO, like engine ids.
+  // A new id comes off the free list LIFO, like registration ids.
   id = static_cast<FilterId>(filters_.size());
   if (free_filter_ids_.empty()) {
     filters_.emplace_back();
@@ -41,31 +41,31 @@ RoutingTable::FilterId RoutingTable::intern(const Filter& filter) {
   }
   filters_[id].key_hash = util::fnv1a64(filter.key());
   filter_ids_.emplace(filters_[id].key_hash, id);
+  matcher_->add(id, std::move(filter));
   return id;
 }
 
-RoutingTable::EngineId RoutingTable::add_entry(FilterId filter_id,
-                                               Filter filter, IfaceId iface,
-                                               bool from_broker,
-                                               SubscriptionId client_sub,
-                                               ScoringSpec scoring) {
-  EngineId engine_id = static_cast<EngineId>(entries_.size());
-  if (free_ids_.empty()) {
-    entries_.emplace_back();
+RoutingTable::RegId RoutingTable::add_entry(FilterId filter_id, IfaceId iface,
+                                            bool from_broker,
+                                            SubscriptionId client_sub,
+                                            ScoringSpec scoring) {
+  RegId reg_id = static_cast<RegId>(registrations_.size());
+  if (free_reg_ids_.empty()) {
+    registrations_.emplace_back();
   } else {
-    engine_id = free_ids_.back();
-    free_ids_.pop_back();
+    reg_id = free_reg_ids_.back();
+    free_reg_ids_.pop_back();
   }
-  matcher_->add(engine_id, std::move(filter));
   FilterRecord& record = filters_[filter_id];
-  EngineEntry& entry = entries_[engine_id];
-  entry = EngineEntry{iface,   from_broker, client_sub,
-                      nullptr, filter_id,   record.first_reg};
-  record.first_reg = engine_id;
-  if (record.regs++ == 0) {
-    record.own.reset();  // the engine's copy takes over
-    cover_index_.add(filter_id, matcher_->filter(engine_id));
-  }
+  // Linked in ascending id order (kNoRegId, the largest, ends the list), so
+  // a filter's hits expand in registration order.
+  RegId* link = &record.first_reg;
+  while (*link < reg_id) link = &registrations_[*link].next_reg;
+  Registration& entry = registrations_[reg_id];
+  entry = Registration{iface,   from_broker, client_sub,
+                       nullptr, filter_id,   *link};
+  *link = reg_id;
+  if (record.regs++ == 0) cover_index_.add(filter_id, filter_of(filter_id));
   if (!scoring.neutral()) {
     // Interning, not AttrTable::lookup: a spec may arrive before any event
     // carries its attribute, and the id it resolves to must be the one
@@ -78,28 +78,19 @@ RoutingTable::EngineId RoutingTable::add_entry(FilterId filter_id,
     entry.scored = std::make_unique<const ScoredSpec>(
         ScoredSpec{std::move(scoring), std::move(attr_ids)});
   }
-  return engine_id;
+  return reg_id;
 }
 
-void RoutingTable::remove_entry(EngineId engine_id) {
-  const FilterId filter_id = entries_[engine_id].filter;
+void RoutingTable::remove_entry(RegId reg_id) {
+  const FilterId filter_id = registrations_[reg_id].filter;
   FilterRecord& record = filters_[filter_id];
   // Unlink the registration from its filter's list.
-  EngineId* link = &record.first_reg;
-  while (*link != engine_id) link = &entries_[*link].next_reg;
-  *link = entries_[engine_id].next_reg;
-  if (--record.regs == 0) {
-    const Filter& filter = matcher_->filter(engine_id);
-    cover_index_.remove(filter_id, filter);
-    // Still forwarded: keep a copy for the retraction the next refresh
-    // ships.
-    if (record.forwards > 0) {
-      record.own = std::make_unique<const Filter>(filter);
-    }
-  }
-  matcher_->remove(engine_id);
-  entries_[engine_id] = EngineEntry{};  // frees the spec
-  free_ids_.push_back(engine_id);
+  RegId* link = &record.first_reg;
+  while (*link != reg_id) link = &registrations_[*link].next_reg;
+  *link = registrations_[reg_id].next_reg;
+  if (--record.regs == 0) cover_index_.remove(filter_id, filter_of(filter_id));
+  registrations_[reg_id] = Registration{};  // frees the spec
+  free_reg_ids_.push_back(reg_id);
   release_if_unused(filter_id);
 }
 
@@ -109,11 +100,6 @@ RoutingTable::FilterId RoutingTable::find_filter(const std::string& key) const {
     if (key_of(it->second) == key) return it->second;
   }
   return kNoFilterId;
-}
-
-const Filter& RoutingTable::filter_of(FilterId id) const {
-  const FilterRecord& record = filters_[id];
-  return record.regs > 0 ? matcher_->filter(record.first_reg) : *record.own;
 }
 
 void RoutingTable::release_forward(FilterId id) {
@@ -127,7 +113,8 @@ void RoutingTable::release_if_unused(FilterId id) {
   auto it = filter_ids_.find(record.key_hash);
   while (it->second != id) ++it;  // equal keys are adjacent
   filter_ids_.erase(it);
-  record = FilterRecord{};  // frees the own copy
+  matcher_->remove(id);
+  record = FilterRecord{};
   free_filter_ids_.push_back(id);
 }
 
@@ -141,44 +128,40 @@ void RoutingTable::client_subscribe(IfaceId client, SubscriptionId sub_id,
                                     Filter filter, ScoringSpec scoring) {
   add_client_iface(client);
   ClientIface& iface = client_ifaces_[client];
-  if (const auto it = iface.engine_ids.find(sub_id);
-      it != iface.engine_ids.end()) {
+  if (const auto it = iface.reg_ids.find(sub_id); it != iface.reg_ids.end()) {
     remove_entry(it->second);  // replace semantics on duplicate sub_id
   }
-  const FilterId filter_id = intern(filter);
-  iface.engine_ids[sub_id] =
-      add_entry(filter_id, std::move(filter), client, /*from_broker=*/false,
+  iface.reg_ids[sub_id] =
+      add_entry(intern(std::move(filter)), client, /*from_broker=*/false,
                 sub_id, std::move(scoring));
 }
 
 bool RoutingTable::client_unsubscribe(IfaceId client, SubscriptionId sub_id) {
   const auto iface_it = client_ifaces_.find(client);
   if (iface_it == client_ifaces_.end()) return false;
-  const auto sub_it = iface_it->second.engine_ids.find(sub_id);
-  if (sub_it == iface_it->second.engine_ids.end()) return false;
+  const auto sub_it = iface_it->second.reg_ids.find(sub_id);
+  if (sub_it == iface_it->second.reg_ids.end()) return false;
   remove_entry(sub_it->second);
-  iface_it->second.engine_ids.erase(sub_it);
+  iface_it->second.reg_ids.erase(sub_it);
   return true;
 }
 
 bool RoutingTable::broker_subscribe(IfaceId broker, Filter filter) {
   BrokerIface& iface = broker_ifaces_[broker];
-  const FilterId filter_id = intern(filter);
-  if (iface.engine_ids.contains(filter_id)) return false;  // idempotent
-  iface.engine_ids.emplace(
-      filter_id, add_entry(filter_id, std::move(filter), broker,
-                           /*from_broker=*/true, 0));
+  const FilterId filter_id = intern(std::move(filter));
+  if (iface.reg_ids.contains(filter_id)) return false;  // idempotent
+  iface.reg_ids.emplace(filter_id,
+                        add_entry(filter_id, broker, /*from_broker=*/true, 0));
   return true;
 }
 
 bool RoutingTable::broker_unsubscribe(IfaceId broker, const Filter& filter) {
   const auto iface_it = broker_ifaces_.find(broker);
   if (iface_it == broker_ifaces_.end()) return false;
-  const auto reg_it =
-      iface_it->second.engine_ids.find(find_filter(filter.key()));
-  if (reg_it == iface_it->second.engine_ids.end()) return false;
+  const auto reg_it = iface_it->second.reg_ids.find(find_filter(filter.key()));
+  if (reg_it == iface_it->second.reg_ids.end()) return false;
   remove_entry(reg_it->second);
-  iface_it->second.engine_ids.erase(reg_it);
+  iface_it->second.reg_ids.erase(reg_it);
   return true;
 }
 
@@ -188,15 +171,11 @@ bool RoutingTable::drop_broker_iface_state(IfaceId iface) {
   const auto it = broker_ifaces_.find(iface);
   if (it == broker_ifaces_.end()) return false;
   BrokerIface& broker = it->second;
-  const bool changed =
-      !broker.engine_ids.empty() || !broker.forwarded.empty();
-  // Forwards first, so a filter losing both needs no interim copy.
+  const bool changed = !broker.reg_ids.empty() || !broker.forwarded.empty();
   for (const FilterId id : broker.forwarded) release_forward(id);
   broker.forwarded.clear();
-  for (const auto& [id, engine_id] : broker.engine_ids) {
-    remove_entry(engine_id);
-  }
-  broker.engine_ids.clear();
+  for (const auto& [id, reg_id] : broker.reg_ids) remove_entry(reg_id);
+  broker.reg_ids.clear();
   return changed;
 }
 
@@ -208,28 +187,27 @@ bool RoutingTable::broker_resync(IfaceId broker,
   std::vector<FilterId> kept;
   for (const Filter& filter : want) {
     const FilterId id = find_filter(filter.key());
-    if (iface.engine_ids.contains(id)) kept.push_back(id);
+    if (iface.reg_ids.contains(id)) kept.push_back(id);
   }
   std::sort(kept.begin(), kept.end());
   bool changed = false;
   // Remove what the neighbor no longer wants.
-  for (auto it = iface.engine_ids.begin(); it != iface.engine_ids.end();) {
+  for (auto it = iface.reg_ids.begin(); it != iface.reg_ids.end();) {
     if (std::binary_search(kept.begin(), kept.end(), it->first)) {
       ++it;
       continue;
     }
     remove_entry(it->second);
-    it = iface.engine_ids.erase(it);
+    it = iface.reg_ids.erase(it);
     changed = true;
   }
   // Add what it wants and we don't have (dedup: present filters are kept
   // as-is, so a replayed state is a no-op).
   for (const Filter& filter : want) {
     const FilterId filter_id = intern(filter);
-    if (iface.engine_ids.contains(filter_id)) continue;
-    iface.engine_ids.emplace(
-        filter_id,
-        add_entry(filter_id, filter, broker, /*from_broker=*/true, 0));
+    if (iface.reg_ids.contains(filter_id)) continue;
+    iface.reg_ids.emplace(filter_id,
+                          add_entry(filter_id, broker, /*from_broker=*/true, 0));
     changed = true;
   }
   return changed;
@@ -242,23 +220,24 @@ bool RoutingTable::client_resync(IfaceId client,
   std::unordered_map<SubscriptionId, const ClientSubscription*> desired;
   for (const ClientSubscription& sub : subs) desired.emplace(sub.sub_id, &sub);
   bool changed = false;
-  for (auto it = iface.engine_ids.begin(); it != iface.engine_ids.end();) {
+  for (auto it = iface.reg_ids.begin(); it != iface.reg_ids.end();) {
     const auto want = desired.find(it->first);
     if (want != desired.end() &&
-        key_of(entries_[it->second].filter) == want->second->filter.key() &&
+        key_of(registrations_[it->second].filter) ==
+            want->second->filter.key() &&
         entry_scoring(it->second) == want->second->scoring) {
       ++it;  // identical (sub_id, filter, scoring): keep, idempotent
       continue;
     }
     remove_entry(it->second);
-    it = iface.engine_ids.erase(it);
+    it = iface.reg_ids.erase(it);
     changed = true;
   }
   for (const auto& [sub_id, sub] : desired) {
-    if (iface.engine_ids.contains(sub_id)) continue;
-    iface.engine_ids[sub_id] =
-        add_entry(intern(sub->filter), sub->filter, client,
-                  /*from_broker=*/false, sub_id, sub->scoring);
+    if (iface.reg_ids.contains(sub_id)) continue;
+    iface.reg_ids[sub_id] = add_entry(intern(sub->filter), client,
+                                      /*from_broker=*/false, sub_id,
+                                      sub->scoring);
     changed = true;
   }
   return changed;
@@ -268,7 +247,7 @@ std::uint64_t RoutingTable::broker_iface_digest(IfaceId iface) const {
   const auto it = broker_ifaces_.find(iface);
   if (it == broker_ifaces_.end()) return 0;
   std::uint64_t digest = 0;
-  for (const auto& [id, engine_id] : it->second.engine_ids) {
+  for (const auto& [id, reg_id] : it->second.reg_ids) {
     digest ^= util::fnv1a64(key_of(id));
   }
   return digest;
@@ -278,9 +257,10 @@ std::uint64_t RoutingTable::client_iface_digest(IfaceId iface) const {
   const auto it = client_ifaces_.find(iface);
   if (it == client_ifaces_.end()) return 0;
   std::uint64_t digest = 0;
-  for (const auto& [sub_id, engine_id] : it->second.engine_ids) {
-    digest ^= client_subscription_digest(sub_id, matcher_->filter(engine_id),
-                                         entry_scoring(engine_id));
+  for (const auto& [sub_id, reg_id] : it->second.reg_ids) {
+    digest ^= client_subscription_digest(
+        sub_id, filter_of(registrations_[reg_id].filter),
+        entry_scoring(reg_id));
   }
   return digest;
 }
@@ -311,10 +291,11 @@ std::vector<ClientSubscription> RoutingTable::client_subscriptions(
   std::vector<ClientSubscription> subs;
   const auto it = client_ifaces_.find(client);
   if (it == client_ifaces_.end()) return subs;
-  subs.reserve(it->second.engine_ids.size());
-  for (const auto& [sub_id, engine_id] : it->second.engine_ids) {
-    subs.push_back(ClientSubscription{sub_id, matcher_->filter(engine_id),
-                                      entry_scoring(engine_id)});
+  subs.reserve(it->second.reg_ids.size());
+  for (const auto& [sub_id, reg_id] : it->second.reg_ids) {
+    subs.push_back(ClientSubscription{
+        sub_id, filter_of(registrations_[reg_id].filter),
+        entry_scoring(reg_id)});
   }
   std::sort(subs.begin(), subs.end(),
             [](const ClientSubscription& a, const ClientSubscription& b) {
@@ -326,8 +307,7 @@ std::vector<ClientSubscription> RoutingTable::client_subscriptions(
 std::string RoutingTable::state_fingerprint() const {
   std::vector<std::string> lines;
   lines.reserve(size());
-  for (EngineId id = 0; id < entries_.size(); ++id) {
-    const EngineEntry& entry = entries_[id];
+  for (const Registration& entry : registrations_) {
     if (entry.iface == kNoIface) continue;  // free record
     const std::string& key = key_of(entry.filter);
     if (entry.from_broker) {
@@ -492,7 +472,7 @@ RoutingTable::Diff RoutingTable::refresh(IfaceId neighbor) {
   for (FilterId id = 0; id < filters_.size(); ++id) {
     visible_[id] = filters_[id].regs > 0 ? &filter_of(id) : nullptr;
   }
-  for (const auto& [id, engine_id] : iface.engine_ids) {
+  for (const auto& [id, reg_id] : iface.reg_ids) {
     if (filters_[id].regs == 1) visible_[id] = nullptr;
   }
 
@@ -540,8 +520,8 @@ RoutingTable::Diff RoutingTable::refresh(IfaceId neighbor) {
   return diff;
 }
 
-ScoringSpec RoutingTable::entry_scoring(EngineId engine_id) const {
-  const EngineEntry& entry = entries_[engine_id];
+ScoringSpec RoutingTable::entry_scoring(RegId reg_id) const {
+  const Registration& entry = registrations_[reg_id];
   return entry.scored ? entry.scored->spec : ScoringSpec{};
 }
 
@@ -569,28 +549,38 @@ void RoutingTable::match_engine_batch(
   });
 }
 
+template <typename Hit, typename MakeHit>
+void RoutingTable::expand_hits(std::span<const Event> events,
+                               std::vector<std::vector<Hit>>& out,
+                               MakeHit&& make_hit) const {
+  std::vector<std::vector<SubscriptionId>> filter_hits;
+  match_engine_batch(events, filter_hits);
+  out.assign(events.size(), {});
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    std::size_t regs = 0;
+    for (const SubscriptionId id : filter_hits[i]) regs += filters_[id].regs;
+    out[i].reserve(regs);
+    for (const SubscriptionId id : filter_hits[i]) {
+      for (RegId reg_id = filters_[id].first_reg; reg_id != kNoRegId;
+           reg_id = registrations_[reg_id].next_reg) {
+        out[i].push_back(make_hit(i, reg_id));
+      }
+    }
+  }
+}
+
 void RoutingTable::match_batch(
     std::span<const Event> events,
     std::vector<std::vector<Destination>>& out) const {
-  std::vector<std::vector<SubscriptionId>> engine_hits;
-  match_engine_batch(events, engine_hits);
-  out.assign(events.size(), {});
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    out[i].reserve(engine_hits[i].size());
-    for (const SubscriptionId engine_id : engine_hits[i]) {
-      const EngineEntry& entry = entries_[engine_id];
-      out[i].push_back(
-          Destination{entry.iface, entry.from_broker, entry.client_sub});
-    }
-  }
+  expand_hits(events, out, [this](std::size_t, RegId reg_id) {
+    const Registration& entry = registrations_[reg_id];
+    return Destination{entry.iface, entry.from_broker, entry.client_sub};
+  });
 }
 
 void RoutingTable::match_batch_scored(
     std::span<const Event> events,
     std::vector<std::vector<ScoredDestination>>& out) const {
-  std::vector<std::vector<SubscriptionId>> engine_hits;
-  match_engine_batch(events, engine_hits);
-  out.assign(events.size(), {});
   // One TermBag per event per distinct attribute list, built at the first
   // BM25 hit that needs it; every other hit with an equal list scores
   // against it. The slots and their buffers are reused across the batch.
@@ -599,34 +589,37 @@ void RoutingTable::match_batch_scored(
     TermBag bag;
   };
   std::vector<BagSlot> bags;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    std::size_t live = 0;  // slots built for event i
-    const auto bag_for = [&](const std::vector<AttrId>& attrs) -> TermBag& {
-      for (std::size_t b = 0; b < live; ++b) {
-        if (bags[b].attrs == &attrs || *bags[b].attrs == attrs) {
-          return bags[b].bag;
-        }
-      }
-      if (live == bags.size()) bags.emplace_back();
-      BagSlot& slot = bags[live++];
-      slot.attrs = &attrs;
-      slot.bag.assign(events[i], attrs);
-      return slot.bag;
-    };
-    out[i].reserve(engine_hits[i].size());
-    for (const SubscriptionId engine_id : engine_hits[i]) {
-      const EngineEntry& entry = entries_[engine_id];
-      ScoredDestination& hit = out[i].emplace_back(ScoredDestination{
-          {entry.iface, entry.from_broker, entry.client_sub}});
-      if (const ScoredSpec* scored = entry.scored.get()) {
-        if (scored->spec.policy == ScoringPolicy::kBm25) {
-          hit.score = bag_for(scored->attr_ids).score(scored->spec.query);
-        }
-        hit.scoring = &scored->spec;
-        hit.slot = static_cast<std::uint32_t>(engine_id);
+  std::size_t bag_event = events.size();  // the event the live slots are for
+  std::size_t live = 0;                   // slots built for bag_event
+  const auto bag_for = [&](std::size_t i,
+                           const std::vector<AttrId>& attrs) -> TermBag& {
+    if (i != bag_event) {
+      bag_event = i;
+      live = 0;
+    }
+    for (std::size_t b = 0; b < live; ++b) {
+      if (bags[b].attrs == &attrs || *bags[b].attrs == attrs) {
+        return bags[b].bag;
       }
     }
-  }
+    if (live == bags.size()) bags.emplace_back();
+    BagSlot& slot = bags[live++];
+    slot.attrs = &attrs;
+    slot.bag.assign(events[i], attrs);
+    return slot.bag;
+  };
+  expand_hits(events, out, [&](std::size_t i, RegId reg_id) {
+    const Registration& entry = registrations_[reg_id];
+    ScoredDestination hit{{entry.iface, entry.from_broker, entry.client_sub}};
+    if (const ScoredSpec* scored = entry.scored.get()) {
+      if (scored->spec.policy == ScoringPolicy::kBm25) {
+        hit.score = bag_for(i, scored->attr_ids).score(scored->spec.query);
+      }
+      hit.scoring = &scored->spec;
+      hit.slot = reg_id;
+    }
+    return hit;
+  });
 }
 
 std::size_t RoutingTable::forwarded_size(IfaceId neighbor) const {

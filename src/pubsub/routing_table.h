@@ -61,8 +61,8 @@ class RoutingTable {
   /// A destination decorated with its relevance score and, for client
   /// subscriptions with a non-neutral ScoringSpec, the delivery policy to
   /// apply (top_k / min_score) and the spec's top-k window slot (its
-  /// registration's engine id: distinct among live registrations and kept
-  /// on a same-sub_id replace). `scoring` is nullptr and `slot`
+  /// registration id: distinct among live registrations and kept on a
+  /// same-sub_id replace). `scoring` is nullptr and `slot`
   /// kNoScoringSlot for neighbor-broker destinations and for unscored
   /// subscriptions — forwarding between brokers is boolean-only;
   /// suppression is an edge-delivery policy. The pointer is owned by the
@@ -180,9 +180,9 @@ class RoutingTable {
   /// Batch matching through Matcher::match_batch, split over the workers
   /// (Config::worker_threads): `out` is replaced with one destination
   /// vector per event, parallel to `events`, holding one Destination per
-  /// matching registration. An interface can appear multiple times (once
-  /// per matching client subscription / neighbor filter); the caller
-  /// deduplicates broker interfaces. A single event is a span of one.
+  /// registration of each matching filter. An interface can appear multiple
+  /// times (once per matching client subscription / neighbor filter); the
+  /// caller deduplicates broker interfaces. A single event is a span of one.
   void match_batch(std::span<const Event> events,
                    std::vector<std::vector<Destination>>& out) const;
 
@@ -203,9 +203,10 @@ class RoutingTable {
       const;
 
   // --- introspection --------------------------------------------------------
-  /// Total filters stored across all interfaces.
+  /// Registrations (client subscriptions and neighbors' filters) across all
+  /// interfaces; matcher().size() counts the distinct filters.
   std::size_t size() const noexcept {
-    return entries_.size() - free_ids_.size();
+    return registrations_.size() - free_reg_ids_.size();
   }
   /// Filters currently forwarded to (i.e. requested from) `neighbor`.
   std::size_t forwarded_size(IfaceId neighbor) const;
@@ -215,12 +216,6 @@ class RoutingTable {
   /// none. Kept only because the end-to-end benchmark (bench/e2e) still
   /// reports it as a per-layer metric.
   std::uint64_t maintain_runs() const noexcept { return 0; }
-  /// Distinct filters the table holds: registered on some interface or
-  /// still forwarded to a neighbor. 0 once every filter is retracted and
-  /// every neighbor refreshed.
-  std::size_t interned_filters() const noexcept {
-    return filters_.size() - free_filter_ids_.size();
-  }
   /// Entries of the covering signature index (one per registered
   /// filter, one per member for a set-membership signature). 0 once no
   /// filter is registered.
@@ -229,26 +224,26 @@ class RoutingTable {
   }
 
  private:
-  /// Engine id: the registration's matcher id (the engine owns its
-  /// filter), its index in entries_ and its top-k window slot. Dense,
-  /// recycled LIFO, as the Matcher contract asks.
-  using EngineId = std::uint32_t;
-  static constexpr EngineId kNoEngineId = 0xffffffff;
+  /// Registration id: its index in registrations_ and its top-k window
+  /// slot. Dense, recycled LIFO.
+  using RegId = std::uint32_t;
+  static constexpr RegId kNoRegId = 0xffffffff;
   /// Interned filter: one per distinct canonical key in this table, dense
   /// and recycled LIFO — the AttrTable idiom applied to filters, per
-  /// table and refcounted. The control plane (forwarded sets, broker
+  /// table and refcounted, and the filter's matcher id (the engine holds
+  /// its one copy). The control plane (forwarded sets, broker
   /// registrations, the cover index) works on these ids; keys appear only
   /// at interning, on a mutual-cover tie, and in emitted (sorted) output.
   using FilterId = std::uint32_t;
   static constexpr FilterId kNoFilterId = 0xffffffff;
 
   struct ClientIface {
-    std::unordered_map<SubscriptionId, EngineId> engine_ids;
+    std::unordered_map<SubscriptionId, RegId> reg_ids;
   };
   struct BrokerIface {
     /// Filters received from this neighbor (at most one registration per
     /// distinct filter).
-    std::unordered_map<FilterId, EngineId> engine_ids;
+    std::unordered_map<FilterId, RegId> reg_ids;
     /// Filters we have handed out *to* this neighbor, sorted by id; each
     /// holds a forward reference on its FilterRecord.
     std::vector<FilterId> forwarded;
@@ -260,30 +255,28 @@ class RoutingTable {
     ScoringSpec spec;
     std::vector<AttrId> attr_ids;
   };
-  /// One registration; its filter is matcher_->filter(engine id). A free
-  /// record (its id on free_ids_) has iface kNoIface.
-  struct EngineEntry {
+  /// One registration of an interned filter: who gets a hit on it. A
+  /// free record (its id on free_reg_ids_) has iface kNoIface.
+  struct Registration {
     IfaceId iface = kNoIface;
     bool from_broker = false;
     SubscriptionId client_sub = 0;  // valid when !from_broker
     /// Null for a neutral spec; behind a pointer so ScoredDestination's
-    /// view of it outlives growth of entries_.
+    /// view of it outlives growth of registrations_.
     std::unique_ptr<const ScoredSpec> scored;
     FilterId filter = 0;
-    /// Next registration of the same filter (FilterRecord::first_reg).
-    EngineId next_reg = kNoEngineId;
+    /// Next (larger) registration id of the filter (FilterRecord::first_reg).
+    RegId next_reg = kNoRegId;
   };
-  /// One distinct filter. The table keeps no copy of its own while the
-  /// filter is registered: it reads the engine's copy of its first
-  /// registration. Only a filter still forwarded after its last
-  /// registration went keeps one (`own`) until the neighbors retract it.
-  /// A free record (its id on free_filter_ids_) has regs == forwards == 0.
+  /// One distinct filter, in the matcher from intern() to
+  /// release_if_unused(): still forwarded after its last registration, it
+  /// matches with no destination until a refresh retracts it. A free
+  /// record (its id on free_filter_ids_) has regs == forwards == 0.
   struct FilterRecord {
-    std::uint64_t key_hash = 0;        // its filter_ids_ key
-    std::uint32_t regs = 0;            // registrations (engine entries)
-    std::uint32_t forwards = 0;        // forwarded sets holding it
-    EngineId first_reg = kNoEngineId;  // head of the registrations' list
-    std::unique_ptr<const Filter> own;  // iff regs == 0 < forwards
+    std::uint64_t key_hash = 0;  // its filter_ids_ key
+    std::uint32_t regs = 0;      // registrations
+    std::uint32_t forwards = 0;  // forwarded sets holding it
+    RegId first_reg = kNoRegId;  // head of the registrations' list
   };
 
   /// Persistent covering signature index over the registered filters
@@ -311,20 +304,19 @@ class RoutingTable {
     std::unordered_multimap<std::uint64_t, FilterId> buckets_;
   };
 
-  /// The id `filter`'s key is interned under, interning it when new (a
-  /// new record has no registration yet: add_entry it).
-  FilterId intern(const Filter& filter);
-  /// Registers `filter`, interned as `filter_id`, under a new engine id.
-  EngineId add_entry(FilterId filter_id, Filter filter, IfaceId iface,
-                     bool from_broker, SubscriptionId client_sub,
-                     ScoringSpec scoring = {});
-  void remove_entry(EngineId engine_id);
-  /// The stored spec of an entry (neutral when it has none).
-  ScoringSpec entry_scoring(EngineId engine_id) const;
+  /// The id `filter`'s key is interned under, interning it into the
+  /// matcher when new (a new record has no registration yet: add_entry it).
+  FilterId intern(Filter filter);
+  /// Registers the filter interned as `filter_id` under a new RegId.
+  RegId add_entry(FilterId filter_id, IfaceId iface, bool from_broker,
+                  SubscriptionId client_sub, ScoringSpec scoring = {});
+  void remove_entry(RegId reg_id);
+  /// The stored spec of a registration (neutral when it has none).
+  ScoringSpec entry_scoring(RegId reg_id) const;
 
   /// The id `key` is interned under, or kNoFilterId.
   FilterId find_filter(const std::string& key) const;
-  const Filter& filter_of(FilterId id) const;
+  const Filter& filter_of(FilterId id) const { return matcher_->filter(id); }
   const std::string& key_of(FilterId id) const { return filter_of(id).key(); }
   /// Drops one forward reference, freeing the record when none is left.
   void release_forward(FilterId id);
@@ -332,10 +324,15 @@ class RoutingTable {
   /// Sorts `ids` by canonical key (the wire and replay order).
   void sort_by_key(std::vector<FilterId>& ids) const;
 
-  /// Engine hits for `events`, one id vector per event, split over the
-  /// pool in contiguous ranges (see Config::worker_threads).
+  /// Engine hits (FilterIds) for `events`, one vector per event, split over
+  /// the pool in contiguous ranges (see Config::worker_threads).
   void match_engine_batch(std::span<const Event> events,
                           std::vector<std::vector<SubscriptionId>>& out) const;
+  /// Matches `events` into `out`: make_hit(event index, RegId) for every
+  /// registration of every filter hit, each event's vector reserved once.
+  template <typename Hit, typename MakeHit>
+  void expand_hits(std::span<const Event> events,
+                   std::vector<std::vector<Hit>>& out, MakeHit&& make_hit) const;
 
   Config config_;
   std::unordered_map<IfaceId, BrokerIface> broker_ifaces_;
@@ -343,8 +340,8 @@ class RoutingTable {
 
   std::unique_ptr<Matcher> matcher_;
   std::unique_ptr<util::ThreadPool> pool_;  // null when worker_threads == 0
-  std::vector<EngineEntry> entries_;  // by engine id
-  std::vector<EngineId> free_ids_;    // released ids, reused LIFO
+  std::vector<Registration> registrations_;  // by RegId
+  std::vector<RegId> free_reg_ids_;         // released ids, reused LIFO
 
   /// Interning, keyed by fnv1a64 of the canonical key; the filter itself
   /// holds the key, so colliding hashes are told apart by comparing it.

@@ -56,6 +56,8 @@ TEST(FilterParser, NumbersIntFloatNegativeExponent) {
   EXPECT_TRUE(parse("a = 2.5").matches(Event().with("a", 2.5)));
   EXPECT_TRUE(parse("a < 1e3").matches(Event().with("a", 999)));
   EXPECT_TRUE(parse("a > -1.5e-2").matches(Event().with("a", 0)));
+  EXPECT_EQ(parse("price > +5"), parse("price > 5"));
+  EXPECT_EQ(parse("price > +5.5"), parse("price > 5.5"));
 }
 
 TEST(FilterParser, StringEscapes) {
@@ -138,6 +140,9 @@ TEST(FilterParser, Errors) {
   expect_error("a 5");           // missing operator
   expect_error("a = ");          // missing value
   expect_error("a = bare");      // unquoted string
+  expect_error("a = +");         // sign without digits
+  expect_error("a = +-5");       // two signs
+  expect_error("a = -true");     // signed word
   expect_error("a = \"open");    // unterminated string
   expect_error("a ! 5");         // bad operator
   expect_error("a = 5 &&");      // dangling conjunction
@@ -171,11 +176,18 @@ TEST(FilterParser, RoundTripThroughToString) {
           .and_(in_("sym", {Value("ACME"), Value("XYZ")}))
           .and_(in_("p", {Value(1), Value(2.5), Value(true)}))
           .and_(in_("empty", {})),
+      Filter().and_(lt("price", std::numeric_limits<double>::infinity())),
+      Filter().and_(gt("price", -std::numeric_limits<double>::infinity())),
   };
   for (const Filter& original : cases) {
     const Filter reparsed = parse(original.to_string());
     EXPECT_EQ(original, reparsed) << original.to_string();
   }
+  // NaN != NaN, so a NaN bound never compares equal; compare keys.
+  const Filter is_nan =
+      Filter().and_(eq("price", std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(is_nan.to_string(), "[price = nan]");
+  EXPECT_EQ(parse(is_nan.to_string()).key(), is_nan.key());
 }
 
 TEST(FilterParser, RoundTripEscapeHeavyStrings) {

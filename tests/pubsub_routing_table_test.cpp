@@ -7,6 +7,7 @@
 #include <array>
 #include <iterator>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -164,6 +165,41 @@ TEST(RoutingTable, MatchResolvesDestinations) {
   EXPECT_EQ(client_hit->iface, kClient);
   EXPECT_EQ(client_hit->client_sub, 7u);
   EXPECT_EQ(broker_hit->iface, kNeighbor);
+}
+
+TEST(RoutingTable, SharedFilterHasOneEngineSlotUntilItsRetractionShips) {
+  RoutingTable table;
+  table.add_broker_iface(kNeighbor);
+  const std::vector<Event> events = {Event().with("stream", "feed")};
+  const auto destinations = [&] {
+    std::vector<std::vector<RoutingTable::Destination>> batch;
+    table.match_batch(events, batch);
+    return batch.front().size();
+  };
+
+  // Three clients, one filter: one engine slot, three destinations.
+  for (const RoutingTable::IfaceId client : {200u, 201u, 202u}) {
+    table.client_subscribe(client, 1, broad());
+  }
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.matcher().size(), 1u);
+  EXPECT_EQ(destinations(), 3u);
+  ASSERT_EQ(table.refresh(kNeighbor).subscribe.size(), 1u);
+
+  // The last unsubscribe leaves the filter forwarded: it stays in the
+  // engine, but a hit on it reaches nobody.
+  for (const RoutingTable::IfaceId client : {200u, 201u, 202u}) {
+    EXPECT_TRUE(table.client_unsubscribe(client, 1));
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.matcher().size(), 1u);
+  EXPECT_EQ(destinations(), 0u);
+
+  // The refresh ships the retraction and frees the engine slot.
+  const RoutingTable::Diff diff = table.refresh(kNeighbor);
+  EXPECT_EQ(keys(diff.unsubscribe), keys({broad()}));
+  EXPECT_EQ(table.forwarded_size(kNeighbor), 0u);
+  EXPECT_EQ(table.matcher().size(), 0u);
 }
 
 TEST(RoutingTable, MatchBatchAgreesWithPerEventMatch) {
@@ -499,6 +535,20 @@ struct NaiveTable {
     for (const std::string& line : lines) out += line + "\n";
     return out;
   }
+
+  /// Distinct filters registered on some interface or still forwarded to
+  /// some neighbor: what the table keeps interned.
+  std::size_t distinct_filters() const {
+    std::set<std::string> held;
+    for (const auto& [id, f] : clients) held.insert(f.key());
+    for (const auto& [b, filters] : brokers) {
+      for (const auto& [key, f] : filters) held.insert(key);
+    }
+    for (const auto& [n, neighbor] : neighbors) {
+      for (const auto& [key, f] : neighbor.forwarded) held.insert(key);
+    }
+    return held.size();
+  }
 };
 
 std::vector<std::string> diff_keys(const RoutingTable::Diff& diff) {
@@ -521,8 +571,9 @@ std::uint64_t key_digest(const std::map<std::string, Filter>& filters) {
 /// neighbor at once), drop_broker_iface_state with forwards pending,
 /// broker_resync, and refresh of a random neighbor — against NaiveTable.
 /// Every diff, forwarded set, digest and (periodically) the fingerprint
-/// must equal the reference; after every retract the interned filters
-/// and the signature buckets drain to zero.
+/// must equal the reference, and after every op the engine holds exactly
+/// one filter per distinct filter the reference holds; after every
+/// retract the engine and the signature buckets drain to zero.
 void run_oracle(RoutingTable::Config config, std::uint64_t seed) {
   constexpr std::array<RoutingTable::IfaceId, 3> kBrokers = {100, 101, 102};
   constexpr std::array<RoutingTable::IfaceId, 3> kClients = {200, 201, 202};
@@ -608,6 +659,7 @@ void run_oracle(RoutingTable::Config config, std::uint64_t seed) {
       if (before != naive.neighbors[n].forwarded.size()) ++refreshes_with_diff;
     }
     if (::testing::Test::HasFatalFailure()) return;  // from check_refresh
+    ASSERT_EQ(table.matcher().size(), naive.distinct_filters()) << "op " << op;
     if (op % 250 == 0) {
       ASSERT_EQ(table.state_fingerprint(), naive.fingerprint()) << "op " << op;
     }
@@ -643,7 +695,7 @@ void run_oracle(RoutingTable::Config config, std::uint64_t seed) {
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.signature_entries(), 0u);
   for (const auto n : kBrokers) check_refresh(n, -2);
-  EXPECT_EQ(table.interned_filters(), 0u);
+  EXPECT_EQ(table.matcher().size(), 0u);
   EXPECT_EQ(table.state_fingerprint(), "");
 }
 
