@@ -676,14 +676,14 @@ void bm_match_batch_scored_content(benchmark::State& state) {
 
   std::size_t cursor = 0;
   std::size_t scored_hits = 0;
-  std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+  std::vector<std::vector<RoutingTable::Destination>> hits;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     table.match_batch_scored(
         std::span<const Event>(events.data() + cursor, kBatch), hits);
     benchmark::DoNotOptimize(hits.data());
     for (const auto& event_hits : hits) {
-      for (const RoutingTable::ScoredDestination& hit : event_hits) {
+      for (const RoutingTable::Destination& hit : event_hits) {
         if (hit.scoring != nullptr &&
             hit.scoring->policy == ScoringPolicy::kBm25) {
           ++scored_hits;

@@ -360,7 +360,8 @@ void BitsetMatcher::emit_matches(Scratch& scratch,
   // Only touched words can hold a non-zero counter; an untouched word
   // fires exactly its universal slots, so visiting the touched words plus
   // the words with universal slots covers every match, in ascending slot
-  // order. Visiting a word re-zeroes its counters for the next event.
+  // order (an event that satisfied no entry visits only the universal
+  // words). Visiting a word re-zeroes its counters for the next event.
   const std::size_t slices = required_.size();
   for (std::size_t k = 0; k < scratch.touched.size(); ++k) {
     const Word visit = scratch.touched[k] | zero_words_[k];
@@ -375,7 +376,8 @@ void BitsetMatcher::emit_matches(Scratch& scratch,
          b < last; ++b) {
       if (((visit >> b) & 1) == 0) continue;
       const std::size_t w = k * kWordBits + b;
-      Word* counter = &scratch.counters[w * slices];
+      // data(), not operator[]: a universal-only table has no slices.
+      Word* counter = scratch.counters.data() + w * slices;
       Word diff = 0;
       for (std::size_t s = 0; s < slices; ++s) {
         diff |= counter[s] ^ required_[s][w];
@@ -384,19 +386,6 @@ void BitsetMatcher::emit_matches(Scratch& scratch,
       // Emitted inline: as a call, the per-word cost shows on dense
       // populations.
       for (Word fire = live_[w] & ~diff; fire != 0; fire &= fire - 1) {
-        out.push_back(w * kWordBits +
-                      static_cast<std::size_t>(std::countr_zero(fire)));
-      }
-    }
-  }
-}
-
-void BitsetMatcher::emit_universal(std::vector<SubscriptionId>& out) const {
-  for (std::size_t k = 0; k < zero_words_.size(); ++k) {
-    for (Word visit = zero_words_[k]; visit != 0; visit &= visit - 1) {
-      const std::size_t w =
-          k * kWordBits + static_cast<std::size_t>(std::countr_zero(visit));
-      for (Word fire = zero_req_[w]; fire != 0; fire &= fire - 1) {
         out.push_back(w * kWordBits +
                       static_cast<std::size_t>(std::countr_zero(fire)));
       }
@@ -423,12 +412,6 @@ void BitsetMatcher::match_event(const Event& event, Scratch& scratch,
     } else {
       collect_satisfied(*index, value, scratch.satisfied);
     }
-  }
-  if (scratch.satisfied.empty()) {
-    // Zero satisfied entries means exactly the requirement-0 (universal)
-    // slots fire; skip the counter pass.
-    emit_universal(out);
-    return;
   }
   for (const Entry* entry : scratch.satisfied) accumulate(*entry, scratch);
   emit_matches(scratch, out);

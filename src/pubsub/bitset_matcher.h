@@ -62,8 +62,8 @@
 // bits via countr_zero/popcount. Universal (empty) filters hold slots with
 // requirement 0 and fall out of the same equation — an attribute-free
 // event satisfies no entries, every counter is 0, and exactly the
-// requirement-0 slots fire (the engine keeps those slots as a precomputed
-// bitmap so empty events skip the counter pass entirely).
+// requirement-0 slots fire (the threshold pass then visits only the words
+// holding them; see below).
 //
 // This is the Gryphon/Siena counting algorithm, batched: a counting table
 // *is* bitmap intersection with count thresholds.
@@ -263,9 +263,6 @@ class BitsetMatcher final : public Matcher {
   /// slot whose counter equals its requirement, and leaves `scratch`
   /// zeroed.
   void emit_matches(Scratch& scratch, std::vector<SubscriptionId>& out) const;
-  /// Fast path for events that satisfied no entry: exactly the
-  /// requirement-0 (universal) slots fire.
-  void emit_universal(std::vector<SubscriptionId>& out) const;
 
   std::vector<Filter> filters_;   // indexed by FilterSlot
   std::size_t size_ = 0;          // registered filters

@@ -4,7 +4,6 @@
 #include <any>
 #include <cassert>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include "util/log.h"
@@ -23,16 +22,6 @@ RoutingTable::Config make_table_config(const Broker::Config& config) {
   table.engine = config.matcher_engine;
   table.worker_threads = config.worker_threads;
   return table;
-}
-
-/// The Destination of a routing hit of either kind.
-const RoutingTable::Destination& destination(
-    const RoutingTable::Destination& hit) {
-  return hit;
-}
-const RoutingTable::Destination& destination(
-    const RoutingTable::ScoredDestination& hit) {
-  return hit.dest;
 }
 
 }  // namespace
@@ -87,10 +76,7 @@ void Broker::handle_message(const sim::Message& msg) {
   }
   if (channel_.on_message(msg)) return;
   if (msg.type == kTypeHeartbeat) return;  // liveness recorded above
-  if (msg.type == kTypePublish) {
-    on_publish(msg.from,
-               {&std::any_cast<const PublishMsg&>(msg.payload).event, 1});
-  } else if (msg.type == kTypePublishBatch) {
+  if (msg.type == kTypePublish || msg.type == kTypePublishBatch) {
     on_publish(msg.from,
                std::any_cast<const PublishBatchMsg&>(msg.payload).events);
   } else {
@@ -231,56 +217,46 @@ void Broker::restart() {
 void Broker::on_publish(sim::NodeId from, std::span<const Event> events) {
   stats_.pubs_received += events.size();
   ++stats_.matches_run;
+  std::vector<std::vector<RoutingTable::Destination>> hits;
   if (config_.scoring_enabled) {
-    std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
     table_.match_batch_scored(events, hits);
     const DeliverySelector::Counts cut = selector_.select(from, hits);
     stats_.scored_matches += cut.scored_matches;
     stats_.suppressed_by_k += cut.suppressed_by_k;
     stats_.suppressed_by_threshold += cut.suppressed_by_threshold;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      route_event(from, events[i], hits[i]);
-    }
-    return;
+  } else {
+    table_.match_batch(events, hits);
   }
-  std::vector<std::vector<RoutingTable::Destination>> hits;
-  table_.match_batch(events, hits);
   for (std::size_t i = 0; i < events.size(); ++i) {
     route_event(from, events[i], hits[i]);
   }
 }
 
-template <typename Hit>
 void Broker::route_event(sim::NodeId from, const Event& event,
-                         const std::vector<Hit>& hits) {
+                         const std::vector<RoutingTable::Destination>& hits) {
   // Group matches by interface; an event crosses each interface once.
   // Interfaces are visited in id order and each client's matched-sub list
   // is sorted, so the broker's output is a pure function of the match
   // *sets* — engines (any worker count) that agree on the
   // sets produce byte-identical wire traffic regardless of hit order. A
   // scored delivery leaves in exactly the position its boolean twin would.
-  constexpr bool kScored =
-      std::is_same_v<Hit, RoutingTable::ScoredDestination>;
   broker_hits_.clear();
   client_hits_.clear();
-  for (const Hit& hit : hits) {
-    const RoutingTable::Destination& dest = destination(hit);
-    if (dest.iface == from) continue;  // never echo back
-    if (dest.is_broker) {
+  for (const RoutingTable::Destination& hit : hits) {
+    if (hit.iface == from) continue;  // never echo back
+    if (hit.is_broker) {
       // Graceful degradation: no data-plane traffic into a suspected-dead
       // neighbor's black hole. Its routes stay in the table and the
       // quarantine lifts on its first sign of life.
-      if (quarantined_.contains(dest.iface)) continue;
-      broker_hits_.push_back(dest.iface);
+      if (quarantined_.contains(hit.iface)) continue;
+      broker_hits_.push_back(hit.iface);
       continue;
     }
-    ClientHit client{.client = dest.iface, .sub = dest.client_sub};
-    if constexpr (kScored) {
-      if (hit.scoring != nullptr) {
-        if (hit.suppressed) continue;
-        client.score = hit.score;
-        client.scored = true;
-      }
+    ClientHit client{.client = hit.iface, .sub = hit.client_sub};
+    if (hit.scoring != nullptr) {
+      if (hit.suppressed) continue;
+      client.score = hit.score;
+      client.scored = true;
     }
     client_hits_.push_back(client);
   }
@@ -323,25 +299,25 @@ void Broker::enqueue_routed(const Event& event) {
 
 DeliverySelector::Counts DeliverySelector::select(
     RoutingTable::IfaceId from,
-    std::vector<std::vector<RoutingTable::ScoredDestination>>& hits) {
+    std::vector<std::vector<RoutingTable::Destination>>& hits) {
   // The window is the wire-message batch, so its composition depends only
   // on what the sender framed together, never on engine or worker count;
   // an upstream flush delay that merges publications merges windows.
-  const auto is_candidate = [from](const RoutingTable::ScoredDestination& sd) {
-    return sd.scoring != nullptr && sd.dest.iface != from;  // never echo
+  const auto is_candidate = [from](const RoutingTable::Destination& hit) {
+    return hit.scoring != nullptr && hit.iface != from;  // never echo
   };
   // Pass 1: count each window's candidates.
   ++epoch_;
   live_.clear();
   for (const auto& event_hits : hits) {
-    for (const RoutingTable::ScoredDestination& sd : event_hits) {
-      if (!is_candidate(sd)) continue;
-      assert(sd.slot != kNoScoringSlot && "a spec without a window slot");
-      if (sd.slot >= windows_.size()) windows_.resize(sd.slot + 1);
-      Window& window = windows_[sd.slot];
+    for (const RoutingTable::Destination& hit : event_hits) {
+      if (!is_candidate(hit)) continue;
+      assert(hit.slot != kNoScoringSlot && "a spec without a window slot");
+      if (hit.slot >= windows_.size()) windows_.resize(hit.slot + 1);
+      Window& window = windows_[hit.slot];
       if (window.epoch != epoch_) {
-        window = Window{epoch_, sd.scoring, 0, 0};
-        live_.push_back(sd.slot);
+        window = Window{epoch_, hit.scoring, 0, 0};
+        live_.push_back(hit.slot);
       }
       ++window.size;
     }
@@ -358,10 +334,10 @@ DeliverySelector::Counts DeliverySelector::select(
   // Pass 2: scatter each candidate into its window's run, in event order.
   for (std::uint32_t i = 0; i < hits.size(); ++i) {
     for (std::uint32_t j = 0; j < hits[i].size(); ++j) {
-      const RoutingTable::ScoredDestination& sd = hits[i][j];
-      if (!is_candidate(sd)) continue;
-      Window& window = windows_[sd.slot];
-      cands_[window.begin + window.size++] = TopKCandidate{sd.score, i, j};
+      const RoutingTable::Destination& hit = hits[i][j];
+      if (!is_candidate(hit)) continue;
+      Window& window = windows_[hit.slot];
+      cands_[window.begin + window.size++] = TopKCandidate{hit.score, i, j};
     }
   }
   // Pass 3: per window, the min_score filter then the top-k cut; ties at
@@ -444,31 +420,18 @@ void Broker::flush_pending() {
 
 void Broker::send_publishes(sim::NodeId neighbor, std::vector<Event> events) {
   ++stats_.pub_msgs_sent;
-  if (events.size() == 1) {
-    Event event = std::move(events.front());
-    const std::size_t bytes = publish_msg_wire_size(event);
-    net_.send(id_, neighbor, std::string(kTypePublish),
-              PublishMsg{std::move(event)}, bytes);
-    return;
-  }
   const std::size_t bytes = publish_batch_wire_size(events);
   const std::size_t units = events.size();
-  net_.send(id_, neighbor, std::string(kTypePublishBatch),
+  net_.send(id_, neighbor, std::string(publish_type(units)),
             PublishBatchMsg{std::move(events)}, bytes, units);
 }
 
 void Broker::send_deliveries(sim::NodeId client,
                              std::vector<DeliverMsg> items) {
   ++stats_.deliver_msgs_sent;
-  if (items.size() == 1) {
-    DeliverMsg item = std::move(items.front());
-    const std::size_t bytes = deliver_msg_wire_size(item);
-    net_.send(id_, client, std::string(kTypeDeliver), std::move(item), bytes);
-    return;
-  }
   const std::size_t bytes = deliver_batch_wire_size(items);
   const std::size_t units = items.size();
-  net_.send(id_, client, std::string(kTypeDeliverBatch),
+  net_.send(id_, client, std::string(deliver_type(units)),
             DeliverBatchMsg{std::move(items)}, bytes, units);
 }
 

@@ -9,7 +9,8 @@
 // Publications crossing the broker are *coalesced per interface* until the
 // flush timer fires: instead of one wire message per event, everything
 // bound for the same neighbor (or client) leaves in a single
-// PublishBatchMsg / DeliverBatchMsg, and inbound batches are matched
+// PublishBatchMsg / DeliverBatchMsg (one entry or many: messages.h picks
+// the tag and framing), and every inbound publication message is matched
 // through the amortized Matcher::match_batch path.
 //
 // ## Flush-policy invariants (Config::flush_max_delay_ticks)
@@ -95,12 +96,11 @@ class DeliverySelector {
   /// Applies each window's min_score filter and top-k cut (cut_top_k)
   /// and marks the cut hits `suppressed` in place. Candidates are the
   /// hits carrying a spec, except echoes back to `from`. One linear pass:
-  /// candidates are counted per window slot (ScoredDestination::slot, the
+  /// candidates are counted per window slot (Destination::slot, the
   /// subscription's engine id), scattered into back-to-back runs in event
   /// order, and each run is cut.
   Counts select(RoutingTable::IfaceId from,
-                std::vector<std::vector<RoutingTable::ScoredDestination>>&
-                    hits);
+                std::vector<std::vector<RoutingTable::Destination>>& hits);
 
  private:
   /// One live window: its candidates are cands_[begin, begin + size).
@@ -265,8 +265,9 @@ class Broker final : public sim::Node {
   }
 
  private:
-  /// Matches one inbound publication message (a PublishMsg is a span of
-  /// one) and files every event into the per-interface output queues.
+  /// Matches one inbound publication message, through match_batch_scored
+  /// when scoring is enabled and match_batch otherwise, and files every
+  /// event into the per-interface output queues.
   void on_publish(sim::NodeId from, std::span<const Event> events);
 
   /// The one control-op dispatcher: subscription ops from either channel
@@ -283,13 +284,11 @@ class Broker final : public sim::Node {
   void heartbeat_tick();
 
   /// Files one event of the batch being routed into the per-interface
-  /// output queues. `Hit` is RoutingTable::Destination or, on the scored
-  /// path, RoutingTable::ScoredDestination: then client hits the
-  /// selector_ marked `suppressed` are skipped and non-neutral ones carry
-  /// their score. Scores never influence grouping or order.
-  template <typename Hit>
+  /// output queues. Client hits the selector_ marked `suppressed` are
+  /// skipped and ones carrying a spec carry their score (both only on the
+  /// scored path). Scores never influence grouping or order.
   void route_event(sim::NodeId from, const Event& event,
-                   const std::vector<Hit>& hits);
+                   const std::vector<RoutingTable::Destination>& hits);
 
   /// One client destination of the event being routed; `score`/`scored`
   /// are set only on the scored path.

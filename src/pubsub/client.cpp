@@ -101,28 +101,21 @@ void Client::unsubscribe(SubscriptionId id) {
 }
 
 void Client::publish(Event event) {
-  assert(connected() && "publish before connect");
-  event.set_id((static_cast<std::uint64_t>(id_) << 32) | next_event_id_++);
-  ++published_;
-  const std::size_t bytes = publish_msg_wire_size(event);
-  net_.send(id_, broker_, std::string(kTypePublish),
-            PublishMsg{std::move(event)}, bytes);
+  std::vector<Event> events;
+  events.push_back(std::move(event));
+  publish_batch(std::move(events));
 }
 
 void Client::publish_batch(std::vector<Event> events) {
   assert(connected() && "publish before connect");
   if (events.empty()) return;
-  if (events.size() == 1) {  // no batch framing for a single event
-    publish(std::move(events.front()));
-    return;
-  }
   for (Event& event : events) {
     event.set_id((static_cast<std::uint64_t>(id_) << 32) | next_event_id_++);
     ++published_;
   }
   const std::size_t bytes = publish_batch_wire_size(events);
   const std::size_t units = events.size();
-  net_.send(id_, broker_, std::string(kTypePublishBatch),
+  net_.send(id_, broker_, std::string(publish_type(units)),
             PublishBatchMsg{std::move(events)}, bytes, units);
 }
 
@@ -151,11 +144,9 @@ void Client::on_ctrl_op(sim::NodeId from, const CtrlOp& op) {
 
 void Client::handle_message(const sim::Message& msg) {
   if (channel_.on_message(msg)) return;
-  if (msg.type == kTypeDeliver) {
-    on_deliver(std::any_cast<const DeliverMsg&>(msg.payload));
-  } else if (msg.type == kTypeDeliverBatch) {
-    ++batches_received_;
+  if (msg.type == kTypeDeliver || msg.type == kTypeDeliverBatch) {
     const auto& batch = std::any_cast<const DeliverBatchMsg&>(msg.payload);
+    if (batch.items.size() > 1) ++batches_received_;
     for (const DeliverMsg& item : batch.items) on_deliver(item);
   } else {
     util::log_warn("client") << name_ << ": unexpected message " << msg.type;

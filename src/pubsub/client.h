@@ -70,20 +70,21 @@ class Client final : public sim::Node {
   /// Retracts a subscription made by this client; unknown ids are ignored.
   void unsubscribe(SubscriptionId id);
 
-  /// Publishes an event into the substrate via the connected broker.
+  /// Publishes an event into the substrate via the connected broker: a
+  /// one-event publish_batch.
   void publish(Event event);
 
-  /// Publishes several events in one wire message (PublishBatchMsg); the
-  /// broker matches them through the amortized batch path. Bursty
-  /// publishers (the feed proxy flushing a poll cycle) use this to avoid
-  /// one message per story.
+  /// Publishes the events in one wire message (PublishBatchMsg, framed by
+  /// its entry count); the broker matches them through the amortized
+  /// batch path. Bursty publishers (the feed proxy flushing a poll cycle)
+  /// use this to avoid one message per story. An empty list sends nothing.
   void publish_batch(std::vector<Event> events);
 
   void handle_message(const sim::Message& msg) override;
 
   // --- introspection --------------------------------------------------------
   std::uint64_t deliveries() const noexcept { return deliveries_; }
-  /// DeliverBatchMsg wire messages received (their events are unpacked
+  /// Multi-entry delivery messages received (their events are unpacked
   /// into the normal per-subscription handler/inbox path). How the broker
   /// cuts deliveries into wire messages is a function of its flush delay
   /// (Broker::Config::flush_max_delay_ticks) — clients observe the same

@@ -98,21 +98,17 @@ class Parser {
     if (first.empty()) return error("expected attribute name");
     skip_space();
 
-    // "has attr" form.
-    if (first == "has") {
-      const std::string attr = parse_identifier();
-      if (attr.empty()) return error("expected attribute after 'has'");
-      return exists(attr);
-    }
     // "attr any" and "attr in {v1, v2}" forms (Filter::to_string round
-    // trip). The lookahead is restored when the word is neither keyword —
-    // it was the start of something else (or garbage the operator parse
-    // reports).
+    // trip), then "has attr" for any other word after `has`, so an
+    // attribute named `has` round-trips too. The lookahead is restored
+    // when no word form applies — an operator follows (or garbage the
+    // operator parse reports).
     {
       const std::size_t mark = pos_;
-      const std::string keyword = parse_identifier();
-      if (keyword == "any") return exists(first);
-      if (keyword == "in") return parse_in_set(first);
+      const std::string word = parse_identifier();
+      if (word == "any") return exists(first);
+      if (word == "in") return parse_in_set(first);
+      if (first == "has" && !word.empty()) return exists(word);
       pos_ = mark;
     }
 

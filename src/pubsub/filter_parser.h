@@ -5,16 +5,21 @@
 // Grammar (whitespace-insensitive):
 //
 //   filter      := constraint ( "&&" constraint )*
-//   constraint  := attr op value | "has" attr
+//   constraint  := attr op value | attr "any" | attr "in" "{" values "}" |
+//                  "has" attr
 //   op          := "=" | "!=" | "<" | "<=" | ">" | ">=" |
 //                  "=^" (prefix) | "=$" (suffix) | "=*" (contains)
 //   attr        := [A-Za-z_][A-Za-z0-9_.]*
 //   value       := "quoted string" | number (int or float) | true | false
+//   values      := ( value ( "," value )* )?
 //
 // Examples:
 //   stream = "feed" && feed = "http://x/f.rss"
 //   symbol = "ACME" && price >= 10.5
 //   stream = "video" && text =* "storm" && has link
+//
+// `has` is the keyword only before a word other than `any` or `in`:
+// `has any` is exists("has") (exists("any") is written `any any`).
 //
 // parse_filter returns the canonicalized Filter or an error message with
 // the offending position. Round-trip guarantee: parsing a filter's

@@ -1,6 +1,9 @@
 // Wire protocol payloads exchanged between pub/sub clients and brokers.
 // Payloads travel inside sim::Message::payload (std::any); the `type`
-// strings below tag them for traffic accounting.
+// strings below tag them for traffic accounting. Publications and
+// deliveries have one payload type per direction (PublishBatchMsg,
+// DeliverBatchMsg) whatever their entry count; only the tag and the
+// framing bytes tell a one-entry message from a batch.
 #pragma once
 
 #include <cstdint>
@@ -14,19 +17,16 @@
 
 namespace reef::pubsub {
 
-/// A publication travelling client->broker or broker->broker.
-struct PublishMsg {
-  Event event;
-};
-
-/// Several publications coalesced into one wire message. Brokers batch the
-/// events bound for the same neighbor within a sim tick; publishers with
-/// bursty output (the feed proxy) can batch at the source.
+/// One or more publications travelling client->broker or broker->broker
+/// in one wire message. Brokers coalesce the events bound for the same
+/// neighbor (see the flush policy in broker.h); publishers with bursty
+/// output (the feed proxy) coalesce at the source. The framing follows the
+/// entry count (publish_type, publish_batch_wire_size).
 struct PublishBatchMsg {
   std::vector<Event> events;
 };
 
-/// Broker-to-client delivery; lists the client's subscription ids the event
+/// One delivery entry: the event plus the client's subscription ids it
 /// matched (the frontend uses these for its closed-loop bookkeeping).
 /// `scores` is parallel to `matched` when any matched subscription carries
 /// a non-neutral ScoringSpec (a neutral subscription in a mixed list reads
@@ -38,7 +38,8 @@ struct DeliverMsg {
   std::vector<double> scores;
 };
 
-/// Several deliveries to one client coalesced into one wire message.
+/// One or more deliveries to one client in one wire message; framed like
+/// PublishBatchMsg (deliver_type, deliver_batch_wire_size).
 struct DeliverBatchMsg {
   std::vector<DeliverMsg> items;
 };
@@ -97,45 +98,28 @@ struct CtrlAckMsg {
 struct HeartbeatMsg {};
 
 /// Wire-size accounting, shared by every sender so all paths meter the
-/// same encoding. Batch messages carry an 8-byte batch header plus 2 bytes
-/// of per-entry framing; single-event messages carry an 8-byte message
-/// header instead.
+/// same encoding. A message of one entry carries an 8-byte message header;
+/// a message of several carries an 8-byte batch header plus 2 bytes of
+/// framing per entry.
 inline constexpr std::size_t kBatchHeaderBytes = 8;
 
-/// Per-entry cost of one event inside a PublishBatchMsg.
-inline std::size_t publish_entry_wire_size(const Event& event) {
-  return event.wire_size() + 2;
-}
-
-/// Per-entry cost of one delivery inside a DeliverBatchMsg (the matched
-/// subscription ids ride along at 8 bytes each, scores — present only on
-/// scored deliveries — at 8 bytes each too).
-inline std::size_t deliver_entry_wire_size(const DeliverMsg& item) {
-  return item.event.wire_size() + 8 * item.matched.size() +
-         8 * item.scores.size() + 2;
-}
-
-/// Wire size of a standalone PublishMsg (8-byte message header).
-inline std::size_t publish_msg_wire_size(const Event& event) {
-  return event.wire_size() + 8;
-}
-
-/// Wire size of a standalone DeliverMsg.
-inline std::size_t deliver_msg_wire_size(const DeliverMsg& item) {
-  return item.event.wire_size() + 8 * item.matched.size() +
-         8 * item.scores.size() + 8;
-}
-
 inline std::size_t publish_batch_wire_size(const std::vector<Event>& events) {
+  const std::size_t framing = events.size() == 1 ? 0 : 2;
   std::size_t bytes = kBatchHeaderBytes;
-  for (const Event& event : events) bytes += publish_entry_wire_size(event);
+  for (const Event& event : events) bytes += event.wire_size() + framing;
   return bytes;
 }
 
+/// The matched subscription ids ride along at 8 bytes each, scores —
+/// present only on scored deliveries — at 8 bytes each too.
 inline std::size_t deliver_batch_wire_size(
     const std::vector<DeliverMsg>& items) {
+  const std::size_t framing = items.size() == 1 ? 0 : 2;
   std::size_t bytes = kBatchHeaderBytes;
-  for (const DeliverMsg& item : items) bytes += deliver_entry_wire_size(item);
+  for (const DeliverMsg& item : items) {
+    bytes += item.event.wire_size() + 8 * item.matched.size() +
+             8 * item.scores.size() + framing;
+  }
   return bytes;
 }
 
@@ -188,6 +172,15 @@ inline constexpr std::string_view kTypeDeliverBatch = "pubsub.deliverbatch";
 inline constexpr std::string_view kTypeCtrl = "pubsub.ctrl";
 inline constexpr std::string_view kTypeCtrlAck = "pubsub.ctrlack";
 inline constexpr std::string_view kTypeHeartbeat = "pubsub.hb";
+
+/// Type tags of publication and delivery messages by entry count: a
+/// one-entry message keeps the single-event tag.
+inline std::string_view publish_type(std::size_t entries) {
+  return entries == 1 ? kTypePublish : kTypePublishBatch;
+}
+inline std::string_view deliver_type(std::size_t entries) {
+  return entries == 1 ? kTypeDeliver : kTypeDeliverBatch;
+}
 
 /// Type tag of a best-effort CtrlOp message. Only the four subscription
 /// ops travel best-effort; the anti-entropy ops exist only on the reliable

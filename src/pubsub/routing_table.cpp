@@ -549,9 +549,9 @@ void RoutingTable::match_engine_batch(
   });
 }
 
-template <typename Hit, typename MakeHit>
+template <typename MakeHit>
 void RoutingTable::expand_hits(std::span<const Event> events,
-                               std::vector<std::vector<Hit>>& out,
+                               std::vector<std::vector<Destination>>& out,
                                MakeHit&& make_hit) const {
   std::vector<std::vector<SubscriptionId>> filter_hits;
   match_engine_batch(events, filter_hits);
@@ -580,7 +580,7 @@ void RoutingTable::match_batch(
 
 void RoutingTable::match_batch_scored(
     std::span<const Event> events,
-    std::vector<std::vector<ScoredDestination>>& out) const {
+    std::vector<std::vector<Destination>>& out) const {
   // One TermBag per event per distinct attribute list, built at the first
   // BM25 hit that needs it; every other hit with an equal list scores
   // against it. The slots and their buffers are reused across the batch.
@@ -610,7 +610,7 @@ void RoutingTable::match_batch_scored(
   };
   expand_hits(events, out, [&](std::size_t i, RegId reg_id) {
     const Registration& entry = registrations_[reg_id];
-    ScoredDestination hit{{entry.iface, entry.from_broker, entry.client_sub}};
+    Destination hit{entry.iface, entry.from_broker, entry.client_sub};
     if (const ScoredSpec* scored = entry.scored.get()) {
       if (scored->spec.policy == ScoringPolicy::kBm25) {
         hit.score = bag_for(i, scored->attr_ids).score(scored->spec.query);

@@ -51,31 +51,32 @@ class RoutingTable {
   };
 
   /// Where a matched event must go: an interface plus, for client
-  /// interfaces, the client's own subscription id.
+  /// interfaces, the client's own subscription id — the one routing-hit
+  /// type of both match calls.
+  ///
+  /// match_batch_scored also fills in the relevance score and, for client
+  /// subscriptions with a non-neutral ScoringSpec, the delivery policy to
+  /// apply (top_k / min_score) and the spec's top-k window slot (its
+  /// registration id: distinct among live registrations and kept on a
+  /// same-sub_id replace); match_batch leaves all four at their defaults.
+  /// `scoring` is nullptr and `slot` kNoScoringSlot for neighbor-broker
+  /// destinations and for unscored subscriptions — forwarding between
+  /// brokers is boolean-only; suppression is an edge-delivery policy. The
+  /// pointer is owned by the table and stable until that subscription is
+  /// removed or replaced. `suppressed` is false as matched; the broker's
+  /// top-k selection sets it on the hits its delivery policy cuts.
   struct Destination {
     IfaceId iface = kNoIface;
     bool is_broker = false;
     SubscriptionId client_sub = 0;  ///< valid when !is_broker
-  };
-
-  /// A destination decorated with its relevance score and, for client
-  /// subscriptions with a non-neutral ScoringSpec, the delivery policy to
-  /// apply (top_k / min_score) and the spec's top-k window slot (its
-  /// registration id: distinct among live registrations and kept on a
-  /// same-sub_id replace). `scoring` is nullptr and `slot`
-  /// kNoScoringSlot for neighbor-broker destinations and for unscored
-  /// subscriptions — forwarding between brokers is boolean-only;
-  /// suppression is an edge-delivery policy. The pointer is owned by the
-  /// table and stable until that subscription is removed or replaced.
-  /// `suppressed` is false as matched; the broker's top-k selection sets
-  /// it on the hits its delivery policy cuts.
-  struct ScoredDestination {
-    Destination dest;
     double score = kConstantScore;
     const ScoringSpec* scoring = nullptr;
     std::uint32_t slot = kNoScoringSlot;
     bool suppressed = false;
   };
+  /// Kept only because the end-to-end benchmark (bench/e2e) still names
+  /// it.
+  using ScoredDestination = Destination;
 
   /// Subscribe/unsubscribe delta for one neighbor, produced by refresh().
   struct Diff {
@@ -187,7 +188,7 @@ class RoutingTable {
                    std::vector<std::vector<Destination>>& out) const;
 
   /// Scored batch matching: same destinations as match_batch, each
-  /// decorated with its relevance score (kConstantScore without a spec)
+  /// filled in with its relevance score (kConstantScore without a spec)
   /// and (for client subscriptions with a non-neutral spec) the delivery
   /// policy. A BM25 hit is scored against its event's TermBag for the
   /// spec's text attributes (interned to ids when the spec was
@@ -199,8 +200,7 @@ class RoutingTable {
   /// call, so they are identical for every engine/worker config that
   /// agrees on the match sets — which the Matcher contract guarantees.
   void match_batch_scored(std::span<const Event> events,
-                          std::vector<std::vector<ScoredDestination>>& out)
-      const;
+                          std::vector<std::vector<Destination>>& out) const;
 
   // --- introspection --------------------------------------------------------
   /// Registrations (client subscriptions and neighbors' filters) across all
@@ -261,7 +261,7 @@ class RoutingTable {
     IfaceId iface = kNoIface;
     bool from_broker = false;
     SubscriptionId client_sub = 0;  // valid when !from_broker
-    /// Null for a neutral spec; behind a pointer so ScoredDestination's
+    /// Null for a neutral spec; behind a pointer so Destination::scoring
     /// view of it outlives growth of registrations_.
     std::unique_ptr<const ScoredSpec> scored;
     FilterId filter = 0;
@@ -330,9 +330,10 @@ class RoutingTable {
                           std::vector<std::vector<SubscriptionId>>& out) const;
   /// Matches `events` into `out`: make_hit(event index, RegId) for every
   /// registration of every filter hit, each event's vector reserved once.
-  template <typename Hit, typename MakeHit>
+  template <typename MakeHit>
   void expand_hits(std::span<const Event> events,
-                   std::vector<std::vector<Hit>>& out, MakeHit&& make_hit) const;
+                   std::vector<std::vector<Destination>>& out,
+                   MakeHit&& make_hit) const;
 
   Config config_;
   std::unordered_map<IfaceId, BrokerIface> broker_ifaces_;

@@ -128,7 +128,7 @@ struct ClientSubscription {
 };
 
 /// Top-k window slot of a hit without a non-neutral spec (see
-/// RoutingTable::ScoredDestination::slot).
+/// RoutingTable::Destination::slot).
 inline constexpr std::uint32_t kNoScoringSlot = 0xffffffff;
 
 /// One subscription's share of a client resync digest: XOR-folded over a

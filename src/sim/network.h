@@ -98,9 +98,9 @@ class Network {
   /// sends in the same order see identical delivery times.
   ///
   /// `units` is the number of logical payloads the wire message carries
-  /// (default 1); batched protocols (PublishBatchMsg, DeliverBatchMsg)
-  /// pass the batch size so the accounting can separate wire messages
-  /// from the events they amortize.
+  /// (default 1); the publication and delivery messages (PublishBatchMsg,
+  /// DeliverBatchMsg) pass their entry count so the accounting can
+  /// separate wire messages from the events they amortize.
   std::optional<Time> send(NodeId from, NodeId to, std::string type,
                            std::any payload, std::size_t bytes,
                            std::size_t units = 1);

@@ -430,28 +430,58 @@ TEST(BitsetMatcher, SubSpanMatchesFullBatchPositions) {
 
 TEST(BitsetMatcher, OneEventBatchEqualsMatchAtTheShortcutGuards) {
   // match and match_batch share one per-event path behind their own
-  // empty-table guards; a one-event batch must equal match on an empty, a
-  // universal-only and a mixed table, and on an attribute-free event.
-  const std::vector<Event> events = {Event(), Event().with("a", 1),
-                                     Event().with("zzz", 0)};
-  const auto check = [&](const BitsetMatcher& m, const std::string& table) {
+  // empty-table guards; a one-event batch must equal match and the
+  // brute-force oracle on an empty, a universal-only and a mixed table,
+  // and on events that satisfy no index entry — those fire exactly the
+  // universal slots, which the threshold pass finds by visiting only the
+  // universal words (in word 0, word 1 and a second 64-word block below).
+  const std::vector<Event> events = {
+      Event(),
+      Event().with("a", 1),
+      Event().with("zzz", 0),
+      Event().with("a", 2),
+      Event().with("b", 3),
+      Event().with("s", "yes"),
+      Event().with("b", 20).with("s", "xy")};
+  BitsetMatcher m;
+  BruteForceMatcher oracle;
+  const auto add = [&](SubscriptionId id, const Filter& filter) {
+    m.add(id, filter);
+    oracle.add(id, filter);
+  };
+  const auto remove = [&](SubscriptionId id) {
+    m.remove(id);
+    oracle.remove(id);
+  };
+  const auto check = [&](const std::string& table) {
     for (const Event& event : events) {
       std::vector<std::vector<SubscriptionId>> out;
       m.match_batch(std::span<const Event>(&event, 1), out);
       ASSERT_EQ(out.size(), 1u) << table;
-      EXPECT_EQ(sorted(out.front()), sorted(m.match(event)))
-          << table << " on " << event.to_string();
+      const std::vector<SubscriptionId> want = sorted(oracle.match(event));
+      EXPECT_EQ(out.front(), want) << table << " on " << event.to_string();
+      EXPECT_EQ(m.match(event), want) << table << " on " << event.to_string();
     }
   };
-  BitsetMatcher m;
-  check(m, "empty");
-  m.add(1, Filter());
-  m.add(2, Filter());
-  check(m, "universal-only");
-  m.add(3, Filter().and_(eq("a", 1)));
-  check(m, "mixed");
-  m.remove(3);
-  check(m, "universal-only after removal");
+  check("empty");
+  add(1, Filter());
+  add(2, Filter());
+  check("universal-only");
+  add(3, Filter().and_(eq("a", 1)));
+  check("mixed");
+  remove(3);
+  check("universal-only after removal");
+  add(70, Filter());    // word 1
+  add(5000, Filter());  // word 78: the second 64-word block
+  check("universal-only across blocks");
+  add(0, Filter().and_(eq("a", 1)));
+  add(65, Filter().and_(ge("b", 10)));
+  add(4999, Filter().and_(prefix("s", "x")));
+  add(5001, Filter().and_(ge("b", 10)).and_(prefix("s", "x")));
+  check("mixed across blocks");
+  remove(1);
+  remove(70);
+  check("mixed, universal slots only in the second block");
 }
 
 // --- sparse entries: the threshold pass visits touched + universal words ----

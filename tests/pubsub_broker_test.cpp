@@ -2,6 +2,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "pubsub/client.h"
 #include "pubsub/overlay.h"
@@ -163,6 +164,85 @@ TEST(Broker, BestEffortControlOpsSendOneMessageEach) {
   // Nothing rode the reliable stream.
   EXPECT_EQ(count(kTypeCtrl), 0u);
   EXPECT_EQ(count(kTypeCtrlAck), 0u);
+}
+
+TEST(Broker, PublicationAndDeliveryFramingBytes) {
+  // One payload type per direction, two framings: a one-entry message
+  // keeps the single-event tag and an 8-byte message header; a multi-entry
+  // message carries an 8-byte batch header plus 2 bytes per entry. Each
+  // publication crosses two hops (client -> broker 0 -> broker 1), each
+  // metered the same. A non-neutral spec puts a score beside every
+  // matched id of the subscriber's mixed list.
+  for (const bool scored : {false, true}) {
+    SCOPED_TRACE(scored ? "scored" : "unscored");
+    Harness h;
+    Broker::Config config;
+    config.scoring_enabled = scored;
+    Overlay overlay = Overlay::chain(h.sim, h.net, 2, config);
+    Client pub(h.sim, h.net, "pub");
+    Client sub(h.sim, h.net, "sub");
+    pub.connect(overlay.broker(0));
+    sub.connect(overlay.broker(1));
+    ScoringSpec spec;
+    if (scored) {
+      spec.policy = ScoringPolicy::kBm25;
+      spec.query = {{"acme", 1.5}};
+      spec.text_attrs = {"title"};
+      spec.top_k = 8;  // cuts nothing below
+    }
+    sub.subscribe_scored(stock("A"), spec);
+    sub.subscribe(Filter().and_(exists("sym")));
+    h.settle();
+    const std::size_t matched = 2;
+    const std::size_t scores = scored ? matched : 0;
+    const auto messages = [&](std::string_view type) {
+      return h.net.messages_by_type().get(std::string(type));
+    };
+    const auto bytes = [&](std::string_view type) {
+      return h.net.bytes_by_type().get(std::string(type));
+    };
+    const auto units = [&](std::string_view type) {
+      return h.net.units_by_type().get(std::string(type));
+    };
+
+    const Event single = Event().with("sym", "A").with("title", "acme up");
+    pub.publish(single);
+    h.settle();
+    EXPECT_EQ(messages(kTypePublish), 2u);
+    EXPECT_EQ(bytes(kTypePublish), 2 * (single.wire_size() + 8));
+    EXPECT_EQ(units(kTypePublish), 2u);
+    EXPECT_EQ(messages(kTypeDeliver), 1u);
+    EXPECT_EQ(bytes(kTypeDeliver),
+              single.wire_size() + 8 * matched + 8 * scores + 8);
+    EXPECT_EQ(units(kTypeDeliver), 1u);
+    EXPECT_EQ(messages(kTypePublishBatch), 0u);
+    EXPECT_EQ(messages(kTypeDeliverBatch), 0u);
+    EXPECT_EQ(sub.batches_received(), 0u);
+
+    const std::vector<Event> batch = {
+        Event().with("sym", "A").with("title", "acme"),
+        Event().with("sym", "A").with("title", "acme acme down"),
+        Event().with("sym", "A").with("seq", 3)};
+    std::size_t publish_bytes = 8;
+    std::size_t deliver_bytes = 8;
+    for (const Event& event : batch) {
+      publish_bytes += event.wire_size() + 2;
+      deliver_bytes += event.wire_size() + 8 * matched + 8 * scores + 2;
+    }
+    pub.publish_batch(batch);
+    h.settle();
+    EXPECT_EQ(messages(kTypePublishBatch), 2u);
+    EXPECT_EQ(bytes(kTypePublishBatch), 2 * publish_bytes);
+    EXPECT_EQ(units(kTypePublishBatch), 6u);
+    EXPECT_EQ(messages(kTypeDeliverBatch), 1u);
+    EXPECT_EQ(bytes(kTypeDeliverBatch), deliver_bytes);
+    EXPECT_EQ(units(kTypeDeliverBatch), 3u);
+    // The single-event tags saw nothing more.
+    EXPECT_EQ(messages(kTypePublish), 2u);
+    EXPECT_EQ(messages(kTypeDeliver), 1u);
+    EXPECT_EQ(sub.deliveries(), 4 * matched);
+    EXPECT_EQ(sub.batches_received(), 1u);
+  }
 }
 
 TEST(Broker, CoveringPrunesForwardedSubscriptions) {
@@ -541,7 +621,7 @@ TEST(Broker, EveryDeliveryOfAPublicationSharesItsAttributeBlock) {
     for (int i = 0; i < 4; ++i) {
       published.push_back(Event().with("sym", "A").with("seq", i));
     }
-    pub.publish(published[0]);  // a single PublishMsg
+    pub.publish(published[0]);  // a one-event message
     h.settle();
     pub.publish_batch({published[1], published[2], published[3]});
     h.settle();

@@ -43,6 +43,10 @@ TEST(FilterParser, HasAndAnyForms) {
   EXPECT_FALSE(has.matches(Event().with("other", "x")));
   const Filter any = parse("link any");
   EXPECT_EQ(has, any);
+  // `has` is the keyword only before a word other than `any` or `in`.
+  EXPECT_EQ(parse("has any"), Filter().and_(exists("has")));
+  EXPECT_EQ(parse("any any"), Filter().and_(exists("any")));
+  EXPECT_EQ(parse("has in {1}"), Filter().and_(eq("has", 1)));
 }
 
 TEST(FilterParser, Booleans) {
@@ -178,6 +182,11 @@ TEST(FilterParser, RoundTripThroughToString) {
           .and_(in_("empty", {})),
       Filter().and_(lt("price", std::numeric_limits<double>::infinity())),
       Filter().and_(gt("price", -std::numeric_limits<double>::infinity())),
+      // An attribute named like the `has` keyword, in every word form.
+      Filter().and_(exists("has")),
+      Filter().and_(eq("has", 1)),
+      Filter().and_(in_("has", {Value("a"), Value(2)})),
+      Filter().and_(exists("any")).and_(exists("in")),
   };
   for (const Filter& original : cases) {
     const Filter reparsed = parse(original.to_string());

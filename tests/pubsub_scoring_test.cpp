@@ -281,13 +281,13 @@ TEST(ScoreEvent, TermBagAgreesBitwiseWithReferenceFormula) {
     for (std::int64_t seq = 0; seq < 4; ++seq) {
       events.push_back(trial_event(rng, seq));
     }
-    std::vector<std::vector<RoutingTable::ScoredDestination>> scored;
+    std::vector<std::vector<RoutingTable::Destination>> scored;
     table.match_batch_scored(events, scored);
     ASSERT_EQ(scored.size(), events.size());
     for (std::size_t i = 0; i < events.size(); ++i) {
       ASSERT_EQ(scored[i].size(), specs.size());
-      for (const RoutingTable::ScoredDestination& hit : scored[i]) {
-        const ScoringSpec& spec = specs[hit.dest.client_sub - 1];
+      for (const RoutingTable::Destination& hit : scored[i]) {
+        const ScoringSpec& spec = specs[hit.client_sub - 1];
         const double expected = reference_score(spec, events[i]);
         const auto bits = std::bit_cast<std::uint64_t>(expected);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(score_event(spec, events[i])),
@@ -389,16 +389,16 @@ TEST(TopKCut, PartitionsTheWindowByFate) {
 std::unordered_map<SubscriptionId, std::uint32_t> scored_slots(
     const RoutingTable& table) {
   const std::vector<Event> events = {Event()};
-  std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+  std::vector<std::vector<RoutingTable::Destination>> hits;
   table.match_batch_scored(events, hits);
   std::unordered_map<SubscriptionId, std::uint32_t> slots;
-  for (const RoutingTable::ScoredDestination& hit : hits[0]) {
+  for (const RoutingTable::Destination& hit : hits[0]) {
     if (hit.scoring == nullptr) {
       EXPECT_EQ(hit.slot, kNoScoringSlot);
       continue;
     }
     EXPECT_NE(hit.slot, kNoScoringSlot);
-    slots.emplace(hit.dest.client_sub, hit.slot);
+    slots.emplace(hit.client_sub, hit.slot);
   }
   return slots;
 }
@@ -504,7 +504,7 @@ using Suppressed =
 /// suppressions; `counts` receives the three counters.
 std::vector<Suppressed> reference_select(
     RoutingTable::IfaceId from,
-    const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits,
+    const std::vector<std::vector<RoutingTable::Destination>>& hits,
     DeliverySelector::Counts& counts) {
   struct Candidate {
     RoutingTable::IfaceId client = RoutingTable::kNoIface;
@@ -515,11 +515,11 @@ std::vector<Suppressed> reference_select(
   };
   std::vector<Candidate> cands;
   for (std::size_t i = 0; i < hits.size(); ++i) {
-    for (const RoutingTable::ScoredDestination& sd : hits[i]) {
-      if (sd.dest.is_broker || sd.scoring == nullptr) continue;
-      if (sd.dest.iface == from) continue;  // never echo back
+    for (const RoutingTable::Destination& sd : hits[i]) {
+      if (sd.is_broker || sd.scoring == nullptr) continue;
+      if (sd.iface == from) continue;  // never echo back
       ++counts.scored_matches;
-      cands.push_back(Candidate{sd.dest.iface, sd.dest.client_sub,
+      cands.push_back(Candidate{sd.iface, sd.client_sub,
                                 static_cast<std::uint32_t>(i), sd.score,
                                 sd.scoring});
     }
@@ -585,17 +585,17 @@ TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
   std::vector<RoutingTable::IfaceId> client_of;  // by id - 1
   SubscriptionId next_id = 1;
   std::vector<SubscriptionId> live_ids;
-  std::unordered_map<SubscriptionId, RoutingTable::ScoredDestination>
+  std::unordered_map<SubscriptionId, RoutingTable::Destination>
       scored_hit;
   const auto read_hits = [&] {
     const std::vector<Event> probe = {Event()};
-    std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+    std::vector<std::vector<RoutingTable::Destination>> hits;
     table.match_batch_scored(probe, hits);
     scored_hit.clear();
-    for (const RoutingTable::ScoredDestination& hit : hits[0]) {
+    for (const RoutingTable::Destination& hit : hits[0]) {
       ASSERT_NE(hit.scoring, nullptr);
       ASSERT_NE(hit.slot, kNoScoringSlot);
-      scored_hit.emplace(hit.dest.client_sub, hit);
+      scored_hit.emplace(hit.client_sub, hit);
     }
     ASSERT_EQ(scored_hit.size(), live_ids.size());
   };
@@ -632,22 +632,21 @@ TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
         rng.chance(0.3) ? kBroker
                         : static_cast<RoutingTable::IfaceId>(1 + rng.index(4));
     const std::size_t events = 1 + rng.index(24);
-    std::vector<std::vector<RoutingTable::ScoredDestination>> hits(events);
+    std::vector<std::vector<RoutingTable::Destination>> hits(events);
     for (auto& event_hits : hits) {
       for (const SubscriptionId id : live_ids) {
         if (!rng.chance(0.6)) continue;
-        RoutingTable::ScoredDestination hit = scored_hit.at(id);
+        RoutingTable::Destination hit = scored_hit.at(id);
         hit.score = levels[rng.index(levels.size())];
         event_hits.push_back(hit);
       }
       if (rng.chance(0.5)) {  // a neutral sibling
-        event_hits.push_back(RoutingTable::ScoredDestination{
-            {static_cast<RoutingTable::IfaceId>(1 + rng.index(4)), false,
-             1000 + rng.index(8)}});
+        event_hits.push_back(RoutingTable::Destination{
+            static_cast<RoutingTable::IfaceId>(1 + rng.index(4)), false,
+            1000 + rng.index(8)});
       }
       if (rng.chance(0.5)) {  // a neighbor broker
-        event_hits.push_back(
-            RoutingTable::ScoredDestination{{kBroker, true, 0}});
+        event_hits.push_back(RoutingTable::Destination{kBroker, true, 0});
       }
       std::shuffle(event_hits.begin(), event_hits.end(), rng);
     }
@@ -661,16 +660,16 @@ TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
     ASSERT_EQ(got.suppressed_by_threshold, want.suppressed_by_threshold)
         << batch;
     for (std::uint32_t i = 0; i < hits.size(); ++i) {
-      for (const RoutingTable::ScoredDestination& sd : hits[i]) {
+      for (const RoutingTable::Destination& sd : hits[i]) {
         const bool expected =
-            sd.scoring != nullptr && sd.dest.iface != from &&
+            sd.scoring != nullptr && sd.iface != from &&
             std::binary_search(
                 suppressed.begin(), suppressed.end(),
-                Suppressed{i, sd.dest.iface, sd.dest.client_sub});
+                Suppressed{i, sd.iface, sd.client_sub});
         ASSERT_EQ(sd.suppressed, expected)
             << "batch " << batch << " event " << i << " sub "
-            << sd.dest.client_sub;
-        if (sd.scoring != nullptr && sd.dest.iface != from && !expected) {
+            << sd.client_sub;
+        if (sd.scoring != nullptr && sd.iface != from && !expected) {
           ++total_kept;
         }
       }
@@ -689,10 +688,10 @@ TEST(DeliverySelector, AgreesWithSortPlusHeapReference) {
 /// (client sub, score, has spec) per scored destination, sorted by sub.
 using ScoredKey = std::tuple<SubscriptionId, double, bool>;
 std::vector<ScoredKey> scored_keys(
-    const std::vector<RoutingTable::ScoredDestination>& hits) {
+    const std::vector<RoutingTable::Destination>& hits) {
   std::vector<ScoredKey> keys;
-  for (const RoutingTable::ScoredDestination& hit : hits) {
-    keys.emplace_back(hit.dest.client_sub, hit.score, hit.scoring != nullptr);
+  for (const RoutingTable::Destination& hit : hits) {
+    keys.emplace_back(hit.client_sub, hit.score, hit.scoring != nullptr);
   }
   std::sort(keys.begin(), keys.end());
   return keys;
@@ -713,7 +712,7 @@ TEST(MatchBatchScored, DecoratesEveryEngine) {
     // Universal, no spec: scores constant.
     table.client_subscribe(kClient, 2, Filter());
 
-    std::vector<std::vector<RoutingTable::ScoredDestination>> scored;
+    std::vector<std::vector<RoutingTable::Destination>> scored;
     table.match_batch_scored(events, scored);
     ASSERT_EQ(scored.size(), events.size()) << name;
 
@@ -752,14 +751,14 @@ TEST(MatchBatchScored, SubSpanScoresComposeWithFullBatch) {
     RoutingTable table(RoutingTable::Config{.engine = name});
     table.client_subscribe(kClient, 1, Filter().and_(exists("file")), spec);
 
-    std::vector<std::vector<RoutingTable::ScoredDestination>> full;
+    std::vector<std::vector<RoutingTable::Destination>> full;
     table.match_batch_scored(events, full);
     // Batch-composition independence extends to scores: every contiguous
     // sub-span's (sub, score) lists are the full batch's at those
     // positions.
     for (std::size_t begin = 0; begin < events.size(); ++begin) {
       for (std::size_t end = begin + 1; end <= events.size(); ++end) {
-        std::vector<std::vector<RoutingTable::ScoredDestination>> sub;
+        std::vector<std::vector<RoutingTable::Destination>> sub;
         table.match_batch_scored(
             std::span<const Event>(events).subspan(begin, end - begin), sub);
         ASSERT_EQ(sub.size(), end - begin) << name;
@@ -785,7 +784,7 @@ TEST(MatchBatchScored, SpecRegisteredBeforeItsAttributeIsInterned) {
       Event().with(attr, "Storm on the coast"),
       Event().with(attr, "storm storm").with("text", "coast"),
   };
-  std::vector<std::vector<RoutingTable::ScoredDestination>> scored;
+  std::vector<std::vector<RoutingTable::Destination>> scored;
   table.match_batch_scored(events, scored);
   ASSERT_EQ(scored.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -977,10 +976,10 @@ TEST(RoutingTableSlots, CrashedBrokerFreshTableStartsAtSlotZero) {
   const ScoringSpec spec = bm25_spec({{"log", 1.0}}, {"text"}, 1);
   const std::vector<Event> events = {Event().with("text", "log")};
   const auto slots = [&] {
-    std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+    std::vector<std::vector<RoutingTable::Destination>> hits;
     broker.routing_table().match_batch_scored(events, hits);
     std::vector<std::uint32_t> out;
-    for (const RoutingTable::ScoredDestination& hit : hits[0]) {
+    for (const RoutingTable::Destination& hit : hits[0]) {
       out.push_back(hit.slot);
     }
     std::sort(out.begin(), out.end());

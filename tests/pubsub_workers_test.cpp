@@ -206,13 +206,13 @@ std::vector<std::vector<DestinationKey>> destinations(
 
 std::vector<std::vector<ScoredKey>> scored_destinations(
     const RoutingTable& table, const std::vector<Event>& events) {
-  std::vector<std::vector<RoutingTable::ScoredDestination>> hits;
+  std::vector<std::vector<RoutingTable::Destination>> hits;
   table.match_batch_scored(events, hits);
   std::vector<std::vector<ScoredKey>> out;
   for (const auto& per_event : hits) {
     auto& keys = out.emplace_back();
     for (const auto& d : per_event) {
-      keys.emplace_back(d.dest.iface, d.dest.is_broker, d.dest.client_sub,
+      keys.emplace_back(d.iface, d.is_broker, d.client_sub,
                         d.score, d.scoring != nullptr);
     }
   }
